@@ -227,13 +227,13 @@ let shard_run ~plan ~shards ~domains =
 
 let sweep_ids = [ "fig9"; "fig10"; "fig11"; "sec6" ]
 
-let sweep ~jobs =
-  time (fun () -> Bmhive.Experiments.run_many ~quick:true ~seed:!seed ~jobs sweep_ids)
+let quick_ctx () = { Bmhive.Experiments.default_ctx with quick = true; seed = !seed }
+let sweep ~jobs = time (fun () -> Bmhive.Experiments.run ~jobs (quick_ctx ()) sweep_ids)
 
 let cell_seconds () =
   List.map
     (fun id ->
-      let _, s = time (fun () -> Bmhive.Experiments.run_one ~quick:true ~seed:!seed id) in
+      let _, s = time (fun () -> Bmhive.Experiments.run (quick_ctx ()) [ id ]) in
       (id, s))
     sweep_ids
 

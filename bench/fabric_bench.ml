@@ -111,7 +111,9 @@ let ecmp_bench ~flows =
 (* --- cross-host experiment determinism -------------------------------- *)
 
 let xhost_bench () =
-  let run () = Bmhive.Experiments.run_one ~quick:true ~seed:!seed "xhost_rr" in
+  let run () =
+    Bmhive.Experiments.(run { default_ctx with quick = true; seed = !seed } [ "xhost_rr" ])
+  in
   let r1, wall1 = time run in
   let r2, wall2 = time run in
   (wall1, wall2, r1 = r2)

@@ -1,185 +1,20 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
+   Same run flags as [bmhive run] (see [main.exe --help]), plus [--list]
+   and [--bechamel], and a wall-clock footer after the run. *)
 
-   Usage:
-     bench/main.exe                 run every experiment (full scale)
-     bench/main.exe fig12 fig13     run selected experiments
-     bench/main.exe --quick         reduced scale (CI-sized)
-     bench/main.exe --seed N        deterministic seed (default 2020)
-     bench/main.exe --trace FILE    write a Chrome trace_event JSON of the run
-     bench/main.exe --metrics       print the datapath metrics table afterwards
-     bench/main.exe --faults S:SPEC deterministic fault plan, e.g. 42:default
-                                    or 7:link_down=2,firmware_wedge=1
-     bench/main.exe --scenario S:SPEC
-                                    game-day scenario timeline for the
-                                    game_day experiment, e.g. 42:default
-                                    or 7:hosts=2,links=1,congest=1,evac=1
-     bench/main.exe --policy NAME   degradation policy for the game_day
-                                    experiment: ladder (default),
-                                    selective, tiered or congestion
-     bench/main.exe --jobs N        run up to N experiment cells on parallel
-                                    domains (0 = all cores); output is
-                                    byte-identical for any N
-     bench/main.exe --shards N      intra-run parallelism (0 = all cores):
-                                    fleet_scale partitions its flow phase
-                                    across N fabric shards; game_day and
-                                    policy_race race their scenario arms
-                                    on N domains; output is byte-identical
-                                    for any N
-     bench/main.exe --topology SPEC fabric topology for the cross-host
-                                    experiments: two_host or key=value
-                                    pairs (hosts, tors, spines,
-                                    host_gbit, spine_gbit, host_lat_us,
-                                    spine_lat_us, queue)
-     bench/main.exe --hosts N       fleet size for the fleet-scale
-     bench/main.exe --guests N      experiments (fleet_scale); defaults
-     bench/main.exe --tenants N     to the quick/full config
-     bench/main.exe --vfs N         SR-IOV functions per device/pool in the
-                                    vf_* experiments
-     bench/main.exe --datapath D    restrict vf_ablation to one datapath:
-                                    vring, passthrough or vf
-     bench/main.exe --list          list experiment ids
-     bench/main.exe --bechamel      bechamel micro-benchmarks of the
-                                    (quick-scale) experiment runs *)
-
-let usage () =
-  print_endline
-    "usage: main.exe [--quick] [--seed N] [--trace FILE] [--metrics] [--faults SEED:SPEC] \
-     [--scenario SEED:SPEC] [--policy NAME] [--jobs N] [--shards N] [--topology SPEC] [--hosts N] \
-     [--guests N] [--tenants N] [--vfs N] [--datapath D] [--list] [--bechamel] [experiment ids...]"
-
-type options = {
-  quick : bool;
-  seed : int;
-  trace_file : string option;
-  metrics : bool;
-  faults : Bm_engine.Fault.plan option;
-  scenario : string option;
-  policy : string option;
-  topo : Bm_fabric.Topology.t option;
-  fleet : Bmhive.Experiments.fleet_opts;
-  vf : Bmhive.Experiments.vf_opts;
-  jobs : int;
-  shards : int;
-  list : bool;
-  bechamel : bool;
-  help : bool;
-  targets : string list;
-}
-
-let default_options =
-  {
-    quick = false;
-    seed = 2020;
-    trace_file = None;
-    metrics = false;
-    faults = None;
-    scenario = None;
-    policy = None;
-    topo = None;
-    fleet = Bmhive.Experiments.default_fleet;
-    vf = Bmhive.Experiments.default_vf;
-    jobs = 1;
-    shards = 1;
-    list = false;
-    bechamel = false;
-    help = false;
-    targets = [];
-  }
-
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; usage (); exit 2) fmt
-
-(* A proper recursive parser: flags consume their own values, everything
-   else is a positional experiment id (so "--seed 7 fig7" no longer
-   swallows positionals that happen to spell the seed). *)
-let rec parse opts = function
-  | [] -> { opts with targets = List.rev opts.targets }
-  | "--quick" :: rest -> parse { opts with quick = true } rest
-  | "--metrics" :: rest -> parse { opts with metrics = true } rest
-  | "--list" :: rest -> parse { opts with list = true } rest
-  | "--bechamel" :: rest -> parse { opts with bechamel = true } rest
-  | ("--help" | "-h") :: rest -> parse { opts with help = true } rest
-  | "--seed" :: v :: rest -> (
-    match int_of_string_opt v with
-    | Some seed -> parse { opts with seed } rest
-    | None -> fail "--seed expects an integer, got %S" v)
-  | [ "--seed" ] -> fail "--seed expects a value"
-  | "--trace" :: file :: rest -> parse { opts with trace_file = Some file } rest
-  | [ "--trace" ] -> fail "--trace expects a file name"
-  | "--faults" :: spec :: rest -> (
-    match Bm_engine.Fault.parse_spec spec with
-    | Ok plan -> parse { opts with faults = Some plan } rest
-    | Error e -> fail "--faults: %s" e)
-  | [ "--faults" ] -> fail "--faults expects <seed>:<spec>"
-  | "--scenario" :: spec :: rest -> (
-    match Bmhive.Scenario.parse_spec spec with
-    | Ok _ -> parse { opts with scenario = Some spec } rest
-    | Error e -> fail "--scenario: %s" e)
-  | [ "--scenario" ] -> fail "--scenario expects <seed>:<spec> (e.g. 42:default)"
-  | "--policy" :: name :: rest -> (
-    match Bm_cloud.Policy.of_name name with
-    | Some _ -> parse { opts with policy = Some name } rest
-    | None ->
-      fail "--policy: unknown policy %S (try: %s)" name
-        (String.concat ", " (List.map Bm_cloud.Policy.name Bm_cloud.Policy.all)))
-  | [ "--policy" ] -> fail "--policy expects a name (ladder, selective, tiered, congestion)"
-  | "--topology" :: spec :: rest -> (
-    match Bm_fabric.Topology.parse_spec spec with
-    | Ok topo -> parse { opts with topo = Some topo } rest
-    | Error e -> fail "--topology: %s" e)
-  | [ "--topology" ] -> fail "--topology expects a spec (e.g. two_host or hosts=4,tors=2)"
-  | (("--hosts" | "--guests" | "--tenants") as flag) :: v :: rest -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 ->
-      let fleet =
-        match flag with
-        | "--hosts" -> { opts.fleet with Bmhive.Experiments.fleet_hosts = Some n }
-        | "--guests" -> { opts.fleet with Bmhive.Experiments.fleet_guests = Some n }
-        | _ -> { opts.fleet with Bmhive.Experiments.fleet_tenants = Some n }
-      in
-      parse { opts with fleet } rest
-    | Some _ | None -> fail "%s expects a positive integer, got %S" flag v)
-  | [ ("--hosts" | "--guests" | "--tenants") as flag ] -> fail "%s expects a value" flag
-  | "--vfs" :: v :: rest -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 ->
-      parse { opts with vf = { opts.vf with Bmhive.Experiments.vf_count = Some n } } rest
-    | Some _ | None -> fail "--vfs expects a positive integer, got %S" v)
-  | [ "--vfs" ] -> fail "--vfs expects a value"
-  | "--datapath" :: name :: rest -> (
-    match Bm_iobond.Vf.datapath_of_name name with
-    | Some d ->
-      parse { opts with vf = { opts.vf with Bmhive.Experiments.vf_datapath = Some d } } rest
-    | None -> fail "--datapath: unknown datapath %S (try: vring, passthrough, vf)" name)
-  | [ "--datapath" ] -> fail "--datapath expects a name (vring, passthrough, vf)"
-  | "--jobs" :: v :: rest -> (
-    match int_of_string_opt v with
-    | Some 0 -> parse { opts with jobs = Bmhive.Parallel.default_jobs () } rest
-    | Some jobs when jobs > 0 -> parse { opts with jobs } rest
-    | Some _ | None -> fail "--jobs expects a non-negative integer, got %S" v)
-  | [ "--jobs" ] -> fail "--jobs expects a value"
-  | "--shards" :: v :: rest -> (
-    match int_of_string_opt v with
-    | Some 0 -> parse { opts with shards = Bmhive.Parallel.default_jobs () } rest
-    | Some shards when shards > 0 -> parse { opts with shards } rest
-    | Some _ | None -> fail "--shards expects a non-negative integer, got %S" v)
-  | [ "--shards" ] -> fail "--shards expects a value"
-  | arg :: _ when String.length arg > 1 && arg.[0] = '-' -> fail "unknown flag %S" arg
-  | id :: rest -> parse { opts with targets = id :: opts.targets } rest
+open Cmdliner
 
 (* One bechamel Test.make per table/figure: measures the wall-clock cost
    of the (quick-scale) experiment regeneration itself, so regressions in
    simulator performance show up as bench regressions. *)
 let bechamel_suite seed =
   let open Bechamel in
+  let ctx = { Bmhive.Experiments.default_ctx with quick = true; seed } in
   let tests =
     List.map
       (fun spec ->
         Test.make ~name:spec.Bmhive.Experiments.id
-          (Staged.stage (fun () ->
-               ignore
-                 (spec.Bmhive.Experiments.run ~scenario:None ~policy:None
-                    ~fleet:Bmhive.Experiments.default_fleet ~vf:Bmhive.Experiments.default_vf
-                    ~faults:None ~trace:None ~metrics:None ~topo:None ~shards:1 ~quick:true ~seed))))
+          (Staged.stage (fun () -> ignore (spec.Bmhive.Experiments.run ctx))))
       Bmhive.Experiments.all
   in
   Test.make_grouped ~name:"experiments" tests
@@ -199,49 +34,35 @@ let run_bechamel seed =
       | Some [] | None -> Printf.printf "%-36s (no estimate)\n" label)
     results
 
-let () =
-  let opts = parse default_options (List.tl (Array.to_list Sys.argv)) in
-  if opts.help then usage ()
-  else if opts.list then
+let main (flags : Run_flags.t) list bechamel =
+  let ctx = flags.ctx in
+  if list then begin
     List.iter
       (fun s ->
         Printf.printf "%-10s %-10s %s\n" s.Bmhive.Experiments.id s.Bmhive.Experiments.paper_ref
           s.Bmhive.Experiments.title)
-      Bmhive.Experiments.all
-  else if opts.bechamel then run_bechamel opts.seed
-  else begin
-    let trace = Option.map (fun _ -> Bm_engine.Trace.create ()) opts.trace_file in
-    let metrics = if opts.metrics then Some (Bm_engine.Metrics.create ()) else None in
-    let targets = if opts.targets = [] then Bmhive.Experiments.ids () else opts.targets in
-    let t0 = Unix.gettimeofday () in
-    (* Cells run on up to --jobs domains; results come back in argument
-       order, so stdout is byte-identical whatever the job count. *)
-    List.iter
-      (fun (_id, result) ->
-        match result with
-        | Ok outcome -> Bmhive.Experiments.print_outcome outcome
-        | Error e ->
-          prerr_endline e;
-          exit 1)
-      (Bmhive.Experiments.run_many ~quick:opts.quick ~seed:opts.seed ~fleet:opts.fleet
-         ~vf:opts.vf ?scenario:opts.scenario ?policy:opts.policy ?faults:opts.faults ?trace
-         ?metrics ?topo:opts.topo ~jobs:opts.jobs ~shards:opts.shards targets);
-    (match metrics with
-    | Some m when not (Bm_engine.Metrics.is_empty m) ->
-      print_endline "";
-      print_endline (Bmhive.Report.metrics_table ~title:"datapath metrics" m)
-    | Some _ | None -> ());
-    (match (opts.trace_file, trace) with
-    | Some file, Some t ->
-      let oc = open_out file in
-      output_string oc (Bm_engine.Trace.export_json t);
-      close_out oc;
-      Printf.printf "\ntrace: %d event(s) written to %s (open in chrome://tracing)\n"
-        (List.length (Bm_engine.Trace.events t))
-        file
-    | _ -> ());
-    Printf.printf "\n%d experiment(s) in %.1fs (%s scale, seed %d)\n" (List.length targets)
-      (Unix.gettimeofday () -. t0)
-      (if opts.quick then "quick" else "full")
-      opts.seed
+      Bmhive.Experiments.all;
+    `Ok ()
   end
+  else if bechamel then `Ok (run_bechamel ctx.seed)
+  else begin
+    let t0 = Unix.gettimeofday () in
+    match Run_flags.run flags with
+    | `Ok () ->
+      Printf.printf "\n%d experiment(s) in %.1fs (%s scale, seed %d)\n" (List.length flags.ids)
+        (Unix.gettimeofday () -. t0)
+        (if ctx.quick then "quick" else "full")
+        ctx.seed;
+      `Ok ()
+    | err -> err
+  end
+
+let () =
+  let list = Arg.(value & flag & info [ "list" ] ~doc:"List the experiment ids and exit.") in
+  let bechamel =
+    Arg.(
+      value & flag
+      & info [ "bechamel" ] ~doc:"Bechamel micro-benchmarks of the (quick-scale) experiment runs.")
+  in
+  let info = Cmd.info "main.exe" ~doc:"Regenerate the paper's tables and figures." in
+  exit (Cmd.eval (Cmd.v info Term.(ret (const main $ Run_flags.term $ list $ bechamel))))

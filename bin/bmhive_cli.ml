@@ -2,151 +2,12 @@
 
    Subcommands:
      list                      experiment registry
-     run <id>... [--quick]     regenerate tables/figures
+     run [flags] <id>...       regenerate tables/figures (flags: run --help)
      catalogue                 Table 3 instance families
      demo                      provision + boot + a little traffic
 *)
 
 open Cmdliner
-
-let quick_arg =
-  let doc = "Run at reduced scale (CI-sized populations and durations)." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
-
-let seed_arg =
-  let doc = "Deterministic seed for every simulation." in
-  Arg.(value & opt int 2020 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let trace_arg =
-  let doc =
-    "Record the datapath as Chrome trace_event JSON into $(docv) (open in chrome://tracing \
-     or Perfetto)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc = "Collect datapath metrics and print the summary table after the run." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let faults_arg =
-  let doc =
-    "Arm a deterministic fault plan in every testbed, as $(i,SEED):$(i,SPEC) where SPEC is \
-     $(b,default) or comma-separated $(i,kind)=$(i,count) pairs (kinds: link_down, dma_stall, \
-     mailbox_drop, firmware_wedge, pmd_crash, server_failure, fabric_link_down, vf_stall, \
-     vf_reassign_timeout), optionally with horizon=$(i,NS). Example: \
-     42:link_down=2,firmware_wedge=1."
-  in
-  let fault_conv =
-    Arg.conv ~docv:"SEED:SPEC"
-      ( (fun s -> match Bm_engine.Fault.parse_spec s with Ok p -> Ok p | Error e -> Error (`Msg e)),
-        fun ppf p -> Format.pp_print_string ppf (Bm_engine.Fault.render_plan p) )
-  in
-  Arg.(value & opt (some fault_conv) None & info [ "faults" ] ~docv:"SEED:SPEC" ~doc)
-
-let scenario_arg =
-  let doc =
-    "Game-day scenario timeline for the $(b,game_day) experiment, as $(i,SEED):$(i,SPEC) where \
-     SPEC is $(b,default) or comma-separated $(i,key)=$(i,value) pairs (keys: hosts, links, \
-     congest, evac, brownout, vfstall, vfwedge, ramp=$(i,lo)-$(i,hi), horizon=$(i,NS)). Example: \
-     42:hosts=2,links=1,congest=1,evac=1. Other experiments ignore it."
-  in
-  let scenario_conv =
-    Arg.conv ~docv:"SEED:SPEC"
-      ( (fun s ->
-          match Bmhive.Scenario.parse_spec s with Ok _ -> Ok s | Error e -> Error (`Msg e)),
-        Format.pp_print_string )
-  in
-  Arg.(value & opt (some scenario_conv) None & info [ "scenario" ] ~docv:"SEED:SPEC" ~doc)
-
-let policy_arg =
-  let doc =
-    "Degradation policy the $(b,game_day) experiment closes the loop with: $(b,ladder) \
-     (default, the legacy three-stage ladder), $(b,selective) (blast-radius-aware shedding), \
-     $(b,tiered) (per-tier admission ceilings) or $(b,congestion) (spine-queue / gold-p99 \
-     aware). The $(b,policy_race) experiment runs all four regardless."
-  in
-  let policy_conv =
-    Arg.conv ~docv:"NAME"
-      ( (fun s ->
-          match Bm_cloud.Policy.of_name s with
-          | Some _ -> Ok s
-          | None ->
-            Error
-              (`Msg
-                (Printf.sprintf "unknown policy %S (try: %s)" s
-                   (String.concat ", " (List.map Bm_cloud.Policy.name Bm_cloud.Policy.all))))),
-        Format.pp_print_string )
-  in
-  Arg.(value & opt (some policy_conv) None & info [ "policy" ] ~docv:"NAME" ~doc)
-
-let topology_arg =
-  let doc =
-    "Fabric topology for the cross-host experiments ($(b,xhost_rr), $(b,xhost_stream), \
-     $(b,xhost_migrate)): the preset $(b,two_host), or comma-separated $(i,key)=$(i,value) \
-     pairs (keys: hosts, tors, spines, host_gbit, spine_gbit, host_lat_us, spine_lat_us, \
-     queue). Example: hosts=4,tors=2,spines=2,spine_gbit=10."
-  in
-  let topo_conv =
-    Arg.conv ~docv:"SPEC"
-      ( (fun s ->
-          match Bm_fabric.Topology.parse_spec s with Ok t -> Ok t | Error e -> Error (`Msg e)),
-        fun ppf t -> Format.pp_print_string ppf (Bm_fabric.Topology.render t) )
-  in
-  Arg.(value & opt (some topo_conv) None & info [ "topology" ] ~docv:"SPEC" ~doc)
-
-let hosts_arg =
-  let doc = "Fleet size for the fleet-scale experiments ($(b,fleet_scale)): number of hosts." in
-  Arg.(value & opt (some int) None & info [ "hosts" ] ~docv:"N" ~doc)
-
-let guests_arg =
-  let doc = "Guest population for the fleet-scale experiments." in
-  Arg.(value & opt (some int) None & info [ "guests" ] ~docv:"N" ~doc)
-
-let tenants_arg =
-  let doc = "Tenant count for the fleet-scale experiments." in
-  Arg.(value & opt (some int) None & info [ "tenants" ] ~docv:"N" ~doc)
-
-let vfs_arg =
-  let doc =
-    "Virtual functions per SR-IOV device/pool in the VF experiments ($(b,vf_scale), \
-     $(b,vf_reassign), $(b,vf_ablation)); each experiment's default otherwise."
-  in
-  Arg.(value & opt (some int) None & info [ "vfs" ] ~docv:"N" ~doc)
-
-let datapath_arg =
-  let doc =
-    "Restrict the $(b,vf_ablation) experiment to one guest datapath: $(b,vring) (the \
-     shadow-vring poll loop), $(b,passthrough) (whole-device assignment) or $(b,vf) (one \
-     sliced virtual function); all three when omitted."
-  in
-  let dp_conv =
-    Arg.conv ~docv:"NAME"
-      ( (fun s ->
-          match Bm_iobond.Vf.datapath_of_name s with
-          | Some d -> Ok d
-          | None ->
-            Error (`Msg (Printf.sprintf "unknown datapath %S (try: vring, passthrough, vf)" s))),
-        fun ppf d -> Format.pp_print_string ppf (Bm_iobond.Vf.datapath_name d) )
-  in
-  Arg.(value & opt (some dp_conv) None & info [ "datapath" ] ~docv:"NAME" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Run up to $(docv) experiment cells concurrently on separate domains (0 = one per \
-     recommended core). Results are joined in argument order, so output is byte-identical \
-     for any value. Ignored (forced to 1) when $(b,--trace) or $(b,--metrics) is active."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let shards_arg =
-  let doc =
-    "Intra-run parallelism on up to $(docv) domains (0 = one per recommended core): \
-     $(b,fleet_scale) partitions its east-west flow phase across that many fabric shards, \
-     $(b,game_day) and $(b,policy_race) race their independent scenario arms. Output is \
-     byte-identical for any value. Ignored (forced to 1) when $(b,--trace) or \
-     $(b,--metrics) is active."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -164,61 +25,9 @@ let list_cmd =
 (* --- run ------------------------------------------------------------ *)
 
 let run_cmd =
-  let ids_arg =
-    let doc = "Experiment ids (see $(b,list)); all when omitted." in
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
-  in
-  let run quick seed scenario policy faults topo hosts guests tenants vfs datapath trace_file
-      metrics_wanted jobs shards ids =
-    if jobs < 0 then invalid_arg "--jobs must be non-negative";
-    if shards < 0 then invalid_arg "--shards must be non-negative";
-    let jobs = if jobs = 0 then Bmhive.Parallel.default_jobs () else jobs in
-    let shards = if shards = 0 then Bmhive.Parallel.default_jobs () else shards in
-    let fleet =
-      Bmhive.Experiments.{ fleet_hosts = hosts; fleet_guests = guests; fleet_tenants = tenants }
-    in
-    let vf = Bmhive.Experiments.{ vf_count = vfs; vf_datapath = datapath } in
-    let trace = Option.map (fun _ -> Bm_engine.Trace.create ()) trace_file in
-    let metrics = if metrics_wanted then Some (Bm_engine.Metrics.create ()) else None in
-    let targets = if ids = [] then Bmhive.Experiments.ids () else ids in
-    let finish () =
-      (match metrics with
-      | Some m when not (Bm_engine.Metrics.is_empty m) ->
-        print_endline "";
-        print_endline (Bmhive.Report.metrics_table ~title:"datapath metrics" m)
-      | Some _ | None -> ());
-      match (trace_file, trace) with
-      | Some file, Some t ->
-        let oc = open_out file in
-        output_string oc (Bm_engine.Trace.export_json t);
-        close_out oc;
-        Printf.printf "\ntrace: %d event(s) written to %s\n"
-          (List.length (Bm_engine.Trace.events t))
-          file
-      | _ -> ()
-    in
-    let rec go = function
-      | [] ->
-        finish ();
-        `Ok ()
-      | (_id, result) :: rest -> (
-        match result with
-        | Ok outcome ->
-          Bmhive.Experiments.print_outcome outcome;
-          go rest
-        | Error e -> `Error (false, e))
-    in
-    go
-      (Bmhive.Experiments.run_many ~quick ~seed ~fleet ~vf ?scenario ?policy ?faults ?topo ?trace
-         ?metrics ~jobs ~shards targets)
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Regenerate the paper's tables and figures from the simulation.")
-    Term.(
-      ret
-        (const run $ quick_arg $ seed_arg $ scenario_arg $ policy_arg $ faults_arg $ topology_arg
-       $ hosts_arg $ guests_arg $ tenants_arg $ vfs_arg $ datapath_arg $ trace_arg $ metrics_arg
-       $ jobs_arg $ shards_arg $ ids_arg))
+    Term.(ret (const Run_flags.run $ Run_flags.term))
 
 (* --- catalogue ------------------------------------------------------ *)
 
@@ -260,7 +69,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Provision a bm-guest, boot it, and run a little I/O.")
-    Term.(ret (const run $ seed_arg))
+    Term.(ret (const run $ Run_flags.seed))
 
 let () =
   let doc = "BM-Hive (ASPLOS '20) reproduction: high-density multi-tenant bare-metal cloud" in

@@ -11,35 +11,42 @@ type outcome = {
   notes : string list;
 }
 
-type fleet_opts = { fleet_hosts : int option; fleet_guests : int option; fleet_tenants : int option }
-
-let default_fleet = { fleet_hosts = None; fleet_guests = None; fleet_tenants = None }
-
-type vf_opts = {
-  vf_count : int option;  (* --vfs: SR-IOV functions per device/pool *)
-  vf_datapath : Bm_iobond.Vf.datapath option;  (* --datapath *)
+type ctx = {
+  seed : int;
+  quick : bool;
+  trace : Trace.t option;
+  metrics : Metrics.t option;
+  faults : Fault.plan option;
+  topo : Bm_fabric.Topology.t option;
+  shards : int;
+  scenario : Scenario.spec option;
+  policy : Bm_cloud.Policy.kind option;
+  hosts : int option;
+  guests : int option;
+  tenants : int option;
+  vfs : int option;
+  datapath : Bm_iobond.Vf.datapath option;
 }
 
-let default_vf = { vf_count = None; vf_datapath = None }
+let default_ctx =
+  {
+    seed = 2020;
+    quick = false;
+    trace = None;
+    metrics = None;
+    faults = None;
+    topo = None;
+    shards = 1;
+    scenario = None;
+    policy = None;
+    hosts = None;
+    guests = None;
+    tenants = None;
+    vfs = None;
+    datapath = None;
+  }
 
-type spec = {
-  id : string;
-  title : string;
-  paper_ref : string;
-  run :
-    scenario:string option ->
-    policy:string option ->
-    fleet:fleet_opts ->
-    vf:vf_opts ->
-    faults:Fault.plan option ->
-    trace:Trace.t option ->
-    metrics:Metrics.t option ->
-    topo:Bm_fabric.Topology.t option ->
-    shards:int ->
-    quick:bool ->
-    seed:int ->
-    outcome;
-}
+type spec = { id : string; title : string; paper_ref : string; run : ctx -> outcome }
 
 let within ~tolerance ~target value =
   Float.abs (value -. target) /. Float.abs target <= tolerance
@@ -47,7 +54,7 @@ let within ~tolerance ~target value =
 (* ------------------------------------------------------------------ *)
 (* Table 1 *)
 
-let run_table1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_table1 _ =
   {
     id = "table1";
     title = "Table 1: comparison of three cloud services";
@@ -59,7 +66,7 @@ let run_table1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
 
-let run_table2 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick ~seed =
+let run_table2 { seed; quick; _ } =
   let vms = if quick then 30_000 else 300_000 in
   let rng = Rng.create ~seed in
   let s = Fleet.survey_exits rng ~vms in
@@ -86,7 +93,7 @@ let run_table2 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* Fig. 1 *)
 
-let run_fig1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig1 { seed; quick; _ } =
   let vms = if quick then 2_000 else 20_000 in
   let hours = if quick then 8 else 24 in
   let rng = Rng.create ~seed in
@@ -128,7 +135,7 @@ let run_fig1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ 
 (* ------------------------------------------------------------------ *)
 (* Table 3 *)
 
-let run_table3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_table3 _ =
   let rows =
     List.map
       (fun i ->
@@ -154,7 +161,7 @@ let run_table3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: SPEC CINT2006 *)
 
-let run_fig7 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick:_ ~seed =
+let run_fig7 { seed; trace; metrics; _ } =
   let spec_on make =
     let tb = Testbed.make ~seed ?trace ?metrics () in
     let inst = make tb in
@@ -188,7 +195,7 @@ let run_fig7 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* ------------------------------------------------------------------ *)
 (* Fig. 8: STREAM *)
 
-let run_fig8 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig8 { seed; quick; trace; metrics; _ } =
   let elements = if quick then 20_000_000 else 200_000_000 in
   let runs = if quick then 3 else 10 in
   let stream_on make =
@@ -225,7 +232,7 @@ let run_fig8 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* ------------------------------------------------------------------ *)
 (* Fig. 9: UDP PPS *)
 
-let run_fig9 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig9 { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 40.0 else Simtime.ms 400.0 in
   let pps_of pair =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -258,7 +265,7 @@ let run_fig9 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: latency *)
 
-let run_fig10 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig10 { seed; quick; trace; metrics; _ } =
   let count = if quick then 400 else 2000 in
   let lat pair path =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -297,7 +304,7 @@ let run_fig10 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
 (* ------------------------------------------------------------------ *)
 (* Fig. 11: storage latency *)
 
-let run_fig11 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig11 { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 300.0 else Simtime.sec 4.0 in
   let fio_on make pattern =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -340,7 +347,7 @@ let nginx_rps_at tb ~server ~concurrency ~requests =
   Nginx.serve server ();
   Nginx.ab tb.Testbed.sim ~client ~server ~concurrency ~requests
 
-let run_fig12 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig12 { seed; quick; trace; metrics; _ } =
   let concurrencies = if quick then [ 100; 400 ] else [ 50; 100; 200; 400; 800 ] in
   let per_level = if quick then 60 else 150 in
   let run_level make concurrency =
@@ -382,7 +389,7 @@ let sysbench_on ?trace ?metrics ~seed ~pattern ~duration make =
   Mariadb.serve tb.Testbed.sim (Rng.create ~seed:(seed + 13)) server ();
   Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration ()
 
-let run_mariadb ~id ~title ~patterns ~paper_notes ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_mariadb ~id ~title ~patterns ~paper_notes { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 200.0 else Simtime.sec 2.0 in
   let rows =
     List.map
@@ -432,7 +439,7 @@ let redis_on ?trace ?metrics ~seed make ~clients ~value_bytes ~requests =
   Redis_bench.serve tb.Testbed.sim server ();
   Redis_bench.benchmark tb.Testbed.sim ~client ~server ~clients ~value_bytes ~requests ()
 
-let run_fig15 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig15 { seed; quick; trace; metrics; _ } =
   let clients_list = if quick then [ 1000; 4000 ] else [ 1000; 2000; 4000; 7000; 10000 ] in
   let requests = if quick then 8_000 else 40_000 in
   let rows =
@@ -464,7 +471,7 @@ let run_fig15 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
     notes = [ "Paper: bm 20-40% more requests/s across 1K..10K clients." ];
   }
 
-let run_fig16 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig16 { seed; quick; trace; metrics; _ } =
   let sizes = if quick then [ 4; 1024 ] else [ 4; 16; 64; 256; 1024; 4096 ] in
   let requests = if quick then 8_000 else 40_000 in
   let results =
@@ -524,7 +531,7 @@ let run_fig16 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
 (* ------------------------------------------------------------------ *)
 (* §2.3: nested virtualization *)
 
-let run_sec2_3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec2_3 { seed; quick; trace; metrics; _ } =
   let exec_time nested =
     let tb = Testbed.make ~seed ?trace ?metrics () in
     let host = Testbed.vm_host tb in
@@ -583,7 +590,7 @@ let run_sec2_3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~t
 (* ------------------------------------------------------------------ *)
 (* §3.5: cost efficiency *)
 
-let run_sec3_5 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_sec3_5 _ =
   let d = Cost_model.density () in
   let vm_w = Cost_model.vm_watts_per_vcpu () in
   let bm_w = Cost_model.bm_single_board_watts_per_vcpu () in
@@ -611,7 +618,7 @@ let run_sec3_5 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* §4.3 network: TCP throughput + unrestricted PPS *)
 
-let run_sec4_3net ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec4_3net { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   (* Cross-server throughput at the 10 Gbit/s cap. *)
   let tcp make =
@@ -669,7 +676,7 @@ let run_sec4_3net ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics
 (* ------------------------------------------------------------------ *)
 (* §4.3 storage: unrestricted local SSD *)
 
-let run_sec4_3blk ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec4_3blk { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 100.0 else Simtime.ms 800.0 in
   let unlimited () = Bm_cloud.Limits.unlimited_blk () in
   let small make =
@@ -717,7 +724,7 @@ let run_sec4_3blk ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics
 (* ------------------------------------------------------------------ *)
 (* §6: ASIC IO-Bond ablation *)
 
-let run_sec6 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec6 { seed; quick; trace; metrics; _ } =
   let probe profile =
     let tb = Testbed.make ~seed ?trace ?metrics () in
     let _, inst = Testbed.bm_guest ~profile tb in
@@ -765,7 +772,7 @@ let run_sec6 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* How much does IO-Bond's register latency matter? Sweep the per-hop
    cost (the FPGA -> ASIC axis, extended) against the two things it
    touches: the emulated config path and end-to-end message latency. *)
-let run_ablation_reg ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_reg { seed; quick; trace; metrics; _ } =
   let count = if quick then 200 else 1000 in
   let probe_and_lat profile =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -802,7 +809,7 @@ let run_ablation_reg ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
 
 (* How big must the DMA engine be? The paper picked 50 Gbit/s; sweep it
    against unrestricted guest throughput. *)
-let run_ablation_dma ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_dma { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let tput dma_gbit_s =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -842,7 +849,7 @@ let run_ablation_dma ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
 
 (* How much do batched doorbells/PMD bursts buy? Sweep the burst size the
    guest stack hands to virtio. *)
-let run_ablation_batch ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_batch { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let pps batch =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -868,7 +875,7 @@ let run_ablation_batch ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~me
 (* S6's offload plan: with IO-Bond classifying flows, known traffic
    bypasses the bm-hypervisor's PMD entirely. Measure PPS and base-core
    utilization with and without it. *)
-let run_ablation_offload ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_offload { seed; quick; trace; metrics; _ } =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let run offload =
     let tb = Testbed.make ~seed ?trace ?metrics () in
@@ -965,7 +972,7 @@ let mttr_of (plan : Fault.plan) completions =
       |> Option.map (fun c -> c -. e.Fault.at))
     plan.Fault.events
 
-let run_availability ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_availability { seed; quick; trace; metrics; faults; _ } =
   let workers = if quick then 2 else 4 in
   let plan =
     match faults with
@@ -1086,7 +1093,7 @@ let run_availability ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metric
 (* ------------------------------------------------------------------ *)
 (* Evacuation after a base-server failure *)
 
-let run_evacuation ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_evacuation _ =
   let open Bm_cloud in
   let strategies =
     [
@@ -1166,7 +1173,7 @@ let run_evacuation ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metr
    storage admission queue, drop-tail backlogs. The acceptance shape is
    the hockey stick — bounded goodput stays at the ceiling with flat
    latency while blocking latency diverges with the backlog. *)
-let run_overload ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_overload { seed; quick; trace; metrics; faults; _ } =
   let open Bm_cloud in
   let net_duration = if quick then Simtime.ms 8.0 else Simtime.ms 60.0 in
   let blk_duration = if quick then Simtime.ms 40.0 else Simtime.ms 250.0 in
@@ -1354,7 +1361,7 @@ let link_note net ~now =
       (Report.si (float_of_int s.delivered_pkts))
       (Report.si (float_of_int s.dropped_pkts))
 
-let run_xhost_rr ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards:_ ~quick ~seed =
+let run_xhost_rr { seed; quick; trace; metrics; topo; _ } =
   let count = if quick then 400 else 2000 in
   let rr tb (a, b) = Netperf.tcp_rr tb.Testbed.sim ~src:a ~dst:b ~count () in
   (* On-host baseline: the pre-fabric fast path, same server. *)
@@ -1430,7 +1437,7 @@ let run_xhost_rr ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics 
       ];
   }
 
-let run_xhost_stream ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards:_ ~quick ~seed =
+let run_xhost_stream { seed; quick; trace; metrics; topo; _ } =
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   let stream tb (a, b) = Netperf.tcp_stream tb.Testbed.sim ~src:a ~dst:b ~duration () in
   let topo_idle = Option.value topo ~default:(Topology.clos ~hosts:2 ~tors:2 ~spines:2 ()) in
@@ -1486,7 +1493,7 @@ let run_xhost_stream ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
       ];
   }
 
-let run_xhost_migrate ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards:_ ~quick ~seed =
+let run_xhost_migrate { seed; quick; trace; metrics; topo; _ } =
   let mem_gb = if quick then 4 else 16 in
   let dirty = 2.0 in
   let migrate_in tb bm via =
@@ -1561,14 +1568,14 @@ let run_xhost_migrate ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~met
 (* ------------------------------------------------------------------ *)
 (* Fleet scale: the live fleet simulation *)
 
-let run_fleet_scale ~scenario:_ ~policy:_ ~fleet ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards ~quick ~seed =
+let run_fleet_scale { seed; quick; trace; metrics; topo; shards; hosts; guests; tenants; _ } =
   let base = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   let cfg =
     {
       base with
-      Fleet.Live.hosts = Option.value fleet.fleet_hosts ~default:base.Fleet.Live.hosts;
-      guests = Option.value fleet.fleet_guests ~default:base.Fleet.Live.guests;
-      tenants = Option.value fleet.fleet_tenants ~default:base.Fleet.Live.tenants;
+      Fleet.Live.hosts = Option.value hosts ~default:base.Fleet.Live.hosts;
+      guests = Option.value guests ~default:base.Fleet.Live.guests;
+      tenants = Option.value tenants ~default:base.Fleet.Live.tenants;
     }
   in
   let live = Fleet.Live.build ?trace ?metrics ?topo ~seed cfg in
@@ -1661,27 +1668,16 @@ let run_fleet_scale ~scenario:_ ~policy:_ ~fleet ~vf:_ ~faults:_ ~trace ~metrics
 (* ------------------------------------------------------------------ *)
 (* Game day: composed fault timeline + degradation ladder + SLO scores *)
 
-let policy_kind ~experiment policy =
-  match policy with
-  | None -> Bm_cloud.Policy.Ladder
-  | Some name -> (
-    match Bm_cloud.Policy.of_name name with
-    | Some kind -> kind
-    | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown policy %S (try: %s)" experiment name
-           (String.concat ", " (List.map Bm_cloud.Policy.name Bm_cloud.Policy.all))))
+(* One tier's SLO scores in a scenario outcome, and how many were met. *)
+let by_tier tier (o : Scenario.outcome) =
+  List.filter (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.tier = tier) o.Scenario.scores
 
-let run_game_day ~scenario ~policy ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
-  let spec =
-    match scenario with
-    | Some s -> (
-      match Scenario.parse_spec s with
-      | Ok spec -> spec
-      | Error e -> invalid_arg (Printf.sprintf "game_day: %s" e))
-    | None -> Scenario.default_spec ~seed ()
-  in
-  let kind = policy_kind ~experiment:"game_day" policy in
+let met scores =
+  List.length (List.filter (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.met) scores)
+
+let run_game_day { seed; quick; trace; metrics; shards; scenario; policy; _ } =
+  let spec = match scenario with Some s -> s | None -> Scenario.default_spec ~seed () in
+  let kind = Option.value policy ~default:Bm_cloud.Policy.Ladder in
   let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* The same timeline twice: open loop, then with the degradation
      policy closed around it. The scorecard delta is the experiment.
@@ -1700,10 +1696,6 @@ let run_game_day ~scenario ~policy ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
     | [ off; on ] -> (off, on)
     | _ -> assert false
   in
-  let by_tier tier (o : Scenario.outcome) =
-    List.filter (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.tier = tier) o.Scenario.scores
-  in
-  let met scores = List.length (List.filter (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.met) scores) in
   let tier_row tier =
     let o = by_tier tier off and n = by_tier tier on in
     [
@@ -1750,15 +1742,8 @@ let run_game_day ~scenario ~policy ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
    every entrant, so the table differences are pure policy: which levers
    each pulled, and what that bought per tier. Rows are ranked by total
    SLOs met, Gold met breaking ties; the open-loop row is the floor. *)
-let run_policy_race ~scenario ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
-  let spec =
-    match scenario with
-    | Some s -> (
-      match Scenario.parse_spec s with
-      | Ok spec -> spec
-      | Error e -> invalid_arg (Printf.sprintf "policy_race: %s" e))
-    | None -> Scenario.default_spec ~seed ()
-  in
+let run_policy_race { seed; quick; trace; metrics; shards; scenario; _ } =
+  let spec = match scenario with Some s -> s | None -> Scenario.default_spec ~seed () in
   let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* One independent arm per entrant (plus the open-loop floor), each
      building its own fleet from the same seeded spec: [--shards >= 2]
@@ -1773,14 +1758,6 @@ let run_policy_race ~scenario ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics
     with
     | open_loop :: entrants -> (open_loop, entrants)
     | [] -> assert false
-  in
-  let by_tier tier (o : Scenario.outcome) =
-    List.filter
-      (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.tier = tier)
-      o.Scenario.scores
-  in
-  let met scores =
-    List.length (List.filter (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.met) scores)
   in
   let gold_met o = met (by_tier Bm_cloud.Slo.Gold o) in
   let tier_cell tier o =
@@ -1844,9 +1821,9 @@ let percentile_of sorted p =
 
 (* One guest per VF, Poisson arrivals per queue, raw device — the
    arbitration model in isolation, before any hypervisor is involved. *)
-let run_vf_scale ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
+let run_vf_scale { seed; quick; trace; metrics; faults; shards; vfs; _ } =
   let vfs_list =
-    match vf.vf_count with Some n -> [ n ] | None -> if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ]
+    match vfs with Some n -> [ n ] | None -> if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ]
   in
   let queues_list = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   let per_vf = if quick then 300 else 1500 in
@@ -1914,8 +1891,8 @@ let run_vf_scale ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~top
 (* Hot-reassignment under load: seqno bookkeeping proves no completion
    is lost or duplicated across the ownership swaps; the device's
    blackout log gives the distribution. *)
-let run_vf_reassign ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
-  let vfs = max 2 (Option.value vf.vf_count ~default:4) in
+let run_vf_reassign { seed; quick; trace; metrics; faults; vfs; _ } =
+  let vfs = max 2 (Option.value vfs ~default:4) in
   let rounds = if quick then 8 else 32 in
   let per_vf = if quick then 400 else 1600 in
   let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
@@ -2011,11 +1988,11 @@ let run_vf_reassign ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~
 
 (* The paper's Fig. 9/10 co-resident pairs, re-run per datapath: the
    shadow-vring poll loop against direct assignment, bm and vm. *)
-let run_vf_ablation ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
+let run_vf_ablation { seed; quick; trace; metrics; faults; shards; vfs; datapath; _ } =
   let datapaths =
-    match vf.vf_datapath with Some d -> [ d ] | None -> Vf.all_datapaths
+    match datapath with Some d -> [ d ] | None -> Vf.all_datapaths
   in
-  let vfs = Option.value vf.vf_count ~default:8 in
+  let vfs = Option.value vfs ~default:8 in
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   let pings = if quick then 300 else 1500 in
   let bm_pair dp tb =
@@ -2116,56 +2093,21 @@ let ids () = List.map (fun s -> s.id) all
 
 (* Trace/metrics sinks are single mutable buffers shared by every cell;
    recording from several domains would race, so their presence forces a
-   sequential sweep. Cells themselves share nothing: each builds its own
-   simulator, RNG and testbed from the seed. *)
-let effective_jobs ~trace ~metrics jobs =
-  if trace <> None || metrics <> None then 1 else max 1 jobs
-
-(* Same reasoning one level down: intra-run sharding replays callbacks
-   that feed the shared sinks, so trace/metrics force a sequential run
-   inside each experiment too. Output is byte-identical either way —
-   sharding only changes which domain executes what. *)
-let effective_shards ~trace ~metrics shards =
-  if trace <> None || metrics <> None then 1 else max 1 shards
-
-let run_one ?(quick = false) ?(seed = 2020) ?(fleet = default_fleet) ?(vf = default_vf) ?scenario
-    ?policy ?faults ?trace ?metrics ?topo ?(shards = 1) id =
-  let shards = effective_shards ~trace ~metrics shards in
-  match find id with
-  | None -> Error (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ())))
-  | Some spec ->
-    Ok (spec.run ~scenario ~policy ~fleet ~vf ~faults ~trace ~metrics ~topo ~shards ~quick ~seed)
-
-let run_many ?(quick = false) ?(seed = 2020) ?(fleet = default_fleet) ?(vf = default_vf) ?scenario
-    ?policy ?faults ?trace ?metrics ?topo ?(jobs = 1) ?(shards = 1) targets =
-  let specs =
-    List.map
-      (fun id ->
-        match find id with
-        | Some spec -> Ok spec
-        | None ->
-          Error
-            (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ()))))
-      targets
+   sequential sweep, and a sequential run inside each experiment too
+   (intra-run sharding replays callbacks that feed the same sinks).
+   Cells themselves share nothing: each builds its own simulator, RNG and
+   testbed from the seed, so output is byte-identical either way. *)
+let run ?(jobs = 1) ctx targets =
+  let sinks = ctx.trace <> None || ctx.metrics <> None in
+  let jobs = if sinks then 1 else max 1 jobs in
+  let ctx = { ctx with shards = (if sinks then 1 else max 1 ctx.shards) } in
+  let one id =
+    match find id with
+    | Some spec -> Ok (spec.run ctx)
+    | None ->
+      Error (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ())))
   in
-  let jobs = effective_jobs ~trace ~metrics jobs in
-  let shards = effective_shards ~trace ~metrics shards in
-  Parallel.map ~jobs
-    (fun spec ->
-      match spec with
-      | Error _ as e -> e
-      | Ok spec ->
-        Ok (spec.run ~scenario ~policy ~fleet ~vf ~faults ~trace ~metrics ~topo ~shards ~quick ~seed))
-    specs
-  |> List.map2 (fun id r -> (id, r)) targets
-
-let run_all ?(quick = false) ?(seed = 2020) ?(fleet = default_fleet) ?(vf = default_vf) ?scenario
-    ?policy ?faults ?trace ?metrics ?topo ?(jobs = 1) ?(shards = 1) () =
-  let jobs = effective_jobs ~trace ~metrics jobs in
-  let shards = effective_shards ~trace ~metrics shards in
-  Parallel.map ~jobs
-    (fun spec -> spec.run ~scenario ~policy ~fleet ~vf ~faults ~trace ~metrics ~topo ~shards ~quick ~seed)
-    all
+  List.combine targets (Parallel.map ~jobs one targets)
 
 let print_outcome (o : outcome) =
   print_endline "";

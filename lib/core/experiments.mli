@@ -16,132 +16,68 @@ type outcome = {
   notes : string list;
 }
 
-type fleet_opts = {
-  fleet_hosts : int option;  (** override the fleet's host count *)
-  fleet_guests : int option;  (** override the guest population *)
-  fleet_tenants : int option;  (** override the tenant count *)
+type ctx = {
+  seed : int;  (** seed of every simulator the experiment builds *)
+  quick : bool;  (** CI-sized populations and durations *)
+  trace : Bm_engine.Trace.t option;
+  metrics : Bm_engine.Metrics.t option;
+      (** [trace]/[metrics] are threaded into every testbed the
+          experiment builds. Recording is pure observation: results are
+          bit-identical with and without sinks attached. *)
+  faults : Bm_engine.Fault.plan option;
+      (** armed in those testbeds; experiments that model no failure
+          semantics ignore it *)
+  topo : Bm_fabric.Topology.t option;
+      (** fabric topology of the cross-host ([xhost_*]) and fleet
+          experiments; single-server experiments ignore it *)
+  shards : int;
+      (** intra-run parallelism: [fleet_scale] carries its east-west flow
+          phase on that many fabric replicas ({!Fleet.Live.serve}),
+          [game_day]/[policy_race] run their scenario arms and the [vf_*]
+          sweeps their cells on up to that many domains; everything else
+          ignores it. Output is byte-identical for any value. *)
+  scenario : Scenario.spec option;
+      (** timeline of [game_day] and [policy_race]; [None] is
+          {!Scenario.default_spec} at [seed] *)
+  policy : Bm_cloud.Policy.kind option;
+      (** degradation policy [game_day] closes the loop with; [None] is
+          the ladder. [policy_race] runs every policy regardless. *)
+  hosts : int option;
+  guests : int option;
+  tenants : int option;
+      (** [fleet_scale] size overrides; [None] keeps the quick/full
+          config. Hosts >= 2, guests and tenants >= 1. *)
+  vfs : int option;
+      (** virtual functions per SR-IOV device/pool in the [vf_*]
+          experiments, 1..64; [None] keeps each experiment's default *)
+  datapath : Bm_iobond.Vf.datapath option;
+      (** restrict [vf_ablation] to one datapath column; [None] runs all
+          three *)
 }
-(** Size overrides for the fleet-scale experiments ([fleet_scale]);
-    [None] fields keep the experiment's quick/full default. Other
-    experiments ignore them. *)
+(** Everything settable about a run. Each experiment reads the fields it
+    models and ignores the rest. Same [ctx] (and same fault plan) ⇒
+    bit-identical outcome. *)
 
-val default_fleet : fleet_opts
-(** All [None]. *)
-
-type vf_opts = {
-  vf_count : int option;
-      (** [--vfs]: virtual functions per SR-IOV device/pool in the
-          [vf_*] experiments; [None] keeps each experiment's default *)
-  vf_datapath : Bm_iobond.Vf.datapath option;
-      (** [--datapath]: restrict [vf_ablation] to one datapath column;
-          [None] runs all three. Other experiments ignore it. *)
-}
-(** Knobs for the SR-IOV experiments ([vf_scale], [vf_reassign],
-    [vf_ablation]); everything else ignores them. *)
-
-val default_vf : vf_opts
-(** All [None]. *)
+val default_ctx : ctx
+(** Seed 2020, full scale, one shard, no sinks, every override [None]. *)
 
 type spec = {
   id : string;
   title : string;
   paper_ref : string;  (** table/figure/section in the paper *)
-  run :
-    scenario:string option ->
-    policy:string option ->
-    fleet:fleet_opts ->
-    vf:vf_opts ->
-    faults:Bm_engine.Fault.plan option ->
-    trace:Bm_engine.Trace.t option ->
-    metrics:Bm_engine.Metrics.t option ->
-    topo:Bm_fabric.Topology.t option ->
-    shards:int ->
-    quick:bool ->
-    seed:int ->
-    outcome;
-      (** [trace]/[metrics] are threaded into every testbed the experiment
-          builds. Recording is pure observation: results are bit-identical
-          with and without sinks attached. [faults] arms a fault plan in
-          those testbeds; experiments that model no failure semantics
-          ignore it. [topo] overrides the fabric topology in the
-          cross-host experiments ([xhost_*]) and the fleet experiments;
-          single-server experiments ignore it. [fleet] resizes the
-          fleet-scale experiments. [scenario] is the raw
-          ["SEED:SPEC"] string of [--scenario], consumed by the
-          [game_day] and [policy_race] experiments
-          ({!Scenario.parse_spec}); everything else ignores it.
-          [policy] names the degradation policy ({!Bm_cloud.Policy.of_name})
-          the [game_day] experiment closes the loop with — default
-          ["ladder"]; [policy_race] runs every policy regardless.
-          [shards] enables intra-run parallelism where an experiment
-          supports it: [fleet_scale] carries its east-west flow phase
-          on that many fabric replicas ({!Fleet.Live.serve}), while
-          [game_day] and [policy_race] run their independent scenario
-          arms on up to that many domains; every other experiment
-          ignores it. Output is byte-identical for any [shards].
-          Same seed + same plan ⇒ bit-identical outcome. *)
+  run : ctx -> outcome;
 }
 
 val all : spec list
 val find : string -> spec option
 val ids : unit -> string list
 
-val run_one :
-  ?quick:bool ->
-  ?seed:int ->
-  ?fleet:fleet_opts ->
-  ?vf:vf_opts ->
-  ?scenario:string ->
-  ?policy:string ->
-  ?faults:Bm_engine.Fault.plan ->
-  ?trace:Bm_engine.Trace.t ->
-  ?metrics:Bm_engine.Metrics.t ->
-  ?topo:Bm_fabric.Topology.t ->
-  ?shards:int ->
-  string ->
-  (outcome, string) result
-(** [shards] (default 1) is passed to the experiment for intra-run
-    parallelism (see {!spec}); like [jobs] in {!run_many}, a [trace] or
-    [metrics] sink forces it back to 1. *)
-
-val run_many :
-  ?quick:bool ->
-  ?seed:int ->
-  ?fleet:fleet_opts ->
-  ?vf:vf_opts ->
-  ?scenario:string ->
-  ?policy:string ->
-  ?faults:Bm_engine.Fault.plan ->
-  ?trace:Bm_engine.Trace.t ->
-  ?metrics:Bm_engine.Metrics.t ->
-  ?topo:Bm_fabric.Topology.t ->
-  ?jobs:int ->
-  ?shards:int ->
-  string list ->
-  (string * (outcome, string) result) list
+val run : ?jobs:int -> ctx -> string list -> (string * (outcome, string) result) list
 (** Run the named experiments, up to [jobs] (default 1) at a time on
     separate domains ({!Parallel.map}); results come back in argument
     order, so output is byte-identical for any [jobs]. Unknown ids
     surface as [Error] without aborting the rest. Because [trace] and
     [metrics] sinks are shared mutable buffers, passing either forces
-    [jobs = 1] (and [shards = 1] likewise). *)
-
-val run_all :
-  ?quick:bool ->
-  ?seed:int ->
-  ?fleet:fleet_opts ->
-  ?vf:vf_opts ->
-  ?scenario:string ->
-  ?policy:string ->
-  ?faults:Bm_engine.Fault.plan ->
-  ?trace:Bm_engine.Trace.t ->
-  ?metrics:Bm_engine.Metrics.t ->
-  ?topo:Bm_fabric.Topology.t ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  outcome list
-(** Every registered experiment, same parallelism contract as
-    {!run_many}. *)
+    [jobs] and [ctx.shards] to 1. *)
 
 val print_outcome : outcome -> unit

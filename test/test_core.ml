@@ -124,12 +124,18 @@ let test_registry_complete () =
       "sec4_3blk"; "sec6"; "ablation_reg"; "ablation_dma"; "ablation_batch";
       "ablation_offload"; "availability"; "evacuation"; "overload";
     ];
-  check_bool "unknown id rejected" true (Result.is_error (Experiments.run_one "nonsense"))
+  check_bool "unknown id rejected" true
+    (match Experiments.run Experiments.default_ctx [ "nonsense" ] with
+    | [ (_, Error _) ] -> true
+    | _ -> false)
+
+let quick7 = { Experiments.default_ctx with Experiments.quick = true; seed = 7 }
 
 let run_quick id =
-  match Experiments.run_one ~quick:true ~seed:7 id with
-  | Ok o -> o
-  | Error e -> Alcotest.fail e
+  match Experiments.run quick7 [ id ] with
+  | [ (_, Ok o) ] -> o
+  | [ (_, Error e) ] -> Alcotest.fail e
+  | _ -> Alcotest.fail "one result per id"
 
 let test_cheap_experiments_run () =
   (* The static/Monte-Carlo experiments are cheap enough for the suite. *)
@@ -198,13 +204,13 @@ let test_parallel_default_jobs_positive () =
 let test_run_many_jobs_invariant () =
   let ids = [ "table1"; "table3"; "sec3_5"; "evacuation" ] in
   let strip = List.map (fun (id, r) -> (id, Result.map (fun o -> o.Experiments.rows) r)) in
-  let r1 = strip (Experiments.run_many ~quick:true ~seed:7 ~jobs:1 ids) in
-  let r3 = strip (Experiments.run_many ~quick:true ~seed:7 ~jobs:3 ids) in
+  let r1 = strip (Experiments.run ~jobs:1 quick7 ids) in
+  let r3 = strip (Experiments.run ~jobs:3 quick7 ids) in
   check_bool "identical outcomes for any job count" true (r1 = r3);
   Alcotest.(check (list string)) "argument order" ids (List.map fst r1)
 
 let test_run_many_unknown_id () =
-  match Experiments.run_many ~quick:true ~jobs:2 [ "table1"; "nonsense" ] with
+  match Experiments.run ~jobs:2 quick7 [ "table1"; "nonsense" ] with
   | [ ("table1", Ok _); ("nonsense", Error _) ] -> ()
   | _ -> Alcotest.fail "unknown id must surface as Error without aborting the rest"
 

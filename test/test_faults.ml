@@ -289,9 +289,11 @@ let prop_same_seed_same_metrics =
 
 let test_availability_outcome_deterministic () =
   let once () =
-    match Bmhive.Experiments.run_one ~quick:true ~seed:2020 "availability" with
-    | Ok o -> o
-    | Error e -> Alcotest.fail e
+    match
+      Bmhive.Experiments.(run { default_ctx with quick = true; seed = 2020 } [ "availability" ])
+    with
+    | [ (_, Ok o) ] -> o
+    | _ -> Alcotest.fail "availability did not run"
   in
   check_bool "bit-identical outcome" true (once () = once ())
 

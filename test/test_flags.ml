@@ -1,0 +1,171 @@
+(* Tests for the shared run-flag table: out-of-range values are usage
+   errors naming their flag (one regression per value that used to crash
+   a run), each flag sets exactly its own context field, and a QCheck
+   fuzz over random command lines never raises. *)
+
+open Cmdliner
+module E = Bmhive.Experiments
+
+let check_bool = Alcotest.(check bool)
+
+(* Evaluate the shared term on [args]; [Error] carries what cmdliner
+   printed. [~catch:false] lets any exception escape to the test. *)
+let parse args =
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  let cmd = Cmd.v (Cmd.info "run") Run_flags.term in
+  let r = Cmd.eval_value ~catch:false ~err ~help:err ~argv:(Array.of_list ("run" :: args)) cmd in
+  Format.pp_print_flush err ();
+  match r with
+  | Ok (`Ok t) -> Ok t
+  | Ok (`Help | `Version) -> Error "help requested"
+  | Error _ -> Error (Buffer.contents buf)
+
+let mentions msg tok = Astring.String.is_infix ~affix:(Printf.sprintf "'%s'" tok) msg
+
+let rejected ~flag args () =
+  match parse args with
+  | Ok _ -> Alcotest.failf "%s accepted" (String.concat " " args)
+  | Error msg -> check_bool ("error names " ^ flag) true (mentions msg flag)
+
+(* ------------------------------------------------------------------ *)
+(* Each flag sets exactly its own field *)
+
+let fields (t : Run_flags.t) =
+  let c = t.ctx and opt f = Option.fold ~none:"-" ~some:f in
+  [
+    ("seed", string_of_int c.seed);
+    ("quick", string_of_bool c.quick);
+    ("trace", Printf.sprintf "%b %s" (c.trace <> None) (opt Fun.id t.trace_file));
+    ("metrics", string_of_bool (c.metrics <> None));
+    ("faults", opt Bm_engine.Fault.render_plan c.faults);
+    ("topo", opt Bm_fabric.Topology.render c.topo);
+    ("shards", string_of_int c.shards);
+    ("scenario", opt Bmhive.Scenario.render c.scenario);
+    ("policy", opt Bm_cloud.Policy.name c.policy);
+    ("hosts", opt string_of_int c.hosts);
+    ("guests", opt string_of_int c.guests);
+    ("tenants", opt string_of_int c.tenants);
+    ("vfs", opt string_of_int c.vfs);
+    ("datapath", opt Bm_iobond.Vf.datapath_name c.datapath);
+    ("jobs", string_of_int t.jobs);
+    ("ids", String.concat "," t.ids);
+  ]
+
+let one_flag_cases =
+  [
+    ([ "--seed"; "7" ], "seed");
+    ([ "--quick" ], "quick");
+    ([ "--trace"; "run.json" ], "trace");
+    ([ "--metrics" ], "metrics");
+    ([ "--faults"; "42:default" ], "faults");
+    ([ "--topology"; "hosts=4,tors=2,spines=2" ], "topo");
+    ([ "--shards"; "3" ], "shards");
+    ([ "--scenario"; "42:default" ], "scenario");
+    ([ "--policy"; "congestion" ], "policy");
+    ([ "--hosts"; "40" ], "hosts");
+    ([ "--guests"; "800" ], "guests");
+    ([ "--tenants"; "8" ], "tenants");
+    ([ "--vfs"; "4" ], "vfs");
+    ([ "--datapath"; "vf" ], "datapath");
+    ([ "--jobs"; "3" ], "jobs");
+    ([ "fig9" ], "ids");
+  ]
+
+let ok = function Ok t -> t | Error e -> Alcotest.fail e
+
+let test_defaults () =
+  let expected =
+    fields { Run_flags.ctx = E.default_ctx; jobs = 1; ids = E.ids (); trace_file = None }
+  in
+  Alcotest.(check (list (pair string string))) "no flags = default_ctx" expected (fields (ok (parse [])))
+
+let test_each_flag_sets_its_field () =
+  let base = fields (ok (parse [])) in
+  Alcotest.(check int) "a case per field" (List.length base) (List.length one_flag_cases);
+  List.iter
+    (fun (args, field) ->
+      let changed =
+        List.filter_map
+          (fun ((name, v), (_, v0)) -> if v <> v0 then Some name else None)
+          (List.combine (fields (ok (parse args))) base)
+      in
+      Alcotest.(check (list string)) (String.concat " " args) [ field ] changed)
+    one_flag_cases
+
+(* ------------------------------------------------------------------ *)
+(* Fuzz: real flag names, junk or boundary values *)
+
+let valued =
+  [ "--seed"; "--trace"; "--shards"; "--policy"; "--hosts"; "--guests"; "--tenants"; "--vfs";
+    "--datapath"; "--jobs"; "-j" ]
+
+let boundaries = [ "-1"; "0"; "1"; "2"; "3"; "63"; "64"; "65" ]
+
+let junk =
+  [ ""; " "; "x"; "-"; "007"; "0x10"; "1_000"; "1e3"; "2.5"; "99999999999999999999";
+    "-4611686018427387904"; "ladder"; "congestion"; "vf"; "vring"; "fig9"; "=" ]
+
+let gen_args =
+  let open QCheck.Gen in
+  let word =
+    frequency
+      [ (4, oneofl boundaries); (2, oneofl junk); (1, string_size ~gen:printable (0 -- 6)) ]
+  in
+  let item =
+    frequency
+      [
+        (6, map2 (fun f v -> [ f; v ]) (oneofl valued) word);
+        (2, map2 (fun f v -> [ f ^ "=" ^ v ]) (oneofl valued) word);
+        (1, oneofl [ [ "--quick" ]; [ "--metrics" ] ]);
+        (1, map (fun f -> [ f ]) (oneofl valued));
+      ]
+  in
+  map List.concat (list_size (0 -- 4) item)
+
+(* The option name cmdliner reports for a dash-token. A value that itself
+   starts with a dash (--hosts -3) reads as the short option -3, so the
+   error names that token instead of --hosts. *)
+let dash_name a =
+  if String.length a < 2 || a.[0] <> '-' then None
+  else if a.[1] = '-' then Some (List.hd (String.split_on_char '=' a))
+  else Some (String.sub a 0 2)
+
+(* Either a context whose values respect every consumer's bound, or an
+   error naming one of the dash-tokens on the command line. *)
+let prop_never_raises =
+  QCheck.Test.make ~name:"flag term: context or flag-naming error, never an exception" ~count:1000
+    (QCheck.make ~print:(String.concat " ") gen_args)
+    (fun args ->
+      match parse args with
+      | Ok { ctx; jobs; _ } ->
+        let within lo hi = Option.fold ~none:true ~some:(fun n -> n >= lo && n <= hi) in
+        jobs >= 1 && ctx.shards >= 1
+        && within 2 max_int ctx.hosts
+        && within 1 max_int ctx.guests
+        && within 1 max_int ctx.tenants
+        && within 1 64 ctx.vfs
+      | Error msg ->
+        List.exists (fun a -> Option.fold (dash_name a) ~none:false ~some:(mentions msg)) args)
+
+let suites =
+  [
+    ( "flags.range",
+      [
+        Alcotest.test_case "run --hosts 0" `Quick
+          (rejected ~flag:"--hosts" [ "--quick"; "--hosts"; "0"; "fleet_scale" ]);
+        Alcotest.test_case "run --vfs 0" `Quick
+          (rejected ~flag:"--vfs" [ "--quick"; "--vfs"; "0"; "vf_scale" ]);
+        Alcotest.test_case "main.exe --hosts 1" `Quick
+          (rejected ~flag:"--hosts" [ "--quick"; "--hosts"; "1"; "fleet_scale" ]);
+        Alcotest.test_case "main.exe --vfs 65" `Quick
+          (rejected ~flag:"--vfs" [ "--quick"; "--vfs"; "65"; "vf_scale" ]);
+        Alcotest.test_case "run --jobs=-1" `Quick (rejected ~flag:"--jobs" [ "--jobs=-1" ]);
+      ] );
+    ( "flags.table",
+      [
+        Alcotest.test_case "no flags = default_ctx" `Quick test_defaults;
+        Alcotest.test_case "each flag sets its own field" `Quick test_each_flag_sets_its_field;
+        QCheck_alcotest.to_alcotest prop_never_raises;
+      ] );
+  ]

@@ -388,9 +388,12 @@ let test_metrics_render_shape () =
 
 let test_tracing_preserves_determinism () =
   let run ?trace ?metrics () =
-    match Bmhive.Experiments.run_one ~quick:true ~seed:11 ?trace ?metrics "ablation_reg" with
-    | Ok outcome -> outcome
-    | Error e -> Alcotest.fail e
+    match
+      Bmhive.Experiments.(run { default_ctx with quick = true; seed = 11; trace; metrics })
+        [ "ablation_reg" ]
+    with
+    | [ (_, Ok outcome) ] -> outcome
+    | _ -> Alcotest.fail "ablation_reg did not run"
   in
   let bare = run () in
   let t1 = Trace.create () and m1 = Metrics.create () in
@@ -434,10 +437,12 @@ let test_bm_datapath_covers_layers () =
   let trace = Trace.create () in
   let metrics = Metrics.create () in
   (match
-     Bmhive.Experiments.run_one ~quick:true ~seed:3 ~trace ~metrics "ablation_batch"
+     Bmhive.Experiments.(run { default_ctx with quick = true; seed = 3; trace = Some trace;
+                               metrics = Some metrics })
+       [ "ablation_batch" ]
    with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | [ (_, Ok _) ] -> ()
+  | _ -> Alcotest.fail "ablation_batch did not run");
   let names = Metrics.names metrics in
   let covered prefix = List.exists (fun n -> Astring.String.is_prefix ~affix:prefix n) names in
   List.iter

@@ -203,9 +203,7 @@ let outcome_fingerprint (o : Bmhive.Experiments.outcome) =
 
 let run_vf_experiment ~id ~seed ~shards =
   let spec = Option.get (Bmhive.Experiments.find id) in
-  spec.Bmhive.Experiments.run ~scenario:None ~policy:None ~fleet:Bmhive.Experiments.default_fleet
-    ~vf:Bmhive.Experiments.default_vf ~faults:None ~trace:None ~metrics:None ~topo:None ~shards
-    ~quick:true ~seed
+  spec.Bmhive.Experiments.run { Bmhive.Experiments.default_ctx with quick = true; seed; shards }
 
 let prop_experiment_determinism =
   QCheck.Test.make ~name:"vf experiments: same seed => identical outcome" ~count:4
