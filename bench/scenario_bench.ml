@@ -13,11 +13,18 @@
      ladder      events/sec with the degradation ladder engaged
      policies    events/sec and SLOs met for every degradation policy
      parse       parse_spec calls/sec on a representative spec string
+     control_plane host us per Fleet.Live.meter_tick and per
+                 Policy.blast_radius, with the scheduler's view snapshot
+                 current (hit) and just invalidated (miss)
      determinism scorecards of two identical ladder runs compared *)
 
 module Scenario = Bmhive.Scenario
 module Fleet = Bm_hyp.Fleet
 module Policy = Bm_cloud.Policy
+module Scheduler = Bm_cloud.Scheduler
+module Slo = Bm_cloud.Slo
+module Tenant = Bm_cloud.Tenant
+module Topology = Bm_fabric.Topology
 
 let quick = ref false
 let seed = ref 2020
@@ -70,6 +77,54 @@ let parse_bench ~calls =
   in
   float_of_int calls /. wall_s
 
+(* Host cost of the control plane's per-tick and per-window reads on a
+   freshly built fleet. A miss releases and re-places one guest before
+   the timed call, which moves the scheduler's generation, so the call
+   pays for rebuilding the view snapshot (and the metering plan). *)
+type cp_cost = { meter_hit_us : float; meter_miss_us : float; blast_hit_us : float; blast_miss_us : float }
+
+let control_plane_bench () =
+  let live = Fleet.Live.build ~seed:!seed (fleet ()) in
+  let sched = Fleet.Live.scheduler live in
+  let topo = Bm_fabric.Fabric.topology (Fleet.Live.fabric live) in
+  let tiers = List.mapi (fun i tn -> (Tenant.name tn, Slo.tier_of_index i)) (Scheduler.tenants sched) in
+  let distressed = List.filteri (fun i _ -> i < 2) tiers in
+  let blast () =
+    ignore
+      (Policy.blast_radius ~sched
+         ~tor_of:(fun host -> Topology.tor_of topo ~host)
+         ~tier_of:(fun tn -> List.assoc tn tiers)
+         ~distressed ~failed_hosts:[ 0 ])
+  in
+  let meter () = Fleet.Live.meter_tick live ~tick_ns:1e6 in
+  let name, _ = List.hd (Scheduler.assignments sched) in
+  let req = Option.get (Scheduler.request_of sched name) in
+  let invalidate () =
+    Scheduler.release sched name;
+    ignore (Scheduler.place sched req)
+  in
+  let hit_us f ~calls =
+    f ();
+    let (), s = time (fun () -> for _ = 1 to calls do f () done) in
+    s /. float_of_int calls *. 1e6
+  in
+  let miss_us f ~calls =
+    let total = ref 0.0 in
+    for _ = 1 to calls do
+      invalidate ();
+      let (), s = time f in
+      total := !total +. s
+    done;
+    !total /. float_of_int calls *. 1e6
+  in
+  let hits = if !quick then 200 else 2_000 and misses = if !quick then 20 else 50 in
+  {
+    meter_hit_us = hit_us meter ~calls:hits;
+    meter_miss_us = miss_us meter ~calls:misses;
+    blast_hit_us = hit_us blast ~calls:hits;
+    blast_miss_us = miss_us blast ~calls:misses;
+  }
+
 let progress fmt = Printf.ksprintf (fun m -> prerr_endline ("[scenario_bench] " ^ m)) fmt
 
 let () =
@@ -93,6 +148,8 @@ let () =
   let calls = if !quick then 20_000 else 200_000 in
   progress "parse: %d parse_spec calls" calls;
   let parse_cps = parse_bench ~calls in
+  progress "control plane: meter_tick and blast_radius, snapshot hit and miss";
+  let cp = control_plane_bench () in
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
@@ -133,6 +190,10 @@ let () =
   p "    \"calls\": %d,\n" calls;
   p "    \"calls_per_sec\": %.0f\n" parse_cps;
   p "  },\n";
+  p "  \"control_plane\": {\n";
+  p "    \"meter_tick_us\": { \"hit\": %.1f, \"miss\": %.1f },\n" cp.meter_hit_us cp.meter_miss_us;
+  p "    \"blast_radius_us\": { \"hit\": %.1f, \"miss\": %.1f }\n" cp.blast_hit_us cp.blast_miss_us;
+  p "  },\n";
   p "  \"determinism\": { \"scorecards_identical\": %b }\n" identical;
   p "}\n";
   let oc = open_out !out_file in
@@ -140,6 +201,8 @@ let () =
   close_out oc;
   Printf.printf
     "scenario bench: %.0f events/s open loop, %.0f events/s with ladder (SLO met %d -> %d); \
-     parse %.0f/s; deterministic: %b\n"
-    open_eps lad_eps open_o.Scenario.met lad_o.Scenario.met parse_cps identical;
+     parse %.0f/s; meter_tick %.1f/%.1f us, blast_radius %.1f/%.1f us (hit/miss); \
+     deterministic: %b\n"
+    open_eps lad_eps open_o.Scenario.met lad_o.Scenario.met parse_cps cp.meter_hit_us
+    cp.meter_miss_us cp.blast_hit_us cp.blast_miss_us identical;
   Printf.printf "written: %s\n" !out_file

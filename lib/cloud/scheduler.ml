@@ -25,6 +25,20 @@ type guest = {
          shadow-vring path), [None] while unplaced *)
 }
 
+(* The read-only views, derived from the guest table and tagged with
+   the generation they were built at. Per-host arrays are indexed by
+   server id (control-plane ids are dense from 0) up to the highest id
+   holding a guest. *)
+type snapshot = {
+  built_at : int;
+  assigned : (string * Control_plane.placement) list;  (* sorted by name *)
+  unplaced : string list;  (* sorted *)
+  on_host : guest list array;  (* sorted by name *)
+  host_count : int array;
+  host_tenants : string list array;  (* distinct, sorted *)
+  tenant_hosts : (string, int list ref) Hashtbl.t;  (* distinct, sorted *)
+}
+
 type t = {
   cp : Control_plane.t;
   strategy : Control_plane.strategy;
@@ -38,6 +52,8 @@ type t = {
   mutable vf_fallback_count : int;
   mutable classifier : request -> string option;
       (* placement class per request, for per-class admission ceilings *)
+  mutable generation : int;  (* bumped by every write the views can see *)
+  mutable snapshot : snapshot option;
 }
 
 let create ?(obs = Obs.none) ?(strategy = Control_plane.First_fit) ?(vfs_per_host = 8) cp =
@@ -54,10 +70,29 @@ let create ?(obs = Obs.none) ?(strategy = Control_plane.First_fit) ?(vfs_per_hos
     vf_used = Hashtbl.create 64;
     vf_fallback_count = 0;
     classifier = (fun _ -> None);
+    generation = 0;
+    snapshot = None;
   }
 
 let control_plane t = t.cp
 let set_classifier t f = t.classifier <- f
+let generation t = t.generation
+
+(* The only writers of the guest table and of guest placements: each
+   bumps [generation], which is what invalidates the view snapshot. *)
+let touch t = t.generation <- t.generation + 1
+
+let set_placement t g p =
+  g.placement <- p;
+  touch t
+
+let add_guest t g =
+  Hashtbl.replace t.guests g.req.name g;
+  touch t
+
+let remove_guest t name =
+  Hashtbl.remove t.guests name;
+  touch t
 
 let register_tenant t tenant =
   let name = Tenant.name tenant in
@@ -196,7 +231,7 @@ let place t req =
         match try_place_cp t req ~substrates:(substrates_of req) with
         | Ok p ->
           let g = { req; placement = Some p; granted = None } in
-          Hashtbl.replace t.guests req.name g;
+          add_guest t g;
           group_add t req.group p.Control_plane.server;
           vf_grant t g p.Control_plane.server;
           Metrics.incr_opt t.metrics "cloud.sched.placed";
@@ -222,7 +257,7 @@ let release t name =
     (match Hashtbl.find_opt t.tenants g.req.tenant with
     | Some tn -> Tenant.release tn ~vcpus:g.req.vcpus
     | None -> ());
-    Hashtbl.remove t.guests name
+    remove_guest t name
 
 (* --- evacuation and rebalance --------------------------------------- *)
 
@@ -238,7 +273,7 @@ let replace_guest t g ~first =
   in
   match try_place_cp t g.req ~substrates with
   | Ok p ->
-    g.placement <- Some p;
+    set_placement t g (Some p);
     group_add t g.req.group p.Control_plane.server;
     vf_grant t g p.Control_plane.server;
     Ok p
@@ -266,7 +301,7 @@ let drain t ~server =
         group_remove t g.req.group p.Control_plane.server;
         vf_revoke t g p.Control_plane.server;
         Control_plane.release t.cp g.req.name;
-        g.placement <- None;
+        set_placement t g None;
         (g, p.Control_plane.substrate))
       victims
   in
@@ -329,7 +364,7 @@ let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
           group_remove t g.req.group p.Control_plane.server;
           vf_revoke t g p.Control_plane.server;
           Control_plane.release t.cp g.req.name;
-          g.placement <- None;
+          set_placement t g None;
           let avoid = donor :: group_hosts t g.req.group in
           match
             Control_plane.place t.cp ~name:g.req.name ~vcpus:g.req.vcpus
@@ -337,7 +372,7 @@ let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
               ?cls:(t.classifier g.req) ~image:Image.centos7 ()
           with
           | Ok p' ->
-            g.placement <- Some p';
+            set_placement t g (Some p');
             group_add t g.req.group p'.Control_plane.server;
             vf_grant t g p'.Control_plane.server;
             Metrics.incr_opt t.metrics "cloud.sched.moves";
@@ -392,61 +427,81 @@ let check_vf_accounting t =
              (Printf.sprintf "Scheduler: host %d has %d VFs in use over capacity %d" server
                 counted (vf_capacity t ~server)))
 
-let assignments t =
-  Hashtbl.fold
-    (fun name g acc -> match g.placement with Some p -> (name, p) :: acc | None -> acc)
-    t.guests []
-  |> List.sort compare
+(* Every view below comes from one sort of the placed guests by name.
+   Walking that order backwards and consing leaves each per-host list
+   sorted; walking hosts backwards leaves each tenant's host list sorted
+   and distinct; walking tenants backwards does the same for each host's
+   tenant list. *)
+let build_snapshot t =
+  let placed = ref [] and unplaced = ref [] in
+  Hashtbl.iter
+    (fun name g ->
+      match g.placement with
+      | Some _ -> placed := g :: !placed
+      | None -> unplaced := name :: !unplaced)
+    t.guests;
+  let placed = Array.of_list !placed in
+  Array.stable_sort (fun a b -> String.compare a.req.name b.req.name) placed;
+  let server g = (Option.get g.placement).Control_plane.server in
+  let n = Array.fold_left (fun acc g -> max acc (server g + 1)) 0 placed in
+  let on_host = Array.make n [] and host_count = Array.make n 0 and assigned = ref [] in
+  for i = Array.length placed - 1 downto 0 do
+    let g = placed.(i) in
+    let s = server g in
+    on_host.(s) <- g :: on_host.(s);
+    host_count.(s) <- host_count.(s) + 1;
+    assigned := (g.req.name, Option.get g.placement) :: !assigned
+  done;
+  let tenant_hosts = Hashtbl.create 16 in
+  for s = n - 1 downto 0 do
+    List.iter
+      (fun g ->
+        match Hashtbl.find_opt tenant_hosts g.req.tenant with
+        | None -> Hashtbl.replace tenant_hosts g.req.tenant (ref [ s ])
+        | Some hosts -> if List.hd !hosts <> s then hosts := s :: !hosts)
+      on_host.(s)
+  done;
+  let host_tenants = Array.make n [] in
+  Hashtbl.fold (fun tenant hosts acc -> (tenant, !hosts) :: acc) tenant_hosts []
+  |> List.sort (fun (a, _) (b, _) -> String.compare b a)
+  |> List.iter (fun (tenant, hosts) ->
+         List.iter (fun s -> host_tenants.(s) <- tenant :: host_tenants.(s)) hosts);
+  {
+    built_at = t.generation;
+    assigned = !assigned;
+    unplaced = List.sort String.compare !unplaced;
+    on_host;
+    host_count;
+    host_tenants;
+    tenant_hosts;
+  }
 
-let stranded t =
-  Hashtbl.fold (fun name g acc -> if g.placement = None then name :: acc else acc) t.guests []
-  |> List.sort compare
+let snapshot t =
+  match t.snapshot with
+  | Some s when s.built_at = t.generation -> s
+  | Some _ | None ->
+    let s = build_snapshot t in
+    t.snapshot <- Some s;
+    s
 
+let assignments t = (snapshot t).assigned
+let stranded t = (snapshot t).unplaced
 let guest_count t = Hashtbl.length t.guests
 
-let guests_on t ~server =
-  Hashtbl.fold
-    (fun name g acc ->
-      match g.placement with
-      | Some p when p.Control_plane.server = server -> name :: acc
-      | Some _ | None -> acc)
-    t.guests []
-  |> List.sort compare
+(* [a.(server)] for a host holding a guest, [empty] for any other id. *)
+let per_host a server empty = if server >= 0 && server < Array.length a then a.(server) else empty
 
-(* Sorted-distinct helper for the blast-radius views below. *)
-let sort_uniq_list l = List.sort_uniq compare l
+let guests_on t ~server =
+  List.map (fun g -> g.req.name) (per_host (snapshot t).on_host server [])
 
 let hosts_of_tenant t ~tenant =
-  Hashtbl.fold
-    (fun _ g acc ->
-      match g.placement with
-      | Some p when g.req.tenant = tenant -> p.Control_plane.server :: acc
-      | Some _ | None -> acc)
-    t.guests []
-  |> sort_uniq_list
+  match Hashtbl.find_opt (snapshot t).tenant_hosts tenant with Some hosts -> !hosts | None -> []
 
-let tenants_on_host t ~server =
-  Hashtbl.fold
-    (fun _ g acc ->
-      match g.placement with
-      | Some p when p.Control_plane.server = server -> g.req.tenant :: acc
-      | Some _ | None -> acc)
-    t.guests []
-  |> sort_uniq_list
+let tenants_on_host t ~server = per_host (snapshot t).host_tenants server []
 
 let occupancy t =
-  let counts = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ g ->
-      match g.placement with
-      | Some p ->
-        Hashtbl.replace counts p.Control_plane.server
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts p.Control_plane.server))
-      | None -> ())
-    t.guests;
-  List.map
-    (fun id -> (id, Option.value ~default:0 (Hashtbl.find_opt counts id)))
-    (Control_plane.server_ids t.cp)
+  let s = snapshot t in
+  List.map (fun id -> (id, per_host s.host_count id 0)) (Control_plane.server_ids t.cp)
 
 let anti_affinity_violations t =
   let by_group_host = Hashtbl.create 64 in

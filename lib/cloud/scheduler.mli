@@ -19,7 +19,12 @@
     - no host's thread utilization exceeds its ceiling;
     - equal request lists produce identical assignments;
     - any drain / restore / rebalance sequence conserves guests
-      (placed + stranded = admitted; no duplicates). *)
+      (placed + stranded = admitted; no duplicates);
+    - the views ({!assignments}, {!stranded}, {!occupancy},
+      {!guests_on}, {!hosts_of_tenant}, {!tenants_on_host}) are pure
+      functions of the guest table (and, for {!occupancy}, of the
+      control plane's server list): equal to a reference rebuilt from
+      {!lookup} and {!request_of}, however reads and writes interleave. *)
 
 type request = {
   name : string;
@@ -62,6 +67,15 @@ val create :
     ".moves" / ".vf_granted" / ".vf_fallbacks"]. *)
 
 val control_plane : t -> Control_plane.t
+
+val generation : t -> int
+(** A counter bumped by every write the views can see: each insert into
+    or removal from the guest table and each change of a guest's
+    placement ({!place}, {!release}, {!drain}, {!retry_stranded},
+    {!rebalance}). The views are served from one snapshot built on the
+    first read after the counter moves, so a caller can key its own
+    derived state on it too: an unchanged generation means an unchanged
+    guest table. *)
 
 val set_classifier : t -> (request -> string option) -> unit
 (** Install the placement classifier: every subsequent placement that

@@ -14,6 +14,9 @@ type t = {
   mutable guest_ns : float;
   mutable bytes : float;
   mutable ios : float;
+  m_guest_s : string;  (* metric names, built once *)
+  m_bytes : string;
+  m_ios : string;
 }
 
 let create ?(obs = Obs.none) ~name quota =
@@ -29,6 +32,9 @@ let create ?(obs = Obs.none) ~name quota =
     guest_ns = 0.0;
     bytes = 0.0;
     ios = 0.0;
+    m_guest_s = "cloud.tenant." ^ name ^ ".guest_s";
+    m_bytes = "cloud.tenant." ^ name ^ ".bytes";
+    m_ios = "cloud.tenant." ^ name ^ ".ios";
   }
 
 let name t = t.name
@@ -69,9 +75,9 @@ let meter t ?(guest_ns = 0.0) ?(bytes = 0.0) ?(ios = 0.0) () =
   match t.metrics with
   | None -> ()
   | Some m ->
-    if guest_ns > 0.0 then Metrics.incr m ~by:(guest_ns /. 1e9) ("cloud.tenant." ^ t.name ^ ".guest_s");
-    if bytes > 0.0 then Metrics.incr m ~by:bytes ("cloud.tenant." ^ t.name ^ ".bytes");
-    if ios > 0.0 then Metrics.incr m ~by:ios ("cloud.tenant." ^ t.name ^ ".ios")
+    if guest_ns > 0.0 then Metrics.incr m ~by:(guest_ns /. 1e9) t.m_guest_s;
+    if bytes > 0.0 then Metrics.incr m ~by:bytes t.m_bytes;
+    if ios > 0.0 then Metrics.incr m ~by:ios t.m_ios
 
 let guest_seconds t = t.guest_ns /. 1e9
 let bytes t = t.bytes

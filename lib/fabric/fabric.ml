@@ -15,7 +15,11 @@ and link = {
   name : string;
   params : Topology.link_params;
   queue : job Sim.Bounded.bounded;
-  depth : Stats.Histogram.t;
+  mutable depth : Stats.Histogram.t option;  (* allocated on first enqueue *)
+  track : string;  (* trace track, and the metric names below: built once *)
+  m_dropped : string;
+  m_depth : string;
+  m_bytes : string;
   mutable up : bool;  (* a down link drops everything offered to it *)
   mutable busy_ns : float;  (* time spent serializing bursts *)
   mutable delivered_pkts : int;
@@ -56,9 +60,9 @@ let drop_at fab link job =
   let m = Obs.metrics fab.obs in
   link.dropped_pkts <- link.dropped_pkts + job.pkt.count;
   fab.dropped <- fab.dropped + job.pkt.count;
-  Metrics.incr_opt m ("fabric.link." ^ link.name ^ ".dropped");
+  Metrics.incr_opt m link.m_dropped;
   Metrics.incr_opt m ~by:(float_of_int job.pkt.count) "fabric.dropped";
-  Trace.instant_opt (Obs.trace fab.obs) ~track:("fabric." ^ link.name) "drop"
+  Trace.instant_opt (Obs.trace fab.obs) ~track:link.track "drop"
     ~now:(Obs.now fab.obs);
   match job.on_drop with None -> () | Some f -> f job.pkt
 
@@ -73,9 +77,17 @@ let offer fab link job =
     | `Sent ->
       let m = Obs.metrics fab.obs in
       let d = float_of_int (Sim.Bounded.length link.queue) in
-      Stats.Histogram.add link.depth d;
-      Metrics.observe_opt m ~lo:1.0 ~hi:1e4 ("fabric.link." ^ link.name ^ ".depth") d;
-      Trace.counter_opt (Obs.trace fab.obs) ~track:("fabric." ^ link.name) "depth"
+      let depth =
+        match link.depth with
+        | Some h -> h
+        | None ->
+          let h = Stats.Histogram.create ~lo:1.0 ~hi:1e4 () in
+          link.depth <- Some h;
+          h
+      in
+      Stats.Histogram.add depth d;
+      Metrics.observe_opt m ~lo:1.0 ~hi:1e4 link.m_depth d;
+      Trace.counter_opt (Obs.trace fab.obs) ~track:link.track "depth"
         ~now:(Obs.now fab.obs) d
     | `Dropped -> drop_at fab link job
     | `Rejected -> assert false (* Drop_tail never rejects *)
@@ -102,9 +114,7 @@ let drain_link fab link =
     link.busy_ns <- link.busy_ns +. wire;
     link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
     link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
-    Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size
-      ("fabric.link." ^ link.name ^ ".bytes")
-      ~now:(Sim.clock ());
+    Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size link.m_bytes ~now:(Sim.now fab.sim);
     Sim.schedule fab.sim ~delay:link.params.latency_ns (fun () -> arrive fab job);
     loop ()
   in
@@ -117,7 +127,11 @@ let mk_link name params =
     queue =
       Sim.Bounded.create ~capacity:params.Topology.queue_capacity
         ~policy:Sim.Bounded.Drop_tail ();
-    depth = Stats.Histogram.create ~lo:1.0 ~hi:1e4 ();
+    depth = None;
+    track = "fabric." ^ name;
+    m_dropped = "fabric.link." ^ name ^ ".dropped";
+    m_depth = "fabric.link." ^ name ^ ".depth";
+    m_bytes = "fabric.link." ^ name ^ ".bytes";
     up = true;
     busy_ns = 0.0;
     delivered_pkts = 0;
@@ -183,7 +197,7 @@ let set_link t name up =
     l.up <- up;
     Metrics.incr_opt (Obs.metrics t.obs)
       ("fabric.link." ^ name ^ if up then ".repaired" else ".failed");
-    Trace.instant_opt (Obs.trace t.obs) ~track:("fabric." ^ name)
+    Trace.instant_opt (Obs.trace t.obs) ~track:l.track
       (if up then "repair" else "fail")
       ~now:(Obs.now t.obs)
   end
@@ -298,8 +312,9 @@ let link_stat ~elapsed (l : link) =
     gbit_s = l.params.gbit_s;
     utilization = (if elapsed > 0.0 then l.busy_ns /. elapsed else 0.0);
     depth_p99 =
-      (if Stats.Histogram.count l.depth = 0 then 0.0
-       else Stats.Histogram.percentile l.depth 99.0);
+      (match l.depth with
+      | Some h when Stats.Histogram.count h > 0 -> Stats.Histogram.percentile h 99.0
+      | Some _ | None -> 0.0);
     sent_bursts = Sim.Bounded.sent l.queue;
     delivered_bursts = Sim.Bounded.delivered l.queue;
     dropped_bursts = Sim.Bounded.dropped l.queue;

@@ -156,6 +156,8 @@ module Live = struct
     mutable place_failures : int;
     mutable flow_bursts : int;
     mutable evac_bytes : int;
+    mutable meter_plan : (Tenant.t * float * float) array;
+    mutable meter_plan_gen : int;  (* scheduler generation it was built at *)
   }
 
   let sim t = t.sim
@@ -250,6 +252,8 @@ module Live = struct
         place_failures = 0;
         flow_bursts = 0;
         evac_bytes = 0;
+        meter_plan = [||];
+        meter_plan_gen = -1;
       }
     in
     List.iter
@@ -262,28 +266,40 @@ module Live = struct
 
   (* --- serving ------------------------------------------------------ *)
 
-  let meter_all t ~tick_ns =
-    let tick_s = tick_ns /. 1e9 in
-    List.iter
-      (fun (name, _) ->
-        match Scheduler.request_of t.sched name with
-        | None -> ()
-        | Some req -> (
-          match Scheduler.tenant t.sched req.Scheduler.tenant with
-          | None -> ()
-          | Some tn ->
-            let { cls; _ } = Hashtbl.find t.info name in
-            let v = float_of_int req.Scheduler.vcpus in
-            Tenant.meter tn ~guest_ns:tick_ns
-              ~bytes:(byte_rate_of cls *. v *. tick_s)
-              ~ios:(io_rate_of cls *. v *. tick_s)
-              ()))
-      (Scheduler.assignments t.sched)
+  (* The metering plan: one (tenant, bytes/s, IOPS) row per placed
+     guest, in name order, rebuilt only when the scheduler's generation
+     moves. Charging [rate *. tick_s] is [byte_rate_of cls *. v *. tick_s]
+     as OCaml associates it, added to each tenant in the same order, so
+     every meter is bit-identical to walking the assignments per tick. *)
+  let meter_plan t =
+    let gen = Scheduler.generation t.sched in
+    if t.meter_plan_gen <> gen then begin
+      t.meter_plan <-
+        Scheduler.assignments t.sched
+        |> List.filter_map (fun (name, _) ->
+               match Scheduler.request_of t.sched name with
+               | None -> None
+               | Some req ->
+                 Option.map
+                   (fun tn ->
+                     let { cls; _ } = Hashtbl.find t.info name in
+                     let v = float_of_int req.Scheduler.vcpus in
+                     (tn, byte_rate_of cls *. v, io_rate_of cls *. v))
+                   (Scheduler.tenant t.sched req.Scheduler.tenant))
+        |> Array.of_list;
+      t.meter_plan_gen <- gen
+    end;
+    t.meter_plan
 
-  (* Hooks for external orchestrators (the game-day scenario engine
-     drives metering itself instead of calling [serve], so it can
-     interleave accounting ticks with its own traffic and faults). *)
-  let meter_tick t ~tick_ns = meter_all t ~tick_ns
+  (* Also a hook for external orchestrators: the game-day scenario
+     engine drives metering itself instead of calling [serve], so it can
+     interleave accounting ticks with its own traffic and faults. *)
+  let meter_tick t ~tick_ns =
+    let tick_s = tick_ns /. 1e9 in
+    Array.iter
+      (fun (tn, byte_rate, io_rate) ->
+        Tenant.meter tn ~guest_ns:tick_ns ~bytes:(byte_rate *. tick_s) ~ios:(io_rate *. tick_s) ())
+      (meter_plan t)
 
   let guest_host t name = Option.map (fun p -> p.Cp.server) (Scheduler.lookup t.sched name)
   let guest_class t name = Option.map (fun gi -> gi.cls) (Hashtbl.find_opt t.info name)
@@ -299,7 +315,7 @@ module Live = struct
         let tick = duration_ns /. 8.0 in
         for _ = 1 to 8 do
           Sim.delay tick;
-          meter_all t ~tick_ns:tick
+          meter_tick t ~tick_ns:tick
         done);
     (* Sampled east-west traffic: 2 x hosts cross-host bursts spread
        over the window, exercising ECMP and the shared spine. The flows

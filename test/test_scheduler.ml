@@ -219,7 +219,13 @@ let apply_op sched = function
   | Rebalance -> ignore (Scheduler.rebalance sched ())
   | Release i -> Scheduler.release sched (Printf.sprintf "r%03d" i)
 
-let model_arb = QCheck.(triple (int_bound 10_000) (int_range 3 8) (int_range 1 50))
+(* Host and request counts shrink towards their lower bounds, never
+   below: a shrunk counterexample stays a valid model. *)
+let model_arb =
+  let from lo hi = QCheck.(map ~rev:(fun n -> n - lo) (fun k -> lo + k) (int_bound (hi - lo))) in
+  QCheck.(triple (int_bound 10_000) (from 3 8) (from 1 50))
+  |> QCheck.set_print (fun (seed, hosts, reqs) ->
+         Printf.sprintf "seed %d, %d hosts, %d requests" seed hosts reqs)
 
 (* Run [prop] on the scheduler after the batch and again after every
    maintenance op. *)
@@ -264,6 +270,49 @@ let prop_guest_conservation =
                (fun name -> Cp.lookup (Scheduler.control_plane sched) name <> None)
                placed))
 
+(* Every view against a reference rebuilt here from [lookup] and
+   [request_of], which read the guest table directly rather than the
+   view snapshot. Each view is read twice per step: the first read after
+   a write rebuilds the snapshot, the second is served from it — so a
+   placement write that skips the generation bump serves stale views and
+   fails. *)
+let views_match_reference sched names =
+  let cp = Scheduler.control_plane sched in
+  let placed = List.filter_map (fun n -> Option.map (fun p -> (n, p)) (Scheduler.lookup sched n)) names in
+  let stranded =
+    List.filter (fun n -> Scheduler.request_of sched n <> None && Scheduler.lookup sched n = None) names
+  in
+  let on server = List.filter (fun (_, p) -> p.Cp.server = server) placed in
+  let tenant_of n = (Option.get (Scheduler.request_of sched n)).Scheduler.tenant in
+  let servers = Cp.server_ids cp in
+  let tenants = "nope" :: List.map Tenant.name (Scheduler.tenants sched) in
+  let once () =
+    Scheduler.assignments sched = placed
+    && Scheduler.stranded sched = stranded
+    && Scheduler.occupancy sched = List.map (fun id -> (id, List.length (on id))) servers
+    && List.for_all
+         (fun server ->
+           Scheduler.guests_on sched ~server = List.map fst (on server)
+           && Scheduler.tenants_on_host sched ~server
+              = List.sort_uniq compare (List.map (fun (n, _) -> tenant_of n) (on server)))
+         servers
+    && List.for_all
+         (fun tenant ->
+           Scheduler.hosts_of_tenant sched ~tenant
+           = List.sort_uniq compare
+               (List.filter_map
+                  (fun (n, p) -> if tenant_of n = tenant then Some p.Cp.server else None)
+                  placed))
+         tenants
+  in
+  once () && once ()
+
+let prop_views_match_reference =
+  QCheck.Test.make ~name:"views equal a reference rebuilt from the guest table" ~count:100
+    model_arb (fun ((_, _, n_reqs) as input) ->
+      let names = List.sort compare (List.init n_reqs (Printf.sprintf "r%03d")) in
+      holds_throughout input (fun sched -> views_match_reference sched names))
+
 let prop_same_seed_same_assignment =
   QCheck.Test.make ~name:"same seed => identical assignment" ~count:100 model_arb (fun input ->
       let sched1, reqs1 = build_model input in
@@ -305,6 +354,12 @@ let golden_config =
       mem_per_vcpu_gb = 2;
     }
 
+let busiest_host sched =
+  fst
+    (List.fold_left
+       (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
+       (0, -1) (Scheduler.occupancy sched))
+
 (* The committed 50-host / 500-guest trajectory (seed 2020): build,
    evacuate the busiest host, restore, rebalance — then compare the
    occupancy table byte-for-byte. Regenerate [Golden_fleet] by printing
@@ -313,12 +368,7 @@ let golden_config =
 let golden_trajectory () =
   let live = Fleet.Live.build ~seed:2020 golden_config in
   let sched = Fleet.Live.scheduler live in
-  let victim =
-    fst
-      (List.fold_left
-         (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
-         (0, -1) (Scheduler.occupancy sched))
-  in
+  let victim = busiest_host sched in
   ignore (Fleet.Live.evacuate ~stream_memory:false live ~server:victim);
   ignore (Fleet.Live.restore live ~server:victim);
   ignore (Scheduler.rebalance sched ());
@@ -327,6 +377,27 @@ let golden_trajectory () =
 let test_golden_trajectory () =
   let expected = Golden_fleet.occupancy_50x500_seed2020 in
   check_string "golden occupancy table" expected (golden_trajectory ())
+
+(* The same fleet served on both sides of a maintenance cycle; the
+   per-tenant meters must match the committed golden bit for bit. *)
+let golden_meters () =
+  let live = Fleet.Live.build ~seed:2020 golden_config in
+  let sched = Fleet.Live.scheduler live in
+  Fleet.Live.serve live ~duration_ns:1e6;
+  let victim = busiest_host sched in
+  ignore (Fleet.Live.evacuate ~stream_memory:false live ~server:victim);
+  ignore (Fleet.Live.restore live ~server:victim);
+  ignore (Scheduler.rebalance sched ());
+  Fleet.Live.serve live ~duration_ns:1e6;
+  String.concat ""
+    (List.map
+       (fun tn ->
+         Printf.sprintf "%s guest_s %h bytes %h ios %h\n" (Tenant.name tn) (Tenant.guest_seconds tn)
+           (Tenant.bytes tn) (Tenant.ios tn))
+       (Scheduler.tenants sched))
+
+let test_golden_meters () =
+  check_string "golden tenant meters" Golden_fleet.tenant_meters_50x500_seed2020 (golden_meters ())
 
 let test_live_determinism () =
   let t1 = Fleet.Live.build ~seed:7 Fleet.Live.quick_config in
@@ -356,12 +427,7 @@ let test_live_serve_meters () =
 let test_live_evacuation_streams () =
   let live = Fleet.Live.build ~seed:4 golden_config in
   let sched = Fleet.Live.scheduler live in
-  let victim =
-    fst
-      (List.fold_left
-         (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
-         (0, -1) (Scheduler.occupancy sched))
-  in
+  let victim = busiest_host sched in
   let expected_bytes =
     List.fold_left
       (fun acc name ->
@@ -434,12 +500,7 @@ let test_full_scale () =
        (Cp.server_ids cp));
   check_bool "no violations at scale" true (Scheduler.anti_affinity_violations sched = []);
   Fleet.Live.serve live ~duration_ns:1e6;
-  let victim =
-    fst
-      (List.fold_left
-         (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
-         (0, -1) (Scheduler.occupancy sched))
-  in
+  let victim = busiest_host sched in
   let e = Fleet.Live.evacuate live ~server:victim in
   check_int "evacuation strands nothing" 0 e.Fleet.Live.stranded;
   check_int "drop-free at scale" 0 (Bm_fabric.Fabric.dropped (Fleet.Live.fabric live));
@@ -471,12 +532,14 @@ let suites =
           prop_no_anti_affinity_violation;
           prop_ceiling_never_exceeded;
           prop_guest_conservation;
+          prop_views_match_reference;
           prop_same_seed_same_assignment;
         ] );
     ( "fleet.live",
       [
         Alcotest.test_case "topology auto-sizing" `Quick test_for_hosts;
         Alcotest.test_case "golden 50x500 trajectory" `Quick test_golden_trajectory;
+        Alcotest.test_case "golden 50x500 tenant meters" `Quick test_golden_meters;
         Alcotest.test_case "build determinism" `Quick test_live_determinism;
         Alcotest.test_case "serve meters tenants" `Quick test_live_serve_meters;
         Alcotest.test_case "evacuation streams memory" `Quick test_live_evacuation_streams;
