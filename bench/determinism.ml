@@ -45,6 +45,7 @@ let matrix =
     row (across "--jobs") "--quick --policy congestion game_day policy_race";
     row (twice @ across "--shards") ("--quick " ^ vf_ids) ~lacks:[ "DIFF" ];
     row (across "--jobs") ("--quick --vfs 4 " ^ vf_ids);
+    row (twice @ across "--jobs") "--quick --faults 7:default vf_ablation vf_reassign availability";
     row [ [] ] "vf_ablation" ~golden:true ~save:"VF_scorecard.txt";
   ]
 

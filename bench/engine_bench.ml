@@ -6,15 +6,12 @@
    Usage:
      engine_bench.exe [--quick] [--seed N] [--out FILE]
 
-   Six sections:
+   Five sections:
      hot_lane   events/sec of zero-delay self-rescheduling callbacks
                 (FIFO hot lane) vs the same chains with a 1 ns delay
                 (binary-heap lane)
      alloc      GC-allocated words per event on both lanes (the
                 zero-alloc hot-path gate CI enforces)
-     pmd_batch  wall-clock of a UDP PPS run between two bm-guests with
-                the PMD drained one descriptor per fiber (batch=1, the
-                bit-identical default) vs burst-of-32
      sweep      a 4-cell quick experiment sweep with --jobs 1 vs
                 --jobs 4, including a structural-equality check of the
                 outcomes; the wall-clock comparison is skipped (and
@@ -26,9 +23,7 @@
                 against the plain sequential engine
      cells      per-cell wall seconds at jobs=1
 
-   Simulated results are unchanged by any of this except pmd_batch with
-   batch>1, which legitimately serialises each burst (documented in
-   DESIGN.md "Engine performance"). *)
+   None of this changes a simulated result. *)
 
 open Bm_engine
 
@@ -99,33 +94,6 @@ let lane_events_per_sec ~delay ~chains ~events =
     Sim.events_executed sim,
     dt,
     words /. float_of_int (Sim.events_executed sim) )
-
-(* --- PMD batching ----------------------------------------------------- *)
-
-let pmd_run ~batch ~duration =
-  let tb = Bm_workload.Testbed.make ~seed:!seed () in
-  let server =
-    Bm_hyp.Bm_hypervisor.create_server ~obs:tb.Bm_workload.Testbed.obs tb.Bm_workload.Testbed.sim
-      tb.Bm_workload.Testbed.rng ~fabric:tb.Bm_workload.Testbed.fabric
-      ~storage:tb.Bm_workload.Testbed.storage ~batch ()
-  in
-  let unlimited = Bm_cloud.Limits.unlimited_net () in
-  let g name =
-    match Bm_hyp.Bm_hypervisor.provision server ~name ~net_limits:unlimited () with
-    | Ok i -> i
-    | Error e -> failwith e
-  in
-  let a = g "a" and b = g "b" in
-  (* udp_pps drives Sim.run itself: call it from scheduler context.
-     Sixteen senders of single-packet descriptors keep the shadow vring
-     deep enough that the PMD's poll-tick bursts have something to
-     coalesce. *)
-  let r, wall_s =
-    time (fun () ->
-        Bm_workload.Netperf.udp_pps tb.Bm_workload.Testbed.sim ~src:a ~dst:b ~senders:16
-          ~batch:1 ~duration ())
-  in
-  (r.Bm_workload.Netperf.received_pps, Sim.events_executed tb.Bm_workload.Testbed.sim, wall_s)
 
 (* --- sharded scheduler ------------------------------------------------ *)
 
@@ -250,11 +218,6 @@ let () =
   let hot_eps, hot_events, hot_s, hot_wpe = lane_events_per_sec ~delay:0.0 ~chains ~events in
   progress "heap lane";
   let heap_eps, heap_events, heap_s, heap_wpe = lane_events_per_sec ~delay:1.0 ~chains ~events in
-  let duration = if !quick then 2_000_000.0 else 20_000_000.0 in
-  progress "pmd batch=1 (%.0f ms simulated)" (duration /. 1e6);
-  let pps1, ev1, wall1 = pmd_run ~batch:1 ~duration in
-  progress "pmd batch=32";
-  let pps32, ev32, wall32 = pmd_run ~batch:32 ~duration in
   progress "sweep --jobs 1";
   let r1, sweep1_s = sweep ~jobs:1 in
   progress "sweep --jobs 4";
@@ -291,14 +254,6 @@ let () =
   p "  \"alloc\": {\n";
   p "    \"hot_lane_words_per_event\": %.3f,\n" hot_wpe;
   p "    \"heap_lane_words_per_event\": %.3f\n" heap_wpe;
-  p "  },\n";
-  p "  \"pmd_batch\": {\n";
-  p "    \"batch_1\": { \"received_pps\": %.0f, \"events\": %d, \"wall_s\": %.4f },\n" pps1 ev1
-    wall1;
-  p "    \"batch_32\": { \"received_pps\": %.0f, \"events\": %d, \"wall_s\": %.4f },\n" pps32 ev32
-    wall32;
-  p "    \"event_reduction\": %.2f,\n" (float_of_int ev1 /. float_of_int ev32);
-  p "    \"wall_speedup\": %.2f\n" (wall1 /. wall32);
   p "  },\n";
   p "  \"sweep\": {\n";
   p "    \"ids\": [%s],\n" (String.concat ", " (List.map (Printf.sprintf "%S") sweep_ids));
@@ -346,9 +301,9 @@ let () =
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf "engine bench: hot lane %.2fx heap; %.2f/%.2f alloc words/event \
-                 (hot/heap); pmd batch32 %.2fx wall; shards %d identical: %b; sweep \
-                 identical: %b (%d domain(s) recommended%s)\n"
-    (hot_eps /. heap_eps) hot_wpe heap_wpe (wall1 /. wall32) shard_n shard_identical identical
+                 (hot/heap); shards %d identical: %b; sweep identical: %b (%d domain(s) \
+                 recommended%s)\n"
+    (hot_eps /. heap_eps) hot_wpe heap_wpe shard_n shard_identical identical
     rec_domains
     (if multicore then "" else "; wall speedups skipped");
   Printf.printf "written: %s\n" !out_file

@@ -146,7 +146,7 @@ let parse_spec s =
                 | "vfwedge" -> Option.iter (fun n -> vfwedges := n) (int_of v tok)
                 | "horizon" -> (
                   match float_of_string_opt v with
-                  | Some h when h > 0.0 -> horizon := h
+                  | Some h when h > 0.0 && Float.is_finite h -> horizon := h
                   | _ -> err := Some (Printf.sprintf "bad horizon in %S" tok))
                 | "ramp" -> (
                   match String.split_on_char '-' v with
@@ -198,7 +198,11 @@ let parse_spec s =
           for _ = 1 to !vfwedges do
             add (at (band vfwedge_rng 0.30 0.65) (Vf_wedge { duration_ns = 0.05 *. h }))
           done;
-          Ok (make ~seed ~horizon_ns:h !tl)
+          (* A horizon too small to hold its own events is a bad spec,
+             not a crash. *)
+          match make ~seed ~horizon_ns:h !tl with
+          | spec -> Ok spec
+          | exception Invalid_argument e -> Error (Printf.sprintf "scenario spec %S: %s" body e)
       end))
 
 (* --- running -------------------------------------------------------- *)

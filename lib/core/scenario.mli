@@ -144,11 +144,12 @@ val parse_spec : string -> (spec, string) result
       [brownout=<n>] / [vfstall=<n>] / [vfwedge=<n>] — [n] events of
       that kind at seeded times;
     - [ramp=<lo>-<hi>] — a diurnal ramp between the two multipliers;
-    - [horizon=<ns>] — override the horizon.
+    - [horizon=<ns>] — override the horizon (finite, > 0).
 
     Event times are drawn per kind from SplitMix64 streams split off
     the seed, so adding events of one kind never moves another kind's
-    times. Examples: ["42:default"],
+    times. A bad token, or a horizon too small to hold its own events,
+    is an [Error], never an exception. Examples: ["42:default"],
     ["7:hosts=2,links=1,congest=1,ramp=0.5-2.0"]. *)
 
 val render : spec -> string

@@ -116,9 +116,10 @@ let parse_spec s =
             let key = String.sub part 0 j in
             let v = String.sub part (j + 1) (String.length part - j - 1) in
             match (key, kind_of_name key, int_of_string_opt v, float_of_string_opt v) with
-            | "horizon", _, _, Some h when h > 0.0 -> go (Some h) counts rest
+            | "horizon", _, _, Some h when h > 0.0 && Float.is_finite h ->
+              go (Some h) counts rest
             | "horizon", _, _, _ ->
-              Error (Printf.sprintf "fault spec: horizon %S is not a positive number" v)
+              Error (Printf.sprintf "fault spec: bad horizon in %S (expected finite ns > 0)" part)
             | _, Some kind, Some count, _ when count >= 0 -> go horizon ((kind, count) :: counts) rest
             | _, Some _, _, _ ->
               Error (Printf.sprintf "fault spec: count %S is not a non-negative integer" v)

@@ -65,9 +65,11 @@ val make_plan : seed:int -> ?horizon_ns:float -> (kind * int) list -> plan
 val parse_spec : string -> (plan, string) result
 (** Parse a ["<seed>:<spec>"] command-line fault plan, where <spec> is a
     comma-separated list of [kind=count] pairs (kind names as printed by
-    {!kind_name}), optionally including [horizon=<ns>]. The word
-    [default] stands for one or two events of every recoverable kind.
-    Examples: ["42:link_down=2,firmware_wedge=1"], ["7:default"]. *)
+    {!kind_name}), optionally including [horizon=<ns>] (finite, > 0).
+    The word [default] stands for one or two events of every
+    recoverable kind. A bad token is an [Error] naming it, never an
+    exception. Examples: ["42:link_down=2,firmware_wedge=1"],
+    ["7:default"]. *)
 
 val render_plan : plan -> string
 (** One line per event — used by tests and the determinism smoke. *)

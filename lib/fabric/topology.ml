@@ -118,10 +118,19 @@ let parse_spec spec =
       with Invalid_argument m -> Error m)
   end
 
+(* [%g] when that round-trips, otherwise the shortest longer precision
+   that does, so [parse_spec (render t) = Ok t]. *)
+let float_text x =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || float_of_string s = x then s else go (p + 1)
+  in
+  go 6
+
 let render t =
   Printf.sprintf
-    "hosts=%d,tors=%d,spines=%d,host_gbit=%g,spine_gbit=%g,host_lat_us=%g,spine_lat_us=%g,queue=%d"
-    t.hosts t.tors t.spines t.host_link.gbit_s t.spine_link.gbit_s
-    (t.host_link.latency_ns /. 1e3)
-    (t.spine_link.latency_ns /. 1e3)
+    "hosts=%d,tors=%d,spines=%d,host_gbit=%s,spine_gbit=%s,host_lat_us=%s,spine_lat_us=%s,queue=%d"
+    t.hosts t.tors t.spines (float_text t.host_link.gbit_s) (float_text t.spine_link.gbit_s)
+    (float_text (t.host_link.latency_ns /. 1e3))
+    (float_text (t.spine_link.latency_ns /. 1e3))
     t.host_link.queue_capacity

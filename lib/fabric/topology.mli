@@ -63,4 +63,5 @@ val parse_spec : string -> (t, string) result
     [hosts=4,tors=2,spines=2,spine_gbit=10,queue=32]. *)
 
 val render : t -> string
-(** One-line description, parseable by {!parse_spec}. *)
+(** One-line description, parseable by {!parse_spec}: lossless, so
+    [parse_spec (render t) = Ok t]. *)

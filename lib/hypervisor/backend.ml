@@ -1,0 +1,414 @@
+open Bm_engine
+open Bm_hw
+open Bm_virtio
+open Bm_iobond
+open Bm_cloud
+open Bm_guest
+
+type t = {
+  sim : Sim.t;
+  obs : Obs.t;
+  fault : Fault.t;
+  track : string;
+  vswitch : Vswitch.t;
+  storage : Blockstore.t;
+  vf_profile : Profile.t;
+  vf_total : int;
+  vf_queues : int;
+  mutable vf_pool : Vf.dev option; (* created on first VF attachment *)
+  mutable vf_fallbacks : int;
+  mutable alive : bool;
+  mutable crashes : int;
+  mutable guests : (string * guest) list;
+}
+
+and guest = {
+  b : t;
+  name : string;
+  net : Virtio_net.t;
+  blk : Virtio_blk.t;
+  cores : Cores.t;
+  os : Guest_os.t;
+  io_factor : float;
+  doorbell_ns : float;
+  irq : unit -> unit;
+  net_limits : Limits.net;
+  blk_limits : Limits.blk;
+  refilled : unit -> unit;
+  mutable vf : Vf.vf option;
+  mutable datapath : Vf.datapath; (* the net path this guest actually got *)
+  mutable endpoint : int;
+  mutable poll_mode : bool;
+  mutable rx_handler : Packet.t -> unit;
+  mutable rx_drops : int;
+  mutable rekick : unit -> unit; (* re-arm work hints after a respawn *)
+}
+
+(* Net rings sized like a multiqueue device (8 queues x 256). *)
+let net_queue_size = 2048
+let rx_buffer_target = 1536
+
+(* The rx backlog holds bursts delivered by the vswitch that the backend
+   has not yet pumped into guest buffers (drop-tail, like a real NIC
+   queue). *)
+let rx_backlog_capacity = 512
+
+(* Metric names are built only when a registry is installed. *)
+let metric b ?by name =
+  match Obs.metrics b.obs with
+  | None -> ()
+  | Some m -> Metrics.incr m ?by (b.track ^ "." ^ name)
+
+let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~vfs ~vf_queues =
+  if vfs < 1 || vf_queues < 1 then invalid_arg "Backend.create: vfs and vf_queues must be >= 1";
+  let b =
+    {
+      sim;
+      obs;
+      fault;
+      track;
+      vswitch = Vswitch.create ~obs sim ~fabric ~cores ();
+      storage;
+      vf_profile;
+      vf_total = vfs;
+      vf_queues;
+      vf_pool = None;
+      vf_fallbacks = 0;
+      alive = true;
+      crashes = 0;
+      guests = [];
+    }
+  in
+  (* A crash kills the backend processes; the supervisor respawns them
+     after the event's dead-time. Queue state lives in the rings, so the
+     respawned processes drain from exactly where their predecessors
+     stopped; the rekick replays each guest's work hints. *)
+  Fault.subscribe fault Fault.Pmd_crash (fun ev ->
+      if b.alive then begin
+        b.alive <- false;
+        b.crashes <- b.crashes + 1;
+        metric b (process ^ "_crashes");
+        Trace.instant_opt (Obs.trace obs) ~track (process ^ "_crash") ~now:(Sim.now sim);
+        Sim.schedule sim ~delay:ev.Fault.duration_ns (fun () ->
+            b.alive <- true;
+            metric b (process ^ "_respawns");
+            Trace.instant_opt (Obs.trace obs) ~track (process ^ "_respawn") ~now:(Sim.now sim);
+            List.iter (fun (_, g) -> g.rekick ()) b.guests)
+      end);
+  b
+
+let vswitch b = b.vswitch
+let alive b = b.alive
+let crashes b = b.crashes
+
+(* Backend fibers park here while their process is dead; the poll period
+   only costs anything during a crash window. *)
+let wait_alive b =
+  while not b.alive do
+    Sim.delay 10_000.0
+  done
+
+(* --- SR-IOV pool --- *)
+
+let vf_device b ~vfs =
+  Vf.create_device ~obs:b.obs ~fault:b.fault b.sim ~profile:b.vf_profile ~vfs
+    ~queues_per_vf:b.vf_queues ()
+
+(* The pool is created on first use, so a host that never hands out a VF
+   schedules exactly the events it always did. *)
+let vf_pool b =
+  match b.vf_pool with
+  | Some d -> d
+  | None ->
+    let d = vf_device b ~vfs:b.vf_total in
+    b.vf_pool <- Some d;
+    d
+
+let vf_capacity b = b.vf_total
+let vf_free b = match b.vf_pool with None -> b.vf_total | Some d -> Vf.free_vfs d
+let vf_fallbacks b = b.vf_fallbacks
+let vf_pool_device b = b.vf_pool
+
+(* Passthrough gets a whole device to itself, a slice comes from the
+   shared pool; an exhausted pool falls back to the vring path (the
+   scheduler's failover), counted, not silent. *)
+let attach_vf g datapath =
+  let b = g.b in
+  let vf =
+    match datapath with
+    | Vf.Vring -> None
+    | Vf.Passthrough -> Result.to_option (Vf.attach (vf_device b ~vfs:1) ~owner:g.name ())
+    | Vf.Sliced -> (
+      match Vf.attach (vf_pool b) ~owner:g.name () with
+      | Ok vf -> Some vf
+      | Error _ ->
+        b.vf_fallbacks <- b.vf_fallbacks + 1;
+        metric b "vf_fallbacks";
+        None)
+  in
+  g.vf <- vf;
+  g.datapath <- (if Option.is_none vf then Vf.Vring else datapath)
+
+(* --- Guest side --- *)
+
+(* Interrupt context preempts: it does not queue behind saturated
+   application threads. A polling guest only pays the pickup. *)
+let interrupt g = if g.poll_mode then Sim.delay 500.0 (* PMD poll pickup *) else g.irq ()
+
+let rx_stack g pkt =
+  let count = pkt.Packet.count in
+  let stack_ns =
+    if g.poll_mode then Guest_os.dpdk_rx_ns_of g.os ~count
+    else Guest_os.net_rx_ns g.os ~kind:pkt.Packet.protocol ~count
+  in
+  Cores.execute_ns g.cores (stack_ns *. g.io_factor);
+  g.rx_handler pkt
+
+let guest b ~name ~net ~blk ~cores ~os ~io_factor ~doorbell_ns ~irq ~net_limits ~blk_limits
+    ~refilled =
+  let g =
+    {
+      b;
+      name;
+      net;
+      blk;
+      cores;
+      os;
+      io_factor;
+      doorbell_ns;
+      irq;
+      net_limits;
+      blk_limits;
+      refilled;
+      vf = None;
+      datapath = Vf.Vring;
+      endpoint = 0;
+      poll_mode = false;
+      rx_handler = ignore;
+      rx_drops = 0;
+      rekick = ignore;
+    }
+  in
+  Virtio_net.set_interrupt net (fun () ->
+      Sim.spawn b.sim (fun () ->
+          interrupt g;
+          ignore (Virtio_net.reap_tx net);
+          let pkts = Virtio_net.reap_rx net in
+          if Virtio_net.refill_rx net ~target:rx_buffer_target > 0 then refilled ();
+          List.iter (rx_stack g) pkts));
+  Virtio_blk.set_interrupt blk (fun () ->
+      Sim.spawn b.sim (fun () ->
+          irq ();
+          ignore (Virtio_blk.reap blk)));
+  (* The device glue comes up through the vhost-user control protocol
+     before any descriptor moves (§3.4.2). *)
+  List.iter
+    (fun features ->
+      let backend = Vhost_user.create ~backend_features:features () in
+      match Vhost_user.standard_handshake backend ~driver_features:features with
+      | Ok () -> ()
+      | Error e -> failwith ("vhost-user handshake failed: " ^ e))
+    [ Feature.default_net; Feature.default_blk ];
+  b.guests <- (name, g) :: b.guests;
+  g
+
+(* --- Backend side --- *)
+
+let drain g ?(after = ignore) ~pending ~pop process =
+  let b = g.b in
+  (* Work hints coalesce: capacity 1, a doorbell rung while one is
+     pending folds into it (the drain will see the new work anyway). *)
+  let hint = Sim.Bounded.create ~capacity:1 ~policy:Sim.Bounded.Drop_tail () in
+  let kick () = ignore (Sim.Bounded.send hint ()) in
+  (* Requests fan out to workers (multiqueue): one fiber per request. *)
+  let rec drain () =
+    match pop () with
+    | None -> ()
+    | Some r ->
+      Sim.fork (fun () -> process r);
+      drain ()
+  in
+  Sim.spawn b.sim (fun () ->
+      let rec loop () =
+        Sim.Bounded.recv hint;
+        wait_alive b;
+        drain ();
+        after ();
+        loop ()
+      in
+      loop ());
+  let rekick = g.rekick in
+  g.rekick <-
+    (fun () ->
+      rekick ();
+      if pending () > 0 then kick ());
+  kick
+
+let rx_drop g pkt =
+  g.rx_drops <- g.rx_drops + pkt.Packet.count;
+  metric g.b ~by:(float_of_int pkt.Packet.count) "rx_drops"
+
+let listen g fill =
+  let b = g.b in
+  let rx_chan = Sim.Bounded.create ~capacity:rx_backlog_capacity ~policy:Sim.Bounded.Drop_tail () in
+  Obs.watch_bounded b.obs ~track:(b.track ^ ".rx_backlog") rx_chan;
+  g.endpoint <-
+    (match g.vf with
+    | None -> Vswitch.register b.vswitch ~deliver:(fun pkt -> ignore (Sim.Bounded.send rx_chan pkt))
+    | Some vf ->
+      (* Direct assignment: the device DMAs into guest buffers and
+         interrupts the guest itself — the backend never sees the
+         packet. A ring-full or mid-reassignment window is a NIC drop,
+         same as a backlog overflow. *)
+      let rxq = ref 0 in
+      Vswitch.register b.vswitch ~deliver:(fun pkt ->
+          let q = !rxq in
+          rxq := (q + 1) mod Vf.queues vf;
+          let deliver _ =
+            Sim.spawn b.sim (fun () ->
+                interrupt g;
+                rx_stack g pkt)
+          in
+          match Vf.submit vf ~queue:q ~bytes_:pkt.Packet.size ~deliver with
+          | `Submitted _ -> ()
+          | `Rejected -> rx_drop g pkt));
+  Sim.spawn b.sim (fun () ->
+      let rec loop () =
+        let pkt = Sim.Bounded.recv rx_chan in
+        wait_alive b;
+        Sim.fork (fun () -> fill pkt);
+        loop ()
+      in
+      loop ())
+
+let serve g req =
+  let op =
+    match req.Virtio_blk.op with Virtio_blk.Read -> `Read | Write -> `Write | Flush -> `Flush
+  in
+  match Blockstore.serve g.b.storage ~op ~bytes_:req.Virtio_blk.bytes with
+  | `Served -> ()
+  | `Rejected ->
+    req.Virtio_blk.failed <- true;
+    metric g.b "blk_rejected"
+
+let post_rx g =
+  Sim.spawn g.b.sim (fun () ->
+      if Virtio_net.refill_rx g.net ~target:rx_buffer_target > 0 then g.refilled ())
+
+(* --- Guest-facing closures --- *)
+
+let net_shed g pkt =
+  metric g.b ~by:(float_of_int pkt.Packet.count) "net_shed";
+  false
+
+(* On a VF the doorbell rings the device directly: the descriptor
+   streams at the VF's arbitrated DMA share and the device forwards it
+   into the fabric in hardware — the backend never sees it. *)
+let xmit g =
+  match g.vf with
+  | None -> fun pkt -> Virtio_net.xmit g.net pkt
+  | Some vf ->
+    let txq = ref 0 in
+    fun pkt ->
+      let q = !txq in
+      txq := (q + 1) mod Vf.queues vf;
+      (match
+         Vf.submit vf ~queue:q ~bytes_:pkt.Packet.size ~deliver:(fun _ ->
+             Vswitch.forward_hw g.b.vswitch pkt)
+       with
+      | `Submitted _ -> true
+      | `Rejected ->
+        metric g.b ~by:(float_of_int pkt.Packet.count) "vf_tx_rejects";
+        false)
+
+let send g xmit ~stack_ns pkt =
+  Cores.execute_ns g.cores ((stack_ns *. g.io_factor) +. g.doorbell_ns);
+  if Limits.net_admit g.net_limits ~packets:pkt.Packet.count ~bytes_:pkt.Packet.size then xmit pkt
+  else net_shed g pkt
+
+let blk_attempt g ~op ~bytes_ =
+  let guest_ns ns = Cores.execute_ns g.cores (ns *. g.io_factor) in
+  guest_ns g.os.Guest_os.blk_submit_ns;
+  if not (Limits.blk_admit g.blk_limits ~bytes_) then begin
+    metric g.b "blk_shed";
+    guest_ns g.os.Guest_os.blk_complete_ns;
+    Error `Limited
+  end
+  else begin
+    (* Completion latency (fio's clat): measured after admission. *)
+    let t0 = Sim.clock () in
+    let op = match op with `Read -> Virtio_blk.Read | `Write -> Write | `Flush -> Flush in
+    let req = Virtio_blk.make_req ~op ~sector:0 ~bytes:bytes_ ~now:(Sim.clock ()) in
+    if not (Virtio_blk.submit g.blk req) then begin
+      Sim.delay 1_000.0;
+      guest_ns g.os.Guest_os.blk_complete_ns;
+      Error (`Busy (Sim.clock () -. t0))
+    end
+    else begin
+      ignore (Sim.Ivar.read req.Virtio_blk.done_);
+      guest_ns g.os.Guest_os.blk_complete_ns;
+      let lat = Sim.clock () -. t0 in
+      if req.Virtio_blk.failed then Error (`Rejected lat) else Ok lat
+    end
+  end
+
+let probe g () =
+  let ( let* ) = Result.bind in
+  let* () = Virtio_net.probe g.net in
+  let* () = Virtio_blk.probe g.blk in
+  let count pci = Virtio_pci.access_count pci in
+  Ok (count (Virtio_net.pci g.net) + count (Virtio_blk.pci g.blk))
+
+let instance g ~kind ~spec ~memory ~exec_ns ~exec_mem_ns ~pause ~ipi ~timer_arm =
+  let xmit = xmit g in
+  {
+    Instance.name = g.name;
+    kind;
+    spec;
+    endpoint = g.endpoint;
+    cores = g.cores;
+    memory;
+    os = g.os;
+    exec_ns;
+    exec_mem_ns;
+    mem_stream = (fun ~bytes_ -> Memory.transfer memory ~bytes_);
+    send =
+      (fun pkt ->
+        send g xmit pkt
+          ~stack_ns:(Guest_os.net_tx_ns g.os ~kind:pkt.Packet.protocol ~count:pkt.Packet.count));
+    send_dpdk =
+      (fun pkt -> send g xmit pkt ~stack_ns:(Guest_os.dpdk_tx_ns_of g.os ~count:pkt.Packet.count));
+    set_rx_handler = (fun h -> g.rx_handler <- h);
+    blk =
+      (fun ~op ~bytes_ ->
+        match blk_attempt g ~op ~bytes_ with
+        | Ok lat | Error (`Busy lat) | Error (`Rejected lat) -> lat
+        | Error `Limited -> 0.0);
+    blk_try =
+      (fun ~op ~bytes_ ->
+        match blk_attempt g ~op ~bytes_ with
+        | Ok lat -> Ok lat
+        | Error `Limited -> Error `Limited
+        | Error (`Busy _) -> Error `Busy
+        | Error (`Rejected _) -> Error `Rejected);
+    probe = probe g;
+    pause;
+    ipi;
+    set_poll_mode = (fun on -> g.poll_mode <- on);
+    timer_arm;
+  }
+
+(* --- Release and lookups --- *)
+
+(* Hot-unplug drains the VF's in-flight work on the agenda before
+   returning it to the pool. *)
+let release b ~name =
+  (match List.assoc_opt name b.guests with
+  | Some { vf = Some vf; _ } -> Sim.spawn b.sim (fun () -> Vf.detach vf)
+  | _ -> ());
+  b.guests <- List.remove_assoc name b.guests
+
+let datapath b ~name = Option.map (fun g -> g.datapath) (List.assoc_opt name b.guests)
+let vf b ~name = Option.bind (List.assoc_opt name b.guests) (fun g -> g.vf)
+let rx_drops b ~name =
+  Option.fold ~none:0 ~some:(fun g -> g.rx_drops) (List.assoc_opt name b.guests)

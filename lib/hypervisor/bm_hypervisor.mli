@@ -33,7 +33,6 @@ val create_server :
   ?boards:int ->
   ?dma_gbit_s:float ->
   ?params:params ->
-  ?batch:int ->
   ?vfs:int ->
   ?vf_queues:int ->
   unit ->
@@ -47,18 +46,6 @@ val create_server :
     backend processes die for the event's dead-time, then respawn and
     drain from where the shadow vrings left off (["hyp.bm.pmd_crashes"]
     / ["hyp.bm.pmd_respawns"]).
-
-    [batch] (default 1) is the PMD poll-tick burst: each backend drain
-    pulls up to [batch] descriptors per worker fiber, charging the same
-    per-descriptor simulated costs but paying one host-side scheduler
-    event per burst instead of one per descriptor. At the default of 1
-    the drain stays hint-driven and the event schedule — and therefore
-    every simulated latency — is bit-identical to the unbatched engine.
-    At [batch > 1] the backend models a real poll-mode driver: it sleeps
-    a 1 µs poll tick between bursts so descriptors accumulate into them,
-    trading up to one tick of added latency per request for coalesced
-    host-side events (see [bench/engine_bench.ml]). Raises
-    [Invalid_argument] if [batch < 1].
 
     [vfs] (default 8) and [vf_queues] (default 2) size the server's
     SR-IOV pool: one shared physical function whose virtual functions

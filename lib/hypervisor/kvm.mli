@@ -37,7 +37,6 @@ val create_host :
   ?spec:Bm_hw.Cpu_spec.t ->
   ?sockets:int ->
   ?params:params ->
-  ?batch:int ->
   ?vfs:int ->
   ?vf_queues:int ->
   unit ->
@@ -46,15 +45,9 @@ val create_host :
     server), 8 HT reserved for the hypervisor. With [fault], a
     [Pmd_crash] event kills the vhost worker threads for its dead-time;
     they respawn and drain the shared-memory rings from where they left
-    off (["hyp.vm.vhost_crashes"] / ["hyp.vm.vhost_respawns"]).
-
-    [batch] (default 1) is the vhost poll-tick burst: each backend drain
-    pulls up to [batch] descriptors per worker fiber, charging the same
-    per-descriptor simulated costs but one host-side scheduler event per
-    burst. At the default the drain stays hint-driven and the event
-    schedule is bit-identical to the unbatched engine; at [batch > 1]
-    the worker sleeps a 1 µs poll tick between bursts so descriptors
-    accumulate into them. Raises [Invalid_argument] if [batch < 1].
+    off (["hyp.vm.vhost_crashes"] / ["hyp.vm.vhost_respawns"], and
+    ["vhost_crash"] / ["vhost_respawn"] instants on the ["hyp.vm"]
+    track).
 
     [vfs] (default 8) and [vf_queues] (default 2) size the host's
     VFIO-capable SR-IOV NIC (an ASIC part), created on first use by a

@@ -153,18 +153,6 @@ let pop t =
         payload = snd chain.Vring.payload;
       }
 
-(* Burst drain, the shape every real PMD poll loop uses: up to [max]
-   requests in one poll tick, in ring order. *)
-let pop_batch t ~max =
-  let rec go n acc =
-    if n >= max then List.rev acc
-    else
-      match pop t with
-      | Some req -> go (n + 1) (req :: acc)
-      | None -> List.rev acc
-  in
-  go 0 []
-
 let complete t req ?payload ~written () =
   (match payload with
   | Some p ->

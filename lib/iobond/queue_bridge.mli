@@ -67,10 +67,6 @@ val pending : 'a t -> int
 val pop : 'a t -> 'a request option
 (** [None] while the bridge is paused, even if work is pending. *)
 
-val pop_batch : 'a t -> max:int -> 'a request list
-(** Up to [max] requests in ring order — one poll tick's burst. Empty
-    while paused or drained. [pop_batch ~max:1] is exactly {!pop}. *)
-
 val pause : 'a t -> unit
 (** Stop handing requests to the backend; they accumulate safely in the
     shadow ring (its state is shared memory, which is what lets a new

@@ -148,8 +148,95 @@ let prop_never_raises =
       | Error msg ->
         List.exists (fun a -> Option.fold (dash_name a) ~none:false ~some:(mentions msg)) args)
 
+(* ------------------------------------------------------------------ *)
+(* The three spec parsers: typed errors naming the token, never an
+   exception *)
+
+module Fault = Bm_engine.Fault
+module Scenario = Bmhive.Scenario
+module Topology = Bm_fabric.Topology
+
+(* These used to escape their parser: the scenarios as an uncaught
+   Invalid_argument from Scenario.make (an infinite horizon, and one too
+   small to hold its own events), the fault plan as a run that hung on an
+   infinite horizon. *)
+let test_bad_horizon () =
+  let names_token what = function
+    | Ok _ -> Alcotest.failf "%s accepted horizon=inf" what
+    | Error e ->
+      check_bool (what ^ " error names the token") true
+        (Astring.String.is_infix ~affix:"horizon=inf" e)
+  in
+  names_token "scenario" (Scenario.parse_spec "1:horizon=inf,hosts=1");
+  names_token "faults" (Fault.parse_spec "1:horizon=inf,pmd_crash=1");
+  check_bool "denormal horizon" true (Result.is_error (Scenario.parse_spec "1:horizon=5e-324,evac=1"))
+
+let spec_keys =
+  [ "hosts"; "links"; "congest"; "evac"; "brownout"; "vfstall"; "vfwedge"; "horizon"; "ramp";
+    "tors"; "spines"; "host_gbit"; "spine_gbit"; "host_lat_us"; "spine_lat_us"; "queue" ]
+  @ List.map Fault.kind_name Fault.all_kinds
+
+let spec_values =
+  [ "0"; "1"; "3"; "-1"; "2.5"; "1e3"; "0x10"; "inf"; "-inf"; "nan"; "5e-324"; "1e-300"; "1e308";
+    "0.5-2.0"; "2-1"; "0-inf"; "nan-1"; ""; "=" ]
+
+(* Random comma-separated soups of real keys, boundary values, bare
+   words and letter junk, behind a junk, missing or integer seed. Counts
+   stay small: the parsers expand them into event lists. *)
+let gen_soup =
+  let open QCheck.Gen in
+  let junk = string_size ~gen:(char_range 'a' 'z') (0 -- 5) in
+  let value = frequency [ (4, oneofl spec_values); (1, junk) ] in
+  let token =
+    frequency
+      [
+        (6, map2 (fun k v -> k ^ "=" ^ v) (oneofl spec_keys) value);
+        (1, oneofl ("default" :: "two_host" :: spec_keys));
+        (1, junk);
+      ]
+  in
+  let seed = frequency [ (4, map string_of_int (-3 -- 99)); (1, junk); (1, return "") ] in
+  let* body = map (String.concat ",") (list_size (0 -- 5) token) in
+  let+ seed = option seed in
+  Option.fold ~none:body ~some:(fun s -> s ^ ":" ^ body) seed
+
+let prop_parsers_never_raise =
+  QCheck.Test.make ~name:"fault/scenario/topology specs: Ok or Error, never an exception"
+    ~count:1000 (QCheck.make ~print:Fun.id gen_soup) (fun s ->
+      ignore (Fault.parse_spec s);
+      ignore (Scenario.parse_spec s);
+      ignore (Topology.parse_spec s);
+      true)
+
+let gen_topology =
+  let open QCheck.Gen in
+  let num lo hi = frequency [ (3, float_range lo hi); (1, map float_of_int (int_range 1 100)) ] in
+  let* tors = 1 -- 4 in
+  let* hosts = tors -- (tors + 8) in
+  let* spines = if tors = 1 then 0 -- 2 else 1 -- 4 in
+  let* host_gbit_s = num 1e-3 400.0 and+ spine_gbit_s = num 1e-3 400.0 in
+  let* host_us = num 0.0 50.0 and+ spine_us = num 0.0 50.0 in
+  let+ queue_capacity = 1 -- 128 in
+  Topology.clos ~hosts ~tors ~spines ~host_gbit_s ~spine_gbit_s ~host_latency_ns:(host_us *. 1e3)
+    ~spine_latency_ns:(spine_us *. 1e3) ~queue_capacity ()
+
+let prop_topology_round_trip =
+  QCheck.Test.make ~name:"topology: parse_spec (render t) = Ok t" ~count:500
+    (QCheck.make ~print:Topology.render gen_topology) (fun t ->
+      Topology.parse_spec (Topology.render t) = Ok t)
+
 let suites =
   [
+    ( "flags.parsers",
+      [
+        Alcotest.test_case "bad horizon is an error" `Quick test_bad_horizon;
+        Alcotest.test_case "run --faults horizon=inf" `Quick
+          (rejected ~flag:"--faults" [ "--quick"; "--faults"; "1:horizon=inf,pmd_crash=1"; "availability" ]);
+        Alcotest.test_case "run --scenario horizon=inf" `Quick
+          (rejected ~flag:"--scenario" [ "--quick"; "--scenario"; "1:horizon=inf,hosts=1"; "game_day" ]);
+        QCheck_alcotest.to_alcotest prop_parsers_never_raise;
+        QCheck_alcotest.to_alcotest prop_topology_round_trip;
+      ] );
     ( "flags.range",
       [
         Alcotest.test_case "run --hosts 0" `Quick

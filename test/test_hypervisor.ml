@@ -303,81 +303,6 @@ let test_bm_blk_faster_than_vm () =
   let speedup = (vm -. bm) /. bm in
   check_bool "speedup in sane band (5%..60%)" true (speedup > 0.05 && speedup < 0.6)
 
-(* The ?batch knob: batch:1 must reproduce the default schedule exactly
-   (same deliveries, same timestamps); batch > 1 coalesces poll-tick
-   bursts and may shift latencies by up to the tick, but loses
-   nothing. *)
-let bm_net_run ?batch () =
-  let w = make_world () in
-  let server =
-    Bm_hypervisor.create_server w.sim w.rng ~fabric:w.fabric ~storage:w.storage ?batch
-      ~boards:2 ()
-  in
-  let a = Result.get_ok (Bm_hypervisor.provision server ~name:"a" ()) in
-  let b = Result.get_ok (Bm_hypervisor.provision server ~name:"b" ()) in
-  let got = ref 0 in
-  let stamps = ref [] in
-  b.Instance.set_rx_handler (fun pkt ->
-      got := !got + pkt.Packet.count;
-      stamps := (Sim.now w.sim, pkt.Packet.sent_at) :: !stamps);
-  Sim.spawn w.sim (fun () ->
-      Sim.delay Simtime.(ms 1.0);
-      for i = 1 to 20 do
-        ignore
-          (a.Instance.send
-             (burst ~count:4 ~src:a.Instance.endpoint ~dst:b.Instance.endpoint
-                ~now:(Sim.clock ()) i))
-      done);
-  Sim.run ~until:Simtime.(ms 100.0) w.sim;
-  (!got, List.rev !stamps)
-
-let test_bm_batch_one_identical () =
-  let got_default, stamps_default = bm_net_run () in
-  let got_one, stamps_one = bm_net_run ~batch:1 () in
-  check_int "same deliveries" got_default got_one;
-  check_bool "bit-identical timestamps" true (stamps_default = stamps_one)
-
-let test_bm_batch_burst_completes () =
-  let got_default, stamps_default = bm_net_run () in
-  let got_batched, stamps_batched = bm_net_run ~batch:32 () in
-  check_int "nothing lost under batching" got_default got_batched;
-  (* The poll tick delays each burst a little; it must never reorder or
-     lose completions. *)
-  let last (stamps : (float * float) list) = fst (List.nth stamps (List.length stamps - 1)) in
-  check_bool "batched run finishes within a few ticks of the default" true
-    (last stamps_batched -. last stamps_default < 100_000.0)
-
-let test_kvm_batch_burst_completes () =
-  let run ?batch () =
-    let w = make_world () in
-    let host = Kvm.create_host w.sim w.rng ~fabric:w.fabric ~storage:w.storage ?batch () in
-    let a = Kvm.create_vm host { (Kvm.default_config ~name:"a") with vcpus = 16 } in
-    let b = Kvm.create_vm host { (Kvm.default_config ~name:"b") with vcpus = 16 } in
-    let got = ref 0 in
-    b.Instance.set_rx_handler (fun pkt -> got := !got + pkt.Packet.count);
-    Sim.spawn w.sim (fun () ->
-        Sim.delay 1_000.0;
-        for i = 1 to 10 do
-          ignore
-            (a.Instance.send
-               (burst ~count:8 ~src:a.Instance.endpoint ~dst:b.Instance.endpoint
-                  ~now:(Sim.clock ()) i))
-        done);
-    Sim.run ~until:Simtime.(ms 50.0) w.sim;
-    !got
-  in
-  check_int "batched vhost loses nothing" (run ()) (run ~batch:16 ())
-
-let test_batch_zero_rejected () =
-  let w = make_world () in
-  Alcotest.check_raises "bm batch 0"
-    (Invalid_argument "Bm_hypervisor: batch must be >= 1") (fun () ->
-      ignore
-        (Bm_hypervisor.create_server w.sim w.rng ~fabric:w.fabric ~storage:w.storage ~batch:0 ()));
-  Alcotest.check_raises "kvm batch 0"
-    (Invalid_argument "Kvm.create_host: batch must be >= 1") (fun () ->
-      ignore (Kvm.create_host w.sim w.rng ~fabric:w.fabric ~storage:w.storage ~batch:0 ()))
-
 let test_bm_exec_native_speed () =
   let w = make_world () in
   let server = Bm_hypervisor.create_server w.sim w.rng ~fabric:w.fabric ~storage:w.storage () in
@@ -463,6 +388,119 @@ let test_boot_same_image_both_substrates () =
   (* vm probe traps cost 10us/access vs bm 1.6us/access *)
   check_bool "vm probe slower than bm probe" true (vm.Boot.probe_ns > bm.Boot.probe_ns)
 
+(* Per-request timings through one pair of guests on datapath [dp]:
+   six kernel-path UDP ping-pongs, an 8-packet back-to-back burst
+   echoed back (arrival offsets), three 4 KiB read/write pairs, then
+   four concurrent reads (completion order). Printed with %h, so any
+   moved event in either backend shows. *)
+let datapath_timings ?faults sub dp =
+  let module Tb = Bm_workload.Testbed in
+  let tb = Tb.make ~seed:2020 ?faults () in
+  let sim = tb.Tb.sim in
+  let a, b =
+    match sub with
+    | `Bm ->
+      let server = Tb.bm_server tb in
+      let prov name = Result.get_ok (Bm_hypervisor.provision server ~name ~datapath:dp ()) in
+      let a = prov "a" in
+      (a, prov "b")
+    | `Vm ->
+      let host = Tb.vm_host tb in
+      let mk name =
+        Kvm.create_vm host { (Kvm.default_config ~name) with vcpus = 16; datapath = dp }
+      in
+      let a = mk "a" in
+      (a, mk "b")
+  in
+  let out = Buffer.create 512 in
+  let pkt ~id ~src ~dst ~sent_at =
+    Packet.make ~id ~src ~dst ~size:(64 + Packet.udp_header_bytes) ~protocol:Packet.Udp ~sent_at ()
+  in
+  b.Instance.set_rx_handler (fun p ->
+      ignore
+        (b.Instance.send
+           (pkt ~id:p.Packet.id ~src:b.Instance.endpoint ~dst:p.Packet.src
+              ~sent_at:p.Packet.sent_at)));
+  let on_pong = ref (fun (_ : Packet.t) -> ()) in
+  a.Instance.set_rx_handler (fun p -> !on_pong p);
+  let blk_out op r =
+    match r with
+    | Ok lat -> Printf.bprintf out " %s %h" op lat
+    | Error `Limited -> Printf.bprintf out " %s limited" op
+    | Error `Busy -> Printf.bprintf out " %s busy" op
+    | Error `Rejected -> Printf.bprintf out " %s rejected" op
+  in
+  let send i =
+    ignore
+      (a.Instance.send
+         (pkt ~id:i ~src:a.Instance.endpoint ~dst:b.Instance.endpoint ~sent_at:(Sim.clock ())))
+  in
+  Sim.spawn sim (fun () ->
+      Buffer.add_string out "  ping";
+      for i = 1 to 6 do
+        let iv = Sim.Ivar.create () in
+        on_pong := (fun p -> if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv p);
+        let t0 = Sim.clock () in
+        send i;
+        ignore (Sim.Ivar.read iv : Packet.t);
+        Printf.bprintf out " %h" (Sim.clock () -. t0)
+      done;
+      Buffer.add_string out "\n  burst";
+      let t0 = Sim.clock () and echoed = ref 0 and all = Sim.Ivar.create () in
+      on_pong :=
+        (fun p ->
+          Printf.bprintf out " %d@%h" p.Packet.id (Sim.clock () -. t0);
+          incr echoed;
+          if !echoed = 8 then Sim.Ivar.fill all ());
+      for i = 1 to 8 do
+        send (100 + i)
+      done;
+      Sim.Ivar.read all;
+      Buffer.add_string out "\n  blk";
+      for _ = 1 to 3 do
+        blk_out "r" (a.Instance.blk_try ~op:`Read ~bytes_:4096);
+        blk_out "w" (a.Instance.blk_try ~op:`Write ~bytes_:4096)
+      done;
+      let left = ref 4 and all = Sim.Ivar.create () in
+      for i = 1 to 4 do
+        Sim.fork (fun () ->
+            blk_out (Printf.sprintf "c%d" i) (a.Instance.blk_try ~op:`Read ~bytes_:4096);
+            decr left;
+            if !left = 0 then Sim.Ivar.fill all ())
+      done;
+      Sim.Ivar.read all;
+      Printf.bprintf out "\n  end %h\n" (Sim.clock ()));
+  Sim.run sim;
+  Buffer.contents out
+
+(* Every {bm, vm} x {vring, passthrough, sliced} cell, plus both vring
+   pairs with backend crashes landing mid-burst and mid-blk (die, wait
+   out the dead-time, respawn, rekick). *)
+let golden_datapath () =
+  let crash =
+    {
+      Fault.seed = 0;
+      horizon_ns = 2e6;
+      events =
+        List.map
+          (fun at -> { Fault.kind = Fault.Pmd_crash; at; duration_ns = 50_000.0 })
+          [ 140_000.0; 400_000.0; 470_000.0 ];
+    }
+  in
+  let cell ?faults label sub dp =
+    Printf.sprintf "%s %s%s\n%s" label (Bm_iobond.Vf.datapath_name dp)
+      (if faults = None then "" else " pmd_crash")
+      (datapath_timings ?faults sub dp)
+  in
+  let vring = Bm_iobond.Vf.Vring in
+  String.concat ""
+    (List.concat_map (fun dp -> [ cell "bm" `Bm dp; cell "vm" `Vm dp ]) Bm_iobond.Vf.all_datapaths
+    @ [ cell ~faults:crash "bm" `Bm vring; cell ~faults:crash "vm" `Vm vring ])
+
+let test_golden_datapath () =
+  Alcotest.(check string)
+    "golden datapath timings" Golden_datapath.timings_seed2020 (golden_datapath ())
+
 let suites =
   [
     ( "hyp.vmexit",
@@ -501,13 +539,7 @@ let suites =
         Alcotest.test_case "firmware signature gate" `Quick test_firmware_signature_gate;
         Alcotest.test_case "boot same image on both" `Quick test_boot_same_image_both_substrates;
       ] );
-    ( "hyp.batch",
-      [
-        Alcotest.test_case "batch 1 is bit-identical" `Quick test_bm_batch_one_identical;
-        Alcotest.test_case "bm burst completes" `Quick test_bm_batch_burst_completes;
-        Alcotest.test_case "kvm burst completes" `Quick test_kvm_batch_burst_completes;
-        Alcotest.test_case "batch 0 rejected" `Quick test_batch_zero_rejected;
-      ] );
+    ("hyp.datapath", [ Alcotest.test_case "golden timings" `Quick test_golden_datapath ]);
   ]
 
 (* Lock-holder preemption (§2.1). *)

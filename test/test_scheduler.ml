@@ -171,7 +171,7 @@ let test_rebalance () =
 (* ------------------------------------------------------------------ *)
 (* Property suite: random fleets, random maintenance histories *)
 
-type model_op = Drain of int | Restore of int | Retry | Rebalance | Release of int
+type model_op = Drain of int | Restore of int | Retry | Rebalance | Release of int | Replace of int
 
 (* Derive a whole fleet + request list + op sequence from a seed, so the
    QCheck input stays a plain tuple and shrinking is meaningful. *)
@@ -201,16 +201,22 @@ let build_model (seed, n_hosts, n_reqs) =
   in
   (sched, reqs)
 
+(* [Replace] re-requests, by name, a guest an earlier op released. *)
 let model_ops rng ~n_hosts ~n_reqs ~n_ops =
+  let released = ref [] in
   List.init n_ops (fun _ ->
-      match Rng.int rng 5 with
+      match Rng.int rng 6 with
       | 0 -> Drain (Rng.int rng n_hosts)
       | 1 -> Restore (Rng.int rng n_hosts)
       | 2 -> Retry
       | 3 -> Rebalance
-      | _ -> Release (Rng.int rng n_reqs))
+      | 4 when !released <> [] -> Replace (Rng.choose rng (Array.of_list !released))
+      | _ ->
+        let i = Rng.int rng n_reqs in
+        released := i :: !released;
+        Release i)
 
-let apply_op sched = function
+let apply_op sched reqs = function
   | Drain s -> ignore (Scheduler.drain sched ~server:s)
   | Restore s ->
     Cp.restore_server (Scheduler.control_plane sched) s;
@@ -218,6 +224,7 @@ let apply_op sched = function
   | Retry -> ignore (Scheduler.retry_stranded sched)
   | Rebalance -> ignore (Scheduler.rebalance sched ())
   | Release i -> Scheduler.release sched (Printf.sprintf "r%03d" i)
+  | Replace i -> ignore (Scheduler.place sched (List.nth reqs i))
 
 (* Host and request counts shrink towards their lower bounds, never
    below: a shrunk counterexample stays a valid model. *)
@@ -237,7 +244,7 @@ let holds_throughout (seed, n_hosts, n_reqs) prop =
   prop sched
   && List.for_all
        (fun op ->
-         apply_op sched op;
+         apply_op sched reqs op;
          prop sched)
        ops
 
