@@ -33,6 +33,7 @@ let matrix =
     row twice "--quick xhost_rr xhost_stream xhost_migrate";
     row (across "--jobs") "--quick --topology hosts=4,tors=2,spines=2 xhost_rr xhost_stream xhost_migrate";
     row (across "--jobs") "--quick fig9 fig10 fig11 sec6";
+    row (twice @ across "--jobs") "--quick fig12 fig13 fig14 fig15 fig16";
     row twice "fleet_scale" ~has:[ "12000 placed + 0 stranded" ] ~lacks:[ "✗" ]
       ~save:"FLEET_scorecard.txt";
     row (across "--jobs") "--quick --hosts 40 --guests 800 --tenants 8 fleet_scale";

@@ -2,7 +2,12 @@ exception Not_in_simulation
 exception Stopped
 
 type t = {
-  mutable time : float;
+  (* The clock and the scratch key of the next heap push are one-float
+     records, which OCaml stores flat: writing either never allocates,
+     where a [mutable time : float] field of this record would box every
+     store. *)
+  clock : Pqueue.cell;
+  key : Pqueue.cell;
   mutable seq : int;
   agenda : (unit -> unit) Pqueue.t;
   (* Hot lane: zero-delay events (every Fork, Suspend resume, spawn and
@@ -25,33 +30,19 @@ type t = {
   mutable heap_executed : int;
   mutable executed : int;
   mutable stopped : bool;
+  (* The one effect handler every fiber of this simulator runs under. *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
 }
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
-  | Clock : float Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Fork : (unit -> unit) -> unit Effect.t
 
 (* Shared filler for vacated lane slots: retains nothing. *)
 let lane_nil () = ()
 
-let create () =
-  {
-    time = 0.0;
-    seq = 0;
-    agenda = Pqueue.create ();
-    lane_seqs = [||];
-    lane_fns = [||];
-    lane_head = 0;
-    lane_len = 0;
-    lane_executed = 0;
-    heap_executed = 0;
-    executed = 0;
-    stopped = false;
-  }
-
-let now t = t.time
+let now t = t.clock.at
 let events_executed t = t.executed
 let pending_events t = Pqueue.length t.agenda + t.lane_len
 
@@ -112,53 +103,106 @@ let schedule t ~delay f =
   if not (delay >= 0.0) then invalid_arg "Sim.schedule: delay must be non-negative";
   t.seq <- t.seq + 1;
   if delay = 0.0 then lane_push t t.seq f
-  else Pqueue.add t.agenda ~time:(t.time +. delay) ~seq:t.seq f
+  else begin
+    t.key.at <- t.clock.at +. delay;
+    ignore (Pqueue.push t.agenda t.key ~seq:t.seq f)
+  end
+
+type timer = { timer_slot : int; timer_seq : int }
+
+(* Cancellable events always take the heap, even at zero delay: only
+   heap entries can be found again by slot. A zero-delay one still runs
+   in (time, seq) order, because the run loop interleaves the lane with
+   heap events at the current instant by seq. *)
+let schedule_cancellable t ~delay f =
+  if not (delay >= 0.0) then
+    invalid_arg "Sim.schedule_cancellable: delay must be non-negative";
+  t.seq <- t.seq + 1;
+  t.key.at <- t.clock.at +. delay;
+  { timer_slot = Pqueue.push t.agenda t.key ~seq:t.seq f; timer_seq = t.seq }
+
+let cancel t { timer_slot; timer_seq } =
+  ignore (Pqueue.remove t.agenda ~slot:timer_slot ~seq:timer_seq)
 
 (* Absolute-time variant for the sharded scheduler's barrier: a message
    carries its exact arrival timestamp, and round-tripping it through a
    delay ([now +. (arrival -. now)]) can land a ulp off — enough to
    break byte-identity of anything derived from [now] at delivery. *)
 let schedule_at t ~time f =
-  if not (time >= t.time) then invalid_arg "Sim.schedule_at: time must be >= now";
+  if not (time >= t.clock.at) then invalid_arg "Sim.schedule_at: time must be >= now";
   t.seq <- t.seq + 1;
-  if time = t.time then lane_push t t.seq f else Pqueue.add t.agenda ~time ~seq:t.seq f
+  if time = t.clock.at then lane_push t t.seq f
+  else begin
+    t.key.at <- time;
+    ignore (Pqueue.push t.agenda t.key ~seq:t.seq f)
+  end
 
 (* Run [body] as a fiber, interpreting the blocking effects against [t]. *)
-let rec exec : t -> (unit -> unit) -> unit =
- fun t body ->
+let rec exec t body = Effect.Deep.match_with body () t.handler
+
+(* Built once per simulator by [create], not once per fiber. *)
+and handler t =
   let open Effect.Deep in
-  match_with body ()
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> if e == Stopped then () else raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Delay d ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              if d < 0.0 then discontinue k (Invalid_argument "Sim.delay: negative")
+              else schedule t ~delay:d (fun () -> continue k ()))
+        | Suspend register ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              let resumed = ref false in
+              let resume v =
+                if !resumed then invalid_arg "Sim.suspend: resumed twice";
+                resumed := true;
+                schedule t ~delay:0.0 (fun () -> continue k v)
+              in
+              register resume)
+        | Fork body' ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              schedule t ~delay:0.0 (fun () -> exec t body');
+              continue k ())
+        | _ -> None);
+  }
+
+let create () =
+  let t =
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> if e == Stopped then () else raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay d ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if d < 0.0 then discontinue k (Invalid_argument "Sim.delay: negative")
-                else schedule t ~delay:d (fun () -> continue k ()))
-          | Clock -> Some (fun (k : (a, unit) continuation) -> continue k t.time)
-          | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let resumed = ref false in
-                let resume v =
-                  if !resumed then invalid_arg "Sim.suspend: resumed twice";
-                  resumed := true;
-                  schedule t ~delay:0.0 (fun () -> continue k v)
-                in
-                register resume)
-          | Fork body' ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                schedule t ~delay:0.0 (fun () -> exec t body');
-                continue k ())
-          | _ -> None);
+      clock = { Pqueue.at = 0.0 };
+      key = { Pqueue.at = 0.0 };
+      seq = 0;
+      agenda = Pqueue.create ();
+      lane_seqs = [||];
+      lane_fns = [||];
+      lane_head = 0;
+      lane_len = 0;
+      lane_executed = 0;
+      heap_executed = 0;
+      executed = 0;
+      stopped = false;
+      handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
     }
+  in
+  t.handler <- handler t;
+  t
 
 let spawn t body = schedule t ~delay:0.0 (fun () -> exec t body)
+
+(* The simulator whose loop runs on this domain, which is what {!clock}
+   reads: a domain-local pointer instead of an effect round trip, so
+   plain callbacks see the clock too. [idle] (never run) means none. A
+   loop restores the pointer it found on exit, so a simulator run from
+   inside another's callback hands the clock back, and each domain of
+   the sharded scheduler's pool sees its own shard. *)
+let idle = create ()
+let running = Domain.DLS.new_key (fun () -> idle)
 
 (* The shared inner loop. Every pending hot-lane event runs at the
    current time (zero-delay scheduling can only target "now", and the
@@ -168,16 +212,16 @@ let spawn t body = schedule t ~delay:0.0 (fun () -> exec t body)
    heap events with time <= horizon (the classic inclusive [run]);
    [min_int] pops strictly before it (the {!run_window} barrier of the
    sharded scheduler — live seqs start at 1, so the tie branch of
-   [Pqueue.min_le] can never fire). No step of the loop allocates. *)
+   [Pqueue.min_le] can never fire). No step of the loop allocates: the
+   clock is written in place through its flat cell. *)
 let exec_loop t ~horizon ~hseq =
   let rec loop () =
     if not t.stopped then begin
       if t.lane_len > 0 then begin
         let lane_seq = t.lane_seqs.(t.lane_head) in
-        if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:t.time ~seq:lane_seq
+        if Pqueue.length t.agenda > 0 && Pqueue.min_le_cell t.agenda t.clock ~seq:lane_seq
         then begin
-          t.time <- Pqueue.min_time t.agenda;
-          let f = Pqueue.pop_min t.agenda in
+          let f = Pqueue.pop_into t.agenda t.clock in
           t.heap_executed <- t.heap_executed + 1;
           t.executed <- t.executed + 1;
           f ()
@@ -192,8 +236,7 @@ let exec_loop t ~horizon ~hseq =
       end
       else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:hseq
       then begin
-        t.time <- Pqueue.min_time t.agenda;
-        let f = Pqueue.pop_min t.agenda in
+        let f = Pqueue.pop_into t.agenda t.clock in
         t.heap_executed <- t.heap_executed + 1;
         t.executed <- t.executed + 1;
         f ();
@@ -201,29 +244,35 @@ let exec_loop t ~horizon ~hseq =
       end
     end
   in
-  loop ()
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running t;
+  match loop () with
+  | () -> Domain.DLS.set running outer
+  | exception e ->
+    Domain.DLS.set running outer;
+    raise e
 
 let run ?until t =
   t.stopped <- false;
   let horizon = match until with Some u -> u | None -> infinity in
   exec_loop t ~horizon ~hseq:max_int;
   match until with
-  | Some u when t.time < u && not t.stopped -> t.time <- u
+  | Some u when t.clock.at < u && not t.stopped -> t.clock.at <- u
   | _ -> ()
 
 let run_window t ~until =
   t.stopped <- false;
-  if t.time < until then begin
+  if t.clock.at < until then begin
     exec_loop t ~horizon:until ~hseq:min_int;
     (* Park the clock exactly at the window boundary so a message
        injected for arrival >= until can be scheduled with a plain
        non-negative delay. An infinite window (no conduits) leaves the
        clock at the last executed event, like an exhausted [run]. *)
-    if (not t.stopped) && Float.is_finite until && t.time < until then t.time <- until
+    if (not t.stopped) && Float.is_finite until && t.clock.at < until then t.clock.at <- until
   end
 
 let next_event_time t =
-  if t.lane_len > 0 then t.time
+  if t.lane_len > 0 then t.clock.at
   else if Pqueue.length t.agenda > 0 then Pqueue.min_time t.agenda
   else infinity
 
@@ -237,7 +286,9 @@ let stop t =
 let delay d =
   try Effect.perform (Delay d) with Effect.Unhandled _ -> raise Not_in_simulation
 
-let clock () = try Effect.perform Clock with Effect.Unhandled _ -> raise Not_in_simulation
+let clock () =
+  let t = Domain.DLS.get running in
+  if t == idle then raise Not_in_simulation else t.clock.at
 
 let suspend register =
   try Effect.perform (Suspend register) with Effect.Unhandled _ -> raise Not_in_simulation

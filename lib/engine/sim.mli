@@ -11,7 +11,8 @@
     is a pure function of its inputs and RNG seeds.
 
     The blocking operations must only be called from within a process
-    running under {!run} (they raise [Not_in_simulation] otherwise). *)
+    running under {!run} (they raise [Not_in_simulation] otherwise);
+    {!clock} needs only a running {!run}. *)
 
 type t
 (** A simulation instance: clock + agenda. *)
@@ -32,6 +33,25 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
     [now t +. delay]. Raises [Invalid_argument] if [delay] is negative
     (or NaN) — an explicit guard, not an assert, so it survives release
     builds. A zero [delay] takes the O(1) hot lane. *)
+
+type timer
+(** A handle on an event scheduled with {!schedule_cancellable}. *)
+
+val schedule_cancellable : t -> delay:float -> (unit -> unit) -> timer
+(** [schedule_cancellable t ~delay f] is {!schedule}, returning a handle
+    that {!cancel} can take the event back with. The event gets the next
+    [(time, seq)] key exactly as {!schedule} would give it, so a
+    cancellable event that is never cancelled runs where a plain one
+    would. It always sits in the timed heap (also at zero delay), which
+    is what lets {!cancel} find it in O(log n). *)
+
+val cancel : t -> timer -> unit
+(** [cancel t h] removes [h]'s event from the agenda if it has not run
+    yet: it will never run, and it stops counting in {!pending_events}.
+    Cancelling an event that already ran or was already cancelled does
+    nothing, also after its heap slot has gone to a newer event: the
+    handle carries its event's sequence number, which no other event
+    shares. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] is {!schedule} with an absolute timestamp
@@ -97,7 +117,11 @@ val delay : float -> unit
 (** Suspend the calling process for a non-negative duration. *)
 
 val clock : unit -> float
-(** Current time, from inside a process. *)
+(** Current time of the simulator whose {!run} (or {!run_window}) is
+    executing on this domain. It works inside a process and also in a
+    plain callback scheduled with {!schedule}, since it reads a
+    domain-local pointer that the run loop sets rather than performing
+    an effect. Outside [run] it still raises [Not_in_simulation]. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend f] parks the calling process and hands [f] a resume function.

@@ -71,14 +71,25 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-(* Wait for [ivar] or give up after [timeout] ns. *)
+(* Wait for [ivar] or give up after [timeout] ns. The timeout is a
+   cancellable timer, taken back when the reply lands, so a round trip
+   leaves no sleeper behind on the agenda. It is armed from a zero-delay
+   callback standing where a sleeping fiber's start would stand in the
+   lane, so it gets the (time, seq) key that fiber's [Sim.delay] would
+   get, and every other event keeps its place in the order. *)
 let read_with_timeout t ivar ~timeout =
   let cell = Sim.Ivar.create () in
-  let settle v = if not (Sim.Ivar.is_filled cell) then Sim.Ivar.fill cell v in
+  let timer = ref None in
+  let settle v =
+    if not (Sim.Ivar.is_filled cell) then begin
+      Option.iter (Sim.cancel t.sim) !timer;
+      Sim.Ivar.fill cell v
+    end
+  in
   Sim.spawn t.sim (fun () -> settle (Some (Sim.Ivar.read ivar)));
-  Sim.spawn t.sim (fun () ->
-      Sim.delay timeout;
-      settle None);
+  Sim.schedule t.sim ~delay:0.0 (fun () ->
+      if not (Sim.Ivar.is_filled cell) then
+        timer := Some (Sim.schedule_cancellable t.sim ~delay:timeout (fun () -> settle None)));
   Sim.Ivar.read cell
 
 (* TCP-style delivery: retransmit on loss (a dropped SYN or request —

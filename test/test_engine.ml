@@ -93,29 +93,58 @@ let test_pqueue_clear_keeps_capacity () =
   Pqueue.add q ~time:1.0 ~seq:1 42;
   check_bool "usable after clear" true (Pqueue.pop q = Some (1.0, 1, 42))
 
-(* Popped (and cleared) entries must not pin their values: slots past
-   [size] are overwritten with a dummy, so the GC can collect fibers of
-   completed events even while the queue object itself stays live. *)
+(* Popped, removed and cleared entries must not pin their values:
+   vacated slots are overwritten with a dummy, so the GC can collect
+   fibers of completed or cancelled events even while the queue object
+   itself stays live. *)
 let test_pqueue_releases_popped_values () =
   let q = Pqueue.create () in
   let n = 16 in
   let weak = Weak.create n in
+  let slots = Array.make n 0 in
+  let key = { Pqueue.at = 0.0 } in
   for i = 0 to n - 1 do
     let v = ref i in
     Weak.set weak i (Some v);
-    Pqueue.add q ~time:(float_of_int i) ~seq:i v
+    key.Pqueue.at <- float_of_int i;
+    slots.(i) <- Pqueue.push q key ~seq:i v
   done;
-  for _ = 0 to (n / 2) - 1 do
+  (* Pop the first quarter, remove the last quarter by slot. *)
+  for _ = 0 to (n / 4) - 1 do
     ignore (Pqueue.pop q)
   done;
-  Pqueue.clear q;
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check weak i then incr live
+  for i = 3 * n / 4 to n - 1 do
+    check_bool "removed" true (Pqueue.remove q ~slot:slots.(i) ~seq:i)
   done;
-  check_int "no value retained" 0 !live;
+  let live () =
+    Gc.full_major ();
+    List.filter (Weak.check weak) (List.init n Fun.id)
+  in
+  Alcotest.(check (list int)) "only queued values retained"
+    (List.init (n / 2) (fun i -> i + (n / 4)))
+    (live ());
+  Pqueue.clear q;
+  Alcotest.(check (list int)) "no value retained" [] (live ());
   ignore (Sys.opaque_identity q)
+
+(* The same through the simulator: a cancelled event's closure (and
+   whatever it captures) is collectable while the simulator lives on. *)
+let test_sim_releases_cancelled_closures () =
+  let sim = Sim.create () in
+  let n = 8 in
+  let weak = Weak.create n in
+  let timers =
+    Array.init n (fun i ->
+        let v = ref i in
+        Weak.set weak i (Some v);
+        Sim.schedule_cancellable sim ~delay:(float_of_int (i + 1)) (fun () -> incr v))
+  in
+  Array.iteri (fun i h -> if i mod 2 = 0 then Sim.cancel sim h) timers;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "cancelled closures collected" [ 1; 3; 5; 7 ]
+    (List.filter (Weak.check weak) (List.init n Fun.id));
+  check_int "pending" (n / 2) (Sim.pending_events sim);
+  ignore (Sys.opaque_identity sim)
 
 (* Model test: against a sorted association list, any interleaving of
    adds and pops agrees — including the FIFO tie-break at equal times. *)
@@ -677,6 +706,176 @@ let test_schedule_at_exact () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Cancellable timers *)
+
+let test_cancel_stale_handle () =
+  let sim = Sim.create () in
+  let ran = ref [] in
+  let mark i () = ran := i :: !ran in
+  let a = Sim.schedule_cancellable sim ~delay:1.0 (mark 1) in
+  let b = Sim.schedule_cancellable sim ~delay:2.0 (mark 2) in
+  Sim.cancel sim b;
+  Sim.run sim;
+  (* [a] fired and [b] was cancelled: both slots are free again, and the
+     next two timers take them. Stale handles must not touch them. *)
+  let _c = Sim.schedule_cancellable sim ~delay:1.0 (mark 3) in
+  let _d = Sim.schedule_cancellable sim ~delay:1.0 (mark 4) in
+  Sim.cancel sim a;
+  Sim.cancel sim b;
+  Sim.cancel sim b;
+  check_int "both still pending" 2 (Sim.pending_events sim);
+  Sim.run sim;
+  Alcotest.(check (list int)) "ran" [ 1; 3; 4 ] (List.rev !ran)
+
+(* Random interleavings of plain and cancellable scheduling, cancels and
+   bounded runs, driven through one interpreter against two backends:
+   the engine, and a reference that keeps pending events in a list
+   sorted by (time, seq). Events may themselves arm timers or cancel,
+   as an RPC's reply handler does. *)
+type cancel_child = Leaf | Child_timer of int | Cancel_from_event of int
+
+type cancel_op =
+  | Plain of int * cancel_child
+  | Timer of int * cancel_child
+  | Cancel of int
+  | Run_for of int
+
+type 'h backend = {
+  plain : delay:float -> (unit -> unit) -> unit;
+  timer : delay:float -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  run_for : float option -> unit;  (** [None] drains the agenda *)
+}
+
+(* Returns the ids in execution order, and each cancel as (id, number
+   of events run before it). *)
+let interpret (type h) (b : h backend) ops =
+  let order = ref [] and ran = ref 0 and cancels = ref [] in
+  let handles : (int, h * int) Hashtbl.t = Hashtbl.create 16 in
+  let next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let cancel_nth k =
+    let n = Hashtbl.length handles in
+    if n > 0 then begin
+      let h, id = Hashtbl.find handles (k mod n) in
+      cancels := (id, !ran) :: !cancels;
+      b.cancel h
+    end
+  in
+  let rec body id child () =
+    order := id :: !order;
+    incr ran;
+    match child with
+    | Leaf -> ()
+    | Child_timer d -> arm d Leaf
+    | Cancel_from_event k -> cancel_nth k
+  and arm d child =
+    let id = fresh () in
+    let h = b.timer ~delay:(float_of_int d) (body id child) in
+    Hashtbl.replace handles (Hashtbl.length handles) (h, id)
+  in
+  List.iter
+    (function
+      | Plain (d, child) ->
+        let id = fresh () in
+        b.plain ~delay:(float_of_int d) (body id child)
+      | Timer (d, child) -> arm d child
+      | Cancel k -> cancel_nth k
+      | Run_for d -> b.run_for (Some (float_of_int d)))
+    ops;
+  b.run_for None;
+  (List.rev !order, List.rev !cancels)
+
+let sorted_list_backend () =
+  let now = ref 0.0 and seq = ref 0 and pending = ref [] in
+  let insert delay f =
+    incr seq;
+    pending :=
+      List.merge (fun (t, s, _) (t', s', _) -> compare (t, s) (t', s')) !pending
+        [ (!now +. delay, !seq, f) ];
+    !seq
+  in
+  let rec run_until u =
+    match !pending with
+    | (t, _, f) :: rest when t <= u ->
+      pending := rest;
+      now := t;
+      f ();
+      run_until u
+    | _ -> if !now < u && Float.is_finite u then now := u
+  in
+  {
+    plain = (fun ~delay f -> ignore (insert delay f));
+    timer = (fun ~delay f -> insert delay f);
+    cancel = (fun s -> pending := List.filter (fun (_, s', _) -> s' <> s) !pending);
+    run_for = (function None -> run_until infinity | Some d -> run_until (!now +. d));
+  }
+
+let sim_backend sim =
+  {
+    plain = (fun ~delay f -> Sim.schedule sim ~delay f);
+    timer = (fun ~delay f -> Sim.schedule_cancellable sim ~delay f);
+    cancel = Sim.cancel sim;
+    run_for =
+      (function None -> Sim.run sim | Some d -> Sim.run ~until:(Sim.now sim +. d) sim);
+  }
+
+let cancel_ops =
+  let open QCheck.Gen in
+  let delay = int_bound 3 in
+  let child =
+    frequency
+      [
+        (3, return Leaf);
+        (1, map (fun d -> Child_timer d) delay);
+        (1, map (fun k -> Cancel_from_event k) (int_bound 1000));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun d c -> Plain (d, c)) delay child);
+        (4, map2 (fun d c -> Timer (d, c)) delay child);
+        (3, map (fun k -> Cancel k) (int_bound 1000));
+        (2, map (fun d -> Run_for d) delay);
+      ]
+  in
+  let print_child = function
+    | Leaf -> ""
+    | Child_timer d -> Printf.sprintf "->timer %d" d
+    | Cancel_from_event k -> Printf.sprintf "->cancel %d" k
+  in
+  let print = function
+    | Plain (d, c) -> Printf.sprintf "plain %d%s" d (print_child c)
+    | Timer (d, c) -> Printf.sprintf "timer %d%s" d (print_child c)
+    | Cancel k -> Printf.sprintf "cancel %d" k
+    | Run_for d -> Printf.sprintf "run %d" d
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 0 80) op)
+
+let prop_cancel_model =
+  QCheck.Test.make ~name:"cancellable timers = sorted-list reference" ~count:500 cancel_ops
+    (fun ops ->
+      let sim = Sim.create () in
+      let order, cancels = interpret (sim_backend sim) ops in
+      let ref_order, _ = interpret (sorted_list_backend ()) ops in
+      (* A cancelled event never runs after its cancel ... *)
+      let never_after (id, ran) =
+        not (List.mem id (List.filteri (fun i _ -> i >= ran) order))
+      in
+      List.for_all never_after cancels
+      (* ... and the rest run in (time, seq) order, stale cancels
+         (fired, already cancelled, slot since reused) changing nothing. *)
+      && order = ref_order
+      && Sim.pending_events sim = 0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -737,8 +936,11 @@ let suites =
         Alcotest.test_case "per-lane stats" `Quick test_sim_stats_lanes;
         Alcotest.test_case "run_window strict horizon" `Quick test_run_window_strict;
         Alcotest.test_case "schedule_at bit-exact" `Quick test_schedule_at_exact;
+        Alcotest.test_case "cancel: stale handles" `Quick test_cancel_stale_handle;
+        Alcotest.test_case "cancelled closures collectable" `Quick
+          test_sim_releases_cancelled_closures;
       ] );
-    qsuite "engine.sim.prop" [ prop_two_lane_order ];
+    qsuite "engine.sim.prop" [ prop_two_lane_order; prop_cancel_model ];
     ( "engine.token_bucket",
       [
         Alcotest.test_case "steady rate" `Quick test_token_bucket_steady_rate;

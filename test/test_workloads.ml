@@ -60,6 +60,60 @@ let test_rpc_tag_visible_to_service () =
   Testbed.run tb;
   Alcotest.(check (list int)) "tags" [ 0; 9 ] !seen
 
+(* A client whose net bucket sheds under [Shed] loses some SYNs and
+   requests outright; only the 100 ms RTO recovers them. Pins the
+   retransmission path: the retransmit and shed counts and every call's
+   latency, printed with %h. Regenerate by printing [rto_trace ()] —
+   update only on an intentional change to the RPC or datapath model. *)
+let rto_trace () =
+  let tb = Testbed.make ~seed:2020 () in
+  let _, server = Testbed.bm_guest tb in
+  let net_limits =
+    Bm_cloud.Limits.custom_net ~policy:Bm_cloud.Limits.Shed ~pps:10_000.0 ~gbit_s:10.0 ()
+  in
+  let _, client = Testbed.bm_guest ~net_limits ~name:"client" tb in
+  Rpc.attach_server server ~service:(fun _ -> { Rpc.reply_bytes = 100; reply_packets = 1 });
+  let rpc = Rpc.create_client tb.Testbed.sim client in
+  let calls = Array.make 12 [] in
+  Array.iteri
+    (fun i _ ->
+      Sim.spawn tb.Testbed.sim (fun () ->
+          Sim.delay (float_of_int i *. 1_000.0);
+          for _ = 1 to 2 do
+            let r =
+              match Rpc.call rpc ~dst:server.Instance.endpoint ~handshake:true () with
+              | `Reply l -> Printf.sprintf "%h" l
+              | `Timeout -> "timeout"
+            in
+            calls.(i) <- r :: calls.(i)
+          done))
+    calls;
+  Testbed.run tb;
+  Printf.sprintf "retransmits %d completed %d shed %d\n" (Rpc.retransmits rpc)
+    (Rpc.calls_completed rpc) (Bm_cloud.Limits.net_shed net_limits)
+  ^ String.concat ""
+      (List.mapi
+         (fun i l -> Printf.sprintf "c%d %s\n" i (String.concat " " (List.rev l)))
+         (Array.to_list calls))
+
+let rto_trace_seed2020 =
+  "retransmits 23 completed 24 shed 34\n"
+  ^ "c0 0x1.616cc7ae147aep+16 0x1.7da57868f5c28p+27\n"
+  ^ "c1 0x1.6c8247ae147aep+16 0x1.7da57868f5c28p+27\n"
+  ^ "c2 0x1.616cc7ae147aep+16 0x1.7da57868f5c28p+27\n"
+  ^ "c3 0x1.6bbbc7ae147aep+16 0x1.7da550b8f5c28p+27\n"
+  ^ "c4 0x1.6b89c7ae147aep+16 0x1.7da7e6c8f5c28p+27\n"
+  ^ "c5 0x1.6bbbc7ae147aep+16 0x1.7da61fb8f5c28p+27\n"
+  ^ "c6 0x1.6b89c7ae147aep+16 0x1.7da7c278f5c28p+27\n"
+  ^ "c7 0x1.7dd42831eb851p+26 0x1.7dda2851eb851p+26\n"
+  ^ "c8 0x1.674747ae147aep+16 0x1.7ddc03d1eb85p+26\n"
+  ^ "c9 0x1.7dd314b1eb852p+26 0x1.7dd1cbd1eb85p+26\n"
+  ^ "c10 0x1.7dd2fc11eb851p+26 0x1.7dd5e571eb851p+26\n"
+  ^ "c11 0x1.7dd32211eb852p+26 0x1.7dd5b2f1eb85p+26\n"
+
+let test_rpc_rto_golden () =
+  Alcotest.(check string) "retransmits and latencies" rto_trace_seed2020 (rto_trace ())
+
 (* ------------------------------------------------------------------ *)
 (* Netperf *)
 
@@ -246,6 +300,7 @@ let suites =
       [
         Alcotest.test_case "roundtrip + handshake" `Quick test_rpc_roundtrip_and_handshake;
         Alcotest.test_case "tag visible" `Quick test_rpc_tag_visible_to_service;
+        Alcotest.test_case "RTO retransmits (golden)" `Quick test_rpc_rto_golden;
       ] );
     ( "workloads.netperf",
       [
