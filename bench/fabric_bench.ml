@@ -7,8 +7,9 @@
      fabric_bench.exe [--quick] [--seed N] [--out FILE]
 
    Three sections:
-     forward   events/sec and bursts/sec of raw fabric forwarding across
-               a leaf-spine topology (uniform random host pairs)
+     forward   events/sec, bursts/sec and allocated words per event of
+               raw fabric forwarding across a leaf-spine topology
+               (uniform random host pairs); CI gates the words/event
      ecmp      spine share spread of the flow hash over many flows
      xhost     wall-clock of the quick-scale xhost_rr experiment, run
                twice, with a structural-equality determinism check *)
@@ -52,9 +53,18 @@ let time f =
 
 (* --- raw forwarding --------------------------------------------------- *)
 
-(* [senders] fibers each push bursts between uniform random host pairs
-   through an 8-host leaf-spine, paced just above the link rate so the
-   queues stay busy without melting down. *)
+(* Cumulative words allocated by this domain so far, as engine_bench
+   probes them: the minor counter plus direct major allocations, net of
+   promotions (which would double count). *)
+let allocated_words () =
+  let st = Gc.quick_stat () in
+  st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+
+(* [senders] callback chains each push bursts between uniform random
+   host pairs through an 8-host leaf-spine, paced just above the link
+   rate so the queues stay busy without melting down. The senders are
+   callbacks, like the links, so the words/event probe measures the
+   fabric rather than a sender fiber's effect round trips. *)
 let forward_bench ~bursts =
   let topo = Topology.clos ~hosts:8 ~tors:4 ~spines:2 () in
   let sim = Sim.create () in
@@ -65,26 +75,31 @@ let forward_bench ~bursts =
   let next_id = ref 0 in
   for s = 1 to senders do
     let rng = Rng.split rng in
-    Sim.spawn sim (fun () ->
-        for _ = 1 to per_sender do
-          let src_host = Rng.int rng 8 in
-          let dst_host = (src_host + 1 + Rng.int rng 7) mod 8 in
-          incr next_id;
-          Fabric.send fab ~src_host ~dst_host
-            ~deliver:(fun _ -> ())
-            (Packet.make ~id:!next_id ~src:(s * 1000) ~dst:(s * 1000 + 1) ~size:1500
-               ~protocol:Packet.Udp ~sent_at:(Sim.clock ()) ());
-          Sim.delay 150.0
-        done)
+    let rec send_from k =
+      if k <= per_sender then begin
+        let src_host = Rng.int rng 8 in
+        let dst_host = (src_host + 1 + Rng.int rng 7) mod 8 in
+        incr next_id;
+        Fabric.send fab ~src_host ~dst_host
+          ~deliver:(fun _ -> ())
+          (Packet.make ~id:!next_id ~src:(s * 1000) ~dst:(s * 1000 + 1) ~size:1500
+             ~protocol:Packet.Udp ~sent_at:(Sim.now sim) ());
+        Sim.schedule sim ~delay:150.0 (fun () -> send_from (k + 1))
+      end
+    in
+    Sim.schedule sim ~delay:0.0 (fun () -> send_from 1)
   done;
+  let a0 = allocated_words () in
   let (), wall_s = time (fun () -> Sim.run sim) in
+  let words = allocated_words () -. a0 in
   let events = Sim.events_executed sim in
   ( float_of_int events /. wall_s,
     float_of_int (Fabric.delivered fab) /. wall_s,
     events,
     Fabric.delivered fab,
     Fabric.dropped fab,
-    wall_s )
+    wall_s,
+    words /. float_of_int events )
 
 (* --- ECMP spread ------------------------------------------------------ *)
 
@@ -125,7 +140,7 @@ let progress fmt = Printf.ksprintf (fun m -> prerr_endline ("[fabric_bench] " ^ 
 let () =
   let bursts = if !quick then 100_000 else 1_000_000 in
   progress "forward: %d bursts over 8 hosts / 4 tors / 2 spines" bursts;
-  let eps, bps, events, delivered, dropped, fwd_s = forward_bench ~bursts in
+  let eps, bps, events, delivered, dropped, fwd_s, fwd_wpe = forward_bench ~bursts in
   let flows = 10_000 in
   progress "ecmp: %d flows over 4 spines" flows;
   let shares, imbalance = ecmp_bench ~flows in
@@ -143,7 +158,8 @@ let () =
   p "    \"dropped\": %d,\n" dropped;
   p "    \"wall_s\": %.4f,\n" fwd_s;
   p "    \"events_per_sec\": %.0f,\n" eps;
-  p "    \"bursts_per_sec\": %.0f\n" bps;
+  p "    \"bursts_per_sec\": %.0f,\n" bps;
+  p "    \"words_per_event\": %.3f\n" fwd_wpe;
   p "  },\n";
   p "  \"ecmp\": {\n";
   p "    \"flows\": %d,\n" flows;
@@ -161,7 +177,7 @@ let () =
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf
-    "fabric bench: %.0f events/s forwarding (%d dropped of %d); ecmp max/min %.2f; xhost_rr \
-     deterministic: %b\n"
-    eps dropped delivered imbalance identical;
+    "fabric bench: %.0f events/s forwarding at %.2f alloc words/event (%d dropped of %d); ecmp \
+     max/min %.2f; xhost_rr deterministic: %b\n"
+    eps fwd_wpe dropped delivered imbalance identical;
   Printf.printf "written: %s\n" !out_file

@@ -442,23 +442,30 @@ module Bounded = struct
       wake ()
     | None -> ()
 
-  let recv q =
-    match Queue.take_opt q.items with
-    | Some v ->
-      note_delivered q;
-      unpark q;
-      v
-    | None ->
-      (* items empty implies no parked senders (capacity > 0). *)
-      suspend (fun resume -> Queue.add resume q.receivers)
+  (* Take the head item, then let the oldest parked sender into the
+     freed slot. *)
+  let take q =
+    let v = Queue.take q.items in
+    note_delivered q;
+    unpark q;
+    v
 
-  let try_recv q =
-    match Queue.take_opt q.items with
-    | Some v ->
-      note_delivered q;
-      unpark q;
-      Some v
-    | None -> None
+  (* An empty [items] implies no parked senders (capacity > 0), so a
+     receiver that finds it empty parks in [receivers] for [send]'s
+     direct handoff. *)
+  let recv q =
+    if Queue.is_empty q.items then suspend (fun resume -> Queue.add resume q.receivers)
+    else take q
+
+  let try_recv q = if Queue.is_empty q.items then None else Some (take q)
+
+  (* A parked callback gets the slot a parked fiber's resume takes: one
+     zero-delay event at the sender's instant, so the two forms run on
+     the same (time, seq) keys. *)
+  let recv_callback t q f =
+    if Queue.is_empty q.items then
+      Queue.add (fun v -> schedule t ~delay:0.0 (fun () -> f v)) q.receivers
+    else f (take q)
 end
 
 module Resource = struct

@@ -204,6 +204,18 @@ module Bounded : sig
 
   val try_recv : 'a bounded -> 'a option
 
+  val recv_callback : t -> 'a bounded -> ('a -> unit) -> unit
+  (** [recv_callback t q f] is {!recv} for a server written as scheduler
+      callbacks instead of a fiber. With an item queued it takes it at
+      once, exactly as {!recv} would (counters, probe notes, the oldest
+      parked sender let in), and calls [f] with it before returning.
+      Otherwise [f] parks among the receivers, and the send that hands
+      it an item schedules [f item] as one zero-delay event on [t] — the
+      event a parked fiber's resume would take — so a callback server
+      runs on the same [(time, seq)] keys as the equivalent
+      [recv]-and-{!delay} fiber. It never blocks, so it is safe from
+      callbacks and processes alike. *)
+
   val capacity : 'a bounded -> int
   val policy : 'a bounded -> policy
   val length : 'a bounded -> int

@@ -33,10 +33,18 @@ module Histogram : sig
   val create : ?lo:float -> ?hi:float -> ?precision:float -> unit -> t
   (** [create ~lo ~hi ~precision ()] covers values in [\[lo, hi\]] with
       geometric buckets of relative width [precision] (default 1%%).
-      Values outside the range are clamped into the edge buckets.
-      Defaults: [lo] = 1 (ns), [hi] = 1e12 (1000 s). *)
+      Values outside the range, [infinity] and [neg_infinity] included,
+      are clamped into the edge buckets. Defaults: [lo] = 1 (ns), [hi] =
+      1e12 (1000 s). Raises [Invalid_argument] unless [0 < lo < hi] and
+      [precision > 0], all finite.
+
+      Counts are stored only for the range of buckets observed so far,
+      in an array the GC does not scan: an empty histogram costs a few
+      words whatever its geometry. *)
 
   val add : t -> float -> unit
+  (** Raises [Invalid_argument] on NaN, which has no bucket. *)
+
   val add_n : t -> float -> int -> unit
   (** [add_n t v n] records [n] observations of value [v]. *)
 
@@ -46,10 +54,15 @@ module Histogram : sig
   val max : t -> float
 
   val percentile : t -> float -> float
-  (** [percentile t p] with [p] in [\[0, 100\]]. Returns the representative
-      value of the bucket containing the requested rank; [nan] when empty. *)
+  (** [percentile t p] with [p] in [\[0, 100\]] (else [Invalid_argument]).
+      Returns the representative value of the bucket containing the
+      requested rank, clamped to [\[min, max\]]; [nan] when empty. *)
 
   val merge : t -> t -> t
+  (** Histogram of both inputs' observations. Raises [Invalid_argument]
+      unless both have the same bucket geometry ([lo], [precision] and
+      bucket count). *)
+
   val copy : t -> t
   (** Independent histogram with the same geometry and contents. *)
 

@@ -15,7 +15,7 @@ and link = {
   name : string;
   params : Topology.link_params;
   queue : job Sim.Bounded.bounded;
-  mutable depth : Stats.Histogram.t option;  (* allocated on first enqueue *)
+  depth : Stats.Histogram.t;  (* enqueue-time queue depth *)
   track : string;  (* trace track, and the metric names below: built once *)
   m_dropped : string;
   m_depth : string;
@@ -77,15 +77,7 @@ let offer fab link job =
     | `Sent ->
       let m = Obs.metrics fab.obs in
       let d = float_of_int (Sim.Bounded.length link.queue) in
-      let depth =
-        match link.depth with
-        | Some h -> h
-        | None ->
-          let h = Stats.Histogram.create ~lo:1.0 ~hi:1e4 () in
-          link.depth <- Some h;
-          h
-      in
-      Stats.Histogram.add depth d;
+      Stats.Histogram.add link.depth d;
       Metrics.observe_opt m ~lo:1.0 ~hi:1e4 link.m_depth d;
       Trace.counter_opt (Obs.trace fab.obs) ~track:link.track "depth"
         ~now:(Obs.now fab.obs) d
@@ -103,22 +95,25 @@ let arrive fab job =
     job.rest <- rest;
     offer fab next job
 
-(* One drain process per link: hold the line for the head burst's
-   serialization time, then let propagation run concurrently with the
-   next burst's serialization (store-and-forward pipelining). *)
+(* Each link is a server made of callbacks: take the head burst, hold
+   the line for its serialization time, then let propagation run
+   concurrently with the next burst's serialization (store-and-forward
+   pipelining). The chain recv -> wire -> (propagate, recv) schedules
+   the events a recv-and-delay fiber would, on the same (time, seq)
+   keys, without an effect round trip per hop. [sent] recomputes the
+   wire time rather than capture it: a float in a closure is boxed. *)
 let drain_link fab link =
-  let rec loop () =
-    let job = Sim.Bounded.recv link.queue in
-    let wire = serialize_ns link.params job.pkt.size in
-    Sim.delay wire;
-    link.busy_ns <- link.busy_ns +. wire;
+  let rec serve job =
+    Sim.schedule fab.sim ~delay:(serialize_ns link.params job.pkt.size) (fun () -> sent job)
+  and sent job =
+    link.busy_ns <- link.busy_ns +. serialize_ns link.params job.pkt.size;
     link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
     link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
     Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size link.m_bytes ~now:(Sim.now fab.sim);
     Sim.schedule fab.sim ~delay:link.params.latency_ns (fun () -> arrive fab job);
-    loop ()
+    Sim.Bounded.recv_callback fab.sim link.queue serve
   in
-  Sim.spawn fab.sim loop
+  Sim.schedule fab.sim ~delay:0.0 (fun () -> Sim.Bounded.recv_callback fab.sim link.queue serve)
 
 let mk_link name params =
   {
@@ -127,7 +122,7 @@ let mk_link name params =
     queue =
       Sim.Bounded.create ~capacity:params.Topology.queue_capacity
         ~policy:Sim.Bounded.Drop_tail ();
-    depth = None;
+    depth = Stats.Histogram.create ~lo:1.0 ~hi:1e4 ();
     track = "fabric." ^ name;
     m_dropped = "fabric.link." ^ name ^ ".dropped";
     m_depth = "fabric.link." ^ name ^ ".depth";
@@ -312,9 +307,8 @@ let link_stat ~elapsed (l : link) =
     gbit_s = l.params.gbit_s;
     utilization = (if elapsed > 0.0 then l.busy_ns /. elapsed else 0.0);
     depth_p99 =
-      (match l.depth with
-      | Some h when Stats.Histogram.count h > 0 -> Stats.Histogram.percentile h 99.0
-      | Some _ | None -> 0.0);
+      (if Stats.Histogram.count l.depth > 0 then Stats.Histogram.percentile l.depth 99.0
+       else 0.0);
     sent_bursts = Sim.Bounded.sent l.queue;
     delivered_bursts = Sim.Bounded.delivered l.queue;
     dropped_bursts = Sim.Bounded.dropped l.queue;

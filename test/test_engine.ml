@@ -297,6 +297,209 @@ let test_histogram_clamps () =
   check_float "min tracked exactly" 1.0 (Stats.Histogram.min h);
   check_float "max tracked exactly" 1e9 (Stats.Histogram.max h)
 
+(* +inf is clamped into the top bucket like any value above [hi]; it
+   used to land in bucket 0 ([int_of_float infinity] is 0 on amd64), so
+   [5; 7; inf] read p99 = 7. *)
+let test_histogram_infinity_clamps_high () =
+  let with_top top =
+    let h = Stats.Histogram.create ~lo:1.0 ~hi:100.0 () in
+    List.iter (Stats.Histogram.add h) [ 5.0; 7.0; top ];
+    h
+  in
+  let inf = with_top infinity and big = with_top 1e6 in
+  check_bool "p99 in the top bucket" true (Stats.Histogram.percentile inf 99.0 >= 100.0);
+  List.iter
+    (fun p ->
+      check_float
+        (Printf.sprintf "p%g as for a finite outlier" p)
+        (Stats.Histogram.percentile big p) (Stats.Histogram.percentile inf p))
+    [ 0.0; 50.0; 99.0; 100.0 ];
+  check_float "min" 5.0 (Stats.Histogram.min inf);
+  check_bool "max" true (Stats.Histogram.max inf = infinity)
+
+let test_histogram_rejects_nan () =
+  let h = Stats.Histogram.create () in
+  Alcotest.check_raises "add nan" (Invalid_argument "Stats.Histogram.add: NaN") (fun () ->
+      Stats.Histogram.add h nan);
+  Alcotest.check_raises "add_n nan" (Invalid_argument "Stats.Histogram.add: NaN") (fun () ->
+      Stats.Histogram.add_n h nan 3);
+  check_int "nothing counted" 0 (Stats.Histogram.count h);
+  check_bool "min untouched" true (Stats.Histogram.min h = infinity)
+
+let test_histogram_create_guards () =
+  let rejects name f =
+    check_bool name true (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "lo = 0" (fun () -> Stats.Histogram.create ~lo:0.0 ());
+  rejects "hi <= lo" (fun () -> Stats.Histogram.create ~lo:10.0 ~hi:10.0 ());
+  rejects "precision = 0" (fun () -> Stats.Histogram.create ~precision:0.0 ());
+  rejects "nan lo" (fun () -> Stats.Histogram.create ~lo:nan ());
+  rejects "infinite hi" (fun () -> Stats.Histogram.create ~hi:infinity ())
+
+(* The histogram against a dense model: the flat bucket array every
+   histogram carried before counts went sparse, with the same index,
+   percentile scan and merge. Every observable must match bit for bit. *)
+module Dense_histogram = struct
+  type t = {
+    lo : float;
+    ratio : float;
+    log_ratio : float;
+    buckets : int array;
+    mutable count : int;
+    mutable total : float;
+    mutable min : float;
+    mutable max : float;
+  }
+
+  let create ~lo ~hi ~precision =
+    let ratio = 1.0 +. precision in
+    let log_ratio = log ratio in
+    let n = int_of_float (ceil (log (hi /. lo) /. log_ratio)) + 1 in
+    { lo; ratio; log_ratio; buckets = Array.make n 0; count = 0; total = 0.0;
+      min = infinity; max = neg_infinity }
+
+  let index t v =
+    let top = Array.length t.buckets - 1 in
+    if v <= t.lo then 0
+    else if v = infinity then top
+    else Stdlib.min (int_of_float (log (v /. t.lo) /. t.log_ratio)) top
+
+  let add_n t v n =
+    let i = index t v in
+    t.buckets.(i) <- t.buckets.(i) + n;
+    t.count <- t.count + n;
+    t.total <- t.total +. (v *. float_of_int n);
+    if v < t.min then t.min <- v;
+    if v > t.max then t.max <- v
+
+  let mean t = if t.count = 0 then nan else t.total /. float_of_int t.count
+  let bucket_value t i = t.lo *. (t.ratio ** (float_of_int i +. 0.5))
+
+  let percentile t p =
+    if t.count = 0 then nan
+    else begin
+      let rank = Float.max (p /. 100.0 *. float_of_int t.count) 1.0 in
+      let rec scan i seen =
+        if i >= Array.length t.buckets then Float.min t.max (bucket_value t (i - 1))
+        else begin
+          let seen = seen + t.buckets.(i) in
+          if float_of_int seen >= rank then Float.max t.min (Float.min t.max (bucket_value t i))
+          else scan (i + 1) seen
+        end
+      in
+      scan 0 0
+    end
+
+  let merge a b =
+    {
+      a with
+      buckets = Array.mapi (fun i n -> n + b.buckets.(i)) a.buckets;
+      count = a.count + b.count;
+      total = a.total +. b.total;
+      min = Float.min a.min b.min;
+      max = Float.max a.max b.max;
+    }
+
+  let copy t = { t with buckets = Array.copy t.buckets }
+end
+
+type hist_op = Add of float | Add_n of float * int | Merge of (float * int) list | Copy
+
+let prop_histogram_matches_dense =
+  (* A value relative to [lo, hi]: below lo, inside, above hi, or +inf. *)
+  let value_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun u -> `Below u) (float_bound_exclusive 1.0));
+          (6, map (fun u -> `Inside u) (float_bound_inclusive 1.0));
+          (2, map (fun u -> `Above u) (float_range 1.0 1e3));
+          (1, return `Inf);
+        ])
+  in
+  let ops_gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (frequency
+           [
+             (6, map (fun v -> `Add v) value_gen);
+             (2, map2 (fun v n -> `Add_n (v, n)) value_gen (int_range 1 5));
+             (1, map (fun l -> `Merge l) (list_size (int_range 0 12) (pair value_gen (int_range 1 3))));
+             (1, return `Copy);
+           ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (float_range (-3.0) 3.0) (float_range 0.5 9.0) (float_range 0.001 0.2) ops_gen)
+  in
+  let show (lg, span, precision, ops) =
+    Printf.sprintf "lo=1e%g hi=lo*1e%g precision=%g, %d ops" lg span precision (List.length ops)
+  in
+  QCheck.Test.make ~name:"sparse histogram = dense model, bit for bit" ~count:300
+    (QCheck.make ~print:show gen)
+    (fun (lg, span, precision, ops) ->
+      let lo = 10.0 ** lg in
+      let hi = lo *. (10.0 ** span) in
+      let value = function
+        | `Below u -> lo *. u
+        | `Inside u -> lo +. ((hi -. lo) *. u)
+        | `Above u -> hi *. u
+        | `Inf -> infinity
+      in
+      let ops =
+        List.map
+          (function
+            | `Add v -> Add (value v)
+            | `Add_n (v, n) -> Add_n (value v, n)
+            | `Merge l -> Merge (List.map (fun (v, n) -> (value v, n)) l)
+            | `Copy -> Copy)
+          ops
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (a <> a && b <> b) in
+      let agree (h, d) =
+        Stats.Histogram.count h = d.Dense_histogram.count
+        && same (Stats.Histogram.mean h) (Dense_histogram.mean d)
+        && same (Stats.Histogram.min h) d.Dense_histogram.min
+        && same (Stats.Histogram.max h) d.Dense_histogram.max
+        && List.for_all
+             (fun p -> same (Stats.Histogram.percentile h p) (Dense_histogram.percentile d p))
+             [ 0.0; 1.0; 50.0; 99.0; 99.9; 100.0 ]
+      in
+      let fresh () =
+        (Stats.Histogram.create ~lo ~hi ~precision (), Dense_histogram.create ~lo ~hi ~precision)
+      in
+      let ok = ref true in
+      let snapshots = ref [] in
+      let final =
+        List.fold_left
+          (fun (h, d) op ->
+            match op with
+            | Add v ->
+              Stats.Histogram.add h v;
+              Dense_histogram.add_n d v 1;
+              (h, d)
+            | Add_n (v, n) ->
+              Stats.Histogram.add_n h v n;
+              Dense_histogram.add_n d v n;
+              (h, d)
+            | Merge vs ->
+              let h', d' = fresh () in
+              List.iter
+                (fun (v, n) ->
+                  Stats.Histogram.add_n h' v n;
+                  Dense_histogram.add_n d' v n)
+                vs;
+              ok := !ok && agree (h', d');
+              (Stats.Histogram.merge h h', Dense_histogram.merge d d')
+            | Copy ->
+              (* Snapshot now, check it after later ops: a copy must not
+                 share counts with its source. *)
+              snapshots := (Stats.Histogram.copy h, Dense_histogram.copy d) :: !snapshots;
+              (h, d))
+          (fresh ()) ops
+      in
+      !ok && agree final && List.for_all agree !snapshots)
+
 let prop_histogram_percentile_monotone =
   QCheck.Test.make ~name:"histogram percentiles are monotone" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 200) (float_range 1.0 1e6))
@@ -910,10 +1113,18 @@ let suites =
         Alcotest.test_case "summary merge" `Quick test_summary_merge;
         Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
         Alcotest.test_case "histogram clamps outliers" `Quick test_histogram_clamps;
+        Alcotest.test_case "histogram: +inf in the top bucket" `Quick
+          test_histogram_infinity_clamps_high;
+        Alcotest.test_case "histogram rejects NaN" `Quick test_histogram_rejects_nan;
+        Alcotest.test_case "histogram create guards" `Quick test_histogram_create_guards;
         Alcotest.test_case "meter rate" `Quick test_meter_rate;
       ] );
     qsuite "engine.stats.prop"
-      [ prop_histogram_percentile_monotone; prop_histogram_percentile_within_bounds ];
+      [
+        prop_histogram_percentile_monotone;
+        prop_histogram_percentile_within_bounds;
+        prop_histogram_matches_dense;
+      ];
     ( "engine.sim",
       [
         Alcotest.test_case "delay ordering" `Quick test_sim_delay_ordering;
@@ -1223,6 +1434,54 @@ let prop_bounded_conservation =
          = Sim.Bounded.delivered q + Sim.Bounded.dropped q + Sim.Bounded.rejected q
            + Sim.Bounded.length q + Sim.Bounded.waiting_senders q)
 
+(* The callback receive against the fiber one: the same random sends
+   into a consumer written as recv + delay and as recv_callback +
+   schedule must deliver the same items at the same instants, leave the
+   same queue counters and probe notes, and run the same engine events
+   on both lanes. *)
+let prop_recv_callback_matches_fiber =
+  QCheck.Test.make ~name:"recv_callback consumer = recv fiber consumer" ~count:300
+    QCheck.(triple bool (int_range 1 4) (list (pair (int_bound 30) (int_bound 20))))
+    (fun (block, capacity, sends) ->
+      let run consumer =
+        let sim = Sim.create () in
+        let policy = if block then Sim.Bounded.Block else Sim.Bounded.Drop_tail in
+        let q = Sim.Bounded.create ~capacity ~policy () in
+        let notes = ref [] and got = ref [] in
+        Sim.Bounded.set_probe q (fun ev ~depth -> notes := (ev, depth, Sim.now sim) :: !notes);
+        let service = Array.of_list (List.map (fun (_, s) -> float_of_int s) sends) in
+        List.iteri
+          (fun i (gap, _) ->
+            Sim.schedule sim ~delay:(float_of_int (i + gap)) (fun () ->
+                Sim.spawn sim (fun () -> ignore (Sim.Bounded.send q i))))
+          sends;
+        let take i = got := (Sim.now sim, i) :: !got in
+        consumer sim q take service;
+        Sim.run sim;
+        ( List.rev !got,
+          List.rev !notes,
+          Sim.Bounded.(sent q, delivered q, dropped q, waiting_senders q),
+          Sim.stats sim )
+      in
+      let fiber sim q take service =
+        Sim.spawn sim (fun () ->
+            let rec loop () =
+              let i = Sim.Bounded.recv q in
+              take i;
+              Sim.delay service.(i);
+              loop ()
+            in
+            loop ())
+      in
+      let callback sim q take service =
+        let rec serve i =
+          take i;
+          Sim.schedule sim ~delay:service.(i) (fun () -> Sim.Bounded.recv_callback sim q serve)
+        in
+        Sim.schedule sim ~delay:0.0 (fun () -> Sim.Bounded.recv_callback sim q serve)
+      in
+      run fiber = run callback)
+
 let test_resource_fifo_no_barging () =
   let sim = Sim.create () in
   let r = Sim.Resource.create ~capacity:1 in
@@ -1332,7 +1591,7 @@ let overload_suites =
         Alcotest.test_case "drop-head" `Quick test_bounded_drop_head;
         Alcotest.test_case "reject" `Quick test_bounded_reject;
       ] );
-    qsuite "engine.bounded.prop" [ prop_bounded_conservation ];
+    qsuite "engine.bounded.prop" [ prop_bounded_conservation; prop_recv_callback_matches_fiber ];
     ( "engine.resource",
       [
         Alcotest.test_case "FIFO, no barging" `Quick test_resource_fifo_no_barging;

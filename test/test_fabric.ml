@@ -308,6 +308,75 @@ let test_testbed_onhost_unchanged () =
   check_bool "bm_pair tcp_rr identical with a topology attached" true
     (rr None = rr (Some (Topology.two_host ())))
 
+(* ------------------------------------------------------------------ *)
+(* Golden trajectory *)
+
+(* A contended 8-host leaf-spine (queues of 4, spine links slower than
+   host links, half the traffic to host 0) under four paced senders,
+   with one spine uplink failing mid-run and coming back: every burst's
+   fate and time, the engine's event counts, each link's stats and its
+   depth metric, printed with %h so any moved event shows. Regenerated
+   by printing [golden_fabric ()] — update only on an intentional
+   fabric-model change. *)
+let golden_fabric () =
+  let sim = Sim.create () in
+  let metrics = Metrics.create () in
+  let obs = Obs.of_sim ~metrics sim in
+  let rng = Rng.create ~seed:2020 in
+  let topo =
+    Topology.clos ~hosts:8 ~tors:4 ~spines:2 ~host_gbit_s:25.0 ~spine_gbit_s:10.0
+      ~queue_capacity:4 ()
+  in
+  let fab = Fabric.create ~obs sim (Rng.split rng) topo in
+  let out = Buffer.create 4096 in
+  Buffer.add_string out "bursts";
+  let logged = ref 0 in
+  let log tag (p : Packet.t) =
+    Printf.bprintf out "%s%d%s%h" (if !logged mod 6 = 0 then "\n " else " ") p.Packet.id tag
+      (Sim.now sim);
+    incr logged
+  in
+  Sim.schedule sim ~delay:20_000.0 (fun () -> Fabric.fail_link fab ~name:"tor1->spine0");
+  Sim.schedule sim ~delay:60_000.0 (fun () -> Fabric.repair_link fab ~name:"tor1->spine0");
+  for s = 0 to 3 do
+    let rng = Rng.split rng in
+    Sim.spawn sim (fun () ->
+        for i = 1 to 48 do
+          let src_host = 1 + Rng.int rng 7 in
+          let dst_host = if Rng.bool rng then 0 else (src_host + 1 + Rng.int rng 6) mod 8 in
+          let count = 1 + Rng.int rng 3 in
+          Fabric.send fab ~src_host ~dst_host ~on_drop:(log "!") ~deliver:(log "@")
+            (mk_pkt ~count
+               ~size:(64 * count * (1 + Rng.int rng 23))
+               ~tag:(Rng.int rng 4) ~src:(100 * s) ~dst:(100 * s + dst_host)
+               ((1000 * s) + i));
+          Sim.delay (Rng.float rng 2_000.0)
+        done)
+  done;
+  Sim.run sim;
+  let st = Sim.stats sim in
+  Printf.bprintf out "\nend %h injected %d delivered %d dropped %d events %d lane %d heap %d\n"
+    (Sim.now sim) (Fabric.injected fab) (Fabric.delivered fab) (Fabric.dropped fab)
+    st.Sim.executed st.Sim.lane st.Sim.heap;
+  List.iter
+    (fun (l : Fabric.link_stat) ->
+      Printf.bprintf out "%s util %h p99 %h bursts %d/%d/%d pkts %d/%d queued %d" l.name
+        l.utilization l.depth_p99 l.sent_bursts l.delivered_bursts l.dropped_bursts
+        l.delivered_pkts l.dropped_pkts l.queued;
+      (match Metrics.histogram metrics ("fabric.link." ^ l.name ^ ".depth") with
+      | Some h ->
+        Printf.bprintf out " depth n %d mean %h p50 %h p99.9 %h max %h"
+          (Stats.Histogram.count h) (Stats.Histogram.mean h)
+          (Stats.Histogram.percentile h 50.0) (Stats.Histogram.percentile h 99.9)
+          (Stats.Histogram.max h)
+      | None -> ());
+      Buffer.add_char out '\n')
+    (Fabric.link_stats fab ~now:(Sim.now sim));
+  Buffer.contents out
+
+let test_golden_fabric () =
+  Alcotest.(check string) "golden fabric trajectory" Golden_fabric.seed2020 (golden_fabric ())
+
 let suites =
   [
     ( "fabric.topology",
@@ -325,6 +394,7 @@ let suites =
         Alcotest.test_case "drop-tail accounting" `Quick test_drop_tail_accounting;
         Alcotest.test_case "metrics + trace" `Quick test_fabric_metrics_and_trace;
         Alcotest.test_case "testbed on-host unchanged" `Quick test_testbed_onhost_unchanged;
+        Alcotest.test_case "golden trajectory" `Quick test_golden_fabric;
       ] );
     ( "fabric.prop",
       List.map QCheck_alcotest.to_alcotest
