@@ -330,6 +330,28 @@ let retry_stranded t =
       (g.req.name, result))
     (stranded_guests t)
 
+(* Smallest guest first: many cheap moves beat one big one. *)
+let by_size a b =
+  match compare a.req.vcpus b.req.vcpus with 0 -> compare a.req.name b.req.name | c -> c
+
+let rec insert_by_size g = function
+  | h :: rest when by_size h g < 0 -> h :: insert_by_size g rest
+  | gs -> g :: gs
+
+(* The placed guests of every host, smallest first. *)
+let guests_by_host t =
+  let index = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun _ g ->
+      match g.placement with
+      | Some p ->
+        let s = p.Control_plane.server in
+        Hashtbl.replace index s (g :: Option.value ~default:[] (Hashtbl.find_opt index s))
+      | None -> ())
+    t.guests;
+  Hashtbl.filter_map_inplace (fun _ gs -> Some (List.sort by_size gs)) index;
+  index
+
 let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
   let ids = Control_plane.server_ids t.cp in
   let util id = Control_plane.server_utilization t.cp id in
@@ -339,27 +361,23 @@ let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
     | ids -> List.fold_left (fun acc id -> acc +. util id) 0.0 ids /. float_of_int (List.length ids)
   in
   let ceiling = mean +. band in
+  (* The candidate index is built on the first donor above the band, so
+     a balanced fleet pays nothing, and then kept current as guests
+     leave and land instead of being rebuilt per move. *)
+  let index = lazy (guests_by_host t) in
+  let on host = Option.value ~default:[] (Hashtbl.find_opt (Lazy.force index) host) in
+  let land_on (p : Control_plane.placement) g =
+    Hashtbl.replace (Lazy.force index) p.server (insert_by_size g (on p.server))
+  in
   let moves = ref [] and budget = ref max_moves in
   List.iter
     (fun donor ->
       let continue_ = ref true in
       while !continue_ && !budget > 0 && util donor > ceiling do
-        (* Smallest guest first: many cheap moves beat one big one. *)
-        let candidates =
-          Hashtbl.fold
-            (fun _ g acc ->
-              match g.placement with
-              | Some p when p.Control_plane.server = donor -> g :: acc
-              | Some _ | None -> acc)
-            t.guests []
-          |> List.sort (fun a b ->
-                 match compare a.req.vcpus b.req.vcpus with
-                 | 0 -> compare a.req.name b.req.name
-                 | c -> c)
-        in
-        match candidates with
+        match on donor with
         | [] -> continue_ := false
-        | g :: _ -> (
+        | g :: rest -> (
+          Hashtbl.replace (Lazy.force index) donor rest;
           let p = Option.get g.placement in
           group_remove t g.req.group p.Control_plane.server;
           vf_revoke t g p.Control_plane.server;
@@ -375,6 +393,7 @@ let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
             set_placement t g (Some p');
             group_add t g.req.group p'.Control_plane.server;
             vf_grant t g p'.Control_plane.server;
+            land_on p' g;
             Metrics.incr_opt t.metrics "cloud.sched.moves";
             moves := (g.req.name, donor, p'.Control_plane.server) :: !moves;
             decr budget
@@ -382,7 +401,7 @@ let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
             (* Nowhere better — put it back where it was and stop
                draining this donor. *)
             (match replace_guest t g ~first:(Some p.Control_plane.substrate) with
-            | Ok _ -> ()
+            | Ok p'' -> land_on p'' g
             | Error _ -> Metrics.incr_opt t.metrics "cloud.sched.stranded");
             continue_ := false)
       done)

@@ -346,12 +346,31 @@ module Bounded = struct
 
   type probe_event = [ `Enqueue | `Deliver | `Drop | `Reject ]
 
+  (* The callback slot: [Free]; [Parked] holds a lone recv_callback
+     receiver; [Handoff] holds it and the item a send handed it until
+     the queue's [wake] event runs. *)
+  type slot = Free | Parked | Handoff
+
   type 'a bounded = {
     capacity : int;
     policy : policy;
-    items : 'a Queue.t;
+    (* Queued items: a growable power-of-two ring, [len] of them from
+       [head]. Items are stored as [Obj.t], as in {!Pqueue}: vacated
+       cells are nulled with a shared immediate, so a taken item is
+       never retained, and an ['a = float] queue cannot flip the array
+       to the flat float representation. *)
+    mutable ring : Obj.t array;
+    mutable head : int;
+    mutable len : int;
+    (* Parked fiber receivers, and callback receivers that found the
+       slot taken; all of them parked after the slot's receiver. *)
     receivers : ('a -> unit) Queue.t;
-    (* Senders parked under [Block]; their value is not yet in [items]. *)
+    mutable slot : slot;
+    mutable slot_fn : 'a -> unit;
+    mutable slot_item : Obj.t;
+    mutable slot_sim : t;
+    wake : unit -> unit;  (* built once: runs the slot's handoff *)
+    (* Senders parked under [Block]; their value is not yet queued. *)
     parked : ('a * (unit -> unit)) Queue.t;
     mutable sent : int;
     mutable delivered : int;
@@ -360,24 +379,45 @@ module Bounded = struct
     mutable probe : (probe_event -> depth:int -> unit) option;
   }
 
+  let nil = Obj.repr ()
+
+  (* Clear the slot before calling its receiver, so the receiver can
+     park again at once. *)
+  let wake_slot q =
+    let f = q.slot_fn and v = q.slot_item in
+    q.slot <- Free;
+    q.slot_fn <- ignore;
+    q.slot_item <- nil;
+    f (Obj.obj v)
+
   let create ~capacity ~policy () =
     if capacity <= 0 then invalid_arg "Sim.Bounded.create: capacity must be positive";
-    {
-      capacity;
-      policy;
-      items = Queue.create ();
-      receivers = Queue.create ();
-      parked = Queue.create ();
-      sent = 0;
-      delivered = 0;
-      rejected = 0;
-      dropped = 0;
-      probe = None;
-    }
+    let rec q =
+      {
+        capacity;
+        policy;
+        ring = [||];
+        head = 0;
+        len = 0;
+        receivers = Queue.create ();
+        slot = Free;
+        slot_fn = ignore;
+        slot_item = nil;
+        slot_sim = idle;
+        wake = (fun () -> wake_slot q);
+        parked = Queue.create ();
+        sent = 0;
+        delivered = 0;
+        rejected = 0;
+        dropped = 0;
+        probe = None;
+      }
+    in
+    q
 
   let capacity q = q.capacity
   let policy q = q.policy
-  let length q = Queue.length q.items
+  let length q = q.len
   let sent q = q.sent
   let delivered q = q.delivered
   let dropped q = q.dropped
@@ -385,11 +425,32 @@ module Bounded = struct
   let waiting_senders q = Queue.length q.parked
   let set_probe q f = q.probe <- Some f
 
-  let note q ev =
-    match q.probe with None -> () | Some f -> f ev ~depth:(Queue.length q.items)
+  let note q ev = match q.probe with None -> () | Some f -> f ev ~depth:q.len
+
+  let grow q =
+    let cap = Array.length q.ring in
+    let ring' = Array.make (max 2 (2 * cap)) nil in
+    for k = 0 to q.len - 1 do
+      ring'.(k) <- q.ring.((q.head + k) land (cap - 1))
+    done;
+    q.ring <- ring';
+    q.head <- 0
+
+  let push q v =
+    if q.len = Array.length q.ring then grow q;
+    q.ring.((q.head + q.len) land (Array.length q.ring - 1)) <- Obj.repr v;
+    q.len <- q.len + 1
+
+  let pop q =
+    let i = q.head in
+    let v = q.ring.(i) in
+    q.ring.(i) <- nil;
+    q.head <- (i + 1) land (Array.length q.ring - 1);
+    q.len <- q.len - 1;
+    Obj.obj v
 
   let enqueue q v =
-    Queue.add v q.items;
+    push q v;
     note q `Enqueue
 
   let note_delivered q =
@@ -398,74 +459,87 @@ module Bounded = struct
 
   let send q v =
     q.sent <- q.sent + 1;
-    match Queue.take_opt q.receivers with
-    | Some resume ->
+    if q.slot = Parked then begin
+      (* Direct handoff to the oldest receiver, the slot's: one
+         zero-delay event, the one a parked fiber's resume takes. *)
+      note_delivered q;
+      q.slot <- Handoff;
+      q.slot_item <- Obj.repr v;
+      schedule q.slot_sim ~delay:0.0 q.wake;
+      `Sent
+    end
+    else if not (Queue.is_empty q.receivers) then begin
       (* Direct handoff: a receiver is parked, so the queue is empty. *)
+      let resume = Queue.take q.receivers in
       note_delivered q;
       resume v;
       `Sent
-    | None ->
-      if Queue.length q.items < q.capacity then begin
+    end
+    else if q.len < q.capacity then begin
+      enqueue q v;
+      `Sent
+    end
+    else begin
+      match q.policy with
+      | Block ->
+        (* Backpressure: park until a receiver makes room. The
+           transfer (enqueue) happens on the receiver side so FIFO
+           order is preserved. *)
+        suspend (fun resume -> Queue.add (v, fun () -> resume ()) q.parked);
+        `Sent
+      | Drop_tail ->
+        q.dropped <- q.dropped + 1;
+        note q `Drop;
+        `Dropped
+      | Drop_head ->
+        (* Evict the oldest queued item to make room for the newest. *)
+        ignore (pop q);
+        q.dropped <- q.dropped + 1;
+        note q `Drop;
         enqueue q v;
         `Sent
-      end
-      else begin
-        match q.policy with
-        | Block ->
-          (* Backpressure: park until a receiver frees a slot. The slot
-             transfer (enqueue) happens on the receiver side so FIFO
-             order is preserved. *)
-          suspend (fun resume -> Queue.add (v, fun () -> resume ()) q.parked);
-          `Sent
-        | Drop_tail ->
-          q.dropped <- q.dropped + 1;
-          note q `Drop;
-          `Dropped
-        | Drop_head ->
-          (* Evict the oldest queued item to make room for the newest. *)
-          ignore (Queue.take_opt q.items);
-          q.dropped <- q.dropped + 1;
-          note q `Drop;
-          enqueue q v;
-          `Sent
-        | Reject ->
-          q.rejected <- q.rejected + 1;
-          note q `Reject;
-          `Rejected
-      end
+      | Reject ->
+        q.rejected <- q.rejected + 1;
+        note q `Reject;
+        `Rejected
+    end
 
-  (* After a slot frees, move the oldest parked sender's item in and wake it. *)
+  (* After room frees, move the oldest parked sender's item in and wake it. *)
   let unpark q =
-    match Queue.take_opt q.parked with
-    | Some (v, wake) ->
+    if not (Queue.is_empty q.parked) then begin
+      let v, wake = Queue.take q.parked in
       enqueue q v;
       wake ()
-    | None -> ()
+    end
 
   (* Take the head item, then let the oldest parked sender into the
-     freed slot. *)
+     room it freed. *)
   let take q =
-    let v = Queue.take q.items in
+    let v = pop q in
     note_delivered q;
     unpark q;
     v
 
-  (* An empty [items] implies no parked senders (capacity > 0), so a
-     receiver that finds it empty parks in [receivers] for [send]'s
-     direct handoff. *)
+  (* An empty ring implies no parked senders (capacity > 0), so a
+     receiver that finds it empty parks for [send]'s direct handoff. *)
   let recv q =
-    if Queue.is_empty q.items then suspend (fun resume -> Queue.add resume q.receivers)
-    else take q
+    if q.len = 0 then suspend (fun resume -> Queue.add resume q.receivers) else take q
 
-  let try_recv q = if Queue.is_empty q.items then None else Some (take q)
+  let try_recv q = if q.len = 0 then None else Some (take q)
 
-  (* A parked callback gets the slot a parked fiber's resume takes: one
-     zero-delay event at the sender's instant, so the two forms run on
-     the same (time, seq) keys. *)
+  (* A lone parked callback waits in the slot, which allocates nothing;
+     it is only taken when no receiver is parked and no handoff is
+     pending, so receivers are still served in the order they parked.
+     Otherwise the callback queues like a fiber's resume, with the same
+     zero-delay event at the sender's instant. *)
   let recv_callback t q f =
-    if Queue.is_empty q.items then
-      Queue.add (fun v -> schedule t ~delay:0.0 (fun () -> f v)) q.receivers
-    else f (take q)
+    if q.len > 0 then f (take q)
+    else if q.slot = Free && Queue.is_empty q.receivers then begin
+      q.slot <- Parked;
+      q.slot_fn <- f;
+      if q.slot_sim != t then q.slot_sim <- t
+    end
+    else Queue.add (fun v -> schedule t ~delay:0.0 (fun () -> f v)) q.receivers
 end
 
 module Resource = struct

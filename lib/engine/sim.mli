@@ -214,7 +214,10 @@ module Bounded : sig
       event a parked fiber's resume would take — so a callback server
       runs on the same [(time, seq)] keys as the equivalent
       [recv]-and-{!delay} fiber. It never blocks, so it is safe from
-      callbacks and processes alike. *)
+      callbacks and processes alike. A callback that parks while no
+      other receiver is parked and no handoff is pending waits in the
+      queue's own slot, so parking and the handoff allocate nothing;
+      receivers are served in the order they parked either way. *)
 
   val capacity : 'a bounded -> int
   val policy : 'a bounded -> policy

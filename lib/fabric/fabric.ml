@@ -2,16 +2,25 @@ module Topology = Topology
 open Bm_engine
 module Packet = Bm_virtio.Packet
 
-(* A burst in flight: the links it still has to cross after the one it
-   is queued on, and the continuations to fire at the far end. *)
+(* A burst in flight carries its route rather than a list of links:
+   endpoints, ToRs, ECMP spine ([-1] when both hosts share a ToR) and
+   the index of the hop it is queued on or crossing. *)
 type job = {
   pkt : Packet.t;
-  mutable rest : link list;
+  src_host : int;
+  dst_host : int;
+  src_tor : int;
+  dst_tor : int;
+  spine : int;
+  mutable hop : int;
   deliver : Packet.t -> unit;
   on_drop : (Packet.t -> unit) option;
 }
 
-and link = {
+(* One float field: stored flat, so adding to it never allocates. *)
+type busy = { mutable ns : float }
+
+type link = {
   name : string;
   params : Topology.link_params;
   queue : job Sim.Bounded.bounded;
@@ -21,10 +30,21 @@ and link = {
   m_depth : string;
   m_bytes : string;
   mutable up : bool;  (* a down link drops everything offered to it *)
-  mutable busy_ns : float;  (* time spent serializing bursts *)
+  busy : busy;  (* time spent serializing bursts *)
   mutable delivered_pkts : int;
   mutable dropped_pkts : int;
   mutable delivered_bytes : int;
+  (* The burst being serialized, and the bursts propagating: a FIFO,
+     since one latency per link makes bursts arrive in send order.
+     Vacated cells hold [idle_job], so nothing that left is retained. *)
+  mutable wire : job;
+  mutable flight : job array;
+  mutable flight_head : int;
+  mutable flight_len : int;
+  (* The server's three callbacks, built once by [create]. *)
+  mutable on_recv : job -> unit;
+  mutable on_wire_done : unit -> unit;
+  mutable on_arrival : unit -> unit;
 }
 
 type t = {
@@ -43,6 +63,19 @@ type t = {
   obs : Obs.t;
 }
 
+let idle_job =
+  {
+    pkt = Packet.make ~id:0 ~src:0 ~dst:0 ~size:1 ~protocol:Packet.Udp ~sent_at:0.0 ();
+    src_host = 0;
+    dst_host = 0;
+    src_tor = 0;
+    dst_tor = 0;
+    spine = -1;
+    hop = 0;
+    deliver = ignore;
+    on_drop = None;
+  }
+
 let topology t = t.topo
 let injected t = t.injected
 let delivered t = t.delivered
@@ -56,14 +89,50 @@ let all_links t =
 
 let serialize_ns (p : Topology.link_params) bytes = float_of_int bytes *. 8.0 /. p.gbit_s
 
+(* The link a job crosses at [hop]: the uplink, then (cross-ToR) the
+   ToR's and the spine's links, then the destination's downlink. *)
+let hop_link t job hop =
+  match hop with
+  | 0 -> t.host_up.(job.src_host)
+  | 1 when job.spine >= 0 -> t.tor_up.(job.src_tor).(job.spine)
+  | 2 -> t.spine_down.(job.spine).(job.dst_tor)
+  | _ -> t.host_down.(job.dst_host)
+
+let last_hop job = if job.spine < 0 then 1 else 3
+
+let flight_push link job =
+  let cap = Array.length link.flight in
+  if link.flight_len = cap then begin
+    let flight' = Array.make (max 2 (2 * cap)) idle_job in
+    for k = 0 to link.flight_len - 1 do
+      flight'.(k) <- link.flight.((link.flight_head + k) land (cap - 1))
+    done;
+    link.flight <- flight';
+    link.flight_head <- 0
+  end;
+  link.flight.((link.flight_head + link.flight_len) land (Array.length link.flight - 1)) <- job;
+  link.flight_len <- link.flight_len + 1
+
+let flight_pop link =
+  let i = link.flight_head in
+  let job = link.flight.(i) in
+  link.flight.(i) <- idle_job;
+  link.flight_head <- (i + 1) land (Array.length link.flight - 1);
+  link.flight_len <- link.flight_len - 1;
+  job
+
+(* Observation arguments (clock reads, float conversions) are built
+   only when a sink is installed. *)
 let drop_at fab link job =
-  let m = Obs.metrics fab.obs in
-  link.dropped_pkts <- link.dropped_pkts + job.pkt.count;
-  fab.dropped <- fab.dropped + job.pkt.count;
-  Metrics.incr_opt m link.m_dropped;
-  Metrics.incr_opt m ~by:(float_of_int job.pkt.count) "fabric.dropped";
-  Trace.instant_opt (Obs.trace fab.obs) ~track:link.track "drop"
-    ~now:(Obs.now fab.obs);
+  let count = job.pkt.count in
+  link.dropped_pkts <- link.dropped_pkts + count;
+  fab.dropped <- fab.dropped + count;
+  if Obs.enabled fab.obs then begin
+    let m = Obs.metrics fab.obs in
+    Metrics.incr_opt m link.m_dropped;
+    Metrics.incr_opt m ~by:(float_of_int count) "fabric.dropped";
+    Trace.instant_opt (Obs.trace fab.obs) ~track:link.track "drop" ~now:(Obs.now fab.obs)
+  end;
   match job.on_drop with None -> () | Some f -> f job.pkt
 
 (* Hand a job to a link's egress queue. Drop_tail send never blocks, so
@@ -75,45 +144,54 @@ let offer fab link job =
   else
     match Sim.Bounded.send link.queue job with
     | `Sent ->
-      let m = Obs.metrics fab.obs in
       let d = float_of_int (Sim.Bounded.length link.queue) in
       Stats.Histogram.add link.depth d;
-      Metrics.observe_opt m ~lo:1.0 ~hi:1e4 link.m_depth d;
-      Trace.counter_opt (Obs.trace fab.obs) ~track:link.track "depth"
-        ~now:(Obs.now fab.obs) d
+      if Obs.enabled fab.obs then begin
+        Metrics.observe_opt (Obs.metrics fab.obs) ~lo:1.0 ~hi:1e4 link.m_depth d;
+        Trace.counter_opt (Obs.trace fab.obs) ~track:link.track "depth" ~now:(Obs.now fab.obs) d
+      end
     | `Dropped -> drop_at fab link job
     | `Rejected -> assert false (* Drop_tail never rejects *)
 
 let arrive fab job =
-  match job.rest with
-  | [] ->
+  if job.hop = last_hop job then begin
     fab.delivered <- fab.delivered + job.pkt.count;
-    Metrics.incr_opt (Obs.metrics fab.obs) ~by:(float_of_int job.pkt.count)
-      "fabric.delivered";
+    if Obs.enabled fab.obs then
+      Metrics.incr_opt (Obs.metrics fab.obs) ~by:(float_of_int job.pkt.count) "fabric.delivered";
     job.deliver job.pkt
-  | next :: rest ->
-    job.rest <- rest;
-    offer fab next job
+  end
+  else begin
+    job.hop <- job.hop + 1;
+    offer fab (hop_link fab job job.hop) job
+  end
 
-(* Each link is a server made of callbacks: take the head burst, hold
-   the line for its serialization time, then let propagation run
-   concurrently with the next burst's serialization (store-and-forward
-   pipelining). The chain recv -> wire -> (propagate, recv) schedules
-   the events a recv-and-delay fiber would, on the same (time, seq)
-   keys, without an effect round trip per hop. [sent] recomputes the
-   wire time rather than capture it: a float in a closure is boxed. *)
-let drain_link fab link =
-  let rec serve job =
-    Sim.schedule fab.sim ~delay:(serialize_ns link.params job.pkt.size) (fun () -> sent job)
-  and sent job =
-    link.busy_ns <- link.busy_ns +. serialize_ns link.params job.pkt.size;
-    link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
-    link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
-    Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size link.m_bytes ~now:(Sim.now fab.sim);
-    Sim.schedule fab.sim ~delay:link.params.latency_ns (fun () -> arrive fab job);
-    Sim.Bounded.recv_callback fab.sim link.queue serve
-  in
-  Sim.schedule fab.sim ~delay:0.0 (fun () -> Sim.Bounded.recv_callback fab.sim link.queue serve)
+(* Each link is a server made of three callbacks, built once: receive
+   the head burst and hold the line for its serialization time; when
+   the wire is done, let propagation run concurrently with the next
+   burst's serialization (store-and-forward pipelining); on arrival,
+   forward the oldest propagating burst. The chain schedules the events
+   a recv-and-delay fiber would, on the same (time, seq) keys, and a
+   hop allocates no closure: the burst waits in the link's own fields. *)
+let start_link fab link =
+  let sim = fab.sim in
+  link.on_recv <-
+    (fun job ->
+      link.wire <- job;
+      Sim.schedule sim ~delay:(serialize_ns link.params job.pkt.size) link.on_wire_done);
+  link.on_wire_done <-
+    (fun () ->
+      let job = link.wire in
+      link.wire <- idle_job;
+      link.busy.ns <- link.busy.ns +. serialize_ns link.params job.pkt.size;
+      link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
+      link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
+      if Obs.enabled fab.obs then
+        Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size link.m_bytes ~now:(Sim.now sim);
+      flight_push link job;
+      Sim.schedule sim ~delay:link.params.latency_ns link.on_arrival;
+      Sim.Bounded.recv_callback sim link.queue link.on_recv);
+  link.on_arrival <- (fun () -> arrive fab (flight_pop link));
+  Sim.schedule sim ~delay:0.0 (fun () -> Sim.Bounded.recv_callback sim link.queue link.on_recv)
 
 let mk_link name params =
   {
@@ -128,10 +206,17 @@ let mk_link name params =
     m_depth = "fabric.link." ^ name ^ ".depth";
     m_bytes = "fabric.link." ^ name ^ ".bytes";
     up = true;
-    busy_ns = 0.0;
+    busy = { ns = 0.0 };
     delivered_pkts = 0;
     dropped_pkts = 0;
     delivered_bytes = 0;
+    wire = idle_job;
+    flight = [||];
+    flight_head = 0;
+    flight_len = 0;
+    on_recv = ignore;
+    on_wire_done = ignore;
+    on_arrival = ignore;
   }
 
 let create ?(obs = Obs.none) sim rng (topo : Topology.t) =
@@ -174,7 +259,7 @@ let create ?(obs = Obs.none) sim rng (topo : Topology.t) =
       obs;
     }
   in
-  List.iter (drain_link t) (all_links t);
+  List.iter (start_link t) (all_links t);
   t
 
 (* --- link failure and repair --------------------------------------- *)
@@ -213,57 +298,50 @@ let attach t =
 (* SplitMix64 finalizer, applied as a hash: equal flow tuples map to
    equal spines for a given salt, so a flow never reorders across
    paths while distinct flows spread over the spine tier. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let protocol_int = function Packet.Udp -> 0 | Packet.Tcp -> 1 | Packet.Icmp -> 2
 
+(* Feeds src, dst, protocol and tag through [mix64] in one straight-line
+   body, so no Int64 intermediate is boxed. *)
 let ecmp_spine t (pkt : Packet.t) =
-  let h = ref t.seed in
-  let feed v = h := mix64 (Int64.add !h (Int64.of_int v)) in
-  feed pkt.src;
-  feed pkt.dst;
-  feed (protocol_int pkt.protocol);
-  feed pkt.tag;
-  Int64.to_int (Int64.rem (Int64.logand !h Int64.max_int) (Int64.of_int t.topo.spines))
+  let h = mix64 (Int64.add t.seed (Int64.of_int pkt.src)) in
+  let h = mix64 (Int64.add h (Int64.of_int pkt.dst)) in
+  let h = mix64 (Int64.add h (Int64.of_int (protocol_int pkt.protocol))) in
+  let h = mix64 (Int64.add h (Int64.of_int pkt.tag)) in
+  Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int t.topo.spines))
 
 let check_host t what h =
   if h < 0 || h >= t.topo.hosts then
     invalid_arg (Printf.sprintf "Fabric: %s host %d out of range [0, %d)" what h t.topo.hosts)
 
-let path t ~src_host ~dst_host pkt =
+let route t ~src_host ~dst_host ?on_drop ~deliver pkt =
   check_host t "source" src_host;
   check_host t "destination" dst_host;
-  let ts = Topology.tor_of t.topo ~host:src_host
-  and td = Topology.tor_of t.topo ~host:dst_host in
-  if ts = td then [ t.host_up.(src_host); t.host_down.(dst_host) ]
-  else begin
-    let spine = ecmp_spine t pkt in
-    [
-      t.host_up.(src_host);
-      t.tor_up.(ts).(spine);
-      t.spine_down.(spine).(td);
-      t.host_down.(dst_host);
-    ]
-  end
+  let src_tor = Topology.tor_of t.topo ~host:src_host
+  and dst_tor = Topology.tor_of t.topo ~host:dst_host in
+  let spine = if src_tor = dst_tor then -1 else ecmp_spine t pkt in
+  { pkt; src_host; dst_host; src_tor; dst_tor; spine; hop = 0; deliver; on_drop }
 
 let path_names t ~src_host ~dst_host pkt =
-  List.map (fun l -> l.name) (path t ~src_host ~dst_host pkt)
+  let job = route t ~src_host ~dst_host ~deliver:ignore pkt in
+  List.init (last_hop job + 1) (fun hop -> (hop_link t job hop).name)
 
 let send t ~src_host ~dst_host ?on_drop ~deliver (pkt : Packet.t) =
   if src_host = dst_host then begin
     check_host t "source" src_host;
     deliver pkt
   end
-  else
-    match path t ~src_host ~dst_host pkt with
-    | [] -> assert false
-    | first :: rest ->
-      t.injected <- t.injected + pkt.count;
+  else begin
+    let job = route t ~src_host ~dst_host ?on_drop ~deliver pkt in
+    t.injected <- t.injected + pkt.count;
+    if Obs.enabled t.obs then
       Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.count) "fabric.injected";
-      offer t first { pkt; rest; deliver; on_drop }
+    offer t (hop_link t job 0) job
+  end
 
 let path_latency_ns t ~src_host ~dst_host ~bytes =
   check_host t "source" src_host;
@@ -305,7 +383,7 @@ let link_stat ~elapsed (l : link) =
   {
     name = l.name;
     gbit_s = l.params.gbit_s;
-    utilization = (if elapsed > 0.0 then l.busy_ns /. elapsed else 0.0);
+    utilization = (if elapsed > 0.0 then l.busy.ns /. elapsed else 0.0);
     depth_p99 =
       (if Stats.Histogram.count l.depth > 0 then Stats.Histogram.percentile l.depth 99.0
        else 0.0);
@@ -339,7 +417,7 @@ let absorb t ~from =
   t.dropped <- t.dropped + from.dropped;
   List.iter2
     (fun (a : link) (b : link) ->
-      a.busy_ns <- a.busy_ns +. b.busy_ns;
+      a.busy.ns <- a.busy.ns +. b.busy.ns;
       a.delivered_pkts <- a.delivered_pkts + b.delivered_pkts;
       a.dropped_pkts <- a.dropped_pkts + b.dropped_pkts;
       a.delivered_bytes <- a.delivered_bytes + b.delivered_bytes)

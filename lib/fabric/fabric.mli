@@ -23,10 +23,10 @@ type t
 
 val create : ?obs:Bm_engine.Obs.t -> Bm_engine.Sim.t -> Bm_engine.Rng.t -> Topology.t -> t
 (** Build the link graph and start one server per link: a chain of
-    scheduler callbacks (receive, serialize, propagate) started by one
-    zero-delay event, not a fiber. The RNG seeds the ECMP hash (one
-    draw; the generator is not retained). With [obs], each link records
-    its queue depth (histogram
+    scheduler callbacks (receive, serialize, propagate), built once per
+    link and started by one zero-delay event, not a fiber. The RNG
+    seeds the ECMP hash (one draw; the generator is not retained).
+    With [obs], each link records its queue depth (histogram
     ["fabric.link.<name>.depth"] and a trace counter on track
     ["fabric.<name>"]), delivered bytes (meter
     ["fabric.link.<name>.bytes"]) and drops (counter

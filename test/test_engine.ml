@@ -1482,6 +1482,280 @@ let prop_recv_callback_matches_fiber =
       in
       run fiber = run callback)
 
+(* The Queue-based bounded queue the ring replaced, kept as the model:
+   items and receivers in [Queue.t]s, and every parked callback wrapped
+   in a closure that schedules it at the sender's instant. *)
+module Queue_bounded = struct
+  type 'a bounded = {
+    capacity : int;
+    policy : Sim.Bounded.policy;
+    items : 'a Queue.t;
+    receivers : ('a -> unit) Queue.t;
+    parked : ('a * (unit -> unit)) Queue.t;
+    mutable sent : int;
+    mutable delivered : int;
+    mutable dropped : int;
+    mutable rejected : int;
+    mutable probe : (Sim.Bounded.probe_event -> depth:int -> unit) option;
+  }
+
+  let create ~capacity ~policy () =
+    {
+      capacity;
+      policy;
+      items = Queue.create ();
+      receivers = Queue.create ();
+      parked = Queue.create ();
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      rejected = 0;
+      probe = None;
+    }
+
+  let length q = Queue.length q.items
+  let sent q = q.sent
+  let delivered q = q.delivered
+  let dropped q = q.dropped
+  let rejected q = q.rejected
+  let waiting_senders q = Queue.length q.parked
+  let set_probe q f = q.probe <- Some f
+  let note q ev = match q.probe with None -> () | Some f -> f ev ~depth:(Queue.length q.items)
+
+  let enqueue q v =
+    Queue.add v q.items;
+    note q `Enqueue
+
+  let note_delivered q =
+    q.delivered <- q.delivered + 1;
+    note q `Deliver
+
+  let send q v =
+    q.sent <- q.sent + 1;
+    match Queue.take_opt q.receivers with
+    | Some resume ->
+      note_delivered q;
+      resume v;
+      `Sent
+    | None ->
+      if Queue.length q.items < q.capacity then begin
+        enqueue q v;
+        `Sent
+      end
+      else begin
+        match q.policy with
+        | Sim.Bounded.Block ->
+          Sim.suspend (fun resume -> Queue.add (v, fun () -> resume ()) q.parked);
+          `Sent
+        | Sim.Bounded.Drop_tail ->
+          q.dropped <- q.dropped + 1;
+          note q `Drop;
+          `Dropped
+        | Sim.Bounded.Drop_head ->
+          ignore (Queue.take_opt q.items);
+          q.dropped <- q.dropped + 1;
+          note q `Drop;
+          enqueue q v;
+          `Sent
+        | Sim.Bounded.Reject ->
+          q.rejected <- q.rejected + 1;
+          note q `Reject;
+          `Rejected
+      end
+
+  let take q =
+    let v = Queue.take q.items in
+    note_delivered q;
+    (match Queue.take_opt q.parked with
+    | Some (v, wake) ->
+      enqueue q v;
+      wake ()
+    | None -> ());
+    v
+
+  let recv q =
+    if Queue.is_empty q.items then Sim.suspend (fun resume -> Queue.add resume q.receivers)
+    else take q
+
+  let try_recv q = if Queue.is_empty q.items then None else Some (take q)
+
+  let recv_callback t q f =
+    if Queue.is_empty q.items then
+      Queue.add (fun v -> Sim.schedule t ~delay:0.0 (fun () -> f v)) q.receivers
+    else f (take q)
+end
+
+module type BOUNDED = sig
+  type 'a bounded
+
+  val create : capacity:int -> policy:Sim.Bounded.policy -> unit -> 'a bounded
+  val send : 'a bounded -> 'a -> [ `Sent | `Dropped | `Rejected ]
+  val recv : 'a bounded -> 'a
+  val try_recv : 'a bounded -> 'a option
+  val recv_callback : Sim.t -> 'a bounded -> ('a -> unit) -> unit
+  val length : 'a bounded -> int
+  val sent : 'a bounded -> int
+  val delivered : 'a bounded -> int
+  val dropped : 'a bounded -> int
+  val rejected : 'a bounded -> int
+  val waiting_senders : 'a bounded -> int
+  val set_probe : 'a bounded -> (Sim.Bounded.probe_event -> depth:int -> unit) -> unit
+end
+
+(* One step of the script fiber: a send or a fiber receive forked at the
+   current instant, an immediate send (never under [Block], which could
+   park the script), a try_recv, a one-shot callback receive, a callback
+   server that re-parks itself [n] times after a service delay, or one
+   time unit passing. *)
+type bounded_op = Fork_send | Send_now | Fork_recv | Try_recv | Recv_cb | Serve of int | Tick
+
+let bounded_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return Fork_send);
+        (3, return Send_now);
+        (2, return Fork_recv);
+        (2, return Try_recv);
+        (2, return Recv_cb);
+        (1, map (fun n -> Serve n) (1 -- 4));
+        (2, return Tick);
+      ])
+
+let show_bounded_op = function
+  | Fork_send -> "fork_send"
+  | Send_now -> "send"
+  | Fork_recv -> "fork_recv"
+  | Try_recv -> "try_recv"
+  | Recv_cb -> "recv_cb"
+  | Serve n -> Printf.sprintf "serve%d" n
+  | Tick -> "tick"
+
+(* Run [ops] on a fresh simulator; the log holds every send result,
+   every item each receiver got and when, the probe notes, the counters
+   after each step, and the engine's stats at the end. Items are floats,
+   so the ring's uniform representation is exercised too. *)
+let run_bounded (module B : BOUNDED) ~policy ~capacity ops =
+  let sim = Sim.create () in
+  let q = B.create ~capacity ~policy () in
+  let log = Buffer.create 1024 in
+  let say fmt = Printf.bprintf log fmt in
+  B.set_probe q (fun ev ~depth ->
+      let ev = match ev with `Enqueue -> "enq" | `Deliver -> "del" | `Drop -> "drop" | `Reject -> "rej" in
+      say " %s/%d" ev depth);
+  let next = ref 0.0 and receivers = ref 0 in
+  let send () =
+    next := !next +. 1.0;
+    let v = !next in
+    let r = match B.send q v with `Sent -> "sent" | `Dropped -> "dropped" | `Rejected -> "rejected" in
+    say " send %h:%s@%h" v r (Sim.now sim)
+  in
+  let got who v = say " %s got %h@%h" who v (Sim.now sim) in
+  let receiver () =
+    incr receivers;
+    Printf.sprintf "r%d" !receivers
+  in
+  let rec serve who n v =
+    got who v;
+    if n > 1 then Sim.schedule sim ~delay:0.5 (fun () -> B.recv_callback sim q (serve who (n - 1)))
+  in
+  Sim.spawn sim (fun () ->
+      List.iter
+        (fun op ->
+          say "\n%s:" (show_bounded_op op);
+          (match op with
+          | Fork_send -> Sim.fork send
+          | Send_now -> if policy = Sim.Bounded.Block then Sim.fork send else send ()
+          | Fork_recv ->
+            let who = receiver () in
+            Sim.fork (fun () -> got who (B.recv q))
+          | Try_recv -> (
+            match B.try_recv q with Some v -> got "try" v | None -> say " try empty")
+          | Recv_cb -> B.recv_callback sim q (got (receiver ()))
+          | Serve n -> B.recv_callback sim q (serve (receiver ()) n)
+          | Tick -> Sim.delay 1.0);
+          say " | len %d sent %d del %d drop %d rej %d park %d" (B.length q) (B.sent q)
+            (B.delivered q) (B.dropped q) (B.rejected q) (B.waiting_senders q))
+        ops);
+  Sim.run sim;
+  let st = Sim.stats sim in
+  say "\nend@%h len %d sent %d del %d drop %d rej %d park %d events %d lane %d heap %d pending %d/%d cap %d/%d"
+    (Sim.now sim) (B.length q) (B.sent q) (B.delivered q) (B.dropped q) (B.rejected q)
+    (B.waiting_senders q) st.Sim.executed st.Sim.lane st.Sim.heap st.Sim.pending_lane
+    st.Sim.pending_heap st.Sim.lane_capacity st.Sim.heap_capacity;
+  Buffer.contents log
+
+let prop_ring_bounded_matches_queue_model =
+  let policies = Sim.Bounded.[| Block; Drop_tail; Drop_head; Reject |] in
+  QCheck.Test.make ~name:"ring Bounded = Queue-based model, all policies" ~count:500
+    (QCheck.make
+       ~print:(fun (p, c, ops) ->
+         Printf.sprintf "policy %d, capacity %d: %s" p c (String.concat " " (List.map show_bounded_op ops)))
+       QCheck.Gen.(triple (0 -- 3) (1 -- 8) (list_size (1 -- 60) bounded_op_gen)))
+    (fun (p, capacity, ops) ->
+      let policy = policies.(p) in
+      run_bounded (module Sim.Bounded) ~policy ~capacity ops
+      = run_bounded (module Queue_bounded) ~policy ~capacity ops)
+
+(* Both parking orders, spelled out: a fiber parked before a callback
+   is served first, and a callback parked before a fiber likewise. *)
+let test_bounded_receivers_both_orders () =
+  List.iter
+    (fun ops ->
+      Alcotest.(check string)
+        (String.concat " " (List.map show_bounded_op ops))
+        (run_bounded (module Queue_bounded) ~policy:Sim.Bounded.Drop_tail ~capacity:2 ops)
+        (run_bounded (module Sim.Bounded) ~policy:Sim.Bounded.Drop_tail ~capacity:2 ops))
+    [
+      [ Fork_recv; Tick; Recv_cb; Send_now; Send_now; Tick ];
+      [ Recv_cb; Fork_recv; Tick; Send_now; Send_now; Tick ];
+      [ Recv_cb; Send_now; Recv_cb; Fork_recv; Tick; Send_now; Send_now; Tick ];
+      [ Serve 3; Fork_recv; Tick; Send_now; Send_now; Send_now; Tick; Tick; Send_now; Tick ];
+    ]
+
+(* Nothing that left the queue stays reachable from it: taken and
+   evicted items (ring cells are nulled) and an item handed to a parked
+   callback (the slot is cleared when its event runs). *)
+let test_bounded_releases_items () =
+  let sim = Sim.create () in
+  let n = 12 in
+  let weak = Weak.create n in
+  let item i =
+    let v = ref i in
+    Weak.set weak i (Some v);
+    v
+  in
+  let q = Sim.Bounded.create ~capacity:3 ~policy:Sim.Bounded.Drop_head () in
+  (* Through a wrapped ring: 0..4 enter a queue of 3 (0 and 1 evicted),
+     2..4 are taken, 5..7 enter and stay queued. *)
+  for i = 0 to 4 do
+    ignore (Sim.Bounded.send q (item i))
+  done;
+  for _ = 2 to 4 do
+    ignore (Sim.Bounded.try_recv q)
+  done;
+  for i = 5 to 7 do
+    ignore (Sim.Bounded.send q (item i))
+  done;
+  (* Drain them into a callback server; 8..11 then go straight to its
+     slot, one handoff at a time. *)
+  let seen = ref 0 in
+  let rec serve v =
+    seen := !seen + !v;
+    Sim.schedule sim ~delay:1.0 (fun () -> Sim.Bounded.recv_callback sim q serve)
+  in
+  Sim.schedule sim ~delay:0.0 (fun () -> Sim.Bounded.recv_callback sim q serve);
+  for i = 8 to 11 do
+    Sim.schedule sim ~delay:(float_of_int (10 * i)) (fun () -> ignore (Sim.Bounded.send q (item i)))
+  done;
+  Sim.run sim;
+  check_int "every delivered item seen" (5 + 6 + 7 + 8 + 9 + 10 + 11) !seen;
+  check_int "all handed out" 10 (Sim.Bounded.delivered q);
+  Gc.full_major ();
+  Alcotest.(check (list int)) "no item retained" []
+    (List.filter (Weak.check weak) (List.init n Fun.id));
+  ignore (Sys.opaque_identity q)
+
 let test_resource_fifo_no_barging () =
   let sim = Sim.create () in
   let r = Sim.Resource.create ~capacity:1 in
@@ -1590,8 +1864,17 @@ let overload_suites =
         Alcotest.test_case "drop-tail" `Quick test_bounded_drop_tail;
         Alcotest.test_case "drop-head" `Quick test_bounded_drop_head;
         Alcotest.test_case "reject" `Quick test_bounded_reject;
+        Alcotest.test_case "receivers in both parking orders" `Quick
+          test_bounded_receivers_both_orders;
+        Alcotest.test_case "releases taken and handed-off items" `Quick
+          test_bounded_releases_items;
       ] );
-    qsuite "engine.bounded.prop" [ prop_bounded_conservation; prop_recv_callback_matches_fiber ];
+    qsuite "engine.bounded.prop"
+      [
+        prop_bounded_conservation;
+        prop_recv_callback_matches_fiber;
+        prop_ring_bounded_matches_queue_model;
+      ];
     ( "engine.resource",
       [
         Alcotest.test_case "FIFO, no barging" `Quick test_resource_fifo_no_barging;

@@ -151,6 +151,32 @@ let test_drop_tail_accounting () =
   check_int "deliver fires for the rest" !delivered (Fabric.delivered fab);
   check_int "conservation" (Fabric.injected fab) (Fabric.delivered fab + Fabric.dropped fab)
 
+(* A link keeps no burst that left it: its wire field and the FIFO of
+   propagating bursts are nulled as bursts finish serializing and
+   arrive, and the queue's ring and callback slot as they are taken. *)
+let test_links_release_bursts () =
+  let sim = Sim.create () in
+  let fab = Fabric.create sim (Rng.create ~seed:9) (Topology.two_host ~latency_ns:5_000.0 ()) in
+  let n = 16 in
+  let weak = Weak.create n in
+  let delivered = ref 0 and in_flight_at_once = ref 0 in
+  let send i =
+    let pkt = mk_pkt ~size:(64 + (64 * i)) ~src:1 ~dst:2 i in
+    Weak.set weak i (Some pkt);
+    Fabric.send fab ~src_host:0 ~dst_host:1 ~deliver:(fun _ -> incr delivered) pkt
+  in
+  for i = 0 to n - 1 do
+    Sim.schedule sim ~delay:(float_of_int (100 * i)) (fun () -> send i)
+  done;
+  Sim.schedule sim ~delay:4_000.0 (fun () -> in_flight_at_once := n - !delivered);
+  Sim.run sim;
+  check_int "every burst sent before the first arrived" n !in_flight_at_once;
+  check_int "all delivered" n !delivered;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "no burst retained" []
+    (List.filter (Weak.check weak) (List.init n Fun.id));
+  ignore (Sys.opaque_identity fab)
+
 let test_fabric_metrics_and_trace () =
   let sim = Sim.create () in
   let metrics = Metrics.create () in
@@ -377,6 +403,109 @@ let golden_fabric () =
 let test_golden_fabric () =
   Alcotest.(check string) "golden fabric trajectory" Golden_fabric.seed2020 (golden_fabric ())
 
+(* Links whose propagation latency dwarfs serialization (6 µs host and
+   15 µs spine hops against bursts of at most ~1.2 µs on the wire), fed
+   faster than one latency: many bursts propagate on one link at once,
+   and a spine downlink fails and comes back while some are in flight.
+   Burst fates and times, event counts and per-link stats, printed with
+   %h. Regenerated by printing [golden_inflight ()] — update only on an
+   intentional fabric-model change. *)
+let inflight_topo () =
+  Topology.clos ~hosts:6 ~tors:2 ~spines:3 ~host_gbit_s:100.0 ~spine_gbit_s:10.0
+    ~host_latency_ns:6_000.0 ~spine_latency_ns:15_000.0 ~queue_capacity:2 ()
+
+let run_inflight () =
+  let sim = Sim.create () in
+  let metrics = Metrics.create () in
+  let obs = Obs.of_sim ~metrics sim in
+  let rng = Rng.create ~seed:2021 in
+  let fab = Fabric.create ~obs sim (Rng.split rng) (inflight_topo ()) in
+  let out = Buffer.create 4096 in
+  Buffer.add_string out "bursts";
+  let logged = ref 0 in
+  let deliveries = ref [] in
+  let log tag (p : Packet.t) =
+    Printf.bprintf out "%s%d%s%h" (if !logged mod 6 = 0 then "\n " else " ") p.Packet.id tag
+      (Sim.now sim);
+    incr logged
+  in
+  let delivered (p : Packet.t) =
+    deliveries := (p.Packet.dst mod 100, Sim.now sim) :: !deliveries;
+    log "@" p
+  in
+  Sim.schedule sim ~delay:22_000.0 (fun () -> Fabric.fail_link fab ~name:"spine1->tor0");
+  Sim.schedule sim ~delay:34_000.0 (fun () -> Fabric.repair_link fab ~name:"spine1->tor0");
+  for s = 0 to 2 do
+    let rng = Rng.split rng in
+    Sim.spawn sim (fun () ->
+        for i = 1 to 40 do
+          let src_host = 1 + Rng.int rng 5 in
+          let dst_host = if Rng.bool rng then 0 else (src_host + 1 + Rng.int rng 4) mod 6 in
+          let count = 1 + Rng.int rng 3 in
+          Fabric.send fab ~src_host ~dst_host ~on_drop:(log "!") ~deliver:delivered
+            (mk_pkt ~count
+               ~size:(64 * count * (1 + Rng.int rng 8))
+               ~protocol:(if Rng.bool rng then Packet.Tcp else Packet.Udp)
+               ~tag:(Rng.int rng 8) ~src:(100 * s) ~dst:(100 * s + dst_host)
+               ((1000 * s) + i));
+          Sim.delay (Rng.float rng 600.0)
+        done)
+  done;
+  Sim.run sim;
+  let st = Sim.stats sim in
+  Printf.bprintf out "\nend %h injected %d delivered %d dropped %d events %d lane %d heap %d\n"
+    (Sim.now sim) (Fabric.injected fab) (Fabric.delivered fab) (Fabric.dropped fab)
+    st.Sim.executed st.Sim.lane st.Sim.heap;
+  List.iter
+    (fun (l : Fabric.link_stat) ->
+      Printf.bprintf out "%s util %h p99 %h bursts %d/%d/%d pkts %d/%d queued %d\n" l.name
+        l.utilization l.depth_p99 l.sent_bursts l.delivered_bursts l.dropped_bursts
+        l.delivered_pkts l.dropped_pkts l.queued)
+    (Fabric.link_stats fab ~now:(Sim.now sim));
+  (Buffer.contents out, !deliveries)
+
+let golden_inflight () = fst (run_inflight ())
+
+let test_golden_inflight () =
+  let trajectory, deliveries = run_inflight () in
+  (* Two arrivals at one host less than a host-link latency apart
+     propagated on its downlink at the same time. *)
+  let overlapping =
+    List.exists
+      (fun (h, t) -> List.exists (fun (h', t') -> h = h' && t < t' && t' -. t < 6_000.0) deliveries)
+      deliveries
+  in
+  check_bool "bursts overlap on one link" true overlapping;
+  Alcotest.(check string) "golden in-flight trajectory" Golden_inflight.seed2021 trajectory
+
+(* The spine each of a fixed set of random flows hashes to, for four
+   (salt, spine count) pairs: src and dst span the whole int range,
+   negatives included. Pins the ECMP arithmetic bit for bit — any change
+   to the hash moves flows between spines. Regenerated by printing
+   [ecmp_pin ()]. *)
+let ecmp_pin () =
+  let out = Buffer.create 512 in
+  List.iter
+    (fun (seed, spines) ->
+      let topo = Topology.clos ~hosts:2 ~tors:2 ~spines () in
+      let fab = Fabric.create (Sim.create ()) (Rng.create ~seed) topo in
+      let rng = Rng.create ~seed:(seed + 1) in
+      Printf.bprintf out "seed %d spines %d:" seed spines;
+      for i = 1 to 64 do
+        let src = Int64.to_int (Rng.bits64 rng) in
+        let dst = if Rng.bool rng then Rng.int rng 4096 else Int64.to_int (Rng.bits64 rng) in
+        let protocol = Rng.choose rng [| Packet.Udp; Packet.Tcp; Packet.Icmp |] in
+        let pkt = mk_pkt ~protocol ~tag:(Rng.int rng 1000 - 500) ~src ~dst i in
+        match Fabric.path_names fab ~src_host:0 ~dst_host:1 pkt with
+        | [ _; up; _; _ ] -> Buffer.add_char out up.[String.length up - 1]
+        | _ -> Alcotest.fail "cross-tor path is not 4 hops"
+      done;
+      Buffer.add_char out '\n')
+    [ (1, 2); (7, 3); (42, 4); (2020, 7) ];
+  Buffer.contents out
+
+let test_ecmp_pin () = Alcotest.(check string) "ecmp spine choices" Golden_inflight.ecmp (ecmp_pin ())
+
 let suites =
   [
     ( "fabric.topology",
@@ -392,9 +521,12 @@ let suites =
         Alcotest.test_case "idle latency analytic" `Quick test_idle_latency_matches_analytic;
         Alcotest.test_case "ecmp stable + spread" `Quick test_ecmp_stable_and_spread;
         Alcotest.test_case "drop-tail accounting" `Quick test_drop_tail_accounting;
+        Alcotest.test_case "links release bursts" `Quick test_links_release_bursts;
         Alcotest.test_case "metrics + trace" `Quick test_fabric_metrics_and_trace;
         Alcotest.test_case "testbed on-host unchanged" `Quick test_testbed_onhost_unchanged;
         Alcotest.test_case "golden trajectory" `Quick test_golden_fabric;
+        Alcotest.test_case "golden in-flight trajectory" `Quick test_golden_inflight;
+        Alcotest.test_case "ecmp spine pin" `Quick test_ecmp_pin;
       ] );
     ( "fabric.prop",
       List.map QCheck_alcotest.to_alcotest

@@ -331,6 +331,85 @@ let prop_same_seed_same_assignment =
       Scheduler.assignments sched1 = Scheduler.assignments sched2
       && Scheduler.stranded sched1 = Scheduler.stranded sched2)
 
+(* Rebalance as it was before the per-host candidate index: every move
+   re-scans the whole guest table for the donor's smallest guest. It
+   drives the control plane directly and tracks placements in its own
+   table, so run it on a twin of the scheduler under test. A model
+   scheduler has no classifier and places first-fit, as [replace_guest]
+   does on a put-back. *)
+let full_scan_rebalance sched ~max_moves ~band =
+  let cp = Scheduler.control_plane sched in
+  let ids = Cp.server_ids cp in
+  let util id = Cp.server_utilization cp id in
+  let mean = List.fold_left (fun acc id -> acc +. util id) 0.0 ids /. float_of_int (List.length ids) in
+  let ceiling = mean +. band in
+  let where = Hashtbl.create 64 in
+  List.iter (fun (n, p) -> Hashtbl.replace where n p) (Scheduler.assignments sched);
+  let req n = Option.get (Scheduler.request_of sched n) in
+  let group_hosts = function
+    | None -> []
+    | Some g ->
+      Hashtbl.fold
+        (fun n (p : Cp.placement) acc -> if (req n).Scheduler.group = Some g then p.server :: acc else acc)
+        where []
+      |> List.sort_uniq compare
+  in
+  let place (r : Scheduler.request) ~prefer ~strategy ~avoid =
+    Cp.place cp ~name:r.name ~vcpus:r.vcpus ~prefer ~strategy ~avoid ~image:Bm_cloud.Image.centos7 ()
+  in
+  let moves = ref [] and budget = ref max_moves in
+  List.iter
+    (fun donor ->
+      let continue_ = ref true in
+      while !continue_ && !budget > 0 && util donor > ceiling do
+        let candidates =
+          Hashtbl.fold
+            (fun n (p : Cp.placement) acc -> if p.server = donor then req n :: acc else acc)
+            where []
+          |> List.sort (fun (a : Scheduler.request) b ->
+                 match compare a.vcpus b.vcpus with 0 -> compare a.name b.name | c -> c)
+        in
+        match candidates with
+        | [] -> continue_ := false
+        | r :: _ -> (
+          let p = Hashtbl.find where r.name in
+          Hashtbl.remove where r.name;
+          Cp.release cp r.name;
+          let avoid = donor :: group_hosts r.group in
+          match place r ~prefer:p.substrate ~strategy:Cp.Spread ~avoid with
+          | Ok p' ->
+            Hashtbl.replace where r.name p';
+            moves := (r.name, donor, p'.server) :: !moves;
+            decr budget
+          | Error _ ->
+            let other = if p.substrate = Cp.Bare_metal then Cp.Virtual else Cp.Bare_metal in
+            let avoid = group_hosts r.group in
+            (match place r ~prefer:p.substrate ~strategy:Cp.First_fit ~avoid with
+            | Ok p'' -> Hashtbl.replace where r.name p''
+            | Error _ -> (
+              match place r ~prefer:other ~strategy:Cp.First_fit ~avoid with
+              | Ok p'' -> Hashtbl.replace where r.name p''
+              | Error _ -> ()));
+            continue_ := false)
+      done)
+    ids;
+  List.rev !moves
+
+let prop_rebalance_matches_full_scan =
+  QCheck.Test.make ~name:"indexed rebalance moves = full-scan moves" ~count:100 model_arb
+    (fun ((seed, n_hosts, n_reqs) as input) ->
+      let fleet () =
+        let sched, reqs = build_model input in
+        ignore (Scheduler.place_batch sched reqs);
+        let rng = Rng.create ~seed:(seed + 1) in
+        List.iter (apply_op sched reqs) (model_ops rng ~n_hosts ~n_reqs ~n_ops:6);
+        sched
+      in
+      let rng = Rng.create ~seed:(seed + 2) in
+      let max_moves = Rng.choose rng [| 1; 3; 64 |] and band = Rng.choose rng [| 0.0; 0.05; 0.2 |] in
+      let moves = Scheduler.rebalance (fleet ()) ~max_moves ~band () in
+      moves = full_scan_rebalance (fleet ()) ~max_moves ~band)
+
 (* ------------------------------------------------------------------ *)
 (* Topology auto-sizing *)
 
@@ -541,6 +620,7 @@ let suites =
           prop_guest_conservation;
           prop_views_match_reference;
           prop_same_seed_same_assignment;
+          prop_rebalance_matches_full_scan;
         ] );
     ( "fleet.live",
       [
