@@ -26,38 +26,10 @@
    None of this changes a simulated result. *)
 
 open Bm_engine
+open Bench_common
 
-let quick = ref false
-let seed = ref 2020
-let out_file = ref "BENCH_engine.json"
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some s -> seed := s
-      | None ->
-        prerr_endline "--seed expects an integer";
-        exit 2);
-      parse rest
-    | "--out" :: f :: rest ->
-      out_file := f;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf "unknown argument %S\n" a;
-      prerr_endline "usage: engine_bench.exe [--quick] [--seed N] [--out FILE]";
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
+let args = parse_args ~name:"engine_bench" ~default_out:"BENCH_engine.json"
+let { quick; seed; out_file; _ } = args
 
 (* --- hot lane vs heap ------------------------------------------------ *)
 
@@ -65,13 +37,6 @@ let time f =
    given delay until the shared budget drains. delay=0 keeps every event
    in the FIFO hot lane; delay=1 ns forces every event through the
    binary heap at ~10k occupancy. *)
-(* Cumulative words allocated by this domain so far: the minor counter
-   plus direct major allocations, net of promotions (which would double
-   count). Exact — no GC needs to run for the counters to be current. *)
-let allocated_words () =
-  let st = Gc.quick_stat () in
-  st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
-
 let lane_events_per_sec ~delay ~chains ~events =
   let sim = Sim.create () in
   let remaining = ref events in
@@ -116,7 +81,7 @@ let shard_mix x =
   logxor x (shift_right_logical x 31)
 
 let shard_plan ~hosts ~per_host =
-  let rng = Rng.create ~seed:!seed in
+  let rng = Rng.create ~seed in
   Array.init hosts (fun src ->
       Array.init per_host (fun _ ->
           let at = Rng.float rng 1_000_000.0 in
@@ -195,7 +160,7 @@ let shard_run ~plan ~shards ~domains =
 
 let sweep_ids = [ "fig9"; "fig10"; "fig11"; "sec6" ]
 
-let quick_ctx () = { Bmhive.Experiments.default_ctx with quick = true; seed = !seed }
+let quick_ctx () = { Bmhive.Experiments.default_ctx with quick = true; seed }
 let sweep ~jobs = time (fun () -> Bmhive.Experiments.run ~jobs (quick_ctx ()) sweep_ids)
 
 let cell_seconds () =
@@ -207,11 +172,11 @@ let cell_seconds () =
 
 (* --- driver ----------------------------------------------------------- *)
 
-let progress fmt = Printf.ksprintf (fun m -> prerr_endline ("[engine_bench] " ^ m)) fmt
+let progress fmt = progress args fmt
 
 let () =
   let chains = 10_000 in
-  let events = if !quick then 200_000 else 2_000_000 in
+  let events = if quick then 200_000 else 2_000_000 in
   let rec_domains = Domain.recommended_domain_count () in
   let multicore = rec_domains >= 2 in
   progress "hot lane: %d chains, %d events" chains events;
@@ -224,7 +189,7 @@ let () =
   let r4, sweep4_s = sweep ~jobs:4 in
   let identical = r1 = r4 in
   let shard_hosts = 64 in
-  let shard_per_host = if !quick then 400 else 4_000 in
+  let shard_per_host = if quick then 400 else 4_000 in
   let shard_n = 4 in
   progress "shards: %d hosts x %d packets, sequential reference" shard_hosts shard_per_host;
   let plan = shard_plan ~hosts:shard_hosts ~per_host:shard_per_host in
@@ -239,8 +204,8 @@ let () =
   let buf = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
-  p "  \"seed\": %d,\n" !seed;
-  p "  \"quick\": %b,\n" !quick;
+  p "  \"seed\": %d,\n" seed;
+  p "  \"quick\": %b,\n" quick;
   p "  \"note\": \"committed baselines are measured on a single-core container; wall-clock ratios for --jobs/--shards are skipped there and only the determinism (outcomes_identical) and alloc gates are load-bearing\",\n";
   p "  \"recommended_domains\": %d,\n" rec_domains;
   p "  \"hot_lane\": {\n";
@@ -297,7 +262,7 @@ let () =
     cells;
   p "  }\n";
   p "}\n";
-  let oc = open_out !out_file in
+  let oc = open_out out_file in
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf "engine bench: hot lane %.2fx heap; %.2f/%.2f alloc words/event \
@@ -306,4 +271,4 @@ let () =
     (hot_eps /. heap_eps) hot_wpe heap_wpe shard_n shard_identical identical
     rec_domains
     (if multicore then "" else "; wall speedups skipped");
-  Printf.printf "written: %s\n" !out_file
+  Printf.printf "written: %s\n" out_file

@@ -18,47 +18,12 @@ open Bm_engine
 module Fabric = Bm_fabric.Fabric
 module Topology = Bm_fabric.Topology
 module Packet = Bm_virtio.Packet
+open Bench_common
 
-let quick = ref false
-let seed = ref 2020
-let out_file = ref "BENCH_fabric.json"
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some s -> seed := s
-      | None ->
-        prerr_endline "--seed expects an integer";
-        exit 2);
-      parse rest
-    | "--out" :: f :: rest ->
-      out_file := f;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf "unknown argument %S\n" a;
-      prerr_endline "usage: fabric_bench.exe [--quick] [--seed N] [--out FILE]";
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
+let args = parse_args ~name:"fabric_bench" ~default_out:"BENCH_fabric.json"
+let { quick; seed; out_file; _ } = args
 
 (* --- raw forwarding --------------------------------------------------- *)
-
-(* Cumulative words allocated by this domain so far, as engine_bench
-   probes them: the minor counter plus direct major allocations, net of
-   promotions (which would double count). *)
-let allocated_words () =
-  let st = Gc.quick_stat () in
-  st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
 
 (* [senders] callback chains each push bursts between uniform random
    host pairs through an 8-host leaf-spine, paced just above the link
@@ -68,7 +33,7 @@ let allocated_words () =
 let forward_bench ~bursts =
   let topo = Topology.clos ~hosts:8 ~tors:4 ~spines:2 () in
   let sim = Sim.create () in
-  let rng = Rng.create ~seed:!seed in
+  let rng = Rng.create ~seed in
   let fab = Fabric.create sim (Rng.split rng) topo in
   let senders = 16 in
   let per_sender = bursts / senders in
@@ -106,7 +71,7 @@ let forward_bench ~bursts =
 let ecmp_bench ~flows =
   let topo = Topology.clos ~hosts:4 ~tors:2 ~spines:4 () in
   let sim = Sim.create () in
-  let fab = Fabric.create sim (Rng.create ~seed:!seed) topo in
+  let fab = Fabric.create sim (Rng.create ~seed) topo in
   let shares = Array.make 4 0 in
   for f = 1 to flows do
     let names =
@@ -127,7 +92,7 @@ let ecmp_bench ~flows =
 
 let xhost_bench () =
   let run () =
-    Bmhive.Experiments.(run { default_ctx with quick = true; seed = !seed } [ "xhost_rr" ])
+    Bmhive.Experiments.(run { default_ctx with quick = true; seed } [ "xhost_rr" ])
   in
   let r1, wall1 = time run in
   let r2, wall2 = time run in
@@ -135,10 +100,10 @@ let xhost_bench () =
 
 (* --- driver ----------------------------------------------------------- *)
 
-let progress fmt = Printf.ksprintf (fun m -> prerr_endline ("[fabric_bench] " ^ m)) fmt
+let progress fmt = progress args fmt
 
 let () =
-  let bursts = if !quick then 100_000 else 1_000_000 in
+  let bursts = if quick then 100_000 else 1_000_000 in
   progress "forward: %d bursts over 8 hosts / 4 tors / 2 spines" bursts;
   let eps, bps, events, delivered, dropped, fwd_s, fwd_wpe = forward_bench ~bursts in
   let flows = 10_000 in
@@ -149,8 +114,8 @@ let () =
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
-  p "  \"seed\": %d,\n" !seed;
-  p "  \"quick\": %b,\n" !quick;
+  p "  \"seed\": %d,\n" seed;
+  p "  \"quick\": %b,\n" quick;
   p "  \"forward\": {\n";
   p "    \"bursts\": %d,\n" bursts;
   p "    \"events\": %d,\n" events;
@@ -173,11 +138,11 @@ let () =
   p "    \"outcomes_identical\": %b\n" identical;
   p "  }\n";
   p "}\n";
-  let oc = open_out !out_file in
+  let oc = open_out out_file in
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf
     "fabric bench: %.0f events/s forwarding at %.2f alloc words/event (%d dropped of %d); ecmp \
      max/min %.2f; xhost_rr deterministic: %b\n"
     eps fwd_wpe dropped delivered imbalance identical;
-  Printf.printf "written: %s\n" !out_file
+  Printf.printf "written: %s\n" out_file

@@ -25,43 +25,15 @@ module Scheduler = Bm_cloud.Scheduler
 module Slo = Bm_cloud.Slo
 module Tenant = Bm_cloud.Tenant
 module Topology = Bm_fabric.Topology
+open Bench_common
 
-let quick = ref false
-let seed = ref 2020
-let out_file = ref "BENCH_scenario.json"
+let args = parse_args ~name:"scenario_bench" ~default_out:"BENCH_scenario.json"
+let { quick; seed; out_file; _ } = args
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some s -> seed := s
-      | None ->
-        prerr_endline "--seed expects an integer";
-        exit 2);
-      parse rest
-    | "--out" :: f :: rest ->
-      out_file := f;
-      parse rest
-    | a :: _ ->
-      Printf.eprintf "unknown argument %S\n" a;
-      prerr_endline "usage: scenario_bench.exe [--quick] [--seed N] [--out FILE]";
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-let fleet () = if !quick then Fleet.Live.quick_config else Fleet.Live.default_config
+let fleet () = if quick then Fleet.Live.quick_config else Fleet.Live.default_config
 
 let run_bench ?policy ~degrade () =
-  let spec = Scenario.default_spec ~seed:!seed () in
+  let spec = Scenario.default_spec ~seed () in
   let o, wall_s = time (fun () -> Scenario.run ~degrade ?policy ~fleet:(fleet ()) spec) in
   (o, wall_s, float_of_int o.Scenario.sim_events /. wall_s)
 
@@ -84,7 +56,7 @@ let parse_bench ~calls =
 type cp_cost = { meter_hit_us : float; meter_miss_us : float; blast_hit_us : float; blast_miss_us : float }
 
 let control_plane_bench () =
-  let live = Fleet.Live.build ~seed:!seed (fleet ()) in
+  let live = Fleet.Live.build ~seed (fleet ()) in
   let sched = Fleet.Live.scheduler live in
   let topo = Bm_fabric.Fabric.topology (Fleet.Live.fabric live) in
   let tiers = List.mapi (fun i tn -> (Tenant.name tn, Slo.tier_of_index i)) (Scheduler.tenants sched) in
@@ -117,7 +89,7 @@ let control_plane_bench () =
     done;
     !total /. float_of_int calls *. 1e6
   in
-  let hits = if !quick then 200 else 2_000 and misses = if !quick then 20 else 50 in
+  let hits = if quick then 200 else 2_000 and misses = if quick then 20 else 50 in
   {
     meter_hit_us = hit_us meter ~calls:hits;
     meter_miss_us = miss_us meter ~calls:misses;
@@ -125,7 +97,7 @@ let control_plane_bench () =
     blast_miss_us = miss_us blast ~calls:misses;
   }
 
-let progress fmt = Printf.ksprintf (fun m -> prerr_endline ("[scenario_bench] " ^ m)) fmt
+let progress fmt = progress args fmt
 
 let () =
   let cfg = fleet () in
@@ -145,7 +117,7 @@ let () =
         (Policy.name kind, o, wall_s, eps))
       Policy.all
   in
-  let calls = if !quick then 20_000 else 200_000 in
+  let calls = if quick then 20_000 else 200_000 in
   progress "parse: %d parse_spec calls" calls;
   let parse_cps = parse_bench ~calls in
   progress "control plane: meter_tick and blast_radius, snapshot hit and miss";
@@ -153,8 +125,8 @@ let () =
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
-  p "  \"seed\": %d,\n" !seed;
-  p "  \"quick\": %b,\n" !quick;
+  p "  \"seed\": %d,\n" seed;
+  p "  \"quick\": %b,\n" quick;
   p "  \"fleet\": { \"hosts\": %d, \"guests\": %d, \"tenants\": %d },\n" cfg.Fleet.Live.hosts
     cfg.Fleet.Live.guests cfg.Fleet.Live.tenants;
   p "  \"open_loop\": {\n";
@@ -196,7 +168,7 @@ let () =
   p "  },\n";
   p "  \"determinism\": { \"scorecards_identical\": %b }\n" identical;
   p "}\n";
-  let oc = open_out !out_file in
+  let oc = open_out out_file in
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf
@@ -205,4 +177,4 @@ let () =
      deterministic: %b\n"
     open_eps lad_eps open_o.Scenario.met lad_o.Scenario.met parse_cps cp.meter_hit_us
     cp.meter_miss_us cp.blast_hit_us cp.blast_miss_us identical;
-  Printf.printf "written: %s\n" !out_file
+  Printf.printf "written: %s\n" out_file

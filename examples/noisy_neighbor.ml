@@ -52,8 +52,7 @@ let () =
   print_endline "\n=== Part 2: signed firmware ===";
   let sim = Bm_engine.Sim.create () in
   let board =
-    Board.create sim ~id:0 ~spec:Cpu_spec.xeon_e5_2682_v4 ~mem_gb:64
-      ~profile:Bm_iobond.Profile.Fpga ()
+    Board.create sim ~spec:Cpu_spec.xeon_e5_2682_v4 ~profile:Bm_iobond.Profile.Fpga ()
   in
   let fw = Board.firmware board in
   Printf.printf "board firmware: v%s\n" (Firmware.version fw);

@@ -40,11 +40,9 @@ let params_of = function
 type t = {
   sim : Sim.t;
   rng : Rng.t;
-  kind : kind;
   params : params;
   servers : Sim.Resource.resource;
   queue_capacity : int;
-  mutable served : int;
   mutable rejected : int;
   obs : Obs.t;
 }
@@ -59,16 +57,12 @@ let create ?(obs = Obs.none) sim rng ~kind ?parallelism ?(queue_capacity = 512) 
   {
     sim;
     rng;
-    kind;
     params = params_of kind;
     servers = Sim.Resource.create ~capacity:parallelism;
     queue_capacity;
-    served = 0;
     rejected = 0;
     obs;
   }
-
-let kind t = t.kind
 
 let media_time t ~op ~bytes_ =
   let p = t.params in
@@ -98,15 +92,12 @@ let serve t ~op ~bytes_ =
   else begin
     Sim.Resource.with_resource t.servers (fun () -> Sim.delay (media_time t ~op ~bytes_));
     Sim.delay (p.net_rtt_ns /. 2.0);
-    t.served <- t.served + 1;
     Metrics.incr_opt (Obs.metrics t.obs) "cloud.blockstore.served";
     Metrics.observe_opt (Obs.metrics t.obs) "cloud.blockstore.serve_ns" (Sim.now t.sim -. t0);
     `Served
   end
 
-let served t = t.served
 let rejected t = t.rejected
-let queue_capacity t = t.queue_capacity
 
 let mean_service_ns t ~op =
   match op with

@@ -32,8 +32,6 @@ val create :
     ["cloud.blockstore.served"] / ["cloud.blockstore.rejected"]
     counters. *)
 
-val kind : t -> kind
-
 val serve : t -> op:[ `Read | `Write | `Flush ] -> bytes_:int -> [ `Served | `Rejected ]
 (** Block the calling process for the whole storage round trip. When the
     admission queue is full on arrival at the storage node, the request
@@ -41,9 +39,7 @@ val serve : t -> op:[ `Read | `Write | `Flush ] -> bytes_:int -> [ `Served | `Re
     ([`Rejected]) — the storage analogue of ECN/EBUSY, which clients
     (e.g. {!Bm_workload.Fio}) may retry with backoff. *)
 
-val served : t -> int
 val rejected : t -> int
-val queue_capacity : t -> int
 
 val mean_service_ns : t -> op:[ `Read | `Write | `Flush ] -> float
 (** The configured median service time (excluding queueing/tail), for

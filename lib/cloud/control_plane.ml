@@ -59,7 +59,6 @@ let set_class_ceiling t ~cls c =
   Hashtbl.replace t.class_ceilings cls c
 
 let clear_class_ceiling t ~cls = Hashtbl.remove t.class_ceilings cls
-let class_ceiling t ~cls = Hashtbl.find_opt t.class_ceilings cls
 let class_rejections t = t.class_rejections
 let class_used_of t cls = Option.value ~default:0 (Hashtbl.find_opt t.class_used cls)
 
@@ -166,10 +165,6 @@ let over_class t ~cls ~threads =
     | Some frac ->
       float_of_int (class_used_of t c + threads)
       > (frac *. float_of_int (sellable_threads t)) +. 1e-9)
-
-let class_utilization t ~cls =
-  let cap = sellable_threads t in
-  if cap = 0 then 0.0 else float_of_int (class_used_of t cls) /. float_of_int cap
 
 let undo_placement server placement =
   match placement.substrate with
@@ -332,7 +327,3 @@ let evacuate t ~server ?(strategy = First_fit) () =
       in
       (name, result))
     victims
-
-let placements t =
-  Hashtbl.fold (fun name r acc -> (name, r.placement) :: acc) t.instances []
-  |> List.sort compare

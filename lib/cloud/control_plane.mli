@@ -49,12 +49,6 @@ val clear_class_ceiling : t -> cls:string -> unit
 (** Remove the cap for [cls]; placements of that class are again limited
     only by physical capacity and the global ceiling. Idempotent. *)
 
-val class_ceiling : t -> cls:string -> float option
-
-val class_utilization : t -> cls:string -> float
-(** Threads currently placed under [cls] / fleet sellable threads
-    (0 when the fleet is empty or the class unused). *)
-
 val class_rejections : t -> int
 (** Placements refused by a class ceiling. *)
 
@@ -93,7 +87,7 @@ val lookup : t -> string -> placement option
 val reclassify : t -> name:string -> cls:string -> unit
 (** Retag a placed instance with [cls], moving its threads between the
     class accounts — how a classifier installed after the fleet was
-    built backfills {!class_utilization}. No-op for unknown names;
+    built backfills the class accounts. No-op for unknown names;
     never refused (ceilings bind on future placements only). *)
 
 val release : t -> string -> unit
@@ -137,4 +131,3 @@ val sellable_threads : t -> int
 (** Total thread capacity across the fleet (failed servers excluded). *)
 
 val used_threads : t -> int
-val placements : t -> (string * placement) list

@@ -6,9 +6,14 @@ type t = {
   kernel_version : string;
 }
 
-let make ~name ?(bootloader_bytes = 1 lsl 20) ?(kernel_bytes = 6 lsl 20) ?(initrd_bytes = 20 lsl 20)
-    ~kernel_version () =
-  { name; bootloader_bytes; kernel_bytes; initrd_bytes; kernel_version }
+let make ~name ~kernel_version () =
+  {
+    name;
+    bootloader_bytes = 1 lsl 20;
+    kernel_bytes = 6 lsl 20;
+    initrd_bytes = 20 lsl 20;
+    kernel_version;
+  }
 
 let centos7 = make ~name:"centos-7" ~kernel_version:"3.10.0-514.26.2.el7" ()
 

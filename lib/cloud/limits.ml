@@ -53,8 +53,6 @@ let unlimited_blk () =
     blk_shed = 0;
   }
 
-let set_net_policy t p = t.net_policy <- p
-let set_blk_policy t p = t.blk_policy <- p
 let net_shed t = t.net_shed
 let blk_shed t = t.blk_shed
 

@@ -42,9 +42,6 @@ val ceiling_net : pps:float -> unit -> net
     at 10 Tbit/s), so a per-tier or per-tenant ceiling refuses bursts
     beyond [pps] fail-fast instead of queueing them late. *)
 
-val set_net_policy : net -> policy -> unit
-val set_blk_policy : blk -> policy -> unit
-
 val net_shed : net -> int
 val blk_shed : blk -> int
 

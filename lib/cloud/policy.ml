@@ -131,7 +131,6 @@ let create kind =
     last_dropped = 0;
   }
 
-let kind t = t.kind
 let stage t = t.stage
 let max_stage t = t.max_stage
 let shed_tenants t = t.shed

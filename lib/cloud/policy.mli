@@ -97,8 +97,6 @@ type t
 
 val create : kind -> t
 
-val kind : t -> kind
-
 val stage : t -> int
 (** Current committed stage, 0 (normal) to 3 (fully escalated). *)
 

@@ -47,7 +47,6 @@ type t = {
   guests : (string, guest) Hashtbl.t;
   groups : (string, (int, int) Hashtbl.t) Hashtbl.t;  (* group -> host -> members *)
   vfs_per_host : int;
-  vf_caps : (int, int) Hashtbl.t;  (* per-host override of [vfs_per_host] *)
   vf_used : (int, int) Hashtbl.t;  (* host -> VFs handed out *)
   mutable vf_fallback_count : int;
   mutable classifier : request -> string option;
@@ -66,7 +65,6 @@ let create ?(obs = Obs.none) ?(strategy = Control_plane.First_fit) ?(vfs_per_hos
     guests = Hashtbl.create 1024;
     groups = Hashtbl.create 64;
     vfs_per_host;
-    vf_caps = Hashtbl.create 16;
     vf_used = Hashtbl.create 64;
     vf_fallback_count = 0;
     classifier = (fun _ -> None);
@@ -151,15 +149,8 @@ let group_remove t group host =
    hypervisor grants the actual function when the guest is provisioned
    (and applies the same fallback if reality disagrees). *)
 
-let vf_capacity t ~server =
-  match Hashtbl.find_opt t.vf_caps server with Some c -> c | None -> t.vfs_per_host
-
-let set_vf_capacity t ~server ~vfs =
-  if vfs < 0 then invalid_arg "Scheduler.set_vf_capacity: vfs must be >= 0";
-  Hashtbl.replace t.vf_caps server vfs
-
 let vf_in_use t ~server = Option.value ~default:0 (Hashtbl.find_opt t.vf_used server)
-let vf_free t ~server = vf_capacity t ~server - vf_in_use t ~server
+let vf_free t ~server = t.vfs_per_host - vf_in_use t ~server
 let vf_fallbacks t = t.vf_fallback_count
 
 (* Decide the datapath a fresh placement on [server] gets, spending a
@@ -441,10 +432,10 @@ let check_vf_accounting t =
            failwith
              (Printf.sprintf "Scheduler: host %d counts %d VFs in use, ground truth %d" server
                 counted actual);
-         if counted > vf_capacity t ~server then
+         if counted > t.vfs_per_host then
            failwith
              (Printf.sprintf "Scheduler: host %d has %d VFs in use over capacity %d" server
-                counted (vf_capacity t ~server)))
+                counted t.vfs_per_host))
 
 (* Every view below comes from one sort of the placed guests by name.
    Walking that order backwards and consing leaves each per-host list

@@ -61,8 +61,7 @@ val create :
   t
 (** [strategy] (default [First_fit]) orders candidate hosts within the
     control plane. [vfs_per_host] (default 8) is each host's budget of
-    SR-IOV virtual functions, overridable per host with
-    {!set_vf_capacity}. With [obs], the scheduler counts
+    SR-IOV virtual functions. With [obs], the scheduler counts
     ["cloud.sched.placed" / ".rejected" / ".evacuated" / ".stranded" /
     ".moves" / ".vf_granted" / ".vf_fallbacks"]. *)
 
@@ -137,8 +136,6 @@ val request_of : t -> string -> request option
     is rebalanced off the host. The scheduler only promises a datapath —
     the hypervisor hands out the actual function at provisioning time. *)
 
-val vf_capacity : t -> server:int -> int
-val set_vf_capacity : t -> server:int -> vfs:int -> unit
 val vf_in_use : t -> server:int -> int
 val vf_free : t -> server:int -> int
 

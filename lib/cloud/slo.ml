@@ -14,6 +14,8 @@ type target = {
   compliant_windows : float;
 }
 
+(* Gold 99% / 0.25 ms / 97% over 3/4 of windows; Silver 97% / 0.5 ms /
+   95% over 5/8; Bronze 90% / 2 ms / 85% over half. *)
 let default_target = function
   | Gold -> { availability = 0.99; p99_ms = 0.25; goodput = 0.97; compliant_windows = 0.75 }
   | Silver -> { availability = 0.97; p99_ms = 0.5; goodput = 0.95; compliant_windows = 0.625 }
@@ -59,8 +61,6 @@ let declare t ~tenant ~tier ?target () =
     invalid_arg (Printf.sprintf "Slo.declare: duplicate tenant %S" tenant);
   let target = Option.value target ~default:(default_target tier) in
   Hashtbl.replace t.tenants tenant { tier; target; cells = Hashtbl.create 16 }
-
-let tier_of t ~tenant = Option.map (fun s -> s.tier) (Hashtbl.find_opt t.tenants tenant)
 
 let state t tenant =
   match Hashtbl.find_opt t.tenants tenant with
@@ -132,8 +132,6 @@ type tenant_score = {
   ok_windows : int;
   met : bool;
 }
-
-let windows_elapsed t ~now_ns = int_of_float (now_ns /. t.window_ns)
 
 let score_tenant name (st : tenant_state) ~nwindows =
   let agg = new_cell () in

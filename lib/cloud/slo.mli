@@ -38,10 +38,6 @@ type target = {
           all three objectives for the SLO to count as met *)
 }
 
-val default_target : tier -> target
-(** Gold 99%% / 0.25 ms / 97%% over 3/4 of windows; Silver 97%% /
-    0.5 ms / 95%% over 5/8; Bronze 90%% / 2 ms / 85%% over half. *)
-
 type t
 
 val create : ?obs:Bm_engine.Obs.t -> now:(unit -> float) -> window_ns:float -> unit -> t
@@ -51,10 +47,10 @@ val create : ?obs:Bm_engine.Obs.t -> now:(unit -> float) -> window_ns:float -> u
     counters (bounded cardinality — nothing per-tenant). *)
 
 val declare : t -> tenant:string -> tier:tier -> ?target:target -> unit -> unit
-(** Declare a tenant's objectives ([target] defaults to the tier's
-    {!default_target}). Raises [Invalid_argument] on a duplicate. *)
-
-val tier_of : t -> tenant:string -> tier option
+(** Declare a tenant's objectives. [target] defaults to the tier's:
+    Gold 99%% / 0.25 ms / 97%% over 3/4 of windows; Silver 97%% /
+    0.5 ms / 95%% over 5/8; Bronze 90%% / 2 ms / 85%% over half. Raises
+    [Invalid_argument] on a duplicate. *)
 
 val deliver : t -> tenant:string -> bytes:int -> latency_ns:float -> unit
 (** A request completed: [bytes] count as offered and delivered in the
@@ -119,9 +115,6 @@ val window_tier_p99 : t -> tier:tier -> window:int -> float
     the tier recorded a latency sample in the window (the maximum is
     taken per tenant, not over a merged histogram, so one slow tenant
     is not averaged away by many fast ones). *)
-
-val windows_elapsed : t -> now_ns:float -> int
-(** Completed windows at [now_ns], i.e. [floor (now_ns / window_ns)]. *)
 
 val row_header : string list
 

@@ -38,7 +38,6 @@ let create ?(obs = Obs.none) ~name quota =
   }
 
 let name t = t.name
-let quota t = t.quota
 
 let admit t ~vcpus =
   if vcpus <= 0 then invalid_arg "Tenant.admit: vcpus must be positive";
@@ -65,7 +64,6 @@ let release t ~vcpus =
   t.vcpus <- t.vcpus - vcpus
 
 let guests t = t.guests
-let vcpus t = t.vcpus
 let rejections t = t.rejections
 
 let meter t ?(guest_ns = 0.0) ?(bytes = 0.0) ?(ios = 0.0) () =

@@ -23,7 +23,6 @@ type t
 val create : ?obs:Bm_engine.Obs.t -> name:string -> quota -> t
 
 val name : t -> string
-val quota : t -> quota
 
 val admit : t -> vcpus:int -> (unit, string) result
 (** Reserve one guest slot and [vcpus] vCPUs against the quota; the
@@ -36,7 +35,6 @@ val release : t -> vcpus:int -> unit
 val guests : t -> int
 (** Guest slots currently held. *)
 
-val vcpus : t -> int
 val rejections : t -> int
 
 val meter : t -> ?guest_ns:float -> ?bytes:float -> ?ios:float -> unit -> unit

@@ -35,11 +35,10 @@ type t = {
 let fresh_ring () =
   { num = None; addr = false; base = None; kick = false; call = false; enabled = false }
 
-let create ?(backend_features = Bm_virtio.Feature.default_net) ?(num_queues = 2) () =
-  assert (num_queues > 0);
+let create ?(backend_features = Bm_virtio.Feature.default_net) () =
   {
     backend_features;
-    rings = Array.init num_queues (fun _ -> fresh_ring ());
+    rings = Array.init 2 (fun _ -> fresh_ring ());
     phase = Fresh;
     features = None;
     handled = 0;

@@ -32,10 +32,10 @@ type message =
 
 type reply = Ack | Features of int | Vring_base of int
 
-val create : ?backend_features:int -> ?num_queues:int -> unit -> t
+val create : ?backend_features:int -> unit -> t
 (** A backend offering [backend_features] (default
-    {!Bm_virtio.Feature.default_net}) with [num_queues] vrings
-    (default 2). *)
+    {!Bm_virtio.Feature.default_net}) with two vrings (one rx/tx
+    pair). *)
 
 val handle : t -> message -> (reply, string) result
 (** Process one front-end message; [Error] models the backend dropping

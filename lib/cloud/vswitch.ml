@@ -8,7 +8,6 @@ type t = {
   sim : Sim.t;
   fabric : fabric;
   cores : Cores.t;
-  per_packet_ns : float;
   hop_ns : float;
   egress_capacity : int;
   host : int option; (* fabric port when the network is modelled *)
@@ -44,10 +43,11 @@ let create_fabric sim ?(gbit_s = 100.0) ?(rtt_ns = 10_000.0) ?net () =
     next_endpoint = 1;
   }
 
-let net fabric = fabric.net
+(* The vswitch's service cost of one packet: a DPDK-class forwarding
+   cost. *)
+let per_packet_ns = 300.0
 
-let create ?(obs = Obs.none) sim ~fabric ~cores ?(per_packet_ns = 300.0) ?(hop_ns = 5_000.0)
-    ?(egress_capacity = 256) () =
+let create ?(obs = Obs.none) sim ~fabric ~cores ?(hop_ns = 5_000.0) ?(egress_capacity = 256) () =
   assert (egress_capacity > 0);
   (* With a link-level network, each vswitch claims the next topology
      port in creation order — deterministic, like endpoint addresses. *)
@@ -56,7 +56,6 @@ let create ?(obs = Obs.none) sim ~fabric ~cores ?(per_packet_ns = 300.0) ?(hop_n
     sim;
     fabric;
     cores;
-    per_packet_ns;
     hop_ns;
     egress_capacity;
     host;
@@ -70,8 +69,6 @@ let create ?(obs = Obs.none) sim ~fabric ~cores ?(per_packet_ns = 300.0) ?(hop_n
     queued = 0;
     obs;
   }
-
-let host t = t.host
 
 let note_queue_depth t =
   Trace.counter_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "queue_depth" ~now:(Sim.now t.sim)
@@ -125,7 +122,7 @@ let unregister ?(evacuated = false) t addr =
   if evacuated then Hashtbl.replace t.fabric.evacuated addr ()
 
 let switch_cpu t (pkt : Packet.t) =
-  Cores.execute_ns t.cores (t.per_packet_ns *. float_of_int pkt.Packet.count)
+  Cores.execute_ns t.cores (per_packet_ns *. float_of_int pkt.Packet.count)
 
 (* Local delivery is asynchronous: the burst sits in the destination's
    egress queue for [hop_ns] and the handler runs decoupled from the

@@ -24,22 +24,18 @@ val create_fabric :
     [Invalid_argument] once every port is taken — size the topology to
     the number of servers. *)
 
-val net : fabric -> Bm_fabric.Fabric.t option
-(** The link-level network carrying cross-server traffic, if any. *)
-
 val create :
   ?obs:Bm_engine.Obs.t ->
   Bm_engine.Sim.t ->
   fabric:fabric ->
   cores:Bm_hw.Cores.t ->
-  ?per_packet_ns:float ->
   ?hop_ns:float ->
   ?egress_capacity:int ->
   unit ->
   t
 (** [create sim ~fabric ~cores ()] — [cores] are the server's service
-    cores (hypervisor/base cores); [per_packet_ns] is the vswitch cost of
-    one packet (default 300 ns, a DPDK-class forwarding cost); [hop_ns]
+    cores (hypervisor/base cores), which spend 300 ns forwarding each
+    packet (a DPDK-class forwarding cost); [hop_ns]
     (default 5 µs) is the queueing/traversal latency of one switch hop,
     applied asynchronously so it adds latency, not sender backpressure.
     Each destination has a bounded egress queue of [egress_capacity]
@@ -54,9 +50,6 @@ val create :
     ["cloud.vswitch.egress_dropped"] / ["cloud.vswitch.stale_dropped"]
     counters; a burst for an unknown destination additionally emits an
     [unknown_dst] instant on the ["cloud.vswitch"] trace track. *)
-
-val host : t -> int option
-(** This server's port in the link-level network, when one is modelled. *)
 
 val register : t -> deliver:(Bm_virtio.Packet.t -> unit) -> int
 (** Attach an endpoint; returns its address. [deliver] receives each

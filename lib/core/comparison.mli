@@ -28,8 +28,6 @@ val side_channel_exposed : properties -> bool
 val provider_secure : properties -> bool
 (** The provider keeps control of firmware and platform. *)
 
-val service_name : service -> string
-
 val rows : unit -> string list list
 (** Table 1 as printable rows: service, security, isolation,
     performance, density. *)

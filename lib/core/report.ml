@@ -47,35 +47,11 @@ let pct x = Printf.sprintf "%.1f%%" (x *. 100.0)
 
 let check ~paper ~measured ~ok row = row @ [ paper; measured; (if ok then "ok" else "DIFF") ]
 
-let fabric_table ?(title = "fabric links") fabric ~now =
-  let rows =
-    List.map
-      (fun (s : Bm_fabric.Fabric.link_stat) ->
-        [
-          s.name;
-          f1 s.gbit_s;
-          pct s.utilization;
-          f1 s.depth_p99;
-          si (float_of_int s.delivered_pkts);
-          si (float_of_int s.dropped_pkts);
-          string_of_int s.queued;
-        ])
-      (Bm_fabric.Fabric.link_stats fabric ~now)
-  in
-  table ~title
-    ~header:[ "link"; "gbit/s"; "util"; "depth p99"; "delivered"; "dropped"; "queued" ]
-    rows
-
 let tenant_table ?(title = "tenants") tenants =
   table ~title ~header:Bm_cloud.Tenant.row_header (List.map Bm_cloud.Tenant.row tenants)
 
 let slo_scorecard ?(title = "per-tenant SLO scorecard") scores =
   table ~title ~header:Bm_cloud.Slo.row_header (List.map Bm_cloud.Slo.row scores)
 
-let vf_table ?(title = "virtual functions") dev =
-  table ~title ~header:Bm_iobond.Vf.stats_header (Bm_iobond.Vf.stats_rows dev)
-
-let metrics_table ?(title = "metrics") ?fabric ?vf ?(now = 0.0) m =
-  let base = table ~title ~header:Bm_engine.Metrics.table_header (Bm_engine.Metrics.rows m) in
-  let base = match fabric with None -> base | Some f -> base ^ "\n" ^ fabric_table f ~now in
-  match vf with None -> base | Some dev -> base ^ "\n" ^ vf_table dev
+let metrics_table ?(title = "metrics") m =
+  table ~title ~header:Bm_engine.Metrics.table_header (Bm_engine.Metrics.rows m)

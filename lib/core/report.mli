@@ -18,11 +18,6 @@ val pct : float -> string
 val check : paper:string -> measured:string -> ok:bool -> string list -> string list
 (** Append paper-vs-measured columns and a ✓/✗ marker to a row. *)
 
-val fabric_table : ?title:string -> Bm_fabric.Fabric.t -> now:float -> string
-(** Per-link table for the datacenter fabric: utilization (serialization
-    busy time over elapsed time up to [now]), queue depth p99, delivered
-    and dropped wire packets, bursts still queued. *)
-
 val tenant_table : ?title:string -> Bm_cloud.Tenant.t list -> string
 (** Per-tenant accounting ({!Bm_cloud.Tenant.row}): guests, vCPUs,
     guest-seconds, bytes, IOPS, quota rejections. *)
@@ -32,20 +27,7 @@ val slo_scorecard : ?title:string -> Bm_cloud.Slo.tenant_score list -> string
     aggregate availability / p99 / goodput, compliant windows, met/MISS.
     The game-day determinism smoke diffs this string byte-for-byte. *)
 
-val vf_table : ?title:string -> Bm_iobond.Vf.dev -> string
-(** Per-VF table for an SR-IOV device ({!Bm_iobond.Vf.stats_rows}):
-    state, owner, weight, queues, accepted / delivered / rejected,
-    in-flight, bytes moved. *)
-
-val metrics_table :
-  ?title:string ->
-  ?fabric:Bm_fabric.Fabric.t ->
-  ?vf:Bm_iobond.Vf.dev ->
-  ?now:float ->
-  Bm_engine.Metrics.t ->
-  string
+val metrics_table : ?title:string -> Bm_engine.Metrics.t -> string
 (** Render a metrics snapshot as an aligned table (one row per
-    registered counter/histogram/meter, sorted by name). With [fabric],
-    a {!fabric_table} as of [now] (default 0) follows, so [--metrics]
-    output covers the network layer; with [vf], a {!vf_table} of the
-    device follows likewise. *)
+    registered counter/histogram/meter, sorted by name): the table
+    [--metrics] prints after a run. *)

@@ -45,7 +45,11 @@ let ramp ?(steps = 8) ~from_ns ~until_ns ~lo ~hi () =
 
 type spec = { seed : int; horizon_ns : float; timeline : entry list }
 
+(* 2 ms of simulated time, matching [Fault.make_plan]. *)
 let default_horizon_ns = 2e6
+
+(* SLO scoring windows per scenario: the ladder gets enough boundaries
+   to escalate, act and de-escalate within one horizon. *)
 let windows = 24
 
 let make ~seed ?(horizon_ns = default_horizon_ns) timeline =

@@ -117,13 +117,6 @@ type spec = {
   timeline : entry list;  (** sorted by time, ties in submission order *)
 }
 
-val default_horizon_ns : float
-(** 2 ms of simulated time — matching {!Bm_engine.Fault.make_plan}. *)
-
-val windows : int
-(** SLO scoring windows per scenario (24): the ladder gets enough
-    boundaries to escalate, act and de-escalate within one horizon. *)
-
 val make : seed:int -> ?horizon_ns:float -> timeline -> spec
 (** Sort the timeline (stable) and validate every entry lies within
     [\[0, horizon_ns)]. Raises [Invalid_argument] otherwise. *)

@@ -184,7 +184,6 @@ let create ?(obs = Obs.none) sim plan =
     obs;
   }
 
-let plan_of t = t.the_plan
 let injected t = t.opened
 let recovered t = t.closed
 
@@ -239,8 +238,6 @@ let summary t =
   in
   Printf.sprintf "faults recovered/injected: %d/%d%s" t.closed t.opened
     (if per_kind = [] then "" else " (" ^ String.concat ", " per_kind ^ ")")
-
-let active_until t kind = t.until.(kind_index kind)
 
 let is_active t kind =
   match t.sim with None -> false | Some sim -> Sim.now sim < t.until.(kind_index kind)

@@ -40,11 +40,6 @@ type kind =
 
 val all_kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
-
-val default_duration_ns : kind -> float
-(** How long a window of this kind stays open unless the plan says
-    otherwise. [Server_failure] is permanent ([infinity]). *)
 
 (** {2 Fault plans} *)
 
@@ -53,8 +48,6 @@ type event = { kind : kind; at : float; duration_ns : float }
 type plan = { seed : int; horizon_ns : float; events : event list }
 (** [events] sorted by time (ties broken by kind order), all within
     [\[0, horizon_ns)]. *)
-
-val no_faults : plan
 
 val make_plan : seed:int -> ?horizon_ns:float -> (kind * int) list -> plan
 (** [make_plan ~seed counts] draws [count] event start times per kind,
@@ -108,9 +101,6 @@ val subscribe : t -> kind -> (event -> unit) -> unit
 val is_active : t -> kind -> bool
 (** Is a window of [kind] open at the current simulated time? *)
 
-val active_until : t -> kind -> float
-(** End of the currently open window ([neg_infinity] when closed). *)
-
 val block_until_clear : t -> kind -> unit
 (** From a process: if a window of [kind] is open, sleep until it
     closes (windows opening meanwhile extend the wait). No-op when
@@ -127,8 +117,6 @@ val recovered : t -> int
 val summary : t -> string
 (** One line of recovered/injected accounting, total and per kind —
     the fault summary the game-day scorecard embeds. *)
-
-val plan_of : t -> plan
 
 (** {2 Guarded operations}
 

@@ -4,7 +4,6 @@ let none = { now = (fun () -> 0.0); trace = None; metrics = None }
 let create ?trace ?metrics ~now () = { now; trace; metrics }
 let of_sim ?trace ?metrics sim = { now = (fun () -> Sim.now sim); trace; metrics }
 let now t = t.now ()
-let clock t = t.now
 let trace t = t.trace
 let metrics t = t.metrics
 let enabled t = t.trace <> None || t.metrics <> None

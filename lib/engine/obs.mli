@@ -17,7 +17,6 @@ val of_sim : ?trace:Trace.t -> ?metrics:Metrics.t -> Sim.t -> t
 (** Context whose clock is the simulation clock. *)
 
 val now : t -> float
-val clock : t -> unit -> float
 val trace : t -> Trace.t option
 val metrics : t -> Metrics.t option
 

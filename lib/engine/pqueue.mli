@@ -69,7 +69,11 @@ val min_time : 'a t -> float
 (** Time of the minimum element (boxed on return: use {!pop_into} or
     {!min_le_cell} on a hot path). *)
 
-(** {2 Boxed convenience API} *)
+(** {2 Boxed convenience API}
+
+    The simulator uses only the entry points above. These stay as the
+    model tests' entry points: the tests read whole keys back as plain
+    values and compare the heap against a list model. *)
 
 val peek : 'a t -> (float * int * 'a) option
 (** [peek q] is the minimum element without removing it. *)

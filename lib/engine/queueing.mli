@@ -3,8 +3,10 @@
     The discrete-event engine underpins every number this repository
     reports, so its queueing behaviour is checked against theory: an
     M/M/1 queue simulated with {!Sim} must reproduce these formulas
-    (see the [engine.validation] test suite). All times are in the same
-    unit as the rates' inverse. *)
+    (see the [engine.validation] test suite). Only that suite calls this
+    module, and that is why it exists: it is the reference the simulator
+    is checked against. All times are in the same unit as the rates'
+    inverse. *)
 
 val mm1_utilization : lambda:float -> mu:float -> float
 (** ρ = λ/μ. Requires λ < μ. *)

@@ -70,8 +70,6 @@ let create ~shards () =
     last_lookahead_ns = infinity;
   }
 
-let shards (t : t) = Array.length t.shards
-
 let check_shard (t : t) fn what i =
   if i < 0 || i >= Array.length t.shards then
     invalid_arg
@@ -81,8 +79,6 @@ let check_shard (t : t) fn what i =
 let sim (t : t) i =
   check_shard t "sim" "target" i;
   t.shards.(i).sim
-
-let spawn t i body = Sim.spawn (sim t i) body
 
 let conduit (t : t) ~src ~dst ~lookahead_ns =
   check_shard t "conduit" "source" src;

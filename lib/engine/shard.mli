@@ -41,14 +41,9 @@ val create : shards:int -> unit -> t
 (** [create ~shards ()] makes [shards] independent simulators (at least
     one). Raises [Invalid_argument] otherwise. *)
 
-val shards : t -> int
-
 val sim : t -> int -> Sim.t
 (** The [i]-th shard's simulator, for spawning processes and local
     scheduling. Raises [Invalid_argument] out of range. *)
-
-val spawn : t -> int -> (unit -> unit) -> unit
-(** [spawn t i body] is [Sim.spawn (sim t i) body]. *)
 
 val conduit : t -> src:int -> dst:int -> lookahead_ns:float -> conduit
 (** Declare a directed cross-shard edge. [lookahead_ns] must be

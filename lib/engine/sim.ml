@@ -322,25 +322,6 @@ module Ivar = struct
   let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
 end
 
-module Channel = struct
-  type 'a channel = { items : 'a Queue.t; waiters : ('a -> unit) Queue.t }
-
-  let create () = { items = Queue.create (); waiters = Queue.create () }
-
-  let send ch v =
-    match Queue.take_opt ch.waiters with
-    | Some resume -> resume v
-    | None -> Queue.add v ch.items
-
-  let recv ch =
-    match Queue.take_opt ch.items with
-    | Some v -> v
-    | None -> suspend (fun resume -> Queue.add resume ch.waiters)
-
-  let try_recv ch = Queue.take_opt ch.items
-  let length ch = Queue.length ch.items
-end
-
 module Bounded = struct
   type policy = Block | Drop_tail | Drop_head | Reject
 
@@ -416,7 +397,6 @@ module Bounded = struct
     q
 
   let capacity q = q.capacity
-  let policy q = q.policy
   let length q = q.len
   let sent q = q.sent
   let delivered q = q.delivered
@@ -551,7 +531,6 @@ module Resource = struct
     assert (capacity > 0);
     { capacity; used = 0; queue = Queue.create () }
 
-  let capacity r = r.capacity
   let in_use r = r.used
   let waiting r = Queue.length r.queue
 

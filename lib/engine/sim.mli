@@ -128,7 +128,7 @@ val suspend : (('a -> unit) -> unit) -> 'a
     Calling the resume function (at most once; later calls raise
     [Invalid_argument]) schedules the process to continue with the given
     value at the resumer's current time. This is the primitive from which
-    {!Ivar}, {!Channel} and {!Resource} are built. *)
+    {!Ivar}, {!Bounded} and {!Resource} are built. *)
 
 val fork : (unit -> unit) -> unit
 (** Spawn a sibling process from inside a process. *)
@@ -150,27 +150,11 @@ module Ivar : sig
   val peek : 'a ivar -> 'a option
 end
 
-(** {2 Unbounded FIFO channels} *)
-
-module Channel : sig
-  type 'a channel
-
-  val create : unit -> 'a channel
-  val send : 'a channel -> 'a -> unit
-  (** Never blocks. Wakes the oldest waiting receiver, if any. *)
-
-  val recv : 'a channel -> 'a
-  (** Blocks until an element is available; FIFO among waiters. *)
-
-  val try_recv : 'a channel -> 'a option
-  val length : 'a channel -> int
-end
-
 (** {2 Bounded FIFO queues with a pluggable full-queue policy}
 
-    The overload-control primitive: unlike {!Channel}, a [Bounded.bounded]
-    has a fixed capacity and an explicit policy for what happens to a send
-    that finds the queue full. Every queue keeps conservation counters —
+    The overload-control primitive: a [Bounded.bounded] has a fixed
+    capacity and an explicit policy for what happens to a send that finds
+    the queue full. Every queue keeps conservation counters —
     at any instant,
 
     {[ sent = delivered + dropped + rejected + length + waiting_senders ]}
@@ -220,7 +204,6 @@ module Bounded : sig
       receivers are served in the order they parked either way. *)
 
   val capacity : 'a bounded -> int
-  val policy : 'a bounded -> policy
   val length : 'a bounded -> int
 
   val sent : 'a bounded -> int
@@ -242,7 +225,6 @@ module Resource : sig
   type resource
 
   val create : capacity:int -> resource
-  val capacity : resource -> int
   val in_use : resource -> int
   val waiting : resource -> int
 

@@ -8,9 +8,6 @@
 type t = float
 (** A point in simulated time, or a duration, in nanoseconds. *)
 
-val ns : float -> t
-(** [ns x] is [x] nanoseconds. *)
-
 val us : float -> t
 (** [us x] is [x] microseconds. *)
 
@@ -26,12 +23,7 @@ val minutes : float -> t
 val hours : float -> t
 (** [hours x] is [x] hours. *)
 
-val to_ns : t -> float
 val to_us : t -> float
-val to_ms : t -> float
 val to_sec : t -> float
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print a duration with an adaptive unit (ns/µs/ms/s). *)
 
 val to_string : t -> string

@@ -21,7 +21,6 @@ module Summary = struct
     if x > t.max then t.max <- x
 
   let count t = t.count
-  let total t = t.total
   let mean t = if t.count = 0 then nan else t.mean
   let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
   let stddev t = sqrt (variance t)
@@ -49,9 +48,6 @@ module Summary = struct
       }
     end
 
-  let pp fmt t =
-    Format.fprintf fmt "n=%d mean=%.3g sd=%.3g min=%.3g max=%.3g" t.count (mean t) (stddev t)
-      t.min t.max
 end
 
 module Histogram = struct
@@ -190,9 +186,6 @@ module Histogram = struct
     s.max <- Float.max s.max b.sums.max;
     m
 
-  let pp fmt t =
-    Format.fprintf fmt "n=%d mean=%.3g p50=%.3g p99=%.3g p99.9=%.3g" t.count (mean t)
-      (percentile t 50.0) (percentile t 99.0) (percentile t 99.9)
 end
 
 module Meter = struct

@@ -11,7 +11,6 @@ module Summary : sig
   val create : unit -> t
   val add : t -> float -> unit
   val count : t -> int
-  val total : t -> float
   val mean : t -> float
   (** Mean of the observations; [nan] when empty. *)
 
@@ -24,7 +23,6 @@ module Summary : sig
   val merge : t -> t -> t
   (** [merge a b] is a summary of the union of both observation sets. *)
 
-  val pp : Format.formatter -> t -> unit
 end
 
 module Histogram : sig
@@ -66,7 +64,6 @@ module Histogram : sig
   val copy : t -> t
   (** Independent histogram with the same geometry and contents. *)
 
-  val pp : Format.formatter -> t -> unit
 end
 
 module Meter : sig

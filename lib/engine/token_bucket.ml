@@ -12,7 +12,6 @@ let create ~rate ~burst =
 let unlimited () = { rate = infinity; burst = infinity; tokens = infinity; updated = 0.0 }
 
 let is_unlimited t = t.rate = infinity
-let rate t = t.rate
 
 let refill t ~now =
   if now > t.updated then begin

@@ -15,15 +15,6 @@ val create : rate:float -> burst:float -> t
 val unlimited : unit -> t
 (** A limiter that never delays. *)
 
-val is_unlimited : t -> bool
-val rate : t -> float
-
-val reserve : t -> now:float -> float -> float
-(** [reserve t ~now n] consumes [n] tokens and returns the absolute time
-    at which the consumer may proceed (≥ [now]). Consumers are expected to
-    [Sim.delay] until that time; ordering fairness comes from the caller
-    issuing reservations in order. *)
-
 val available : t -> now:float -> float
 (** [available t ~now] refills lazily and returns the number of tokens
     spendable right now (never negative; [infinity] when unlimited). Use
@@ -33,11 +24,12 @@ val try_take_n : t -> now:float -> float -> bool
 (** [try_take_n t ~now n] consumes [n] tokens iff at least [n] are
     available after a lazy refill, else leaves the bucket untouched and
     returns [false]. Never blocks and never takes the balance negative —
-    the shedding counterpart of {!reserve}'s unbounded debt. *)
+    the shedding counterpart of {!take}'s unbounded debt. *)
 
 val take : t -> float
-(** [take t] = [reserve] for one token from inside a simulation process,
-    followed by the corresponding delay; returns the wait imposed. *)
+(** [take t] reserves one token from inside a simulation process —
+    taking the balance into debt if need be — and delays until the
+    reservation is covered; returns the wait imposed. *)
 
 val take_n : t -> float -> float
 (** [take_n t n]: as {!take} for [n] tokens. *)

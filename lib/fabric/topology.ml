@@ -29,16 +29,17 @@ let clos ~hosts ~tors ~spines ?(host_gbit_s = 100.0) ?(spine_gbit_s = 100.0)
   check_link_params "spine link" spine_link;
   { hosts; tors; spines; host_link; spine_link }
 
-let two_host ?(gbit_s = 100.0) ?(latency_ns = 1_000.0) ?(queue_capacity = 64) () =
-  clos ~hosts:2 ~tors:1 ~spines:0 ~host_gbit_s:gbit_s ~spine_gbit_s:gbit_s
-    ~host_latency_ns:latency_ns ~spine_latency_ns:latency_ns ~queue_capacity ()
+let two_host ?(latency_ns = 1_000.0) ?(queue_capacity = 64) () =
+  clos ~hosts:2 ~tors:1 ~spines:0 ~host_latency_ns:latency_ns ~spine_latency_ns:latency_ns
+    ~queue_capacity ()
 
-let for_hosts ?(hosts_per_tor = 32) ?spine_gbit_s ~hosts () =
+let hosts_per_tor = 32
+
+let for_hosts ~hosts () =
   if hosts < 1 then invalid_arg "Topology.for_hosts: hosts must be >= 1";
-  if hosts_per_tor < 1 then invalid_arg "Topology.for_hosts: hosts_per_tor must be >= 1";
   let tors = min hosts ((hosts + hosts_per_tor - 1) / hosts_per_tor) in
   let spines = if tors = 1 then 0 else max 2 ((tors + 3) / 4) in
-  clos ~hosts ~tors ~spines ?spine_gbit_s ()
+  clos ~hosts ~tors ~spines ()
 
 let tor_of t ~host =
   if host < 0 || host >= t.hosts then invalid_arg "Topology.tor_of: host out of range";

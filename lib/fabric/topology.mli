@@ -39,13 +39,14 @@ val clos :
     a single ToR). Shrink [spine_gbit_s] below the sum of host offered
     load to model an oversubscribed spine. *)
 
-val two_host : ?gbit_s:float -> ?latency_ns:float -> ?queue_capacity:int -> unit -> t
+val two_host : ?latency_ns:float -> ?queue_capacity:int -> unit -> t
 (** The minimal form: two hosts under one ToR, no spine — the smallest
-    topology on which traffic crosses a wire. *)
+    topology on which traffic crosses a wire. Links run at the {!clos}
+    default rate. *)
 
-val for_hosts : ?hosts_per_tor:int -> ?spine_gbit_s:float -> hosts:int -> unit -> t
-(** Auto-size a Clos for a fleet of [hosts] hosts: racks of up to
-    [hosts_per_tor] (default 32) hosts, and — past one rack — a spine
+val for_hosts : hosts:int -> unit -> t
+(** Auto-size a Clos for a fleet of [hosts] hosts: racks of up to 32
+    hosts, and — past one rack — a spine
     tier of [max 2 (ceil (tors / 4))] switches, the mild (4:1 worst
     case) oversubscription of a production pod. Link parameters take
     the {!clos} defaults. This is how the fleet-scale experiments turn

@@ -6,9 +6,7 @@ type power = Off | On
 let vendor_key = 0x5F3759DF
 
 type t = {
-  id : int;
   spec : Cpu_spec.t;
-  mem_gb : int;
   iobond : Iobond.t;
   firmware : Firmware.t;
   cores : Cores.t;
@@ -16,11 +14,9 @@ type t = {
   mutable power : power;
 }
 
-let create ?obs ?fault sim ~id ~spec ~mem_gb ~profile ?dma_gbit_s () =
+let create ?obs ?fault sim ~spec ~profile ?dma_gbit_s () =
   {
-    id;
     spec;
-    mem_gb;
     iobond = Iobond.create ?obs ?fault sim ~profile ?dma_gbit_s ();
     firmware = Firmware.create ~vendor_key ~version:"1.0.0";
     cores = Cores.create sim ~spec ();
@@ -28,9 +24,7 @@ let create ?obs ?fault sim ~id ~spec ~mem_gb ~profile ?dma_gbit_s () =
     power = Off;
   }
 
-let id t = t.id
 let spec t = t.spec
-let mem_gb t = t.mem_gb
 let power t = t.power
 let iobond t = t.iobond
 let firmware t = t.firmware

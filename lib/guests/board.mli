@@ -14,18 +14,14 @@ val create :
   ?obs:Bm_engine.Obs.t ->
   ?fault:Bm_engine.Fault.t ->
   Bm_engine.Sim.t ->
-  id:int ->
   spec:Bm_hw.Cpu_spec.t ->
-  mem_gb:int ->
   profile:Bm_iobond.Profile.t ->
   ?dma_gbit_s:float ->
   unit ->
   t
 (** [obs] and [fault] are threaded into the board's IO-Bond. *)
 
-val id : t -> int
 val spec : t -> Bm_hw.Cpu_spec.t
-val mem_gb : t -> int
 val power : t -> power
 val iobond : t -> Bm_iobond.Iobond.t
 val firmware : t -> Firmware.t

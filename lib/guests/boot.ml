@@ -30,7 +30,10 @@ let load_image instance ~bytes ~queue_depth =
   done;
   Sim.Ivar.read done_
 
-let run instance ~image ?(queue_depth = 8) () =
+(* Block reads kept in flight while streaming the image. *)
+let queue_depth = 8
+
+let run instance ~image () =
   let t0 = Sim.clock () in
   Sim.delay post_time_ns;
   let t1 = Sim.clock () in

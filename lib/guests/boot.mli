@@ -17,9 +17,7 @@ type timing = {
   total_ns : float;
 }
 
-val run : Instance.t -> image:Bm_cloud.Image.t -> ?queue_depth:int -> unit -> (timing, string) result
-(** Boot [image] on the instance. [queue_depth] (default 8) block reads
-    are kept in flight while streaming the image, in 64 KiB requests.
+val run : Instance.t -> image:Bm_cloud.Image.t -> unit -> (timing, string) result
+(** Boot [image] on the instance, streaming it in 64 KiB block reads
+    with 8 kept in flight.
     Must be called from a simulation process. *)
-
-val read_chunk_bytes : int

@@ -8,7 +8,6 @@ type t = {
 let create ~vendor_key ~version = { vendor_key; version; updates = 0; rejected = 0 }
 
 let version t = t.version
-let update_count t = t.updates
 let rejected_count t = t.rejected
 
 (* FNV-1a over the payload, keyed by mixing the key into the state. This

@@ -12,7 +12,6 @@ type t
 
 val create : vendor_key:int -> version:string -> t
 val version : t -> string
-val update_count : t -> int
 val rejected_count : t -> int
 
 val sign : key:int -> payload:string -> int

@@ -26,11 +26,7 @@ val centos7_3_10 : t
 val ubuntu18_4_19 : t
 val modern_5_4 : t
 
-val catalogue : (string * t) list
-(** Kernel-version → cost profile. *)
-
 val for_kernel : string -> t option
-
 
 val net_tx_ns : t -> kind:Bm_virtio.Packet.protocol -> count:int -> float
 (** Stack cost of transmitting a burst. *)

@@ -1,5 +1,7 @@
 open Bm_hw
 
+(* Usable Enclave Page Cache per socket: 128 MB on the era's parts,
+   ~93 MB of it usable. *)
 let epc_mb_per_socket = 93
 
 type t = {
@@ -26,7 +28,6 @@ let create instance ~name ~epc_mb =
       Error (Printf.sprintf "EPC exhausted: requested %dMB, %dMB available" epc_mb available)
     else Ok { instance; name; epc_mb; transitions = 0 }
 
-let name t = t.name
 let epc_mb t = t.epc_mb
 
 let ecall t ~work_ns =

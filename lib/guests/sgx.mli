@@ -12,15 +12,10 @@
 
 type t
 
-val epc_mb_per_socket : int
-(** Enclave Page Cache available per socket (128 MB on the era's parts,
-    ~93 MB usable). *)
-
 val create : Instance.t -> name:string -> epc_mb:int -> (t, string) result
 (** Allocate an enclave. Fails on a vm-guest, or when the requested EPC
     exceeds what the instance's sockets provide. *)
 
-val name : t -> string
 val epc_mb : t -> int
 
 val ecall : t -> work_ns:float -> unit

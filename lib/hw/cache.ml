@@ -28,7 +28,6 @@ let create ~size_kb ~ways ~line_bytes =
   }
 
 let sets t = t.sets
-let ways t = t.ways
 let line_bytes t = t.line_bytes
 
 let counters t owner =

@@ -17,7 +17,6 @@ val create : size_kb:int -> ways:int -> line_bytes:int -> t
     [ways × line_bytes]. *)
 
 val sets : t -> int
-val ways : t -> int
 val line_bytes : t -> int
 
 val access : t -> owner:owner -> int -> [ `Hit | `Miss ]

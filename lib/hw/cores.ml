@@ -1,8 +1,6 @@
 open Bm_engine
 
 type t = {
-  sim : Sim.t;
-  spec : Cpu_spec.t;
   threads : int;
   ghz : float;
   pool : Sim.Resource.resource;
@@ -11,13 +9,11 @@ type t = {
   created : float;
 }
 
-let create sim ~spec ?threads ?ghz () =
+let create sim ~spec ?threads () =
   let threads = match threads with Some n -> n | None -> spec.Cpu_spec.threads in
-  let ghz = match ghz with Some g -> g | None -> spec.Cpu_spec.base_ghz in
+  let ghz = spec.Cpu_spec.base_ghz in
   assert (threads > 0 && ghz > 0.0);
   {
-    sim;
-    spec;
     threads;
     ghz;
     pool = Sim.Resource.create ~capacity:threads;
@@ -26,10 +22,8 @@ let create sim ~spec ?threads ?ghz () =
     created = Sim.now sim;
   }
 
-let spec t = t.spec
 let ghz t = t.ghz
 let thread_count t = t.threads
-let busy t = Sim.Resource.in_use t.pool
 let set_dilation t f = t.dilation <- f
 
 let occupy t duration =
@@ -42,8 +36,6 @@ let execute_ns t natural =
   occupy t (t.dilation natural)
 
 let execute_cycles t cycles = execute_ns t (cycles /. t.ghz)
-
-let busy_wait t duration = occupy t duration
 
 let utilization t ~now =
   let span = (now -. t.created) *. float_of_int t.threads in

@@ -8,15 +8,12 @@
 
 type t
 
-val create : Bm_engine.Sim.t -> spec:Cpu_spec.t -> ?threads:int -> ?ghz:float -> unit -> t
+val create : Bm_engine.Sim.t -> spec:Cpu_spec.t -> ?threads:int -> unit -> t
 (** [create sim ~spec ()] is a pool with [threads] hardware threads
-    (default [spec.threads]) clocked at [ghz] (default [spec.base_ghz]). *)
+    (default [spec.threads]) clocked at [spec.base_ghz]. *)
 
-val spec : t -> Cpu_spec.t
 val ghz : t -> float
 val thread_count : t -> int
-val busy : t -> int
-(** Number of hardware threads currently executing a job. *)
 
 val set_dilation : t -> (float -> float) -> unit
 (** [set_dilation t f] installs a hook mapping natural execution time (ns)
@@ -31,10 +28,6 @@ val execute_cycles : t -> float -> unit
 val execute_ns : t -> float -> unit
 (** As {!execute_cycles} but the job length is given in ns of natural
     execution time at full speed. *)
-
-val busy_wait : t -> float -> unit
-(** Occupy a hardware thread for exactly the given time without dilation
-    (poll loops, spinning). *)
 
 val utilization : t -> now:float -> float
 (** Fraction of thread-time spent executing since creation. *)

@@ -159,9 +159,3 @@ let find model = List.find_opt (fun spec -> spec.model = model) all
 
 let peak_mem_bw_gb_s spec =
   float_of_int spec.mem_channels *. float_of_int spec.mem_mt_s *. 8.0 /. 1000.0
-
-let cycles_ns _spec ~ghz cycles = cycles /. ghz
-
-let pp fmt spec =
-  Format.fprintf fmt "%s (%dC/%dT @ %.1fGHz, %.0fW)" spec.model spec.cores spec.threads
-    spec.base_ghz spec.tdp_w

@@ -23,10 +23,6 @@ val xeon_e5_2682_v4 : t
 (** The SKU used for all head-to-head experiments in §4. *)
 
 val xeon_e5_2699_v4 : t
-val xeon_e5_2650_v4 : t
-(** 12-core part; a pair of these approximates the paper's dual
-    24-core/48HT vm-based server when doubled — see {!Cost_model}. *)
-
 val xeon_platinum_8163 : t
 (** 24-core part: two sockets = the 96HT vm-based server of §3.5. *)
 
@@ -44,9 +40,3 @@ val find : string -> t option
 
 val peak_mem_bw_gb_s : t -> float
 (** Theoretical per-socket memory bandwidth: channels × MT/s × 8 bytes. *)
-
-val cycles_ns : t -> ghz:float -> float -> float
-(** [cycles_ns spec ~ghz cycles] is the wall time in ns for [cycles]
-    cycles at clock [ghz]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,8 +24,6 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ?(gbit_s = 50.0) ?(setup_
     fault;
   }
 
-let gbit_s t = t.gbit_s
-
 (* Cut-through model: the copy streams through all three stages at the
    rate of the slowest one. The engine resource is held for the whole
    streaming duration, which makes the engine the aggregation point for
@@ -54,5 +52,4 @@ let copy t ~src ~dst ~bytes_ =
   Metrics.observe_opt (Obs.metrics t.obs) "hw.dma.copy_ns" (t1 -. t0);
   Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int bytes_) "hw.dma.bytes"
 
-let copies t = t.copies
 let bytes_copied t = t.bytes_copied

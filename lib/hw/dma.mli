@@ -24,11 +24,8 @@ val create :
     holds new copies at the doorbell until the engine resumes
     (["hw.dma.stalls"]). *)
 
-val gbit_s : t -> float
-
 val copy : t -> src:Pcie.t -> dst:Pcie.t -> bytes_:int -> unit
 (** [copy t ~src ~dst ~bytes_] moves a buffer across [src], through the
     engine, and across [dst]; blocks until the last byte lands. *)
 
-val copies : t -> int
 val bytes_copied : t -> float

@@ -28,8 +28,6 @@ let create sim ~peak_gb_s ?(per_stream_gb_s = 14.0) ?(efficiency = 0.85) () =
 
 let of_spec sim spec = create sim ~peak_gb_s:(Cpu_spec.peak_mem_bw_gb_s spec) ()
 
-let peak_gb_s t = t.peak
-let active_streams t = List.length t.active
 let set_tax t f = t.tax <- f
 
 (* Current fair share per stream, in bytes/ns, after the virtualization tax. *)
@@ -78,5 +76,3 @@ let transfer t ~bytes_ =
     reschedule t;
     Sim.Ivar.read x.done_
   end
-
-let measured_bw_gb_s _t ~bytes_ ~elapsed_ns = if elapsed_ns <= 0.0 then nan else bytes_ /. elapsed_ns

@@ -21,11 +21,6 @@ val create :
 val of_spec : Bm_engine.Sim.t -> Cpu_spec.t -> t
 (** Memory system sized from a CPU spec's channels and memory speed. *)
 
-val peak_gb_s : t -> float
-(** Effective aggregate bandwidth (after efficiency). *)
-
-val active_streams : t -> int
-
 val set_tax : t -> float -> unit
 (** [set_tax t f] inflates every transfer's cost by factor [1 + f];
     models the memory-virtualization overhead a vm-guest pays under load
@@ -34,7 +29,3 @@ val set_tax : t -> float -> unit
 val transfer : t -> bytes_:float -> unit
 (** [transfer t ~bytes_] blocks the calling process until the transfer
     completes under fair sharing. *)
-
-val measured_bw_gb_s : t -> bytes_:float -> elapsed_ns:float -> float
-(** Convenience: bandwidth achieved by a transfer of [bytes_] in
-    [elapsed_ns]. *)

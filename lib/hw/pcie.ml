@@ -4,29 +4,17 @@ type t = {
   sim : Sim.t;
   gbit_s : float;
   register_ns : float;
-  mtu_bytes : int;
-  wire : Sim.Resource.resource;
   mutable bytes_moved : float;
   obs : Obs.t;
   fault : Fault.t;
 }
 
-let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~gbit_s ?(register_ns = 800.0)
-    ?(mtu_bytes = 256) () =
-  assert (gbit_s > 0.0 && register_ns >= 0.0 && mtu_bytes > 0);
-  {
-    sim;
-    gbit_s;
-    register_ns;
-    mtu_bytes;
-    wire = Sim.Resource.create ~capacity:1;
-    bytes_moved = 0.0;
-    obs;
-    fault;
-  }
+let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~gbit_s ~register_ns =
+  assert (gbit_s > 0.0 && register_ns >= 0.0);
+  { sim; gbit_s; register_ns; bytes_moved = 0.0; obs; fault }
 
-let x4 ?obs ?fault sim ~register_ns = create ?obs ?fault sim ~gbit_s:32.0 ~register_ns ()
-let x8 ?obs ?fault sim ~register_ns = create ?obs ?fault sim ~gbit_s:64.0 ~register_ns ()
+let x4 ?obs ?fault sim ~register_ns = create ?obs ?fault sim ~gbit_s:32.0 ~register_ns
+let x8 ?obs ?fault sim ~register_ns = create ?obs ?fault sim ~gbit_s:64.0 ~register_ns
 
 let gbit_s t = t.gbit_s
 let register_ns t = t.register_ns
@@ -44,26 +32,6 @@ let register_access t =
   Metrics.incr_opt (Obs.metrics t.obs) "hw.pcie.register_accesses";
   Trace.instant_opt (Obs.trace t.obs) ~track:"hw.pcie" "register_access" ~now:(Sim.now t.sim);
   Sim.delay t.register_ns
-
-let transfer_time_ns t ~bytes_ = float_of_int bytes_ *. 8.0 /. t.gbit_s
-
-let transfer t ~bytes_ =
-  assert (bytes_ >= 0);
-  let t0 = Sim.now t.sim in
-  Trace.begin_span_opt (Obs.trace t.obs) ~track:"hw.pcie" "transfer" ~now:t0;
-  let rec chunks remaining =
-    if remaining > 0 then begin
-      stall_if_link_down t;
-      let n = min remaining t.mtu_bytes in
-      Sim.Resource.with_resource t.wire (fun () -> Sim.delay (transfer_time_ns t ~bytes_:n));
-      t.bytes_moved <- t.bytes_moved +. float_of_int n;
-      chunks (remaining - n)
-    end
-  in
-  chunks bytes_;
-  let t1 = Sim.now t.sim in
-  Trace.end_span_opt (Obs.trace t.obs) ~track:"hw.pcie" "transfer" ~now:t1;
-  Metrics.observe_opt (Obs.metrics t.obs) "hw.pcie.transfer_ns" (t1 -. t0)
 
 let account t ~bytes_ = t.bytes_moved <- t.bytes_moved +. float_of_int bytes_
 

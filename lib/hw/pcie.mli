@@ -5,38 +5,23 @@
     (§3.4.3). Register (config/BAR) accesses through the low-cost FPGA
     take 0.8 µs per hop; an ASIC would take 0.2 µs (§6).
 
-    Bulk transfers serialise through the link: concurrent DMA shares the
-    wire in FIFO order, which is how a real link behaves at the flow
-    level. *)
+    A link times register hops only. Bulk data crosses it inside a
+    {!Dma.copy}, which paces the copy by the slower of its two links and
+    records the bytes here with {!account}. *)
 
 type t
 
-val create :
-  ?obs:Bm_engine.Obs.t ->
-  ?fault:Bm_engine.Fault.t ->
-  Bm_engine.Sim.t ->
-  gbit_s:float ->
-  ?register_ns:float ->
-  ?mtu_bytes:int ->
-  unit ->
-  t
-(** [create sim ~gbit_s ()] is a link with [gbit_s] usable bandwidth.
-    [register_ns] (default 800 — the paper's FPGA) is the latency of one
-    non-posted register read/write crossing this link. [mtu_bytes]
-    (default 256, a typical max-payload TLP) bounds the transfer quantum
-    so small transfers are not unfairly delayed behind huge ones. With
-    [obs], register accesses count to ["hw.pcie.register_accesses"] and
-    transfer latencies (including wire queueing) feed
-    ["hw.pcie.transfer_ns"], with spans on the ["hw.pcie"] track. With
-    [fault], a [Link_down] window stalls register accesses and transfer
-    chunks until the link retrains (counted in ["hw.pcie.link_stalls"]);
+val x4 : ?obs:Bm_engine.Obs.t -> ?fault:Bm_engine.Fault.t -> Bm_engine.Sim.t -> register_ns:float -> t
+(** A 32 Gbit/s link, per the paper's virtio device links, whose
+    register accesses take [register_ns] (800 on the paper's FPGA).
+    With [obs], register accesses count to
+    ["hw.pcie.register_accesses"] with instants on the ["hw.pcie"]
+    track. With [fault], a [Link_down] window stalls register accesses
+    until the link retrains (counted in ["hw.pcie.link_stalls"]);
     nothing in flight is lost. *)
 
-val x4 : ?obs:Bm_engine.Obs.t -> ?fault:Bm_engine.Fault.t -> Bm_engine.Sim.t -> register_ns:float -> t
-(** 32 Gbit/s, per the paper's virtio device links. *)
-
 val x8 : ?obs:Bm_engine.Obs.t -> ?fault:Bm_engine.Fault.t -> Bm_engine.Sim.t -> register_ns:float -> t
-(** 64 Gbit/s, the IO-Bond uplink to the bm-hypervisor. *)
+(** As {!x4} at 64 Gbit/s: the IO-Bond uplink to the bm-hypervisor. *)
 
 val gbit_s : t -> float
 val register_ns : t -> float
@@ -44,12 +29,6 @@ val register_ns : t -> float
 val register_access : t -> unit
 (** One blocking register read/write: delays the caller by
     [register_ns]. *)
-
-val transfer : t -> bytes_:int -> unit
-(** Move [bytes_] across the link, waiting for the wire if busy. *)
-
-val transfer_time_ns : t -> bytes_:int -> float
-(** Unloaded serialisation time for [bytes_]. *)
 
 val account : t -> bytes_:int -> unit
 (** Record payload carried by an external transfer model (e.g. a DMA

@@ -6,10 +6,5 @@
 
 type component = Cpu of Cpu_spec.t * int  (** spec × socket count *) | Fpga of int  (** count *) | Fixed of string * float  (** label, watts *)
 
-val fpga_tdp_w : float
-(** Intel Arria low-cost FPGA, per IO-Bond instance. *)
-
-val total_w : component list -> float
-
 val watts_per_vcpu : components:component list -> sellable_vcpus:int -> float
 (** Total platform TDP divided by the hardware threads actually sold. *)

@@ -1,20 +1,16 @@
-type t = {
-  entries : int;
-  page_bytes : float;
-  walk_access_ns : float;
-  accesses_per_page_visit : float;
-}
+type t = { entries : int; page_bytes : float }
 
-let create ?(entries = 1536) ?(page_kb = 4) ?(walk_access_ns = 60.0) ?(huge_pages = false)
-    ?(accesses_per_page_visit = 1024.0) () =
-  assert (entries > 0 && page_kb > 0 && walk_access_ns > 0.0 && accesses_per_page_visit >= 1.0);
+(* A page-walk memory access mostly hits the page-walk caches and DRAM. *)
+let walk_access_ns = 60.0
+
+(* Each page visit amortises its translation across the accesses made
+   while the page is hot. *)
+let accesses_per_page_visit = 1024.0
+
+let create ?(entries = 1536) ?(page_kb = 4) ?(huge_pages = false) () =
+  assert (entries > 0 && page_kb > 0);
   let factor = if huge_pages then 512 else 1 in
-  {
-    entries;
-    page_bytes = float_of_int (page_kb * 1024 * factor);
-    walk_access_ns;
-    accesses_per_page_visit;
-  }
+  { entries; page_bytes = float_of_int (page_kb * 1024 * factor) }
 
 let reach_bytes t = float_of_int t.entries *. t.page_bytes
 
@@ -30,7 +26,7 @@ let miss_rate t ~working_set_bytes ~locality =
        lines x reuse): per-access miss rates are small even for large
        working sets, which is why real TLB overheads are percents, not
        multiples. *)
-    (1.0 -. locality) *. uncovered /. t.accesses_per_page_visit
+    (1.0 -. locality) *. uncovered /. accesses_per_page_visit
   end
 
 (* Native radix walk: 4 levels. Two-dimensional (EPT) walk: each of the 4
@@ -39,7 +35,7 @@ let miss_rate t ~working_set_bytes ~locality =
    typical cost lower; we charge half the worst case. *)
 let walk_accesses ~virtualized = if virtualized then 24.0 /. 2.0 else 4.0 /. 2.0
 
-let walk_ns t ~virtualized = walk_accesses ~virtualized *. t.walk_access_ns
+let walk_ns _t ~virtualized = walk_accesses ~virtualized *. walk_access_ns
 
 let avg_overhead_ns t ~virtualized ~working_set_bytes ~locality =
   miss_rate t ~working_set_bytes ~locality *. walk_ns t ~virtualized

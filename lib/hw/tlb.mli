@@ -8,19 +8,13 @@
 
 type t
 
-val create :
-  ?entries:int ->
-  ?page_kb:int ->
-  ?walk_access_ns:float ->
-  ?huge_pages:bool ->
-  ?accesses_per_page_visit:float ->
-  unit ->
-  t
-(** Defaults: 1536 entries (Broadwell L2 STLB), 4 KB pages, 60 ns per
-    page-walk memory access (a miss mostly hits the page-walk caches and
-    DRAM), [huge_pages = false] (2 MB pages multiply reach by 512),
-    [accesses_per_page_visit = 1024] (each page visit amortises its
-    translation across the accesses made while the page is hot). *)
+val create : ?entries:int -> ?page_kb:int -> ?huge_pages:bool -> unit -> t
+(** Defaults: 1536 entries (Broadwell L2 STLB), 4 KB pages,
+    [huge_pages = false] (2 MB pages multiply reach by 512). Every TLB
+    charges 60 ns per page-walk memory access (a miss mostly hits the
+    page-walk caches and DRAM) and amortises one translation over 1024
+    accesses per page visit (the accesses made while the page is
+    hot). *)
 
 val reach_bytes : t -> float
 (** Memory covered by the TLB: entries × page size. *)

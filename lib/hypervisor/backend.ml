@@ -16,7 +16,6 @@ type t = {
   vf_total : int;
   vf_queues : int;
   mutable vf_pool : Vf.dev option; (* created on first VF attachment *)
-  mutable vf_fallbacks : int;
   mutable alive : bool;
   mutable crashes : int;
   mutable guests : (string * guest) list;
@@ -36,7 +35,6 @@ and guest = {
   blk_limits : Limits.blk;
   refilled : unit -> unit;
   mutable vf : Vf.vf option;
-  mutable datapath : Vf.datapath; (* the net path this guest actually got *)
   mutable endpoint : int;
   mutable poll_mode : bool;
   mutable rx_handler : Packet.t -> unit;
@@ -73,7 +71,6 @@ let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~
       vf_total = vfs;
       vf_queues;
       vf_pool = None;
-      vf_fallbacks = 0;
       alive = true;
       crashes = 0;
       guests = [];
@@ -124,11 +121,6 @@ let vf_pool b =
     b.vf_pool <- Some d;
     d
 
-let vf_capacity b = b.vf_total
-let vf_free b = match b.vf_pool with None -> b.vf_total | Some d -> Vf.free_vfs d
-let vf_fallbacks b = b.vf_fallbacks
-let vf_pool_device b = b.vf_pool
-
 (* Passthrough gets a whole device to itself, a slice comes from the
    shared pool; an exhausted pool falls back to the vring path (the
    scheduler's failover), counted, not silent. *)
@@ -142,12 +134,10 @@ let attach_vf g datapath =
       match Vf.attach (vf_pool b) ~owner:g.name () with
       | Ok vf -> Some vf
       | Error _ ->
-        b.vf_fallbacks <- b.vf_fallbacks + 1;
         metric b "vf_fallbacks";
         None)
   in
-  g.vf <- vf;
-  g.datapath <- (if Option.is_none vf then Vf.Vring else datapath)
+  g.vf <- vf
 
 (* --- Guest side --- *)
 
@@ -181,7 +171,6 @@ let guest b ~name ~net ~blk ~cores ~os ~io_factor ~doorbell_ns ~irq ~net_limits 
       blk_limits;
       refilled;
       vf = None;
-      datapath = Vf.Vring;
       endpoint = 0;
       poll_mode = false;
       rx_handler = ignore;
@@ -408,7 +397,5 @@ let release b ~name =
   | _ -> ());
   b.guests <- List.remove_assoc name b.guests
 
-let datapath b ~name = Option.map (fun g -> g.datapath) (List.assoc_opt name b.guests)
-let vf b ~name = Option.bind (List.assoc_opt name b.guests) (fun g -> g.vf)
 let rx_drops b ~name =
   Option.fold ~none:0 ~some:(fun g -> g.rx_drops) (List.assoc_opt name b.guests)

@@ -49,13 +49,6 @@ val alive : t -> bool
 
 val crashes : t -> int
 
-(** {2 SR-IOV pool} *)
-
-val vf_capacity : t -> int
-val vf_free : t -> int
-val vf_fallbacks : t -> int
-val vf_pool_device : t -> Bm_iobond.Vf.dev option
-
 (** {2 Per-guest backend} *)
 
 type guest
@@ -132,7 +125,5 @@ val instance :
 val release : t -> name:string -> unit
 (** Forget the guest; its VF is hot-unplugged on the agenda. *)
 
-val datapath : t -> name:string -> Bm_iobond.Vf.datapath option
-val vf : t -> name:string -> Bm_iobond.Vf.vf option
 val rx_drops : t -> name:string -> int
 val net_queue_size : int

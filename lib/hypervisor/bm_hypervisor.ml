@@ -5,9 +5,15 @@ open Bm_iobond
 open Bm_cloud
 open Bm_guest
 
-type params = { pmd_pkt_ns : float; pmd_blk_ns : float; bm_cpu_bonus : float }
+type params = {
+  pmd_pkt_ns : float; (* backend per-packet service cost on base cores *)
+  pmd_blk_ns : float; (* backend per-block-request service cost *)
+  bm_cpu_bonus : float;
+      (* §4.2: bm boards measured ~4% faster than the reference physical
+         server (different manufacturer/configuration) *)
+}
 
-let default_params = { pmd_pkt_ns = 220.0; pmd_blk_ns = 1_800.0; bm_cpu_bonus = 0.04 }
+let params = { pmd_pkt_ns = 220.0; pmd_blk_ns = 1_800.0; bm_cpu_bonus = 0.04 }
 
 type guest_state = {
   board : Board.t;
@@ -18,7 +24,6 @@ type guest_state = {
 
 type server = {
   sim : Sim.t;
-  params : params;
   profile : Profile.t;
   base_cores : Cores.t;
   board_pool : Board.t array;
@@ -28,14 +33,12 @@ type server = {
 }
 
 let create_server ?(obs = Obs.none) ?(fault = Fault.none) sim _rng ~fabric ~storage
-    ?(profile = Profile.Fpga) ?(board_spec = Cpu_spec.xeon_e5_2682_v4) ?(board_mem_gb = 64)
-    ?(boards = 8) ?dma_gbit_s ?(params = default_params) ?(vfs = 8) ?(vf_queues = 2) () =
+    ?(profile = Profile.Fpga) ?(board_spec = Cpu_spec.xeon_e5_2682_v4)
+    ?(boards = 8) ?dma_gbit_s ?(vfs = 8) ?(vf_queues = 2) () =
   if boards < 1 || boards > 16 then invalid_arg "Bm_hypervisor: 1..16 boards per server (§3.3)";
   let base_cores = Cores.create sim ~spec:Cpu_spec.base_server_e5 () in
   let board_pool =
-    Array.init boards (fun id ->
-        Board.create ~obs ~fault sim ~id ~spec:board_spec ~mem_gb:board_mem_gb ~profile
-          ?dma_gbit_s ())
+    Array.init boards (fun _ -> Board.create ~obs ~fault sim ~spec:board_spec ~profile ?dma_gbit_s ())
   in
   (* The per-guest backend processes are ordinary user-space processes
      polling the shadow vrings; the SR-IOV pool is a slice of the same
@@ -44,20 +47,13 @@ let create_server ?(obs = Obs.none) ?(fault = Fault.none) sim _rng ~fabric ~stor
     Backend.create ~obs ~fault sim ~fabric ~cores:base_cores ~storage ~track:"hyp.bm"
       ~process:"pmd" ~vf_profile:profile ~vfs ~vf_queues
   in
-  { sim; params; profile; base_cores; board_pool; obs; backend; guests = [] }
+  { sim; profile; base_cores; board_pool; obs; backend; guests = [] }
 
 let vswitch t = Backend.vswitch t.backend
 let base_cores t = t.base_cores
-let boards t = t.board_pool
-let profile t = t.profile
 
 let free_boards t =
   Array.fold_left (fun acc b -> if Board.power b = Board.Off then acc + 1 else acc) 0 t.board_pool
-
-let vf_capacity t = Backend.vf_capacity t.backend
-let vf_free t = Backend.vf_free t.backend
-let vf_fallbacks t = Backend.vf_fallbacks t.backend
-let vf_pool_device t = Backend.vf_pool_device t.backend
 
 let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.cloud_blk ())
     ?(offload = false) ?(datapath = Vf.Vring) () =
@@ -67,7 +63,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
     | None -> Error "no free compute board"
     | Some board ->
       Board.power_on board;
-      let p = t.params and os = Guest_os.default and cores = Board.cores board in
+      let p = params and os = Guest_os.default and cores = Board.cores board in
       let iobond = Board.iobond board in
       let net_port = Iobond.attach_net iobond ~queue_size:Backend.net_queue_size () in
       let blk_port = Iobond.attach_blk iobond () in
@@ -176,8 +172,6 @@ let release t ~name =
     Board.power_off state.board;
     t.guests <- List.remove_assoc name t.guests
 
-let guest_datapath t ~name = Backend.datapath t.backend ~name
-let guest_vf t ~name = Backend.vf t.backend ~name
 let guest_board t ~name = Option.map (fun s -> s.board) (List.assoc_opt name t.guests)
 let rx_no_buffer_drops t ~name = Backend.rx_drops t.backend ~name
 

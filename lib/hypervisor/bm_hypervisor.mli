@@ -10,16 +10,6 @@
 
 type server
 
-type params = {
-  pmd_pkt_ns : float;  (** backend per-packet service cost on base cores *)
-  pmd_blk_ns : float;  (** backend per-block-request service cost *)
-  bm_cpu_bonus : float;  (** §4.2: bm boards measured ~4%% faster than the
-                             reference physical server (different
-                             manufacturer/configuration) *)
-}
-
-val default_params : params
-
 val create_server :
   ?obs:Bm_engine.Obs.t ->
   ?fault:Bm_engine.Fault.t ->
@@ -29,10 +19,8 @@ val create_server :
   storage:Bm_cloud.Blockstore.t ->
   ?profile:Bm_iobond.Profile.t ->
   ?board_spec:Bm_hw.Cpu_spec.t ->
-  ?board_mem_gb:int ->
   ?boards:int ->
   ?dma_gbit_s:float ->
-  ?params:params ->
   ?vfs:int ->
   ?vf_queues:int ->
   unit ->
@@ -53,11 +41,8 @@ val create_server :
     device is created on first use, so a server that never hands out a
     VF schedules exactly the events it always did. *)
 
-val vswitch : server -> Bm_cloud.Vswitch.t
 val base_cores : server -> Bm_hw.Cores.t
-val boards : server -> Bm_guest.Board.t array
 val free_boards : server -> int
-val profile : server -> Bm_iobond.Profile.t
 
 val provision :
   server ->
@@ -81,8 +66,7 @@ val provision :
     completions directly into the guest at device latency, skipping
     the bm-hypervisor poll loop; block I/O stays on the shadow-vring
     path either way. When the pool is exhausted, [Sliced] falls back
-    to [Vring] (see {!vf_fallbacks}); {!guest_datapath} reports the
-    path actually granted. *)
+    to [Vring], counted in ["hyp.bm.vf_fallbacks"]. *)
 
 val release : server -> name:string -> unit
 (** Power the board off and return it to the free pool. A VF-backed
@@ -90,28 +74,6 @@ val release : server -> name:string -> unit
     freed for the next attachment). *)
 
 val guest_board : server -> name:string -> Bm_guest.Board.t option
-
-(** {2 SR-IOV pool} *)
-
-val vf_capacity : server -> int
-(** Virtual functions the server's shared pool can hand out. *)
-
-val vf_free : server -> int
-(** Currently unattached pool VFs (the full capacity before first use). *)
-
-val vf_fallbacks : server -> int
-(** [Sliced] provisions that found the pool exhausted and fell back to
-    the shadow-vring path. *)
-
-val vf_pool_device : server -> Bm_iobond.Vf.dev option
-(** The shared pool device, once something attached to it — for the
-    per-VF report table and the reassignment experiments. *)
-
-val guest_datapath : server -> name:string -> Bm_iobond.Vf.datapath option
-(** The net datapath the guest actually got (after any fallback). *)
-
-val guest_vf : server -> name:string -> Bm_iobond.Vf.vf option
-(** The guest's virtual function, for SVFF-style hot-reassignment. *)
 
 val offload_table : server -> name:string -> Bm_iobond.Offload.t option
 (** The guest's flow-offload engine when provisioned with [~offload]. *)

@@ -1,5 +1,7 @@
 open Bm_engine
 
+(* Memory accesses issued per ns of compute on the reference core: about
+   one access every 2 ns for integer server code. *)
 let accesses_per_ns = 0.5
 
 let dilation_factor ?obs tlb ~virtualized ~working_set ~locality =

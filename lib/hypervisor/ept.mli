@@ -6,10 +6,6 @@
     dilation a vm-guest experiences, using the shared {!Bm_hw.Tlb}
     model. *)
 
-val accesses_per_ns : float
-(** Memory accesses issued per ns of compute on the reference core
-    (~one access every 2 ns for integer server code). *)
-
 val dilation_factor :
   ?obs:Bm_engine.Obs.t ->
   Bm_hw.Tlb.t ->

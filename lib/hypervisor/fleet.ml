@@ -31,17 +31,22 @@ let sample_exit_rate rng cls =
 
 type exit_survey = { vms : int; over_10k : float; over_50k : float; over_100k : float }
 
+(* Table 2's thresholds over [vms] exit rates; [rate i] draws the i-th,
+   in order, so both surveys consume their RNG exactly as they call it. *)
+let tally_exits ~vms rate =
+  let over_10k = ref 0 and over_50k = ref 0 and over_100k = ref 0 in
+  for i = 0 to vms - 1 do
+    let r = rate i in
+    if r > 10_000.0 then incr over_10k;
+    if r > 50_000.0 then incr over_50k;
+    if r > 100_000.0 then incr over_100k
+  done;
+  let frac r = if vms = 0 then 0.0 else float_of_int !r /. float_of_int vms in
+  { vms; over_10k = frac over_10k; over_50k = frac over_50k; over_100k = frac over_100k }
+
 let survey_exits rng ~vms =
   assert (vms > 0);
-  let over_10k = ref 0 and over_50k = ref 0 and over_100k = ref 0 in
-  for _ = 1 to vms do
-    let rate = sample_exit_rate rng (sample_class rng) in
-    if rate > 10_000.0 then incr over_10k;
-    if rate > 50_000.0 then incr over_50k;
-    if rate > 100_000.0 then incr over_100k
-  done;
-  let frac r = float_of_int !r /. float_of_int vms in
-  { vms; over_10k = frac over_10k; over_50k = frac over_50k; over_100k = frac over_100k }
+  tally_exits ~vms (fun _ -> sample_exit_rate rng (sample_class rng))
 
 type preempt_window = {
   hour : int;
@@ -139,15 +144,13 @@ module Live = struct
     | Hpc -> 50.0
     | Io_heavy -> 20_000.0
 
-  type guest_info = { cls : workload_class; mode : Preempt.mode }
-
   type t = {
     sim : Sim.t;
     fabric : Fabric.t;
     sched : Scheduler.t;
     config : config;
     metrics : Metrics.t option;
-    info : (string, guest_info) Hashtbl.t;
+    classes : (string, workload_class) Hashtbl.t;
     flow_rng : Rng.t;
     ecmp_rng : Rng.t;  (* pristine copy of the fabric RNG: per-shard
                           fabric replicas re-draw the same ECMP seed *)
@@ -163,11 +166,9 @@ module Live = struct
   let sim t = t.sim
   let fabric t = t.fabric
   let scheduler t = t.sched
-  let config t = t.config
   let placed t = t.placed
   let place_failures t = t.place_failures
   let flow_bursts t = t.flow_bursts
-  let evacuated_bytes t = t.evac_bytes
 
   let pad_width n = String.length (string_of_int (max 1 (n - 1)))
 
@@ -222,13 +223,12 @@ module Live = struct
       Scheduler.register_tenant sched (Tenant.create ~obs ~name:(tenant_name i) quota)
     done;
     let gwidth = pad_width cfg.guests in
-    let info = Hashtbl.create (2 * cfg.guests) in
+    let classes = Hashtbl.create (2 * cfg.guests) in
     let reqs =
       List.init cfg.guests (fun i ->
           let cls = sample_class class_rng in
           let name = Printf.sprintf "g%0*d" gwidth i in
-          let mode = if i mod 5 = 0 then Preempt.Exclusive else Preempt.Shared in
-          Hashtbl.replace info name { cls; mode };
+          Hashtbl.replace classes name cls;
           (* Explicit substrates: a vm request must not strand a whole
              compute board, and every 33rd guest buys bare metal. *)
           let prefer = if i mod 33 = 0 then Cp.Bare_metal else Cp.Virtual in
@@ -244,7 +244,7 @@ module Live = struct
         sched;
         config = cfg;
         metrics = Obs.metrics obs;
-        info;
+        classes;
         flow_rng;
         ecmp_rng;
         packet_id = 0;
@@ -282,7 +282,7 @@ module Live = struct
                | Some req ->
                  Option.map
                    (fun tn ->
-                     let { cls; _ } = Hashtbl.find t.info name in
+                     let cls = Hashtbl.find t.classes name in
                      let v = float_of_int req.Scheduler.vcpus in
                      (tn, byte_rate_of cls *. v, io_rate_of cls *. v))
                    (Scheduler.tenant t.sched req.Scheduler.tenant))
@@ -302,7 +302,6 @@ module Live = struct
       (meter_plan t)
 
   let guest_host t name = Option.map (fun p -> p.Cp.server) (Scheduler.lookup t.sched name)
-  let guest_class t name = Option.map (fun gi -> gi.cls) (Hashtbl.find_opt t.info name)
 
   let next_packet t = t.packet_id <- t.packet_id + 1; t.packet_id
 
@@ -500,70 +499,11 @@ module Live = struct
          (List.length (Scheduler.stranded t.sched)));
     Buffer.contents b
 
-  let utilization_histogram t =
-    let cp = Scheduler.control_plane t.sched in
-    let buckets = Array.make 10 0 in
-    List.iter
-      (fun id ->
-        let u = Cp.server_utilization cp id in
-        let i = min 9 (int_of_float (u *. 10.0)) in
-        buckets.(i) <- buckets.(i) + 1)
-      (Cp.server_ids cp);
-    Array.to_list (Array.mapi (fun i n -> (float_of_int i /. 10.0, n)) buckets)
-
   (* --- surveys: the sampler API, driven by the live population ------- *)
 
   let exit_survey t rng =
-    let names = List.map fst (Scheduler.assignments t.sched) in
-    let vms = List.length names in
-    if vms = 0 then { vms = 0; over_10k = 0.0; over_50k = 0.0; over_100k = 0.0 }
-    else begin
-      let over_10k = ref 0 and over_50k = ref 0 and over_100k = ref 0 in
-      List.iter
-        (fun name ->
-          let { cls; _ } = Hashtbl.find t.info name in
-          let rate = sample_exit_rate rng cls in
-          if rate > 10_000.0 then incr over_10k;
-          if rate > 50_000.0 then incr over_50k;
-          if rate > 100_000.0 then incr over_100k)
-        names;
-      let frac r = float_of_int !r /. float_of_int vms in
-      { vms; over_10k = frac over_10k; over_50k = frac over_50k; over_100k = frac over_100k }
-    end
+    let names = Array.of_list (List.map fst (Scheduler.assignments t.sched)) in
+    tally_exits ~vms:(Array.length names) (fun i ->
+        sample_exit_rate rng (Hashtbl.find t.classes names.(i)))
 
-  let preemption_survey t rng ~hours =
-    if hours < 1 then invalid_arg "Fleet.Live.preemption_survey: hours must be >= 1";
-    let cp = Scheduler.control_plane t.sched in
-    let guests =
-      List.map
-        (fun (name, p) ->
-          let { mode; _ } = Hashtbl.find t.info name in
-          (mode, Cp.server_utilization cp p.Cp.server))
-        (Scheduler.assignments t.sched)
-    in
-    List.init hours (fun hour ->
-        (* Scale each host's packed utilization by the diurnal activity
-           curve: placement gives the spatial load, the curve the
-           temporal swing. *)
-        let swing = diurnal_load ~hour /. 0.55 in
-        let draw want =
-          Array.of_list
-            (List.filter_map
-               (fun (mode, util) ->
-                 if mode = want then
-                   let host_load = Float.max 0.01 (Float.min 0.98 (util *. swing)) in
-                   Some (Preempt.sample_window_fraction rng ~mode ~host_load)
-                 else None)
-               guests)
-        in
-        let shared = draw Preempt.Shared in
-        let exclusive = draw Preempt.Exclusive in
-        let pct a p = if Array.length a = 0 then 0.0 else percentile_of_array a p in
-        {
-          hour;
-          shared_p99 = pct shared 99.0;
-          shared_p999 = pct shared 99.9;
-          exclusive_p99 = pct exclusive 99.0;
-          exclusive_p999 = pct exclusive 99.9;
-        })
 end

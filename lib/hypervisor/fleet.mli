@@ -16,26 +16,17 @@
       a bin-packing {!Bm_cloud.Scheduler}, tenants with quotas and
       metering, and mass evacuation streamed over the {!Bm_fabric.Fabric}.
 
-    The live fleet {e reuses} the sampler's population model —
-    {!class_mix}, {!sample_class}, {!sample_exit_rate},
-    {!Preempt.sample_window_fraction} — so the two paths cannot drift:
-    {!Live.exit_survey} draws from the same distributions as
-    {!survey_exits}, conditioned on the classes of the guests actually
-    placed. New code should prefer {!Live}; the standalone sampler
-    functions below are kept for the Table-2/Fig-1 calibration
-    experiments and as the shared population model, and are {b soft-
-    deprecated} as a fleet abstraction: they model a population, not a
-    fleet. *)
+    The sampler is the population model. [table2] runs {!survey_exits}
+    over 300K VMs and [fig1] runs {!survey_preemption} over 20K, more
+    than the live fleet's default 12K guests, so the two experiments
+    sample a population rather than read one off a placed fleet. {!Live}
+    reuses that model: each guest's class comes from the same class
+    mixture, and {!Live.exit_survey} tallies the same exit-rate draws
+    against the same thresholds as {!survey_exits}, conditioned on the
+    classes of the guests actually placed, so the two paths cannot
+    drift. *)
 
 type workload_class = Idle | Web | Database | Cache | Hpc | Io_heavy
-
-val class_mix : (workload_class * float) list
-(** Population mixture (sums to 1). *)
-
-val sample_class : Bm_engine.Rng.t -> workload_class
-
-val sample_exit_rate : Bm_engine.Rng.t -> workload_class -> float
-(** Exits per second per vCPU for one VM of this class. *)
 
 type exit_survey = {
   vms : int;
@@ -99,15 +90,14 @@ module Live : sig
   (** Construct the fleet: auto-size a Clos ({!Bm_fabric.Topology.for_hosts})
       unless [topo] is given and large enough, attach every host (server
       id = fabric port), register tenants (quota: twice the fair share),
-      draw each guest's workload class from {!class_mix}, and place the
-      whole population first-fit-decreasing. Every 33rd guest requests
+      draw each guest's workload class from the sampler's class
+      mixture, and place the whole population first-fit-decreasing. Every 33rd guest requests
       bare metal; three of every 25 guests form an anti-affinity group.
       Same [seed] + [config] ⇒ identical fleet, byte for byte. *)
 
   val sim : t -> Bm_engine.Sim.t
   val fabric : t -> Bm_fabric.Fabric.t
   val scheduler : t -> Bm_cloud.Scheduler.t
-  val config : t -> config
 
   val placed : t -> int
   (** Guests successfully placed at build time. *)
@@ -146,9 +136,6 @@ module Live : sig
   (** The server (= fabric host port) a guest is currently placed on;
       [None] for unknown or stranded guests. Tracks evacuations. *)
 
-  val guest_class : t -> string -> workload_class option
-  (** The workload class drawn for a guest at build time. *)
-
   type evac_report = {
     victims : int;  (** guests on the failed host *)
     replaced : int;  (** re-placed elsewhere *)
@@ -165,8 +152,6 @@ module Live : sig
       host's uplink queue (64) never drops: the pre-copy phase of mass
       live migration. Runs the simulation to quiescence. *)
 
-  val evacuated_bytes : t -> int
-
   val restore : t -> server:int -> int
   (** Repair [server] ({!Bm_cloud.Control_plane.restore_server}) and
       retry every stranded guest; returns how many recovered. *)
@@ -176,16 +161,9 @@ module Live : sig
       plus a placed/stranded total. The golden-trajectory regression
       commits this string verbatim. *)
 
-  val utilization_histogram : t -> (float * int) list
-  (** Ten deciles of per-host thread utilization: [(lower bound, hosts)]. *)
-
   val exit_survey : t -> Bm_engine.Rng.t -> exit_survey
-  (** Table 2 over the {e placed} population: same
-      {!sample_exit_rate} draws as {!survey_exits}, conditioned on each
-      placed guest's class. *)
+  (** Table 2 over the {e placed} population: the same exit-rate draws
+      and threshold tally as {!survey_exits}, conditioned on each placed
+      guest's class (all fractions 0 on an empty fleet). *)
 
-  val preemption_survey : t -> Bm_engine.Rng.t -> hours:int -> preempt_window list
-  (** Fig. 1 over the placed population: each guest's host load is its
-      server's packed utilization scaled by {!diurnal_load}'s swing;
-      exclusive guests (every 5th) use [Preempt.Exclusive]. *)
 end

@@ -6,15 +6,17 @@ open Bm_guest
 module Vf = Bm_iobond.Vf
 
 type params = {
-  cpu_overhead : float;
-  mem_tax : float;
-  vhost_pkt_ns : float;
-  vblk_req_ns : float;
+  cpu_overhead : float; (* residual dilation of pure CPU work (world switches) *)
+  mem_tax : float; (* memory-bandwidth tax under load (§4.2: vm ≈ 98%) *)
+  vhost_pkt_ns : float; (* vhost-user per-packet service cost on host cores *)
+  vblk_req_ns : float; (* vhost-blk per-request service cost *)
   vblk_sched_ns : float;
-  vblk_hiccup_p : float;
-  vblk_hiccup_scale_ns : float;
-  copy_gb_s : float;
-  injection_ns : float;
+      (* host block-layer + event-loop scheduling latency per request
+         (eventfd wake-up on submit, completion softirq on the way back) *)
+  vblk_hiccup_p : float; (* probability of a host block-layer stall per request *)
+  vblk_hiccup_scale_ns : float; (* Pareto scale of such a stall *)
+  copy_gb_s : float; (* CPU memcpy bandwidth for the storage data copies *)
+  injection_ns : float; (* guest-side cost of one injected interrupt (exit+entry) *)
 }
 
 (* cpu_overhead 1.5%: background exits + world switches leave SPEC-class
@@ -32,7 +34,7 @@ type params = {
    the vhost event loop twice; eventfd wake-ups and completion softirqs
    add tens of microseconds of scheduling latency. This is the term
    behind Fig. 11's ~25% average gap. *)
-let default_params =
+let params =
   {
     cpu_overhead = 0.015;
     mem_tax = 0.02;
@@ -45,27 +47,24 @@ let default_params =
     injection_ns = 3_000.0;
   }
 
-type vm = { exits : Vmexit.counters; preempt : Preempt.t }
-
 type host = {
   sim : Sim.t;
   rng : Rng.t;
   spec : Cpu_spec.t;
-  params : params;
   service_cores : Cores.t;
   total_threads : int;
   obs : Obs.t;
   backend : Backend.t;
   mutable provisioned_threads : int;
-  mutable vms : (string * vm) list;
+  mutable vms : (string * Vmexit.counters) list;
 }
 
 let reserved_threads = 8
 
-let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage
-    ?(spec = Cpu_spec.xeon_e5_2682_v4) ?(sockets = 2) ?(params = default_params) ?(vfs = 8)
+let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage ?(vfs = 8)
     ?(vf_queues = 2) () =
-  let total = sockets * spec.Cpu_spec.threads in
+  let spec = Cpu_spec.xeon_e5_2682_v4 in
+  let total = 2 * spec.Cpu_spec.threads in
   let service_cores = Cores.create sim ~spec ~threads:reserved_threads () in
   (* The vhost worker threads die and respawn just like the bm path's
      PMD processes, so goodput-under-faults compares like with like; the
@@ -78,7 +77,6 @@ let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage
     sim;
     rng;
     spec;
-    params;
     service_cores;
     total_threads = total - reserved_threads;
     obs;
@@ -89,11 +87,6 @@ let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage
 
 let vswitch host = Backend.vswitch host.backend
 let sellable_threads host = host.total_threads
-let service_cores host = host.service_cores
-let vf_capacity host = Backend.vf_capacity host.backend
-let vf_free host = Backend.vf_free host.backend
-let vf_fallbacks host = Backend.vf_fallbacks host.backend
-let vf_pool_device host = Backend.vf_pool_device host.backend
 
 type vm_config = {
   name : string;
@@ -126,7 +119,7 @@ let create_vm host config =
   if config.vcpus > host.total_threads - host.provisioned_threads then
     invalid_arg "Kvm.create_vm: host out of sellable threads";
   host.provisioned_threads <- host.provisioned_threads + config.vcpus;
-  let sim = host.sim and p = host.params and os = Guest_os.default and spec = host.spec in
+  let sim = host.sim and p = params and os = Guest_os.default and spec = host.spec in
   let exits =
     Vmexit.create_counters ~obs:host.obs ~track:("hyp.vmexit." ^ config.name) ()
   in
@@ -268,10 +261,7 @@ let create_vm host config =
         Vmexit.record exits Vmexit.Msr_access;
         Cores.execute_ns guest_cores (100.0 +. Vmexit.handle_ns Vmexit.Msr_access))
   in
-  host.vms <- (config.name, { exits; preempt }) :: host.vms;
+  host.vms <- (config.name, exits) :: host.vms;
   instance
 
-let exit_counters host ~name = Option.map (fun vm -> vm.exits) (List.assoc_opt name host.vms)
-let preempt_of host ~name = Option.map (fun vm -> vm.preempt) (List.assoc_opt name host.vms)
-let vm_datapath host ~name = Backend.datapath host.backend ~name
-let vm_vf host ~name = Backend.vf host.backend ~name
+let exit_counters host ~name = List.assoc_opt name host.vms

@@ -11,22 +11,6 @@
 
 type host
 
-type params = {
-  cpu_overhead : float;  (** residual dilation of pure CPU work (world switches) *)
-  mem_tax : float;  (** memory-bandwidth tax under load (§4.2: vm ≈ 98%) *)
-  vhost_pkt_ns : float;  (** vhost-user per-packet service cost on host cores *)
-  vblk_req_ns : float;  (** vhost-blk per-request service cost *)
-  vblk_sched_ns : float;
-      (** host block-layer + event-loop scheduling latency per request
-          (eventfd wake-up on submit, completion softirq on the way back) *)
-  vblk_hiccup_p : float;  (** probability of a host block-layer stall per request *)
-  vblk_hiccup_scale_ns : float;  (** Pareto scale of such a stall *)
-  copy_gb_s : float;  (** CPU memcpy bandwidth for the storage data copies *)
-  injection_ns : float;  (** guest-side cost of one injected interrupt (exit+entry) *)
-}
-
-val default_params : params
-
 val create_host :
   ?obs:Bm_engine.Obs.t ->
   ?fault:Bm_engine.Fault.t ->
@@ -34,14 +18,11 @@ val create_host :
   Bm_engine.Rng.t ->
   fabric:Bm_cloud.Vswitch.fabric ->
   storage:Bm_cloud.Blockstore.t ->
-  ?spec:Bm_hw.Cpu_spec.t ->
-  ?sockets:int ->
-  ?params:params ->
   ?vfs:int ->
   ?vf_queues:int ->
   unit ->
   host
-(** Default host: two sockets of Xeon E5-2682 v4 (the §4.2 comparison
+(** A host of two Xeon E5-2682 v4 sockets (the §4.2 comparison
     server), 8 HT reserved for the hypervisor. With [fault], a
     [Pmd_crash] event kills the vhost worker threads for its dead-time;
     they respawn and drain the shared-memory rings from where they left
@@ -53,19 +34,7 @@ val create_host :
     VFIO-capable SR-IOV NIC (an ASIC part), created on first use by a
     VM whose [vm_config.datapath] asks for direct assignment. *)
 
-val vswitch : host -> Bm_cloud.Vswitch.t
 val sellable_threads : host -> int
-val service_cores : host -> Bm_hw.Cores.t
-
-(** {2 SR-IOV pool} *)
-
-val vf_capacity : host -> int
-val vf_free : host -> int
-
-val vf_fallbacks : host -> int
-(** [Sliced] VMs that found the pool exhausted and fell back to vhost. *)
-
-val vf_pool_device : host -> Bm_iobond.Vf.dev option
 
 type vm_config = {
   name : string;
@@ -85,7 +54,8 @@ type vm_config = {
           pins a whole SR-IOV device (VFIO), [Sliced] one VF of the
           host NIC — both skip the vhost workers, tx doorbells stop
           exiting, and completions inject directly. Falls back to
-          [Vring] when the pool is exhausted (see {!vf_fallbacks}). *)
+          [Vring] when the pool is exhausted, counted in
+          ["hyp.vm.vf_fallbacks"]. *)
 }
 
 val default_config : name:string -> vm_config
@@ -97,11 +67,3 @@ val create_vm : host -> vm_config -> Bm_guest.Instance.t
 
 val exit_counters : host -> name:string -> Vmexit.counters option
 (** Per-VM exit telemetry. *)
-
-val preempt_of : host -> name:string -> Preempt.t option
-
-val vm_datapath : host -> name:string -> Bm_iobond.Vf.datapath option
-(** The net datapath the VM actually got (after any fallback). *)
-
-val vm_vf : host -> name:string -> Bm_iobond.Vf.vf option
-(** The VM's assigned virtual function, for hot-reassignment. *)

@@ -92,11 +92,14 @@ let copy_via sim (net, src_host, dst_host) bytes =
     Sim.Ivar.read finished
   end
 
-let migrate (t : injected) ?(link_gb_s = 12.5) ?via ~dirty_rate_gb_s ~mem_gb () =
+(* The analytic dedicated link: 100 Gbit/s. *)
+let dedicated_link_gb_s = 12.5
+
+let migrate (t : injected) ?via ~dirty_rate_gb_s ~mem_gb () =
   ignore t.base;
   let link_gb_s =
     match via with
-    | None -> link_gb_s
+    | None -> dedicated_link_gb_s
     | Some (net, src_host, dst_host) ->
       Bm_fabric.Fabric.path_capacity_gbit_s net ~src_host ~dst_host /. 8.0
   in

@@ -35,14 +35,13 @@ type migration_stats = {
 
 val migrate :
   injected ->
-  ?link_gb_s:float ->
   ?via:Bm_fabric.Fabric.t * int * int ->
   dirty_rate_gb_s:float ->
   mem_gb:int ->
   unit ->
   (migration_stats, string) result
-(** Pre-copy the guest's memory over a [link_gb_s] (default 12.5 —
-    100 Gbit/s) network path while it runs, iterating until the dirty
+(** Pre-copy the guest's memory over a dedicated 12.5 GB/s (100 Gbit/s)
+    network path while it runs, iterating until the dirty
     remainder fits a sub-10 ms stop-and-copy (or round limit), then cut
     over. Must be called from a simulation process.
 
@@ -50,6 +49,5 @@ val migrate :
     chunks over the link-level fabric between those hosts instead of an
     analytic dedicated link: the copy contends with tenant traffic in
     the same queues (drops are retransmitted), so round times — and thus
-    rounds, blackout and total — stretch under congestion. [link_gb_s]
-    is ignored; the convergence check uses the path's bottleneck
-    capacity. *)
+    rounds, blackout and total — stretch under congestion. The
+    convergence check then uses the path's bottleneck capacity. *)

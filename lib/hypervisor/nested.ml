@@ -1,3 +1,4 @@
+(* Real L0 exits caused by one L2 exit (~20, Turtles-class). *)
 let exit_multiplier = 20.0
 let cpu_efficiency = 0.80
 let io_efficiency = 0.25

@@ -7,9 +7,6 @@
     exits to L0 many times, so one logical exit multiplies into tens of
     real exits. *)
 
-val exit_multiplier : float
-(** Real L0 exits caused by one L2 exit (~20, Turtles-class). *)
-
 val cpu_efficiency : float
 (** ≈ 0.80: nested guest CPU throughput relative to native. *)
 

@@ -5,12 +5,9 @@ type mode = Shared | Exclusive
 type t = {
   sim : Sim.t;
   rng : Rng.t;
-  mode : mode;
-  host_load : float;
   steal_p : float; (* probability a request boundary loses the CPU *)
   slice_ns : float; (* mean stolen slice *)
   mutable stolen_ns : float;
-  mutable steals : int;
   obs : Obs.t;
 }
 
@@ -26,9 +23,7 @@ let params_of ~mode ~host_load =
 let create ?(obs = Obs.none) sim rng ~mode ?(host_load = 0.5) () =
   assert (host_load >= 0.0 && host_load <= 1.0);
   let steal_p, slice_ns = params_of ~mode ~host_load in
-  { sim; rng; mode; host_load; steal_p; slice_ns; stolen_ns = 0.0; steals = 0; obs }
-
-let mode t = t.mode
+  { sim; rng; steal_p; slice_ns; stolen_ns = 0.0; obs }
 
 let maybe_steal t =
   if Rng.bernoulli t.rng ~p:t.steal_p then begin
@@ -40,7 +35,6 @@ let maybe_steal t =
     in
     let pause = body +. tail in
     t.stolen_ns <- t.stolen_ns +. pause;
-    t.steals <- t.steals + 1;
     Metrics.observe_opt (Obs.metrics t.obs) "hyp.preempt.stolen_ns" pause;
     Trace.begin_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim);
     Sim.delay pause;
@@ -48,7 +42,6 @@ let maybe_steal t =
   end
 
 let stolen_ns t = t.stolen_ns
-let steals t = t.steals
 
 (* Fig. 1 calibration. The figure shows shared p99 between ~2% and ~4%
    and p99.9 between ~2% and ~10% as host load swings over the day: the

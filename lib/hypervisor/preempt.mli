@@ -30,8 +30,6 @@ val create :
     [obs], each steal spans the ["hyp.preempt"] track and feeds the
     ["hyp.preempt.stolen_ns"] histogram. *)
 
-val mode : t -> mode
-
 val maybe_steal : t -> unit
 (** Call at a request boundary: with the configured probability the
     vCPU loses the CPU for one scheduling slice (exponential body,
@@ -39,8 +37,6 @@ val maybe_steal : t -> unit
 
 val stolen_ns : t -> float
 (** Total time stolen through {!maybe_steal}. *)
-
-val steals : t -> int
 
 val sample_window_fraction : Bm_engine.Rng.t -> mode:mode -> host_load:float -> float
 (** Draw one VM×window preemption fraction (unitless, 0–1). Calibrated

@@ -10,7 +10,11 @@
     A [Spinlock.t] is a guest kernel spinlock: the critical section runs
     on the instance's cores, and — through the instance's [pause] hook —
     the holder can be preempted mid-section when the substrate allows it.
-    Waiters burn CPU while they spin (that is the point of a spinlock). *)
+    Waiters burn CPU while they spin (that is the point of a spinlock).
+
+    Only a unit test reaches this module so far. It stays because it
+    models a claim of the paper (§2.1), and a [sec2_1] experiment row
+    reporting spin time and worst wait, bm vs vm, is planned for it. *)
 
 type t
 

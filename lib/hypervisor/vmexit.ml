@@ -20,8 +20,6 @@ let handle_ns = function
   | Interrupt_window -> 5_000.0
   | Cpuid -> 3_000.0
 
-let observable_threshold_per_s = 5_000.0
-
 let all =
   [ Ept_violation; Msr_access; Ipi; Io_instruction; Hlt; External_interrupt; Interrupt_window; Cpuid ]
 
@@ -61,9 +59,3 @@ let total t = Array.fold_left ( + ) 0 t.counts
 let total_time_ns t = t.time_ns
 
 let rate_per_s t ~elapsed_ns = if elapsed_ns <= 0.0 then nan else float_of_int (total t) /. (elapsed_ns /. 1e9)
-
-let pp fmt t =
-  Format.fprintf fmt "exits=%d time=%.1fus" (total t) (t.time_ns /. 1e3);
-  List.iter
-    (fun r -> if count t r > 0 then Format.fprintf fmt " %s=%d" (name r) (count t r))
-    all

@@ -20,9 +20,6 @@ val handle_ns : reason -> float
 (** Hypervisor time to handle one exit of this kind. Heavyweight exits
     cost the paper's ~10 µs; lightweight ones (HLT wake-ups, CPUID) less. *)
 
-val observable_threshold_per_s : float
-(** 5,000 exits/s — where the paper says overhead becomes observable. *)
-
 type counters
 
 val create_counters : ?obs:Bm_engine.Obs.t -> ?track:string -> unit -> counters
@@ -35,4 +32,3 @@ val count : counters -> reason -> int
 val total : counters -> int
 val total_time_ns : counters -> float
 val rate_per_s : counters -> elapsed_ns:float -> float
-val pp : Format.formatter -> counters -> unit

@@ -68,11 +68,9 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?dma_gbit_s () =
   Fault.subscribe fault Fault.Firmware_wedge (handle_wedge t);
   t
 
-let profile t = t.profile
 let mailbox t = t.mailbox
 let base_link t = t.base_link
 let net_link t = t.net_link
-let blk_link t = t.blk_link
 let dma t = t.dma
 
 let pci_access_ns t = Profile.pci_emulation_ns t.profile
@@ -107,8 +105,8 @@ let attach_net t ?queue_size () =
     :: t.ports;
   { net_device = device; net_tx; net_rx }
 
-let attach_blk t ?queue_size () =
-  let device = Virtio_blk.create ~obs:t.obs ?queue_size ~on_access:(on_pci_access t) () in
+let attach_blk t () =
+  let device = Virtio_blk.create ~obs:t.obs ~on_access:(on_pci_access t) () in
   let blk_queue =
     Queue_bridge.create ~obs:t.obs ~fault:t.fault t.sim ~name:"blk"
       ~guest:(Virtio_blk.ring device) ~dma:t.dma ~guest_link:t.blk_link ~base_link:t.base_link
@@ -128,5 +126,4 @@ let attach_vga t =
   Virtio_pci.create ~kind:Virtio_pci.Vga ~num_queues:1 ~queue_size:2
     ~on_access:(on_pci_access t)
 
-let max_guest_gbit_s t = Dma.gbit_s t.dma
 let resets t = t.resets

@@ -44,30 +44,21 @@ val create :
     rings (which live in base-server memory and survive), so in-flight
     requests are re-posted exactly once (["iobond.resets"]). *)
 
-val profile : t -> Profile.t
 val mailbox : t -> Mailbox.t
 val base_link : t -> Bm_hw.Pcie.t
 val net_link : t -> Bm_hw.Pcie.t
-val blk_link : t -> Bm_hw.Pcie.t
 val dma : t -> Bm_hw.Dma.t
 
 val attach_net : t -> ?queue_size:int -> unit -> net_port
 (** Create the virtio-net device: PCI accesses cost
     [Profile.pci_emulation_ns]; tx/rx kicks ring the bridge doorbells. *)
 
-val attach_blk : t -> ?queue_size:int -> unit -> blk_port
+val attach_blk : t -> unit -> blk_port
+(** A virtio-blk device of the classic 128-entry depth. *)
 
 val attach_vga : t -> Bm_virtio.Virtio_pci.t
 (** The console device (§3.4.2 mentions a VGA device for users to reach
     the bm-guest console). Config-space only. *)
-
-val pci_access_ns : t -> float
-(** Guest-visible cost of one emulated PCI access (1.6 µs on the FPGA,
-    0.4 µs projected for the ASIC). *)
-
-val max_guest_gbit_s : t -> float
-(** Upper bound of a guest's combined I/O bandwidth: the DMA engine's
-    50 Gbit/s (§3.4.3). *)
 
 val resets : t -> int
 (** Device resets performed after firmware wedges. *)

@@ -42,8 +42,6 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~base_link =
     guard = Fault.Guard.create ~obs ~policy:tail_policy sim ~name:"mailbox.tail";
   }
 
-let ring_count t = t.rings
-
 let grow arr n = if n <= Array.length arr then arr else Array.append arr (Array.make n 0)
 
 let alloc_ring t =
@@ -54,10 +52,6 @@ let alloc_ring t =
   i
 
 let check t i = if i < 0 || i >= t.rings then invalid_arg "Mailbox: bad ring index"
-
-let head t i =
-  check t i;
-  t.heads.(i)
 
 let set_head t i v =
   check t i;

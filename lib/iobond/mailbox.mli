@@ -25,13 +25,8 @@ val create :
     ["iobond.mailbox.lost_tail_writes"] per write abandoned after the
     retry budget. *)
 
-val ring_count : t -> int
 val alloc_ring : t -> int
 (** Register a shadow vring; returns its index. *)
-
-val head : t -> int -> int
-(** Current head (shadow avail index) for ring [i]; a cheap host-memory
-    read for the poll-mode thread. *)
 
 val set_head : t -> int -> int -> unit
 (** IO-Bond side: publish a new head value (free: the FPGA owns it and

@@ -24,7 +24,6 @@ let create ?(capacity = 2048) () =
     evictions = 0;
   }
 
-let capacity t = t.cap
 let occupancy t = Hashtbl.length t.table
 
 let proto_id = function Packet.Udp -> 0 | Packet.Tcp -> 1 | Packet.Icmp -> 2

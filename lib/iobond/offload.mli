@@ -15,7 +15,6 @@ val create : ?capacity:int -> unit -> t
     Installation beyond capacity evicts the least recently installed
     rule. *)
 
-val capacity : t -> int
 val occupancy : t -> int
 
 val classify : t -> Bm_virtio.Packet.t -> [ `Offloaded | `Slow_path ]

@@ -5,7 +5,6 @@ let pci_emulation_ns t = 2.0 *. register_ns t
 let dma_gbit_s = function Fpga | Asic -> 50.0
 let dma_setup_ns = function Fpga -> 250.0 | Asic -> 100.0
 let name = function Fpga -> "FPGA" | Asic -> "ASIC"
-let pp fmt t = Format.pp_print_string fmt (name t)
 
 (* Per-VF/per-queue metric labels, with hard caps so a device with
    many functions cannot blow up the metric registry: indexes past the

@@ -23,7 +23,6 @@ val dma_setup_ns : t -> float
 (** Per-copy descriptor-fetch/doorbell overhead inside the engine. *)
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {2 Bounded per-VF/per-queue metric labels}
 
@@ -34,9 +33,6 @@ val pp : Format.formatter -> t -> unit
 
 val max_labeled_vfs : int
 (** Distinct VF labels before collapsing (8). *)
-
-val max_labeled_queues : int
-(** Distinct queue labels before collapsing (4). *)
 
 val vf_label : int -> string
 (** ["vf0"].."vf7"], else ["vf_other"]. *)

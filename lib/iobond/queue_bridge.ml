@@ -72,8 +72,6 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~name ~guest ~dma ~guest_
     add_guard = Fault.Guard.create ~obs ~policy:add_policy sim ~name:(name ^ ".shadow_add");
   }
 
-let name t = t.name
-let ring_index t = t.ring_index
 let set_guest_interrupt t f = t.guest_irq <- f
 let set_work_hint t f = t.work_hint <- f
 
@@ -136,8 +134,6 @@ let pause t = t.paused <- true
 let resume t =
   t.paused <- false;
   if pending t > 0 then t.work_hint ()
-
-let paused t = t.paused
 
 let pop t =
   if t.paused then None
@@ -204,9 +200,7 @@ let resync t =
     Sim.spawn t.sim (fun () -> pump_backward t false)
   end
 
-let forwarded t = t.forwarded
 let completed t = t.completed
-let interrupts t = t.interrupts
 
 let check_invariants t =
   match Vring.check_invariants t.guest with

@@ -39,10 +39,6 @@ val create :
     [Firmware_wedge] window is open (use {!resync} after the reset), and
     a full shadow ring is retried under a backoff policy. *)
 
-val name : _ t -> string
-val ring_index : _ t -> int
-(** Index of this queue's head/tail registers in the mailbox. *)
-
 val set_guest_interrupt : 'a t -> (unit -> unit) -> unit
 (** MSI hook toward the guest (coalesced: one per completion batch). *)
 
@@ -76,8 +72,6 @@ val pause : 'a t -> unit
 val resume : 'a t -> unit
 (** Resume and re-arm the work hint if requests accumulated. *)
 
-val paused : 'a t -> bool
-
 val complete : 'a t -> 'a request -> ?payload:'a -> written:int -> unit -> unit
 (** Publish a completion on the shadow ring. [payload] replaces the
     request's payload (a received packet written into a posted rx
@@ -97,11 +91,7 @@ val resync : 'a t -> unit
 
 (** {2 Statistics} *)
 
-val forwarded : 'a t -> int
-(** Requests mirrored guest→shadow. *)
-
 val completed : 'a t -> int
 (** Completions mirrored shadow→guest. *)
 
-val interrupts : 'a t -> int
 val check_invariants : 'a t -> (unit, string) result

@@ -140,20 +140,20 @@ let rec dispatch_loop d vf =
     (c.c_completed_ns -. c.c_submitted_ns);
   dispatch_loop d vf
 
-let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?gbit_s ?(vfs = 8)
-    ?(queues_per_vf = 2) ?(queue_depth = 256) ?(cq_depth = 256) () =
+(* Entries in each descriptor ring and each completion ring. *)
+let ring_depth = 256
+
+let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?(vfs = 8)
+    ?(queues_per_vf = 2) () =
   if vfs < 1 || vfs > 8 * Profile.max_labeled_vfs then
     invalid_arg "Vf.create_device: 1..64 virtual functions";
   if queues_per_vf < 1 then invalid_arg "Vf.create_device: queues_per_vf must be >= 1";
-  if queue_depth < 1 || cq_depth < 1 then invalid_arg "Vf.create_device: ring depth must be >= 1";
-  let total_gbit_s = Option.value gbit_s ~default:(Profile.dma_gbit_s profile) in
-  if total_gbit_s <= 0.0 then invalid_arg "Vf.create_device: gbit_s must be positive";
   let d =
     {
       sim;
       profile;
       link = Pcie.x8 ~obs ~fault sim ~register_ns:(Profile.register_ns profile);
-      total_gbit_s;
+      total_gbit_s = Profile.dma_gbit_s profile;
       setup_ns = Profile.dma_setup_ns profile;
       functions = [||];
       active_weight = 0.0;
@@ -182,8 +182,8 @@ let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?gbit_s ?
           vweight = 1.0;
           rings =
             Array.init queues_per_vf (fun _ ->
-                Sim.Bounded.create ~capacity:queue_depth ~policy:Sim.Bounded.Reject ());
-          cq = Sim.Bounded.create ~capacity:cq_depth ~policy:Sim.Bounded.Block ();
+                Sim.Bounded.create ~capacity:ring_depth ~policy:Sim.Bounded.Reject ());
+          cq = Sim.Bounded.create ~capacity:ring_depth ~policy:Sim.Bounded.Block ();
           next_seq = Array.make queues_per_vf 0;
           q_accepted = Array.make queues_per_vf 0;
           accepted = 0;
@@ -200,23 +200,15 @@ let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?gbit_s ?
     d.functions;
   d
 
-let total_vfs d = Array.length d.functions
-let gbit_s d = d.total_gbit_s
-
 let free_vfs d =
   Array.fold_left (fun acc vf -> if vf.vstate = Free then acc + 1 else acc) 0 d.functions
 
 let id vf = vf.vf_id
 let owner vf = vf.vowner
 let state vf = vf.vstate
-let weight vf = vf.vweight
 let queues vf = Array.length vf.rings
-let accepted vf = vf.accepted
-let delivered vf = vf.delivered
 let rejected vf = vf.rejected
 let in_flight vf = vf.accepted - vf.delivered
-let queue_accepted vf = Array.copy vf.q_accepted
-let bytes_moved vf = vf.bytes_moved
 let reassignments d = d.reassignments
 let blackouts d = List.rev d.blackouts_rev
 
@@ -362,24 +354,3 @@ let check_conservation d =
             err "vf%d: %s but ownerless" vf.vf_id (state_name vf.vstate)
           else Ok ())
       (Ok ()) d.functions
-
-let stats_header =
-  [ "vf"; "state"; "owner"; "weight"; "queues"; "accepted"; "delivered"; "rejected"; "in flight"; "bytes" ]
-
-let stats_rows d =
-  Array.to_list
-    (Array.map
-       (fun vf ->
-         [
-           string_of_int vf.vf_id;
-           state_name vf.vstate;
-           (match vf.vowner with Some o -> o | None -> "-");
-           Printf.sprintf "%.1f" vf.vweight;
-           string_of_int (Array.length vf.rings);
-           string_of_int vf.accepted;
-           string_of_int vf.delivered;
-           string_of_int vf.rejected;
-           string_of_int (in_flight vf);
-           Printf.sprintf "%.0f" vf.bytes_moved;
-         ])
-       d.functions)

@@ -50,8 +50,6 @@ type state =
   | Draining  (** in-flight work completing to the old owner *)
   | Reassigning  (** drained; device configuration replaying *)
 
-val state_name : state -> string
-
 (** {2 Completions} *)
 
 type completion = {
@@ -74,26 +72,20 @@ val create_device :
   ?fault:Fault.t ->
   Sim.t ->
   profile:Profile.t ->
-  ?gbit_s:float ->
   ?vfs:int ->
   ?queues_per_vf:int ->
-  ?queue_depth:int ->
-  ?cq_depth:int ->
   unit ->
   dev
 (** A physical function with [vfs] virtual functions (default 8, max
     {!Profile.max_labeled_vfs} × 8 = 64), [queues_per_vf] queue pairs
-    each (default 2), descriptor rings of [queue_depth] entries
-    (default 256) and completion rings of [cq_depth] entries (default
-    256, [Block] policy — a slow consumer backpressures the device
-    instead of losing completions). [gbit_s] defaults to the profile's
-    DMA rate and is shared by weighted arbitration. Creation spawns
+    each (default 2), 256-entry descriptor rings and 256-entry
+    completion rings ([Block] policy — a slow consumer backpressures
+    the device instead of losing completions). The profile's DMA rate
+    is shared by weighted arbitration. Creation spawns
     the per-queue device engines parked on their empty rings, so an
     unused device adds no events to the agenda. *)
 
-val total_vfs : dev -> int
 val free_vfs : dev -> int
-val gbit_s : dev -> float
 
 val attach : dev -> owner:string -> ?weight:float -> unit -> (vf, string) result
 (** Claim the lowest-indexed free VF for [owner] with the given
@@ -119,7 +111,6 @@ val reassign : vf -> owner:string -> (float, string) result
 val id : vf -> int
 val owner : vf -> string option
 val state : vf -> state
-val weight : vf -> float
 val queues : vf -> int
 
 val submit :
@@ -138,23 +129,12 @@ val submit :
 
 (** {2 Accounting} *)
 
-val accepted : vf -> int
-(** Descriptors accepted ([`Submitted]) over the VF's lifetime. *)
-
-val delivered : vf -> int
-(** Completions handed to [deliver] callbacks. *)
-
 val rejected : vf -> int
 (** Submissions refused (ring full or VF not attached). *)
 
 val in_flight : vf -> int
 (** [accepted - delivered]: descriptors queued, streaming, or waiting
     in the completion ring. *)
-
-val queue_accepted : vf -> int array
-(** Per-queue accepted counts, index = queue. *)
-
-val bytes_moved : vf -> float
 
 val reassignments : dev -> int
 val blackouts : dev -> float list
@@ -164,10 +144,3 @@ val check_conservation : dev -> (unit, string) result
 (** Structural invariants: every VF is in exactly one state, free +
     in-use = total, and per VF [accepted = delivered + in_flight] with
     [in_flight = 0] whenever the VF is quiescent ([Free]). *)
-
-val stats_header : string list
-
-val stats_rows : dev -> string list list
-(** One row per VF — id, state, owner, weight, queue-pair count,
-    accepted/delivered/rejected/in-flight, bytes — for
-    {!Bmhive.Report.metrics_table}'s per-VF section. *)

@@ -12,16 +12,3 @@ let default_blk = indirect_desc lor event_idx lor version_1
 let contains set bits = set land bits = bits
 let intersect = ( land )
 let union = ( lor )
-
-let pp fmt t =
-  let names =
-    [
-      (indirect_desc, "INDIRECT_DESC");
-      (event_idx, "EVENT_IDX");
-      (version_1, "VERSION_1");
-      (mrg_rxbuf, "MRG_RXBUF");
-      (csum_offload, "CSUM");
-    ]
-  in
-  let present = List.filter_map (fun (bit, name) -> if contains t bit then Some name else None) names in
-  Format.fprintf fmt "{%s}" (String.concat "," present)

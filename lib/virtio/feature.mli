@@ -11,17 +11,8 @@ val indirect_desc : t
 (** VIRTIO_F_RING_INDIRECT_DESC: chained requests may live in an indirect
     table, consuming a single ring slot. *)
 
-val event_idx : t
-(** VIRTIO_F_RING_EVENT_IDX: interrupt/notification suppression. *)
-
-val version_1 : t
-(** VIRTIO_F_VERSION_1: modern device. *)
-
 val mrg_rxbuf : t
 (** VIRTIO_NET_F_MRG_RXBUF: merged receive buffers. *)
-
-val csum_offload : t
-(** VIRTIO_NET_F_CSUM. *)
 
 val default_net : t
 (** Features offered by the virtio-net devices in this repository. *)
@@ -33,4 +24,3 @@ val contains : t -> t -> bool
 
 val intersect : t -> t -> t
 val union : t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -20,7 +20,3 @@ let tcp_header_bytes = 54
 
 let small_udp ~id ~src ~dst ?(count = 1) ~sent_at () =
   make ~id ~src ~dst ~size:((udp_header_bytes + 1) * count) ~count ~protocol:Udp ~sent_at ()
-
-let pp fmt t =
-  let proto = match t.protocol with Udp -> "udp" | Tcp -> "tcp" | Icmp -> "icmp" in
-  Format.fprintf fmt "pkt#%d %s %d->%d %dB x%d" t.id proto t.src t.dst t.size t.count

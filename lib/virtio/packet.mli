@@ -31,5 +31,3 @@ val tcp_header_bytes : int
 val small_udp : id:int -> src:int -> dst:int -> ?count:int -> sent_at:float -> unit -> t
 (** The paper's PPS test packet: headers plus one byte of payload (§4.3);
     [count] of them aggregated as one burst. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ type req = {
   done_ : float Sim.Ivar.ivar;
 }
 
-let sector_bytes = 512
 let header_bytes = 16
 let status_bytes = 1
 
@@ -84,6 +83,3 @@ let reap t =
     Metrics.mark_opt (Obs.metrics t.obs) ~n "virtio.blk.reaped" ~now:(Obs.now t.obs)
   end;
   n
-
-let submitted t = t.submitted
-let completed t = t.completed

@@ -22,8 +22,6 @@ type req = {
 
 type t
 
-val sector_bytes : int
-
 val create : ?obs:Bm_engine.Obs.t -> ?queue_size:int -> on_access:(unit -> unit) -> unit -> t
 (** [queue_size] defaults to 128, virtio-blk's classic depth. With
     [obs], the ring traces on ["virtio.blk"] and submissions/reaps are
@@ -46,6 +44,3 @@ val submit : t -> ?indirect:bool -> req -> bool
 val reap : t -> int
 (** Reap completions, filling each request's [done_] ivar with the
     current time; returns the number reaped. *)
-
-val submitted : t -> int
-val completed : t -> int

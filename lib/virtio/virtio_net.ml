@@ -97,6 +97,4 @@ let reap_rx t =
       ~now:(Obs.now t.obs));
   pkts
 
-let tx_sent t = t.tx_sent
-let rx_received t = t.rx_received
 let tx_dropped t = t.tx_dropped

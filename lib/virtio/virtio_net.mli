@@ -10,8 +10,6 @@
 
 type t
 
-val header_bytes : int
-
 val create : ?obs:Bm_engine.Obs.t -> ?queue_size:int -> on_access:(unit -> unit) -> unit -> t
 (** [create ~on_access ()] — [queue_size] defaults to 256 entries per
     ring, the paper-era default for virtio-net. [on_access] prices one
@@ -57,6 +55,4 @@ val reap_tx : t -> int
 val reap_rx : t -> Packet.t list
 (** Collect received packets (oldest first) and recycle their buffers. *)
 
-val tx_sent : t -> int
-val rx_received : t -> int
 val tx_dropped : t -> int

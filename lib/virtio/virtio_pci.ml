@@ -20,6 +20,7 @@ let s_driver_ok = 0x4
 let s_features_ok = 0x8
 let s_failed = 0x80
 
+(* Red Hat / virtio. *)
 let vendor_id_virtio = 0x1AF4
 
 let device_id = function Net -> 0x1000 | Blk -> 0x1001 | Vga -> 0x1050
@@ -57,7 +58,6 @@ let create ~kind ~num_queues ~queue_size ~on_access =
     notify_count = 0;
   }
 
-let kind t = t.kind
 let access_count t = t.accesses
 
 let touch t =
@@ -109,7 +109,6 @@ let write t reg v =
     invalid_arg "Virtio_pci: write to read-only register"
 
 let driver_ok t = t.status land s_driver_ok <> 0
-let negotiated_features t = Feature.intersect t.device_features t.driver_features
 
 let probe t ~driver_features =
   write t Device_status 0;

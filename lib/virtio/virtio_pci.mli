@@ -33,7 +33,6 @@ val create : kind:kind -> num_queues:int -> queue_size:int -> on_access:(unit ->
 (** [on_access] is called once per register read/write — the transport
     charges its latency there. *)
 
-val kind : t -> kind
 val access_count : t -> int
 
 val read : t -> register -> int
@@ -42,15 +41,8 @@ val write : t -> register -> int -> unit
 val driver_ok : t -> bool
 (** True once the driver completed initialisation ([DRIVER_OK] set). *)
 
-val negotiated_features : t -> Feature.t
-
 val probe : t -> driver_features:Feature.t -> (Feature.t * int * int, string) result
 (** [probe t ~driver_features] runs the standard virtio initialisation
     dance (reset, ACKNOWLEDGE, DRIVER, feature negotiation, queue
     discovery, FEATURES_OK, DRIVER_OK). On success returns
     [(features, num_queues, queue_size)]. *)
-
-val vendor_id_virtio : int
-(** 0x1AF4, Red Hat / virtio. *)
-
-val device_id : kind -> int

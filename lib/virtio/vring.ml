@@ -87,7 +87,6 @@ let num_free t = t.num_free
 
 let avail_pending t = (t.avail_idx - t.last_avail) land wrap16
 let used_pending t = (t.used_idx - t.last_used) land wrap16
-let in_flight t = t.size - t.num_free
 let in_flight_requests t = t.requests
 let avail_idx t = t.avail_idx
 let used_idx t = t.used_idx

@@ -36,9 +36,6 @@ val size : 'a t -> int
 val num_free : 'a t -> int
 (** Free descriptors in the table. *)
 
-val in_flight : 'a t -> int
-(** Descriptors in use (table slots consumed by outstanding requests). *)
-
 val in_flight_requests : 'a t -> int
 (** Requests added but not yet reclaimed by {!pop_used}. *)
 
@@ -65,8 +62,6 @@ val avail_pending : 'a t -> int
 
 val pop_avail : 'a t -> 'a chain option
 (** Device-side: take the oldest unseen avail entry. *)
-
-val peek_avail : 'a t -> 'a chain option
 
 val payload : 'a t -> head:int -> 'a
 (** Current payload of an outstanding request. Raises [Invalid_argument]

@@ -58,10 +58,16 @@ let join_commit gc =
   end;
   Sim.Ivar.read ivar
 
-let serve sim rng instance ?(tables = 16) ?(rows_per_table = 1_000_000) ?(read_cpu_ns = 150_000.0)
-    ?(write_cpu_ns = 95_000.0) ?(group_commit_max = 8) () =
-  (* ~256 bytes per row of hot data: 16 tables x 1M rows ~ 4 GB pool. *)
-  let working_set = float_of_int (tables * rows_per_table) *. 256.0 in
+(* ~256 bytes per row of hot data: 16 tables x 1M rows ~ 4 GB pool. *)
+let working_set = float_of_int (16 * 1_000_000) *. 256.0
+
+let read_cpu_ns = 150_000.0
+let write_cpu_ns = 95_000.0
+
+(* Redo flushes batch up to 8 queries (innodb-style group commit). *)
+let group_commit_max = 8
+
+let serve sim rng instance () =
   let gc =
     {
       sim;

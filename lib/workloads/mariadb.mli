@@ -23,16 +23,11 @@ val serve :
   Bm_engine.Sim.t ->
   Bm_engine.Rng.t ->
   Bm_guest.Instance.t ->
-  ?tables:int ->
-  ?rows_per_table:int ->
-  ?read_cpu_ns:float ->
-  ?write_cpu_ns:float ->
-  ?group_commit_max:int ->
   unit ->
   unit
-(** Install the database service. Defaults: 16 tables × 1M rows (a ~4 GB
-    buffer pool), 150 µs per read query, 95 µs per write query, redo
-    flushes batched up to 8 queries (innodb-style group commit). *)
+(** Install the database service: 16 tables × 1M rows (a ~4 GB buffer
+    pool), 150 µs per read query, 95 µs per write query, redo flushes
+    batched up to 8 queries (innodb-style group commit). *)
 
 val sysbench :
   Bm_engine.Sim.t ->

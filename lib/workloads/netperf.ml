@@ -79,9 +79,10 @@ type rr_result = {
 (* netperf TCP_RR: one synchronous request/response transaction at a
    time, full round-trip measured at the client (unlike sockperf, which
    halves it into one-way latency). *)
-let tcp_rr sim ~src ~dst ?(count = 2000) ?(request_bytes = 64) ?(response_bytes = 64) () =
-  let req_size = request_bytes + Packet.tcp_header_bytes in
-  let resp_size = response_bytes + Packet.tcp_header_bytes in
+let tcp_rr sim ~src ~dst ?(count = 2000) () =
+  (* 64-byte request and response payloads. *)
+  let req_size = 64 + Packet.tcp_header_bytes in
+  let resp_size = 64 + Packet.tcp_header_bytes in
   dst.Instance.set_rx_handler (fun pkt ->
       ignore
         (dst.Instance.send

@@ -40,13 +40,11 @@ val tcp_rr :
   src:Bm_guest.Instance.t ->
   dst:Bm_guest.Instance.t ->
   ?count:int ->
-  ?request_bytes:int ->
-  ?response_bytes:int ->
   unit ->
   rr_result
 (** netperf TCP_RR: [count] (default 2000) synchronous request/response
-    transactions, one outstanding at a time, [request_bytes] /
-    [response_bytes] of payload (default 64/64) plus TCP headers. The
+    transactions, one outstanding at a time, 64 bytes of payload each
+    way plus TCP headers. The
     natural probe for cross-host latency: every added wire hop appears
     twice in each transaction's RTT. Runs the simulation to completion. *)
 

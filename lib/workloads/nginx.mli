@@ -15,11 +15,11 @@ type result = {
   p99_ms : float;
 }
 
-val serve : Bm_guest.Instance.t -> ?page_bytes:int -> ?cpu_ns:float -> unit -> unit
-(** Install the NGINX service: [cpu_ns] (default 45 µs) of accept+parse+serve
-    work per request, responding with [page_bytes] (default 612 — the
-    stock nginx welcome page; large pages would hit the 10 Gbit/s egress
-    limit instead of exercising the request path). *)
+val serve : Bm_guest.Instance.t -> unit -> unit
+(** Install the NGINX service: 45 µs of accept+parse+serve work per
+    request, responding with 612 bytes (the stock nginx welcome page;
+    large pages would hit the 10 Gbit/s egress limit instead of
+    exercising the request path). *)
 
 val ab :
   Bm_engine.Sim.t ->

@@ -19,7 +19,11 @@ type net_result = {
   max_lag_ms : float;  (** worst sender slip behind its own schedule *)
 }
 
-let udp_flood sim ~src ~dst ?(senders = 12) ?(batch = 64) ~offered_pps ~duration () =
+(* Sender fibers of [udp_flood] and the packets each sends per batch. *)
+let senders = 12
+let batch = 64
+
+let udp_flood sim ~src ~dst ~offered_pps ~duration () =
   let received = ref 0 and offered = ref 0 and shed = ref 0 in
   let hist = Stats.Histogram.create ~lo:100.0 ~hi:1e12 () in
   let t0 = Sim.now sim in
@@ -79,8 +83,11 @@ type blk_result = {
   blk_max_lag_ms : float;
 }
 
-let blk_flood sim ~inst ?(block_bytes = 4096) ?(max_retries = 2)
-    ?(retry_backoff_ns = 50_000.0) ~offered_iops ~duration () =
+(* A refused request retries twice, backing off 50 µs then 100 µs. *)
+let max_retries = 2
+let retry_backoff_ns = 50_000.0
+
+let blk_flood sim ~inst ~offered_iops ~duration () =
   let completed = ref 0 and rejected = ref 0 and retries = ref 0 and issued = ref 0 in
   let hist = Stats.Histogram.create ~lo:1_000.0 ~hi:1e12 () in
   let t0 = Sim.now sim in
@@ -100,7 +107,7 @@ let blk_flood sim ~inst ?(block_bytes = 4096) ?(max_retries = 2)
           incr issued;
           Sim.spawn sim (fun () ->
               let rec attempt tries =
-                match inst.Instance.blk_try ~op:`Read ~bytes_:block_bytes with
+                match inst.Instance.blk_try ~op:`Read ~bytes_:4096 with
                 | Ok _ ->
                   (* Same window rule as the network side: completions
                      that straggle in after the window are not goodput. *)

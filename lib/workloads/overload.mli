@@ -24,14 +24,12 @@ val udp_flood :
   Bm_engine.Sim.t ->
   src:Bm_guest.Instance.t ->
   dst:Bm_guest.Instance.t ->
-  ?senders:int ->
-  ?batch:int ->
   offered_pps:float ->
   duration:float ->
   unit ->
   net_result
-(** [senders] fibers each pace batches of [batch] packets so their
-    combined schedule is [offered_pps]; a sender that the datapath
+(** 12 sender fibers each pace batches of 64 packets so their combined
+    schedule is [offered_pps]; a sender that the datapath
     blocks falls behind its schedule and the slip is charged to the
     latency of every packet it sends late. Runs the sim to completion
     (plus a small drain window). *)
@@ -49,14 +47,11 @@ type blk_result = {
 val blk_flood :
   Bm_engine.Sim.t ->
   inst:Bm_guest.Instance.t ->
-  ?block_bytes:int ->
-  ?max_retries:int ->
-  ?retry_backoff_ns:float ->
   offered_iops:float ->
   duration:float ->
   unit ->
   blk_result
 (** A dispatcher fiber issues 4 KiB reads at exactly [offered_iops],
     each in its own fiber; refused requests ([Instance.blk_try]) retry
-    up to [max_retries] times with exponential backoff starting at
-    [retry_backoff_ns], then count as rejected. *)
+    up to twice with exponential backoff starting at 50 µs, then count
+    as rejected. *)

@@ -22,12 +22,10 @@ type result = {
 val serve :
   Bm_engine.Sim.t ->
   Bm_guest.Instance.t ->
-  ?keys:int ->
-  ?base_cpu_ns:float ->
   unit ->
   unit
-(** Install the Redis service: [keys] (default 10M) sized heap,
-    [base_cpu_ns] (default 5.5 µs) per command on the single thread. *)
+(** Install the Redis service: a heap sized for 10M keys, 5.5 µs per
+    command on the single thread plus the value copy. *)
 
 val benchmark :
   Bm_engine.Sim.t ->

@@ -98,16 +98,17 @@ let read_with_timeout t ivar ~timeout =
 let rto_ns = 100e6
 let max_tries = 8
 
-let round_trip t ~dst ~tag ~bytes ~packets =
+(* Every request is one packet. *)
+let round_trip t ~dst ~tag ~bytes =
   let id = fresh_id t in
   let ivar = Sim.Ivar.create () in
   Hashtbl.replace t.pending id ivar;
-  let size = bytes + (Packet.tcp_header_bytes * packets) in
+  let size = bytes + Packet.tcp_header_bytes in
   let transmit () =
     ignore
       (t.instance.Instance.send
-         (Packet.make ~id ~src:t.instance.Instance.endpoint ~dst ~size ~count:packets ~tag
-            ~protocol:Packet.Tcp ~sent_at:(Sim.clock ()) ()))
+         (Packet.make ~id ~src:t.instance.Instance.endpoint ~dst ~size ~tag ~protocol:Packet.Tcp
+            ~sent_at:(Sim.clock ()) ()))
   in
   let rec attempt tries =
     if tries >= max_tries then begin
@@ -124,18 +125,18 @@ let round_trip t ~dst ~tag ~bytes ~packets =
   in
   attempt 0
 
-let call t ~dst ?(request_bytes = 200) ?(request_packets = 1) ?(handshake = false) ?(tag = tag_request) () =
+let call t ~dst ?(request_bytes = 200) ?(handshake = false) ?(tag = tag_request) () =
   let t0 = Sim.clock () in
   let ok =
     if handshake then
-      match round_trip t ~dst ~tag:tag_syn ~bytes:0 ~packets:1 with
+      match round_trip t ~dst ~tag:tag_syn ~bytes:0 with
       | Some _ -> true
       | None -> false
     else true
   in
   if not ok then `Timeout
   else begin
-    match round_trip t ~dst ~tag ~bytes:request_bytes ~packets:request_packets with
+    match round_trip t ~dst ~tag ~bytes:request_bytes with
     | None -> `Timeout
     | Some _ ->
       if handshake then

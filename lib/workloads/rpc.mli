@@ -30,12 +30,12 @@ val call :
   client ->
   dst:int ->
   ?request_bytes:int ->
-  ?request_packets:int ->
   ?handshake:bool ->
   ?tag:int ->
   unit ->
   [ `Reply of float | `Timeout ]
-(** Perform one call and return its latency in ns. With [handshake] (TCP
+(** Perform one call and return its latency in ns: a one-packet
+    request of [request_bytes] (default 200). With [handshake] (TCP
     accept, default false) an extra round trip and connection teardown
     packets are added — the KeepAlive-off behaviour of the NGINX test.
     Lost packets are retransmitted with a 100 ms RTO; [`Timeout] after 8

@@ -6,7 +6,7 @@ type result = { samples : int; avg_us : float; p50_us : float; p99_us : float; p
 
 type path = Kernel | Dpdk | Icmp
 
-let ping_pong sim ~a ~b ~path ?(count = 2000) ?(payload_bytes = 64) () =
+let ping_pong sim ~a ~b ~path ?(count = 2000) () =
   let protocol = match path with Icmp -> Packet.Icmp | Kernel | Dpdk -> Packet.Udp in
   let poll = path = Dpdk in
   a.Instance.set_poll_mode poll;
@@ -16,7 +16,7 @@ let ping_pong sim ~a ~b ~path ?(count = 2000) ?(payload_bytes = 64) () =
     | Dpdk -> inst.Instance.send_dpdk pkt
     | Kernel | Icmp -> inst.Instance.send pkt
   in
-  let size = payload_bytes + Packet.udp_header_bytes in
+  let size = 64 + Packet.udp_header_bytes in
   (* The responder echoes every ping straight back. *)
   b.Instance.set_rx_handler (fun pkt ->
       ignore

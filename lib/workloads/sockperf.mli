@@ -20,7 +20,6 @@ val ping_pong :
   b:Bm_guest.Instance.t ->
   path:path ->
   ?count:int ->
-  ?payload_bytes:int ->
   unit ->
   result
-(** [count] pings (default 2000) of [payload_bytes] (default 64). *)
+(** [count] pings (default 2000) of 64 payload bytes each. *)

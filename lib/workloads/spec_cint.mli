@@ -15,11 +15,6 @@ type profile = {
   locality : float;
 }
 
-val profiles : profile list
-(** The 12 CINT2006 benchmarks. Run lengths are scaled down uniformly
-    (simulating a full SPEC run serves no purpose); relative results are
-    unaffected. *)
-
 type score = { bench : string; time_ns : float }
 
 val run : Bm_engine.Sim.t -> Bm_guest.Instance.t -> score list

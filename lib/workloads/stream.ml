@@ -26,7 +26,8 @@ let run_kernel sim instance ~threads ~elements kernel =
   let elapsed = Sim.now sim -. t0 in
   total_bytes /. elapsed (* bytes/ns = GB/s *)
 
-let run sim instance ?(threads = 16) ?(elements = 200_000_000) ?(runs = 10) () =
+let run sim instance ?(elements = 200_000_000) ?(runs = 10) () =
+  let threads = 16 in
   List.map
     (fun kernel ->
       let rates = List.init runs (fun _ -> run_kernel sim instance ~threads ~elements kernel) in

@@ -12,14 +12,9 @@ type result = { kernel : kernel; best_gb_s : float; avg_gb_s : float }
 
 val kernel_name : kernel -> string
 
-val bytes_per_element : kernel -> int
-(** Bytes moved per array element: 16 for copy/scale (read + write one
-    array each), 24 for add/triad (read two, write one). *)
-
 val run :
   Bm_engine.Sim.t ->
   Bm_guest.Instance.t ->
-  ?threads:int ->
   ?elements:int ->
   ?runs:int ->
   unit ->

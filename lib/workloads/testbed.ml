@@ -44,13 +44,13 @@ let make ?(seed = 2020) ?(storage_kind = Blockstore.Cloud_ssd) ?storage_queue ?t
   in
   { sim; rng; fabric; net; storage; obs; fault }
 
-let bm_server ?profile ?boards ?vfs ?vf_queues t =
+let bm_server ?profile ?vfs t =
   Bm_hypervisor.create_server ~obs:t.obs ~fault:t.fault t.sim (Rng.split t.rng) ~fabric:t.fabric
-    ~storage:t.storage ?profile ?boards ?vfs ?vf_queues ()
+    ~storage:t.storage ?profile ?vfs ()
 
-let bm_guest ?profile ?net_limits ?blk_limits ?vfs ?vf_queues ?datapath ?(name = "bm0") t =
-  let server = bm_server ?profile ?vfs ?vf_queues t in
-  match Bm_hypervisor.provision server ~name ?net_limits ?blk_limits ?datapath () with
+let bm_guest ?profile ?net_limits ?blk_limits ?(name = "bm0") t =
+  let server = bm_server ?profile t in
+  match Bm_hypervisor.provision server ~name ?net_limits ?blk_limits () with
   | Ok inst -> (server, inst)
   | Error e -> failwith e
 
@@ -65,23 +65,20 @@ let bm_pair ?profile ?net_limits t =
   in
   (server, provision "bm0", provision "bm1")
 
-let vm_host ?vfs ?vf_queues t =
+let vm_host ?vfs t =
   Kvm.create_host ~obs:t.obs ~fault:t.fault t.sim (Rng.split t.rng) ~fabric:t.fabric
-    ~storage:t.storage ?vfs ?vf_queues ()
+    ~storage:t.storage ?vfs ()
 
-let vm_guest ?net_limits ?blk_limits ?(vcpus = 32) ?(host_load = 0.5)
-    ?(pinning = Preempt.Exclusive) ?vfs ?vf_queues ?datapath ?(name = "vm0") t =
-  let host = vm_host ?vfs ?vf_queues t in
-  let config = Kvm.default_config ~name in
+let vm_guest ?blk_limits ?(host_load = 0.5) ?(pinning = Preempt.Exclusive) t =
+  let host = vm_host t in
+  let config = Kvm.default_config ~name:"vm0" in
   let config =
     {
       config with
-      Kvm.vcpus;
+      Kvm.vcpus = 32;
       host_load;
       pinning;
-      net_limits = Option.value net_limits ~default:config.Kvm.net_limits;
       blk_limits = Option.value blk_limits ~default:config.Kvm.blk_limits;
-      datapath = Option.value datapath ~default:config.Kvm.datapath;
     }
   in
   (host, Kvm.create_vm host config)
@@ -89,14 +86,14 @@ let vm_guest ?net_limits ?blk_limits ?(vcpus = 32) ?(host_load = 0.5)
 (* Two vm-guests on a dual-socket host with headroom for both — the
    Fig. 9 comparison ("the server having two Xeon E5-2682 v4 CPUs and
    384 GB of memory … sufficient resource to run two vm-guests"). *)
-let vm_pair ?net_limits ?(vcpus = 16) t =
+let vm_pair ?net_limits t =
   let host = vm_host t in
   let mk name =
     let config = Kvm.default_config ~name in
     let config =
       {
         config with
-        Kvm.vcpus;
+        Kvm.vcpus = 16;
         net_limits = Option.value net_limits ~default:config.Kvm.net_limits;
       }
     in
@@ -104,16 +101,14 @@ let vm_pair ?net_limits ?(vcpus = 16) t =
   in
   (host, mk "vm0", mk "vm1")
 
-let physical ?(name = "phys0") ?sockets t =
-  Physical.create t.sim ~name ?sockets ~storage:t.storage ()
+let physical ?sockets t = Physical.create t.sim ~name:"phys0" ?sockets ~storage:t.storage ()
 
 (* A beefy load-generator box on its own switch, so client costs never
    contend with the system under test. *)
-let client_box ?(name = "client") t =
+let client_box t =
   let cores = Bm_hw.Cores.create t.sim ~spec:Bm_hw.Cpu_spec.xeon_platinum_8163 ~threads:96 () in
   let vswitch = Vswitch.create ~obs:t.obs t.sim ~fabric:t.fabric ~cores () in
-  Physical.create t.sim ~name ~spec:Bm_hw.Cpu_spec.xeon_platinum_8163 ~sockets:2 ~vswitch
+  Physical.create t.sim ~name:"client" ~spec:Bm_hw.Cpu_spec.xeon_platinum_8163 ~sockets:2 ~vswitch
     ~storage:t.storage ()
 
-let run ?until t =
-  match until with Some u -> Sim.run ~until:u t.sim | None -> Sim.run t.sim
+let run t = Sim.run t.sim

@@ -42,9 +42,7 @@ val make :
 
 val bm_server :
   ?profile:Bm_iobond.Profile.t ->
-  ?boards:int ->
   ?vfs:int ->
-  ?vf_queues:int ->
   t ->
   Bm_hyp.Bm_hypervisor.server
 
@@ -52,15 +50,11 @@ val bm_guest :
   ?profile:Bm_iobond.Profile.t ->
   ?net_limits:Bm_cloud.Limits.net ->
   ?blk_limits:Bm_cloud.Limits.blk ->
-  ?vfs:int ->
-  ?vf_queues:int ->
-  ?datapath:Bm_iobond.Vf.datapath ->
   ?name:string ->
   t ->
   Bm_hyp.Bm_hypervisor.server * Bm_guest.Instance.t
-(** [datapath] (default [Vring]) selects the guest's net path; [vfs] /
-    [vf_queues] size the server's SR-IOV pool (see
-    {!Bm_hyp.Bm_hypervisor.create_server}). *)
+(** One bm-guest, named [name] (default ["bm0"]), on the shadow-vring
+    datapath of a fresh base server. *)
 
 val bm_pair :
   ?profile:Bm_iobond.Profile.t ->
@@ -69,30 +63,25 @@ val bm_pair :
   Bm_hyp.Bm_hypervisor.server * Bm_guest.Instance.t * Bm_guest.Instance.t
 (** Two bm-guests co-resident on one base server (Fig. 9 topology). *)
 
-val vm_host : ?vfs:int -> ?vf_queues:int -> t -> Bm_hyp.Kvm.host
+val vm_host : ?vfs:int -> t -> Bm_hyp.Kvm.host
 
 val vm_guest :
-  ?net_limits:Bm_cloud.Limits.net ->
   ?blk_limits:Bm_cloud.Limits.blk ->
-  ?vcpus:int ->
   ?host_load:float ->
   ?pinning:Bm_hyp.Preempt.mode ->
-  ?vfs:int ->
-  ?vf_queues:int ->
-  ?datapath:Bm_iobond.Vf.datapath ->
-  ?name:string ->
   t ->
   Bm_hyp.Kvm.host * Bm_guest.Instance.t
-(** [datapath] (default [Vring]) selects the VM's net path; [vfs] /
-    [vf_queues] size the host's VFIO-capable NIC. *)
+(** One 32-vCPU vm-guest, ["vm0"], on the vhost datapath of a fresh
+    host; [host_load] (default 0.5) and [pinning] (default [Exclusive])
+    shape its preemption. *)
 
 val vm_pair :
   ?net_limits:Bm_cloud.Limits.net ->
-  ?vcpus:int ->
   t ->
   Bm_hyp.Kvm.host * Bm_guest.Instance.t * Bm_guest.Instance.t
-(** Two vm-guests on one dual-socket host with headroom for both. *)
+(** Two 16-vCPU vm-guests on one dual-socket host with headroom for
+    both. *)
 
-val physical : ?name:string -> ?sockets:int -> t -> Bm_guest.Instance.t
-val client_box : ?name:string -> t -> Bm_guest.Instance.t
-val run : ?until:float -> t -> unit
+val physical : ?sockets:int -> t -> Bm_guest.Instance.t
+val client_box : t -> Bm_guest.Instance.t
+val run : t -> unit

@@ -1,5 +1,5 @@
 (* Tests for the cloud substrate: limits, vswitch, storage, images,
-   tap path, control plane. *)
+   control plane. *)
 
 open Bm_engine
 open Bm_virtio
@@ -216,25 +216,6 @@ let test_image_store () =
   check_int "two images" 2 (List.length (Image.Store.names store))
 
 (* ------------------------------------------------------------------ *)
-(* Tap slow path *)
-
-let test_tap_slow_path () =
-  let sim = Sim.create () in
-  let delivered = ref 0 in
-  let tap = Tap.create sim ~deliver:(fun pkt -> delivered := !delivered + pkt.Packet.count) () in
-  check_bool "tap ceiling ~333Kpps" true (Tap.max_pps tap < 500_000.0);
-  let meter = Stats.Meter.create () in
-  Sim.spawn sim (fun () ->
-      for i = 1 to 2_000 do
-        Tap.send tap (mk_pkt ~src:1 ~dst:2 ~count:4 i);
-        Stats.Meter.mark_n meter ~now:(Sim.clock ()) 4
-      done);
-  Sim.run sim;
-  check_int "all delivered" 8_000 !delivered;
-  (* Far slower than the DPDK path's millions of pps. *)
-  check_bool "slow" true (Stats.Meter.rate meter < 400_000.0)
-
-(* ------------------------------------------------------------------ *)
 (* Control plane *)
 
 let test_place_bm_takes_whole_board () =
@@ -360,7 +341,6 @@ let suites =
         Alcotest.test_case "boot bytes" `Quick test_image_boot_bytes;
         Alcotest.test_case "store" `Quick test_image_store;
       ] );
-    ( "cloud.tap", [ Alcotest.test_case "slow path" `Quick test_tap_slow_path ] );
     ( "cloud.control_plane",
       [
         Alcotest.test_case "bm takes whole board" `Quick test_place_bm_takes_whole_board;

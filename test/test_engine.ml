@@ -636,38 +636,6 @@ let test_ivar_double_fill () =
   check_bool "second fill rejected" true !raised;
   Alcotest.(check (option int)) "peek" (Some 1) (Sim.Ivar.peek iv)
 
-let test_channel_fifo () =
-  let sim = Sim.create () in
-  let ch = Sim.Channel.create () in
-  let received = ref [] in
-  Sim.spawn sim (fun () ->
-      for _ = 1 to 3 do
-        received := Sim.Channel.recv ch :: !received
-      done);
-  Sim.spawn sim (fun () ->
-      Sim.delay 5.0;
-      Sim.Channel.send ch 1;
-      Sim.Channel.send ch 2;
-      Sim.Channel.send ch 3);
-  Sim.run sim;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !received)
-
-let test_channel_waiter_order () =
-  let sim = Sim.create () in
-  let ch = Sim.Channel.create () in
-  let order = ref [] in
-  for i = 1 to 3 do
-    Sim.spawn sim (fun () ->
-        let v = Sim.Channel.recv ch in
-        order := (i, v) :: !order)
-  done;
-  Sim.spawn sim (fun () ->
-      Sim.delay 1.0;
-      List.iter (Sim.Channel.send ch) [ 10; 20; 30 ]);
-  Sim.run sim;
-  Alcotest.(check (list (pair int int)))
-    "oldest waiter first" [ (1, 10); (2, 20); (3, 30) ] (List.rev !order)
-
 let test_resource_mutual_exclusion () =
   let sim = Sim.create () in
   let r = Sim.Resource.create ~capacity:1 in
@@ -1135,8 +1103,6 @@ let suites =
         Alcotest.test_case "stop" `Quick test_sim_stop;
         Alcotest.test_case "ivar broadcast" `Quick test_ivar;
         Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
-        Alcotest.test_case "channel FIFO" `Quick test_channel_fifo;
-        Alcotest.test_case "channel waiter order" `Quick test_channel_waiter_order;
         Alcotest.test_case "resource mutual exclusion" `Quick test_resource_mutual_exclusion;
         Alcotest.test_case "resource capacity" `Quick test_resource_capacity_respected;
         Alcotest.test_case "resource no barging" `Quick test_resource_no_barging;
@@ -1256,19 +1222,6 @@ let test_pqueue_clear () =
   check_bool "pop empty" true (Pqueue.pop q = None);
   check_bool "peek empty" true (Pqueue.peek q = None)
 
-let test_channel_try_recv () =
-  let sim = Sim.create () in
-  let ch = Sim.Channel.create () in
-  check_bool "empty" true (Sim.Channel.try_recv ch = None);
-  Sim.spawn sim (fun () ->
-      Sim.Channel.send ch 5;
-      Sim.Channel.send ch 6;
-      check_int "length" 2 (Sim.Channel.length ch);
-      Alcotest.(check (option int)) "first" (Some 5) (Sim.Channel.try_recv ch);
-      Alcotest.(check (option int)) "second" (Some 6) (Sim.Channel.try_recv ch);
-      check_bool "drained" true (Sim.Channel.try_recv ch = None));
-  Sim.run sim
-
 exception Boom
 
 let test_with_resource_exception_safe () =
@@ -1311,7 +1264,6 @@ let edge_suites =
     ( "engine.edges",
       [
         Alcotest.test_case "pqueue clear" `Quick test_pqueue_clear;
-        Alcotest.test_case "channel try_recv" `Quick test_channel_try_recv;
         Alcotest.test_case "with_resource exception-safe" `Quick test_with_resource_exception_safe;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
         Alcotest.test_case "bare callback scheduling" `Quick test_schedule_callback_outside_process;

@@ -247,35 +247,6 @@ let test_pcie_register_latency () =
   in
   check_float "0.8us per access (FPGA)" 800.0 elapsed
 
-let test_pcie_transfer_bandwidth () =
-  let elapsed =
-    in_sim (fun sim ->
-        let link = Pcie.x4 sim ~register_ns:800.0 in
-        let t0 = Sim.clock () in
-        Pcie.transfer link ~bytes_:4096;
-        Sim.clock () -. t0)
-  in
-  (* 4096B at 32 Gbit/s = 1024 ns *)
-  check_float "x4 serialisation" 1024.0 elapsed
-
-let test_pcie_concurrent_flows_share () =
-  let elapsed =
-    in_sim (fun sim ->
-        let link = Pcie.x8 sim ~register_ns:800.0 in
-        let done_ = Sim.Ivar.create () in
-        let remaining = ref 2 in
-        for _ = 1 to 2 do
-          Sim.fork (fun () ->
-              Pcie.transfer link ~bytes_:8192;
-              decr remaining;
-              if !remaining = 0 then Sim.Ivar.fill done_ ())
-        done;
-        Sim.Ivar.read done_;
-        Sim.clock ())
-  in
-  (* 16KB total at 64 Gbit/s = 2048 ns; chunked FIFO sharing. *)
-  check_float "wire serialises both" 2048.0 elapsed
-
 let test_dma_bottleneck_rate () =
   let elapsed =
     in_sim (fun sim ->
@@ -312,20 +283,54 @@ let test_dma_engine_cap () =
   in
   check_bool "engine caps combined rate" true (elapsed >= 12_500.0)
 
-(* ------------------------------------------------------------------ *)
-(* Irq / Power *)
-
-let test_irq_delivery () =
-  let fired_at =
-    in_sim (fun sim ->
-        let irq = Irq.create sim ~delivery_ns:500.0 () in
-        let at = ref nan in
-        Sim.delay 100.0;
-        Irq.raise_irq irq ~handler:(fun () -> at := Sim.clock ());
-        Sim.delay 10_000.0;
-        !at)
+(* A hop or copy that starts inside a fault window waits at the port
+   (or doorbell) until the window closes, then takes its unloaded time:
+   one stall counted, nothing lost. *)
+let armed_window sim ~kind ~at ~duration_ns =
+  let f =
+    Fault.create sim
+      { Fault.seed = 0; horizon_ns = 1e6; events = [ { Fault.kind; at; duration_ns } ] }
   in
-  check_float "delivered after 500ns" 600.0 fired_at
+  Fault.arm f;
+  f
+
+let test_pcie_link_down_stall () =
+  let sim = Sim.create () in
+  let metrics = Metrics.create () in
+  let fault = armed_window sim ~kind:Fault.Link_down ~at:100.0 ~duration_ns:50_000.0 in
+  let link = Pcie.x4 ~obs:(Obs.of_sim ~metrics sim) ~fault sim ~register_ns:800.0 in
+  let finished = ref nan in
+  Sim.spawn sim (fun () ->
+      Sim.delay 1_000.0;
+      Pcie.register_access link;
+      finished := Sim.clock ());
+  Sim.run sim;
+  check_float "window close + one hop" (50_100.0 +. 800.0) !finished;
+  check_float "one stall" 1.0 (Metrics.counter_value metrics "hw.pcie.link_stalls");
+  check_float "the access went through" 1.0
+    (Metrics.counter_value metrics "hw.pcie.register_accesses")
+
+let test_dma_stall_window () =
+  let sim = Sim.create () in
+  let metrics = Metrics.create () in
+  let fault = armed_window sim ~kind:Fault.Dma_stall ~at:100.0 ~duration_ns:20_000.0 in
+  let src = Pcie.x4 sim ~register_ns:800.0 and dst = Pcie.x8 sim ~register_ns:800.0 in
+  let dma = Dma.create ~obs:(Obs.of_sim ~metrics sim) ~fault sim ~gbit_s:50.0 ~setup_ns:300.0 () in
+  let finished = ref nan in
+  Sim.spawn sim (fun () ->
+      Sim.delay 1_000.0;
+      Dma.copy dma ~src ~dst ~bytes_:40_000;
+      finished := Sim.clock ());
+  Sim.run sim;
+  (* Unloaded: 300 ns setup + 40 kB at the x4's 32 Gbit/s. *)
+  check_float "window close + unloaded copy" (20_100.0 +. 10_300.0) !finished;
+  check_float "one stall" 1.0 (Metrics.counter_value metrics "hw.dma.stalls");
+  check_float "every byte copied" 40_000.0 (Dma.bytes_copied dma);
+  check_float "src link carried it" 40_000.0 (Pcie.bytes_moved src);
+  check_float "dst link carried it" 40_000.0 (Pcie.bytes_moved dst)
+
+(* ------------------------------------------------------------------ *)
+(* Power *)
 
 let test_power_vm_server () =
   (* §3.5: vm-based server = dual 24-core (96HT) CPUs, 88HT sellable,
@@ -389,16 +394,14 @@ let suites =
     ( "hw.pcie",
       [
         Alcotest.test_case "register latency" `Quick test_pcie_register_latency;
-        Alcotest.test_case "transfer bandwidth" `Quick test_pcie_transfer_bandwidth;
-        Alcotest.test_case "concurrent flows share wire" `Quick test_pcie_concurrent_flows_share;
+        Alcotest.test_case "link-down stall" `Quick test_pcie_link_down_stall;
       ] );
     ( "hw.dma",
       [
         Alcotest.test_case "bottleneck rate" `Quick test_dma_bottleneck_rate;
         Alcotest.test_case "engine caps aggregate" `Quick test_dma_engine_cap;
+        Alcotest.test_case "dma_stall window" `Quick test_dma_stall_window;
       ] );
-    ( "hw.irq",
-      [ Alcotest.test_case "delivery latency" `Quick test_irq_delivery ] );
     ( "hw.power",
       [
         Alcotest.test_case "vm server W/vCPU" `Quick test_power_vm_server;

@@ -130,23 +130,6 @@ let test_bridge_invariants_after_load () =
     check_bool "mailbox saw doorbell traffic" true
       (Bm_iobond.Mailbox.tail_writes (Bm_iobond.Iobond.mailbox iobond) > 100)
 
-(* The tap slow path really is slow: same traffic, far lower rate than
-   the fast path (§3.4.2's justification for not deploying it). *)
-let test_tap_vs_fast_path () =
-  let sim = Sim.create () in
-  let delivered = ref 0 in
-  let tap = Bm_cloud.Tap.create sim ~deliver:(fun p -> delivered := !delivered + p.Packet.count) () in
-  let meter = Stats.Meter.create () in
-  Sim.spawn sim (fun () ->
-      for i = 1 to 5_000 do
-        Bm_cloud.Tap.send tap
-          (Packet.small_udp ~id:i ~src:1 ~dst:2 ~count:8 ~sent_at:(Sim.clock ()) ());
-        Stats.Meter.mark_n meter ~now:(Sim.clock ()) 8
-      done);
-  Sim.run sim;
-  check_int "nothing lost" 40_000 !delivered;
-  check_bool "far below the 3.2M fast path" true (Stats.Meter.rate meter < 500_000.0)
-
 (* Releasing and re-provisioning a board gives a clean guest. *)
 let test_board_recycling_clean_state () =
   let tb = Testbed.make ~seed:36 () in
@@ -192,7 +175,6 @@ let suites =
         Alcotest.test_case "noisy tenant isolated" `Quick test_noisy_tenant_rate_isolated;
         Alcotest.test_case "vm client, bm database" `Quick test_vm_client_bm_database;
         Alcotest.test_case "bridge invariants after load" `Quick test_bridge_invariants_after_load;
-        Alcotest.test_case "tap vs fast path" `Quick test_tap_vs_fast_path;
         Alcotest.test_case "board recycling" `Quick test_board_recycling_clean_state;
         Alcotest.test_case "capacity errors" `Quick test_capacity_errors_are_clean;
       ] );
