@@ -3,22 +3,22 @@
    Every row runs main.exe once per variant and requires byte-identical
    stdout across the variants (the wall-clock footer aside): the same
    seed twice, or --jobs / --shards 1 against 4. Rows can also require or
-   forbid substrings, compare against a committed scorecard, and save
-   their output as a scorecard into $SCORECARD_DIR (default: the build
-   directory).
+   forbid substrings, compare against a committed scorecard in
+   GOLDEN_DIR, and save their output as a scorecard into $SCORECARD_DIR
+   (default: the build directory).
 
-   usage: determinism.exe MAIN_EXE VF_SCORECARD OUT_DIR *)
+   usage: determinism.exe MAIN_EXE GOLDEN_DIR OUT_DIR *)
 
 type row = {
   args : string list;  (** flags and experiment ids, shared by every variant *)
   variants : string list list;  (** extra flags of each run *)
   has : string list;
   lacks : string list;
-  golden : bool;  (** output must equal the committed VF scorecard *)
+  golden : string option;  (** committed scorecard under GOLDEN_DIR the output must equal *)
   save : string option;  (** scorecard file name under OUT_DIR *)
 }
 
-let row ?(has = []) ?(lacks = []) ?(golden = false) ?save variants args =
+let row ?(has = []) ?(lacks = []) ?golden ?save variants args =
   { args = String.split_on_char ' ' args; variants; has; lacks; golden; save }
 
 let twice = [ []; [] ]
@@ -42,12 +42,13 @@ let matrix =
       ~has:[ "degradation helps" ] ~lacks:[ "DIFF" ] ~save:"GAMEDAY_scorecard.txt";
     row (across "--jobs") "--quick --scenario 7:hosts=2,links=1,congest=1,evac=1,brownout=1 game_day";
     row twice "--quick --scenario 42:default policy_race" ~lacks:[ "DIFF" ]
-      ~save:"POLICY_scorecard.txt";
+      ~save:"POLICY_quick_scorecard.txt";
+    row [ [] ] "policy_race" ~golden:"POLICY_scorecard.txt" ~save:"POLICY_scorecard.txt";
     row (across "--jobs") "--quick --policy congestion game_day policy_race";
     row (twice @ across "--shards") ("--quick " ^ vf_ids) ~lacks:[ "DIFF" ];
     row (across "--jobs") ("--quick --vfs 4 " ^ vf_ids);
     row (twice @ across "--jobs") "--quick --faults 7:default vf_ablation vf_reassign availability";
-    row [ [] ] "vf_ablation" ~golden:true ~save:"VF_scorecard.txt";
+    row [ [] ] "vf_ablation" ~golden:"VF_scorecard.txt" ~save:"VF_scorecard.txt";
   ]
 
 let has s affix = Astring.String.is_infix ~affix s
@@ -72,10 +73,9 @@ let run exe args =
   | _ -> failwith (String.concat " " (exe :: args) ^ ": non-zero exit")
 
 let () =
-  let exe, golden_file, out_dir =
+  let exe, golden_dir, out_dir =
     match Sys.argv with [| _; e; g; d |] -> (e, g, d) | _ -> failwith "usage: see header"
   in
-  let golden = In_channel.with_open_bin golden_file In_channel.input_all in
   let failures = ref 0 in
   List.iter
     (fun r ->
@@ -94,7 +94,13 @@ let () =
       if first = "" then fail "empty output";
       List.iter (fun s -> if not (has first s) then fail "missing %S" s) r.has;
       List.iter (fun s -> if has first s then fail "unexpected %S" s) r.lacks;
-      if r.golden && first <> golden then fail "%s, %s" golden_file (first_diff golden first);
+      Option.iter
+        (fun name ->
+          let golden =
+            In_channel.with_open_bin (Filename.concat golden_dir name) In_channel.input_all
+          in
+          if first <> golden then fail "%s, %s" name (first_diff golden first))
+        r.golden;
       Option.iter
         (fun name ->
           Out_channel.with_open_bin (Filename.concat out_dir name) (fun oc ->

@@ -39,6 +39,15 @@ val serve : t -> op:[ `Read | `Write | `Flush ] -> bytes_:int -> [ `Served | `Re
     ([`Rejected]) — the storage analogue of ECN/EBUSY, which clients
     (e.g. {!Bm_workload.Fio}) may retry with backoff. *)
 
+val serve_callback :
+  t -> op:[ `Read | `Write | `Flush ] -> bytes_:int -> ([ `Served | `Rejected ] -> unit) -> unit
+(** {!serve} as a callback chain that passes the outcome to its last
+    argument: each leg of the round trip and the media time are one
+    timed event, and a storage server is taken with
+    {!Bm_engine.Sim.Resource.acquire_callback}, so the events are the
+    ones a process calling {!serve} takes. {!serve} is this chain
+    awaited ({!Bm_engine.Sim.await}). *)
+
 val rejected : t -> int
 
 val mean_service_ns : t -> op:[ `Read | `Write | `Flush ] -> float

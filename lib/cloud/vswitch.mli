@@ -13,8 +13,7 @@ type t
 
 type fabric
 
-val create_fabric :
-  Bm_engine.Sim.t -> ?gbit_s:float -> ?rtt_ns:float -> ?net:Bm_fabric.Fabric.t -> unit -> fabric
+val create_fabric : ?gbit_s:float -> ?rtt_ns:float -> ?net:Bm_fabric.Fabric.t -> unit -> fabric
 (** The physical datacenter network: servers attach via [gbit_s] NICs
     (default 100, §3.4.3) with [rtt_ns] one-way latency (default 10 µs).
     With [net], cross-server traffic is carried by the link-level
@@ -68,7 +67,12 @@ val unregister : ?evacuated:bool -> t -> int -> unit
 val send : t -> Bm_virtio.Packet.t -> unit
 (** Forward a burst to [Packet.dst]. Must be called from a process:
     charges switch CPU, crosses the fabric when the destination lives on
-    another server, and drops the burst if the destination is unknown. *)
+    another server, and drops the burst if the destination is unknown.
+    {!send_callback} awaited ({!Bm_engine.Sim.await}). *)
+
+val send_callback : t -> Bm_virtio.Packet.t -> (unit -> unit) -> unit
+(** {!send} as a callback chain that calls its last argument where a
+    process calling {!send} would return, on the same events. *)
 
 val forward_hw : t -> Bm_virtio.Packet.t -> unit
 (** Inject a burst already switched in hardware (an offload engine acting

@@ -386,7 +386,7 @@ let sysbench_on ?trace ?metrics ~seed ~pattern ~duration make =
   let tb = Testbed.make ~seed ?trace ?metrics () in
   let server = make tb in
   let client = Testbed.client_box tb in
-  Mariadb.serve tb.Testbed.sim (Rng.create ~seed:(seed + 13)) server ();
+  Mariadb.serve (Rng.create ~seed:(seed + 13)) server ();
   Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration ()
 
 let run_mariadb ~id ~title ~patterns ~paper_notes { seed; quick; trace; metrics; _ } =

@@ -242,20 +242,19 @@ let summary t =
 let is_active t kind =
   match t.sim with None -> false | Some sim -> Sim.now sim < t.until.(kind_index kind)
 
-let block_until_clear t kind =
+let when_clear t kind k =
   match t.sim with
-  | None -> ()
+  | None -> k ()
   | Some sim ->
-    let k = kind_index kind in
+    let i = kind_index kind in
     (* Loop: a longer window may have opened while we slept. *)
     let rec wait () =
-      let u = t.until.(k) in
-      if Sim.now sim < u then begin
-        Sim.delay (u -. Sim.now sim);
-        wait ()
-      end
+      let u = t.until.(i) in
+      if Sim.now sim < u then Sim.schedule sim ~delay:(u -. Sim.now sim) wait else k ()
     in
     wait ()
+
+let block_until_clear t kind = if is_active t kind then Sim.await (when_clear t kind)
 
 (* ------------------------------------------------------------------ *)
 (* Guard *)
@@ -359,12 +358,42 @@ module Guard = struct
             match !result with Some v -> resume v | None -> waiter := Some resume)
     end
 
+  (* The bookkeeping [run] and [run_callback] share. [rejected] answers
+     a run the open breaker turns away; [settle] books an attempt's
+     outcome and says whether to retry, after sleeping [backoff]. *)
+  let rejected g =
+    Metrics.incr_opt (Obs.metrics g.obs) (metric g "rejected");
+    Error (g.name ^ ": circuit open")
+
+  let settle g ~attempt = function
+    | Ok _ ->
+      g.consecutive_failures <- 0;
+      false
+    | Error _ ->
+      let p = g.policy in
+      if attempt >= p.max_attempts then begin
+        g.consecutive_failures <- g.consecutive_failures + 1;
+        if p.circuit_threshold > 0 && g.consecutive_failures >= p.circuit_threshold then begin
+          g.open_until <- Sim.now g.sim +. p.circuit_cooldown_ns;
+          g.circuit_opens <- g.circuit_opens + 1;
+          Metrics.incr_opt (Obs.metrics g.obs) (metric g "circuit_opens")
+        end;
+        false
+      end
+      else begin
+        g.retries <- g.retries + 1;
+        Metrics.incr_opt (Obs.metrics g.obs) (metric g "retries");
+        true
+      end
+
+  (* The ceiling caps the whole schedule, first sleep included: a
+     policy whose base backoff exceeds its cap still honours the cap. *)
+  let first_backoff p = Float.min p.backoff_ns p.backoff_max_ns
+  let next_backoff p backoff = Float.min (backoff *. p.backoff_mult) p.backoff_max_ns
+
   let run g op =
     let p = g.policy in
-    if circuit_open g then begin
-      Metrics.incr_opt (Obs.metrics g.obs) (metric g "rejected");
-      Error (g.name ^ ": circuit open")
-    end
+    if circuit_open g then rejected g
     else begin
       let once () =
         match with_timeout g.sim ~timeout_ns:p.timeout_ns op with
@@ -375,30 +404,32 @@ module Guard = struct
           Error (g.name ^ ": timeout")
       in
       let rec attempt i backoff =
-        match once () with
-        | Ok v ->
-          g.consecutive_failures <- 0;
-          Ok v
-        | Error e ->
-          if i >= p.max_attempts then begin
-            g.consecutive_failures <- g.consecutive_failures + 1;
-            if p.circuit_threshold > 0 && g.consecutive_failures >= p.circuit_threshold then begin
-              g.open_until <- Sim.now g.sim +. p.circuit_cooldown_ns;
-              g.circuit_opens <- g.circuit_opens + 1;
-              Metrics.incr_opt (Obs.metrics g.obs) (metric g "circuit_opens")
-            end;
-            Error e
-          end
-          else begin
-            g.retries <- g.retries + 1;
-            Metrics.incr_opt (Obs.metrics g.obs) (metric g "retries");
-            Sim.delay backoff;
-            attempt (i + 1) (Float.min (backoff *. p.backoff_mult) p.backoff_max_ns)
-          end
+        let r = once () in
+        if settle g ~attempt:i r then begin
+          Sim.delay backoff;
+          attempt (i + 1) (next_backoff p backoff)
+        end
+        else r
       in
-      (* The ceiling caps the whole schedule, first sleep included: a
-         policy whose base backoff exceeds its cap still honours the
-         cap. *)
-      attempt 1 (Float.min p.backoff_ns p.backoff_max_ns)
+      attempt 1 (first_backoff p)
+    end
+
+  (* Per-attempt timeouts race two fibers (see [with_timeout]); a
+     callback operation has no fiber to abandon, so only untimed
+     policies take this path. *)
+  let run_callback g op k =
+    let p = g.policy in
+    if Float.is_finite p.timeout_ns then
+      invalid_arg "Fault.Guard.run_callback: per-attempt timeouts need Guard.run";
+    if circuit_open g then k (rejected g)
+    else begin
+      let rec attempt i backoff =
+        op (fun r ->
+            if settle g ~attempt:i r then
+              Sim.schedule g.sim ~delay:backoff (fun () ->
+                  attempt (i + 1) (next_backoff p backoff))
+            else k r)
+      in
+      attempt 1 (first_backoff p)
     end
 end

@@ -72,12 +72,14 @@ val render_plan : plan -> string
 type t
 (** A per-run injector: owns the plan's windows and subscriber lists.
     Components hold a [t] (default {!none}) and either poll
-    {!is_active}/{!block_until_clear} at their injection points or
+    {!is_active} and wait with {!when_clear} (callback chains) or
+    {!block_until_clear} (processes) at their injection points, or
     {!subscribe} to crash-style events. *)
 
 val none : t
 (** The null injector: never active, subscriptions are dropped,
-    {!block_until_clear} returns immediately. Keeping it the default
+    {!when_clear} continues and {!block_until_clear} returns
+    immediately. Keeping it the default
     means a fault-free run is bit-identical to the seed behaviour. *)
 
 val create : ?obs:Obs.t -> Sim.t -> plan -> t
@@ -101,10 +103,17 @@ val subscribe : t -> kind -> (event -> unit) -> unit
 val is_active : t -> kind -> bool
 (** Is a window of [kind] open at the current simulated time? *)
 
+val when_clear : t -> kind -> (unit -> unit) -> unit
+(** [when_clear t kind k] calls [k] once no window of [kind] is open:
+    at once, before returning, when clear; otherwise from a timed event
+    at the window's end (windows opening meanwhile extend the wait).
+    Safe from callbacks and processes; the events it schedules are the
+    ones {!block_until_clear}'s sleeps take. *)
+
 val block_until_clear : t -> kind -> unit
 (** From a process: if a window of [kind] is open, sleep until it
-    closes (windows opening meanwhile extend the wait). No-op when
-    clear — the fault-free fast path costs one array read. *)
+    closes — {!when_clear} awaited ({!Sim.await}). No-op when clear —
+    the fault-free fast path costs one array read and no effect. *)
 
 val injected : t -> int
 (** Events whose windows have opened so far. *)
@@ -162,6 +171,17 @@ module Guard : sig
       preemption — so its side effects may still land later; guarded
       operations must therefore be idempotent (register writes of
       absolute values, exactly-once completion publication). *)
+
+  val run_callback :
+    g -> ((('a, string) result -> unit) -> unit) -> (('a, string) result -> unit) -> unit
+  (** [run_callback g op k] is {!run} for a callback chain: [op] is
+      itself a chain that passes each attempt's outcome to its
+      continuation, and [k] gets the run's result. Breaker, retry
+      counters and the backoff schedule are {!run}'s own; each backoff
+      sleep is one timed event, the one {!run}'s sleep takes, and a
+      success on the first attempt schedules nothing. Raises
+      [Invalid_argument] on a policy with a finite [timeout_ns]: racing
+      an attempt against its deadline needs {!run}. *)
 
   val with_timeout : Sim.t -> timeout_ns:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
   (** Race the operation against a deadline, from process context. The

@@ -1,6 +1,7 @@
 open Bm_engine
 
 type t = {
+  sim : Sim.t;
   threads : int;
   ghz : float;
   pool : Sim.Resource.resource;
@@ -14,6 +15,7 @@ let create sim ~spec ?threads () =
   let ghz = spec.Cpu_spec.base_ghz in
   assert (threads > 0 && ghz > 0.0);
   {
+    sim;
     threads;
     ghz;
     pool = Sim.Resource.create ~capacity:threads;
@@ -26,16 +28,20 @@ let ghz t = t.ghz
 let thread_count t = t.threads
 let set_dilation t f = t.dilation <- f
 
-let occupy t duration =
-  Sim.Resource.with_resource t.pool (fun () ->
-      Sim.delay duration;
-      t.busy_ns <- t.busy_ns +. duration)
+(* One job: take a thread, hold it for [duration], free it, continue. *)
+let occupy t duration k =
+  Sim.Resource.acquire_callback t.sim t.pool (fun () ->
+      Sim.schedule t.sim ~delay:duration (fun () ->
+          t.busy_ns <- t.busy_ns +. duration;
+          Sim.Resource.release t.pool;
+          k ()))
 
-let execute_ns t natural =
+let execute_ns_callback t natural k =
   assert (natural >= 0.0);
-  occupy t (t.dilation natural)
+  occupy t (t.dilation natural) k
 
-let execute_cycles t cycles = execute_ns t (cycles /. t.ghz)
+let execute_ns t natural = Sim.await (execute_ns_callback t natural)
+let execute_cycles t cycles = Sim.await (execute_ns_callback t (cycles /. t.ghz))
 
 let utilization t ~now =
   let span = (now -. t.created) *. float_of_int t.threads in

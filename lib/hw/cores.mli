@@ -27,7 +27,14 @@ val execute_cycles : t -> float -> unit
 
 val execute_ns : t -> float -> unit
 (** As {!execute_cycles} but the job length is given in ns of natural
-    execution time at full speed. *)
+    execution time at full speed: {!execute_ns_callback} awaited
+    ({!Bm_engine.Sim.await}). *)
+
+val execute_ns_callback : t -> float -> (unit -> unit) -> unit
+(** [execute_ns_callback t ns k] is {!execute_ns} for a callback chain:
+    the job takes a thread ({!Bm_engine.Sim.Resource.acquire_callback}),
+    holds it for the dilated time as one timed event, frees it and calls
+    [k]. The events are the ones a process calling {!execute_ns} takes. *)
 
 val utilization : t -> now:float -> float
 (** Fraction of thread-time spent executing since creation. *)

@@ -24,8 +24,12 @@ val create :
     holds new copies at the doorbell until the engine resumes
     (["hw.dma.stalls"]). *)
 
-val copy : t -> src:Pcie.t -> dst:Pcie.t -> bytes_:int -> unit
-(** [copy t ~src ~dst ~bytes_] moves a buffer across [src], through the
-    engine, and across [dst]; blocks until the last byte lands. *)
+val copy : t -> src:Pcie.t -> dst:Pcie.t -> bytes_:int -> (unit -> unit) -> unit
+(** [copy t ~src ~dst ~bytes_ k] moves a buffer across [src], through
+    the engine, and across [dst], and calls [k] when the last byte
+    lands. A callback chain: the setup and the streaming are one timed
+    event each, and the engine is taken with
+    {!Bm_engine.Sim.Resource.acquire_callback}. A process waits for a
+    copy with {!Bm_engine.Sim.await}. *)
 
 val bytes_copied : t -> float

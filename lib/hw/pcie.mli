@@ -26,9 +26,10 @@ val x8 : ?obs:Bm_engine.Obs.t -> ?fault:Bm_engine.Fault.t -> Bm_engine.Sim.t -> 
 val gbit_s : t -> float
 val register_ns : t -> float
 
-val register_access : t -> unit
-(** One blocking register read/write: delays the caller by
-    [register_ns]. *)
+val register_access : t -> (unit -> unit) -> unit
+(** [register_access t k]: one register read/write, a callback chain
+    that calls [k] [register_ns] later (after any [Link_down] window);
+    a process waits for it with {!Bm_engine.Sim.await}. *)
 
 val account : t -> bytes_:int -> unit
 (** Record payload carried by an external transfer model (e.g. a DMA

@@ -30,7 +30,7 @@ and guest = {
   os : Guest_os.t;
   io_factor : float;
   doorbell_ns : float;
-  irq : unit -> unit;
+  irq : (unit -> unit) -> unit;
   net_limits : Limits.net;
   blk_limits : Limits.blk;
   refilled : unit -> unit;
@@ -98,12 +98,10 @@ let vswitch b = b.vswitch
 let alive b = b.alive
 let crashes b = b.crashes
 
-(* Backend fibers park here while their process is dead; the poll period
-   only costs anything during a crash window. *)
-let wait_alive b =
-  while not b.alive do
-    Sim.delay 10_000.0
-  done
+(* Backend workers park here while their process is dead; the poll
+   period only costs anything during a crash window. *)
+let rec when_alive b k =
+  if b.alive then k () else Sim.schedule b.sim ~delay:10_000.0 (fun () -> when_alive b k)
 
 (* --- SR-IOV pool --- *)
 
@@ -143,7 +141,7 @@ let attach_vf g datapath =
 
 (* Interrupt context preempts: it does not queue behind saturated
    application threads. A polling guest only pays the pickup. *)
-let interrupt g = if g.poll_mode then Sim.delay 500.0 (* PMD poll pickup *) else g.irq ()
+let interrupt g = if g.poll_mode then Sim.delay 500.0 (* PMD poll pickup *) else Sim.await g.irq
 
 let rx_stack g pkt =
   let count = pkt.Packet.count in
@@ -178,6 +176,8 @@ let guest b ~name ~net ~blk ~cores ~os ~io_factor ~doorbell_ns ~irq ~net_limits 
       rekick = ignore;
     }
   in
+  (* The net handler stays a process: the rx handlers it runs send, and
+     a send blocks. The blk handler only pays the irq and reaps. *)
   Virtio_net.set_interrupt net (fun () ->
       Sim.spawn b.sim (fun () ->
           interrupt g;
@@ -186,9 +186,7 @@ let guest b ~name ~net ~blk ~cores ~os ~io_factor ~doorbell_ns ~irq ~net_limits 
           if Virtio_net.refill_rx net ~target:rx_buffer_target > 0 then refilled ();
           List.iter (rx_stack g) pkts));
   Virtio_blk.set_interrupt blk (fun () ->
-      Sim.spawn b.sim (fun () ->
-          irq ();
-          ignore (Virtio_blk.reap blk)));
+      Sim.schedule b.sim ~delay:0.0 (fun () -> irq (fun () -> ignore (Virtio_blk.reap blk))));
   (* The device glue comes up through the vhost-user control protocol
      before any descriptor moves (§3.4.2). *)
   List.iter
@@ -209,23 +207,23 @@ let drain g ?(after = ignore) ~pending ~pop process =
      pending folds into it (the drain will see the new work anyway). *)
   let hint = Sim.Bounded.create ~capacity:1 ~policy:Sim.Bounded.Drop_tail () in
   let kick () = ignore (Sim.Bounded.send hint ()) in
-  (* Requests fan out to workers (multiqueue): one fiber per request. *)
+  (* Requests fan out to workers (multiqueue): one chain per request,
+     started by a zero-delay event. *)
   let rec drain () =
     match pop () with
     | None -> ()
     | Some r ->
-      Sim.fork (fun () -> process r);
+      Sim.schedule b.sim ~delay:0.0 (fun () -> process r);
       drain ()
   in
-  Sim.spawn b.sim (fun () ->
-      let rec loop () =
-        Sim.Bounded.recv hint;
-        wait_alive b;
-        drain ();
-        after ();
-        loop ()
-      in
-      loop ());
+  let rec loop () =
+    Sim.Bounded.recv_callback b.sim hint (fun () ->
+        when_alive b (fun () ->
+            drain ();
+            after ();
+            loop ()))
+  in
+  Sim.schedule b.sim ~delay:0.0 loop;
   let rekick = g.rekick in
   g.rekick <-
     (fun () ->
@@ -261,27 +259,27 @@ let listen g fill =
           match Vf.submit vf ~queue:q ~bytes_:pkt.Packet.size ~deliver with
           | `Submitted _ -> ()
           | `Rejected -> rx_drop g pkt));
-  Sim.spawn b.sim (fun () ->
-      let rec loop () =
-        let pkt = Sim.Bounded.recv rx_chan in
-        wait_alive b;
-        Sim.fork (fun () -> fill pkt);
-        loop ()
-      in
-      loop ())
+  let rec loop () =
+    Sim.Bounded.recv_callback b.sim rx_chan (fun pkt ->
+        when_alive b (fun () ->
+            Sim.schedule b.sim ~delay:0.0 (fun () -> fill pkt);
+            loop ()))
+  in
+  Sim.schedule b.sim ~delay:0.0 loop
 
-let serve g req =
+let serve g req k =
   let op =
     match req.Virtio_blk.op with Virtio_blk.Read -> `Read | Write -> `Write | Flush -> `Flush
   in
-  match Blockstore.serve g.b.storage ~op ~bytes_:req.Virtio_blk.bytes with
-  | `Served -> ()
-  | `Rejected ->
-    req.Virtio_blk.failed <- true;
-    metric g.b "blk_rejected"
+  Blockstore.serve_callback g.b.storage ~op ~bytes_:req.Virtio_blk.bytes (function
+    | `Served -> k ()
+    | `Rejected ->
+      req.Virtio_blk.failed <- true;
+      metric g.b "blk_rejected";
+      k ())
 
 let post_rx g =
-  Sim.spawn g.b.sim (fun () ->
+  Sim.schedule g.b.sim ~delay:0.0 (fun () ->
       if Virtio_net.refill_rx g.net ~target:rx_buffer_target > 0 then g.refilled ())
 
 (* --- Guest-facing closures --- *)

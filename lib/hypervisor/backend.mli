@@ -11,9 +11,13 @@
     closures. Each side passes in its metric track, its costs and how
     it pops and completes a ring.
 
-    {!attach_vf}, {!drain}, {!listen}, {!post_rx} and {!release} spawn
-    fibers; spawn order fixes the event schedule, so each side calls
-    them in its own order. *)
+    The backend side is callback chains, not fibers: the drain and rx
+    pumps, the per-request workers and the blk interrupt are
+    {!Bm_engine.Sim.schedule}d steps. The guest side — [send], [blk],
+    the net interrupt handler and the rx handlers it runs — stays
+    processes, because they block. {!attach_vf}, {!drain}, {!listen},
+    {!post_rx} and {!release} schedule events; their order fixes the
+    event schedule, so each side calls them in its own order. *)
 
 type t
 (** One host's backend: its vswitch, SR-IOV pool and process liveness. *)
@@ -62,7 +66,7 @@ val guest :
   os:Bm_guest.Guest_os.t ->
   io_factor:float ->
   doorbell_ns:float ->
-  irq:(unit -> unit) ->
+  irq:((unit -> unit) -> unit) ->
   net_limits:Bm_cloud.Limits.net ->
   blk_limits:Bm_cloud.Limits.blk ->
   refilled:(unit -> unit) ->
@@ -70,8 +74,9 @@ val guest :
 (** Register a guest, bring its vhost-user devices up and install its
     interrupt handlers. Guest-side costs: every guest I/O stack charge
     on [cores] is scaled by [io_factor], a tx kick adds [doorbell_ns]
-    of CPU stall, and [irq] is the cost of taking one interrupt when
-    not polling. [refilled] runs whenever rx buffers were reposted. *)
+    of CPU stall, and [irq k] pays the cost of taking one interrupt when
+    not polling, as a callback chain that calls [k] after it.
+    [refilled] runs whenever rx buffers were reposted. *)
 
 val attach_vf : guest -> Bm_iobond.Vf.datapath -> unit
 (** [Passthrough] creates a dedicated one-VF device, [Sliced] attaches
@@ -86,26 +91,29 @@ val drain :
   ('a -> unit) ->
   unit ->
   unit
-(** Spawn one backend queue's drain fiber and return its doorbell. Each
-    hint (coalesced to one pending) waits out a crash, then forks one
-    worker per popped request and runs [after]. A respawn rings the
-    doorbell again if [pending] work survived. *)
+(** Start one backend queue's drain pump and return its doorbell. Each
+    hint (coalesced to one pending) waits out a crash, then starts one
+    worker chain per popped request, each from a zero-delay event, and
+    runs [after]. A respawn rings the doorbell again if [pending] work
+    survived. *)
 
 val listen : guest -> (Bm_virtio.Packet.t -> unit) -> unit
-(** Register the guest's vswitch endpoint and spawn the rx pump. On the
+(** Register the guest's vswitch endpoint and start the rx pump. On the
     vring path deliveries enter a bounded backlog (drop-tail) and the
-    pump forks [fill] per packet; on a VF the device delivers into the
-    guest directly, a rejection counting as an rx drop. *)
+    pump starts [fill] per packet from a zero-delay event; on a VF the
+    device delivers into the guest directly, a rejection counting as an
+    rx drop. *)
 
 val rx_drop : guest -> Bm_virtio.Packet.t -> unit
 (** Count a packet the guest had no buffer for. *)
 
-val serve : guest -> Bm_virtio.Virtio_blk.req -> unit
-(** Serve one request against cloud storage; a full admission queue
-    marks it failed so the guest can retry. *)
+val serve : guest -> Bm_virtio.Virtio_blk.req -> (unit -> unit) -> unit
+(** [serve g req k] serves one request against cloud storage
+    ({!Bm_cloud.Blockstore.serve_callback}), then calls [k]; a full
+    admission queue marks it failed so the guest can retry. *)
 
 val post_rx : guest -> unit
-(** Spawn the posting of the initial rx buffers. *)
+(** Schedule the posting of the initial rx buffers. *)
 
 val instance :
   guest ->

@@ -162,13 +162,15 @@ let create_vm host config =
   let g =
     Backend.guest host.backend ~name:config.name ~net ~blk:blkdev ~cores:guest_cores ~os
       ~io_factor ~doorbell_ns:0.0
-      ~irq:(fun () ->
+      ~irq:(fun k ->
         Vmexit.record exits Vmexit.Interrupt_window;
-        Sim.delay (wake_ns () +. ((p.injection_ns +. os.Guest_os.irq_entry_ns) *. io_factor)))
+        Sim.schedule sim
+          ~delay:(wake_ns () +. ((p.injection_ns +. os.Guest_os.irq_entry_ns) *. io_factor))
+          k)
       ~net_limits:config.net_limits ~blk_limits:config.blk_limits ~refilled:ignore
   in
-  let vhost_ns pkt =
-    Cores.execute_ns host.service_cores (p.vhost_pkt_ns *. float_of_int pkt.Packet.count)
+  let vhost_ns pkt k =
+    Cores.execute_ns_callback host.service_cores (p.vhost_pkt_ns *. float_of_int pkt.Packet.count) k
   in
   (* vhost-net tx: the worker completes each chain as it pops it and
      injects once the ring is empty. *)
@@ -183,23 +185,21 @@ let create_vm host config =
             Vring.push_used tx_ring ~head:chain.Vring.head ~written:0;
             chain.Vring.payload)
           (Vring.pop_avail tx_ring))
-      (fun pkt ->
-        vhost_ns pkt;
-        Vswitch.send (vswitch host) pkt)
+      (fun pkt -> vhost_ns pkt (fun () -> Vswitch.send_callback (vswitch host) pkt ignore))
   in
-  Virtio_net.set_notify net ~tx:kick_tx ~rx:ignore;
+  Virtio_net.set_notify net kick_tx;
   (* VFIO direct assignment: guest MMIO to the assigned device does not
      exit — that is the point of the comparison. *)
   Backend.attach_vf g config.datapath;
   let rx_ring = Virtio_net.rx_ring net in
   Backend.listen g (fun pkt ->
-      vhost_ns pkt;
-      match Vring.pop_avail rx_ring with
-      | Some chain ->
-        Vring.set_payload rx_ring ~head:chain.Vring.head pkt;
-        Vring.push_used rx_ring ~head:chain.Vring.head ~written:pkt.Packet.size;
-        Virtio_net.fire_interrupt net
-      | None -> (* no posted buffer: drop *) ());
+      vhost_ns pkt (fun () ->
+          match Vring.pop_avail rx_ring with
+          | Some chain ->
+            Vring.set_payload rx_ring ~head:chain.Vring.head pkt;
+            Vring.push_used rx_ring ~head:chain.Vring.head ~written:pkt.Packet.size;
+            Virtio_net.fire_interrupt net
+          | None -> (* no posted buffer: drop *) ()));
   (* vhost-blk backend: pops requests, serves them against cloud storage
      with the extra CPU copies of the vm path, completes, injects. The
      per-VM iothread is single: its CPU work (request handling + data
@@ -212,28 +212,41 @@ let create_vm host config =
        ~pop:(fun () -> Vring.pop_avail blk_ring)
        (fun chain ->
          let req = chain.Vring.payload in
-         Sim.delay (p.vblk_sched_ns /. 2.0);
-         Sim.Resource.with_resource vblk_iothread (fun () ->
-             Cores.execute_ns host.service_cores (p.vblk_req_ns *. io_factor);
-             (* Extra buffer copies between guest and host I/O stacks;
-                writes cross twice (data out, ack in). *)
-             let copies =
-               match req.Virtio_blk.op with
-               | Virtio_blk.Write -> 2.0
-               | Virtio_blk.Read | Virtio_blk.Flush -> 1.0
-             in
-             let copy_ns = copies *. float_of_int req.Virtio_blk.bytes /. p.copy_gb_s in
-             Cores.execute_ns host.service_cores (copy_ns *. io_factor));
-         Backend.serve g req;
-         Sim.delay (p.vblk_sched_ns /. 2.0);
-         (* Rare host block-layer hiccup: the source of the vm's heavy
-            p99.9 storage tail (Fig. 11). *)
-         if Rng.bernoulli vm_rng ~p:p.vblk_hiccup_p then
-           Sim.delay (Rng.pareto vm_rng ~scale:p.vblk_hiccup_scale_ns ~shape:1.4);
-         (* The completion thread itself can be preempted. *)
-         Preempt.maybe_steal preempt;
-         Vring.push_used blk_ring ~head:chain.Vring.head ~written:req.Virtio_blk.bytes;
-         Virtio_blk.fire_interrupt blkdev));
+         let service_ns ns k = Cores.execute_ns_callback host.service_cores (ns *. io_factor) k in
+         (* Extra buffer copies between guest and host I/O stacks;
+            writes cross twice (data out, ack in). *)
+         let copies =
+           match req.Virtio_blk.op with
+           | Virtio_blk.Write -> 2.0
+           | Virtio_blk.Read | Virtio_blk.Flush -> 1.0
+         in
+         (* The steps, last first: each is the continuation of the one
+            before it. The completion thread itself can be preempted
+            before it completes and injects. *)
+         let complete () =
+           Preempt.maybe_steal_callback preempt (fun () ->
+               Vring.push_used blk_ring ~head:chain.Vring.head ~written:req.Virtio_blk.bytes;
+               Virtio_blk.fire_interrupt blkdev)
+         in
+         (* After storage: the return half of the scheduling latency,
+            then a rare host block-layer hiccup, the source of the vm's
+            heavy p99.9 storage tail (Fig. 11). *)
+         let served () =
+           Sim.schedule sim ~delay:(p.vblk_sched_ns /. 2.0) (fun () ->
+               if Rng.bernoulli vm_rng ~p:p.vblk_hiccup_p then
+                 Sim.schedule sim
+                   ~delay:(Rng.pareto vm_rng ~scale:p.vblk_hiccup_scale_ns ~shape:1.4)
+                   complete
+               else complete ())
+         in
+         let on_iothread () =
+           service_ns p.vblk_req_ns (fun () ->
+               service_ns (copies *. float_of_int req.Virtio_blk.bytes /. p.copy_gb_s) (fun () ->
+                   Sim.Resource.release vblk_iothread;
+                   Backend.serve g req served))
+         in
+         Sim.schedule sim ~delay:(p.vblk_sched_ns /. 2.0) (fun () ->
+             Sim.Resource.acquire_callback sim vblk_iothread on_iothread)));
   (* Keep rx buffers posted from the start. *)
   Backend.post_rx g;
   (* Co-residency perturbs the shared LLC/SMT pipelines: a few percent

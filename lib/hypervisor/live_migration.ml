@@ -5,7 +5,6 @@ type injected = {
   sim : Sim.t;
   base : Instance.t;
   wrapped : Instance.t;
-  tlb : Bm_hw.Tlb.t;
 }
 
 (* Inserting the layer shadows the guest's page tables: a brief stall. *)
@@ -33,7 +32,7 @@ let inject sim rng base =
         pause = (fun () -> Preempt.maybe_steal preempt);
       }
     in
-    Ok { sim; base; wrapped; tlb }
+    Ok { sim; base; wrapped }
 
 let as_instance t = t.wrapped
 

@@ -25,21 +25,24 @@ let create ?(obs = Obs.none) sim rng ~mode ?(host_load = 0.5) () =
   let steal_p, slice_ns = params_of ~mode ~host_load in
   { sim; rng; steal_p; slice_ns; stolen_ns = 0.0; obs }
 
-let maybe_steal t =
-  if Rng.bernoulli t.rng ~p:t.steal_p then begin
-    let body = Rng.exponential t.rng ~mean:t.slice_ns in
-    (* 2% of steals hit a long host task: heavy (Pareto) tail. *)
-    let tail =
-      if Rng.bernoulli t.rng ~p:0.02 then Rng.pareto t.rng ~scale:(4.0 *. t.slice_ns) ~shape:1.6
-      else 0.0
-    in
-    let pause = body +. tail in
-    t.stolen_ns <- t.stolen_ns +. pause;
-    Metrics.observe_opt (Obs.metrics t.obs) "hyp.preempt.stolen_ns" pause;
-    Trace.begin_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim);
-    Sim.delay pause;
-    Trace.end_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim)
-  end
+(* The boundary lost the CPU: draw the slice and sleep it out. *)
+let steal t k =
+  let body = Rng.exponential t.rng ~mean:t.slice_ns in
+  (* 2% of steals hit a long host task: heavy (Pareto) tail. *)
+  let tail =
+    if Rng.bernoulli t.rng ~p:0.02 then Rng.pareto t.rng ~scale:(4.0 *. t.slice_ns) ~shape:1.6
+    else 0.0
+  in
+  let pause = body +. tail in
+  t.stolen_ns <- t.stolen_ns +. pause;
+  Metrics.observe_opt (Obs.metrics t.obs) "hyp.preempt.stolen_ns" pause;
+  Trace.begin_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim);
+  Sim.schedule t.sim ~delay:pause (fun () ->
+      Trace.end_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim);
+      k ())
+
+let maybe_steal_callback t k = if Rng.bernoulli t.rng ~p:t.steal_p then steal t k else k ()
+let maybe_steal t = if Rng.bernoulli t.rng ~p:t.steal_p then Sim.await (steal t)
 
 let stolen_ns t = t.stolen_ns
 

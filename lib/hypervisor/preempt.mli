@@ -35,6 +35,13 @@ val maybe_steal : t -> unit
     vCPU loses the CPU for one scheduling slice (exponential body,
     Pareto tail). No-op most of the time. *)
 
+val maybe_steal_callback : t -> (unit -> unit) -> unit
+(** {!maybe_steal} for a callback chain (a host-side worker): the same
+    draws, and the stolen slice is one timed event before the
+    continuation; without a steal the continuation runs at once.
+    {!maybe_steal} awaits the same steal ({!Bm_engine.Sim.await}) and
+    performs no effect when none is drawn. *)
+
 val stolen_ns : t -> float
 (** Total time stolen through {!maybe_steal}. *)
 

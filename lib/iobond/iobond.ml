@@ -92,9 +92,7 @@ let attach_net t ?queue_size () =
   in
   let net_tx = bridge "net-tx" (Virtio_net.tx_ring device) in
   let net_rx = bridge "net-rx" (Virtio_net.rx_ring device) in
-  Virtio_net.set_notify device
-    ~tx:(fun () -> Queue_bridge.guest_notify net_tx)
-    ~rx:(fun () -> Queue_bridge.guest_notify net_rx);
+  Virtio_net.set_notify device (fun () -> Queue_bridge.guest_notify net_tx);
   Queue_bridge.set_guest_interrupt net_tx (fun () -> Virtio_net.fire_interrupt device);
   Queue_bridge.set_guest_interrupt net_rx (fun () -> Virtio_net.fire_interrupt device);
   t.ports <-

@@ -34,10 +34,11 @@ val set_head : t -> int -> int -> unit
 
 val tail : t -> int -> int
 
-val write_tail : t -> int -> int -> unit
-(** Hypervisor side: posted register write across the base link —
-    delays the calling process by the link's register latency (per
-    attempt, when fault injection forces retries). Tail values are
+val write_tail : t -> int -> int -> (unit -> unit) -> unit
+(** [write_tail t ring v k], hypervisor side: posted register write
+    across the base link, a callback chain that calls [k] one register
+    latency later (per attempt, when fault injection forces retries
+    under {!Bm_engine.Fault.Guard.run_callback}). Tail values are
     absolute, so a retried or even lost write never corrupts state. *)
 
 val notify_pci_access : t -> unit

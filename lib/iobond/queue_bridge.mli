@@ -77,9 +77,11 @@ val complete : 'a t -> 'a request -> ?payload:'a -> written:int -> unit -> unit
     request's payload (a received packet written into a posted rx
     buffer). Cheap; the device only learns about it via {!flush}. *)
 
-val flush : 'a t -> unit
-(** Tail-register write (one base-link register hop, charged to the
-    calling hypervisor process) starting the completion mirror engine. *)
+val flush : 'a t -> (unit -> unit) -> unit
+(** [flush t k]: tail-register write (one base-link register hop,
+    {!Mailbox.write_tail}) starting the completion mirror engine, then
+    [k]. A callback chain; a process waits for it with
+    {!Bm_engine.Sim.await}. *)
 
 val resync : 'a t -> unit
 (** Post-reset recovery (process or scheduler context): re-publish the

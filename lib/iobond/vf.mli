@@ -81,9 +81,10 @@ val create_device :
     each (default 2), 256-entry descriptor rings and 256-entry
     completion rings ([Block] policy — a slow consumer backpressures
     the device instead of losing completions). The profile's DMA rate
-    is shared by weighted arbitration. Creation spawns
-    the per-queue device engines parked on their empty rings, so an
-    unused device adds no events to the agenda. *)
+    is shared by weighted arbitration. Creation starts the per-queue
+    device engines and the completion dispatcher, callback chains that
+    park on their empty rings, so an unused device adds no events to
+    the agenda after the first instant. *)
 
 val free_vfs : dev -> int
 

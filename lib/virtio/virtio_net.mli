@@ -24,8 +24,10 @@ val rx_ring : t -> Packet.t Vring.t
 
 (** {2 Transport wiring} *)
 
-val set_notify : t -> tx:(unit -> unit) -> rx:(unit -> unit) -> unit
-(** Hooks invoked when the driver writes the queue-notify register. *)
+val set_notify : t -> (unit -> unit) -> unit
+(** Hook invoked when the driver writes the tx queue-notify register.
+    Reposted rx buffers are announced by the backend that reposts them
+    (its refill hook), not through this device. *)
 
 val set_interrupt : t -> (unit -> unit) -> unit
 (** Hook invoked by the device side after pushing used entries, when

@@ -35,7 +35,7 @@ type t = {
   mutable status : int;
   mutable driver_features : Feature.t;
   mutable selected_queue : int;
-  mutable queue_addrs : int array;
+  queue_addrs : int array;
   mutable notify_count : int;
 }
 

@@ -4,9 +4,11 @@
     spec: a descriptor table managed through a free list, an avail ring
     written by the driver, and a used ring written by the device. Indices
     free-run modulo 2^16 as in real hardware. Buffers carry an arbitrary
-    OCaml payload instead of guest-physical bytes; descriptor [addr]
-    values are synthetic but stable, and [len] values are real so DMA
-    cost models can meter them.
+    OCaml payload instead of guest-physical bytes; segment addresses
+    are synthetic but stable, and segment lengths are real so DMA cost
+    models can meter them. The descriptor table itself keeps only the
+    flags and the chain links; a chain's segments carry its addresses
+    and lengths.
 
     The same structure serves as the guest-side ring of a vm-guest
     (where the host backend maps it directly) and as both the guest ring

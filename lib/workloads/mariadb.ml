@@ -19,7 +19,6 @@ let pattern_name = function
    flusher writes the redo log (one flush in flight at a time, as a real
    redo log behaves) and wakes the whole batch. *)
 type group_commit = {
-  sim : Sim.t;
   instance : Instance.t;
   max_batch : int;
   flush_bytes : int;
@@ -67,10 +66,9 @@ let write_cpu_ns = 95_000.0
 (* Redo flushes batch up to 8 queries (innodb-style group commit). *)
 let group_commit_max = 8
 
-let serve sim rng instance () =
+let serve rng instance () =
   let gc =
     {
-      sim;
       instance;
       max_batch = group_commit_max;
       flush_bytes = 32 * 1024;

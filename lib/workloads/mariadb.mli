@@ -20,7 +20,6 @@ type result = {
 val pattern_name : pattern -> string
 
 val serve :
-  Bm_engine.Sim.t ->
   Bm_engine.Rng.t ->
   Bm_guest.Instance.t ->
   unit ->

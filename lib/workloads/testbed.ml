@@ -27,7 +27,7 @@ let make ?(seed = 2020) ?(storage_kind = Blockstore.Cloud_ssd) ?storage_queue ?t
       (fun topo -> Bm_fabric.Fabric.create ~obs sim (Rng.create ~seed:(seed + 0x5eed)) topo)
       topology
   in
-  let fabric = Vswitch.create_fabric sim ?net () in
+  let fabric = Vswitch.create_fabric ?net () in
   let storage =
     Blockstore.create ~obs sim (Rng.split rng) ~kind:storage_kind
       ?queue_capacity:storage_queue ()

@@ -73,7 +73,7 @@ let test_limits_unlimited () =
 
 let test_vswitch_local_delivery () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let got = ref [] in
   let a = Vswitch.register vs ~deliver:(fun pkt -> got := pkt :: !got) in
@@ -85,7 +85,7 @@ let test_vswitch_local_delivery () =
 
 let test_vswitch_hop_latency () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) ~hop_ns:5_000.0 () in
   let arrival = ref nan in
   let a = Vswitch.register vs ~deliver:(fun _ -> arrival := Sim.now sim) in
@@ -96,7 +96,7 @@ let test_vswitch_hop_latency () =
 
 let test_vswitch_cross_server () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim ~gbit_s:100.0 ~rtt_ns:10_000.0 () in
+  let fabric = Vswitch.create_fabric ~gbit_s:100.0 ~rtt_ns:10_000.0 () in
   let vs1 = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let vs2 = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let arrival = ref nan in
@@ -109,7 +109,7 @@ let test_vswitch_cross_server () =
 
 let test_vswitch_unknown_drops () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let a = Vswitch.register vs ~deliver:(fun _ -> ()) in
   Sim.spawn sim (fun () -> Vswitch.send vs (mk_pkt ~src:a ~dst:9999 1));
@@ -122,7 +122,7 @@ let test_vswitch_unknown_drop_observability () =
   let sim = Sim.create () in
   let metrics = Metrics.create () in
   let trace = Trace.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs =
     Vswitch.create sim ~obs:(Obs.of_sim ~trace ~metrics sim) ~fabric ~cores:(cores_of sim) ()
   in
@@ -139,7 +139,7 @@ let test_vswitch_unknown_drop_observability () =
 
 let test_vswitch_unregister () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let got = ref 0 in
   let a = Vswitch.register vs ~deliver:(fun _ -> incr got) in
@@ -629,7 +629,7 @@ let suites = suites @ failure_suites
    registration table when the hop delay expires. *)
 let test_vswitch_stale_delivery_dropped () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let got = ref 0 in
   let a = Vswitch.register vs ~deliver:(fun _ -> incr got) in
@@ -648,7 +648,7 @@ let test_vswitch_stale_delivery_dropped () =
    tenant's in-flight packet either. *)
 let test_vswitch_stale_not_delivered_to_successor () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let old_got = ref 0 and new_got = ref 0 in
   let a = Vswitch.register vs ~deliver:(fun _ -> incr old_got) in
@@ -664,7 +664,7 @@ let test_vswitch_stale_not_delivered_to_successor () =
 
 let test_vswitch_egress_overflow_drops () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) ~egress_capacity:4 () in
   let got = ref 0 in
   let a = Vswitch.register vs ~deliver:(fun _ -> incr got) in

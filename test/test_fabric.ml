@@ -300,7 +300,7 @@ let onhost_log ~with_net sends =
       Some (Fabric.create sim (Rng.create ~seed:99) (Topology.two_host ()))
     else None
   in
-  let fabric = Bm_cloud.Vswitch.create_fabric sim ?net () in
+  let fabric = Bm_cloud.Vswitch.create_fabric ?net () in
   let cores = Bm_hw.Cores.create sim ~spec:Bm_hw.Cpu_spec.base_server_e5 () in
   let vs = Bm_cloud.Vswitch.create sim ~fabric ~cores () in
   let log = ref [] in

@@ -242,7 +242,7 @@ let test_pcie_register_latency () =
     in_sim (fun sim ->
         let link = Pcie.x4 sim ~register_ns:800.0 in
         let t0 = Sim.clock () in
-        Pcie.register_access link;
+        Sim.await (Pcie.register_access link);
         Sim.clock () -. t0)
   in
   check_float "0.8us per access (FPGA)" 800.0 elapsed
@@ -254,7 +254,7 @@ let test_dma_bottleneck_rate () =
         let base_link = Pcie.x8 sim ~register_ns:800.0 in
         let dma = Dma.create sim ~gbit_s:50.0 ~setup_ns:0.0 () in
         let t0 = Sim.clock () in
-        Dma.copy dma ~src:guest_link ~dst:base_link ~bytes_:40_000;
+        Sim.await (Dma.copy dma ~src:guest_link ~dst:base_link ~bytes_:40_000);
         Sim.clock () -. t0)
   in
   (* Bottleneck is the x4 at 32 Gbit/s: 40kB = 10,000 ns. *)
@@ -274,7 +274,7 @@ let test_dma_engine_cap () =
         for _ = 1 to 2 do
           Sim.fork (fun () ->
               let link = Pcie.x4 sim ~register_ns:800.0 in
-              Dma.copy dma ~src:link ~dst:base_link ~bytes_:40_000;
+              Sim.await (Dma.copy dma ~src:link ~dst:base_link ~bytes_:40_000);
               decr remaining;
               if !remaining = 0 then Sim.Ivar.fill done_ ())
         done;
@@ -302,7 +302,7 @@ let test_pcie_link_down_stall () =
   let finished = ref nan in
   Sim.spawn sim (fun () ->
       Sim.delay 1_000.0;
-      Pcie.register_access link;
+      Sim.await (Pcie.register_access link);
       finished := Sim.clock ());
   Sim.run sim;
   check_float "window close + one hop" (50_100.0 +. 800.0) !finished;
@@ -319,7 +319,7 @@ let test_dma_stall_window () =
   let finished = ref nan in
   Sim.spawn sim (fun () ->
       Sim.delay 1_000.0;
-      Dma.copy dma ~src ~dst ~bytes_:40_000;
+      Sim.await (Dma.copy dma ~src ~dst ~bytes_:40_000);
       finished := Sim.clock ());
   Sim.run sim;
   (* Unloaded: 300 ns setup + 40 kB at the x4's 32 Gbit/s. *)

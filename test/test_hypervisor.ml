@@ -19,7 +19,7 @@ type world = {
 let make_world ?(seed = 42) () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let storage = Blockstore.create sim (Rng.split rng) ~kind:Blockstore.Cloud_ssd () in
   { sim; rng; fabric; storage }
 
@@ -475,27 +475,40 @@ let datapath_timings ?faults sub dp =
 
 (* Every {bm, vm} x {vring, passthrough, sliced} cell, plus both vring
    pairs with backend crashes landing mid-burst and mid-blk (die, wait
-   out the dead-time, respawn, rekick). *)
+   out the dead-time, respawn, rekick), and both vring pairs with one
+   window each of the device-side faults: a DMA stall and a link retrain
+   during the pings, a dropped mailbox write and a firmware wedge (reset
+   and resync) during the block requests. *)
 let golden_datapath () =
-  let crash =
+  let plan events =
     {
       Fault.seed = 0;
       horizon_ns = 2e6;
-      events =
-        List.map
-          (fun at -> { Fault.kind = Fault.Pmd_crash; at; duration_ns = 50_000.0 })
-          [ 140_000.0; 400_000.0; 470_000.0 ];
+      events = List.map (fun (kind, at, duration_ns) -> { Fault.kind; at; duration_ns }) events;
     }
   in
-  let cell ?faults label sub dp =
-    Printf.sprintf "%s %s%s\n%s" label (Bm_iobond.Vf.datapath_name dp)
-      (if faults = None then "" else " pmd_crash")
+  let crash =
+    plan (List.map (fun at -> (Fault.Pmd_crash, at, 50_000.0)) [ 140_000.0; 400_000.0; 470_000.0 ])
+  in
+  let device =
+    plan
+      [
+        (Fault.Dma_stall, 30_000.0, 20_000.0);
+        (Fault.Link_down, 75_000.0, 30_000.0);
+        (Fault.Mailbox_drop, 300_000.0, 10_000.0);
+        (Fault.Firmware_wedge, 520_000.0, 100_000.0);
+      ]
+  in
+  let cell ?(tag = "") ?faults label sub dp =
+    Printf.sprintf "%s %s%s\n%s" label (Bm_iobond.Vf.datapath_name dp) tag
       (datapath_timings ?faults sub dp)
   in
   let vring = Bm_iobond.Vf.Vring in
+  let faulted tag faults = [ cell ~tag ~faults "bm" `Bm vring; cell ~tag ~faults "vm" `Vm vring ] in
   String.concat ""
     (List.concat_map (fun dp -> [ cell "bm" `Bm dp; cell "vm" `Vm dp ]) Bm_iobond.Vf.all_datapaths
-    @ [ cell ~faults:crash "bm" `Bm vring; cell ~faults:crash "vm" `Vm vring ])
+    @ faulted " pmd_crash" crash
+    @ faulted " device_faults" device)
 
 let test_golden_datapath () =
   Alcotest.(check string)

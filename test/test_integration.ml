@@ -106,7 +106,7 @@ let test_vm_client_bm_database () =
   let tb = Testbed.make ~seed:34 () in
   let _, db = Testbed.bm_guest tb in
   let _, client = Testbed.vm_guest tb in
-  Mariadb.serve tb.Testbed.sim (Rng.create ~seed:34) db ();
+  Mariadb.serve (Rng.create ~seed:34) db ();
   let r =
     Mariadb.sysbench tb.Testbed.sim ~client ~server:db ~threads:32 ~pattern:Mariadb.Read_only
       ~duration:(Simtime.ms 50.0) ()

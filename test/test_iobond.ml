@@ -35,7 +35,7 @@ let test_tx_roundtrip () =
         | Some req ->
           hv_got := Some req;
           Queue_bridge.complete port.Iobond.net_tx req ~written:0 ();
-          Queue_bridge.flush port.Iobond.net_tx
+          Sim.await (Queue_bridge.flush port.Iobond.net_tx)
         | None ->
           Sim.delay 100.0;
           poll ()
@@ -70,7 +70,7 @@ let test_rx_payload_replacement () =
         | Some req ->
           let p = pkt ~size:1400 99 in
           Queue_bridge.complete port.Iobond.net_rx req ~payload:p ~written:1400 ();
-          Queue_bridge.flush port.Iobond.net_rx
+          Sim.await (Queue_bridge.flush port.Iobond.net_rx)
         | None ->
           Sim.delay 100.0;
           wait ()
@@ -105,7 +105,7 @@ let test_batch_single_interrupt () =
       in
       let n = drain 0 in
       check_int "all 16 mirrored" 16 n;
-      Queue_bridge.flush port.Iobond.net_tx);
+      Sim.await (Queue_bridge.flush port.Iobond.net_tx));
   Sim.run ~until:1_000_000.0 sim;
   check_int "interrupt coalescing: one MSI for the batch" 1 !irqs;
   check_int "bridge completed 16" 16 (Queue_bridge.completed port.Iobond.net_tx)
@@ -128,7 +128,7 @@ let test_fifo_preserved_across_bridge () =
           | Some req ->
             order := req.Queue_bridge.payload.Packet.id :: !order;
             Queue_bridge.complete port.Iobond.net_tx req ~written:0 ();
-            Queue_bridge.flush port.Iobond.net_tx;
+            Sim.await (Queue_bridge.flush port.Iobond.net_tx);
             poll (seen + 1)
           | None ->
             Sim.delay 50.0;
@@ -157,7 +157,7 @@ let test_blk_bridge_roundtrip () =
           (* Storage takes 100us, then 4KB of read data flows back. *)
           Sim.delay 100_000.0;
           Queue_bridge.complete port.Iobond.blk_queue req ~written:4097 ();
-          Queue_bridge.flush port.Iobond.blk_queue
+          Sim.await (Queue_bridge.flush port.Iobond.blk_queue)
         | None ->
           Sim.delay 500.0;
           poll ()
@@ -215,7 +215,7 @@ let test_mailbox_tail_write_costs_hop () =
   let elapsed = ref nan in
   Sim.spawn sim (fun () ->
       let t0 = Sim.clock () in
-      Mailbox.write_tail mailbox ring 42;
+      Sim.await (Mailbox.write_tail mailbox ring 42);
       elapsed := Sim.clock () -. t0);
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "one register hop" 800.0 !elapsed;
@@ -231,7 +231,7 @@ let test_dma_meters_links () =
         match Queue_bridge.pop port.Iobond.net_tx with
         | Some req ->
           Queue_bridge.complete port.Iobond.net_tx req ~written:0 ();
-          Queue_bridge.flush port.Iobond.net_tx
+          Sim.await (Queue_bridge.flush port.Iobond.net_tx)
         | None ->
           Sim.delay 100.0;
           poll ()
@@ -284,7 +284,7 @@ let prop_bridge_random_ops =
                 match Queue_bridge.pop bridge with
                 | Some req ->
                   Queue_bridge.complete bridge req ~written:0 ();
-                  Queue_bridge.flush bridge
+                  Sim.await (Queue_bridge.flush bridge)
                 | None -> ()
               end
               else Sim.delay (Bm_engine.Rng.float rng 2_000.0))
@@ -295,7 +295,7 @@ let prop_bridge_random_ops =
             match Queue_bridge.pop bridge with
             | Some req ->
               Queue_bridge.complete bridge req ~written:0 ();
-              Queue_bridge.flush bridge;
+              Sim.await (Queue_bridge.flush bridge);
               drain ()
             | None -> if Queue_bridge.pending bridge > 0 then drain ()
           in

@@ -244,7 +244,7 @@ let test_fabric_failed_link_drops () =
 
 let test_vswitch_evac_stale_dropped () =
   let sim = Sim.create () in
-  let fabric = Vswitch.create_fabric sim () in
+  let fabric = Vswitch.create_fabric () in
   let vs = Vswitch.create sim ~fabric ~cores:(cores_of sim) () in
   let got = ref 0 in
   let a = Vswitch.register vs ~deliver:(fun _ -> incr got) in

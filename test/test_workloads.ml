@@ -247,7 +247,7 @@ let test_mariadb_patterns () =
     let tb = Testbed.make ~seed:10 () in
     let server = make tb in
     let client = Testbed.client_box tb in
-    Mariadb.serve tb.Testbed.sim (Rng.create ~seed:10) server ();
+    Mariadb.serve (Rng.create ~seed:10) server ();
     Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration:(Simtime.ms 150.0) ()
   in
   let bm_ro = run (fun tb -> snd (Testbed.bm_guest tb)) Mariadb.Read_only in
