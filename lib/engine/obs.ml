@@ -8,6 +8,40 @@ let trace t = t.trace
 let metrics t = t.metrics
 let enabled t = t.trace <> None || t.metrics <> None
 
+(* Probes: the clock is read, and an int converted, only for an
+   installed sink. *)
+
+let instant t ~track name =
+  match t.trace with Some tr -> Trace.instant tr ~track name ~now:(t.now ()) | None -> ()
+
+let mark t ~n name =
+  match t.metrics with Some m -> Metrics.mark m ~n name ~now:(t.now ()) | None -> ()
+
+let instant_at t ~track name sim =
+  match t.trace with Some tr -> Trace.instant tr ~track name ~now:(Sim.now sim) | None -> ()
+
+let begin_span_at t ~track name sim =
+  match t.trace with Some tr -> Trace.begin_span tr ~track name ~now:(Sim.now sim) | None -> ()
+
+let end_span_at t ~track name sim =
+  match t.trace with Some tr -> Trace.end_span tr ~track name ~now:(Sim.now sim) | None -> ()
+
+let counter_at t ~track name sim level =
+  match t.trace with
+  | Some tr -> Trace.counter tr ~track name ~now:(Sim.now sim) (float_of_int level)
+  | None -> ()
+
+let mark_at t ~n name sim =
+  match t.metrics with Some m -> Metrics.mark m ~n name ~now:(Sim.now sim) | None -> ()
+
+let add t name n =
+  match t.metrics with Some m -> Metrics.incr m ~by:(float_of_int n) name | None -> ()
+
+let start_at t sim = match t.metrics with Some _ -> Sim.now sim | None -> 0.0
+
+let observe_since t name sim start =
+  match t.metrics with Some m -> Metrics.observe m name (Sim.now sim -. start) | None -> ()
+
 let watch_bounded t ~track q =
   if enabled t then
     Sim.Bounded.set_probe q (fun ev ~depth ->

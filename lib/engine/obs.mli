@@ -23,6 +23,40 @@ val metrics : t -> Metrics.t option
 val enabled : t -> bool
 (** At least one sink installed. *)
 
+(** {2 Probes}
+
+    One-line probes for hot paths. Each reads the clock, and converts
+    its int argument, only when the matching sink is installed: the dev
+    profile compiles every library [-opaque], so a [~now:(Sim.now sim)]
+    or [~by:(float_of_int n)] argument to a {!Trace} or {!Metrics}
+    [_opt] entry point is a boxed float built on every call, sink or
+    not. [instant] and [mark] are stamped with the context's clock, the
+    [_at] probes with [Sim.now sim]. *)
+
+val instant : t -> track:string -> string -> unit
+val mark : t -> n:int -> string -> unit
+(** [n] events on a meter. *)
+
+val instant_at : t -> track:string -> string -> Sim.t -> unit
+val begin_span_at : t -> track:string -> string -> Sim.t -> unit
+val end_span_at : t -> track:string -> string -> Sim.t -> unit
+
+val counter_at : t -> track:string -> string -> Sim.t -> int -> unit
+(** A trace counter at an integer level (a queue depth). *)
+
+val mark_at : t -> n:int -> string -> Sim.t -> unit
+
+val add : t -> string -> int -> unit
+(** [add t name n] adds [n] to counter [name]. *)
+
+val start_at : t -> Sim.t -> float
+(** [Sim.now sim] with a metrics registry installed, else [0.]: the
+    start of a duration recorded with {!observe_since}. *)
+
+val observe_since : t -> string -> Sim.t -> float -> unit
+(** [observe_since t name sim start] records [Sim.now sim -. start]
+    into histogram [name]. *)
+
 val watch_bounded : t -> track:string -> 'a Sim.Bounded.bounded -> unit
 (** Install a {!Sim.Bounded.set_probe} hook that records the queue depth
     as a trace counter on [track] and counts drops/rejects as metrics
