@@ -28,7 +28,7 @@ let () =
       done);
   Sim.spawn tb.Testbed.sim (fun () ->
       Sim.delay (Simtime.ms 15.0);
-      match Bm_hypervisor.live_upgrade server ~name:"bm0" () with
+      match Bm_hypervisor.live_upgrade server ~name:"bm0" with
       | Ok v -> Printf.printf "1. live upgrade: backend now v%d, mid-flight\n" v
       | Error e -> failwith e);
   Testbed.run tb;

@@ -100,8 +100,3 @@ let serve_callback t ~op ~bytes_ k =
 let serve t ~op ~bytes_ = Sim.await (serve_callback t ~op ~bytes_)
 
 let rejected t = t.rejected
-
-let mean_service_ns t ~op =
-  match op with
-  | `Read -> t.params.read_median_ns
-  | `Write | `Flush -> t.params.write_median_ns

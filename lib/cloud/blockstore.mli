@@ -49,7 +49,3 @@ val serve_callback :
     awaited ({!Bm_engine.Sim.await}). *)
 
 val rejected : t -> int
-
-val mean_service_ns : t -> op:[ `Read | `Write | `Flush ] -> float
-(** The configured median service time (excluding queueing/tail), for
-    documentation and tests. *)

@@ -33,13 +33,12 @@ type t = {
   mutable class_rejections : int;
 }
 
-let create ?(admission_ceiling = 1.0) () =
-  assert (admission_ceiling > 0.0 && admission_ceiling <= 1.0);
+let create () =
   {
     servers = [];
     next_id = 0;
     instances = Hashtbl.create 32;
-    admission_ceiling;
+    admission_ceiling = 1.0;
     admission_rejections = 0;
     class_ceilings = Hashtbl.create 4;
     class_used = Hashtbl.create 4;

@@ -23,14 +23,14 @@ type strategy =
 
 type t
 
-val create : ?admission_ceiling:float -> unit -> t
-(** [admission_ceiling] (default 1.0, i.e. disabled) is the fraction of
-    fleet thread capacity the control plane will sell: a placement that
-    would push {!used_threads} past [ceiling × sellable_threads] is
-    refused even when a server could physically host it, keeping headroom
-    for failure evacuation and load spikes. Must be in (0, 1]. *)
+val create : unit -> t
 
 val set_admission_ceiling : t -> float -> unit
+(** The fraction of fleet thread capacity the control plane will sell
+    (1.0, i.e. no ceiling, until set): a placement that would push
+    {!used_threads} past [ceiling × sellable_threads] is refused even
+    when a server could physically host it, keeping headroom for
+    failure evacuation and load spikes. Must be in (0, 1]. *)
 
 val admission_ceiling : t -> float
 

@@ -18,13 +18,3 @@ let make ~name ~kernel_version () =
 let centos7 = make ~name:"centos-7" ~kernel_version:"3.10.0-514.26.2.el7" ()
 
 let total_boot_bytes t = t.bootloader_bytes + t.kernel_bytes + t.initrd_bytes
-
-module Store = struct
-  type image = t
-  type nonrec t = (string, t) Hashtbl.t
-
-  let create () = Hashtbl.create 8
-  let add t image = Hashtbl.replace t image.name image
-  let find t name = Hashtbl.find_opt t name
-  let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t []
-end

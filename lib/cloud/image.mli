@@ -15,21 +15,8 @@ type t = {
 }
 
 val centos7 : t
-(** The evaluation image: CentOS 7, kernel 3.10.0-514.26.2.el7 (§4.2). *)
-
-val make : name:string -> kernel_version:string -> unit -> t
-(** An image with a 1 MiB bootloader, a 6 MiB kernel and a 20 MiB
-    initrd. *)
+(** The evaluation image: CentOS 7, kernel 3.10.0-514.26.2.el7 (§4.2),
+    with a 1 MiB bootloader, a 6 MiB kernel and a 20 MiB initrd. *)
 
 val total_boot_bytes : t -> int
 (** Bytes the firmware must fetch over virtio-blk to reach the kernel. *)
-
-module Store : sig
-  type image = t
-  type t
-
-  val create : unit -> t
-  val add : t -> image -> unit
-  val find : t -> string -> image option
-  val names : t -> string list
-end

@@ -42,24 +42,6 @@ type signals = {
   breaker : Bm_engine.Fault.Guard.state;
 }
 
-let calm_signals ~window =
-  {
-    window;
-    premium_pressure = 0.0;
-    all_pressure = 0.0;
-    distressed = [];
-    suspects = [];
-    gold_p99_ms = 0.0;
-    offered_pps = [];
-    failed_hosts = [];
-    spine_queued = 0;
-    spine_dropped = 0;
-    links = [];
-    links_down = 0;
-    brownout = false;
-    breaker = Bm_engine.Fault.Guard.Closed;
-  }
-
 type action =
   | Shed_tier of Slo.tier
   | Restore_tier of Slo.tier
@@ -74,22 +56,6 @@ type action =
   | Drain_failed
   | Throttle_bulk of float
   | Restore_bulk
-
-let action_name = function
-  | Shed_tier t -> Printf.sprintf "shed_tier(%s)" (Slo.tier_name t)
-  | Restore_tier t -> Printf.sprintf "restore_tier(%s)" (Slo.tier_name t)
-  | Shed_tenants ts -> Printf.sprintf "shed_tenants(%d)" (List.length ts)
-  | Restore_tenants ts -> Printf.sprintf "restore_tenants(%d)" (List.length ts)
-  | Tier_ceiling { tier; pps } -> Printf.sprintf "tier_ceiling(%s,%.0f)" (Slo.tier_name tier) pps
-  | Restore_tier_ceiling t -> Printf.sprintf "restore_tier_ceiling(%s)" (Slo.tier_name t)
-  | Host_ceiling f -> Printf.sprintf "host_ceiling(%.2f)" f
-  | Restore_host_ceiling -> "restore_host_ceiling"
-  | Class_ceiling { tier; frac } ->
-    Printf.sprintf "class_ceiling(%s,%.2f)" (Slo.tier_name tier) frac
-  | Restore_class_ceiling t -> Printf.sprintf "restore_class_ceiling(%s)" (Slo.tier_name t)
-  | Drain_failed -> "drain_failed"
-  | Throttle_bulk f -> Printf.sprintf "throttle_bulk(%.2f)" f
-  | Restore_bulk -> "restore_bulk"
 
 type decision = Hold | Escalate of action list | Reapply of action list | Relax of action list
 

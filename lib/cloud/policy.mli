@@ -60,10 +60,6 @@ type signals = {
   breaker : Bm_engine.Fault.Guard.state;  (** the scenario guard's breaker *)
 }
 
-val calm_signals : window:int -> signals
-(** An all-quiet bundle (zero pressure, nothing failed, breaker closed)
-    — the baseline for tests and for property generators to perturb. *)
-
 type action =
   | Shed_tier of Slo.tier  (** move the tier onto a tight fail-fast bucket *)
   | Restore_tier of Slo.tier
@@ -81,8 +77,6 @@ type action =
   | Drain_failed  (** evacuate every failed host that still has guests *)
   | Throttle_bulk of float  (** scale background bulk traffic by this factor *)
   | Restore_bulk
-
-val action_name : action -> string
 
 type decision =
   | Hold  (** no change this window *)

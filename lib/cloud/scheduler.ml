@@ -41,7 +41,6 @@ type snapshot = {
 
 type t = {
   cp : Control_plane.t;
-  strategy : Control_plane.strategy;
   metrics : Metrics.t option;
   tenants : (string, Tenant.t) Hashtbl.t;
   guests : (string, guest) Hashtbl.t;
@@ -55,11 +54,10 @@ type t = {
   mutable snapshot : snapshot option;
 }
 
-let create ?(obs = Obs.none) ?(strategy = Control_plane.First_fit) ?(vfs_per_host = 8) cp =
+let create ?(obs = Obs.none) ?(vfs_per_host = 8) cp =
   if vfs_per_host < 0 then invalid_arg "Scheduler.create: vfs_per_host must be >= 0";
   {
     cp;
-    strategy;
     metrics = Obs.metrics obs;
     tenants = Hashtbl.create 16;
     guests = Hashtbl.create 1024;
@@ -197,8 +195,8 @@ let try_place_cp t req ~substrates =
     | [] -> Error "no capacity for request"
     | prefer :: rest -> (
       match
-        Control_plane.place t.cp ~name:req.name ~vcpus:req.vcpus ?prefer
-          ~strategy:t.strategy ~avoid ?cls:(t.classifier req) ~image:Image.centos7 ()
+        Control_plane.place t.cp ~name:req.name ~vcpus:req.vcpus ?prefer ~avoid
+          ?cls:(t.classifier req) ~image:Image.centos7 ()
       with
       | Ok p -> Ok p
       | Error e -> if rest = [] then Error e else go rest)
@@ -343,7 +341,12 @@ let guests_by_host t =
   Hashtbl.filter_map_inplace (fun _ gs -> Some (List.sort by_size gs)) index;
   index
 
-let rebalance t ?(max_moves = 64) ?(band = 0.05) () =
+(* A donor is a host more than [band] above the fleet mean; one call
+   makes at most [max_moves] moves. *)
+let band = 0.05
+let max_moves = 64
+
+let rebalance t () =
   let ids = Control_plane.server_ids t.cp in
   let util id = Control_plane.server_utilization t.cp id in
   let mean =

@@ -55,12 +55,11 @@ type t
 
 val create :
   ?obs:Bm_engine.Obs.t ->
-  ?strategy:Control_plane.strategy ->
   ?vfs_per_host:int ->
   Control_plane.t ->
   t
-(** [strategy] (default [First_fit]) orders candidate hosts within the
-    control plane. [vfs_per_host] (default 8) is each host's budget of
+(** Candidate hosts are tried first-fit in the control plane's order.
+    [vfs_per_host] (default 8) is each host's budget of
     SR-IOV virtual functions. With [obs], the scheduler counts
     ["cloud.sched.placed" / ".rejected" / ".evacuated" / ".stranded" /
     ".moves" / ".vf_granted" / ".vf_fallbacks"]. *)
@@ -118,11 +117,11 @@ val retry_stranded : t -> (string * (Control_plane.placement, string) result) li
     recovery step after a failed host is repaired
     ({!Control_plane.restore_server}) or capacity is added. *)
 
-val rebalance : t -> ?max_moves:int -> ?band:float -> unit -> (string * int * int) list
+val rebalance : t -> unit -> (string * int * int) list
 (** Move guests (smallest first) off hosts whose thread utilization
-    exceeds the fleet mean by more than [band] (default 0.05) onto the
-    emptiest feasible hosts, until each donor is within the band or
-    [max_moves] (default 64) moves were made. Returns
+    exceeds the fleet mean by more than 0.05 onto the emptiest feasible
+    hosts, until each donor is within that band or 64 moves were
+    made. Returns
     [(name, from_server, to_server)] per move. Anti-affinity, ceilings
     and conservation hold throughout. *)
 

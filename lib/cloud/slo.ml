@@ -56,11 +56,10 @@ let create ?(obs = Obs.none) ~now ~window_ns () =
   if not (window_ns > 0.0) then invalid_arg "Slo.create: window_ns must be positive";
   { now; window_ns; tenants = Hashtbl.create 64; obs }
 
-let declare t ~tenant ~tier ?target () =
+let declare t ~tenant ~tier () =
   if Hashtbl.mem t.tenants tenant then
     invalid_arg (Printf.sprintf "Slo.declare: duplicate tenant %S" tenant);
-  let target = Option.value target ~default:(default_target tier) in
-  Hashtbl.replace t.tenants tenant { tier; target; cells = Hashtbl.create 16 }
+  Hashtbl.replace t.tenants tenant { tier; target = default_target tier; cells = Hashtbl.create 16 }
 
 let state t tenant =
   match Hashtbl.find_opt t.tenants tenant with
@@ -203,12 +202,11 @@ let window_pressure t ?tiers ~window () =
     t.tenants;
   if !total = 0 then 0.0 else float_of_int !missing /. float_of_int !total
 
-let window_misses t ?tiers ~window () =
-  let counted tier = match tiers with None -> true | Some ts -> List.mem tier ts in
+let window_misses t ~window () =
   Hashtbl.fold
     (fun name st acc ->
       match window_active st ~window with
-      | Some c when counted st.tier && not (cell_ok st.target c) -> (name, st.tier) :: acc
+      | Some c when not (cell_ok st.target c) -> (name, st.tier) :: acc
       | Some _ | None -> acc)
     t.tenants []
   |> List.sort compare

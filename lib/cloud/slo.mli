@@ -46,8 +46,8 @@ val create : ?obs:Bm_engine.Obs.t -> now:(unit -> float) -> window_ns:float -> u
     the aggregate ["cloud.slo.delivered" / ".failed" / ".shed"]
     counters (bounded cardinality — nothing per-tenant). *)
 
-val declare : t -> tenant:string -> tier:tier -> ?target:target -> unit -> unit
-(** Declare a tenant's objectives. [target] defaults to the tier's:
+val declare : t -> tenant:string -> tier:tier -> unit -> unit
+(** Declare a tenant's objectives, the tier's:
     Gold 99%% / 0.25 ms / 97%% over 3/4 of windows; Silver 97%% /
     0.5 ms / 95%% over 5/8; Bronze 90%% / 2 ms / 85%% over half. Raises
     [Invalid_argument] on a duplicate. *)
@@ -101,12 +101,12 @@ val window_pressure : t -> ?tiers:tier list -> window:int -> unit -> float
     "meeting" an SLO it was never offered, and must not dilute the
     pressure the active tenants report. *)
 
-val window_misses : t -> ?tiers:tier list -> window:int -> unit -> (string * tier) list
+val window_misses : t -> window:int -> unit -> (string * tier) list
 (** The tenants behind the pressure: every tenant that resolved at
     least one request in window [window] and missed at least one
-    objective, sorted by name. Same [tiers] filter and empty-window
-    exclusion as {!window_pressure} — policies use this to aim a blast
-    radius instead of shedding a whole tier. *)
+    objective, sorted by name. Same empty-window exclusion as
+    {!window_pressure} — policies use this to aim a blast radius
+    instead of shedding a whole tier. *)
 
 val window_tier_p99 : t -> tier:tier -> window:int -> float
 (** The worst per-tenant p99 latency (ms) of [tier] in window [window]

@@ -2,8 +2,6 @@ open Bm_engine
 
 type quota = { max_guests : int; max_vcpus : int }
 
-let unlimited = { max_guests = max_int; max_vcpus = max_int }
-
 type t = {
   name : string;
   quota : quota;

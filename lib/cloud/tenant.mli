@@ -16,8 +16,6 @@ type quota = {
   max_vcpus : int;  (** concurrent vCPUs across those instances *)
 }
 
-val unlimited : quota
-
 type t
 
 val create : ?obs:Bm_engine.Obs.t -> name:string -> quota -> t

@@ -8,7 +8,6 @@ type t = {
   sim : Sim.t;
   fabric : fabric;
   cores : Cores.t;
-  hop_ns : float;
   egress_capacity : int;
   host : int option; (* fabric port when the network is modelled *)
   local : (int, endpoint) Hashtbl.t;
@@ -16,28 +15,25 @@ type t = {
   mutable dropped : int;
   mutable unknown_dropped : int;
   mutable egress_dropped : int;
-  mutable stale_dropped : int;
-  mutable evac_stale_dropped : int;
   mutable queued : int; (* bursts in flight between schedule and delivery *)
   obs : Obs.t;
 }
 
 and fabric = {
-  nic_gbit_s : float;
-  rtt_ns : float;
   net : Bm_fabric.Fabric.t option; (* explicit link-level network model *)
   routes : (int, t) Hashtbl.t; (* endpoint -> owning switch *)
-  evacuated : (int, unit) Hashtbl.t; (* endpoints retired by a migration *)
   mutable next_endpoint : int;
 }
 
-let create_fabric ?(gbit_s = 100.0) ?(rtt_ns = 10_000.0) ?net () =
+(* The flat wire between servers: 100 Gbit/s NICs (§3.4.3) and 10 µs
+   one-way latency. *)
+let nic_gbit_s = 100.0
+let rtt_ns = 10_000.0
+
+let create_fabric ?net () =
   {
-    nic_gbit_s = gbit_s;
-    rtt_ns;
     net;
     routes = Hashtbl.create 64;
-    evacuated = Hashtbl.create 16;
     next_endpoint = 1;
   }
 
@@ -45,7 +41,10 @@ let create_fabric ?(gbit_s = 100.0) ?(rtt_ns = 10_000.0) ?net () =
    cost. *)
 let per_packet_ns = 300.0
 
-let create ?(obs = Obs.none) sim ~fabric ~cores ?(hop_ns = 5_000.0) ?(egress_capacity = 256) () =
+(* Queueing/traversal latency of one switch hop. *)
+let hop_ns = 5_000.0
+
+let create ?(obs = Obs.none) sim ~fabric ~cores ?(egress_capacity = 256) () =
   assert (egress_capacity > 0);
   (* With a link-level network, each vswitch claims the next topology
      port in creation order — deterministic, like endpoint addresses. *)
@@ -54,7 +53,6 @@ let create ?(obs = Obs.none) sim ~fabric ~cores ?(hop_ns = 5_000.0) ?(egress_cap
     sim;
     fabric;
     cores;
-    hop_ns;
     egress_capacity;
     host;
     local = Hashtbl.create 16;
@@ -62,8 +60,6 @@ let create ?(obs = Obs.none) sim ~fabric ~cores ?(hop_ns = 5_000.0) ?(egress_cap
     dropped = 0;
     unknown_dropped = 0;
     egress_dropped = 0;
-    stale_dropped = 0;
-    evac_stale_dropped = 0;
     queued = 0;
     obs;
   }
@@ -72,39 +68,22 @@ let note_queue_depth t =
   Obs.counter_at t.obs ~track:"cloud.vswitch" "queue_depth" t.sim t.queued
 
 (* Unknown destination: the MAC resolves to no local endpoint and no
-   peer switch. An address retired by an evacuation (guest moved, stale
-   flows still in flight) is migration noise and counted under its own
-   [evac_stale_dropped] name so scorecards don't blame tenants for it;
-   a genuinely unknown address is counted under [unknown_dst_dropped]
-   and announced on the trace — a silently black-holed address is the
-   kind of misconfiguration the observability layer exists to surface. *)
+   peer switch. It is counted under [unknown_dst_dropped] and announced
+   on the trace — a silently black-holed address is the kind of
+   misconfiguration the observability layer exists to surface. *)
 let note_unknown_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
   Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count) "cloud.vswitch.dropped";
-  if Hashtbl.mem t.fabric.evacuated pkt.Packet.dst then begin
-    t.evac_stale_dropped <- t.evac_stale_dropped + pkt.Packet.count;
-    Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
-      "cloud.vswitch.evac_stale_dropped";
-    Trace.instant_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "evac_stale" ~now:(Sim.now t.sim)
-  end
-  else begin
-    t.unknown_dropped <- t.unknown_dropped + pkt.Packet.count;
-    Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
-      "cloud.vswitch.unknown_dst_dropped";
-    Trace.instant_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "unknown_dst" ~now:(Sim.now t.sim)
-  end
+  t.unknown_dropped <- t.unknown_dropped + pkt.Packet.count;
+  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+    "cloud.vswitch.unknown_dst_dropped";
+  Trace.instant_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "unknown_dst" ~now:(Sim.now t.sim)
 
 let note_egress_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
   t.egress_dropped <- t.egress_dropped + pkt.Packet.count;
   Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
     "cloud.vswitch.egress_dropped"
-
-let note_stale_drop t (pkt : Packet.t) =
-  t.dropped <- t.dropped + pkt.Packet.count;
-  t.stale_dropped <- t.stale_dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
-    "cloud.vswitch.stale_dropped"
 
 let register t ~deliver =
   let addr = t.fabric.next_endpoint in
@@ -113,20 +92,14 @@ let register t ~deliver =
   Hashtbl.replace t.fabric.routes addr t;
   addr
 
-let unregister ?(evacuated = false) t addr =
-  Hashtbl.remove t.local addr;
-  Hashtbl.remove t.fabric.routes addr;
-  if evacuated then Hashtbl.replace t.fabric.evacuated addr ()
-
 let switch_cpu t (pkt : Packet.t) k =
   Cores.execute_ns_callback t.cores (per_packet_ns *. float_of_int pkt.Packet.count) k
 
 (* Local delivery is asynchronous: the burst sits in the destination's
    egress queue for [hop_ns] and the handler runs decoupled from the
-   sender's process. The per-destination queue is bounded (drop-tail),
-   and the endpoint is re-checked at delivery time: a burst in flight
-   towards an endpoint that unregisters before the hop completes is a
-   drop, not a delivery to the dead endpoint. *)
+   sender's process. The per-destination queue is bounded (drop-tail).
+   Endpoints are never detached, so the one found at send time is the
+   one delivered to. *)
 let deliver_local t pkt =
   match Hashtbl.find_opt t.local pkt.Packet.dst with
   | Some ep when ep.inflight >= t.egress_capacity -> note_egress_drop t pkt
@@ -136,13 +109,11 @@ let deliver_local t pkt =
     t.queued <- t.queued + 1;
     Obs.mark_at t.obs ~n:pkt.Packet.count "cloud.vswitch.pps" t.sim;
     note_queue_depth t;
-    Sim.schedule t.sim ~delay:t.hop_ns (fun () ->
+    Sim.schedule t.sim ~delay:hop_ns (fun () ->
         ep.inflight <- ep.inflight - 1;
         t.queued <- t.queued - 1;
         note_queue_depth t;
-        match Hashtbl.find_opt t.local pkt.Packet.dst with
-        | Some ep' when ep' == ep -> ep.deliver pkt
-        | Some _ | None -> note_stale_drop t pkt)
+        ep.deliver pkt)
   | None -> note_unknown_drop t pkt
 
 (* Cross-server egress. When the fabric carries a link-level network
@@ -177,9 +148,9 @@ let send_callback t pkt k =
           else begin
             (* NIC serialisation + propagation, then the peer switch's
                own forwarding cost in a chain of its own. *)
-            let wire_ns = float_of_int pkt.Packet.size *. 8.0 /. t.fabric.nic_gbit_s in
+            let wire_ns = float_of_int pkt.Packet.size *. 8.0 /. nic_gbit_s in
             Sim.schedule t.sim ~delay:wire_ns (fun () ->
-                Sim.schedule t.sim ~delay:t.fabric.rtt_ns (fun () ->
+                Sim.schedule t.sim ~delay:rtt_ns (fun () ->
                     Sim.schedule peer.sim ~delay:0.0 (fun () ->
                         switch_cpu peer pkt (fun () -> deliver_local peer pkt)));
                 k ())
@@ -196,8 +167,8 @@ let forward_hw t pkt =
     | None -> note_unknown_drop t pkt
     | Some peer ->
       if not (egress_fabric t peer ~charge_peer_cpu:false pkt) then begin
-        let wire_ns = float_of_int pkt.Packet.size *. 8.0 /. t.fabric.nic_gbit_s in
-        Sim.schedule t.sim ~delay:(wire_ns +. t.fabric.rtt_ns) (fun () ->
+        let wire_ns = float_of_int pkt.Packet.size *. 8.0 /. nic_gbit_s in
+        Sim.schedule t.sim ~delay:(wire_ns +. rtt_ns) (fun () ->
             Sim.schedule peer.sim ~delay:0.0 (fun () -> deliver_local peer pkt))
       end
 
@@ -205,5 +176,3 @@ let forwarded t = t.forwarded
 let dropped t = t.dropped
 let unknown_dropped t = t.unknown_dropped
 let egress_dropped t = t.egress_dropped
-let stale_dropped t = t.stale_dropped
-let evac_stale_dropped t = t.evac_stale_dropped

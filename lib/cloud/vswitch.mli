@@ -7,15 +7,17 @@
     there are no interrupts on the switch path.
 
     Endpoints are integers (they appear as [Packet.src]/[Packet.dst]).
-    Delivery invokes the endpoint's handler in a fresh process. *)
+    Delivery calls the endpoint's handler in scheduler context, from the
+    event that ends the switch hop; the handler hands the burst on
+    itself. *)
 
 type t
 
 type fabric
 
-val create_fabric : ?gbit_s:float -> ?rtt_ns:float -> ?net:Bm_fabric.Fabric.t -> unit -> fabric
-(** The physical datacenter network: servers attach via [gbit_s] NICs
-    (default 100, §3.4.3) with [rtt_ns] one-way latency (default 10 µs).
+val create_fabric : ?net:Bm_fabric.Fabric.t -> unit -> fabric
+(** The physical datacenter network: servers attach via 100 Gbit/s NICs
+    (§3.4.3) with 10 µs one-way latency.
     With [net], cross-server traffic is carried by the link-level
     {!Bm_fabric.Fabric} model (ToR/spine topology, per-link queues,
     ECMP) instead of the flat wire: each subsequently created vswitch
@@ -28,41 +30,28 @@ val create :
   Bm_engine.Sim.t ->
   fabric:fabric ->
   cores:Bm_hw.Cores.t ->
-  ?hop_ns:float ->
   ?egress_capacity:int ->
   unit ->
   t
 (** [create sim ~fabric ~cores ()] — [cores] are the server's service
     cores (hypervisor/base cores), which spend 300 ns forwarding each
-    packet (a DPDK-class forwarding cost); [hop_ns]
-    (default 5 µs) is the queueing/traversal latency of one switch hop,
-    applied asynchronously so it adds latency, not sender backpressure.
+    packet (a DPDK-class forwarding cost); one switch hop adds 5 µs of
+    queueing/traversal latency, applied asynchronously so it adds
+    latency, not sender backpressure.
     Each destination has a bounded egress queue of [egress_capacity]
     bursts (default 256): a burst arriving for a destination whose queue
-    is full is dropped at the tail and counted in {!egress_dropped}. A
-    burst whose destination unregisters while the burst is in flight is
-    dropped at delivery time and counted in {!stale_dropped}; delivery
-    never reaches a dead endpoint. With [obs], in-flight burst depth is
-    sampled as a [queue_depth] counter on the ["cloud.vswitch"] track,
-    forwarded packets feed the ["cloud.vswitch.pps"] meter and drops the
-    ["cloud.vswitch.dropped"] / ["cloud.vswitch.unknown_dst_dropped"] /
-    ["cloud.vswitch.egress_dropped"] / ["cloud.vswitch.stale_dropped"]
-    counters; a burst for an unknown destination additionally emits an
+    is full is dropped at the tail and counted in {!egress_dropped}.
+    With [obs], in-flight burst depth is sampled as a [queue_depth]
+    counter on the ["cloud.vswitch"] track, forwarded packets feed the
+    ["cloud.vswitch.pps"] meter and drops the ["cloud.vswitch.dropped"] /
+    ["cloud.vswitch.unknown_dst_dropped"] /
+    ["cloud.vswitch.egress_dropped"] counters; a burst for an unknown destination additionally emits an
     [unknown_dst] instant on the ["cloud.vswitch"] trace track. *)
 
 val register : t -> deliver:(Bm_virtio.Packet.t -> unit) -> int
-(** Attach an endpoint; returns its address. [deliver] receives each
-    arriving burst (called in scheduler context — it should hand off to a
-    process quickly). *)
-
-val unregister : ?evacuated:bool -> t -> int -> unit
-(** Detach an endpoint. With [evacuated] (default [false]) the address
-    is retired by a migration/evacuation: bursts still in flight towards
-    it are counted under {!evac_stale_dropped} (metric
-    ["cloud.vswitch.evac_stale_dropped"]) instead of
-    {!unknown_dropped}, so SLO scorecards can separate migration noise
-    from genuinely black-holed addresses. Endpoint addresses are never
-    reused, so the retired set only grows with migrations. *)
+(** Attach an endpoint for good; returns its address, which is never
+    reused. [deliver] receives each arriving burst (called in scheduler
+    context — it should hand off to a process quickly). *)
 
 val send : t -> Bm_virtio.Packet.t -> unit
 (** Forward a burst to [Packet.dst]. Must be called from a process:
@@ -83,7 +72,7 @@ val forwarded : t -> int
 (** Total wire packets forwarded (burst-weighted). *)
 
 val dropped : t -> int
-(** All drops (unknown destination + egress overflow + stale delivery). *)
+(** All drops (unknown destination + egress overflow). *)
 
 val unknown_dropped : t -> int
 (** Packets dropped because the destination address resolved to no
@@ -91,11 +80,3 @@ val unknown_dropped : t -> int
 
 val egress_dropped : t -> int
 (** Packets dropped at a full per-destination egress queue. *)
-
-val stale_dropped : t -> int
-(** Packets dropped because the destination unregistered mid-flight. *)
-
-val evac_stale_dropped : t -> int
-(** Packets dropped because the destination address was retired by an
-    evacuation ([unregister ~evacuated:true]) — migration noise, kept
-    out of {!unknown_dropped}. *)

@@ -386,7 +386,7 @@ let sysbench_on ?trace ?metrics ~seed ~pattern ~duration make =
   let tb = Testbed.make ~seed ?trace ?metrics () in
   let server = make tb in
   let client = Testbed.client_box tb in
-  Mariadb.serve (Rng.create ~seed:(seed + 13)) server ();
+  Mariadb.serve server;
   Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration ()
 
 let run_mariadb ~id ~title ~patterns ~paper_notes { seed; quick; trace; metrics; _ } =
@@ -436,7 +436,7 @@ let redis_on ?trace ?metrics ~seed make ~clients ~value_bytes ~requests =
   let tb = Testbed.make ~seed ?trace ?metrics () in
   let server = make tb in
   let client = Testbed.client_box tb in
-  Redis_bench.serve tb.Testbed.sim server ();
+  Redis_bench.serve server;
   Redis_bench.benchmark tb.Testbed.sim ~client ~server ~clients ~value_bytes ~requests ()
 
 let run_fig15 { seed; quick; trace; metrics; _ } =

@@ -69,7 +69,6 @@ type spec = {
 }
 
 val all : spec list
-val find : string -> spec option
 val ids : unit -> string list
 
 val run : ?jobs:int -> ctx -> string list -> (string * (outcome, string) result) list

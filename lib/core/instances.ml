@@ -51,7 +51,6 @@ let catalogue =
       ~max_boards_per_server:1 ();
   ]
 
-let find name = List.find_opt (fun i -> i.name = name) catalogue
 
 let net_limits t = Bm_cloud.Limits.custom_net ~pps:t.net_pps ~gbit_s:t.net_gbit_s ()
 let blk_limits t = Bm_cloud.Limits.custom_blk ~iops:t.storage_iops ~mb_s:t.storage_mb_s ()

@@ -20,8 +20,6 @@ type t = {
 
 val catalogue : t list
 
-val find : string -> t option
-
 val eval_instance : t
 (** The Xeon E5-2682 v4 instance every §4 experiment uses. *)
 

@@ -27,13 +27,8 @@ type timeline = entry list
 
 let at t action = [ { at = t; action } ]
 
-let every ~period_ns ~until_ns ?(start_ns = 0.0) action =
-  if not (period_ns > 0.0) then invalid_arg "Scenario.every: period_ns must be > 0";
-  let rec go t acc = if t < until_ns then go (t +. period_ns) ({ at = t; action } :: acc) else List.rev acc in
-  go start_ns []
-
-let ramp ?(steps = 8) ~from_ns ~until_ns ~lo ~hi () =
-  if steps < 2 then invalid_arg "Scenario.ramp: steps must be >= 2";
+let ramp ~from_ns ~until_ns ~lo ~hi () =
+  let steps = 8 in
   if not (until_ns > from_ns) then invalid_arg "Scenario.ramp: empty span";
   let span = until_ns -. from_ns in
   List.init steps (fun k ->
@@ -584,8 +579,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
     Fault.Guard.create ~obs
       ~policy:
         {
-          Fault.Guard.default_policy with
-          max_attempts = 3;
+          Fault.Guard.max_attempts = 3;
           backoff_ns = 1_000.0;
           backoff_mult = 4.0;
           backoff_max_ns = 16_000.0;

@@ -100,12 +100,8 @@ type timeline = entry list
 val at : float -> action -> timeline
 (** A single entry at absolute simulated time [at] (ns). *)
 
-val every : period_ns:float -> until_ns:float -> ?start_ns:float -> action -> timeline
-(** The action at [start_ns] (default 0), [start_ns + period_ns], …,
-    strictly before [until_ns]. *)
-
-val ramp : ?steps:int -> from_ns:float -> until_ns:float -> lo:float -> hi:float -> unit -> timeline
-(** A diurnal traffic ramp: [steps] (default 8) {!Traffic} entries
+val ramp : from_ns:float -> until_ns:float -> lo:float -> hi:float -> unit -> timeline
+(** A diurnal traffic ramp: eight {!Traffic} entries
     tracing a half-sine from [lo] up to [hi] and back down over
     [\[from_ns, until_ns)]. *)
 

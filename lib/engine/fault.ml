@@ -261,7 +261,6 @@ let block_until_clear t kind = if is_active t kind then Sim.await (when_clear t 
 
 module Guard = struct
   type policy = {
-    timeout_ns : float;
     max_attempts : int;
     backoff_ns : float;
     backoff_mult : float;
@@ -272,7 +271,6 @@ module Guard = struct
 
   let default_policy =
     {
-      timeout_ns = infinity;
       max_attempts = 4;
       backoff_ns = 500.0;
       backoff_mult = 2.0;
@@ -288,7 +286,6 @@ module Guard = struct
     mutable consecutive_failures : int;
     mutable open_until : float; (* breaker rejects while now < open_until *)
     mutable retries : int;
-    mutable timeouts : int;
     mutable circuit_opens : int;
     obs : Obs.t;
   }
@@ -302,22 +299,15 @@ module Guard = struct
       consecutive_failures = 0;
       open_until = neg_infinity;
       retries = 0;
-      timeouts = 0;
       circuit_opens = 0;
       obs;
     }
 
   let retries g = g.retries
-  let timeouts g = g.timeouts
   let circuit_opens g = g.circuit_opens
   let circuit_open g = Sim.now g.sim < g.open_until
 
   type state = Closed | Open | Half_open
-
-  let state_name = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half_open"
 
   (* Half-open is the probe state: the breaker has tripped (the failure
      streak reached the threshold) and the cooldown has elapsed, so the
@@ -333,30 +323,6 @@ module Guard = struct
     else Closed
 
   let metric g what = "fault.guard." ^ g.name ^ "." ^ what
-
-  let with_timeout sim ~timeout_ns op =
-    if not (Float.is_finite timeout_ns) then Ok (op ())
-    else begin
-      (* Race the operation against the deadline. First settle wins;
-         the loser is abandoned (the simulator cannot preempt it). *)
-      let result = ref None in
-      let waiter = ref None in
-      let settle v =
-        if !result = None then begin
-          result := Some v;
-          match !waiter with Some resume -> resume v | None -> ()
-        end
-      in
-      Sim.fork (fun () ->
-          let v = op () in
-          settle (Ok v));
-      Sim.schedule sim ~delay:timeout_ns (fun () -> settle (Error `Timeout));
-      match !result with
-      | Some v -> v
-      | None ->
-        Sim.suspend (fun resume ->
-            match !result with Some v -> resume v | None -> waiter := Some resume)
-    end
 
   (* The bookkeeping [run] and [run_callback] share. [rejected] answers
      a run the open breaker turns away; [settle] books an attempt's
@@ -395,16 +361,8 @@ module Guard = struct
     let p = g.policy in
     if circuit_open g then rejected g
     else begin
-      let once () =
-        match with_timeout g.sim ~timeout_ns:p.timeout_ns op with
-        | Ok r -> r
-        | Error `Timeout ->
-          g.timeouts <- g.timeouts + 1;
-          Metrics.incr_opt (Obs.metrics g.obs) (metric g "timeouts");
-          Error (g.name ^ ": timeout")
-      in
       let rec attempt i backoff =
-        let r = once () in
+        let r = op () in
         if settle g ~attempt:i r then begin
           Sim.delay backoff;
           attempt (i + 1) (next_backoff p backoff)
@@ -414,13 +372,8 @@ module Guard = struct
       attempt 1 (first_backoff p)
     end
 
-  (* Per-attempt timeouts race two fibers (see [with_timeout]); a
-     callback operation has no fiber to abandon, so only untimed
-     policies take this path. *)
   let run_callback g op k =
     let p = g.policy in
-    if Float.is_finite p.timeout_ns then
-      invalid_arg "Fault.Guard.run_callback: per-attempt timeouts need Guard.run";
     if circuit_open g then k (rejected g)
     else begin
       let rec attempt i backoff =

@@ -7,7 +7,7 @@
     simulation: a {!plan} schedules typed fault events at simulated
     times, an injector ({!t}) opens/closes fault windows on the agenda
     and notifies subscribers, and {!Guard} provides the
-    timeout/retry-with-backoff/circuit-breaker semantics the datapath
+    retry-with-backoff/circuit-breaker semantics the datapath
     wraps its fallible operations in.
 
     Everything is a pure function of the plan's seed: same seed + same
@@ -129,12 +129,13 @@ val summary : t -> string
 
 (** {2 Guarded operations}
 
-    Timeout, bounded retry with exponential backoff, and a circuit
-    breaker over simulated fallible operations. *)
+    Bounded retry with exponential backoff, and a circuit breaker, over
+    simulated fallible operations. An attempt runs to its own end: the
+    guard sets no per-attempt deadline (a caller that needs one races
+    its own timer, as {!Bm_workload.Rpc}'s retransmission timeout does). *)
 
 module Guard : sig
   type policy = {
-    timeout_ns : float;  (** per-attempt timeout; [infinity] disables *)
     max_attempts : int;  (** total tries per {!run} (≥ 1) *)
     backoff_ns : float;  (** sleep before the first retry *)
     backoff_mult : float;  (** exponential growth per retry *)
@@ -148,29 +149,24 @@ module Guard : sig
   }
 
   val default_policy : policy
-  (** No timeout, 4 attempts, 500 ns backoff doubling to 8 µs cap,
-      breaker off. *)
+  (** 4 attempts, 500 ns backoff doubling to 8 µs cap, breaker off. *)
 
   type g
 
   val create : ?obs:Obs.t -> ?policy:policy -> Sim.t -> name:string -> g
-  (** With [obs], retries/timeouts/rejections count under
+  (** With [obs], retries, breaker openings and rejections count under
       ["fault.guard.<name>."]. *)
 
   val run : g -> (unit -> ('a, string) result) -> ('a, string) result
-  (** Run the operation under the policy, from process context. Each
-      attempt is bounded by [timeout_ns]; failed attempts back off
-      exponentially; after [max_attempts] failures the error is
-      returned and (once [circuit_threshold] consecutive runs have
-      failed) the circuit opens, rejecting immediately until the
+  (** Run the operation under the policy, from process context. Failed
+      attempts back off exponentially; after [max_attempts] failures the
+      error is returned and (once [circuit_threshold] consecutive runs
+      have failed) the circuit opens, rejecting immediately until the
       cooldown elapses. A success on the first attempt performs no
       simulation operations at all, so guarding a healthy path leaves
-      its timing untouched.
-
-      A timed-out attempt is {e not} cancelled — the simulator has no
-      preemption — so its side effects may still land later; guarded
-      operations must therefore be idempotent (register writes of
-      absolute values, exactly-once completion publication). *)
+      its timing untouched. A retried operation runs again from the
+      start, so guarded operations must be idempotent (register writes
+      of absolute values, exactly-once completion publication). *)
 
   val run_callback :
     g -> ((('a, string) result -> unit) -> unit) -> (('a, string) result -> unit) -> unit
@@ -179,19 +175,10 @@ module Guard : sig
       continuation, and [k] gets the run's result. Breaker, retry
       counters and the backoff schedule are {!run}'s own; each backoff
       sleep is one timed event, the one {!run}'s sleep takes, and a
-      success on the first attempt schedules nothing. Raises
-      [Invalid_argument] on a policy with a finite [timeout_ns]: racing
-      an attempt against its deadline needs {!run}. *)
-
-  val with_timeout : Sim.t -> timeout_ns:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
-  (** Race the operation against a deadline, from process context. The
-      loser is abandoned, not cancelled. *)
+      success on the first attempt schedules nothing. *)
 
   val retries : g -> int
-  val timeouts : g -> int
   val circuit_opens : g -> int
-  val circuit_open : g -> bool
-  (** Is the breaker currently rejecting? *)
 
   type state =
     | Closed  (** normal operation: runs go through *)
@@ -204,7 +191,4 @@ module Guard : sig
   (** The breaker's tri-state, so policies and tests can observe it
       directly instead of inferring it from retry counts. [Half_open]
       requires the breaker to be enabled ([circuit_threshold > 0]). *)
-
-  val state_name : state -> string
-  (** ["closed"] / ["open"] / ["half_open"]. *)
 end

@@ -62,8 +62,6 @@ let incr_opt o ?by name = match o with Some t -> incr t ?by name | None -> ()
 let observe_opt o ?lo ?hi ?precision name v =
   match o with Some t -> observe t ?lo ?hi ?precision name v | None -> ()
 
-let mark_opt o ?n name ~now = match o with Some t -> mark t ?n name ~now | None -> ()
-
 type summary =
   | Counter_total of float
   | Histogram_summary of {
@@ -143,16 +141,3 @@ let rows t =
       | Meter_rate m ->
         [ name; "meter"; string_of_int m.count; fnum m.per_s ^ "/s"; "-"; "-"; "-"; "-" ])
     (List.sort (fun (a, _) (b, _) -> compare a b) (snapshot t))
-
-let render t =
-  let rows = rows t in
-  let all = table_header :: rows in
-  let ncols = List.length table_header in
-  let width c =
-    List.fold_left (fun w row -> Stdlib.max w (String.length (List.nth row c))) 0 all
-  in
-  let widths = List.init ncols width in
-  let line row =
-    String.concat "  " (List.map2 (fun w cell -> Printf.sprintf "%-*s" w cell) widths row)
-  in
-  String.concat "\n" (List.map line all) ^ "\n"

@@ -24,7 +24,6 @@ val mark : t -> ?n:int -> string -> now:float -> unit
 
 val incr_opt : t option -> ?by:float -> string -> unit
 val observe_opt : t option -> ?lo:float -> ?hi:float -> ?precision:float -> string -> float -> unit
-val mark_opt : t option -> ?n:int -> string -> now:float -> unit
 
 val counter_value : t -> string -> float
 (** 0 when the name is unregistered or not a counter. *)
@@ -37,21 +36,6 @@ val names : t -> string list
 
 val is_empty : t -> bool
 
-type summary =
-  | Counter_total of float
-  | Histogram_summary of {
-      count : int;
-      mean : float;
-      p50 : float;
-      p99 : float;
-      p999 : float;
-      max : float;
-    }
-  | Meter_rate of { count : int; per_s : float }
-
-val snapshot : t -> (string * summary) list
-(** One summary per instrument, in registration order. *)
-
 val merge : t -> t -> t
 (** Fresh registry combining both: counters add, histograms and meters
     merge per {!Stats}. Raises [Invalid_argument] if a name is registered
@@ -62,6 +46,3 @@ val table_header : string list
 val rows : t -> string list list
 (** One row per instrument, sorted by name (so dotted prefixes group by
     component); shaped for {!table_header}. *)
-
-val render : t -> string
-(** Aligned plain-text table of {!rows}. *)

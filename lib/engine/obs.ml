@@ -17,6 +17,16 @@ let instant t ~track name =
 let mark t ~n name =
   match t.metrics with Some m -> Metrics.mark m ~n name ~now:(t.now ()) | None -> ()
 
+(* Literal bounds: a [~lo]/[~hi] passed on from a parameter would
+   allocate its option on every sample. *)
+let depth t ~track ~histogram level =
+  match (t.metrics, t.trace) with
+  | None, None -> ()
+  | m, tr -> (
+    let d = float_of_int level in
+    (match m with Some m -> Metrics.observe m ~lo:1.0 ~hi:1e4 histogram d | None -> ());
+    match tr with Some tr -> Trace.counter tr ~track "depth" ~now:(t.now ()) d | None -> ())
+
 let instant_at t ~track name sim =
   match t.trace with Some tr -> Trace.instant tr ~track name ~now:(Sim.now sim) | None -> ()
 

@@ -20,9 +20,6 @@ val now : t -> float
 val trace : t -> Trace.t option
 val metrics : t -> Metrics.t option
 
-val enabled : t -> bool
-(** At least one sink installed. *)
-
 (** {2 Probes}
 
     One-line probes for hot paths. Each reads the clock, and converts
@@ -30,12 +27,17 @@ val enabled : t -> bool
     profile compiles every library [-opaque], so a [~now:(Sim.now sim)]
     or [~by:(float_of_int n)] argument to a {!Trace} or {!Metrics}
     [_opt] entry point is a boxed float built on every call, sink or
-    not. [instant] and [mark] are stamped with the context's clock, the
-    [_at] probes with [Sim.now sim]. *)
+    not. [instant], [mark] and [depth] are stamped with the context's
+    clock, the [_at] probes with [Sim.now sim]. *)
 
 val instant : t -> track:string -> string -> unit
 val mark : t -> n:int -> string -> unit
 (** [n] events on a meter. *)
+
+val depth : t -> track:string -> histogram:string -> int -> unit
+(** A queue-depth sample: into histogram [histogram], created over
+    [\[1, 1e4\]] by its first sample, and as a ["depth"] trace counter
+    on [track]. *)
 
 val instant_at : t -> track:string -> string -> Sim.t -> unit
 val begin_span_at : t -> track:string -> string -> Sim.t -> unit

@@ -45,5 +45,3 @@ let mg1_mean_wait ~lambda ~mean_service ~service_variance =
   let cs2 = service_variance /. (mean_service *. mean_service) in
   (* Wq = (rho / (1 - rho)) * ((1 + Cs^2) / 2) * E[S] *)
   rho /. (1.0 -. rho) *. ((1.0 +. cs2) /. 2.0) *. mean_service
-
-let littles_law_l ~lambda ~w = lambda *. w

@@ -28,6 +28,3 @@ val mmc_mean_wait : lambda:float -> mu:float -> c:int -> float
 
 val mg1_mean_wait : lambda:float -> mean_service:float -> service_variance:float -> float
 (** Pollaczek–Khinchine: mean wait of an M/G/1 queue. *)
-
-val littles_law_l : lambda:float -> w:float -> float
-(** L = λW. *)

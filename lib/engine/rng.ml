@@ -76,7 +76,3 @@ let zipf t ~n ~s =
     in
     draw ()
   end
-
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))

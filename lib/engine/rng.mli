@@ -48,6 +48,3 @@ val zipf : t -> n:int -> s:float -> int
 (** Zipf-distributed rank in [\[0, n)] with exponent [s], by inversion on a
     precomputed-free approximation (rejection-inversion). Suitable for the
     skewed key popularity used by the Redis workload. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

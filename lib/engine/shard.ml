@@ -21,10 +21,7 @@
    deterministic merge, never on which domain ran what when.
 
    Progress: lookahead is required positive, so w > t_min and every
-   round executes at least the events at t_min. Shrinking a conduit's
-   lookahead mid-run (a failed spine link tightening the conservative
-   bound to a shorter alternate path) shrinks the window but never
-   wedges the loop. *)
+   round executes at least the events at t_min. *)
 
 type message = {
   arrival : float;
@@ -40,7 +37,7 @@ type shard = {
   mutable sent : int;  (* per-shard cross-message counter: the merge tiebreaker *)
 }
 
-type conduit = { c_src : int; c_dst : int; mutable lookahead_ns : float }
+type conduit = { c_src : int; c_dst : int; lookahead_ns : float }
 
 type t = {
   shards : shard array;
@@ -90,12 +87,6 @@ let conduit (t : t) ~src ~dst ~lookahead_ns =
   let c = { c_src = src; c_dst = dst; lookahead_ns } in
   t.conduits <- c :: t.conduits;
   c
-
-let lookahead (c : conduit) = c.lookahead_ns
-
-let set_lookahead (c : conduit) ns =
-  if not (ns > 0.0) then invalid_arg "Shard.set_lookahead: lookahead must be positive";
-  c.lookahead_ns <- ns
 
 let send (t : t) (c : conduit) ~delay fn =
   if not (delay >= c.lookahead_ns) then

@@ -17,11 +17,8 @@
 
     Lookahead is the model's honesty about physics: a Fabric link with
     propagation delay [d] between two shards yields a conduit with
-    [lookahead_ns = d]. Positive lookahead also guarantees progress —
-    every round executes at least the events at [t_min] — so shrinking
-    a conduit's lookahead mid-run (a spine link going dark, leaving a
-    slower alternate path as the bound) narrows windows but never
-    deadlocks.
+    [lookahead_ns = d]. Positive lookahead also guarantees progress:
+    every round executes at least the events at [t_min].
 
     Model discipline: state reachable from a shard's events must belong
     to that shard alone; cross-shard interaction goes through {!send}.
@@ -50,17 +47,10 @@ val conduit : t -> src:int -> dst:int -> lookahead_ns:float -> conduit
     strictly positive and [src <> dst] (local events need no conduit);
     raises [Invalid_argument] otherwise. *)
 
-val lookahead : conduit -> float
-
-val set_lookahead : conduit -> float -> unit
-(** Retune a conduit's lookahead (still strictly positive), e.g. when a
-    link failure reroutes traffic onto a path with different latency.
-    Takes effect at the next window computation. *)
-
 val send : t -> conduit -> delay:float -> (unit -> unit) -> unit
 (** [send t c ~delay fn] schedules [fn] on the conduit's destination
     shard at [now src + delay]. Must be called from an event running on
-    the source shard; [delay] must be [>= lookahead c] (raises
+    the source shard; [delay] must be at least the conduit's lookahead (raises
     [Invalid_argument] below it — an undeclared fast path would break
     the conservative bound). The message buffers in the source shard's
     outbox and is injected at the next barrier. *)

@@ -1,5 +1,4 @@
 exception Not_in_simulation
-exception Stopped
 
 type t = {
   (* The clock and the scratch key of the next heap push are one-float
@@ -29,7 +28,6 @@ type t = {
   mutable lane_executed : int;
   mutable heap_executed : int;
   mutable executed : int;
-  mutable stopped : bool;
   (* The one effect handler every fiber of this simulator runs under. *)
   mutable handler : (unit, unit) Effect.Deep.handler;
 }
@@ -146,7 +144,7 @@ and handler t =
   let open Effect.Deep in
   {
     retc = (fun () -> ());
-    exnc = (fun e -> if e == Stopped then () else raise e);
+    exnc = raise;
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
@@ -195,7 +193,6 @@ let create () =
       lane_executed = 0;
       heap_executed = 0;
       executed = 0;
-      stopped = false;
       handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
     }
   in
@@ -225,32 +222,30 @@ let running = Domain.DLS.new_key (fun () -> idle)
    clock is written in place through its flat cell. *)
 let exec_loop t ~horizon ~hseq =
   let rec loop () =
-    if not t.stopped then begin
-      if t.lane_len > 0 then begin
-        let lane_seq = t.lane_seqs.(t.lane_head) in
-        if Pqueue.length t.agenda > 0 && Pqueue.min_le_cell t.agenda t.clock ~seq:lane_seq
-        then begin
-          let f = Pqueue.pop_into t.agenda t.clock in
-          t.heap_executed <- t.heap_executed + 1;
-          t.executed <- t.executed + 1;
-          f ()
-        end
-        else begin
-          let f = lane_pop t in
-          t.lane_executed <- t.lane_executed + 1;
-          t.executed <- t.executed + 1;
-          f ()
-        end;
-        loop ()
-      end
-      else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:hseq
+    if t.lane_len > 0 then begin
+      let lane_seq = t.lane_seqs.(t.lane_head) in
+      if Pqueue.length t.agenda > 0 && Pqueue.min_le_cell t.agenda t.clock ~seq:lane_seq
       then begin
         let f = Pqueue.pop_into t.agenda t.clock in
         t.heap_executed <- t.heap_executed + 1;
         t.executed <- t.executed + 1;
-        f ();
-        loop ()
+        f ()
       end
+      else begin
+        let f = lane_pop t in
+        t.lane_executed <- t.lane_executed + 1;
+        t.executed <- t.executed + 1;
+        f ()
+      end;
+      loop ()
+    end
+    else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:hseq
+    then begin
+      let f = Pqueue.pop_into t.agenda t.clock in
+      t.heap_executed <- t.heap_executed + 1;
+      t.executed <- t.executed + 1;
+      f ();
+      loop ()
     end
   in
   let outer = Domain.DLS.get running in
@@ -262,35 +257,24 @@ let exec_loop t ~horizon ~hseq =
     raise e
 
 let run ?until t =
-  t.stopped <- false;
   let horizon = match until with Some u -> u | None -> infinity in
   exec_loop t ~horizon ~hseq:max_int;
-  match until with
-  | Some u when t.clock.at < u && not t.stopped -> t.clock.at <- u
-  | _ -> ()
+  match until with Some u when t.clock.at < u -> t.clock.at <- u | _ -> ()
 
 let run_window t ~until =
-  t.stopped <- false;
   if t.clock.at < until then begin
     exec_loop t ~horizon:until ~hseq:min_int;
     (* Park the clock exactly at the window boundary so a message
        injected for arrival >= until can be scheduled with a plain
        non-negative delay. An infinite window (no conduits) leaves the
        clock at the last executed event, like an exhausted [run]. *)
-    if (not t.stopped) && Float.is_finite until && t.clock.at < until then t.clock.at <- until
+    if Float.is_finite until && t.clock.at < until then t.clock.at <- until
   end
 
 let next_event_time t =
   if t.lane_len > 0 then t.clock.at
   else if Pqueue.length t.agenda > 0 then Pqueue.min_time t.agenda
   else infinity
-
-let stop t =
-  t.stopped <- true;
-  Pqueue.clear t.agenda;
-  Array.fill t.lane_fns 0 (Array.length t.lane_fns) lane_nil;
-  t.lane_head <- 0;
-  t.lane_len <- 0
 
 let delay d =
   try Effect.perform (Delay d) with Effect.Unhandled _ -> raise Not_in_simulation
@@ -337,11 +321,10 @@ module Ivar = struct
           | Empty waiters -> iv.state <- Empty (resume :: waiters))
 
   let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
-  let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
 end
 
 module Bounded = struct
-  type policy = Block | Drop_tail | Drop_head | Reject
+  type policy = Block | Drop_tail | Reject
 
   type probe_event = [ `Enqueue | `Deliver | `Drop | `Reject ]
 
@@ -414,7 +397,6 @@ module Bounded = struct
     in
     q
 
-  let capacity q = q.capacity
   let length q = q.len
   let sent q = q.sent
   let delivered q = q.delivered
@@ -489,13 +471,6 @@ module Bounded = struct
         q.dropped <- q.dropped + 1;
         note q `Drop;
         `Dropped
-      | Drop_head ->
-        (* Evict the oldest queued item to make room for the newest. *)
-        ignore (pop q);
-        q.dropped <- q.dropped + 1;
-        note q `Drop;
-        enqueue q v;
-        `Sent
       | Reject ->
         q.rejected <- q.rejected + 1;
         note q `Reject;
@@ -528,8 +503,6 @@ module Bounded = struct
     unpark q;
     v
 
-  let try_recv q = if q.len = 0 then None else Some (take q)
-
   (* A lone parked callback waits in the slot, which allocates nothing;
      it is only taken when no receiver is parked and no handoff is
      pending, so receivers are still served in the order they parked.
@@ -543,16 +516,11 @@ module Bounded = struct
       if q.slot_sim != t then q.slot_sim <- t
     end
     else Queue.add (fun v -> schedule t ~delay:0.0 (fun () -> f v)) q.receivers
-
-  (* An empty ring implies no parked senders (capacity > 0), so a
-     receiver that finds it empty parks for [send]'s direct handoff. *)
-  let recv q = if q.len = 0 then await (recv_callback (current ()) q) else take q
 end
 
 module Resource = struct
-  type waiter = { amount : int; resume : unit -> unit }
-
-  type resource = { capacity : int; mutable used : int; queue : waiter Queue.t }
+  (* Waiters hold their resume: every request is for one unit. *)
+  type resource = { capacity : int; mutable used : int; queue : (unit -> unit) Queue.t }
 
   let create ~capacity =
     assert (capacity > 0);
@@ -561,45 +529,41 @@ module Resource = struct
   let in_use r = r.used
   let waiting r = Queue.length r.queue
 
-  (* Grant waiters strictly in FIFO order: stop at the first waiter that
-     does not fit, even if a later, smaller one would (no barging). *)
+  (* Grant waiters strictly in FIFO order while units are free. *)
   let rec grant r =
-    match Queue.peek_opt r.queue with
-    | Some w when r.used + w.amount <= r.capacity ->
-      ignore (Queue.pop r.queue);
-      r.used <- r.used + w.amount;
-      w.resume ();
+    if r.used < r.capacity && not (Queue.is_empty r.queue) then begin
+      r.used <- r.used + 1;
+      Queue.pop r.queue ();
       grant r
-    | Some _ | None -> ()
+    end
 
-  let acquire ?(n = 1) r =
-    assert (n > 0 && n <= r.capacity);
-    if Queue.is_empty r.queue && r.used + n <= r.capacity then r.used <- r.used + n
-    else
-      suspend (fun resume -> Queue.add { amount = n; resume = (fun () -> resume ()) } r.queue)
+  (* A unit is only free while nobody waits: [grant] hands every freed
+     unit to the oldest waiter, so a newcomer cannot barge. *)
+  let acquire r =
+    if r.used < r.capacity then r.used <- r.used + 1
+    else suspend (fun resume -> Queue.add (fun () -> resume ()) r.queue)
 
   (* A parked callback's grant schedules it as one zero-delay event, the
      event a parked fiber's resume takes. *)
   let acquire_callback t r f =
-    if Queue.is_empty r.queue && r.used < r.capacity then begin
+    if r.used < r.capacity then begin
       r.used <- r.used + 1;
       f ()
     end
-    else Queue.add { amount = 1; resume = (fun () -> schedule t ~delay:0.0 f) } r.queue
+    else Queue.add (fun () -> schedule t ~delay:0.0 f) r.queue
 
-  let release ?(n = 1) r =
-    assert (n > 0);
-    r.used <- r.used - n;
+  let release r =
+    r.used <- r.used - 1;
     assert (r.used >= 0);
     grant r
 
-  let with_resource ?(n = 1) r f =
-    acquire ~n r;
+  let with_resource r f =
+    acquire r;
     match f () with
     | v ->
-      release ~n r;
+      release r;
       v
     | exception e ->
-      release ~n r;
+      release r;
       raise e
 end

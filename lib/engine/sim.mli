@@ -30,9 +30,6 @@ type t
 exception Not_in_simulation
 (** Raised when a blocking operation is performed outside {!run}. *)
 
-exception Stopped
-(** Raised inside processes when the simulation is force-stopped. *)
-
 val create : unit -> t
 
 val now : t -> float
@@ -118,9 +115,6 @@ val next_event_time : t -> float
     when the agenda is empty) — the input to the sharded scheduler's
     window computation. Pure observation. *)
 
-val stop : t -> unit
-(** Discard all pending events; {!run} returns promptly. *)
-
 (** {2 Blocking operations — only valid inside a process} *)
 
 val delay : float -> unit
@@ -170,7 +164,6 @@ module Ivar : sig
   (** Returns immediately if filled, otherwise blocks until {!fill}. *)
 
   val is_filled : 'a ivar -> bool
-  val peek : 'a ivar -> 'a option
 end
 
 (** {2 Bounded FIFO queues with a pluggable full-queue policy}
@@ -188,7 +181,6 @@ module Bounded : sig
   type policy =
     | Block  (** Backpressure: the sender parks until a slot frees. *)
     | Drop_tail  (** The new item is dropped; [send] returns [`Dropped]. *)
-    | Drop_head  (** The oldest queued item is evicted; the new one enters. *)
     | Reject  (** Nothing changes; [send] returns [`Rejected]. *)
 
   type probe_event = [ `Enqueue | `Deliver | `Drop | `Reject ]
@@ -200,30 +192,20 @@ module Bounded : sig
 
   val send : 'a bounded -> 'a -> [ `Sent | `Dropped | `Rejected ]
   (** Under [Block] this may suspend the calling process (and therefore
-      must run inside one when the queue is full); under the other three
-      policies it never blocks and is safe from scheduler callbacks.
-      [`Sent] under [Drop_head] means the new item entered even though an
-      older one was evicted (the victim is counted in {!dropped}). *)
-
-  val recv : 'a bounded -> 'a
-  (** Blocks until an item is available; FIFO among waiting receivers.
-      Taking an item wakes the oldest parked [Block]-policy sender. With
-      an item queued it takes it at once and performs no effect;
-      otherwise it awaits {!recv_callback} ({!await}). *)
-
-  val try_recv : 'a bounded -> 'a option
+      must run inside one when the queue is full); under the other two
+      policies it never blocks and is safe from scheduler callbacks. *)
 
   val recv_callback : t -> 'a bounded -> ('a -> unit) -> unit
-  (** [recv_callback t q f] is {!recv} for a server written as scheduler
-      callbacks instead of a fiber. With an item queued it takes it at
-      once, exactly as {!recv} would (counters, probe notes, the oldest
-      parked sender let in), and calls [f] with it before returning.
-      Otherwise [f] parks among the receivers, and the send that hands
-      it an item schedules [f item] as one zero-delay event on [t] — the
-      event a parked fiber's resume would take — so a callback server
-      runs on the same [(time, seq)] keys as the equivalent
-      [recv]-and-{!delay} fiber. It never blocks, so it is safe from
-      callbacks and processes alike. A callback that parks while no
+  (** [recv_callback t q f] receives for a server written as scheduler
+      callbacks. With an item queued it takes it at once (counters,
+      probe notes, the oldest parked [Block] sender let in) and calls
+      [f] with it before returning. Otherwise [f] parks among the
+      receivers, FIFO, and the send that hands it an item schedules
+      [f item] as one zero-delay event on [t] — the event a parked
+      fiber's resume would take — so a callback server runs on the same
+      [(time, seq)] keys as a fiber that receives and {!delay}s. It
+      never blocks, so it is safe from callbacks and processes alike; a
+      process receives with [await (recv_callback t q)]. A callback that parks while no
       other receiver is parked and no handoff is pending waits in the
       queue's own slot, so parking and the handoff allocate nothing;
       receivers are served in the order they parked either way. *)
@@ -236,7 +218,6 @@ module Bounded : sig
       the receive that lets it in schedules [k `Sent] as one zero-delay
       event on [t], the event a parked fiber's resume takes. *)
 
-  val capacity : 'a bounded -> int
   val length : 'a bounded -> int
 
   val sent : 'a bounded -> int
@@ -261,21 +242,20 @@ module Resource : sig
   val in_use : resource -> int
   val waiting : resource -> int
 
-  val acquire : ?n:int -> resource -> unit
-  (** Blocks until [n] (default 1) units are available. Requests are
-      granted strictly in arrival order (no barging). *)
+  val acquire : resource -> unit
+  (** Blocks until a unit is available. Requests are granted strictly in
+      arrival order (no barging). *)
 
   val acquire_callback : t -> resource -> (unit -> unit) -> unit
-  (** [acquire_callback t r f] is [acquire r] (one unit) for a callback
-      chain. When a unit is free and nobody waits, it takes it and calls
+  (** [acquire_callback t r f] is [acquire r] for a callback chain. When a unit is free and nobody waits, it takes it and calls
       [f] before returning. Otherwise [f] queues among the waiters, fibers
       and callbacks alike in arrival order, and the {!release} that
       grants it schedules [f] as one zero-delay event on [t] — the event
       a parked fiber's resume takes — so a chain acquiring here runs on
       the same [(time, seq)] keys as a fiber calling {!acquire}. *)
 
-  val release : ?n:int -> resource -> unit
+  val release : resource -> unit
 
-  val with_resource : ?n:int -> resource -> (unit -> 'a) -> 'a
+  val with_resource : resource -> (unit -> 'a) -> 'a
   (** Acquire, run, release (also on exception). *)
 end

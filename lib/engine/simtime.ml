@@ -3,8 +3,6 @@ type t = float
 let us x = x *. 1e3
 let ms x = x *. 1e6
 let sec x = x *. 1e9
-let minutes x = x *. 60e9
-let hours x = x *. 3600e9
 let to_us t = t /. 1e3
 let to_ms t = t /. 1e6
 let to_sec t = t /. 1e9

@@ -17,13 +17,6 @@ val ms : float -> t
 val sec : float -> t
 (** [sec x] is [x] seconds. *)
 
-val minutes : float -> t
-(** [minutes x] is [x] minutes. *)
-
-val hours : float -> t
-(** [hours x] is [x] hours. *)
-
-val to_us : t -> float
 val to_sec : t -> float
 
 val to_string : t -> string

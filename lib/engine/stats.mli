@@ -14,15 +14,9 @@ module Summary : sig
   val mean : t -> float
   (** Mean of the observations; [nan] when empty. *)
 
-  val variance : t -> float
-  (** Unbiased sample variance; [0.] with fewer than two observations. *)
-
   val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val merge : t -> t -> t
-  (** [merge a b] is a summary of the union of both observation sets. *)
-
+  (** Square root of the unbiased sample variance; [0.] with fewer than
+      two observations. *)
 end
 
 module Histogram : sig
@@ -70,7 +64,6 @@ module Meter : sig
   type t
 
   val create : unit -> t
-  val mark : t -> now:float -> unit
   val mark_n : t -> now:float -> int -> unit
   val count : t -> int
 

@@ -55,5 +55,3 @@ let take_n t n =
   let wait = ready -. now in
   if wait > 0.0 then Sim.delay wait;
   wait
-
-let take t = take_n t 1.0

@@ -24,12 +24,9 @@ val try_take_n : t -> now:float -> float -> bool
 (** [try_take_n t ~now n] consumes [n] tokens iff at least [n] are
     available after a lazy refill, else leaves the bucket untouched and
     returns [false]. Never blocks and never takes the balance negative —
-    the shedding counterpart of {!take}'s unbounded debt. *)
-
-val take : t -> float
-(** [take t] reserves one token from inside a simulation process —
-    taking the balance into debt if need be — and delays until the
-    reservation is covered; returns the wait imposed. *)
+    the shedding counterpart of {!take_n}'s unbounded debt. *)
 
 val take_n : t -> float -> float
-(** [take_n t n]: as {!take} for [n] tokens. *)
+(** [take_n t n] reserves [n] tokens from inside a simulation process —
+    taking the balance into debt if need be — and delays until the
+    reservation is covered; returns the wait imposed. *)

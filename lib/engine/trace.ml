@@ -88,28 +88,6 @@ let span_durations t ~track name =
     (events t);
   List.rev !out
 
-let render t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun e ->
-      let kind =
-        match e.kind with
-        | `Instant -> "·"
-        | `Begin -> "▶"
-        | `End -> "◀"
-        | `Counter v -> Printf.sprintf "=%g" v
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%12.0fns %-20s %s %s\n" e.at e.track e.name kind))
-    (events t);
-  if dropped t > 0 then
-    Buffer.add_string buf (Printf.sprintf "(… %d earlier events dropped)\n" (dropped t));
-  Buffer.contents buf
-
-let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.next <- 0
-
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

@@ -24,10 +24,6 @@ val begin_span : t -> track:string -> string -> now:float -> unit
 val end_span : t -> track:string -> string -> now:float -> unit
 val counter : t -> track:string -> string -> now:float -> float -> unit
 
-val span : t -> track:string -> string -> clock:(unit -> float) -> (unit -> 'a) -> 'a
-(** [span t ~track name ~clock f] wraps [f] in a begin/end pair (the end
-    is emitted even when [f] raises). *)
-
 (** {2 Option-sink variants}
 
     Instrumented components hold a [t option]; these are exact no-ops on
@@ -38,6 +34,8 @@ val begin_span_opt : t option -> track:string -> string -> now:float -> unit
 val end_span_opt : t option -> track:string -> string -> now:float -> unit
 val counter_opt : t option -> track:string -> string -> now:float -> float -> unit
 val span_opt : t option -> track:string -> string -> clock:(unit -> float) -> (unit -> 'a) -> 'a
+(** [span_opt t ~track name ~clock f] wraps [f] in a begin/end pair (the
+    end is emitted even when [f] raises). *)
 
 val events : t -> event list
 (** Oldest first; at most [capacity]. *)
@@ -51,13 +49,8 @@ val count : t -> track:string -> ?name:string -> unit -> int
 val span_durations : t -> track:string -> string -> float list
 (** Durations of completed spans with this name, in emission order. *)
 
-val render : t -> string
-(** Human-readable timeline. *)
-
 val export_json : t -> string
 (** Chrome [trace_event] JSON ({{:https://ui.perfetto.dev}Perfetto} /
     chrome://tracing): one thread per track, [B]/[E] for spans, [i] for
     instants, [C] for counters, timestamps in µs. The output is a
     deterministic function of the recorded events. *)
-
-val clear : t -> unit

@@ -80,7 +80,6 @@ let topology t = t.topo
 let injected t = t.injected
 let delivered t = t.delivered
 let dropped t = t.dropped
-let hosts_attached t = t.attached
 
 let all_links t =
   Array.to_list t.host_up @ Array.to_list t.host_down
@@ -121,18 +120,13 @@ let flight_pop link =
   link.flight_len <- link.flight_len - 1;
   job
 
-(* Observation arguments (clock reads, float conversions) are built
-   only when a sink is installed. *)
 let drop_at fab link job =
   let count = job.pkt.count in
   link.dropped_pkts <- link.dropped_pkts + count;
   fab.dropped <- fab.dropped + count;
-  if Obs.enabled fab.obs then begin
-    let m = Obs.metrics fab.obs in
-    Metrics.incr_opt m link.m_dropped;
-    Metrics.incr_opt m ~by:(float_of_int count) "fabric.dropped";
-    Trace.instant_opt (Obs.trace fab.obs) ~track:link.track "drop" ~now:(Obs.now fab.obs)
-  end;
+  Obs.add fab.obs link.m_dropped 1;
+  Obs.add fab.obs "fabric.dropped" count;
+  Obs.instant fab.obs ~track:link.track "drop";
   match job.on_drop with None -> () | Some f -> f job.pkt
 
 (* Hand a job to a link's egress queue. Drop_tail send never blocks, so
@@ -144,20 +138,16 @@ let offer fab link job =
   else
     match Sim.Bounded.send link.queue job with
     | `Sent ->
-      let d = float_of_int (Sim.Bounded.length link.queue) in
-      Stats.Histogram.add link.depth d;
-      if Obs.enabled fab.obs then begin
-        Metrics.observe_opt (Obs.metrics fab.obs) ~lo:1.0 ~hi:1e4 link.m_depth d;
-        Trace.counter_opt (Obs.trace fab.obs) ~track:link.track "depth" ~now:(Obs.now fab.obs) d
-      end
+      let depth = Sim.Bounded.length link.queue in
+      Stats.Histogram.add link.depth (float_of_int depth);
+      Obs.depth fab.obs ~track:link.track ~histogram:link.m_depth depth
     | `Dropped -> drop_at fab link job
     | `Rejected -> assert false (* Drop_tail never rejects *)
 
 let arrive fab job =
   if job.hop = last_hop job then begin
     fab.delivered <- fab.delivered + job.pkt.count;
-    if Obs.enabled fab.obs then
-      Metrics.incr_opt (Obs.metrics fab.obs) ~by:(float_of_int job.pkt.count) "fabric.delivered";
+    Obs.add fab.obs "fabric.delivered" job.pkt.count;
     job.deliver job.pkt
   end
   else begin
@@ -185,8 +175,7 @@ let start_link fab link =
       link.busy.ns <- link.busy.ns +. serialize_ns link.params job.pkt.size;
       link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
       link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
-      if Obs.enabled fab.obs then
-        Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size link.m_bytes ~now:(Sim.now sim);
+      Obs.mark_at fab.obs ~n:job.pkt.size link.m_bytes sim;
       flight_push link job;
       Sim.schedule sim ~delay:link.params.latency_ns link.on_arrival;
       Sim.Bounded.recv_callback sim link.queue link.on_recv);
@@ -277,9 +266,7 @@ let set_link t name up =
     l.up <- up;
     Metrics.incr_opt (Obs.metrics t.obs)
       ("fabric.link." ^ name ^ if up then ".repaired" else ".failed");
-    Trace.instant_opt (Obs.trace t.obs) ~track:l.track
-      (if up then "repair" else "fail")
-      ~now:(Obs.now t.obs)
+    Obs.instant t.obs ~track:l.track (if up then "repair" else "fail")
   end
 
 let fail_link t ~name = set_link t name false
@@ -338,8 +325,7 @@ let send t ~src_host ~dst_host ?on_drop ~deliver (pkt : Packet.t) =
   else begin
     let job = route t ~src_host ~dst_host ?on_drop ~deliver pkt in
     t.injected <- t.injected + pkt.count;
-    if Obs.enabled t.obs then
-      Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.count) "fabric.injected";
+    Obs.add t.obs "fabric.injected" pkt.count;
     offer t (hop_link t job 0) job
   end
 

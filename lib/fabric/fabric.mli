@@ -41,8 +41,6 @@ val attach : t -> int
     first attach is host 0. Raises [Invalid_argument] once every host
     of the topology is taken. *)
 
-val hosts_attached : t -> int
-
 val link_names : t -> string list
 (** Every directed link name, in the {!link_stats} order. *)
 

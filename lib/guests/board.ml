@@ -38,4 +38,3 @@ let memory t =
   t.memory
 
 let power_on t = t.power <- On
-let power_off t = t.power <- Off

@@ -36,5 +36,3 @@ val memory : t -> Bm_hw.Memory.t
 
 val power_on : t -> unit
 (** Turn on the PCIe power (§3.2). Idempotent. *)
-
-val power_off : t -> unit

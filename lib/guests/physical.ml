@@ -5,7 +5,7 @@ open Bm_cloud
 let create sim ~name ?(spec = Cpu_spec.xeon_e5_2682_v4) ?(sockets = 2) ?vswitch ?storage () =
   let cores = Cores.create sim ~spec ~threads:(sockets * spec.Cpu_spec.threads) () in
   let memory =
-    Memory.create sim ~peak_gb_s:(float_of_int sockets *. Cpu_spec.peak_mem_bw_gb_s spec) ()
+    Memory.create sim ~peak_gb_s:(float_of_int sockets *. Cpu_spec.peak_mem_bw_gb_s spec)
   in
   let os = Guest_os.default in
   let tlb = Tlb.create () in

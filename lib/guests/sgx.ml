@@ -7,7 +7,6 @@ let epc_mb_per_socket = 93
 type t = {
   instance : Instance.t;
   name : string;
-  epc_mb : int;
   mutable transitions : int;
 }
 
@@ -26,9 +25,7 @@ let create instance ~name ~epc_mb =
     if epc_mb <= 0 then Error "enclave size must be positive"
     else if epc_mb > available then
       Error (Printf.sprintf "EPC exhausted: requested %dMB, %dMB available" epc_mb available)
-    else Ok { instance; name; epc_mb; transitions = 0 }
-
-let epc_mb t = t.epc_mb
+    else Ok { instance; name; transitions = 0 }
 
 let ecall t ~work_ns =
   assert (work_ns >= 0.0);

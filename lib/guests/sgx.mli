@@ -16,8 +16,6 @@ val create : Instance.t -> name:string -> epc_mb:int -> (t, string) result
 (** Allocate an enclave. Fails on a vm-guest, or when the requested EPC
     exceeds what the instance's sockets provide. *)
 
-val epc_mb : t -> int
-
 val ecall : t -> work_ns:float -> unit
 (** Enter the enclave, run [work_ns] of computation, exit. Each
     transition costs ~8,000 cycles on the era's silicon; the work itself

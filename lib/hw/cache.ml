@@ -27,7 +27,6 @@ let create ~size_kb ~ways ~line_bytes =
     stats = Hashtbl.create 8;
   }
 
-let sets t = t.sets
 let line_bytes t = t.line_bytes
 
 let counters t owner =

@@ -16,7 +16,6 @@ val create : size_kb:int -> ways:int -> line_bytes:int -> t
     [ways]-way associative. [size_kb × 1024] must be divisible by
     [ways × line_bytes]. *)
 
-val sets : t -> int
 val line_bytes : t -> int
 
 val access : t -> owner:owner -> int -> [ `Hit | `Miss ]

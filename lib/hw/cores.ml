@@ -5,7 +5,6 @@ type t = {
   threads : int;
   ghz : float;
   pool : Sim.Resource.resource;
-  mutable dilation : float -> float;
   mutable busy_ns : float; (* accumulated thread-busy time *)
   created : float;
 }
@@ -19,14 +18,12 @@ let create sim ~spec ?threads () =
     threads;
     ghz;
     pool = Sim.Resource.create ~capacity:threads;
-    dilation = (fun x -> x);
     busy_ns = 0.0;
     created = Sim.now sim;
   }
 
 let ghz t = t.ghz
 let thread_count t = t.threads
-let set_dilation t f = t.dilation <- f
 
 (* One job: take a thread, hold it for [duration], free it, continue. *)
 let occupy t duration k =
@@ -36,12 +33,11 @@ let occupy t duration k =
           Sim.Resource.release t.pool;
           k ()))
 
-let execute_ns_callback t natural k =
-  assert (natural >= 0.0);
-  occupy t (t.dilation natural) k
+let execute_ns_callback t ns k =
+  assert (ns >= 0.0);
+  occupy t ns k
 
-let execute_ns t natural = Sim.await (execute_ns_callback t natural)
-let execute_cycles t cycles = Sim.await (execute_ns_callback t (cycles /. t.ghz))
+let execute_ns t ns = Sim.await (execute_ns_callback t ns)
 
 let utilization t ~now =
   let span = (now -. t.created) *. float_of_int t.threads in

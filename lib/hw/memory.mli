@@ -11,12 +11,11 @@
 
 type t
 
-val create :
-  Bm_engine.Sim.t -> peak_gb_s:float -> ?per_stream_gb_s:float -> ?efficiency:float -> unit -> t
-(** [create sim ~peak_gb_s ()] models a memory system with aggregate
-    bandwidth [efficiency × peak_gb_s] (default efficiency 0.85 — the
-    fraction of theoretical channel bandwidth STREAM-like access patterns
-    achieve) and a per-stream ceiling [per_stream_gb_s] (default 14). *)
+val create : Bm_engine.Sim.t -> peak_gb_s:float -> t
+(** [create sim ~peak_gb_s] models a memory system with aggregate
+    bandwidth [0.85 × peak_gb_s] (the fraction of theoretical channel
+    bandwidth STREAM-like access patterns achieve) and a per-stream
+    ceiling of 14 GB/s. *)
 
 val of_spec : Bm_engine.Sim.t -> Cpu_spec.t -> t
 (** Memory system sized from a CPU spec's channels and memory speed. *)

@@ -7,10 +7,7 @@ let walk_access_ns = 60.0
    while the page is hot. *)
 let accesses_per_page_visit = 1024.0
 
-let create ?(entries = 1536) ?(page_kb = 4) ?(huge_pages = false) () =
-  assert (entries > 0 && page_kb > 0);
-  let factor = if huge_pages then 512 else 1 in
-  { entries; page_bytes = float_of_int (page_kb * 1024 * factor) }
+let create () = { entries = 1536; page_bytes = 4096.0 }
 
 let reach_bytes t = float_of_int t.entries *. t.page_bytes
 

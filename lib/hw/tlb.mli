@@ -8,9 +8,8 @@
 
 type t
 
-val create : ?entries:int -> ?page_kb:int -> ?huge_pages:bool -> unit -> t
-(** Defaults: 1536 entries (Broadwell L2 STLB), 4 KB pages,
-    [huge_pages = false] (2 MB pages multiply reach by 512). Every TLB
+val create : unit -> t
+(** 1536 entries (Broadwell L2 STLB) of 4 KB pages. Every TLB
     charges 60 ns per page-walk memory access (a miss mostly hits the
     page-walk caches and DRAM) and amortises one translation over 1024
     accesses per page visit (the accesses made while the page is

@@ -14,7 +14,6 @@ type t = {
   storage : Blockstore.t;
   vf_profile : Profile.t;
   vf_total : int;
-  vf_queues : int;
   mutable vf_pool : Vf.dev option; (* created on first VF attachment *)
   mutable alive : bool;
   mutable crashes : int;
@@ -57,8 +56,8 @@ let metric b ?by name =
   | None -> ()
   | Some m -> Metrics.incr m ?by (b.track ^ "." ^ name)
 
-let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~vfs ~vf_queues =
-  if vfs < 1 || vf_queues < 1 then invalid_arg "Backend.create: vfs and vf_queues must be >= 1";
+let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~vfs =
+  if vfs < 1 then invalid_arg "Backend.create: vfs must be >= 1";
   let b =
     {
       sim;
@@ -69,7 +68,6 @@ let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~
       storage;
       vf_profile;
       vf_total = vfs;
-      vf_queues;
       vf_pool = None;
       alive = true;
       crashes = 0;
@@ -106,8 +104,7 @@ let rec when_alive b k =
 (* --- SR-IOV pool --- *)
 
 let vf_device b ~vfs =
-  Vf.create_device ~obs:b.obs ~fault:b.fault b.sim ~profile:b.vf_profile ~vfs
-    ~queues_per_vf:b.vf_queues ()
+  Vf.create_device ~obs:b.obs ~fault:b.fault b.sim ~profile:b.vf_profile ~vfs ()
 
 (* The pool is created on first use, so a host that never hands out a VF
    schedules exactly the events it always did. *)
@@ -385,15 +382,7 @@ let instance g ~kind ~spec ~memory ~exec_ns ~exec_mem_ns ~pause ~ipi ~timer_arm 
     timer_arm;
   }
 
-(* --- Release and lookups --- *)
-
-(* Hot-unplug drains the VF's in-flight work on the agenda before
-   returning it to the pool. *)
-let release b ~name =
-  (match List.assoc_opt name b.guests with
-  | Some { vf = Some vf; _ } -> Sim.spawn b.sim (fun () -> Vf.detach vf)
-  | _ -> ());
-  b.guests <- List.remove_assoc name b.guests
+(* --- Lookups --- *)
 
 let rx_drops b ~name =
   Option.fold ~none:0 ~some:(fun g -> g.rx_drops) (List.assoc_opt name b.guests)

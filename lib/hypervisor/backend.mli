@@ -15,8 +15,8 @@
     pumps, the per-request workers and the blk interrupt are
     {!Bm_engine.Sim.schedule}d steps. The guest side — [send], [blk],
     the net interrupt handler and the rx handlers it runs — stays
-    processes, because they block. {!attach_vf}, {!drain}, {!listen},
-    {!post_rx} and {!release} schedule events; their order fixes the
+    processes, because they block. {!attach_vf}, {!drain}, {!listen}
+    and {!post_rx} schedule events; their order fixes the
     event schedule, so each side calls them in its own order. *)
 
 type t
@@ -33,7 +33,6 @@ val create :
   process:string ->
   vf_profile:Bm_iobond.Profile.t ->
   vfs:int ->
-  vf_queues:int ->
   t
 (** Builds the host's vswitch on [cores] and subscribes to [Pmd_crash]:
     the backend processes die for the event's dead-time, then respawn
@@ -129,9 +128,6 @@ val instance :
 (** The guest's handle: [send]/[send_dpdk] (rate-limited, through the
     vring or straight to the VF), [blk]/[blk_try], [probe] and the rx
     hooks come from here; CPU and memory behaviour from the side. *)
-
-val release : t -> name:string -> unit
-(** Forget the guest; its VF is hot-unplugged on the agenda. *)
 
 val rx_drops : t -> name:string -> int
 val net_queue_size : int

@@ -34,7 +34,7 @@ type server = {
 
 let create_server ?(obs = Obs.none) ?(fault = Fault.none) sim _rng ~fabric ~storage
     ?(profile = Profile.Fpga) ?(board_spec = Cpu_spec.xeon_e5_2682_v4)
-    ?(boards = 8) ?dma_gbit_s ?(vfs = 8) ?(vf_queues = 2) () =
+    ?(boards = 8) ?dma_gbit_s ?(vfs = 8) () =
   if boards < 1 || boards > 16 then invalid_arg "Bm_hypervisor: 1..16 boards per server (§3.3)";
   let base_cores = Cores.create sim ~spec:Cpu_spec.base_server_e5 () in
   let board_pool =
@@ -45,7 +45,7 @@ let create_server ?(obs = Obs.none) ?(fault = Fault.none) sim _rng ~fabric ~stor
      IO-Bond part. *)
   let backend =
     Backend.create ~obs ~fault sim ~fabric ~cores:base_cores ~storage ~track:"hyp.bm"
-      ~process:"pmd" ~vf_profile:profile ~vfs ~vf_queues
+      ~process:"pmd" ~vf_profile:profile ~vfs
   in
   { sim; profile; base_cores; board_pool; obs; backend; guests = [] }
 
@@ -160,15 +160,6 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
       Backend.post_rx g;
       Ok instance
 
-let release t ~name =
-  match List.assoc_opt name t.guests with
-  | None -> ()
-  | Some state ->
-    (* The VF drains on the agenda; the board frees immediately. *)
-    Backend.release t.backend ~name;
-    Board.power_off state.board;
-    t.guests <- List.remove_assoc name t.guests
-
 let guest_board t ~name = Option.map (fun s -> s.board) (List.assoc_opt name t.guests)
 let rx_no_buffer_drops t ~name = Backend.rx_drops t.backend ~name
 
@@ -180,6 +171,9 @@ let backend_version t ~name =
 let pmd_alive t = Backend.alive t.backend
 let pmd_crashes t = Backend.crashes t.backend
 
+(* The blackout while the new process maps the rings. *)
+let handover_ns = 200_000.0
+
 (* Orthus-style live upgrade (§6): the bm-hypervisor is an ordinary
    user-space process per guest and all queue state lives in the shared
    shadow vrings, so upgrading is: pause the bridges, let the new
@@ -187,7 +181,7 @@ let pmd_crashes t = Backend.crashes t.backend
    resume. Requests issued during the blackout accumulate in the shadow
    rings and are drained on resume; the guest never notices beyond a
    latency blip. Must be called from a simulation process. *)
-let live_upgrade t ~name ?(handover_ns = 200_000.0) () =
+let live_upgrade t ~name =
   match List.assoc_opt name t.guests with
   | None -> Error (name ^ " not provisioned")
   | Some state ->

@@ -22,7 +22,6 @@ val create_server :
   ?boards:int ->
   ?dma_gbit_s:float ->
   ?vfs:int ->
-  ?vf_queues:int ->
   unit ->
   server
 (** Default server: FPGA IO-Bond, 8 Xeon E5-2682 v4 boards with 64 GB
@@ -35,8 +34,8 @@ val create_server :
     drain from where the shadow vrings left off (["hyp.bm.pmd_crashes"]
     / ["hyp.bm.pmd_respawns"]).
 
-    [vfs] (default 8) and [vf_queues] (default 2) size the server's
-    SR-IOV pool: one shared physical function whose virtual functions
+    [vfs] (default 8) sizes the server's SR-IOV pool, two queue pairs
+    per function: one shared physical function whose virtual functions
     guests provisioned with [~datapath:Sliced] attach to. The pool
     device is created on first use, so a server that never hands out a
     VF schedules exactly the events it always did. *)
@@ -68,11 +67,6 @@ val provision :
     path either way. When the pool is exhausted, [Sliced] falls back
     to [Vring], counted in ["hyp.bm.vf_fallbacks"]. *)
 
-val release : server -> name:string -> unit
-(** Power the board off and return it to the free pool. A VF-backed
-    guest's function is hot-unplugged (drained on the agenda, then
-    freed for the next attachment). *)
-
 val guest_board : server -> name:string -> Bm_guest.Board.t option
 
 val offload_table : server -> name:string -> Bm_iobond.Offload.t option
@@ -92,9 +86,9 @@ val pmd_alive : server -> bool
 val pmd_crashes : server -> int
 (** Injected backend-process crashes handled so far. *)
 
-val live_upgrade : server -> name:string -> ?handover_ns:float -> unit -> (int, string) result
+val live_upgrade : server -> name:string -> (int, string) result
 (** Orthus-style live upgrade of a guest's bm-hypervisor process (§6):
     pause the queue bridges, hand the shadow-ring state to the new
-    process (a [handover_ns] blackout, default 200 µs), resume. In-flight
+    process (a 200 µs blackout), resume. In-flight
     and newly issued requests survive in the shadow rings. Returns the
     new backend version. Must be called from a simulation process. *)

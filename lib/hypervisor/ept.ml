@@ -17,8 +17,3 @@ let dilation_factor ?obs tlb ~virtualized ~working_set ~locality =
       factor
   | _ -> ());
   factor
-
-let vm_overhead tlb ~working_set ~locality =
-  dilation_factor tlb ~virtualized:true ~working_set ~locality
-  /. dilation_factor tlb ~virtualized:false ~working_set ~locality
-  -. 1.0

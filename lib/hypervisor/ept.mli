@@ -18,8 +18,3 @@ val dilation_factor :
     performance; the vm overhead is the ratio of the two factors. With
     [obs], virtualized factors feed the ["hyp.ept.dilation"]
     histogram. *)
-
-val vm_overhead :
-  Bm_hw.Tlb.t -> working_set:float -> locality:float -> float
-(** Fractional slowdown of a vm-guest versus native for this profile:
-    [factor(virt)/factor(native) - 1]. *)

@@ -61,8 +61,7 @@ type host = {
 
 let reserved_threads = 8
 
-let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage ?(vfs = 8)
-    ?(vf_queues = 2) () =
+let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage ?(vfs = 8) () =
   let spec = Cpu_spec.xeon_e5_2682_v4 in
   let total = 2 * spec.Cpu_spec.threads in
   let service_cores = Cores.create sim ~spec ~threads:reserved_threads () in
@@ -71,7 +70,7 @@ let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage
      host's VFIO-capable SR-IOV NIC is a commodity ASIC part. *)
   let backend =
     Backend.create ~obs ~fault sim ~fabric ~cores:service_cores ~storage ~track:"hyp.vm"
-      ~process:"vhost" ~vf_profile:Bm_iobond.Profile.Asic ~vfs ~vf_queues
+      ~process:"vhost" ~vf_profile:Bm_iobond.Profile.Asic ~vfs
   in
   {
     sim;
@@ -86,7 +85,6 @@ let create_host ?(obs = Obs.none) ?(fault = Fault.none) sim rng ~fabric ~storage
   }
 
 let vswitch host = Backend.vswitch host.backend
-let sellable_threads host = host.total_threads
 
 type vm_config = {
   name : string;

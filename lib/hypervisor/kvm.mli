@@ -19,7 +19,6 @@ val create_host :
   fabric:Bm_cloud.Vswitch.fabric ->
   storage:Bm_cloud.Blockstore.t ->
   ?vfs:int ->
-  ?vf_queues:int ->
   unit ->
   host
 (** A host of two Xeon E5-2682 v4 sockets (the §4.2 comparison
@@ -30,11 +29,9 @@ val create_host :
     ["vhost_crash"] / ["vhost_respawn"] instants on the ["hyp.vm"]
     track).
 
-    [vfs] (default 8) and [vf_queues] (default 2) size the host's
-    VFIO-capable SR-IOV NIC (an ASIC part), created on first use by a
+    [vfs] (default 8) sizes the host's VFIO-capable SR-IOV NIC, two
+    queue pairs per function (an ASIC part), created on first use by a
     VM whose [vm_config.datapath] asks for direct assignment. *)
-
-val sellable_threads : host -> int
 
 type vm_config = {
   name : string;

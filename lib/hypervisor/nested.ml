@@ -3,9 +3,6 @@ let exit_multiplier = 20.0
 let cpu_efficiency = 0.80
 let io_efficiency = 0.25
 
-let dilate_cpu natural = natural /. cpu_efficiency
-let dilate_io natural = natural /. io_efficiency
-
 (* One native exit (~10 us handled) becomes [exit_multiplier] exits of
    ~1.2 us average under nesting (most replayed exits are lightweight).
    Efficiency = useful time / (useful + exit time). *)

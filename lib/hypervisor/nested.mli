@@ -13,12 +13,6 @@ val cpu_efficiency : float
 val io_efficiency : float
 (** ≈ 0.25: nested guest I/O throughput relative to native. *)
 
-val dilate_cpu : float -> float
-(** Execution-time dilation for CPU-bound nested work. *)
-
-val dilate_io : float -> float
-(** Dilation for the per-operation I/O path cost. *)
-
 val derived_cpu_efficiency : exit_rate_per_s:float -> float
 (** Mechanistic check: native-exit-rate → nested CPU efficiency, from
     the exit multiplier and per-exit costs. A moderately active guest

@@ -120,8 +120,4 @@ let attach_blk t () =
     :: t.ports;
   { blk_device = device; blk_queue }
 
-let attach_vga t =
-  Virtio_pci.create ~kind:Virtio_pci.Vga ~num_queues:1 ~queue_size:2
-    ~on_access:(on_pci_access t)
-
 let resets t = t.resets

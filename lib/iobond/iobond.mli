@@ -56,9 +56,5 @@ val attach_net : t -> ?queue_size:int -> unit -> net_port
 val attach_blk : t -> unit -> blk_port
 (** A virtio-blk device of the classic 128-entry depth. *)
 
-val attach_vga : t -> Bm_virtio.Virtio_pci.t
-(** The console device (§3.4.2 mentions a VGA device for users to reach
-    the bm-guest console). Config-space only. *)
-
 val resets : t -> int
 (** Device resets performed after firmware wedges. *)

@@ -63,13 +63,6 @@ let install t pkt =
     Queue.add flow t.order
   end
 
-let remove_flow t ~src ~dst =
-  List.iter
-    (fun f_proto ->
-      let flow = { f_src = src; f_dst = dst; f_proto } in
-      Hashtbl.remove t.table flow)
-    [ 0; 1; 2 ]
-
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

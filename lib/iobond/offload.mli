@@ -24,9 +24,6 @@ val classify : t -> Bm_virtio.Packet.t -> [ `Offloaded | `Slow_path ]
 val install : t -> Bm_virtio.Packet.t -> unit
 (** Install the packet's flow after slow-path processing. Idempotent. *)
 
-val remove_flow : t -> src:int -> dst:int -> unit
-(** Invalidate a rule (e.g. after migration re-addressing). *)
-
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int

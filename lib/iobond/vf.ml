@@ -82,7 +82,6 @@ and dev = {
    half that. *)
 let drain_poll_ns = 200.0
 let reassign_config_hops = 4.0
-let detach_config_hops = 2.0
 
 let metric dev what = "iobond.vf." ^ Profile.name dev.profile ^ "." ^ what
 
@@ -273,22 +272,6 @@ let drain vf =
   done
 
 let config_replay d ~hops = Sim.delay (hops *. Profile.pci_emulation_ns d.profile)
-
-let detach vf =
-  let d = vf.dev in
-  match vf.vstate with
-  | Free -> ()
-  | Draining | Reassigning -> invalid_arg "Vf.detach: reassignment in progress"
-  | Attached ->
-    vf.vstate <- Draining;
-    drain vf;
-    config_replay d ~hops:detach_config_hops;
-    vf.vstate <- Free;
-    vf.vowner <- None;
-    Metrics.incr_opt (Obs.metrics d.obs) (metric d "detach");
-    Trace.instant_opt (Obs.trace d.obs) ~track:"iobond.vf"
-      ("detach.vf" ^ string_of_int vf.vf_id)
-      ~now:(Sim.now d.sim)
 
 let reassign vf ~owner:new_owner =
   let d = vf.dev in

@@ -93,11 +93,6 @@ val attach : dev -> owner:string -> ?weight:float -> unit -> (vf, string) result
     arbitration [weight] (default 1.0, must be positive). Fails when
     every VF is attached. *)
 
-val detach : vf -> unit
-(** Hot-unplug: drain in-flight work to the owner, then return the VF
-    to the free pool. Must run in a simulation process. Idempotent on
-    a free VF. *)
-
 val reassign : vf -> owner:string -> (float, string) result
 (** SVFF-style hot-reassignment: reject new submissions, drain
     in-flight completions to the old owner, replay the device
@@ -118,7 +113,7 @@ val submit :
   vf -> queue:int -> bytes_:int -> deliver:(completion -> unit) -> [ `Submitted of int | `Rejected ]
 (** Post one descriptor on [queue]. Non-blocking; returns the assigned
     sequence number, or [`Rejected] when the VF is not [Attached]
-    (detached, draining or reassigning — the blackout is visible, not
+    (draining or reassigning — the blackout is visible, not
     silent) or the descriptor ring is full. The device engine later
     charges the DMA setup cost, streams the bytes at this VF's current
     arbitrated share ([gbit_s × weight / Σ active weights], fixed at

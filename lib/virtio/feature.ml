@@ -11,4 +11,3 @@ let default_blk = indirect_desc lor event_idx lor version_1
 
 let contains set bits = set land bits = bits
 let intersect = ( land )
-let union = ( lor )

@@ -23,4 +23,3 @@ val contains : t -> t -> bool
 (** [contains set bits] is true when every bit of [bits] is in [set]. *)
 
 val intersect : t -> t -> t
-val union : t -> t -> t

@@ -52,14 +52,14 @@ let make_req ~op ~sector ~bytes ~now =
   assert (bytes >= 0);
   { op; sector; bytes; submitted_at = now; failed = false; done_ = Sim.Ivar.create () }
 
-let submit t ?(indirect = false) req =
+let submit t req =
   let out, in_ =
     match req.op with
     | Read -> ([ header_bytes ], [ req.bytes; status_bytes ])
     | Write -> ([ header_bytes; req.bytes ], [ status_bytes ])
     | Flush -> ([ header_bytes ], [ status_bytes ])
   in
-  match Vring.add t.ring ~indirect ~out ~in_ req with
+  match Vring.add t.ring ~out ~in_ req with
   | Some _ ->
     t.submitted <- t.submitted + 1;
     Obs.instant t.obs ~track:"virtio.blk" "kick";

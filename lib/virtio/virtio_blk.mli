@@ -2,7 +2,7 @@
 
     Requests follow the virtio-blk layout: a 16-byte header descriptor,
     the data segments, and a 1-byte status descriptor — so a 4 KB read is
-    a 3-descriptor chain (or one indirect slot). Completion is conveyed
+    a 3-descriptor chain. Completion is conveyed
     to the submitting process through an ivar carried in the payload. *)
 
 type op = Read | Write | Flush
@@ -38,7 +38,7 @@ val probe : t -> (unit, string) result
 
 val make_req : op:op -> sector:int -> bytes:int -> now:float -> req
 
-val submit : t -> ?indirect:bool -> req -> bool
+val submit : t -> req -> bool
 (** Queue a request and notify; [false] if the ring is full. *)
 
 val reap : t -> int

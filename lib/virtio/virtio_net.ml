@@ -50,8 +50,8 @@ let probe t =
   | Ok (_features, _queues, _size) -> Ok ()
   | Error e -> Error e
 
-let xmit t ?(indirect = false) pkt =
-  match Vring.add t.tx ~indirect ~out:[ header_bytes; pkt.Packet.size ] ~in_:[] pkt with
+let xmit t pkt =
+  match Vring.add t.tx ~out:[ header_bytes; pkt.Packet.size ] ~in_:[] pkt with
   | Some _head ->
     t.tx_sent <- t.tx_sent + 1;
     Obs.instant t.obs ~track:"virtio.net.tx" "kick";

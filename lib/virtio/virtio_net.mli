@@ -41,7 +41,7 @@ val fire_interrupt : t -> unit
 val probe : t -> (unit, string) result
 (** Run PCI discovery and initialisation for this device. *)
 
-val xmit : t -> ?indirect:bool -> Packet.t -> bool
+val xmit : t -> Packet.t -> bool
 (** Queue a packet for transmission and notify. Returns [false] when the
     tx ring is full (the packet is dropped, as a kernel would after its
     own queue backs up). *)

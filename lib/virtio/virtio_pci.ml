@@ -11,7 +11,7 @@ type register =
   | Isr_status
   | Config of int
 
-type kind = Net | Blk | Vga
+type kind = Net | Blk
 
 (* Device status bits, per the virtio spec. *)
 let s_acknowledge = 0x1
@@ -23,7 +23,7 @@ let s_failed = 0x80
 (* Red Hat / virtio. *)
 let vendor_id_virtio = 0x1AF4
 
-let device_id = function Net -> 0x1000 | Blk -> 0x1001 | Vga -> 0x1050
+let device_id = function Net -> 0x1000 | Blk -> 0x1001
 
 type t = {
   kind : kind;
@@ -42,7 +42,7 @@ type t = {
 let create ~kind ~num_queues ~queue_size ~on_access =
   assert (num_queues > 0 && queue_size > 0);
   let device_features =
-    match kind with Net -> Feature.default_net | Blk -> Feature.default_blk | Vga -> 0
+    match kind with Net -> Feature.default_net | Blk -> Feature.default_blk
   in
   {
     kind;

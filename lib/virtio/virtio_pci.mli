@@ -25,7 +25,7 @@ type register =
   | Isr_status
   | Config of int  (** device-specific config space, by offset *)
 
-type kind = Net | Blk | Vga
+type kind = Net | Blk
 
 type t
 

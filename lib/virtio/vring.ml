@@ -42,10 +42,6 @@ type 'a t = {
   mutable num_free : int;
   mutable next_addr : int; (* synthetic buffer address allocator *)
   mutable requests : int; (* added but not yet reaped *)
-  (* EVENT_IDX suppression state (virtio spec 2.6.7/2.6.8) *)
-  mutable used_event : int option; (* driver-written: interrupt threshold *)
-  mutable avail_event : int option; (* device-written: notify threshold *)
-  mutable interrupt_pending : bool;
   mutable obs : Obs.t;
   mutable track : string;
 }
@@ -74,9 +70,6 @@ let create ~size =
     num_free = size;
     next_addr = 0x1000;
     requests = 0;
-    used_event = None;
-    avail_event = None;
-    interrupt_pending = false;
     obs = Obs.none;
     track = "virtio.vring";
   }
@@ -197,38 +190,15 @@ let set_payload t ~head payload =
   | None -> invalid_arg "Vring.set_payload: head not outstanding"
   | Some _ -> slot.chain_payload <- Some payload
 
-(* Spec: an event fires when the free-running index crossed [event]
-   going from [old_idx] to [new_idx] (all mod 2^16). *)
-let need_event ~event ~new_idx ~old_idx =
-  (new_idx - event - 1) land wrap16 < (new_idx - old_idx) land wrap16
-
-let set_used_event t idx = t.used_event <- Some (idx land wrap16)
-let set_avail_event t idx = t.avail_event <- Some (idx land wrap16)
-
-let should_notify t =
-  match t.avail_event with
-  | None -> true
-  | Some event -> need_event ~event ~new_idx:t.avail_idx ~old_idx:((t.avail_idx - 1) land wrap16)
-
-let should_interrupt t =
-  let fire = t.interrupt_pending in
-  t.interrupt_pending <- false;
-  fire
-
 let push_used t ~head ~written =
   let slot = t.slots.(head) in
   (match slot.chain_payload with
   | None -> invalid_arg "Vring.push_used: head not outstanding"
   | Some _ -> ());
   t.used.(t.used_idx land (t.size - 1)) <- (head, written);
-  let old_idx = t.used_idx in
   t.used_idx <- (t.used_idx + 1) land wrap16;
   Obs.instant t.obs ~track:t.track "used";
-  Metrics.incr_opt (Obs.metrics t.obs) "virtio.vring.used";
-  (match t.used_event with
-  | None -> t.interrupt_pending <- true
-  | Some event ->
-    if need_event ~event ~new_idx:t.used_idx ~old_idx then t.interrupt_pending <- true)
+  Metrics.incr_opt (Obs.metrics t.obs) "virtio.vring.used"
 
 let pop_used t =
   if used_pending t = 0 then None

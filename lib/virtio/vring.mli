@@ -86,24 +86,6 @@ val avail_idx : 'a t -> int
 
 val used_idx : 'a t -> int
 
-(** {2 EVENT_IDX notification suppression (virtio spec §2.6.7–2.6.8)}
-
-    Negotiated through {!Feature.event_idx}. The driver arms
-    {!set_used_event} with the used index at which it next wants an
-    interrupt; the device arms {!set_avail_event} with the avail index at
-    which it next wants a doorbell. Without arming, every completion
-    interrupts and every kick notifies. *)
-
-val set_used_event : 'a t -> int -> unit
-val set_avail_event : 'a t -> int -> unit
-
-val should_notify : 'a t -> bool
-(** Driver side, after {!add}: must the device be kicked? *)
-
-val should_interrupt : 'a t -> bool
-(** Device side, after one or more {!push_used}: is an interrupt owed?
-    Reading consumes the pending flag (interrupts coalesce). *)
-
 val total_out_bytes : 'a chain -> int
 val total_in_bytes : 'a chain -> int
 val check_invariants : 'a t -> (unit, string) result

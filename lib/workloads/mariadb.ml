@@ -66,7 +66,7 @@ let write_cpu_ns = 95_000.0
 (* Redo flushes batch up to 8 queries (innodb-style group commit). *)
 let group_commit_max = 8
 
-let serve rng instance () =
+let serve instance =
   let gc =
     {
       instance;
@@ -86,7 +86,6 @@ let serve rng instance () =
       (* A worker picks the query up from the connection thread. *)
       instance.Instance.ipi ();
       let is_write = req.Packet.tag = write_tag in
-      ignore rng;
       if is_write then begin
         Sim.Resource.with_resource (stripe_of req) (fun () ->
             instance.Instance.exec_mem_ns ~working_set ~locality:0.80 write_cpu_ns;
@@ -99,7 +98,10 @@ let serve rng instance () =
         { Rpc.reply_bytes = 512; reply_packets = 1 }
       end)
 
-let sysbench sim ~client ~server ?(threads = 128) ~pattern ~duration () =
+(* The paper's 128 sysbench threads. *)
+let threads = 128
+
+let sysbench sim ~client ~server ~pattern ~duration () =
   let rpc = Rpc.create_client sim client in
   let rng = Rng.create ~seed:97 in
   let hist = Stats.Histogram.create ~lo:10_000.0 ~hi:1e10 () in

@@ -19,11 +19,7 @@ type result = {
 
 val pattern_name : pattern -> string
 
-val serve :
-  Bm_engine.Rng.t ->
-  Bm_guest.Instance.t ->
-  unit ->
-  unit
+val serve : Bm_guest.Instance.t -> unit
 (** Install the database service: 16 tables × 1M rows (a ~4 GB buffer
     pool), 150 µs per read query, 95 µs per write query, redo flushes
     batched up to 8 queries (innodb-style group commit). *)
@@ -32,10 +28,9 @@ val sysbench :
   Bm_engine.Sim.t ->
   client:Bm_guest.Instance.t ->
   server:Bm_guest.Instance.t ->
-  ?threads:int ->
   pattern:pattern ->
   duration:float ->
   unit ->
   result
-(** sysbench with the paper's 128 threads by default. [Read_write] is
+(** sysbench with the paper's 128 threads. [Read_write] is
     the OLTP mix (~70%% reads). *)

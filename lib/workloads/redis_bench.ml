@@ -2,8 +2,6 @@ open Bm_engine
 open Bm_virtio
 open Bm_guest
 
-type op = Get | Set
-
 type result = {
   clients : int;
   value_bytes : int;
@@ -13,8 +11,6 @@ type result = {
   stability : float;
 }
 
-let set_tag = 9
-
 (* The paper's 10M keys, ~120 bytes of dict entry + sds overhead per
    key, plus values. *)
 let working_set = float_of_int 10_000_000 *. 160.0
@@ -22,9 +18,8 @@ let working_set = float_of_int 10_000_000 *. 160.0
 (* CPU per command on the single thread, before the value copy. *)
 let base_cpu_ns = 5_500.0
 
-let serve sim instance () =
+let serve instance =
   let event_loop = Sim.Resource.create ~capacity:1 in
-  ignore sim;
   (* On a vm-guest every value is copied an extra time through the vhost
      path; how that copy lands in the shared LLC depends on the value
      size, perturbing the guest's hash-walk locality — the size-dependent
@@ -46,10 +41,9 @@ let serve sim instance () =
           let copy_ns = float_of_int value_bytes /. 16.0 in
           instance.Instance.exec_mem_ns ~working_set ~locality:0.20
             ((base_cpu_ns +. copy_ns) *. cache_wobble value_bytes));
-      let reply_bytes = if req.Packet.tag = set_tag then 8 else value_bytes in
-      { Rpc.reply_bytes; reply_packets = max 1 ((reply_bytes + 1447) / 1448) })
+      { Rpc.reply_bytes = value_bytes; reply_packets = max 1 ((value_bytes + 1447) / 1448) })
 
-let benchmark sim ~client ~server ?(clients = 1000) ?(value_bytes = 64) ?(op = Get) ~requests () =
+let benchmark sim ~client ~server ?(clients = 1000) ?(value_bytes = 64) ~requests () =
   let rpc = Rpc.create_client sim client in
   let hist = Stats.Histogram.create ~lo:1_000.0 ~hi:1e10 () in
   let remaining = ref requests in
@@ -69,7 +63,6 @@ let benchmark sim ~client ~server ?(clients = 1000) ?(value_bytes = 64) ?(op = G
         end
       in
       tick ());
-  let tag = match op with Get -> 0 | Set -> set_tag in
   for i = 1 to clients do
     Sim.spawn sim (fun () ->
         (* redis-benchmark establishes connections gradually; a
@@ -80,7 +73,7 @@ let benchmark sim ~client ~server ?(clients = 1000) ?(value_bytes = 64) ?(op = G
           if !remaining > 0 then begin
             decr remaining;
             (match
-               Rpc.call rpc ~dst:server.Instance.endpoint ~request_bytes:(64 + value_bytes) ~tag ()
+               Rpc.call rpc ~dst:server.Instance.endpoint ~request_bytes:(64 + value_bytes) ()
              with
             | `Reply latency ->
               Stats.Histogram.add hist latency;

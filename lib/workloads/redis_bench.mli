@@ -8,8 +8,6 @@
     visibly less stable throughput (its single thread is the one being
     preempted and cache-disturbed). *)
 
-type op = Get | Set
-
 type result = {
   clients : int;
   value_bytes : int;
@@ -19,13 +17,9 @@ type result = {
   stability : float;  (** stddev / mean of per-20ms throughput samples *)
 }
 
-val serve :
-  Bm_engine.Sim.t ->
-  Bm_guest.Instance.t ->
-  unit ->
-  unit
+val serve : Bm_guest.Instance.t -> unit
 (** Install the Redis service: a heap sized for 10M keys, 5.5 µs per
-    command on the single thread plus the value copy. *)
+    GET on the single thread plus the value copy. *)
 
 val benchmark :
   Bm_engine.Sim.t ->
@@ -33,9 +27,8 @@ val benchmark :
   server:Bm_guest.Instance.t ->
   ?clients:int ->
   ?value_bytes:int ->
-  ?op:op ->
   requests:int ->
   unit ->
   result
 (** redis-benchmark: [clients] concurrent connections (default 1000)
-    issuing [requests] commands of [value_bytes] values (default 64). *)
+    issuing [requests] GETs of [value_bytes] values (default 64). *)

@@ -48,9 +48,9 @@ let bm_server ?profile ?vfs t =
   Bm_hypervisor.create_server ~obs:t.obs ~fault:t.fault t.sim (Rng.split t.rng) ~fabric:t.fabric
     ~storage:t.storage ?profile ?vfs ()
 
-let bm_guest ?profile ?net_limits ?blk_limits ?(name = "bm0") t =
+let bm_guest ?profile ?net_limits ?blk_limits t =
   let server = bm_server ?profile t in
-  match Bm_hypervisor.provision server ~name ?net_limits ?blk_limits () with
+  match Bm_hypervisor.provision server ~name:"bm0" ?net_limits ?blk_limits () with
   | Ok inst -> (server, inst)
   | Error e -> failwith e
 

@@ -50,10 +50,9 @@ val bm_guest :
   ?profile:Bm_iobond.Profile.t ->
   ?net_limits:Bm_cloud.Limits.net ->
   ?blk_limits:Bm_cloud.Limits.blk ->
-  ?name:string ->
   t ->
   Bm_hyp.Bm_hypervisor.server * Bm_guest.Instance.t
-(** One bm-guest, named [name] (default ["bm0"]), on the shadow-vring
+(** One bm-guest, named ["bm0"], on the shadow-vring
     datapath of a fresh base server. *)
 
 val bm_pair :

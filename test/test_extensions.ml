@@ -29,7 +29,7 @@ let test_live_upgrade_no_loss () =
   let upgraded = ref 0 in
   Sim.spawn tb.Testbed.sim (fun () ->
       Sim.delay (Simtime.ms 10.0);
-      match Bm_hypervisor.live_upgrade server ~name:"bm0" ~handover_ns:(Simtime.ms 0.2) () with
+      match Bm_hypervisor.live_upgrade server ~name:"bm0" with
       | Ok v -> upgraded := v
       | Error e -> failwith e);
   Testbed.run tb;
@@ -44,7 +44,7 @@ let test_live_upgrade_unknown_guest () =
   let server, _ = Testbed.bm_guest tb in
   let result = ref (Ok 0) in
   Sim.spawn tb.Testbed.sim (fun () ->
-      result := Bm_hypervisor.live_upgrade server ~name:"ghost" ());
+      result := Bm_hypervisor.live_upgrade server ~name:"ghost");
   Testbed.run tb;
   check_bool "rejected" true (Result.is_error !result)
 
@@ -77,7 +77,6 @@ let test_sgx_native_on_bm_refused_on_vm () =
   let _, vm = Testbed.vm_guest tb in
   (match Sgx.create bm ~name:"trading-core" ~epc_mb:64 with
   | Ok enclave ->
-    check_bool "enclave on bare metal" true (Sgx.epc_mb enclave = 64);
     Sim.spawn tb.Testbed.sim (fun () ->
         for _ = 1 to 10 do
           Sgx.ecall enclave ~work_ns:10_000.0
@@ -232,10 +231,7 @@ let test_offload_classify_install () =
   check_bool "other proto slow" true
     (Bm_iobond.Offload.classify ot (mk ~proto:Bm_virtio.Packet.Tcp ~src:1 ~dst:2 8) = `Slow_path);
   Bm_iobond.Offload.install ot pkt;
-  check_int "install idempotent" 1 (Bm_iobond.Offload.occupancy ot);
-  Bm_iobond.Offload.remove_flow ot ~src:1 ~dst:2;
-  check_bool "removed flow is slow again" true
-    (Bm_iobond.Offload.classify ot pkt = `Slow_path)
+  check_int "install idempotent" 1 (Bm_iobond.Offload.occupancy ot)
 
 let test_offload_eviction () =
   let ot = Bm_iobond.Offload.create ~capacity:4 () in

@@ -59,7 +59,6 @@ let test_attach_order_and_exhaustion () =
   let fab = Fabric.create sim (Rng.create ~seed:1) (Topology.two_host ()) in
   check_int "first port" 0 (Fabric.attach fab);
   check_int "second port" 1 (Fabric.attach fab);
-  check_int "attached" 2 (Fabric.hosts_attached fab);
   match Fabric.attach fab with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "attach beyond the topology accepted"
@@ -494,7 +493,7 @@ let ecmp_pin () =
       for i = 1 to 64 do
         let src = Int64.to_int (Rng.bits64 rng) in
         let dst = if Rng.bool rng then Rng.int rng 4096 else Int64.to_int (Rng.bits64 rng) in
-        let protocol = Rng.choose rng [| Packet.Udp; Packet.Tcp; Packet.Icmp |] in
+        let protocol = [| Packet.Udp; Packet.Tcp; Packet.Icmp |].(Rng.int rng 3) in
         let pkt = mk_pkt ~protocol ~tag:(Rng.int rng 1000 - 500) ~src ~dst i in
         match Fabric.path_names fab ~src_host:0 ~dst_host:1 pkt with
         | [ _; up; _; _ ] -> Buffer.add_char out up.[String.length up - 1]

@@ -46,11 +46,10 @@ let test_cores_execution_time () =
     in_sim (fun sim ->
         let cores = Cores.create sim ~spec:Cpu_spec.xeon_e5_2682_v4 () in
         let t0 = Sim.clock () in
-        (* 2.5e9 cycles at 2.5 GHz = 1 s *)
-        Cores.execute_cycles cores 2.5e9;
+        Cores.execute_ns cores 1e9;
         Sim.clock () -. t0)
   in
-  check_float "1s of cycles" 1e9 elapsed
+  check_float "1s job" 1e9 elapsed
 
 let test_cores_contention () =
   let elapsed =
@@ -70,17 +69,6 @@ let test_cores_contention () =
   (* 4 jobs x 100ns on 2 threads = 200ns *)
   check_float "two waves" 200.0 elapsed
 
-let test_cores_dilation () =
-  let elapsed =
-    in_sim (fun sim ->
-        let cores = Cores.create sim ~spec:Cpu_spec.xeon_e5_2682_v4 () in
-        Cores.set_dilation cores (fun natural -> natural *. 1.5);
-        let t0 = Sim.clock () in
-        Cores.execute_ns cores 100.0;
-        Sim.clock () -. t0)
-  in
-  check_float "50% overhead" 150.0 elapsed
-
 let test_cores_utilization () =
   in_sim (fun sim ->
       let cores = Cores.create sim ~spec:Cpu_spec.xeon_e5_2682_v4 ~threads:1 () in
@@ -91,70 +79,75 @@ let test_cores_utilization () =
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
+(* The model reaches 85% of the peak in aggregate and 14 GB/s per
+   stream; times are checked to the nanosecond. *)
+let check_ns = Alcotest.(check (float 1.0))
+
 let test_memory_single_stream () =
   let elapsed =
     in_sim (fun sim ->
-        let mem = Memory.create sim ~peak_gb_s:80.0 ~per_stream_gb_s:10.0 ~efficiency:1.0 () in
+        let mem = Memory.create sim ~peak_gb_s:80.0 in
         let t0 = Sim.clock () in
-        Memory.transfer mem ~bytes_:10e9;
+        Memory.transfer mem ~bytes_:14e9;
         Sim.clock () -. t0)
   in
-  (* Single stream capped at 10 GB/s: 10 GB in 1 s. *)
-  check_float "per-stream cap" 1e9 elapsed
+  (* Single stream capped at 14 GB/s: 14 GB in 1 s. *)
+  check_ns "per-stream cap" 1e9 elapsed
 
 let test_memory_fair_share () =
   let times =
     in_sim (fun sim ->
-        let mem = Memory.create sim ~peak_gb_s:20.0 ~per_stream_gb_s:20.0 ~efficiency:1.0 () in
+        let mem = Memory.create sim ~peak_gb_s:20.0 in
         let finished = ref [] in
         let done_ = Sim.Ivar.create () in
         for i = 1 to 2 do
           Sim.fork (fun () ->
-              Memory.transfer mem ~bytes_:10e9;
+              Memory.transfer mem ~bytes_:8.5e9;
               finished := (i, Sim.clock ()) :: !finished;
               if List.length !finished = 2 then Sim.Ivar.fill done_ ())
         done;
         Sim.Ivar.read done_;
         List.rev_map snd !finished)
   in
-  (* Two 10GB transfers sharing 20 GB/s finish together at t = 1s. *)
-  List.iter (fun t -> check_float "both at 1s" 1e9 t) times
+  (* Two 8.5 GB transfers sharing 17 GB/s finish together at t = 1s. *)
+  List.iter (fun t -> check_ns "both at 1s" 1e9 t) times
 
 let test_memory_latecomer () =
-  (* Stream A (20GB) starts alone at 20GB/s; stream B (5GB) joins at
-     t=0.5s. From then both run at 10GB/s; B finishes at 1.0s, A has 5GB
-     left, accelerates to 20GB/s, finishes at 1.25s. *)
+  (* Stream A (22.5 GB) starts alone at 14 GB/s; stream B (8.5 GB)
+     joins at t=0.5s. From then both share 17 GB/s; B finishes at 1.5s,
+     A has 7 GB left, runs at 14 GB/s again and finishes at 2.0s. *)
   let result =
     in_sim (fun sim ->
-        let mem = Memory.create sim ~peak_gb_s:20.0 ~per_stream_gb_s:20.0 ~efficiency:1.0 () in
+        let mem = Memory.create sim ~peak_gb_s:20.0 in
         let t_a = ref 0.0 and t_b = ref 0.0 in
         let done_ = Sim.Ivar.create () in
         Sim.fork (fun () ->
-            Memory.transfer mem ~bytes_:20e9;
+            Memory.transfer mem ~bytes_:22.5e9;
             t_a := Sim.clock ();
             if !t_b > 0.0 then Sim.Ivar.fill done_ ());
         Sim.fork (fun () ->
             Sim.delay 0.5e9;
-            Memory.transfer mem ~bytes_:5e9;
+            Memory.transfer mem ~bytes_:8.5e9;
             t_b := Sim.clock ();
             if !t_a > 0.0 then Sim.Ivar.fill done_ ());
         Sim.Ivar.read done_;
         (!t_a, !t_b))
   in
   let t_a, t_b = result in
-  Alcotest.(check (float 1e3)) "B at 1.0s" 1.0e9 t_b;
-  Alcotest.(check (float 1e3)) "A at 1.25s" 1.25e9 t_a
+  Alcotest.(check (float 1e3)) "B at 1.5s" 1.5e9 t_b;
+  Alcotest.(check (float 1e3)) "A at 2.0s" 2.0e9 t_a
 
 let test_memory_tax () =
   let elapsed =
     in_sim (fun sim ->
-        let mem = Memory.create sim ~peak_gb_s:10.0 ~per_stream_gb_s:10.0 ~efficiency:1.0 () in
+        let mem = Memory.create sim ~peak_gb_s:10.0 in
         Memory.set_tax mem 0.25;
         let t0 = Sim.clock () in
-        Memory.transfer mem ~bytes_:10e9;
+        Memory.transfer mem ~bytes_:8.5e9;
         Sim.clock () -. t0)
   in
-  check_float "25% tax" 1.25e9 elapsed
+  (* 8.5 GB/s with a 25% tax is 6.8 GB/s: 8.5 GB in 1.25 s. *)
+  check_ns "25% tax" 1.25e9 elapsed
 
 (* ------------------------------------------------------------------ *)
 (* Cache *)
@@ -170,8 +163,7 @@ let test_cache_lru_eviction () =
   let c = Cache.create ~size_kb:1 ~ways:2 ~line_bytes:64 in
   (* 1KB, 2 ways, 64B lines -> 8 sets. Fill one set's 2 ways, then a third
      tag evicts the LRU. *)
-  let sets = Cache.sets c in
-  check_int "sets" 8 sets;
+  let sets = 8 in
   let addr tag = tag * sets * 64 in
   ignore (Cache.access c ~owner:1 (addr 1));
   ignore (Cache.access c ~owner:1 (addr 2));
@@ -211,7 +203,7 @@ let prop_cache_occupancy_sums_to_one =
 (* Tlb *)
 
 let test_tlb_reach () =
-  let tlb = Tlb.create ~entries:1536 ~page_kb:4 () in
+  let tlb = Tlb.create () in
   check_float "reach 6MB" (1536.0 *. 4096.0) (Tlb.reach_bytes tlb);
   check_float "fits: no misses" 0.0 (Tlb.miss_rate tlb ~working_set_bytes:1e6 ~locality:0.0)
 
@@ -225,14 +217,6 @@ let test_tlb_overhead_grows_with_ws () =
   let tlb = Tlb.create () in
   let ov ws = Tlb.avg_overhead_ns tlb ~virtualized:true ~working_set_bytes:ws ~locality:0.5 in
   check_bool "monotone in ws" true (ov 1e7 < ov 1e8 && ov 1e8 < ov 1e9)
-
-let test_tlb_huge_pages_help () =
-  let small = Tlb.create ~huge_pages:false () in
-  let huge = Tlb.create ~huge_pages:true () in
-  let ws = 1e9 in
-  check_bool "huge pages reduce misses" true
-    (Tlb.miss_rate huge ~working_set_bytes:ws ~locality:0.0
-    < Tlb.miss_rate small ~working_set_bytes:ws ~locality:0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Pcie / Dma *)
@@ -367,7 +351,6 @@ let suites =
       [
         Alcotest.test_case "execution time" `Quick test_cores_execution_time;
         Alcotest.test_case "contention" `Quick test_cores_contention;
-        Alcotest.test_case "dilation hook" `Quick test_cores_dilation;
         Alcotest.test_case "utilization" `Quick test_cores_utilization;
       ] );
     ( "hw.memory",
@@ -389,7 +372,6 @@ let suites =
         Alcotest.test_case "reach" `Quick test_tlb_reach;
         Alcotest.test_case "2D walk cost" `Quick test_tlb_virtualized_walk_costlier;
         Alcotest.test_case "overhead grows with ws" `Quick test_tlb_overhead_grows_with_ws;
-        Alcotest.test_case "huge pages" `Quick test_tlb_huge_pages_help;
       ] );
     ( "hw.pcie",
       [

@@ -36,10 +36,7 @@ let test_eight_tenants_coexist () =
           done))
     guests;
   Testbed.run tb;
-  Array.iteri (fun i n -> check_int (Printf.sprintf "tenant %d finished" i) 50 n) completed;
-  (* Releasing one tenant frees exactly one board. *)
-  Bm_hypervisor.release server ~name:"g3";
-  check_int "board recycled" 1 (Bm_hypervisor.free_boards server)
+  Array.iteri (fun i n -> check_int (Printf.sprintf "tenant %d finished" i) 50 n) completed
 
 (* A vm-guest talks to a bm-guest across the fabric: interoperability
    means the substrates share one network namespace. *)
@@ -106,9 +103,9 @@ let test_vm_client_bm_database () =
   let tb = Testbed.make ~seed:34 () in
   let _, db = Testbed.bm_guest tb in
   let _, client = Testbed.vm_guest tb in
-  Mariadb.serve (Rng.create ~seed:34) db ();
+  Mariadb.serve db;
   let r =
-    Mariadb.sysbench tb.Testbed.sim ~client ~server:db ~threads:32 ~pattern:Mariadb.Read_only
+    Mariadb.sysbench tb.Testbed.sim ~client ~server:db ~pattern:Mariadb.Read_only
       ~duration:(Simtime.ms 50.0) ()
   in
   check_bool "queries flowed" true (r.Mariadb.queries > 1_000);
@@ -130,26 +127,6 @@ let test_bridge_invariants_after_load () =
     check_bool "mailbox saw doorbell traffic" true
       (Bm_iobond.Mailbox.tail_writes (Bm_iobond.Iobond.mailbox iobond) > 100)
 
-(* Releasing and re-provisioning a board gives a clean guest. *)
-let test_board_recycling_clean_state () =
-  let tb = Testbed.make ~seed:36 () in
-  let server =
-    Bm_hypervisor.create_server tb.Testbed.sim tb.Testbed.rng ~fabric:tb.Testbed.fabric
-      ~storage:tb.Testbed.storage ~boards:1 ()
-  in
-  let g1 = Result.get_ok (Bm_hypervisor.provision server ~name:"first" ()) in
-  Sim.spawn tb.Testbed.sim (fun () -> ignore (g1.Instance.blk ~op:`Write ~bytes_:4096));
-  Testbed.run tb;
-  Bm_hypervisor.release server ~name:"first";
-  let g2 = Result.get_ok (Bm_hypervisor.provision server ~name:"second" ()) in
-  check_bool "fresh endpoint" true (g2.Instance.endpoint <> g1.Instance.endpoint);
-  let ok = ref false in
-  Sim.spawn tb.Testbed.sim (fun () ->
-      ignore (g2.Instance.blk ~op:`Read ~bytes_:4096);
-      ok := true);
-  Testbed.run tb;
-  check_bool "recycled board serves I/O" true !ok
-
 (* Over-draining and misuse of the hypervisor API fail cleanly. *)
 let test_capacity_errors_are_clean () =
   let tb = Testbed.make ~seed:37 () in
@@ -162,8 +139,6 @@ let test_capacity_errors_are_clean () =
   (match Bm_hypervisor.provision server ~name:"c" () with
   | Ok _ -> Alcotest.fail "third guest on two boards"
   | Error e -> check_bool "useful error" true (e <> ""));
-  (* Releasing an unknown guest is a no-op, not a crash. *)
-  Bm_hypervisor.release server ~name:"ghost";
   check_int "still two in use" 0 (Bm_hypervisor.free_boards server)
 
 let suites =
@@ -175,7 +150,6 @@ let suites =
         Alcotest.test_case "noisy tenant isolated" `Quick test_noisy_tenant_rate_isolated;
         Alcotest.test_case "vm client, bm database" `Quick test_vm_client_bm_database;
         Alcotest.test_case "bridge invariants after load" `Quick test_bridge_invariants_after_load;
-        Alcotest.test_case "board recycling" `Quick test_board_recycling_clean_state;
         Alcotest.test_case "capacity errors" `Quick test_capacity_errors_are_clean;
       ] );
   ]

@@ -198,15 +198,6 @@ let test_pci_probe_cost_fpga_vs_asic () =
     (Virtio_pci.access_count (Virtio_net.pci port.Iobond.net_device))
     (Mailbox.pci_access_count (Iobond.mailbox iobond))
 
-let test_vga_attach () =
-  let sim = Sim.create () in
-  let iobond = Iobond.create sim ~profile:Profile.Fpga () in
-  let vga = Iobond.attach_vga iobond in
-  Sim.spawn sim (fun () ->
-      check_int "vga device id" 0x1050 (Virtio_pci.read vga Virtio_pci.Device_id));
-  Sim.run sim;
-  check_int "access costed" 1 (Virtio_pci.access_count vga)
-
 let test_mailbox_tail_write_costs_hop () =
   let sim = Sim.create () in
   let iobond = Iobond.create sim ~profile:Profile.Fpga () in
@@ -220,6 +211,29 @@ let test_mailbox_tail_write_costs_hop () =
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "one register hop" 800.0 !elapsed;
   check_int "value latched" 42 (Mailbox.tail mailbox ring)
+
+(* A Mailbox_drop window that outlasts all five attempts of one tail
+   write (30 us of backoff plus five 0.8 us register hops) loses exactly
+   that write; a write after the window latches. *)
+let test_mailbox_lost_tail_write () =
+  let sim = Sim.create () in
+  let drop = { Fault.kind = Fault.Mailbox_drop; at = 0.0; duration_ns = 50_000.0 } in
+  let fault = Fault.create sim { Fault.seed = 0; horizon_ns = 1e6; events = [ drop ] } in
+  Fault.arm fault;
+  let iobond = Iobond.create ~fault sim ~profile:Profile.Fpga () in
+  let mailbox = Iobond.mailbox iobond in
+  let ring = Mailbox.alloc_ring mailbox in
+  let issued = 2 in
+  Sim.spawn sim (fun () ->
+      Sim.delay 1.0;
+      Sim.await (Mailbox.write_tail mailbox ring 7);
+      Sim.delay 50_000.0;
+      Sim.await (Mailbox.write_tail mailbox ring 9));
+  Sim.run sim;
+  check_int "one write lost" 1 (Mailbox.lost_tail_writes mailbox);
+  check_int "latched + lost = issued" issued
+    (Mailbox.tail_writes mailbox + Mailbox.lost_tail_writes mailbox);
+  check_int "the later write latched" 9 (Mailbox.tail mailbox ring)
 
 let test_dma_meters_links () =
   let sim = Sim.create () in
@@ -253,8 +267,8 @@ let suites =
         Alcotest.test_case "FIFO across bridge" `Quick test_fifo_preserved_across_bridge;
         Alcotest.test_case "blk bridge roundtrip" `Quick test_blk_bridge_roundtrip;
         Alcotest.test_case "probe cost FPGA vs ASIC" `Quick test_pci_probe_cost_fpga_vs_asic;
-        Alcotest.test_case "vga console device" `Quick test_vga_attach;
         Alcotest.test_case "mailbox tail write" `Quick test_mailbox_tail_write_costs_hop;
+        Alcotest.test_case "mailbox lost tail write" `Quick test_mailbox_lost_tail_write;
         Alcotest.test_case "DMA meters PCIe links" `Quick test_dma_meters_links;
       ] );
   ]

@@ -33,8 +33,34 @@ let test_registry () =
 (* ------------------------------------------------------------------ *)
 (* Ladder rungs and the guard-failure discard *)
 
-let hot ~window =
-  { (Policy.calm_signals ~window) with Policy.premium_pressure = 0.5; failed_hosts = [ 0 ] }
+(* An all-quiet bundle (zero pressure, nothing failed, breaker closed):
+   the baseline the tests and the property generators perturb. *)
+let calm_signals ~window =
+  {
+    Policy.window;
+    premium_pressure = 0.0;
+    all_pressure = 0.0;
+    distressed = [];
+    suspects = [];
+    gold_p99_ms = 0.0;
+    offered_pps = [];
+    failed_hosts = [];
+    spine_queued = 0;
+    spine_dropped = 0;
+    links = [];
+    links_down = 0;
+    brownout = false;
+    breaker = Fault.Guard.Closed;
+  }
+
+let hot ~window = { (calm_signals ~window) with Policy.premium_pressure = 0.5; failed_hosts = [ 0 ] }
+
+(* The ladder's rung actions, for a readable mismatch. *)
+let show_action = function
+  | Policy.Shed_tier t -> "shed_tier(" ^ Slo.tier_name t ^ ")"
+  | Host_ceiling f -> Printf.sprintf "host_ceiling(%.2f)" f
+  | Drain_failed -> "drain_failed"
+  | _ -> "another action"
 
 let test_ladder_rungs () =
   let p = Policy.create Policy.Ladder in
@@ -43,8 +69,8 @@ let test_ladder_rungs () =
     | Policy.Escalate got ->
       check_string
         (Printf.sprintf "rung %d actions" (Policy.stage p + 1))
-        (String.concat ";" (List.map Policy.action_name actions))
-        (String.concat ";" (List.map Policy.action_name got))
+        (String.concat ";" (List.map show_action actions))
+        (String.concat ";" (List.map show_action got))
     | _ -> Alcotest.fail "expected Escalate under distress");
     Policy.confirm p ~ok:true
   in
@@ -85,7 +111,7 @@ let test_guard_failure_discards () =
    guarded actions "ran". Storm codes sweep pressure, failed hosts,
    spine queues and gold p99 through and past every threshold. *)
 let storm_signals ~window code =
-  let base = Policy.calm_signals ~window in
+  let base = calm_signals ~window in
   {
     base with
     Policy.premium_pressure = float_of_int (code mod 5) *. 0.04;
@@ -128,7 +154,7 @@ let prop_calm_tail_relaxes_to_zero =
       (* Worst case per relax step: min_hold (2) + calm_windows (2)
          windows; 3 stages + slack. *)
       for i = 0 to 23 do
-        match Policy.decide p (Policy.calm_signals ~window:(List.length storm + i)) with
+        match Policy.decide p (calm_signals ~window:(List.length storm + i)) with
         | Policy.Hold | Policy.Relax _ -> Policy.confirm p ~ok:true
         | Policy.Escalate _ | Policy.Reapply _ ->
           QCheck.Test.fail_report "escalated on calm signals"
@@ -145,7 +171,7 @@ let test_blast_radius () =
   done;
   let sched = Scheduler.create cp in
   List.iter
-    (fun tn -> Scheduler.register_tenant sched (Bm_cloud.Tenant.create ~name:tn Bm_cloud.Tenant.unlimited))
+    (fun tn -> Scheduler.register_tenant sched (Bm_cloud.Tenant.create ~name:tn { Bm_cloud.Tenant.max_guests = max_int; max_vcpus = max_int }))
     [ "g0"; "b0"; "b1"; "b2" ];
   let place name tenant vcpus =
     match Scheduler.place sched (Scheduler.request ~name ~tenant ~vcpus ()) with
@@ -242,7 +268,12 @@ let test_guard_breaker_states () =
   in
   let g = Fault.Guard.create ~policy sim ~name:"states" in
   let states = ref [] in
-  let note () = states := Fault.Guard.state_name (Fault.Guard.state g) :: !states in
+  let name = function
+    | Fault.Guard.Closed -> "closed"
+    | Open -> "open"
+    | Half_open -> "half_open"
+  in
+  let note () = states := name (Fault.Guard.state g) :: !states in
   Sim.spawn sim (fun () ->
       note ();
       ignore (Fault.Guard.run g (fun () -> Error "down"));

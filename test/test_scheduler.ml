@@ -17,6 +17,8 @@ module Topology = Bm_fabric.Topology
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let choose rng a = a.(Rng.int rng (Array.length a))
+let unlimited = { Tenant.max_guests = max_int; max_vcpus = max_int }
 
 let obs_with_metrics () =
   let m = Metrics.create () in
@@ -39,7 +41,7 @@ let test_tenant_quota () =
 
 let test_tenant_metering () =
   let obs, m = obs_with_metrics () in
-  let tn = Tenant.create ~obs ~name:"acme" Tenant.unlimited in
+  let tn = Tenant.create ~obs ~name:"acme" unlimited in
   Tenant.meter tn ~guest_ns:2e9 ~bytes:1000.0 ~ios:5.0 ();
   Tenant.meter tn ~guest_ns:1e9 ();
   Alcotest.(check (float 1e-9)) "guest seconds" 3.0 (Tenant.guest_seconds tn);
@@ -61,7 +63,7 @@ let small_fleet ?obs ?(ceiling = 1.0) ~vm_hosts () =
     ignore (Cp.add_server ~ceiling cp (Cp.Vm_server { sellable_threads = 16 }))
   done;
   let sched = Scheduler.create ?obs cp in
-  Scheduler.register_tenant sched (Tenant.create ~name:"t0" Tenant.unlimited);
+  Scheduler.register_tenant sched (Tenant.create ~name:"t0" unlimited);
   sched
 
 let test_place_release () =
@@ -86,7 +88,7 @@ let test_quota_rollback_on_cp_failure () =
   let cp = Cp.create () in
   ignore (Cp.add_server cp (Cp.Vm_server { sellable_threads = 4 }));
   let sched = Scheduler.create cp in
-  Scheduler.register_tenant sched (Tenant.create ~name:"t0" Tenant.unlimited);
+  Scheduler.register_tenant sched (Tenant.create ~name:"t0" unlimited);
   check_bool "fits" true
     (Result.is_ok (Scheduler.place sched (Scheduler.request ~name:"a" ~tenant:"t0" ~vcpus:3 ())));
   check_bool "no capacity" true
@@ -179,7 +181,7 @@ let build_model (seed, n_hosts, n_reqs) =
   let rng = Rng.create ~seed in
   let cp = Cp.create () in
   for _ = 1 to n_hosts do
-    let ceiling = Rng.choose rng [| 0.5; 0.75; 0.9; 1.0 |] in
+    let ceiling = choose rng [| 0.5; 0.75; 0.9; 1.0 |] in
     let kind =
       if Rng.bool rng then Cp.Bm_server { boards = 4; board_threads = 8 }
       else Cp.Vm_server { sellable_threads = 16 }
@@ -187,7 +189,7 @@ let build_model (seed, n_hosts, n_reqs) =
     ignore (Cp.add_server ~ceiling cp kind)
   done;
   let sched = Scheduler.create cp in
-  Scheduler.register_tenant sched (Tenant.create ~name:"t0" Tenant.unlimited);
+  Scheduler.register_tenant sched (Tenant.create ~name:"t0" unlimited);
   Scheduler.register_tenant sched
     (Tenant.create ~name:"t1" Tenant.{ max_guests = 10; max_vcpus = 30 });
   Scheduler.register_tenant sched
@@ -210,7 +212,7 @@ let model_ops rng ~n_hosts ~n_reqs ~n_ops =
       | 1 -> Restore (Rng.int rng n_hosts)
       | 2 -> Retry
       | 3 -> Rebalance
-      | 4 when !released <> [] -> Replace (Rng.choose rng (Array.of_list !released))
+      | 4 when !released <> [] -> Replace (choose rng (Array.of_list !released))
       | _ ->
         let i = Rng.int rng n_reqs in
         released := i :: !released;
@@ -405,10 +407,8 @@ let prop_rebalance_matches_full_scan =
         List.iter (apply_op sched reqs) (model_ops rng ~n_hosts ~n_reqs ~n_ops:6);
         sched
       in
-      let rng = Rng.create ~seed:(seed + 2) in
-      let max_moves = Rng.choose rng [| 1; 3; 64 |] and band = Rng.choose rng [| 0.0; 0.05; 0.2 |] in
-      let moves = Scheduler.rebalance (fleet ()) ~max_moves ~band () in
-      moves = full_scan_rebalance (fleet ()) ~max_moves ~band)
+      let moves = Scheduler.rebalance (fleet ()) () in
+      moves = full_scan_rebalance (fleet ()) ~max_moves:64 ~band:0.05)
 
 (* ------------------------------------------------------------------ *)
 (* Topology auto-sizing *)

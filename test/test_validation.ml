@@ -11,7 +11,8 @@ let within ?(tol = 0.06) expected actual =
 
 (* Simulate a queue: Poisson arrivals at [lambda]/s into a [servers]-wide
    station; service times drawn by [draw_service] (seconds). Returns
-   (mean sojourn s, mean wait s, mean number-in-system). *)
+   (mean sojourn s, mean wait s, mean number-in-system, fraction of
+   server time busy). *)
 let simulate_queue ~seed ~lambda ~servers ~draw_service ~customers =
   let sim = Sim.create () in
   let rng = Rng.create ~seed in
@@ -20,7 +21,7 @@ let simulate_queue ~seed ~lambda ~servers ~draw_service ~customers =
   let station = Sim.Resource.create ~capacity:servers in
   let sojourn = Stats.Summary.create () in
   let wait = Stats.Summary.create () in
-  let area = ref 0.0 in
+  let area = ref 0.0 and busy = ref 0.0 in
   let in_system = ref 0 in
   let last_change = ref 0.0 in
   let record delta =
@@ -37,7 +38,9 @@ let simulate_queue ~seed ~lambda ~servers ~draw_service ~customers =
             let t0 = Sim.clock () in
             Sim.Resource.acquire station;
             Stats.Summary.add wait (Sim.clock () -. t0);
-            Sim.delay (draw_service services *. 1e9);
+            let service = draw_service services *. 1e9 in
+            busy := !busy +. service;
+            Sim.delay service;
             Sim.Resource.release station;
             record (-1);
             Stats.Summary.add sojourn (Sim.clock () -. t0))
@@ -46,14 +49,15 @@ let simulate_queue ~seed ~lambda ~servers ~draw_service ~customers =
   let total = Sim.now sim in
   ( Stats.Summary.mean sojourn /. 1e9,
     Stats.Summary.mean wait /. 1e9,
-    !area /. total )
+    !area /. total,
+    !busy /. (total *. float_of_int servers) )
 
 let test_mm1_matches_theory () =
   let lambda = 800.0 and mu = 1000.0 in
   let w_theory = Queueing.mm1_mean_sojourn ~lambda ~mu in
   let wq_theory = Queueing.mm1_mean_wait ~lambda ~mu in
   let l_theory = Queueing.mm1_mean_queue_length ~lambda ~mu in
-  let w, wq, l =
+  let w, wq, l, rho =
     simulate_queue ~seed:101 ~lambda ~servers:1
       ~draw_service:(fun r -> Rng.exponential r ~mean:(1.0 /. mu))
       ~customers:60_000
@@ -61,13 +65,14 @@ let test_mm1_matches_theory () =
   check_bool "W matches 1/(mu-lambda)" true (within w_theory w);
   check_bool "Wq matches rho/(mu-lambda)" true (within wq_theory wq);
   check_bool "L matches rho/(1-rho)" true (within ~tol:0.08 l_theory l);
+  check_bool "busy fraction matches rho" true (within (Queueing.mm1_utilization ~lambda ~mu) rho);
   (* Little's law on the simulated values themselves. *)
   check_bool "L = lambda W (simulated)" true (within ~tol:0.08 (lambda *. w) l)
 
 let test_mmc_matches_theory () =
   let lambda = 2_500.0 and mu = 1000.0 and c = 4 in
   let wq_theory = Queueing.mmc_mean_wait ~lambda ~mu ~c in
-  let _, wq, _ =
+  let _, wq, _, _ =
     simulate_queue ~seed:102 ~lambda ~servers:c
       ~draw_service:(fun r -> Rng.exponential r ~mean:(1.0 /. mu))
       ~customers:60_000
@@ -79,7 +84,7 @@ let test_mg1_deterministic_service () =
      M/M/1 wait. *)
   let lambda = 700.0 and mean_service = 1.0 /. 1000.0 in
   let wq_theory = Queueing.mg1_mean_wait ~lambda ~mean_service ~service_variance:0.0 in
-  let _, wq, _ =
+  let _, wq, _, _ =
     simulate_queue ~seed:103 ~lambda ~servers:1
       ~draw_service:(fun _ -> mean_service)
       ~customers:60_000

@@ -71,7 +71,7 @@ let rto_trace () =
   let net_limits =
     Bm_cloud.Limits.custom_net ~policy:Bm_cloud.Limits.Shed ~pps:10_000.0 ~gbit_s:10.0 ()
   in
-  let _, client = Testbed.bm_guest ~net_limits ~name:"client" tb in
+  let _, client = Testbed.bm_guest ~net_limits tb in
   Rpc.attach_server server ~service:(fun _ -> { Rpc.reply_bytes = 100; reply_packets = 1 });
   let rpc = Rpc.create_client tb.Testbed.sim client in
   let calls = Array.make 12 [] in
@@ -247,7 +247,7 @@ let test_mariadb_patterns () =
     let tb = Testbed.make ~seed:10 () in
     let server = make tb in
     let client = Testbed.client_box tb in
-    Mariadb.serve (Rng.create ~seed:10) server ();
+    Mariadb.serve server;
     Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration:(Simtime.ms 150.0) ()
   in
   let bm_ro = run (fun tb -> snd (Testbed.bm_guest tb)) Mariadb.Read_only in
@@ -267,7 +267,7 @@ let test_redis_single_threaded_and_gap () =
     let tb = Testbed.make ~seed:11 () in
     let server = make tb in
     let client = Testbed.client_box tb in
-    Redis_bench.serve tb.Testbed.sim server ();
+    Redis_bench.serve server;
     Redis_bench.benchmark tb.Testbed.sim ~client ~server ~clients:500 ~requests:5_000 ()
   in
   let bm = run (fun tb -> snd (Testbed.bm_guest tb)) in
