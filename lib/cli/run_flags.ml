@@ -50,9 +50,11 @@ let faults =
   opt_some
     (conv "SEED:SPEC" Bm_engine.Fault.parse_spec Bm_engine.Fault.render_plan)
     [ "faults" ] ~docv:"SEED:SPEC"
-    "Arm a deterministic fault plan in every testbed, as $(i,SEED):$(i,SPEC) where SPEC is \
-     $(b,default) or comma-separated $(i,kind)=$(i,count) pairs (kinds: link_down, dma_stall, \
-     mailbox_drop, firmware_wedge, pmd_crash, server_failure, fabric_link_down, vf_stall, \
+    "Arm a deterministic fault plan in the testbeds of the availability, overload (its \
+     combined faults+overload soak rows), vf_scale, vf_reassign and vf_ablation experiments; \
+     the others ignore it. Given as $(i,SEED):$(i,SPEC) where SPEC is $(b,default) or \
+     comma-separated $(i,kind)=$(i,count) pairs (kinds: link_down, dma_stall, mailbox_drop, \
+     firmware_wedge, pmd_crash, server_failure, fabric_link_down, vf_stall, \
      vf_reassign_timeout), optionally with horizon=$(i,NS). Example: \
      42:link_down=2,firmware_wedge=1."
 

@@ -42,24 +42,25 @@ type t = {
   rng : Rng.t;
   params : params;
   servers : Sim.Resource.resource;
-  queue_capacity : int;
   mutable rejected : int;
   obs : Obs.t;
 }
 
-let create ?(obs = Obs.none) sim rng ~kind ?parallelism ?(queue_capacity = 512) () =
-  let parallelism =
-    match parallelism with
-    | Some n -> n
-    | None -> ( match kind with Cloud_ssd -> 128 | Local_ssd -> 16)
-  in
-  assert (queue_capacity > 0);
+(* Requests in service at once: a distributed backend serves many, one
+   local drive few. *)
+let parallelism = function Cloud_ssd -> 128 | Local_ssd -> 16
+
+(* Requests that may wait for a server beyond those in service: deep
+   enough that well-behaved workloads never see it, small enough that
+   floods fail fast instead of queueing without bound. *)
+let queue_capacity = 512
+
+let create ?(obs = Obs.none) sim rng ~kind () =
   {
     sim;
     rng;
     params = params_of kind;
-    servers = Sim.Resource.create ~capacity:parallelism;
-    queue_capacity;
+    servers = Sim.Resource.create ~capacity:(parallelism kind);
     rejected = 0;
     obs;
   }
@@ -80,7 +81,7 @@ let serve_callback t ~op ~bytes_ k =
   Obs.counter_at t.obs ~track:"cloud.blockstore" "queue_depth" t.sim
     (Sim.Resource.in_use t.servers + Sim.Resource.waiting t.servers);
   Sim.schedule t.sim ~delay:(p.net_rtt_ns /. 2.0) (fun () ->
-      if Sim.Resource.waiting t.servers >= t.queue_capacity then begin
+      if Sim.Resource.waiting t.servers >= queue_capacity then begin
         (* The storage node's admission queue is full: fail the request
            after the front half of the round trip, drawing no service
            randomness, so the client sees a fast, deterministic EBUSY. *)

@@ -12,24 +12,15 @@ type kind = Cloud_ssd | Local_ssd
 
 type t
 
-val create :
-  ?obs:Bm_engine.Obs.t ->
-  Bm_engine.Sim.t ->
-  Bm_engine.Rng.t ->
-  kind:kind ->
-  ?parallelism:int ->
-  ?queue_capacity:int ->
-  unit ->
-  t
-(** Defaults: [parallelism] 128 requests in service concurrently for
-    [Cloud_ssd] (a distributed backend), 16 for [Local_ssd];
-    [queue_capacity] 512 requests may wait for a server beyond those in
-    service — deep enough that well-behaved workloads never see it, small
-    enough that floods fail fast instead of queueing without bound. With
-    [obs], each request samples server occupancy as a [queue_depth]
-    counter on the ["cloud.blockstore"] track and feeds the
-    ["cloud.blockstore.serve_ns"] latency histogram and the
-    ["cloud.blockstore.served"] / ["cloud.blockstore.rejected"]
+val create : ?obs:Bm_engine.Obs.t -> Bm_engine.Sim.t -> Bm_engine.Rng.t -> kind:kind -> unit -> t
+(** A storage node serving 128 requests concurrently for [Cloud_ssd] (a
+    distributed backend), 16 for [Local_ssd]; 512 more may wait for a
+    server beyond those in service — deep enough that well-behaved
+    workloads never see it, small enough that floods fail fast instead
+    of queueing without bound. With [obs], each request samples server
+    occupancy as a [queue_depth] counter on the ["cloud.blockstore"]
+    track and feeds the ["cloud.blockstore.serve_ns"] latency histogram
+    and the ["cloud.blockstore.served"] / ["cloud.blockstore.rejected"]
     counters. *)
 
 val serve : t -> op:[ `Read | `Write | `Flush ] -> bytes_:int -> [ `Served | `Rejected ]

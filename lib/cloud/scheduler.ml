@@ -1,5 +1,4 @@
 open Bm_engine
-module Vf = Bm_iobond.Vf
 
 type request = {
   name : string;
@@ -8,22 +7,14 @@ type request = {
   mem_gb : int;
   prefer : Control_plane.substrate option;
   group : string option;
-  datapath : Vf.datapath;
 }
 
-let request ~name ~tenant ~vcpus ?mem_gb ?prefer ?group ?(datapath = Vf.Vring) () =
+let request ~name ~tenant ~vcpus ?mem_gb ?prefer ?group () =
   if vcpus <= 0 then invalid_arg "Scheduler.request: vcpus must be positive";
   let mem_gb = match mem_gb with Some m -> m | None -> 2 * vcpus in
-  { name; tenant; vcpus; mem_gb; prefer; group; datapath }
+  { name; tenant; vcpus; mem_gb; prefer; group }
 
-type guest = {
-  req : request;
-  mutable placement : Control_plane.placement option;
-  mutable granted : Vf.datapath option;
-      (* the datapath the current placement actually got: [Some Vring]
-         for a VF request that hit an exhausted host (fell over to the
-         shadow-vring path), [None] while unplaced *)
-}
+type guest = { req : request; mutable placement : Control_plane.placement option }
 
 (* The read-only views, derived from the guest table and tagged with
    the generation they were built at. Per-host arrays are indexed by
@@ -45,26 +36,19 @@ type t = {
   tenants : (string, Tenant.t) Hashtbl.t;
   guests : (string, guest) Hashtbl.t;
   groups : (string, (int, int) Hashtbl.t) Hashtbl.t;  (* group -> host -> members *)
-  vfs_per_host : int;
-  vf_used : (int, int) Hashtbl.t;  (* host -> VFs handed out *)
-  mutable vf_fallback_count : int;
   mutable classifier : request -> string option;
       (* placement class per request, for per-class admission ceilings *)
   mutable generation : int;  (* bumped by every write the views can see *)
   mutable snapshot : snapshot option;
 }
 
-let create ?(obs = Obs.none) ?(vfs_per_host = 8) cp =
-  if vfs_per_host < 0 then invalid_arg "Scheduler.create: vfs_per_host must be >= 0";
+let create ?(obs = Obs.none) cp =
   {
     cp;
     metrics = Obs.metrics obs;
     tenants = Hashtbl.create 16;
     guests = Hashtbl.create 1024;
     groups = Hashtbl.create 64;
-    vfs_per_host;
-    vf_used = Hashtbl.create 64;
-    vf_fallback_count = 0;
     classifier = (fun _ -> None);
     generation = 0;
     snapshot = None;
@@ -139,45 +123,6 @@ let group_remove t group host =
       | Some 1 -> Hashtbl.remove hosts host
       | Some n -> Hashtbl.replace hosts host (n - 1)))
 
-(* --- VF accounting --------------------------------------------------- *)
-
-(* The scheduler counts virtual functions the way it counts vCPUs: a
-   per-host budget, spent at placement time. It never touches the
-   hypervisor's pool device — it only promises a datapath; the
-   hypervisor grants the actual function when the guest is provisioned
-   (and applies the same fallback if reality disagrees). *)
-
-let vf_in_use t ~server = Option.value ~default:0 (Hashtbl.find_opt t.vf_used server)
-let vf_free t ~server = t.vfs_per_host - vf_in_use t ~server
-let vf_fallbacks t = t.vf_fallback_count
-
-(* Decide the datapath a fresh placement on [server] gets, spending a
-   VF credit when the request wants one and the host still has one. *)
-let vf_grant t g server =
-  let granted =
-    match g.req.datapath with
-    | Vf.Vring -> Vf.Vring
-    | (Vf.Passthrough | Vf.Sliced) as want ->
-      if vf_free t ~server > 0 then (
-        Hashtbl.replace t.vf_used server (1 + vf_in_use t ~server);
-        Metrics.incr_opt t.metrics "cloud.sched.vf_granted";
-        want)
-      else (
-        t.vf_fallback_count <- t.vf_fallback_count + 1;
-        Metrics.incr_opt t.metrics "cloud.sched.vf_fallbacks";
-        Vf.Vring)
-  in
-  g.granted <- Some granted
-
-(* Return the credit when a guest leaves [server] (release, drain,
-   rebalance move). *)
-let vf_revoke t g server =
-  (match g.granted with
-  | Some (Vf.Passthrough | Vf.Sliced) ->
-    Hashtbl.replace t.vf_used server (max 0 (vf_in_use t ~server - 1))
-  | Some Vf.Vring | None -> ());
-  g.granted <- None
-
 (* --- placement ------------------------------------------------------ *)
 
 (* First-fit-decreasing order: biggest request first so the small ones
@@ -219,10 +164,8 @@ let place t req =
       | Ok () -> (
         match try_place_cp t req ~substrates:(substrates_of req) with
         | Ok p ->
-          let g = { req; placement = Some p; granted = None } in
-          add_guest t g;
+          add_guest t { req; placement = Some p };
           group_add t req.group p.Control_plane.server;
-          vf_grant t g p.Control_plane.server;
           Metrics.incr_opt t.metrics "cloud.sched.placed";
           Ok p
         | Error e ->
@@ -240,7 +183,6 @@ let release t name =
     (match g.placement with
     | Some p ->
       group_remove t g.req.group p.Control_plane.server;
-      vf_revoke t g p.Control_plane.server;
       Control_plane.release t.cp name
     | None -> ());
     (match Hashtbl.find_opt t.tenants g.req.tenant with
@@ -264,7 +206,6 @@ let replace_guest t g ~first =
   | Ok p ->
     set_placement t g (Some p);
     group_add t g.req.group p.Control_plane.server;
-    vf_grant t g p.Control_plane.server;
     Ok p
   | Error e -> Error e
 
@@ -288,7 +229,6 @@ let drain t ~server =
       (fun g ->
         let p = Option.get g.placement in
         group_remove t g.req.group p.Control_plane.server;
-        vf_revoke t g p.Control_plane.server;
         Control_plane.release t.cp g.req.name;
         set_placement t g None;
         (g, p.Control_plane.substrate))
@@ -374,7 +314,6 @@ let rebalance t () =
           Hashtbl.replace (Lazy.force index) donor rest;
           let p = Option.get g.placement in
           group_remove t g.req.group p.Control_plane.server;
-          vf_revoke t g p.Control_plane.server;
           Control_plane.release t.cp g.req.name;
           set_placement t g None;
           let avoid = donor :: group_hosts t g.req.group in
@@ -386,7 +325,6 @@ let rebalance t () =
           | Ok p' ->
             set_placement t g (Some p');
             group_add t g.req.group p'.Control_plane.server;
-            vf_grant t g p'.Control_plane.server;
             land_on p' g;
             Metrics.incr_opt t.metrics "cloud.sched.moves";
             moves := (g.req.name, donor, p'.Control_plane.server) :: !moves;
@@ -409,36 +347,6 @@ let lookup t name =
 
 let request_of t name =
   match Hashtbl.find_opt t.guests name with Some g -> Some g.req | None -> None
-
-let granted_datapath t name =
-  match Hashtbl.find_opt t.guests name with Some g -> g.granted | None -> None
-
-let check_vf_accounting t =
-  (* Recompute per-host VF consumption from the placed guests and
-     compare with the incremental counters. *)
-  let truth = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ g ->
-      match (g.placement, g.granted) with
-      | Some p, Some (Vf.Passthrough | Vf.Sliced) ->
-        let s = p.Control_plane.server in
-        Hashtbl.replace truth s (1 + Option.value ~default:0 (Hashtbl.find_opt truth s))
-      | Some _, (Some Vf.Vring | None) -> ()
-      | None, Some _ -> failwith "Scheduler: unplaced guest holds a VF grant"
-      | None, None -> ())
-    t.guests;
-  Control_plane.server_ids t.cp
-  |> List.iter (fun server ->
-         let counted = vf_in_use t ~server in
-         let actual = Option.value ~default:0 (Hashtbl.find_opt truth server) in
-         if counted <> actual then
-           failwith
-             (Printf.sprintf "Scheduler: host %d counts %d VFs in use, ground truth %d" server
-                counted actual);
-         if counted > t.vfs_per_host then
-           failwith
-             (Printf.sprintf "Scheduler: host %d has %d VFs in use over capacity %d" server
-                counted t.vfs_per_host))
 
 (* Every view below comes from one sort of the placed guests by name.
    Walking that order backwards and consing leaves each per-host list

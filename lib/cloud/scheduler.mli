@@ -33,10 +33,6 @@ type request = {
   mem_gb : int;  (** memory footprint — what an evacuation must move *)
   prefer : Control_plane.substrate option;
   group : string option;  (** anti-affinity group *)
-  datapath : Bm_iobond.Vf.datapath;
-      (** requested net path; non-[Vring] spends one of the host's VF
-          credits, or falls over to the shadow-vring path when the host
-          is out (see {!granted_datapath}) *)
 }
 
 val request :
@@ -46,23 +42,16 @@ val request :
   ?mem_gb:int ->
   ?prefer:Control_plane.substrate ->
   ?group:string ->
-  ?datapath:Bm_iobond.Vf.datapath ->
   unit ->
   request
-(** [mem_gb] defaults to [2 * vcpus]; [datapath] to [Vring]. *)
+(** [mem_gb] defaults to [2 * vcpus]. *)
 
 type t
 
-val create :
-  ?obs:Bm_engine.Obs.t ->
-  ?vfs_per_host:int ->
-  Control_plane.t ->
-  t
+val create : ?obs:Bm_engine.Obs.t -> Control_plane.t -> t
 (** Candidate hosts are tried first-fit in the control plane's order.
-    [vfs_per_host] (default 8) is each host's budget of
-    SR-IOV virtual functions. With [obs], the scheduler counts
-    ["cloud.sched.placed" / ".rejected" / ".evacuated" / ".stranded" /
-    ".moves" / ".vf_granted" / ".vf_fallbacks"]. *)
+    With [obs], the scheduler counts ["cloud.sched.placed" / ".rejected"
+    / ".evacuated" / ".stranded" / ".moves"]. *)
 
 val control_plane : t -> Control_plane.t
 
@@ -127,29 +116,6 @@ val rebalance : t -> unit -> (string * int * int) list
 
 val lookup : t -> string -> Control_plane.placement option
 val request_of : t -> string -> request option
-
-(** {2 Virtual-function accounting}
-
-    Virtual functions are a countable per-host resource, spent when a
-    placement lands and returned when the guest releases, drains away or
-    is rebalanced off the host. The scheduler only promises a datapath —
-    the hypervisor hands out the actual function at provisioning time. *)
-
-val vf_in_use : t -> server:int -> int
-val vf_free : t -> server:int -> int
-
-val vf_fallbacks : t -> int
-(** Placements that asked for a VF, found the host's budget spent, and
-    were granted the shadow-vring path instead. *)
-
-val granted_datapath : t -> string -> Bm_iobond.Vf.datapath option
-(** What the guest's current placement actually got ([Some Vring] after
-    a fallback); [None] while unplaced or unknown. *)
-
-val check_vf_accounting : t -> unit
-(** Recompute per-host VF consumption from the placed guests and fail
-    (with [Failure]) if it disagrees with the incremental counters or
-    exceeds any host's capacity — the QCheck-enforced invariant. *)
 
 val assignments : t -> (string * Control_plane.placement) list
 (** Every placed guest, sorted by name. *)

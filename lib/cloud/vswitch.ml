@@ -8,7 +8,6 @@ type t = {
   sim : Sim.t;
   fabric : fabric;
   cores : Cores.t;
-  egress_capacity : int;
   host : int option; (* fabric port when the network is modelled *)
   local : (int, endpoint) Hashtbl.t;
   mutable forwarded : int;
@@ -44,8 +43,10 @@ let per_packet_ns = 300.0
 (* Queueing/traversal latency of one switch hop. *)
 let hop_ns = 5_000.0
 
-let create ?(obs = Obs.none) sim ~fabric ~cores ?(egress_capacity = 256) () =
-  assert (egress_capacity > 0);
+(* Bursts one destination's egress queue holds. *)
+let egress_capacity = 256
+
+let create ?(obs = Obs.none) sim ~fabric ~cores () =
   (* With a link-level network, each vswitch claims the next topology
      port in creation order — deterministic, like endpoint addresses. *)
   let host = Option.map Bm_fabric.Fabric.attach fabric.net in
@@ -53,7 +54,6 @@ let create ?(obs = Obs.none) sim ~fabric ~cores ?(egress_capacity = 256) () =
     sim;
     fabric;
     cores;
-    egress_capacity;
     host;
     local = Hashtbl.create 16;
     forwarded = 0;
@@ -102,7 +102,7 @@ let switch_cpu t (pkt : Packet.t) k =
    one delivered to. *)
 let deliver_local t pkt =
   match Hashtbl.find_opt t.local pkt.Packet.dst with
-  | Some ep when ep.inflight >= t.egress_capacity -> note_egress_drop t pkt
+  | Some ep when ep.inflight >= egress_capacity -> note_egress_drop t pkt
   | Some ep ->
     t.forwarded <- t.forwarded + pkt.Packet.count;
     ep.inflight <- ep.inflight + 1;

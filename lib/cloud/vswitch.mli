@@ -30,7 +30,6 @@ val create :
   Bm_engine.Sim.t ->
   fabric:fabric ->
   cores:Bm_hw.Cores.t ->
-  ?egress_capacity:int ->
   unit ->
   t
 (** [create sim ~fabric ~cores ()] — [cores] are the server's service
@@ -38,9 +37,9 @@ val create :
     packet (a DPDK-class forwarding cost); one switch hop adds 5 µs of
     queueing/traversal latency, applied asynchronously so it adds
     latency, not sender backpressure.
-    Each destination has a bounded egress queue of [egress_capacity]
-    bursts (default 256): a burst arriving for a destination whose queue
-    is full is dropped at the tail and counted in {!egress_dropped}.
+    Each destination has a bounded egress queue of 256 bursts: a burst
+    arriving for a destination whose queue is full is dropped at the
+    tail and counted in {!egress_dropped}.
     With [obs], in-flight burst depth is sampled as a [queue_depth]
     counter on the ["cloud.vswitch"] track, forwarded packets feed the
     ["cloud.vswitch.pps"] meter and drops the ["cloud.vswitch.dropped"] /

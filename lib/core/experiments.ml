@@ -1167,12 +1167,13 @@ let run_evacuation _ =
 (* Sweep offered load from 0.5x to 4x of the paper's rate limits (4M PPS
    / 10 Gbit/s network, 25K IOPS / 300 MB/s storage) with an open-loop
    generator. "blocking" is the legacy admission everywhere: limiters
-   queue into token-bucket debt and the blockstore queue is effectively
-   unbounded, so overload turns into unbounded waiting. "bounded" turns
-   on the overload controls this repo adds: shedding limiters, a small
-   storage admission queue, drop-tail backlogs. The acceptance shape is
-   the hockey stick — bounded goodput stays at the ceiling with flat
-   latency while blocking latency diverges with the backlog. *)
+   queue into token-bucket debt, so overload turns into unbounded
+   waiting. "bounded" turns on the overload controls this repo adds:
+   shedding limiters and drop-tail backlogs. Either way the limiters
+   hold storage to the IOPS ceiling, so the blockstore's admission
+   queue never fills. The acceptance shape is the hockey stick —
+   bounded goodput stays at the ceiling with flat latency while
+   blocking latency diverges with the backlog. *)
 let run_overload { seed; quick; trace; metrics; faults; _ } =
   let open Bm_cloud in
   let net_duration = if quick then Simtime.ms 8.0 else Simtime.ms 60.0 in
@@ -1200,11 +1201,7 @@ let run_overload { seed; quick; trace; metrics; faults; _ } =
   let blk_run ?faults kind bounded mult =
     let policy = if bounded then Limits.Shed else Limits.Block in
     let blk_limits = Limits.cloud_blk ~policy () in
-    (* Bounded keeps the blockstore admission queue short; blocking gets
-       a queue deep enough that admission never refuses (the pre-PR
-       behaviour, where the backlog hides inside the storage service). *)
-    let storage_queue = if bounded then 64 else 1_000_000 in
-    let tb = Testbed.make ~seed ~storage_queue ?trace ?metrics ?faults () in
+    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
     let inst =
       match kind with
       | `Bm -> snd (Testbed.bm_guest ~blk_limits tb)

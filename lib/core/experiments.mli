@@ -25,8 +25,9 @@ type ctx = {
           experiment builds. Recording is pure observation: results are
           bit-identical with and without sinks attached. *)
   faults : Bm_engine.Fault.plan option;
-      (** armed in those testbeds; experiments that model no failure
-          semantics ignore it *)
+      (** armed in the testbeds of [availability], [overload] (its soak
+          rows), [vf_scale], [vf_reassign] and [vf_ablation]; the others
+          ignore it *)
   topo : Bm_fabric.Topology.t option;
       (** fabric topology of the cross-host ([xhost_*]) and fleet
           experiments; single-server experiments ignore it *)

@@ -516,7 +516,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
      pre-copy stream. *)
   let evacuated_guests = ref 0 and evac_bytes = ref 0 in
   let stream_from ~src moves =
-    let chunk = fleet.Fleet.Live.chunk_mb * 1024 * 1024 in
+    let chunk = Fleet.Live.chunk_mb * 1024 * 1024 in
     let work = Queue.create () in
     List.iter
       (fun (dst, bytes) ->

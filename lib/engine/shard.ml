@@ -251,8 +251,7 @@ let exchange (t : t) =
         Sim.schedule_at dst ~time:(Float.max m.arrival (Sim.now dst)) m.fn)
       batch
 
-let run ?(domains = 1) ?until (t : t) =
-  let horizon = match until with Some u -> u | None -> infinity in
+let run ?(domains = 1) (t : t) =
   let domains = max 1 (min domains (Array.length t.shards)) in
   let pool = if domains > 1 then Some (pool_make ~workers:(domains - 1)) else None in
   let each work = parallel_each pool t.shards work in
@@ -261,7 +260,7 @@ let run ?(domains = 1) ?until (t : t) =
     (fun () ->
       let rec round () =
         let t_min = next_event_time t in
-        if t_min < infinity && t_min <= horizon then begin
+        if t_min < infinity then begin
           let la = min_lookahead t in
           t.last_lookahead_ns <- la;
           t.rounds <- t.rounds + 1;
@@ -272,34 +271,19 @@ let run ?(domains = 1) ?until (t : t) =
             let w = t_min +. la in
             let w = if w > t_min then w else Float.succ t_min in
             t.min_window_ns <- Float.min t.min_window_ns la;
-            if w <= horizon then
-              (* Interior window: strictly-before-[w] semantics, clock parked
-                 at the boundary where the next batch of arrivals lands. *)
-              each (fun s -> Sim.run_window s.sim ~until:w)
-            else
-              (* Final window: w overshoots the horizon, so no message sent
-                 here can arrive at or before it — running inclusively to the
-                 horizon is safe and matches [Sim.run ~until]. *)
-              each (fun s -> Sim.run ~until:horizon s.sim)
+            (* Strictly-before-[w] semantics, clock parked at the boundary
+               where the next batch of arrivals lands. *)
+            each (fun s -> Sim.run_window s.sim ~until:w)
           end
           else
             (* No conduits (or all-infinite lookahead): the shards are fully
-               independent; exhaust them (capped at the horizon if any). *)
-            each (fun s ->
-                match until with
-                | Some u -> Sim.run ~until:u s.sim
-                | None -> Sim.run s.sim);
+               independent; exhaust them. *)
+            each (fun s -> Sim.run s.sim);
           exchange t;
           round ()
         end
       in
-      round ();
-      (* Mirror [Sim.run ~until]: park every clock at the horizon. Nothing
-         runs — the loop only exits once every pending event is past it. *)
-      match until with
-      | Some u ->
-        Array.iter (fun s -> if Sim.now s.sim < u then Sim.run ~until:u s.sim) t.shards
-      | None -> ())
+      round ())
 
 let stats (t : t) =
   {

@@ -55,16 +55,11 @@ val send : t -> conduit -> delay:float -> (unit -> unit) -> unit
     the conservative bound). The message buffers in the source shard's
     outbox and is injected at the next barrier. *)
 
-val run : ?domains:int -> ?until:float -> t -> unit
+val run : ?domains:int -> t -> unit
 (** Run rounds of window-compute / parallel-execute / barrier-merge
-    until every agenda drains or all pending events lie past [until]
-    (absolute ns, inclusive — matching [Sim.run ~until], after which
-    every shard clock is parked at [until]). [domains] (default 1, i.e.
-    sequential) caps the OCaml domains used per window; output is
-    byte-identical regardless of its value. *)
-
-val next_event_time : t -> float
-(** Earliest pending event across all shards ([infinity] if drained). *)
+    until every agenda drains. [domains] (default 1, i.e. sequential)
+    caps the OCaml domains used per window; output is byte-identical
+    regardless of its value. *)
 
 type stats = {
   shards : int;

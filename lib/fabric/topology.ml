@@ -29,9 +29,7 @@ let clos ~hosts ~tors ~spines ?(host_gbit_s = 100.0) ?(spine_gbit_s = 100.0)
   check_link_params "spine link" spine_link;
   { hosts; tors; spines; host_link; spine_link }
 
-let two_host ?(latency_ns = 1_000.0) ?(queue_capacity = 64) () =
-  clos ~hosts:2 ~tors:1 ~spines:0 ~host_latency_ns:latency_ns ~spine_latency_ns:latency_ns
-    ~queue_capacity ()
+let two_host () = clos ~hosts:2 ~tors:1 ~spines:0 ~spine_latency_ns:1_000.0 ()
 
 let hosts_per_tor = 32
 

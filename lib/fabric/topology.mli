@@ -39,10 +39,10 @@ val clos :
     a single ToR). Shrink [spine_gbit_s] below the sum of host offered
     load to model an oversubscribed spine. *)
 
-val two_host : ?latency_ns:float -> ?queue_capacity:int -> unit -> t
+val two_host : unit -> t
 (** The minimal form: two hosts under one ToR, no spine — the smallest
-    topology on which traffic crosses a wire. Links run at the {!clos}
-    default rate. *)
+    topology on which traffic crosses a wire. Host links take the
+    {!clos} defaults; the unused spine link parameters match them. *)
 
 val for_hosts : hosts:int -> unit -> t
 (** Auto-size a Clos for a fleet of [hosts] hosts: racks of up to 32

@@ -61,7 +61,7 @@ val provision :
     [datapath] (default [Vring]) selects the guest's net path:
     [Passthrough] assigns a whole SR-IOV device exclusively,
     [Sliced] attaches one virtual function of the server's shared pool
-    (weighted DMA arbitration, bounded per-VF rings). Both deliver
+    (an equal share of the DMA rate, bounded per-VF rings). Both deliver
     completions directly into the guest at device latency, skipping
     the bm-hypervisor poll loop; block I/O stays on the shadow-vring
     path either way. When the pool is exhausted, [Sliced] falls back

@@ -97,22 +97,10 @@ module Live = struct
     hosts : int;
     guests : int;
     tenants : int;
-    bm_fraction : float;
     host_ceiling : float;
-    chunk_mb : int;
-    mem_per_vcpu_gb : int;
   }
 
-  let default_config =
-    {
-      hosts = 280;
-      guests = 12_000;
-      tenants = 40;
-      bm_fraction = 0.15;
-      host_ceiling = 0.9;
-      chunk_mb = 4;
-      mem_per_vcpu_gb = 2;
-    }
+  let default_config = { hosts = 280; guests = 12_000; tenants = 40; host_ceiling = 0.9 }
 
   let quick_config = { default_config with hosts = 60; guests = 1_500; tenants = 12 }
 
@@ -172,11 +160,18 @@ module Live = struct
 
   let pad_width n = String.length (string_of_int (max 1 (n - 1)))
 
+  (* The fleet's shape: the fraction of hosts that are BM-Hive bases,
+     the evacuation burst size and a guest's memory footprint per
+     vCPU. *)
+  let bm_fraction = 0.15
+  let chunk_mb = 4
+  let mem_per_vcpu_gb = 2
+
   (* Bresenham spread: host i is a BM-Hive base iff the running count
      of bases crosses an integer at i — evenly interleaved, no RNG. *)
-  let is_bm_host cfg i =
-    let f = cfg.bm_fraction in
-    int_of_float (f *. float_of_int (i + 1)) > int_of_float (f *. float_of_int i)
+  let is_bm_host i =
+    int_of_float (bm_fraction *. float_of_int (i + 1))
+    > int_of_float (bm_fraction *. float_of_int i)
 
   let build ?trace ?metrics ?topo ~seed cfg =
     if cfg.hosts < 2 then invalid_arg "Fleet.Live.build: hosts must be >= 2";
@@ -201,7 +196,7 @@ module Live = struct
       let port = Fabric.attach fabric in
       let id =
         Cp.add_server ~ceiling:cfg.host_ceiling cp
-          (if is_bm_host cfg i then Cp.Bm_server { boards = 16; board_threads = 8 }
+          (if is_bm_host i then Cp.Bm_server { boards = 16; board_threads = 8 }
            else Cp.Vm_server { sellable_threads = 88 })
       in
       assert (port = i && id = i)
@@ -235,7 +230,7 @@ module Live = struct
           let group = if i mod 25 < 3 then Some (Printf.sprintf "aa%0*d" gwidth (i / 25)) else None in
           let vcpus = vcpus_of cls in
           Scheduler.request ~name ~tenant:(tenant_name (i mod cfg.tenants)) ~vcpus
-            ~mem_gb:(cfg.mem_per_vcpu_gb * vcpus) ~prefer ?group ())
+            ~mem_gb:(mem_per_vcpu_gb * vcpus) ~prefer ?group ())
     in
     let t =
       {
@@ -417,7 +412,7 @@ module Live = struct
      bursts) never overflows: mass evacuation is drop-free by
      construction, as pre-copy migration must be. *)
   let stream t ~src ~moves =
-    let chunk = t.config.chunk_mb * 1024 * 1024 in
+    let chunk = chunk_mb * 1024 * 1024 in
     let work = Queue.create () in
     List.iter
       (fun (dst, bytes) ->

@@ -63,10 +63,7 @@ module Live : sig
     hosts : int;  (** fabric-attached servers *)
     guests : int;  (** instances requested at build time *)
     tenants : int;  (** owners; guests assigned round-robin *)
-    bm_fraction : float;  (** fraction of hosts that are BM-Hive bases *)
-    host_ceiling : float;  (** per-host sellable fraction (PR-3 ceiling) *)
-    chunk_mb : int;  (** evacuation burst size *)
-    mem_per_vcpu_gb : int;  (** guest memory footprint per vCPU *)
+    host_ceiling : float;  (** per-host sellable fraction: the utilization admission ceiling *)
   }
 
   val default_config : config
@@ -77,6 +74,9 @@ module Live : sig
 
   val quick_config : config
   (** 60 hosts / 1,500 guests / 12 tenants — same proportions, CI-sized. *)
+
+  val chunk_mb : int
+  (** Evacuation burst size: 4 MB. *)
 
   type t
 

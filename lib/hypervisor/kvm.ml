@@ -89,13 +89,11 @@ let vswitch host = Backend.vswitch host.backend
 type vm_config = {
   name : string;
   vcpus : int;
-  mem_gb : int;
   pinning : Preempt.mode;
   host_load : float;
   net_limits : Limits.net;
   blk_limits : Limits.blk;
   nested : bool;
-  halt_polling : bool;
   datapath : Vf.datapath;
 }
 
@@ -103,13 +101,11 @@ let default_config ~name =
   {
     name;
     vcpus = 32;
-    mem_gb = 64;
     pinning = Preempt.Exclusive;
     host_load = 0.5;
     net_limits = Limits.cloud_net ();
     blk_limits = Limits.cloud_blk ();
     nested = false;
-    halt_polling = true;
     datapath = Vf.Vring;
   }
 
@@ -143,28 +139,17 @@ let create_vm host config =
   let cpu_factor =
     (1.0 +. p.cpu_overhead) *. if config.nested then 1.0 /. Nested.cpu_efficiency else 1.0
   in
-  (* Without halt polling, an idle vCPU has HLT-exited and been scheduled
-     out: waking it for an injected interrupt costs a host scheduling
-     round trip on top of the injection (the KVM halt_polling feature the
-     paper's related work cites exists to avoid exactly this). *)
-  let wake_ns () =
-    if config.halt_polling then 0.0
-    else begin
-      Vmexit.record exits Vmexit.Hlt;
-      25_000.0
-    end
-  in
   (* One injected interrupt costs the guest an exit/entry pair plus the
-     kernel ISR. A kick is a doorbell into shared memory: no exit, no
+     kernel ISR; KVM's halt polling (on, as deployed) catches the wake
+     before an idle vCPU is scheduled out, so no host scheduling round
+     trip is added. A kick is a doorbell into shared memory: no exit, no
      stall. *)
   let g =
     Backend.guest host.backend ~name:config.name ~net ~blk:blkdev ~cores:guest_cores ~os
       ~io_factor ~doorbell_ns:0.0
       ~irq:(fun k ->
         Vmexit.record exits Vmexit.Interrupt_window;
-        Sim.schedule sim
-          ~delay:(wake_ns () +. ((p.injection_ns +. os.Guest_os.irq_entry_ns) *. io_factor))
-          k)
+        Sim.schedule sim ~delay:((p.injection_ns +. os.Guest_os.irq_entry_ns) *. io_factor) k)
       ~net_limits:config.net_limits ~blk_limits:config.blk_limits ~refilled:ignore
   in
   let vhost_ns pkt k =

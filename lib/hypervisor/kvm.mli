@@ -36,16 +36,11 @@ val create_host :
 type vm_config = {
   name : string;
   vcpus : int;
-  mem_gb : int;
   pinning : Preempt.mode;
   host_load : float;  (** busyness of the host's service cores *)
   net_limits : Bm_cloud.Limits.net;
   blk_limits : Bm_cloud.Limits.blk;
   nested : bool;  (** run the user's own hypervisor inside (§2.3) *)
-  halt_polling : bool;
-      (** KVM's halt-polling (on by default, as deployed): polls for wake
-          conditions before descheduling an idle vCPU, avoiding a host
-          scheduling round trip on every interrupt delivery (§5) *)
   datapath : Bm_iobond.Vf.datapath;
       (** net path: [Vring] (default) is virtio/vhost; [Passthrough]
           pins a whole SR-IOV device (VFIO), [Sliced] one VF of the
@@ -56,7 +51,7 @@ type vm_config = {
 }
 
 val default_config : name:string -> vm_config
-(** 32 vCPUs, 64 GB, exclusive pinning, cloud-standard limits. *)
+(** 32 vCPUs, exclusive pinning, cloud-standard limits. *)
 
 val create_vm : host -> vm_config -> Bm_guest.Instance.t
 (** Provision a vm-guest: builds its vCPU pool, virtio devices, vhost

@@ -5,7 +5,6 @@ open Bm_virtio
 type flow = { f_src : int; f_dst : int; f_proto : int } [@@warning "-69"]
 
 type t = {
-  cap : int;
   table : (flow, unit) Hashtbl.t;
   order : flow Queue.t; (* installation order, for eviction *)
   mutable hits : int;
@@ -15,10 +14,11 @@ type t = {
 
 let fpga_forward_ns = 120.0
 
-let create ?(capacity = 2048) () =
-  assert (capacity > 0);
+(* Flow-table entries: FPGA TCAM-sized. *)
+let capacity = 2048
+
+let create () =
   {
-    cap = capacity;
     table = Hashtbl.create capacity;
     order = Queue.create ();
     hits = 0;
@@ -44,7 +44,7 @@ let classify t pkt =
   end
 
 let rec evict_to_fit t =
-  if Hashtbl.length t.table >= t.cap then begin
+  if Hashtbl.length t.table >= capacity then begin
     match Queue.take_opt t.order with
     | Some victim ->
       if Hashtbl.mem t.table victim then begin

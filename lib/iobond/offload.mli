@@ -10,10 +10,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] flow-table entries (default 2048 — FPGA TCAM-sized).
-    Installation beyond capacity evicts the least recently installed
-    rule. *)
+val create : unit -> t
+(** A flow table of 2048 entries (FPGA TCAM-sized). Installation beyond
+    capacity evicts the least recently installed rule. *)
 
 val occupancy : t -> int
 

@@ -96,10 +96,7 @@ and forward t chain =
       let out = List.map snd chain.Vring.out in
       let in_ = List.map snd chain.Vring.in_ in
       let add k =
-        match
-          Vring.add t.shadow ~indirect:chain.Vring.indirect ~out ~in_
-            (chain.Vring.head, chain.Vring.payload)
-        with
+        match Vring.add t.shadow ~out ~in_ (chain.Vring.head, chain.Vring.payload) with
         | Some _ -> k (Ok ())
         | None -> k (Error (t.name ^ ": shadow ring full"))
       in

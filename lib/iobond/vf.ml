@@ -48,7 +48,6 @@ type vf = {
   dev : dev;
   mutable vstate : state;
   mutable vowner : string option;
-  mutable vweight : float;
   rings : desc Sim.Bounded.bounded array; (* descriptor ring per queue *)
   cq : desc Sim.Bounded.bounded; (* completion ring, Block: no loss *)
   next_seq : int array;
@@ -68,7 +67,7 @@ and dev = {
   total_gbit_s : float;
   setup_ns : float;
   mutable functions : vf array;
-  mutable active_weight : float; (* Σ weights of VFs currently streaming *)
+  mutable active : int; (* VFs currently streaming *)
   mutable reassignments : int;
   mutable blackouts_rev : float list;
   guard : Fault.Guard.g;
@@ -89,12 +88,12 @@ let per_vf_metric vf_id ~queue what =
   "iobond.vf." ^ Profile.vf_label vf_id ^ "." ^ Profile.queue_label queue ^ "." ^ what
 
 (* The device engine for one (VF, queue): pop a descriptor, wait out
-   any stall window, then stream the bytes at this VF's arbitrated
-   share of the device bandwidth. Transfers of one VF are serialized
-   through its slice, so a VF contributes its weight to the active sum
-   at most once; the share is fixed at transfer start (a deterministic
-   GPS approximation — concurrent transfers started earlier keep the
-   rate they were granted). A callback chain parked on its ring. *)
+   any stall window, then stream the bytes at this VF's equal share of
+   the device bandwidth. Transfers of one VF are serialized through its
+   slice, so a VF counts among the streaming ones at most once; the
+   share is fixed at transfer start (a deterministic GPS approximation
+   — concurrent transfers started earlier keep the rate they were
+   granted). A callback chain parked on its ring. *)
 let rec engine_loop d vf ring =
   Sim.Bounded.recv_callback d.sim ring (fun desc ->
       if Fault.is_active d.fault Fault.Vf_stall then begin
@@ -107,10 +106,10 @@ and transfer d vf ring desc =
   Sim.schedule d.sim ~delay:d.setup_ns (fun () ->
       Sim.Resource.acquire_callback d.sim vf.slice (fun () ->
           vf.streaming <- 1;
-          d.active_weight <- d.active_weight +. vf.vweight;
-          let rate = d.total_gbit_s *. vf.vweight /. d.active_weight in
+          d.active <- d.active + 1;
+          let rate = d.total_gbit_s /. float_of_int d.active in
           Sim.schedule d.sim ~delay:(float_of_int desc.d_bytes *. 8.0 /. rate) (fun () ->
-              d.active_weight <- d.active_weight -. vf.vweight;
+              d.active <- d.active - 1;
               vf.streaming <- 0;
               Sim.Resource.release vf.slice;
               Pcie.account d.link ~bytes_:desc.d_bytes;
@@ -158,7 +157,7 @@ let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?(vfs = 8
       total_gbit_s = Profile.dma_gbit_s profile;
       setup_ns = Profile.dma_setup_ns profile;
       functions = [||];
-      active_weight = 0.0;
+      active = 0;
       reassignments = 0;
       blackouts_rev = [];
       guard =
@@ -181,7 +180,6 @@ let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?(vfs = 8
           dev = d;
           vstate = Free;
           vowner = None;
-          vweight = 1.0;
           rings =
             Array.init queues_per_vf (fun _ ->
                 Sim.Bounded.create ~capacity:ring_depth ~policy:Sim.Bounded.Reject ());
@@ -216,14 +214,12 @@ let in_flight vf = vf.accepted - vf.delivered
 let reassignments d = d.reassignments
 let blackouts d = List.rev d.blackouts_rev
 
-let attach d ~owner ?(weight = 1.0) () =
-  if weight <= 0.0 then invalid_arg "Vf.attach: weight must be positive";
+let attach d ~owner () =
   match Array.find_opt (fun vf -> vf.vstate = Free) d.functions with
   | None -> Error "no free virtual function"
   | Some vf ->
     vf.vstate <- Attached;
     vf.vowner <- Some owner;
-    vf.vweight <- weight;
     Metrics.incr_opt (Obs.metrics d.obs) (metric d "attach");
     Trace.instant_opt (Obs.trace d.obs) ~track:"iobond.vf"
       ("attach.vf" ^ string_of_int vf.vf_id)

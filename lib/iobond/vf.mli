@@ -5,7 +5,7 @@
     discussion asks what that mediation costs against direct device
     assignment. This module supplies the comparison point: a physical
     function ({!dev}) exposes [N] virtual functions, each with its own
-    queue pair, a weighted share of the device's DMA bandwidth, and a
+    queue pair, an equal share of the device's DMA bandwidth, and a
     bounded completion ring. Completions are delivered straight into
     the guest's handler at device latency — no poll loop, no shadow
     mirror — which is the passthrough datapath of the [vf_ablation]
@@ -81,17 +81,16 @@ val create_device :
     each (default 2), 256-entry descriptor rings and 256-entry
     completion rings ([Block] policy — a slow consumer backpressures
     the device instead of losing completions). The profile's DMA rate
-    is shared by weighted arbitration. Creation starts the per-queue
-    device engines and the completion dispatcher, callback chains that
-    park on their empty rings, so an unused device adds no events to
-    the agenda after the first instant. *)
+    is shared equally among the VFs streaming. Creation starts the
+    per-queue device engines and the completion dispatcher, callback
+    chains that park on their empty rings, so an unused device adds no
+    events to the agenda after the first instant. *)
 
 val free_vfs : dev -> int
 
-val attach : dev -> owner:string -> ?weight:float -> unit -> (vf, string) result
-(** Claim the lowest-indexed free VF for [owner] with the given
-    arbitration [weight] (default 1.0, must be positive). Fails when
-    every VF is attached. *)
+val attach : dev -> owner:string -> unit -> (vf, string) result
+(** Claim the lowest-indexed free VF for [owner]. Fails when every VF
+    is attached. *)
 
 val reassign : vf -> owner:string -> (float, string) result
 (** SVFF-style hot-reassignment: reject new submissions, drain
@@ -116,11 +115,10 @@ val submit :
     (draining or reassigning — the blackout is visible, not
     silent) or the descriptor ring is full. The device engine later
     charges the DMA setup cost, streams the bytes at this VF's current
-    arbitrated share ([gbit_s × weight / Σ active weights], fixed at
-    transfer start), and delivers the completion by calling [deliver]
-    from scheduler context at device latency. [deliver] must not
-    block; guest-side costs (IRQ entry, stack) belong to the
-    callback's own accounting. A [Vf_stall] fault window parks the
+    share ([gbit_s / VFs streaming], fixed at transfer start), and
+    delivers the completion by calling [deliver] from scheduler context
+    at device latency. [deliver] must not block; guest-side costs (IRQ
+    entry, stack) belong to the callback's own accounting. A [Vf_stall] fault window parks the
     engine, not the submitter. *)
 
 (** {2 Accounting} *)

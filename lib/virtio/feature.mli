@@ -7,17 +7,17 @@
 type t = int
 (** A feature bit set. *)
 
-val indirect_desc : t
-(** VIRTIO_F_RING_INDIRECT_DESC: chained requests may live in an indirect
-    table, consuming a single ring slot. *)
-
 val mrg_rxbuf : t
 (** VIRTIO_NET_F_MRG_RXBUF: merged receive buffers. *)
 
 val default_net : t
-(** Features offered by the virtio-net devices in this repository. *)
+(** Features offered by the virtio-net devices in this repository:
+    VIRTIO_F_VERSION_1, merged receive buffers and checksum offload.
+    The rings implement neither indirect descriptors nor EVENT_IDX
+    suppression, so neither is offered. *)
 
 val default_blk : t
+(** Features offered by the virtio-blk devices: VIRTIO_F_VERSION_1. *)
 
 val contains : t -> t -> bool
 (** [contains set bits] is true when every bit of [bits] is in [set]. *)

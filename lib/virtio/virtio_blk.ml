@@ -24,7 +24,10 @@ type t = {
   obs : Obs.t;
 }
 
-let create ?(obs = Obs.none) ?(queue_size = 128) ~on_access () =
+(* virtio-blk's classic queue depth. *)
+let queue_size = 128
+
+let create ?(obs = Obs.none) ~on_access () =
   let ring = Vring.create ~size:queue_size in
   Vring.set_obs ring ~track:"virtio.blk" obs;
   {

@@ -22,8 +22,8 @@ type req = {
 
 type t
 
-val create : ?obs:Bm_engine.Obs.t -> ?queue_size:int -> on_access:(unit -> unit) -> unit -> t
-(** [queue_size] defaults to 128, virtio-blk's classic depth. With
+val create : ?obs:Bm_engine.Obs.t -> on_access:(unit -> unit) -> unit -> t
+(** A device with one 128-entry queue, virtio-blk's classic depth. With
     [obs], the ring traces on ["virtio.blk"] and submissions/reaps are
     counted and metered. *)
 

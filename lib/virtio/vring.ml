@@ -5,7 +5,6 @@ let wrap16 = 0xFFFF
 (* Descriptor flags from the virtio spec. *)
 let f_next = 0x1
 let f_write = 0x2
-let f_indirect = 0x4
 
 (* A descriptor's buffer address and length live in its chain's
    segments (the slot's [chain_out]/[chain_in]); the table keeps only
@@ -16,16 +15,14 @@ type 'a chain = {
   head : int;
   out : (int * int) list;
   in_ : (int * int) list;
-  indirect : bool;
   payload : 'a;
 }
 
 type 'a slot = {
   mutable chain_out : (int * int) list;
   mutable chain_in : (int * int) list;
-  mutable chain_indirect : bool;
   mutable chain_payload : 'a option;
-  mutable ndesc : int; (* table descriptors consumed (1 if indirect) *)
+  mutable ndesc : int; (* table descriptors consumed *)
 }
 
 type 'a t = {
@@ -54,7 +51,7 @@ let create ~size =
   let desc = Array.init size (fun i -> { flags = 0; next = i + 1 }) in
   let slots =
     Array.init size (fun _ ->
-        { chain_out = []; chain_in = []; chain_indirect = false; chain_payload = None; ndesc = 0 })
+        { chain_out = []; chain_in = []; chain_payload = None; ndesc = 0 })
   in
   {
     size;
@@ -119,40 +116,31 @@ let free_descs t head n =
   t.free_head <- head;
   t.num_free <- t.num_free + n
 
-let add t ?(indirect = false) ~out ~in_ payload =
+let add t ~out ~in_ payload =
   let nsegs = List.length out + List.length in_ in
   if nsegs = 0 then invalid_arg "Vring.add: at least one segment required";
   List.iter (fun l -> if l < 0 then invalid_arg "Vring.add: negative segment") (out @ in_);
-  let needed = if indirect then 1 else nsegs in
-  if needed > t.num_free || avail_pending t >= t.size then None
+  if nsegs > t.num_free || avail_pending t >= t.size then None
   else begin
-    let head = alloc_descs t needed in
+    let head = alloc_descs t nsegs in
     let out_segs = List.map (fun len -> (alloc_addr t len, len)) out in
     let in_segs = List.map (fun len -> (alloc_addr t len, len)) in_ in
-    if indirect then begin
-      t.desc.(head).flags <- f_indirect;
-      (* The indirect table takes a buffer of its own. *)
-      ignore (alloc_addr t (nsegs * 16) : int)
-    end
-    else begin
-      (* Flag each table descriptor of the chain in order: driver->device
-         segments first, then the device-writable ones. *)
-      let rec fill cur write n =
-        if n > 0 then begin
-          let d = t.desc.(cur) in
-          d.flags <- (d.flags land f_next) lor (if write then f_write else 0);
-          fill d.next write (n - 1)
-        end
-        else cur
-      in
-      ignore (fill (fill head false (List.length out)) true (List.length in_) : int)
-    end;
+    (* Flag each table descriptor of the chain in order: driver->device
+       segments first, then the device-writable ones. *)
+    let rec fill cur write n =
+      if n > 0 then begin
+        let d = t.desc.(cur) in
+        d.flags <- (d.flags land f_next) lor (if write then f_write else 0);
+        fill d.next write (n - 1)
+      end
+      else cur
+    in
+    ignore (fill (fill head false (List.length out)) true (List.length in_) : int);
     let slot = t.slots.(head) in
     slot.chain_out <- out_segs;
     slot.chain_in <- in_segs;
-    slot.chain_indirect <- indirect;
     slot.chain_payload <- Some payload;
-    slot.ndesc <- needed;
+    slot.ndesc <- nsegs;
     t.avail.(t.avail_idx land (t.size - 1)) <- head;
     t.avail_idx <- (t.avail_idx + 1) land wrap16;
     t.requests <- t.requests + 1;
@@ -166,7 +154,7 @@ let chain_of_head t head =
   match slot.chain_payload with
   | None -> invalid_arg "Vring: no outstanding request at this head"
   | Some payload ->
-    { head; out = slot.chain_out; in_ = slot.chain_in; indirect = slot.chain_indirect; payload }
+    { head; out = slot.chain_out; in_ = slot.chain_in; payload }
 
 let peek_avail t =
   if avail_pending t = 0 then None

@@ -21,7 +21,6 @@ type 'a chain = {
   head : int;  (** head descriptor index, the ring's token for the request *)
   out : (int * int) list;  (** driver→device segments as (addr, len) *)
   in_ : (int * int) list;  (** device→driver segments as (addr, len) *)
-  indirect : bool;
   payload : 'a;
 }
 
@@ -43,12 +42,12 @@ val in_flight_requests : 'a t -> int
 
 (** {2 Driver side} *)
 
-val add : 'a t -> ?indirect:bool -> out:int list -> in_:int list -> 'a -> int option
+val add : 'a t -> out:int list -> in_:int list -> 'a -> int option
 (** [add t ~out ~in_ payload] queues a request whose driver→device
     segments have the byte lengths [out] and device→driver segments
-    [in_]. Uses one descriptor per segment, or a single slot when
-    [indirect] (default false). Returns the head index, or [None] when
-    the table cannot hold the chain. At least one segment is required. *)
+    [in_], one descriptor per segment. Returns the head index, or
+    [None] when the table cannot hold the chain. At least one segment
+    is required. *)
 
 val pop_used : 'a t -> ('a * int) option
 (** Driver-side completion reaping: returns [(payload, written)] for the

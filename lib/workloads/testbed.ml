@@ -13,8 +13,8 @@ type t = {
   fault : Fault.t;
 }
 
-let make ?(seed = 2020) ?(storage_kind = Blockstore.Cloud_ssd) ?storage_queue ?trace ?metrics
-    ?faults ?topology () =
+let make ?(seed = 2020) ?(storage_kind = Blockstore.Cloud_ssd) ?trace ?metrics ?faults ?topology
+    () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed in
   let obs = Obs.of_sim ?trace ?metrics sim in
@@ -28,10 +28,7 @@ let make ?(seed = 2020) ?(storage_kind = Blockstore.Cloud_ssd) ?storage_queue ?t
       topology
   in
   let fabric = Vswitch.create_fabric ?net () in
-  let storage =
-    Blockstore.create ~obs sim (Rng.split rng) ~kind:storage_kind
-      ?queue_capacity:storage_queue ()
-  in
+  let storage = Blockstore.create ~obs sim (Rng.split rng) ~kind:storage_kind () in
   let fault =
     match faults with
     | None -> Fault.none

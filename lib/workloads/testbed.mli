@@ -19,7 +19,6 @@ type t = {
 val make :
   ?seed:int ->
   ?storage_kind:Bm_cloud.Blockstore.kind ->
-  ?storage_queue:int ->
   ?trace:Bm_engine.Trace.t ->
   ?metrics:Bm_engine.Metrics.t ->
   ?faults:Bm_engine.Fault.plan ->
@@ -31,8 +30,7 @@ val make :
     both keeps the datapath sink-free (zero recording cost). [faults]
     builds and arms a fault injector from the plan, threaded the same
     way; omitting it leaves the null injector, whose runs are
-    bit-identical to a fault-free build. [storage_queue] overrides the
-    blockstore's admission-queue capacity (for overload experiments).
+    bit-identical to a fault-free build.
     [topology] instantiates a link-level {!Bm_fabric.Fabric} (seeded
     independently of the main RNG chain, so no-topology runs are
     untouched) and routes cross-server traffic over it; each server

@@ -286,17 +286,17 @@ let test_overload_net_hockey_stick () =
     (blocking.Overload.p99_us > 4.0 *. bounded.Overload.p99_us);
   check_bool "blocking falls behind schedule" true (blocking.Overload.max_lag_ms > 1.0)
 
-let overload_blk ~policy ~storage_queue =
+let overload_blk ~policy =
   let open Bm_cloud in
-  let tb = Bm_workload.Testbed.make ~seed:2020 ~storage_queue () in
+  let tb = Bm_workload.Testbed.make ~seed:2020 () in
   let blk_limits = Limits.cloud_blk ~policy () in
   let _, inst = Bm_workload.Testbed.bm_guest ~blk_limits tb in
   Bm_workload.Overload.blk_flood tb.Bm_workload.Testbed.sim ~inst ~offered_iops:100e3
     ~duration:(Bm_engine.Simtime.ms 40.0) ()
 
 let test_overload_blk_hockey_stick () =
-  let bounded = overload_blk ~policy:Bm_cloud.Limits.Shed ~storage_queue:64 in
-  let blocking = overload_blk ~policy:Bm_cloud.Limits.Block ~storage_queue:1_000_000 in
+  let bounded = overload_blk ~policy:Bm_cloud.Limits.Shed in
+  let blocking = overload_blk ~policy:Bm_cloud.Limits.Block in
   let open Bm_workload in
   check_bool "bounded goodput near ceiling" true
     (bounded.Overload.goodput_iops >= 25e3 *. 0.9 && bounded.Overload.goodput_iops <= 25e3 *. 1.35);

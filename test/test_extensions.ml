@@ -234,15 +234,18 @@ let test_offload_classify_install () =
   check_int "install idempotent" 1 (Bm_iobond.Offload.occupancy ot)
 
 let test_offload_eviction () =
-  let ot = Bm_iobond.Offload.create ~capacity:4 () in
-  for i = 0 to 9 do
+  let ot = Bm_iobond.Offload.create () in
+  (* One flow more than the 2,048-entry table holds. *)
+  for i = 0 to 2048 do
     Bm_iobond.Offload.install ot (mk ~src:i ~dst:100 i)
   done;
-  check_bool "bounded occupancy" true (Bm_iobond.Offload.occupancy ot <= 4);
-  check_bool "evictions counted" true (Bm_iobond.Offload.evictions ot >= 6);
+  check_int "bounded occupancy" 2048 (Bm_iobond.Offload.occupancy ot);
+  check_int "evictions counted" 1 (Bm_iobond.Offload.evictions ot);
   (* The most recently installed flows survive. *)
   check_bool "newest survives" true
-    (Bm_iobond.Offload.classify ot (mk ~src:9 ~dst:100 99) = `Offloaded);
+    (Bm_iobond.Offload.classify ot (mk ~src:2048 ~dst:100 99) = `Offloaded);
+  check_bool "second oldest survives" true
+    (Bm_iobond.Offload.classify ot (mk ~src:1 ~dst:100 97) = `Offloaded);
   check_bool "oldest evicted" true
     (Bm_iobond.Offload.classify ot (mk ~src:0 ~dst:100 98) = `Slow_path)
 

@@ -134,7 +134,7 @@ let test_ecmp_stable_and_spread () =
 
 let test_drop_tail_accounting () =
   let sim = Sim.create () in
-  let topo = Topology.two_host ~queue_capacity:2 () in
+  let topo = Topology.clos ~hosts:2 ~tors:1 ~spines:0 ~queue_capacity:2 () in
   let fab = Fabric.create sim (Rng.create ~seed:5) topo in
   let delivered = ref 0 and dropped = ref 0 in
   Sim.spawn sim (fun () ->
@@ -155,7 +155,10 @@ let test_drop_tail_accounting () =
    arrive, and the queue's ring and callback slot as they are taken. *)
 let test_links_release_bursts () =
   let sim = Sim.create () in
-  let fab = Fabric.create sim (Rng.create ~seed:9) (Topology.two_host ~latency_ns:5_000.0 ()) in
+  let fab =
+    Fabric.create sim (Rng.create ~seed:9)
+      (Topology.clos ~hosts:2 ~tors:1 ~spines:0 ~host_latency_ns:5_000.0 ())
+  in
   let n = 16 in
   let weak = Weak.create n in
   let delivered = ref 0 and in_flight_at_once = ref 0 in
@@ -182,7 +185,8 @@ let test_fabric_metrics_and_trace () =
   let trace = Trace.create () in
   let obs = Obs.of_sim ~trace ~metrics sim in
   let fab =
-    Fabric.create ~obs sim (Rng.create ~seed:5) (Topology.two_host ~queue_capacity:2 ())
+    Fabric.create ~obs sim (Rng.create ~seed:5)
+      (Topology.clos ~hosts:2 ~tors:1 ~spines:0 ~queue_capacity:2 ())
   in
   Sim.spawn sim (fun () ->
       for i = 1 to 50 do

@@ -593,30 +593,11 @@ let test_lhp_vm_worse_than_bm () =
   Alcotest.(check bool) "vm worst wait >= 3x bm (a steal slice)" true
     (vm.Spinlock.worst_wait_ns > 3.0 *. bm.Spinlock.worst_wait_ns)
 
-let test_halt_polling_latency () =
-  (* Without halt polling, interrupt delivery pays a wakeup scheduling
-     round trip: storage latency visibly rises. *)
-  let lat halt_polling =
-    let w = make_world ~seed:52 () in
-    let host = Kvm.create_host w.sim w.rng ~fabric:w.fabric ~storage:w.storage () in
-    let vm = Kvm.create_vm host { (Kvm.default_config ~name:"vm") with halt_polling; host_load = 0.0 } in
-    let acc = ref 0.0 in
-    Sim.spawn w.sim (fun () ->
-        for _ = 1 to 100 do
-          acc := !acc +. vm.Instance.blk ~op:`Read ~bytes_:4096
-        done);
-    Sim.run w.sim;
-    !acc /. 100.0
-  in
-  let with_hp = lat true and without_hp = lat false in
-  Alcotest.(check bool) "halt polling saves ~25us" true (without_hp -. with_hp > 15_000.0)
-
 let lhp_suites =
   [
     ( "hyp.lhp",
       [
         Alcotest.test_case "lock-holder preemption" `Quick test_lhp_vm_worse_than_bm;
-        Alcotest.test_case "halt polling" `Quick test_halt_polling_latency;
       ] );
   ]
 

@@ -428,17 +428,7 @@ let test_for_hosts () =
 (* ------------------------------------------------------------------ *)
 (* Live fleet *)
 
-let golden_config =
-  Fleet.Live.
-    {
-      hosts = 50;
-      guests = 500;
-      tenants = 10;
-      bm_fraction = 0.15;
-      host_ceiling = 0.9;
-      chunk_mb = 4;
-      mem_per_vcpu_gb = 2;
-    }
+let golden_config = Fleet.Live.{ hosts = 50; guests = 500; tenants = 10; host_ceiling = 0.9 }
 
 let busiest_host sched =
   fst

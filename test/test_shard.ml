@@ -140,19 +140,6 @@ let test_domains_dont_matter () =
   check_bool "domains=2 == domains=1" true (outcome_equal got1 got2);
   check_bool "domains=4 == domains=1" true (outcome_equal got1 got4)
 
-let test_run_until_parks_clocks () =
-  let t = Shard.create ~shards:2 () in
-  let hits = ref 0 in
-  Sim.schedule (Shard.sim t 0) ~delay:100.0 (fun () -> incr hits);
-  Sim.schedule (Shard.sim t 1) ~delay:900.0 (fun () -> incr hits);
-  Shard.run ~until:500.0 t;
-  check_int "only the early event ran" 1 !hits;
-  Alcotest.(check (float 0.0)) "shard 0 clock" 500.0 (Sim.now (Shard.sim t 0));
-  Alcotest.(check (float 0.0)) "shard 1 clock" 500.0 (Sim.now (Shard.sim t 1));
-  Alcotest.(check (float 0.0)) "next event" 900.0 (Shard.next_event_time t);
-  Shard.run t;
-  check_int "rest runs on resume" 2 !hits
-
 let test_validation () =
   let t = Shard.create ~shards:2 () in
   let raises f = try f () ; false with Invalid_argument _ -> true in
@@ -175,7 +162,6 @@ let suites =
       [
         Alcotest.test_case "matches sequential reference" `Quick test_shard_matches_reference;
         Alcotest.test_case "domain count is unobservable" `Quick test_domains_dont_matter;
-        Alcotest.test_case "run ~until parks clocks" `Quick test_run_until_parks_clocks;
         Alcotest.test_case "argument validation" `Quick test_validation;
       ] );
     qsuite "engine.shard.prop" [ prop_shard_identical ];

@@ -1,17 +1,12 @@
 (* Tests for SR-IOV virtual functions: lifecycle FSM unit tests, the
-   fault-window behaviours, and the QCheck invariant suite the issue
-   demands — same-seed determinism of all three vf experiments,
-   no-loss/no-dup across hot-reassignment under load, VF-count
-   conservation under random attach/reassign histories, and the
-   scheduler's VF credit accounting across place / release / drain /
-   rebalance sequences. *)
+   fault-window behaviours, equal-share DMA arbitration, and the QCheck
+   invariant suite — same-seed determinism of all three vf experiments,
+   no-loss/no-dup across hot-reassignment under load, and VF-count
+   conservation under random attach/reassign histories. *)
 
 open Bm_engine
 module Vf = Bm_iobond.Vf
 module Profile = Bm_iobond.Profile
-module Cp = Bm_cloud.Control_plane
-module Scheduler = Bm_cloud.Scheduler
-module Tenant = Bm_cloud.Tenant
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -39,14 +34,6 @@ let test_attach_lowest_free () =
   check_int "last free slot" 2 (Vf.id c);
   check_bool "exhausted pool refuses" true (Result.is_error (Vf.attach dev ~owner:"e" ()));
   check_bool "conservation" true (Vf.check_conservation dev = Ok ())
-
-let test_attach_weight_validation () =
-  let sim = Sim.create () in
-  let dev = device sim in
-  check_bool "zero weight raises" true
-    (match Vf.attach dev ~owner:"z" ~weight:0.0 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 let test_submit_rejected_off_fsm () =
   let sim = Sim.create () in
@@ -128,56 +115,30 @@ let test_stall_window_delays_completion () =
   check_bool "completed after the window cleared" true (!done_at >= 50_000.0)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler VF credits: grant, fallback, release *)
+(* Arbitration *)
 
-let vf_fleet ?(vfs_per_host = 8) ~hosts () =
-  let cp = Cp.create () in
-  for _ = 1 to hosts do
-    ignore (Cp.add_server cp (Cp.Vm_server { sellable_threads = 16 }))
-  done;
-  let sched = Scheduler.create ~vfs_per_host cp in
-  Scheduler.register_tenant sched (Tenant.create ~name:"t0" { Tenant.max_guests = max_int; max_vcpus = max_int });
-  sched
-
-let test_sched_grant_and_fallback () =
-  let sched = vf_fleet ~vfs_per_host:1 ~hosts:1 () in
-  let place name dp =
-    ok (Scheduler.place sched (Scheduler.request ~name ~tenant:"t0" ~vcpus:1 ~datapath:dp ()))
+(* VFs streaming at once split the device's DMA rate equally, the share
+   fixed when a transfer starts: a transfer that starts while another
+   VF streams takes twice as long as one that starts alone, setup time
+   aside. *)
+let test_equal_share () =
+  let sim = Sim.create () in
+  let dev = device sim ~vfs:2 in
+  let a = ok (Vf.attach dev ~owner:"a" ()) and b = ok (Vf.attach dev ~owner:"b" ()) in
+  let bytes_ = 1_000_000 in
+  let alone = ref nan and shared = ref nan in
+  let submit vf into =
+    match Vf.submit vf ~queue:0 ~bytes_ ~deliver:(fun c -> into := c.Vf.c_completed_ns) with
+    | `Submitted _ -> ()
+    | `Rejected -> Alcotest.fail "submit rejected on attached VF"
   in
-  ignore (place "a" Vf.Sliced);
-  ignore (place "b" Vf.Sliced);
-  ignore (place "c" Vf.Vring);
-  check_bool "first gets the function" true (Scheduler.granted_datapath sched "a" = Some Vf.Sliced);
-  check_bool "second falls back to the vring" true
-    (Scheduler.granted_datapath sched "b" = Some Vf.Vring);
-  check_bool "vring request untouched" true (Scheduler.granted_datapath sched "c" = Some Vf.Vring);
-  check_int "one fallback counted" 1 (Scheduler.vf_fallbacks sched);
-  check_int "host budget spent" 0 (Scheduler.vf_free sched ~server:0);
-  Scheduler.check_vf_accounting sched;
-  (* Releasing the holder returns the credit; the next non-vring
-     placement gets a real function again. *)
-  Scheduler.release sched "a";
-  check_int "credit returned" 1 (Scheduler.vf_free sched ~server:0);
-  ignore (place "d" Vf.Passthrough);
-  check_bool "fresh grant after release" true
-    (Scheduler.granted_datapath sched "d" = Some Vf.Passthrough);
-  Scheduler.check_vf_accounting sched
-
-let test_sched_drain_returns_credits () =
-  let sched = vf_fleet ~vfs_per_host:2 ~hosts:2 () in
-  for i = 0 to 3 do
-    ignore
-      (Scheduler.place sched
-         (Scheduler.request ~name:(Printf.sprintf "g%d" i) ~tenant:"t0" ~vcpus:4
-            ~datapath:Vf.Sliced ()))
-  done;
-  Scheduler.check_vf_accounting sched;
-  let victims = Scheduler.drain sched ~server:0 in
-  check_bool "drain produced victims" true (victims <> []);
-  (* Whatever moved or stranded, per-host usage must still match the
-     recomputed truth and never exceed capacity. *)
-  Scheduler.check_vf_accounting sched;
-  check_int "failed host holds no credits" 0 (Scheduler.vf_in_use sched ~server:0)
+  submit a alone;
+  Sim.schedule sim ~delay:1.0 (fun () -> submit b shared);
+  Sim.run sim;
+  let setup = Profile.dma_setup_ns Profile.Fpga in
+  let stream = float_of_int bytes_ *. 8.0 /. Profile.dma_gbit_s Profile.Fpga in
+  Alcotest.(check (float 1e-6)) "alone: the whole rate" (setup +. stream) !alone;
+  Alcotest.(check (float 1e-6)) "shared: half the rate" (1.0 +. setup +. (2.0 *. stream)) !shared
 
 (* ------------------------------------------------------------------ *)
 (* Property suite *)
@@ -289,80 +250,17 @@ let prop_fsm_conservation =
       let in_use = List.length !attached in
       Vf.check_conservation dev = Ok () && free + in_use = vfs)
 
-(* The scheduler's VF credit book stays consistent with the recomputed
-   per-host truth across arbitrary place / release / drain / rebalance
-   sequences; check_vf_accounting raises on any violation. *)
-let prop_sched_vf_accounting =
-  QCheck.Test.make ~name:"scheduler VF accounting consistent under random sequences" ~count:60
-    QCheck.(pair (int_bound 9999) (list_of_size Gen.(int_range 1 40) (int_bound 9)))
-    (fun (seed, ops) ->
-      let rng = Rng.create ~seed in
-      let sched = vf_fleet ~vfs_per_host:2 ~hosts:3 () in
-      let placed = ref [] and next = ref 0 in
-      let dp_of n = List.nth Vf.all_datapaths (n mod 3) in
-      List.iter
-        (fun op ->
-          (match op with
-          | 0 | 1 | 2 | 3 | 4 | 5 ->
-            (* place with a datapath drawn from the op code *)
-            let name = Printf.sprintf "g%d" !next in
-            incr next;
-            let req =
-              Scheduler.request ~name ~tenant:"t0" ~vcpus:(1 + Rng.int rng 4) ~datapath:(dp_of op)
-                ()
-            in
-            (match Scheduler.place sched req with
-            | Ok _ -> placed := name :: !placed
-            | Error _ -> ())
-          | 6 | 7 ->
-            (* release a random placed guest *)
-            if !placed <> [] then begin
-              let name = List.nth !placed (Rng.int rng (List.length !placed)) in
-              Scheduler.release sched name;
-              placed := List.filter (fun n -> n <> name) !placed
-            end
-          | 8 ->
-            (* drain a random host; victims that re-place keep (new)
-               grants, stranded ones must hold none *)
-            let server = Rng.int rng 3 in
-            ignore (Scheduler.drain sched ~server);
-            Cp.restore_server (Scheduler.control_plane sched) server;
-            ignore (Scheduler.retry_stranded sched);
-            placed :=
-              List.filter (fun n -> Scheduler.lookup sched n <> None) !placed
-          | _ -> ignore (Scheduler.rebalance sched ()));
-          Scheduler.check_vf_accounting sched)
-        ops;
-      (* Final cross-check: spent credits equal the granted non-vring
-         population. *)
-      let spent = List.fold_left (fun acc s -> acc + Scheduler.vf_in_use sched ~server:s) 0 [ 0; 1; 2 ] in
-      let granted =
-        List.length
-          (List.filter
-             (fun n ->
-               match Scheduler.granted_datapath sched n with
-               | Some Vf.Passthrough | Some Vf.Sliced -> true
-               | _ -> false)
-             !placed)
-      in
-      spent = granted)
-
 let suites =
   [
     ( "vf.lifecycle",
       [
         Alcotest.test_case "attach lowest free" `Quick test_attach_lowest_free;
-        Alcotest.test_case "weight validation" `Quick test_attach_weight_validation;
         Alcotest.test_case "submit off-FSM rejected" `Quick test_submit_rejected_off_fsm;
         Alcotest.test_case "reassign requires attached" `Quick test_reassign_requires_attached;
         Alcotest.test_case "completion roundtrip" `Quick test_completion_roundtrip;
         Alcotest.test_case "stall window delays completion" `Quick test_stall_window_delays_completion;
       ] );
-    ( "vf.scheduler",
-      [
-        Alcotest.test_case "grant and fallback" `Quick test_sched_grant_and_fallback;
-        Alcotest.test_case "drain returns credits" `Quick test_sched_drain_returns_credits;
-      ] );
+    ("vf.arbitration", [ Alcotest.test_case "equal share" `Quick test_equal_share ]);
     ( "vf.properties",
       List.map QCheck_alcotest.to_alcotest
         [
@@ -370,6 +268,5 @@ let suites =
           prop_shard_invariance;
           prop_no_loss_no_dup;
           prop_fsm_conservation;
-          prop_sched_vf_accounting;
         ] );
   ]

@@ -50,20 +50,6 @@ let test_vring_fills_up () =
   check_bool "3rd rejected" true (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 3) = None);
   check_int "no free" 0 (Vring.num_free r)
 
-let test_vring_indirect_single_slot () =
-  let r = Vring.create ~size:4 in
-  (* An 8-segment request fits in one slot with indirect descriptors. *)
-  let segs = [ 16; 512; 512; 512; 512; 512; 512; 1 ] in
-  check_bool "direct rejected" true (Vring.add r ~out:segs ~in_:[] (pkt 1) = None);
-  check_bool "indirect accepted" true
-    (Vring.add r ~indirect:true ~out:segs ~in_:[] (pkt 1) <> None);
-  check_int "one desc used" 3 (Vring.num_free r);
-  match Vring.pop_avail r with
-  | Some chain ->
-    check_bool "flagged indirect" true chain.Vring.indirect;
-    check_int "all segments visible" 8 (List.length chain.Vring.out)
-  | None -> Alcotest.fail "indirect chain not available"
-
 let test_vring_fifo_order () =
   let r = Vring.create ~size:16 in
   for i = 1 to 5 do
@@ -137,10 +123,9 @@ let prop_vring_random_ops =
       let added = ref 0 and reaped = ref 0 in
       let step op =
         if op < 40 then begin
-          (* driver add: 1-3 segments, sometimes indirect *)
+          (* driver add: 1-3 segments *)
           let nsegs = 1 + (op mod 3) in
-          let indirect = op mod 7 = 0 in
-          match Vring.add r ~indirect ~out:(List.init nsegs (fun i -> 64 * (i + 1))) ~in_:[] (pkt op) with
+          match Vring.add r ~out:(List.init nsegs (fun i -> 64 * (i + 1))) ~in_:[] (pkt op) with
           | Some _ -> incr added
           | None -> ()
         end
@@ -214,7 +199,7 @@ let test_pci_probe_happy_path () =
   in
   (match Virtio_pci.probe pci ~driver_features:Feature.default_net with
   | Ok (features, queues, size) ->
-    check_bool "indirect negotiated" true (Feature.contains features Feature.indirect_desc);
+    check_bool "mrg_rxbuf negotiated" true (Feature.contains features Feature.mrg_rxbuf);
     check_int "queues" 2 queues;
     check_int "queue size" 256 size
   | Error e -> Alcotest.fail e);
@@ -231,7 +216,7 @@ let test_pci_feature_subset_enforced () =
   match Virtio_pci.probe pci ~driver_features:(Feature.default_blk lor Feature.mrg_rxbuf) with
   | Ok (features, _, _) ->
     check_bool "mrg_rxbuf not granted" false (Feature.contains features Feature.mrg_rxbuf);
-    check_bool "indirect granted" true (Feature.contains features Feature.indirect_desc)
+    check_bool "blk features granted" true (features = Feature.default_blk)
   | Error e -> Alcotest.fail e
 
 let test_pci_reset_clears_state () =
@@ -349,14 +334,15 @@ let test_blk_write_layout () =
   | None -> Alcotest.fail "no request"
 
 let test_blk_queue_depth () =
-  let dev = Virtio_blk.create ~queue_size:8 ~on_access:ignore () in
-  (* Read = 3 descriptors -> 2 fit in 8, 3rd rejected. *)
+  let dev = Virtio_blk.create ~on_access:ignore () in
+  (* Read = 3 descriptors -> 42 fit in 128, the 43rd is rejected. *)
   let submit () =
     Virtio_blk.submit dev (Virtio_blk.make_req ~op:Virtio_blk.Read ~sector:0 ~bytes:4096 ~now:0.0)
   in
-  check_bool "1" true (submit ());
-  check_bool "2" true (submit ());
-  check_bool "3 rejected" false (submit ())
+  for i = 1 to 42 do
+    check_bool (string_of_int i) true (submit ())
+  done;
+  check_bool "43 rejected" false (submit ())
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -367,7 +353,6 @@ let suites =
         Alcotest.test_case "create validation" `Quick test_vring_create_validation;
         Alcotest.test_case "roundtrip" `Quick test_vring_roundtrip;
         Alcotest.test_case "fills up" `Quick test_vring_fills_up;
-        Alcotest.test_case "indirect descriptors" `Quick test_vring_indirect_single_slot;
         Alcotest.test_case "FIFO avail order" `Quick test_vring_fifo_order;
         Alcotest.test_case "out-of-order completion" `Quick test_vring_out_of_order_completion;
         Alcotest.test_case "device sets payload" `Quick test_vring_set_payload;
