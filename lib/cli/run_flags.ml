@@ -176,8 +176,12 @@ let run { ctx; jobs; ids; trace_file } =
     (match (trace_file, ctx.trace) with
     | Some file, Some t ->
       Out_channel.with_open_text file (fun oc -> output_string oc (Bm_engine.Trace.export_json t));
-      Printf.printf "\ntrace: %d event(s) written to %s (open in chrome://tracing)\n"
-        (List.length (Bm_engine.Trace.events t))
-        file
+      let kept = List.length (Bm_engine.Trace.events t) in
+      let dropped = Bm_engine.Trace.dropped t in
+      Printf.printf "\ntrace: %d event(s) written to %s (open in chrome://tracing)%s\n" kept file
+        (if dropped > 0 then
+           Printf.sprintf "; %d earlier event(s) dropped: the file holds only the last %d" dropped
+             kept
+         else "")
     | _ -> ());
     `Ok ()

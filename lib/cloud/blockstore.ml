@@ -77,8 +77,8 @@ let media_time t ~op ~bytes_ =
 
 let serve_callback t ~op ~bytes_ k =
   let p = t.params in
-  let t0 = Obs.start_at t.obs t.sim in
-  Obs.counter_at t.obs ~track:"cloud.blockstore" "queue_depth" t.sim
+  let t0 = Obs.start t.obs in
+  Obs.counter t.obs ~track:"cloud.blockstore" "queue_depth"
     (Sim.Resource.in_use t.servers + Sim.Resource.waiting t.servers);
   Sim.schedule t.sim ~delay:(p.net_rtt_ns /. 2.0) (fun () ->
       if Sim.Resource.waiting t.servers >= queue_capacity then begin
@@ -86,7 +86,7 @@ let serve_callback t ~op ~bytes_ k =
            after the front half of the round trip, drawing no service
            randomness, so the client sees a fast, deterministic EBUSY. *)
         t.rejected <- t.rejected + 1;
-        Metrics.incr_opt (Obs.metrics t.obs) "cloud.blockstore.rejected";
+        Obs.add t.obs "cloud.blockstore.rejected" 1;
         Sim.schedule t.sim ~delay:(p.net_rtt_ns /. 2.0) (fun () -> k `Rejected)
       end
       else
@@ -94,8 +94,8 @@ let serve_callback t ~op ~bytes_ k =
             Sim.schedule t.sim ~delay:(media_time t ~op ~bytes_) (fun () ->
                 Sim.Resource.release t.servers;
                 Sim.schedule t.sim ~delay:(p.net_rtt_ns /. 2.0) (fun () ->
-                    Metrics.incr_opt (Obs.metrics t.obs) "cloud.blockstore.served";
-                    Obs.observe_since t.obs "cloud.blockstore.serve_ns" t.sim t0;
+                    Obs.add t.obs "cloud.blockstore.served" 1;
+                    Obs.observe_since t.obs "cloud.blockstore.serve_ns" t0;
                     k `Served))))
 
 let serve t ~op ~bytes_ = Sim.await (serve_callback t ~op ~bytes_)

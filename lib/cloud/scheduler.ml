@@ -32,7 +32,7 @@ type snapshot = {
 
 type t = {
   cp : Control_plane.t;
-  metrics : Metrics.t option;
+  obs : Obs.t;
   tenants : (string, Tenant.t) Hashtbl.t;
   guests : (string, guest) Hashtbl.t;
   groups : (string, (int, int) Hashtbl.t) Hashtbl.t;  (* group -> host -> members *)
@@ -45,7 +45,7 @@ type t = {
 let create ?(obs = Obs.none) cp =
   {
     cp;
-    metrics = Obs.metrics obs;
+    obs;
     tenants = Hashtbl.create 16;
     guests = Hashtbl.create 1024;
     groups = Hashtbl.create 64;
@@ -159,18 +159,18 @@ let place t req =
     | Some tn -> (
       match Tenant.admit tn ~vcpus:req.vcpus with
       | Error e ->
-        Metrics.incr_opt t.metrics "cloud.sched.rejected";
+        Obs.add t.obs "cloud.sched.rejected" 1;
         Error e
       | Ok () -> (
         match try_place_cp t req ~substrates:(substrates_of req) with
         | Ok p ->
           add_guest t { req; placement = Some p };
           group_add t req.group p.Control_plane.server;
-          Metrics.incr_opt t.metrics "cloud.sched.placed";
+          Obs.add t.obs "cloud.sched.placed" 1;
           Ok p
         | Error e ->
           Tenant.release tn ~vcpus:req.vcpus;
-          Metrics.incr_opt t.metrics "cloud.sched.rejected";
+          Obs.add t.obs "cloud.sched.rejected" 1;
           Error e))
 
 let place_batch t reqs =
@@ -238,8 +238,8 @@ let drain t ~server =
     (fun (g, substrate) ->
       let result = replace_guest t g ~first:(Some substrate) in
       (match result with
-      | Ok _ -> Metrics.incr_opt t.metrics "cloud.sched.evacuated"
-      | Error _ -> Metrics.incr_opt t.metrics "cloud.sched.stranded");
+      | Ok _ -> Obs.add t.obs "cloud.sched.evacuated" 1
+      | Error _ -> Obs.add t.obs "cloud.sched.stranded" 1);
       (g.req.name, result))
     old_substrate
 
@@ -254,7 +254,7 @@ let retry_stranded t =
     (fun g ->
       let result = replace_guest t g ~first:None in
       (match result with
-      | Ok _ -> Metrics.incr_opt t.metrics "cloud.sched.evacuated"
+      | Ok _ -> Obs.add t.obs "cloud.sched.evacuated" 1
       | Error _ -> ());
       (g.req.name, result))
     (stranded_guests t)
@@ -326,7 +326,7 @@ let rebalance t () =
             set_placement t g (Some p');
             group_add t g.req.group p'.Control_plane.server;
             land_on p' g;
-            Metrics.incr_opt t.metrics "cloud.sched.moves";
+            Obs.add t.obs "cloud.sched.moves" 1;
             moves := (g.req.name, donor, p'.Control_plane.server) :: !moves;
             decr budget
           | Error _ ->
@@ -334,7 +334,7 @@ let rebalance t () =
                draining this donor. *)
             (match replace_guest t g ~first:(Some p.Control_plane.substrate) with
             | Ok p'' -> land_on p'' g
-            | Error _ -> Metrics.incr_opt t.metrics "cloud.sched.stranded");
+            | Error _ -> Obs.add t.obs "cloud.sched.stranded" 1);
             continue_ := false)
       done)
     ids;

@@ -81,19 +81,19 @@ let deliver t ~tenant ~bytes ~latency_ns =
   c.offered_bytes <- c.offered_bytes +. float_of_int bytes;
   c.delivered_bytes <- c.delivered_bytes +. float_of_int bytes;
   Stats.Histogram.add c.latency latency_ns;
-  Metrics.incr_opt (Obs.metrics t.obs) "cloud.slo.delivered"
+  Obs.add t.obs "cloud.slo.delivered" 1
 
 let fail t ~tenant ~bytes =
   let c = cell_now t (state t tenant) in
   c.failed <- c.failed + 1;
   c.offered_bytes <- c.offered_bytes +. float_of_int bytes;
-  Metrics.incr_opt (Obs.metrics t.obs) "cloud.slo.failed"
+  Obs.add t.obs "cloud.slo.failed" 1
 
 let shed t ~tenant ~bytes =
   let c = cell_now t (state t tenant) in
   c.shed <- c.shed + 1;
   c.offered_bytes <- c.offered_bytes +. float_of_int bytes;
-  Metrics.incr_opt (Obs.metrics t.obs) "cloud.slo.shed"
+  Obs.add t.obs "cloud.slo.shed" 1
 
 (* --- scoring -------------------------------------------------------- *)
 

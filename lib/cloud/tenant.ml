@@ -5,7 +5,7 @@ type quota = { max_guests : int; max_vcpus : int }
 type t = {
   name : string;
   quota : quota;
-  metrics : Metrics.t option;
+  obs : Obs.t;
   mutable guests : int;
   mutable vcpus : int;
   mutable rejections : int;
@@ -15,6 +15,7 @@ type t = {
   m_guest_s : string;  (* metric names, built once *)
   m_bytes : string;
   m_ios : string;
+  m_rejected : string;
 }
 
 let create ?(obs = Obs.none) ~name quota =
@@ -23,7 +24,7 @@ let create ?(obs = Obs.none) ~name quota =
   {
     name;
     quota;
-    metrics = Obs.metrics obs;
+    obs;
     guests = 0;
     vcpus = 0;
     rejections = 0;
@@ -33,6 +34,7 @@ let create ?(obs = Obs.none) ~name quota =
     m_guest_s = "cloud.tenant." ^ name ^ ".guest_s";
     m_bytes = "cloud.tenant." ^ name ^ ".bytes";
     m_ios = "cloud.tenant." ^ name ^ ".ios";
+    m_rejected = "cloud.tenant." ^ name ^ ".rejected";
   }
 
 let name t = t.name
@@ -41,12 +43,12 @@ let admit t ~vcpus =
   if vcpus <= 0 then invalid_arg "Tenant.admit: vcpus must be positive";
   if t.guests >= t.quota.max_guests then begin
     t.rejections <- t.rejections + 1;
-    Metrics.incr_opt t.metrics ("cloud.tenant." ^ t.name ^ ".rejected");
+    Obs.add t.obs t.m_rejected 1;
     Error (Printf.sprintf "tenant %s at guest quota (%d)" t.name t.quota.max_guests)
   end
   else if t.vcpus + vcpus > t.quota.max_vcpus then begin
     t.rejections <- t.rejections + 1;
-    Metrics.incr_opt t.metrics ("cloud.tenant." ^ t.name ^ ".rejected");
+    Obs.add t.obs t.m_rejected 1;
     Error (Printf.sprintf "tenant %s at vCPU quota (%d)" t.name t.quota.max_vcpus)
   end
   else begin
@@ -64,16 +66,13 @@ let release t ~vcpus =
 let guests t = t.guests
 let rejections t = t.rejections
 
-let meter t ?(guest_ns = 0.0) ?(bytes = 0.0) ?(ios = 0.0) () =
+let meter t ~guest_ns ~bytes ~ios =
   t.guest_ns <- t.guest_ns +. guest_ns;
   t.bytes <- t.bytes +. bytes;
   t.ios <- t.ios +. ios;
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    if guest_ns > 0.0 then Metrics.incr m ~by:(guest_ns /. 1e9) t.m_guest_s;
-    if bytes > 0.0 then Metrics.incr m ~by:bytes t.m_bytes;
-    if ios > 0.0 then Metrics.incr m ~by:ios t.m_ios
+  if guest_ns > 0.0 then Obs.add_float t.obs t.m_guest_s guest_ns ~per:1e9;
+  if bytes > 0.0 then Obs.add_float t.obs t.m_bytes bytes ~per:1.0;
+  if ios > 0.0 then Obs.add_float t.obs t.m_ios ios ~per:1.0
 
 let guest_seconds t = t.guest_ns /. 1e9
 let bytes t = t.bytes

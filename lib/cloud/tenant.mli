@@ -35,10 +35,10 @@ val guests : t -> int
 
 val rejections : t -> int
 
-val meter : t -> ?guest_ns:float -> ?bytes:float -> ?ios:float -> unit -> unit
+val meter : t -> guest_ns:float -> bytes:float -> ios:float -> unit
 (** Accumulate consumption: guest-nanoseconds of occupancy, bytes moved,
-    I/O operations. Also bumps the mirrored [Obs] counters (guest time
-    is recorded in seconds there). *)
+    I/O operations. Also bumps the mirrored [Obs] counters of the
+    positive quantities (guest time is recorded in seconds there). *)
 
 val guest_seconds : t -> float
 val bytes : t -> float

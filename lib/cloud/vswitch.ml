@@ -65,7 +65,7 @@ let create ?(obs = Obs.none) sim ~fabric ~cores () =
   }
 
 let note_queue_depth t =
-  Obs.counter_at t.obs ~track:"cloud.vswitch" "queue_depth" t.sim t.queued
+  Obs.counter t.obs ~track:"cloud.vswitch" "queue_depth" t.queued
 
 (* Unknown destination: the MAC resolves to no local endpoint and no
    peer switch. It is counted under [unknown_dst_dropped] and announced
@@ -73,17 +73,15 @@ let note_queue_depth t =
    misconfiguration the observability layer exists to surface. *)
 let note_unknown_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count) "cloud.vswitch.dropped";
+  Obs.add t.obs "cloud.vswitch.dropped" pkt.Packet.count;
   t.unknown_dropped <- t.unknown_dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
-    "cloud.vswitch.unknown_dst_dropped";
-  Trace.instant_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "unknown_dst" ~now:(Sim.now t.sim)
+  Obs.add t.obs "cloud.vswitch.unknown_dst_dropped" pkt.Packet.count;
+  Obs.instant t.obs ~track:"cloud.vswitch" "unknown_dst"
 
 let note_egress_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
   t.egress_dropped <- t.egress_dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
-    "cloud.vswitch.egress_dropped"
+  Obs.add t.obs "cloud.vswitch.egress_dropped" pkt.Packet.count
 
 let register t ~deliver =
   let addr = t.fabric.next_endpoint in
@@ -107,7 +105,7 @@ let deliver_local t pkt =
     t.forwarded <- t.forwarded + pkt.Packet.count;
     ep.inflight <- ep.inflight + 1;
     t.queued <- t.queued + 1;
-    Obs.mark_at t.obs ~n:pkt.Packet.count "cloud.vswitch.pps" t.sim;
+    Obs.mark t.obs ~n:pkt.Packet.count "cloud.vswitch.pps";
     note_queue_depth t;
     Sim.schedule t.sim ~delay:hop_ns (fun () ->
         ep.inflight <- ep.inflight - 1;

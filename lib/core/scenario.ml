@@ -242,7 +242,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
   let fab = Fleet.Live.fabric t in
   let sched = Fleet.Live.scheduler t in
   let cp = Scheduler.control_plane sched in
-  let obs = Obs.create ?trace ?metrics ~now:(fun () -> Sim.now sim) () in
+  let obs = Obs.of_sim ?trace ?metrics sim in
   let horizon = spec.horizon_ns in
   let window_ns = horizon /. float_of_int windows in
   (* Scenario randomness is split off its own root so it never shares a
@@ -377,7 +377,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
         if not (Cp.server_failed cp v) then begin
           Cp.fail_server cp v;
           incr hosts_down;
-          Metrics.incr_opt (Obs.metrics obs) "scenario.host_failed";
+          Obs.add obs "scenario.host_failed" 1;
           Sim.schedule sim ~delay:e.Fault.duration_ns (fun () ->
               if Cp.server_failed cp v then begin
                 Cp.restore_server cp v;
@@ -563,9 +563,9 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
             Some (p.Cp.server, req.Scheduler.mem_gb * 1024 * 1024 * 1024))
         results
     in
-    evacuated_guests := !evacuated_guests + List.length moves;
-    Metrics.incr_opt (Obs.metrics obs) ~by:(float_of_int (List.length moves))
-      "scenario.evacuated_guests";
+    let n = List.length moves in
+    evacuated_guests := !evacuated_guests + n;
+    Obs.add obs "scenario.evacuated_guests" n;
     if moves <> [] then stream_from ~src:server moves
   in
 
@@ -620,8 +620,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
         end)
   in
   let note_stage () =
-    Trace.instant_opt (Obs.trace obs) ~track:"scenario"
-      (Printf.sprintf "stage=%d" (Policy.stage pol)) ~now:(Sim.now sim)
+    Obs.instant obs ~track:"scenario" (Printf.sprintf "stage=%d" (Policy.stage pol))
   in
   (* One signal bundle per closed window: pure reads only (SLO window
      cells, scheduler occupancy, fabric queue depths), so assembling it
@@ -678,7 +677,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
             | Ok () ->
               Policy.confirm pol ~ok:true;
               incr stage_actions;
-              Metrics.incr_opt (Obs.metrics obs) "scenario.stage_up";
+              Obs.add obs "scenario.stage_up" 1;
               note_stage ()
             | Error _ -> Policy.confirm pol ~ok:false)
           | Policy.Reapply actions -> (
@@ -690,7 +689,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
           | Policy.Relax actions ->
             List.iter apply_action actions;
             Policy.confirm pol ~ok:true;
-            Metrics.incr_opt (Obs.metrics obs) "scenario.stage_down";
+            Obs.add obs "scenario.stage_down" 1;
             note_stage ()
         done);
 

@@ -194,8 +194,8 @@ let open_window t sim e =
   let k = kind_index e.kind in
   t.opened_k.(k) <- t.opened_k.(k) + 1;
   t.until.(k) <- Float.max t.until.(k) (Sim.now sim +. e.duration_ns);
-  Trace.instant_opt (Obs.trace t.obs) ~track:"fault" (kind_name e.kind) ~now:(Sim.now sim);
-  Metrics.incr_opt (Obs.metrics t.obs) ("fault.injected." ^ kind_name e.kind);
+  Obs.instant t.obs ~track:"fault" (kind_name e.kind);
+  Obs.add t.obs ("fault.injected." ^ kind_name e.kind) 1;
   List.iter (fun (kind, f) -> if kind = e.kind then f e) (List.rev t.subs)
 
 (* Terminal recovery accounting. Every injected window is reported
@@ -204,14 +204,11 @@ let open_window t sim e =
    and the permanent [Server_failure] windows) — at the plan horizon,
    so availability accounting is conservative: a fault is "down" for
    its whole window and never silently forgotten at simulation end. *)
-let close_window t sim e =
+let close_window t e =
   t.closed <- t.closed + 1;
   t.closed_k.(kind_index e.kind) <- t.closed_k.(kind_index e.kind) + 1;
-  Trace.instant_opt (Obs.trace t.obs)
-    ~track:"fault"
-    (kind_name e.kind ^ ".recovered")
-    ~now:(Sim.now sim);
-  Metrics.incr_opt (Obs.metrics t.obs) ("fault.recovered." ^ kind_name e.kind)
+  Obs.instant t.obs ~track:"fault" (kind_name e.kind ^ ".recovered");
+  Obs.add t.obs ("fault.recovered." ^ kind_name e.kind) 1
 
 let arm t =
   match t.sim with
@@ -223,7 +220,7 @@ let arm t =
         (fun e ->
           Sim.schedule sim ~delay:e.at (fun () -> open_window t sim e);
           let close_at = Float.min (e.at +. e.duration_ns) t.the_plan.horizon_ns in
-          Sim.schedule sim ~delay:close_at (fun () -> close_window t sim e))
+          Sim.schedule sim ~delay:close_at (fun () -> close_window t e))
         t.the_plan.events
     end
 
@@ -328,7 +325,7 @@ module Guard = struct
      a run the open breaker turns away; [settle] books an attempt's
      outcome and says whether to retry, after sleeping [backoff]. *)
   let rejected g =
-    Metrics.incr_opt (Obs.metrics g.obs) (metric g "rejected");
+    Obs.add g.obs (metric g "rejected") 1;
     Error (g.name ^ ": circuit open")
 
   let settle g ~attempt = function
@@ -342,13 +339,13 @@ module Guard = struct
         if p.circuit_threshold > 0 && g.consecutive_failures >= p.circuit_threshold then begin
           g.open_until <- Sim.now g.sim +. p.circuit_cooldown_ns;
           g.circuit_opens <- g.circuit_opens + 1;
-          Metrics.incr_opt (Obs.metrics g.obs) (metric g "circuit_opens")
+          Obs.add g.obs (metric g "circuit_opens") 1
         end;
         false
       end
       else begin
         g.retries <- g.retries + 1;
-        Metrics.incr_opt (Obs.metrics g.obs) (metric g "retries");
+        Obs.add g.obs (metric g "retries") 1;
         true
       end
 

@@ -55,13 +55,6 @@ let histogram t name =
 let meter t name =
   match Hashtbl.find_opt t.table name with Some (Meter m) -> Some m | _ -> None
 
-(* Option-sink variants: exact no-ops without a registry installed. *)
-
-let incr_opt o ?by name = match o with Some t -> incr t ?by name | None -> ()
-
-let observe_opt o ?lo ?hi ?precision name v =
-  match o with Some t -> observe t ?lo ?hi ?precision name v | None -> ()
-
 type summary =
   | Counter_total of float
   | Histogram_summary of {

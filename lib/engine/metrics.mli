@@ -4,9 +4,8 @@
     instruments — plain counters, {!Stats.Histogram}s, or
     {!Stats.Meter}s — created on first use, so call sites need no setup.
     Registries snapshot to a renderable table and merge across runs.
-    Components hold a [t option]; the [_opt] entry points are exact
-    no-ops on [None], keeping instrumentation zero-cost when no sink is
-    installed. *)
+    Components record through {!Obs} probes, which call the recording
+    functions below only when a registry is installed. *)
 
 type t
 
@@ -21,9 +20,6 @@ val observe : t -> ?lo:float -> ?hi:float -> ?precision:float -> string -> float
 
 val mark : t -> ?n:int -> string -> now:float -> unit
 (** Mark [n] events (default 1) on a meter at simulated time [now]. *)
-
-val incr_opt : t option -> ?by:float -> string -> unit
-val observe_opt : t option -> ?lo:float -> ?hi:float -> ?precision:float -> string -> float -> unit
 
 val counter_value : t -> string -> float
 (** 0 when the name is unregistered or not a counter. *)

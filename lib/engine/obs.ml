@@ -1,12 +1,7 @@
 type t = { now : unit -> float; trace : Trace.t option; metrics : Metrics.t option }
 
 let none = { now = (fun () -> 0.0); trace = None; metrics = None }
-let create ?trace ?metrics ~now () = { now; trace; metrics }
 let of_sim ?trace ?metrics sim = { now = (fun () -> Sim.now sim); trace; metrics }
-let now t = t.now ()
-let trace t = t.trace
-let metrics t = t.metrics
-let enabled t = t.trace <> None || t.metrics <> None
 
 (* Probes: the clock is read, and an int converted, only for an
    installed sink. *)
@@ -14,8 +9,33 @@ let enabled t = t.trace <> None || t.metrics <> None
 let instant t ~track name =
   match t.trace with Some tr -> Trace.instant tr ~track name ~now:(t.now ()) | None -> ()
 
+let begin_span t ~track name =
+  match t.trace with Some tr -> Trace.begin_span tr ~track name ~now:(t.now ()) | None -> ()
+
+let end_span t ~track name =
+  match t.trace with Some tr -> Trace.end_span tr ~track name ~now:(t.now ()) | None -> ()
+
+let counter t ~track name level =
+  match t.trace with
+  | Some tr -> Trace.counter tr ~track name ~now:(t.now ()) (float_of_int level)
+  | None -> ()
+
+let add t name n =
+  match t.metrics with Some m -> Metrics.incr m ~by:(float_of_int n) name | None -> ()
+
+let add_float t name x ~per =
+  match t.metrics with Some m -> Metrics.incr m ~by:(x /. per) name | None -> ()
+
 let mark t ~n name =
   match t.metrics with Some m -> Metrics.mark m ~n name ~now:(t.now ()) | None -> ()
+
+let observe t ?lo ?hi ?precision name v =
+  match t.metrics with Some m -> Metrics.observe m ?lo ?hi ?precision name v | None -> ()
+
+let start t = match t.metrics with Some _ -> t.now () | None -> 0.0
+
+let observe_since t name start =
+  match t.metrics with Some m -> Metrics.observe m name (t.now () -. start) | None -> ()
 
 (* Literal bounds: a [~lo]/[~hi] passed on from a parameter would
    allocate its option on every sample. *)
@@ -27,36 +47,13 @@ let depth t ~track ~histogram level =
     (match m with Some m -> Metrics.observe m ~lo:1.0 ~hi:1e4 histogram d | None -> ());
     match tr with Some tr -> Trace.counter tr ~track "depth" ~now:(t.now ()) d | None -> ())
 
-let instant_at t ~track name sim =
-  match t.trace with Some tr -> Trace.instant tr ~track name ~now:(Sim.now sim) | None -> ()
-
-let begin_span_at t ~track name sim =
-  match t.trace with Some tr -> Trace.begin_span tr ~track name ~now:(Sim.now sim) | None -> ()
-
-let end_span_at t ~track name sim =
-  match t.trace with Some tr -> Trace.end_span tr ~track name ~now:(Sim.now sim) | None -> ()
-
-let counter_at t ~track name sim level =
-  match t.trace with
-  | Some tr -> Trace.counter tr ~track name ~now:(Sim.now sim) (float_of_int level)
-  | None -> ()
-
-let mark_at t ~n name sim =
-  match t.metrics with Some m -> Metrics.mark m ~n name ~now:(Sim.now sim) | None -> ()
-
-let add t name n =
-  match t.metrics with Some m -> Metrics.incr m ~by:(float_of_int n) name | None -> ()
-
-let start_at t sim = match t.metrics with Some _ -> Sim.now sim | None -> 0.0
-
-let observe_since t name sim start =
-  match t.metrics with Some m -> Metrics.observe m name (Sim.now sim -. start) | None -> ()
-
 let watch_bounded t ~track q =
-  if enabled t then
+  if t.trace <> None || t.metrics <> None then begin
+    let dropped = track ^ ".dropped" and rejected = track ^ ".rejected" in
     Sim.Bounded.set_probe q (fun ev ~depth ->
-        Trace.counter_opt t.trace ~track "depth" ~now:(t.now ()) (float_of_int depth);
+        counter t ~track "depth" depth;
         match ev with
-        | `Drop -> Metrics.incr_opt t.metrics (track ^ ".dropped")
-        | `Reject -> Metrics.incr_opt t.metrics (track ^ ".rejected")
+        | `Drop -> add t dropped 1
+        | `Reject -> add t rejected 1
         | `Enqueue | `Deliver -> ())
+  end

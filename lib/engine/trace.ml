@@ -24,34 +24,6 @@ let begin_span t ~track name ~now = record t { at = now; track; name; kind = `Be
 let end_span t ~track name ~now = record t { at = now; track; name; kind = `End }
 let counter t ~track name ~now v = record t { at = now; track; name; kind = `Counter v }
 
-let span t ~track name ~clock f =
-  begin_span t ~track name ~now:(clock ());
-  match f () with
-  | v ->
-    end_span t ~track name ~now:(clock ());
-    v
-  | exception e ->
-    end_span t ~track name ~now:(clock ());
-    raise e
-
-(* Option-sink variants: exact no-ops when no trace is installed, so
-   instrumented call sites cost one branch on the disabled path. *)
-
-let instant_opt o ~track name ~now =
-  match o with Some t -> instant t ~track name ~now | None -> ()
-
-let begin_span_opt o ~track name ~now =
-  match o with Some t -> begin_span t ~track name ~now | None -> ()
-
-let end_span_opt o ~track name ~now =
-  match o with Some t -> end_span t ~track name ~now | None -> ()
-
-let counter_opt o ~track name ~now v =
-  match o with Some t -> counter t ~track name ~now v | None -> ()
-
-let span_opt o ~track name ~clock f =
-  match o with Some t -> span t ~track name ~clock f | None -> f ()
-
 let events t =
   let n = min t.next t.capacity in
   let start = t.next - n in

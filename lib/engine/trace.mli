@@ -4,8 +4,9 @@
     anywhere in a simulation, bounded in memory, and renders them as a
     text timeline or chrome://tracing-style summary. Used when debugging
     data paths (which hop ate the latency?) and by tests that assert on
-    event ordering. Tracing is off unless a sink is installed, and the
-    macro-free API keeps call sites one line. *)
+    event ordering. Tracing is off unless a sink is installed;
+    components record through {!Obs} probes, which stamp each event
+    with the simulation clock. *)
 
 type t
 
@@ -23,19 +24,6 @@ val instant : t -> track:string -> string -> now:float -> unit
 val begin_span : t -> track:string -> string -> now:float -> unit
 val end_span : t -> track:string -> string -> now:float -> unit
 val counter : t -> track:string -> string -> now:float -> float -> unit
-
-(** {2 Option-sink variants}
-
-    Instrumented components hold a [t option]; these are exact no-ops on
-    [None], so the datapath pays one branch when tracing is off. *)
-
-val instant_opt : t option -> track:string -> string -> now:float -> unit
-val begin_span_opt : t option -> track:string -> string -> now:float -> unit
-val end_span_opt : t option -> track:string -> string -> now:float -> unit
-val counter_opt : t option -> track:string -> string -> now:float -> float -> unit
-val span_opt : t option -> track:string -> string -> clock:(unit -> float) -> (unit -> 'a) -> 'a
-(** [span_opt t ~track name ~clock f] wraps [f] in a begin/end pair (the
-    end is emitted even when [f] raises). *)
 
 val events : t -> event list
 (** Oldest first; at most [capacity]. *)

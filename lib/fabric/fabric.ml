@@ -175,7 +175,7 @@ let start_link fab link =
       link.busy.ns <- link.busy.ns +. serialize_ns link.params job.pkt.size;
       link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
       link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
-      Obs.mark_at fab.obs ~n:job.pkt.size link.m_bytes sim;
+      Obs.mark fab.obs ~n:job.pkt.size link.m_bytes;
       flight_push link job;
       Sim.schedule sim ~delay:link.params.latency_ns link.on_arrival;
       Sim.Bounded.recv_callback sim link.queue link.on_recv);
@@ -264,8 +264,7 @@ let set_link t name up =
   let l = find_link t name in
   if l.up <> up then begin
     l.up <- up;
-    Metrics.incr_opt (Obs.metrics t.obs)
-      ("fabric.link." ^ name ^ if up then ".repaired" else ".failed");
+    Obs.add t.obs ("fabric.link." ^ name ^ if up then ".repaired" else ".failed") 1;
     Obs.instant t.obs ~track:l.track (if up then "repair" else "fail")
   end
 

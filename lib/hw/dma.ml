@@ -32,8 +32,8 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ?(gbit_s = 50.0) ?(setup_
 let copy t ~src ~dst ~bytes_ k =
   assert (bytes_ >= 0);
   let start () =
-    let t0 = Obs.start_at t.obs t.sim in
-    Obs.begin_span_at t.obs ~track:"hw.dma" "copy" t.sim;
+    let t0 = Obs.start t.obs in
+    Obs.begin_span t.obs ~track:"hw.dma" "copy";
     Sim.schedule t.sim ~delay:t.setup_ns (fun () ->
         let bottleneck = Float.min t.gbit_s (Float.min (Pcie.gbit_s src) (Pcie.gbit_s dst)) in
         Sim.Resource.acquire_callback t.sim t.engine (fun () ->
@@ -43,15 +43,15 @@ let copy t ~src ~dst ~bytes_ k =
                 Pcie.account dst ~bytes_;
                 t.copies <- t.copies + 1;
                 t.bytes_copied <- t.bytes_copied +. float_of_int bytes_;
-                Obs.end_span_at t.obs ~track:"hw.dma" "copy" t.sim;
-                Obs.observe_since t.obs "hw.dma.copy_ns" t.sim t0;
+                Obs.end_span t.obs ~track:"hw.dma" "copy";
+                Obs.observe_since t.obs "hw.dma.copy_ns" t0;
                 Obs.add t.obs "hw.dma.bytes" bytes_;
                 k ())))
   in
   (* A stalled engine holds new descriptors at the doorbell; the copy
      proceeds once the engine resumes streaming. *)
   if Fault.is_active t.fault Fault.Dma_stall then begin
-    Metrics.incr_opt (Obs.metrics t.obs) "hw.dma.stalls";
+    Obs.add t.obs "hw.dma.stalls" 1;
     Fault.when_clear t.fault Fault.Dma_stall start
   end
   else start ()

@@ -23,12 +23,12 @@ let register_ns t = t.register_ns
    completes; nothing is lost, the transaction just waits. *)
 let register_access t k =
   let hop () =
-    Metrics.incr_opt (Obs.metrics t.obs) "hw.pcie.register_accesses";
-    Obs.instant_at t.obs ~track:"hw.pcie" "register_access" t.sim;
+    Obs.add t.obs "hw.pcie.register_accesses" 1;
+    Obs.instant t.obs ~track:"hw.pcie" "register_access";
     Sim.schedule t.sim ~delay:t.register_ns k
   in
   if Fault.is_active t.fault Fault.Link_down then begin
-    Metrics.incr_opt (Obs.metrics t.obs) "hw.pcie.link_stalls";
+    Obs.add t.obs "hw.pcie.link_stalls" 1;
     Fault.when_clear t.fault Fault.Link_down hop
   end
   else hop ()

@@ -18,6 +18,11 @@ type t = {
   mutable alive : bool;
   mutable crashes : int;
   mutable guests : (string * guest) list;
+  m_rx_drops : string; (* per-request metric names, built once *)
+  m_net_shed : string;
+  m_vf_tx_rejects : string;
+  m_blk_rejected : string;
+  m_blk_shed : string;
 }
 
 and guest = {
@@ -50,11 +55,9 @@ let rx_buffer_target = 1536
    queue). *)
 let rx_backlog_capacity = 512
 
-(* Metric names are built only when a registry is installed. *)
-let metric b ?by name =
-  match Obs.metrics b.obs with
-  | None -> ()
-  | Some m -> Metrics.incr m ?by (b.track ^ "." ^ name)
+(* A counter of a rare event (a crash, a pool fallback), its name built
+   at the call. *)
+let metric b name = Obs.add b.obs (b.track ^ "." ^ name) 1
 
 let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~vfs =
   if vfs < 1 then invalid_arg "Backend.create: vfs must be >= 1";
@@ -72,6 +75,11 @@ let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~
       alive = true;
       crashes = 0;
       guests = [];
+      m_rx_drops = track ^ ".rx_drops";
+      m_net_shed = track ^ ".net_shed";
+      m_vf_tx_rejects = track ^ ".vf_tx_rejects";
+      m_blk_rejected = track ^ ".blk_rejected";
+      m_blk_shed = track ^ ".blk_shed";
     }
   in
   (* A crash kills the backend processes; the supervisor respawns them
@@ -83,11 +91,11 @@ let create ~obs ~fault sim ~fabric ~cores ~storage ~track ~process ~vf_profile ~
         b.alive <- false;
         b.crashes <- b.crashes + 1;
         metric b (process ^ "_crashes");
-        Trace.instant_opt (Obs.trace obs) ~track (process ^ "_crash") ~now:(Sim.now sim);
+        Obs.instant obs ~track (process ^ "_crash");
         Sim.schedule sim ~delay:ev.Fault.duration_ns (fun () ->
             b.alive <- true;
             metric b (process ^ "_respawns");
-            Trace.instant_opt (Obs.trace obs) ~track (process ^ "_respawn") ~now:(Sim.now sim);
+            Obs.instant obs ~track (process ^ "_respawn");
             List.iter (fun (_, g) -> g.rekick ()) b.guests)
       end);
   b
@@ -230,7 +238,7 @@ let drain g ?(after = ignore) ~pending ~pop process =
 
 let rx_drop g pkt =
   g.rx_drops <- g.rx_drops + pkt.Packet.count;
-  metric g.b ~by:(float_of_int pkt.Packet.count) "rx_drops"
+  Obs.add g.b.obs g.b.m_rx_drops pkt.Packet.count
 
 let listen g fill =
   let b = g.b in
@@ -272,7 +280,7 @@ let serve g req k =
     | `Served -> k ()
     | `Rejected ->
       req.Virtio_blk.failed <- true;
-      metric g.b "blk_rejected";
+      Obs.add g.b.obs g.b.m_blk_rejected 1;
       k ())
 
 let post_rx g =
@@ -282,7 +290,7 @@ let post_rx g =
 (* --- Guest-facing closures --- *)
 
 let net_shed g pkt =
-  metric g.b ~by:(float_of_int pkt.Packet.count) "net_shed";
+  Obs.add g.b.obs g.b.m_net_shed pkt.Packet.count;
   false
 
 (* On a VF the doorbell rings the device directly: the descriptor
@@ -302,7 +310,7 @@ let xmit g =
        with
       | `Submitted _ -> true
       | `Rejected ->
-        metric g.b ~by:(float_of_int pkt.Packet.count) "vf_tx_rejects";
+        Obs.add g.b.obs g.b.m_vf_tx_rejects pkt.Packet.count;
         false)
 
 let send g xmit ~stack_ns pkt =
@@ -314,7 +322,7 @@ let blk_attempt g ~op ~bytes_ =
   let guest_ns ns = Cores.execute_ns g.cores (ns *. g.io_factor) in
   guest_ns g.os.Guest_os.blk_submit_ns;
   if not (Limits.blk_admit g.blk_limits ~bytes_) then begin
-    metric g.b "blk_shed";
+    Obs.add g.b.obs g.b.m_blk_shed 1;
     guest_ns g.os.Guest_os.blk_complete_ns;
     Error `Limited
   end

@@ -101,14 +101,14 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
           in
           match Option.map (fun ot -> (ot, Offload.classify ot pkt)) offload_table with
           | Some (_, `Offloaded) ->
-            Metrics.incr_opt (Obs.metrics t.obs) "hyp.bm.offload_hits";
+            Obs.add t.obs "hyp.bm.offload_hits" 1;
             Sim.schedule t.sim
               ~delay:(Offload.fpga_forward_ns *. float_of_int pkt.Packet.count)
               (fun () -> complete (fun () -> Vswitch.forward_hw (vswitch t) pkt))
           | slow ->
             if Option.is_some slow then
-              Metrics.incr_opt (Obs.metrics t.obs) "hyp.bm.offload_misses";
-            Obs.mark_at t.obs ~n:pkt.Packet.count "hyp.bm.pmd_pkts" t.sim;
+              Obs.add t.obs "hyp.bm.offload_misses" 1;
+            Obs.mark t.obs ~n:pkt.Packet.count "hyp.bm.pmd_pkts";
             pmd_ns pkt.Packet.count (fun () ->
                 Option.iter (fun (ot, _) -> Offload.install ot pkt) slow;
                 complete (fun () -> Vswitch.send_callback (vswitch t) pkt ignore)));
@@ -122,10 +122,10 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
       (* Blk backend: SPDK-style, one in-flight task per request. *)
       drain blk_q (fun req ->
           let vreq = req.Queue_bridge.payload in
-          Obs.begin_span_at t.obs ~track:"hyp.bm" "blk_request" t.sim;
+          Obs.begin_span t.obs ~track:"hyp.bm" "blk_request";
           Cores.execute_ns_callback t.base_cores p.pmd_blk_ns (fun () ->
               Backend.serve g vreq (fun () ->
-                  Obs.end_span_at t.obs ~track:"hyp.bm" "blk_request" t.sim;
+                  Obs.end_span t.obs ~track:"hyp.bm" "blk_request";
                   let written =
                     match vreq.Virtio_blk.op with
                     | Virtio_blk.Read -> vreq.Virtio_blk.bytes + 1
@@ -185,11 +185,11 @@ let live_upgrade t ~name =
   match List.assoc_opt name t.guests with
   | None -> Error (name ^ " not provisioned")
   | Some state ->
-    Trace.begin_span_opt (Obs.trace t.obs) ~track:"hyp.bm" "live_upgrade" ~now:(Sim.now t.sim);
+    Obs.begin_span t.obs ~track:"hyp.bm" "live_upgrade";
     state.set_paused true;
     Sim.delay handover_ns;
     state.backend_version <- state.backend_version + 1;
     state.set_paused false;
-    Trace.end_span_opt (Obs.trace t.obs) ~track:"hyp.bm" "live_upgrade" ~now:(Sim.now t.sim);
-    Metrics.incr_opt (Obs.metrics t.obs) "hyp.bm.live_upgrades";
+    Obs.end_span t.obs ~track:"hyp.bm" "live_upgrade";
+    Obs.add t.obs "hyp.bm.live_upgrades" 1;
     Ok state.backend_version

@@ -137,7 +137,7 @@ module Live = struct
     fabric : Fabric.t;
     sched : Scheduler.t;
     config : config;
-    metrics : Metrics.t option;
+    obs : Obs.t;
     classes : (string, workload_class) Hashtbl.t;
     flow_rng : Rng.t;
     ecmp_rng : Rng.t;  (* pristine copy of the fabric RNG: per-shard
@@ -182,7 +182,7 @@ module Live = struct
     let class_rng = Rng.split root in
     let flow_rng = Rng.split root in
     let sim = Sim.create () in
-    let obs = Obs.create ?trace ?metrics ~now:(fun () -> Sim.now sim) () in
+    let obs = Obs.of_sim ?trace ?metrics sim in
     let topo =
       match topo with
       | Some topo when topo.Bm_fabric.Topology.hosts >= cfg.hosts -> topo
@@ -238,7 +238,7 @@ module Live = struct
         fabric;
         sched;
         config = cfg;
-        metrics = Obs.metrics obs;
+        obs;
         classes;
         flow_rng;
         ecmp_rng;
@@ -293,7 +293,7 @@ module Live = struct
     let tick_s = tick_ns /. 1e9 in
     Array.iter
       (fun (tn, byte_rate, io_rate) ->
-        Tenant.meter tn ~guest_ns:tick_ns ~bytes:(byte_rate *. tick_s) ~ios:(io_rate *. tick_s) ())
+        Tenant.meter tn ~guest_ns:tick_ns ~bytes:(byte_rate *. tick_s) ~ios:(io_rate *. tick_s))
       (meter_plan t)
 
   let guest_host t name = Option.map (fun p -> p.Cp.server) (Scheduler.lookup t.sched name)
@@ -336,7 +336,7 @@ module Live = struct
               Fabric.send t.fabric ~src_host:src ~dst_host:dst
                 ~deliver:(fun _ ->
                   t.flow_bursts <- t.flow_bursts + 1;
-                  Metrics.incr_opt t.metrics "fleet.flows.delivered")
+                  Obs.add t.obs "fleet.flows.delivered" 1)
                 (burst ~src ~dst ~id ~at)))
         draws;
       Sim.run t.sim
@@ -380,7 +380,7 @@ module Live = struct
         (fun n ->
           for _ = 1 to n do
             t.flow_bursts <- t.flow_bursts + 1;
-            Metrics.incr_opt t.metrics "fleet.flows.delivered"
+            Obs.add t.obs "fleet.flows.delivered" 1
           done)
         delivered;
       (* Park the main clock where a single-simulator serve would leave
@@ -437,7 +437,7 @@ module Live = struct
         Fabric.send t.fabric ~src_host:src ~dst_host:dst
           ~deliver:(fun p ->
             t.evac_bytes <- t.evac_bytes + p.Packet.size;
-            Metrics.incr_opt t.metrics ~by:(float_of_int p.Packet.size) "fleet.evac.bytes";
+            Obs.add t.obs "fleet.evac.bytes" p.Packet.size;
             pump ())
           pkt
     in

@@ -35,10 +35,10 @@ let steal t k =
   in
   let pause = body +. tail in
   t.stolen_ns <- t.stolen_ns +. pause;
-  Metrics.observe_opt (Obs.metrics t.obs) "hyp.preempt.stolen_ns" pause;
-  Trace.begin_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim);
+  Obs.observe t.obs "hyp.preempt.stolen_ns" pause;
+  Obs.begin_span t.obs ~track:"hyp.preempt" "steal";
   Sim.schedule t.sim ~delay:pause (fun () ->
-      Trace.end_span_opt (Obs.trace t.obs) ~track:"hyp.preempt" "steal" ~now:(Sim.now t.sim);
+      Obs.end_span t.obs ~track:"hyp.preempt" "steal";
       k ())
 
 let maybe_steal_callback t k = if Rng.bernoulli t.rng ~p:t.steal_p then steal t k else k ()

@@ -43,16 +43,20 @@ let name = function
   | Interrupt_window -> "injection"
   | Cpuid -> "cpuid"
 
+(* Per-reason counter names, indexed like [counts], built once. *)
+let metric_names = Array.of_list (List.map (fun r -> "hyp.vmexit." ^ name r) all)
+
 type counters = { counts : int array; mutable time_ns : float; obs : Obs.t; track : string }
 
 let create_counters ?(obs = Obs.none) ?(track = "hyp.vmexit") () =
   { counts = Array.make (List.length all) 0; time_ns = 0.0; obs; track }
 
 let record t reason =
-  t.counts.(index reason) <- t.counts.(index reason) + 1;
+  let i = index reason in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.time_ns <- t.time_ns +. handle_ns reason;
-  Trace.instant_opt (Obs.trace t.obs) ~track:t.track (name reason) ~now:(Obs.now t.obs);
-  Metrics.incr_opt (Obs.metrics t.obs) ("hyp.vmexit." ^ name reason)
+  Obs.instant t.obs ~track:t.track (name reason);
+  Obs.add t.obs metric_names.(i) 1
 
 let count t reason = t.counts.(index reason)
 let total t = Array.fold_left ( + ) 0 t.counts

@@ -39,12 +39,12 @@ let handle_wedge t _ev =
         (fun p ->
           (match p.reprobe () with
           | Ok () -> ()
-          | Error _ -> Metrics.incr_opt (Obs.metrics t.obs) "iobond.reset_probe_failures");
+          | Error _ -> Obs.add t.obs "iobond.reset_probe_failures" 1);
           List.iter (fun resync -> resync ()) p.resyncs)
         (List.rev t.ports);
       t.resets <- t.resets + 1;
-      Metrics.incr_opt (Obs.metrics t.obs) "iobond.resets";
-      Trace.instant_opt (Obs.trace t.obs) ~track:"iobond" "reset" ~now:(Sim.now t.sim))
+      Obs.add t.obs "iobond.resets" 1;
+      Obs.instant t.obs ~track:"iobond" "reset")
 
 let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?dma_gbit_s () =
   let register_ns = Profile.register_ns profile in
@@ -79,10 +79,10 @@ let pci_access_ns t = Profile.pci_emulation_ns t.profile
    the access is signalled through the mailbox pair. *)
 let on_pci_access t () =
   Mailbox.notify_pci_access t.mailbox;
-  Metrics.incr_opt (Obs.metrics t.obs) "iobond.pci_emulations";
-  Trace.span_opt (Obs.trace t.obs) ~track:"iobond.cfg" "pci_emulation"
-    ~clock:(fun () -> Sim.now t.sim)
-    (fun () -> Sim.delay (pci_access_ns t))
+  Obs.add t.obs "iobond.pci_emulations" 1;
+  Obs.begin_span t.obs ~track:"iobond.cfg" "pci_emulation";
+  Sim.delay (pci_access_ns t);
+  Obs.end_span t.obs ~track:"iobond.cfg" "pci_emulation"
 
 let attach_net t ?queue_size () =
   let device = Virtio_net.create ~obs:t.obs ?queue_size ~on_access:(on_pci_access t) () in

@@ -2,7 +2,6 @@ open Bm_engine
 open Bm_hw
 
 type t = {
-  sim : Sim.t;
   base_link : Pcie.t;
   mutable heads : int array;
   mutable tails : int array;
@@ -29,7 +28,6 @@ let tail_policy =
 
 let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~base_link =
   {
-    sim;
     base_link;
     heads = Array.make 8 0;
     tails = Array.make 8 0;
@@ -63,15 +61,15 @@ let tail t i =
 
 let write_tail t i v k =
   check t i;
-  Obs.instant_at t.obs ~track:"iobond.mailbox" "tail_write" t.sim;
-  Metrics.incr_opt (Obs.metrics t.obs) "iobond.mailbox.tail_writes";
+  Obs.instant t.obs ~track:"iobond.mailbox" "tail_write";
+  Obs.add t.obs "iobond.mailbox.tail_writes" 1;
   (* Each attempt pays the register hop; during a Mailbox_drop window
      the write crosses the link but never latches. The value written is
      absolute, so retries are idempotent. *)
   let attempt k =
     Pcie.register_access t.base_link (fun () ->
         if Fault.is_active t.fault Fault.Mailbox_drop then begin
-          Metrics.incr_opt (Obs.metrics t.obs) "iobond.mailbox.dropped_tail_writes";
+          Obs.add t.obs "iobond.mailbox.dropped_tail_writes" 1;
           k (Error "mailbox: tail write dropped")
         end
         else begin
@@ -84,11 +82,11 @@ let write_tail t i v k =
     | Ok () -> k ()
     | Error _ ->
       t.lost_tail_writes <- t.lost_tail_writes + 1;
-      Metrics.incr_opt (Obs.metrics t.obs) "iobond.mailbox.lost_tail_writes";
+      Obs.add t.obs "iobond.mailbox.lost_tail_writes" 1;
       k ())
 
 let notify_pci_access t =
-  Metrics.incr_opt (Obs.metrics t.obs) "iobond.mailbox.pci_accesses";
+  Obs.add t.obs "iobond.mailbox.pci_accesses" 1;
   t.pci_accesses <- t.pci_accesses + 1
 
 let pci_access_count t = t.pci_accesses

@@ -90,7 +90,7 @@ let rec pump_forward t =
       | Some chain -> forward t chain)
 
 and forward t chain =
-  Obs.begin_span_at t.obs ~track:t.track "forward" t.sim;
+  Obs.begin_span t.obs ~track:t.track "forward";
   let bytes_ = (desc_bytes * chain_nsegs chain) + Vring.total_out_bytes chain in
   Dma.copy t.dma ~src:t.guest_link ~dst:t.base_link ~bytes_ (fun () ->
       let out = List.map snd chain.Vring.out in
@@ -107,12 +107,12 @@ and forward t chain =
           (match r with
           | Ok () ->
             t.forwarded <- t.forwarded + 1;
-            Obs.mark_at t.obs ~n:1 "iobond.forwarded" t.sim;
+            Obs.mark t.obs ~n:1 "iobond.forwarded";
             Mailbox.set_head t.mailbox t.ring_index (Vring.avail_idx t.shadow);
-            Obs.counter_at t.obs ~track:t.track "pending" t.sim (Vring.avail_pending t.shadow);
+            Obs.counter t.obs ~track:t.track "pending" (Vring.avail_pending t.shadow);
             if Vring.avail_pending t.shadow = 1 then t.work_hint ()
-          | Error _ -> Metrics.incr_opt (Obs.metrics t.obs) "iobond.dropped_chains");
-          Obs.end_span_at t.obs ~track:t.track "forward" t.sim;
+          | Error _ -> Obs.add t.obs "iobond.dropped_chains" 1);
+          Obs.end_span t.obs ~track:t.track "forward";
           pump_forward t))
 
 let start_forward t =
@@ -122,8 +122,8 @@ let start_forward t =
   end
 
 let guest_notify t =
-  Obs.instant_at t.obs ~track:t.track "doorbell" t.sim;
-  Metrics.incr_opt (Obs.metrics t.obs) "iobond.doorbells";
+  Obs.instant t.obs ~track:t.track "doorbell";
+  Obs.add t.obs "iobond.doorbells" 1;
   (* Posted doorbell: the guest is not stalled; the FPGA sees it one
      register hop later. *)
   Sim.schedule t.sim ~delay:(Pcie.register_ns t.guest_link) (fun () -> start_forward t)
@@ -167,8 +167,8 @@ let rec pump_backward t completed_any =
         t.backward_running <- false;
         if completed_any then begin
           t.interrupts <- t.interrupts + 1;
-          Obs.instant_at t.obs ~track:t.track "guest_irq" t.sim;
-          Metrics.incr_opt (Obs.metrics t.obs) "iobond.guest_irqs";
+          Obs.instant t.obs ~track:t.track "guest_irq";
+          Obs.add t.obs "iobond.guest_irqs" 1;
           t.guest_irq ()
         end
       | Some ((guest_head, payload), written) ->
@@ -177,7 +177,7 @@ let rec pump_backward t completed_any =
             Vring.set_payload t.guest ~head:guest_head payload;
             Vring.push_used t.guest ~head:guest_head ~written;
             t.completed <- t.completed + 1;
-            Obs.mark_at t.obs ~n:1 "iobond.completed" t.sim;
+            Obs.mark t.obs ~n:1 "iobond.completed";
             pump_backward t true))
 
 let start_backward t =

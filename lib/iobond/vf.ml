@@ -58,6 +58,8 @@ type vf = {
   mutable streaming : int; (* 0 or 1: per-VF transfers are serialized *)
   mutable bytes_moved : float;
   slice : Sim.Resource.resource;
+  m_accepted : string array; (* per-queue metric names, built once *)
+  m_completions : string array;
 }
 
 and dev = {
@@ -73,6 +75,10 @@ and dev = {
   guard : Fault.Guard.g;
   obs : Obs.t;
   fault : Fault.t;
+  m_stalls : string; (* per-request metric names, built once *)
+  m_lat_ns : string;
+  m_blackout_rejects : string;
+  m_ring_full : string;
 }
 
 (* How long the drain step sleeps between in-flight checks, and the
@@ -82,7 +88,7 @@ and dev = {
 let drain_poll_ns = 200.0
 let reassign_config_hops = 4.0
 
-let metric dev what = "iobond.vf." ^ Profile.name dev.profile ^ "." ^ what
+let metric profile what = "iobond.vf." ^ Profile.name profile ^ "." ^ what
 
 let per_vf_metric vf_id ~queue what =
   "iobond.vf." ^ Profile.vf_label vf_id ^ "." ^ Profile.queue_label queue ^ "." ^ what
@@ -97,7 +103,7 @@ let per_vf_metric vf_id ~queue what =
 let rec engine_loop d vf ring =
   Sim.Bounded.recv_callback d.sim ring (fun desc ->
       if Fault.is_active d.fault Fault.Vf_stall then begin
-        Metrics.incr_opt (Obs.metrics d.obs) (metric d "stalls");
+        Obs.add d.obs d.m_stalls 1;
         Fault.when_clear d.fault Fault.Vf_stall (fun () -> transfer d vf ring desc)
       end
       else transfer d vf ring desc)
@@ -136,9 +142,8 @@ let rec dispatch_loop d vf =
       in
       desc.d_deliver c;
       vf.delivered <- vf.delivered + 1;
-      Metrics.incr_opt (Obs.metrics d.obs) (per_vf_metric vf.vf_id ~queue:desc.d_queue "completions");
-      Metrics.observe_opt (Obs.metrics d.obs) (metric d "lat_ns")
-        (c.c_completed_ns -. c.c_submitted_ns);
+      Obs.add d.obs vf.m_completions.(desc.d_queue) 1;
+      Obs.observe_since d.obs d.m_lat_ns c.c_submitted_ns;
       dispatch_loop d vf)
 
 (* Entries in each descriptor ring and each completion ring. *)
@@ -171,10 +176,17 @@ let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?(vfs = 8
             };
       obs;
       fault;
+      m_stalls = metric profile "stalls";
+      m_lat_ns = metric profile "lat_ns";
+      m_blackout_rejects = metric profile "blackout_rejects";
+      m_ring_full = metric profile "ring_full";
     }
   in
   d.functions <-
     Array.init vfs (fun vf_id ->
+        let per_queue what =
+          Array.init queues_per_vf (fun queue -> per_vf_metric vf_id ~queue what)
+        in
         {
           vf_id;
           dev = d;
@@ -192,6 +204,8 @@ let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?(vfs = 8
           streaming = 0;
           bytes_moved = 0.0;
           slice = Sim.Resource.create ~capacity:1;
+          m_accepted = per_queue "accepted";
+          m_completions = per_queue "completions";
         });
   Array.iter
     (fun vf ->
@@ -220,10 +234,8 @@ let attach d ~owner () =
   | Some vf ->
     vf.vstate <- Attached;
     vf.vowner <- Some owner;
-    Metrics.incr_opt (Obs.metrics d.obs) (metric d "attach");
-    Trace.instant_opt (Obs.trace d.obs) ~track:"iobond.vf"
-      ("attach.vf" ^ string_of_int vf.vf_id)
-      ~now:(Sim.now d.sim);
+    Obs.add d.obs (metric d.profile "attach") 1;
+    Obs.instant d.obs ~track:"iobond.vf" ("attach.vf" ^ string_of_int vf.vf_id);
     Ok vf
 
 let submit vf ~queue ~bytes_ ~deliver =
@@ -233,7 +245,7 @@ let submit vf ~queue ~bytes_ ~deliver =
   match vf.vstate with
   | Free | Draining | Reassigning ->
     vf.rejected <- vf.rejected + 1;
-    Metrics.incr_opt (Obs.metrics d.obs) (metric d "blackout_rejects");
+    Obs.add d.obs d.m_blackout_rejects 1;
     `Rejected
   | Attached -> (
     let seq = vf.next_seq.(queue) in
@@ -252,11 +264,11 @@ let submit vf ~queue ~bytes_ ~deliver =
       vf.next_seq.(queue) <- seq + 1;
       vf.accepted <- vf.accepted + 1;
       vf.q_accepted.(queue) <- vf.q_accepted.(queue) + 1;
-      Metrics.incr_opt (Obs.metrics d.obs) (per_vf_metric vf.vf_id ~queue "accepted");
+      Obs.add d.obs vf.m_accepted.(queue) 1;
       `Submitted seq
     | `Rejected | `Dropped ->
       vf.rejected <- vf.rejected + 1;
-      Metrics.incr_opt (Obs.metrics d.obs) (metric d "ring_full");
+      Obs.add d.obs d.m_ring_full 1;
       `Rejected)
 
 (* Wait (on the agenda) until every accepted descriptor has been
@@ -276,7 +288,7 @@ let reassign vf ~owner:new_owner =
   | Draining | Reassigning -> Error "Vf.reassign: already mid-transition"
   | Attached ->
     let t0 = Sim.now d.sim in
-    Trace.begin_span_opt (Obs.trace d.obs) ~track:"iobond.vf" "reassign" ~now:t0;
+    Obs.begin_span d.obs ~track:"iobond.vf" "reassign";
     vf.vstate <- Draining;
     drain vf;
     vf.vstate <- Reassigning;
@@ -303,9 +315,9 @@ let reassign vf ~owner:new_owner =
     let blackout = Sim.now d.sim -. t0 in
     d.reassignments <- d.reassignments + 1;
     d.blackouts_rev <- blackout :: d.blackouts_rev;
-    Metrics.incr_opt (Obs.metrics d.obs) (metric d "reassignments");
-    Metrics.observe_opt (Obs.metrics d.obs) (metric d "blackout_ns") blackout;
-    Trace.end_span_opt (Obs.trace d.obs) ~track:"iobond.vf" "reassign" ~now:(Sim.now d.sim);
+    Obs.add d.obs (metric d.profile "reassignments") 1;
+    Obs.observe d.obs (metric d.profile "blackout_ns") blackout;
+    Obs.end_span d.obs ~track:"iobond.vf" "reassign";
     Ok blackout
 
 let check_conservation d =

@@ -66,7 +66,7 @@ let submit t req =
   | Some _ ->
     t.submitted <- t.submitted + 1;
     Obs.instant t.obs ~track:"virtio.blk" "kick";
-    Metrics.incr_opt (Obs.metrics t.obs) "virtio.blk.submitted";
+    Obs.add t.obs "virtio.blk.submitted" 1;
     t.notify ();
     true
   | None -> false

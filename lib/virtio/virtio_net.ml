@@ -59,7 +59,7 @@ let xmit t pkt =
     true
   | None ->
     t.tx_dropped <- t.tx_dropped + 1;
-    Metrics.incr_opt (Obs.metrics t.obs) "virtio.net.tx_dropped";
+    Obs.add t.obs "virtio.net.tx_dropped" 1;
     false
 
 let refill_rx t ~target =

@@ -18,11 +18,13 @@ type 'a chain = {
   payload : 'a;
 }
 
+(* One table descriptor per segment: an outstanding slot (payload
+   [Some]) holds [length chain_out + length chain_in] descriptors. A
+   reaped slot keeps its stale lists until the head is reused. *)
 type 'a slot = {
   mutable chain_out : (int * int) list;
   mutable chain_in : (int * int) list;
   mutable chain_payload : 'a option;
-  mutable ndesc : int; (* table descriptors consumed *)
 }
 
 type 'a t = {
@@ -51,7 +53,7 @@ let create ~size =
   let desc = Array.init size (fun i -> { flags = 0; next = i + 1 }) in
   let slots =
     Array.init size (fun _ ->
-        { chain_out = []; chain_in = []; chain_payload = None; ndesc = 0 })
+        { chain_out = []; chain_in = []; chain_payload = None })
   in
   {
     size;
@@ -140,12 +142,11 @@ let add t ~out ~in_ payload =
     slot.chain_out <- out_segs;
     slot.chain_in <- in_segs;
     slot.chain_payload <- Some payload;
-    slot.ndesc <- nsegs;
     t.avail.(t.avail_idx land (t.size - 1)) <- head;
     t.avail_idx <- (t.avail_idx + 1) land wrap16;
     t.requests <- t.requests + 1;
     Obs.instant t.obs ~track:t.track "add";
-    Metrics.incr_opt (Obs.metrics t.obs) "virtio.vring.add";
+    Obs.add t.obs "virtio.vring.add" 1;
     Some head
   end
 
@@ -186,7 +187,7 @@ let push_used t ~head ~written =
   t.used.(t.used_idx land (t.size - 1)) <- (head, written);
   t.used_idx <- (t.used_idx + 1) land wrap16;
   Obs.instant t.obs ~track:t.track "used";
-  Metrics.incr_opt (Obs.metrics t.obs) "virtio.vring.used"
+  Obs.add t.obs "virtio.vring.used" 1
 
 let pop_used t =
   if used_pending t = 0 then None
@@ -198,8 +199,7 @@ let pop_used t =
     | None -> invalid_arg "Vring.pop_used: corrupted used entry"
     | Some payload ->
       slot.chain_payload <- None;
-      free_descs t head slot.ndesc;
-      slot.ndesc <- 0;
+      free_descs t head (List.length slot.chain_out + List.length slot.chain_in);
       t.requests <- t.requests - 1;
       Some (payload, written)
   end
@@ -208,7 +208,14 @@ let total_out_bytes chain = List.fold_left (fun acc (_, len) -> acc + len) 0 cha
 let total_in_bytes chain = List.fold_left (fun acc (_, len) -> acc + len) 0 chain.in_
 
 let check_invariants t =
-  let outstanding = Array.fold_left (fun acc s -> acc + s.ndesc) 0 t.slots in
+  let outstanding =
+    Array.fold_left
+      (fun acc s ->
+        match s.chain_payload with
+        | Some _ -> acc + List.length s.chain_out + List.length s.chain_in
+        | None -> acc)
+      0 t.slots
+  in
   (* Count the free list. *)
   let rec count cur n =
     if n > t.size then Error "free list cycle"

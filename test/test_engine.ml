@@ -1155,8 +1155,11 @@ let test_trace_ring_bounds () =
 let test_trace_span_in_simulation () =
   let sim = Sim.create () in
   let tr = Trace.create () in
+  let obs = Obs.of_sim ~trace:tr sim in
   Sim.spawn sim (fun () ->
-      Trace.span_opt (Some tr) ~track:"guest" "request" ~clock:Sim.clock (fun () -> Sim.delay 123.0));
+      Obs.begin_span obs ~track:"guest" "request";
+      Sim.delay 123.0;
+      Obs.end_span obs ~track:"guest" "request");
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "span measured sim time" [ 123.0 ]
     (Trace.span_durations tr ~track:"guest" "request")

@@ -83,20 +83,6 @@ let prop_add_n_equals_repeated_add =
 (* ------------------------------------------------------------------ *)
 (* Trace correctness *)
 
-let test_span_ends_on_exception () =
-  let t = Trace.create () in
-  let clock = ref 0.0 in
-  let tick () = clock := !clock +. 1.0; !clock in
-  (try
-     Trace.span_opt (Some t) ~track:"x" "work" ~clock:tick (fun () -> failwith "boom")
-   with Failure _ -> ());
-  match Trace.events t with
-  | [ b; e ] ->
-    check_bool "begin" true (b.Trace.kind = `Begin);
-    check_bool "end" true (e.Trace.kind = `End);
-    check_bool "ordered" true (b.Trace.at < e.Trace.at)
-  | evs -> Alcotest.failf "expected exactly begin+end, got %d events" (List.length evs)
-
 let test_ring_buffer_dropped () =
   let t = Trace.create ~capacity:8 () in
   for i = 1 to 20 do
@@ -452,6 +438,49 @@ let test_bm_datapath_covers_layers () =
   check_bool "multiple trace tracks" true (List.length tracks >= 3)
 
 (* ------------------------------------------------------------------ *)
+(* Probes on a run with no sink *)
+
+(* Minor-heap words one call of [f] allocates, over 10,000 calls, less
+   what an empty bracket costs. *)
+let words_per_call f =
+  let n = 10_000 in
+  let bracket g =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let empty = bracket (fun () -> ()) in
+  (bracket f -. empty) /. float_of_int n
+
+let test_sinkless_probes_allocate_nothing () =
+  let obs = Obs.of_sim (Sim.create ()) in
+  let q = Sim.Bounded.create ~capacity:4 ~policy:Sim.Bounded.Drop_tail () in
+  List.iter
+    (fun (name, f) -> check_float (name ^ " words/call") 0.0 (words_per_call f))
+    [
+      ("instant", fun () -> Obs.instant obs ~track:"t" "x");
+      ("begin_span", fun () -> Obs.begin_span obs ~track:"t" "x");
+      ("end_span", fun () -> Obs.end_span obs ~track:"t" "x");
+      ("counter", fun () -> Obs.counter obs ~track:"t" "x" 3);
+      ("add", fun () -> Obs.add obs "x" 3);
+      ("add_float", fun () -> Obs.add_float obs "x" 2.5 ~per:1e9);
+      ("mark", fun () -> Obs.mark obs ~n:3 "x");
+      ("observe", fun () -> Obs.observe obs ~lo:0.5 ~hi:64.0 ~precision:0.001 "x" 2.5);
+      ("start/observe_since", fun () -> Obs.observe_since obs "x" (Obs.start obs));
+      ("depth", fun () -> Obs.depth obs ~track:"t" ~histogram:"x" 3);
+      ("watch_bounded", fun () -> Obs.watch_bounded obs ~track:"t" q);
+    ]
+
+(* A VM exit builds no metric name and reads no clock without a sink:
+   what is left is the boxed store of its own running [time_ns]. *)
+let test_sinkless_vmexit_record () =
+  let c = Bm_hyp.Vmexit.create_counters ~obs:(Obs.of_sim (Sim.create ())) () in
+  let w = words_per_call (fun () -> Bm_hyp.Vmexit.record c Bm_hyp.Vmexit.Io_instruction) in
+  check_bool (Printf.sprintf "%.2f words/call <= 2" w) true (w <= 2.0)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -467,7 +496,6 @@ let suites =
       ];
     ( "observability.trace",
       [
-        Alcotest.test_case "span ends on exception" `Quick test_span_ends_on_exception;
         Alcotest.test_case "ring buffer drop accounting" `Quick test_ring_buffer_dropped;
         Alcotest.test_case "export_json is valid JSON" `Quick test_export_json_valid;
         Alcotest.test_case "export_json ts monotone per track" `Quick
@@ -479,6 +507,12 @@ let suites =
         Alcotest.test_case "merge" `Quick test_metrics_merge;
         Alcotest.test_case "merge rejects kind mismatch" `Quick test_metrics_merge_wrong_kind;
         Alcotest.test_case "table rows" `Quick test_metrics_render_shape;
+      ] );
+    ( "observability.probes",
+      [
+        Alcotest.test_case "sink-less probes allocate nothing" `Quick
+          test_sinkless_probes_allocate_nothing;
+        Alcotest.test_case "sink-less vmexit record" `Quick test_sinkless_vmexit_record;
       ] );
     ( "observability.determinism",
       [

@@ -22,7 +22,7 @@ let unlimited = { Tenant.max_guests = max_int; max_vcpus = max_int }
 
 let obs_with_metrics () =
   let m = Metrics.create () in
-  (Obs.create ~metrics:m ~now:(fun () -> 0.0) (), m)
+  (Obs.of_sim ~metrics:m (Sim.create ()), m)
 
 (* ------------------------------------------------------------------ *)
 (* Tenants *)
@@ -42,8 +42,8 @@ let test_tenant_quota () =
 let test_tenant_metering () =
   let obs, m = obs_with_metrics () in
   let tn = Tenant.create ~obs ~name:"acme" unlimited in
-  Tenant.meter tn ~guest_ns:2e9 ~bytes:1000.0 ~ios:5.0 ();
-  Tenant.meter tn ~guest_ns:1e9 ();
+  Tenant.meter tn ~guest_ns:2e9 ~bytes:1000.0 ~ios:5.0;
+  Tenant.meter tn ~guest_ns:1e9 ~bytes:0.0 ~ios:0.0;
   Alcotest.(check (float 1e-9)) "guest seconds" 3.0 (Tenant.guest_seconds tn);
   Alcotest.(check (float 1e-9)) "bytes" 1000.0 (Tenant.bytes tn);
   Alcotest.(check (float 1e-9))
