@@ -37,7 +37,9 @@ let progress args fmt = Printf.ksprintf (fun m -> prerr_endline ("[" ^ args.name
 
 (* Cumulative words allocated by this domain so far: the minor counter
    plus direct major allocations, net of promotions (which would double
-   count). Exact — no GC needs to run for the counters to be current. *)
+   count). [Gc.minor_words ()] counts up to the allocation pointer;
+   [Gc.quick_stat]'s [minor_words] stops at the last minor collection
+   on OCaml 5, so a bracket with no collection inside would read 0. *)
 let allocated_words () =
   let st = Gc.quick_stat () in
-  st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  Gc.minor_words () +. st.Gc.major_words -. st.Gc.promoted_words

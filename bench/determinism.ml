@@ -38,6 +38,9 @@ let matrix =
       ~save:"FLEET_scorecard.txt";
     row (across "--jobs") "--quick --hosts 40 --guests 800 --tenants 8 fleet_scale";
     row (across "--shards") "--quick fleet_scale";
+    row (across "--shards")
+      "--quick --hosts 8 --guests 400 --tenants 4 --topology \
+       hosts=8,tors=4,spines=1,host_gbit=10,spine_gbit=1,queue=2 fleet_scale";
     row (twice @ across "--shards") "--quick --scenario 42:default game_day"
       ~has:[ "degradation helps" ] ~lacks:[ "DIFF" ] ~save:"GAMEDAY_scorecard.txt";
     row (across "--jobs") "--quick --scenario 7:hosts=2,links=1,congest=1,evac=1,brownout=1 game_day";

@@ -6,7 +6,7 @@
    Usage:
      engine_bench.exe [--quick] [--seed N] [--out FILE]
 
-   Five sections:
+   Four sections:
      hot_lane   events/sec of zero-delay self-rescheduling callbacks
                 (FIFO hot lane) vs the same chains with a 1 ns delay
                 (binary-heap lane)
@@ -17,10 +17,6 @@
                 outcomes; the wall-clock comparison is skipped (and
                 marked so in the JSON) on single-core hosts, where it
                 would measure domain overhead rather than speedup
-     shards     the conservative sharded scheduler (Bm_engine.Shard) on
-                a synthetic host-partitioned traffic model: wall-clock
-                at shards=1 vs shards=4 plus a byte-identity check
-                against the plain sequential engine
      cells      per-cell wall seconds at jobs=1
 
    None of this changes a simulated result. *)
@@ -60,102 +56,6 @@ let lane_events_per_sec ~delay ~chains ~events =
     dt,
     words /. float_of_int (Sim.events_executed sim) )
 
-(* --- sharded scheduler ------------------------------------------------ *)
-
-(* Synthetic host-partitioned traffic (the test_shard model at bench
-   scale): [hosts] hosts each emit [per_host] packets at RNG-drawn times
-   to RNG-drawn destinations; pairwise latency = base lookahead + a
-   deterministic per-pair spread. The observable is a per-host delivery
-   count plus an order-independent xor checksum over mixed delivery
-   timestamps, so runs are comparable across any shard/domain split. *)
-
-let shard_base_lookahead = 10.0
-
-let shard_latency ~src ~dst =
-  shard_base_lookahead +. float_of_int (((src * 7) + (dst * 13)) mod 23)
-
-let shard_mix x =
-  let open Int64 in
-  let x = mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-  let x = mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL in
-  logxor x (shift_right_logical x 31)
-
-let shard_plan ~hosts ~per_host =
-  let rng = Rng.create ~seed in
-  Array.init hosts (fun src ->
-      Array.init per_host (fun _ ->
-          let at = Rng.float rng 1_000_000.0 in
-          let dst = Rng.int rng hosts in
-          ignore src;
-          (at, dst)))
-
-type shard_outcome = { counts : int array; sums : int64 array }
-
-let shard_note outcome ~host ~tag now =
-  outcome.counts.(host) <- outcome.counts.(host) + 1;
-  outcome.sums.(host) <-
-    Int64.logxor outcome.sums.(host)
-      (shard_mix (Int64.add (Int64.bits_of_float now) (Int64.of_int tag)))
-
-(* shards = 0 runs the plain sequential engine (the reference). *)
-let shard_run ~plan ~shards ~domains =
-  let hosts = Array.length plan in
-  let outcome = { counts = Array.make hosts 0; sums = Array.make hosts 0L } in
-  if shards = 0 then begin
-    let sim = Sim.create () in
-    Array.iteri
-      (fun src packets ->
-        Array.iteri
-          (fun k (at, dst) ->
-            Sim.schedule sim ~delay:at (fun () ->
-                let lat = shard_latency ~src ~dst in
-                Sim.schedule sim ~delay:lat (fun () ->
-                    shard_note outcome ~host:dst ~tag:((src * 1021) + k) (Sim.now sim))))
-          packets)
-      plan;
-    let (), dt = time (fun () -> Sim.run sim) in
-    (outcome, dt, Sim.events_executed sim, None)
-  end
-  else begin
-    let t = Shard.create ~shards () in
-    let conduits = Array.make_matrix shards shards None in
-    for a = 0 to shards - 1 do
-      for b = 0 to shards - 1 do
-        if a <> b then
-          conduits.(a).(b) <-
-            Some (Shard.conduit t ~src:a ~dst:b ~lookahead_ns:shard_base_lookahead)
-      done
-    done;
-    Array.iteri
-      (fun src packets ->
-        let s = src mod shards in
-        let sim = Shard.sim t s in
-        Array.iteri
-          (fun k (at, dst) ->
-            Sim.schedule sim ~delay:at (fun () ->
-                let lat = shard_latency ~src ~dst in
-                let tag = (src * 1021) + k in
-                let d = dst mod shards in
-                let deliver () =
-                  shard_note outcome ~host:dst ~tag (Sim.now (Shard.sim t d))
-                in
-                if d = s then Sim.schedule sim ~delay:lat deliver
-                else
-                  match conduits.(s).(d) with
-                  | Some c -> Shard.send t c ~delay:lat deliver
-                  | None -> assert false))
-          packets)
-      plan;
-    let (), dt = time (fun () -> Shard.run ~domains t) in
-    let events =
-      Array.fold_left
-        (fun acc s -> acc + Sim.events_executed s)
-        0
-        (Array.init shards (fun i -> Shard.sim t i))
-    in
-    (outcome, dt, events, Some (Shard.stats t))
-  end
-
 (* --- parallel sweep --------------------------------------------------- *)
 
 let sweep_ids = [ "fig9"; "fig10"; "fig11"; "sec6" ]
@@ -188,17 +88,6 @@ let () =
   progress "sweep --jobs 4";
   let r4, sweep4_s = sweep ~jobs:4 in
   let identical = r1 = r4 in
-  let shard_hosts = 64 in
-  let shard_per_host = if quick then 400 else 4_000 in
-  let shard_n = 4 in
-  progress "shards: %d hosts x %d packets, sequential reference" shard_hosts shard_per_host;
-  let plan = shard_plan ~hosts:shard_hosts ~per_host:shard_per_host in
-  let seq_out, seq_s, seq_events, _ = shard_run ~plan ~shards:0 ~domains:1 in
-  progress "shards: 1 shard";
-  let s1_out, s1_s, s1_events, _ = shard_run ~plan ~shards:1 ~domains:1 in
-  progress "shards: %d shards, %d domains" shard_n shard_n;
-  let sn_out, sn_s, sn_events, sn_stats = shard_run ~plan ~shards:shard_n ~domains:shard_n in
-  let shard_identical = seq_out = s1_out && seq_out = sn_out in
   progress "per-cell timings";
   let cells = cell_seconds () in
   let buf = Buffer.create 2048 in
@@ -206,7 +95,7 @@ let () =
   p "{\n";
   p "  \"seed\": %d,\n" seed;
   p "  \"quick\": %b,\n" quick;
-  p "  \"note\": \"committed baselines are measured on a single-core container; wall-clock ratios for --jobs/--shards are skipped there and only the determinism (outcomes_identical) and alloc gates are load-bearing\",\n";
+  p "  \"note\": \"wall-clock ratios depend on the host's cores (recommended_domains) and are skipped on one; only the determinism (outcomes_identical) and alloc gates are load-bearing\",\n";
   p "  \"recommended_domains\": %d,\n" rec_domains;
   p "  \"hot_lane\": {\n";
   p "    \"chains\": %d,\n" chains;
@@ -232,29 +121,6 @@ let () =
     p "    \"wall_speedup_skipped\": \"single-core host (recommended_domains = 1)\",\n";
   p "    \"outcomes_identical\": %b\n" identical;
   p "  },\n";
-  p "  \"shards\": {\n";
-  p "    \"hosts\": %d,\n" shard_hosts;
-  p "    \"packets_per_host\": %d,\n" shard_per_host;
-  p "    \"sequential_sim\": { \"events\": %d, \"wall_s\": %.4f, \"events_per_sec\": %.0f },\n"
-    seq_events seq_s
-    (float_of_int seq_events /. seq_s);
-  p "    \"shards_1\": { \"events\": %d, \"wall_s\": %.4f, \"events_per_sec\": %.0f },\n"
-    s1_events s1_s
-    (float_of_int s1_events /. s1_s);
-  (match sn_stats with
-  | Some st ->
-    p
-      "    \"shards_%d\": { \"domains\": %d, \"events\": %d, \"wall_s\": %.4f, \
-       \"events_per_sec\": %.0f, \"rounds\": %d, \"cross_messages\": %d },\n"
-      shard_n shard_n sn_events sn_s
-      (float_of_int sn_events /. sn_s)
-      st.Shard.rounds st.Shard.cross_messages
-  | None -> ());
-  if multicore then p "    \"wall_speedup_vs_shards_1\": %.2f,\n" (s1_s /. sn_s)
-  else
-    p "    \"wall_speedup_skipped\": \"single-core host (recommended_domains = 1)\",\n";
-  p "    \"outcomes_identical\": %b\n" shard_identical;
-  p "  },\n";
   p "  \"cells\": {\n";
   List.iteri
     (fun i (id, s) ->
@@ -266,9 +132,7 @@ let () =
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf "engine bench: hot lane %.2fx heap; %.2f/%.2f alloc words/event \
-                 (hot/heap); shards %d identical: %b; sweep identical: %b (%d domain(s) \
-                 recommended%s)\n"
-    (hot_eps /. heap_eps) hot_wpe heap_wpe shard_n shard_identical identical
-    rec_domains
+                 (hot/heap); sweep identical: %b (%d domain(s) recommended%s)\n"
+    (hot_eps /. heap_eps) hot_wpe heap_wpe identical rec_domains
     (if multicore then "" else "; wall speedups skipped");
   Printf.printf "written: %s\n" out_file

@@ -120,9 +120,8 @@ let shards =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           ("Intra-run parallelism on up to $(docv) domains (0 = one per recommended core): \
-            $(b,fleet_scale) partitions its east-west flow phase across that many fabric \
-            shards, $(b,game_day) and $(b,policy_race) race their scenario arms, the VF sweeps \
-            their cells. Output is byte-identical for any value. " ^ sinks_note))
+            $(b,game_day) and $(b,policy_race) race their scenario arms, the VF sweeps their \
+            cells. Output is byte-identical for any value. " ^ sinks_note))
 
 let ids =
   Arg.(

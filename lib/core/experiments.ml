@@ -1565,7 +1565,7 @@ let run_xhost_migrate { seed; quick; trace; metrics; topo; _ } =
 (* ------------------------------------------------------------------ *)
 (* Fleet scale: the live fleet simulation *)
 
-let run_fleet_scale { seed; quick; trace; metrics; topo; shards; hosts; guests; tenants; _ } =
+let run_fleet_scale { seed; quick; trace; metrics; topo; hosts; guests; tenants; _ } =
   let base = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   let cfg =
     {
@@ -1579,7 +1579,7 @@ let run_fleet_scale { seed; quick; trace; metrics; topo; shards; hosts; guests; 
   let sched = Fleet.Live.scheduler live in
   let cp = Bm_cloud.Scheduler.control_plane sched in
   let net = Fleet.Live.fabric live in
-  Fleet.Live.serve ~shards live ~duration_ns:(Simtime.ms (if quick then 2.0 else 10.0));
+  Fleet.Live.serve live ~duration_ns:(Simtime.ms (if quick then 2.0 else 10.0));
   (* Fail the busiest host, drain it through the fabric, repair it,
      then rebalance — the full maintenance cycle. *)
   let victim_host =
@@ -1592,7 +1592,7 @@ let run_fleet_scale { seed; quick; trace; metrics; topo; shards; hosts; guests; 
   let evac = Fleet.Live.evacuate live ~server:victim_host in
   let recovered = Fleet.Live.restore live ~server:victim_host in
   let moves = Bm_cloud.Scheduler.rebalance sched () in
-  Fleet.Live.serve ~shards live ~duration_ns:(Simtime.ms (if quick then 1.0 else 2.0));
+  Fleet.Live.serve live ~duration_ns:(Simtime.ms (if quick then 1.0 else 2.0));
   let survey = Fleet.Live.exit_survey live (Rng.create ~seed:(seed + 1)) in
   let placed_now = List.length (Bm_cloud.Scheduler.assignments sched) in
   let stranded_now = List.length (Bm_cloud.Scheduler.stranded sched) in
@@ -2091,7 +2091,8 @@ let ids () = List.map (fun s -> s.id) all
 (* Trace/metrics sinks are single mutable buffers shared by every cell;
    recording from several domains would race, so their presence forces a
    sequential sweep, and a sequential run inside each experiment too
-   (intra-run sharding replays callbacks that feed the same sinks).
+   (the arms and cells [shards] fans out would record into the same
+   sinks).
    Cells themselves share nothing: each builds its own simulator, RNG and
    testbed from the seed, so output is byte-identical either way. *)
 let run ?(jobs = 1) ctx targets =

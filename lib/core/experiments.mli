@@ -32,11 +32,10 @@ type ctx = {
       (** fabric topology of the cross-host ([xhost_*]) and fleet
           experiments; single-server experiments ignore it *)
   shards : int;
-      (** intra-run parallelism: [fleet_scale] carries its east-west flow
-          phase on that many fabric replicas ({!Fleet.Live.serve}),
-          [game_day]/[policy_race] run their scenario arms and the [vf_*]
-          sweeps their cells on up to that many domains; everything else
-          ignores it. Output is byte-identical for any value. *)
+      (** intra-run parallelism: [game_day]/[policy_race] run their
+          scenario arms and the [vf_*] sweeps their cells on up to that
+          many domains; everything else ignores it. Output is
+          byte-identical for any value. *)
   scenario : Scenario.spec option;
       (** timeline of [game_day] and [policy_race]; [None] is
           {!Scenario.default_spec} at [seed] *)

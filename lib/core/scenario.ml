@@ -242,7 +242,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
   let fab = Fleet.Live.fabric t in
   let sched = Fleet.Live.scheduler t in
   let cp = Scheduler.control_plane sched in
-  let obs = Obs.of_sim ?trace ?metrics sim in
+  let obs = Fleet.Live.obs t in
   let horizon = spec.horizon_ns in
   let window_ns = horizon /. float_of_int windows in
   (* Scenario randomness is split off its own root so it never shares a

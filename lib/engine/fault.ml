@@ -285,10 +285,15 @@ module Guard = struct
     mutable retries : int;
     mutable circuit_opens : int;
     obs : Obs.t;
+    (* Metric names, built once here rather than on every retry. *)
+    rejected_name : string;
+    circuit_opens_name : string;
+    retries_name : string;
   }
 
   let create ?(obs = Obs.none) ?(policy = default_policy) sim ~name =
     if policy.max_attempts < 1 then invalid_arg "Fault.Guard: max_attempts must be >= 1";
+    let metric what = "fault.guard." ^ name ^ "." ^ what in
     {
       sim;
       name;
@@ -298,6 +303,9 @@ module Guard = struct
       retries = 0;
       circuit_opens = 0;
       obs;
+      rejected_name = metric "rejected";
+      circuit_opens_name = metric "circuit_opens";
+      retries_name = metric "retries";
     }
 
   let retries g = g.retries
@@ -319,13 +327,11 @@ module Guard = struct
     then Half_open
     else Closed
 
-  let metric g what = "fault.guard." ^ g.name ^ "." ^ what
-
   (* The bookkeeping [run] and [run_callback] share. [rejected] answers
      a run the open breaker turns away; [settle] books an attempt's
      outcome and says whether to retry, after sleeping [backoff]. *)
   let rejected g =
-    Obs.add g.obs (metric g "rejected") 1;
+    Obs.add g.obs g.rejected_name 1;
     Error (g.name ^ ": circuit open")
 
   let settle g ~attempt = function
@@ -339,13 +345,13 @@ module Guard = struct
         if p.circuit_threshold > 0 && g.consecutive_failures >= p.circuit_threshold then begin
           g.open_until <- Sim.now g.sim +. p.circuit_cooldown_ns;
           g.circuit_opens <- g.circuit_opens + 1;
-          Obs.add g.obs (metric g "circuit_opens") 1
+          Obs.add g.obs g.circuit_opens_name 1
         end;
         false
       end
       else begin
         g.retries <- g.retries + 1;
-        Obs.add g.obs (metric g "retries") 1;
+        Obs.add g.obs g.retries_name 1;
         true
       end
 

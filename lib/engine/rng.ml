@@ -14,7 +14,6 @@ let bits64 t =
   mix64 t.state
 
 let split t = { state = bits64 t }
-let copy t = { state = t.state }
 
 (* Take the top 53 bits for a uniform double in [0, 1). *)
 let unit_float t =

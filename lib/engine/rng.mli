@@ -13,8 +13,6 @@ val create : seed:int -> t
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t]. *)
 
-val copy : t -> t
-
 val bits64 : t -> int64
 (** [bits64 t] is the next 64 uniformly random bits. *)
 

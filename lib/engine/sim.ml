@@ -123,19 +123,6 @@ let schedule_cancellable t ~delay f =
 let cancel t { timer_slot; timer_seq } =
   ignore (Pqueue.remove t.agenda ~slot:timer_slot ~seq:timer_seq)
 
-(* Absolute-time variant for the sharded scheduler's barrier: a message
-   carries its exact arrival timestamp, and round-tripping it through a
-   delay ([now +. (arrival -. now)]) can land a ulp off — enough to
-   break byte-identity of anything derived from [now] at delivery. *)
-let schedule_at t ~time f =
-  if not (time >= t.clock.at) then invalid_arg "Sim.schedule_at: time must be >= now";
-  t.seq <- t.seq + 1;
-  if time = t.clock.at then lane_push t t.seq f
-  else begin
-    t.key.at <- time;
-    ignore (Pqueue.push t.agenda t.key ~seq:t.seq f)
-  end
-
 (* Run [body] as a fiber, interpreting the blocking effects against [t]. *)
 let rec exec t body = Effect.Deep.match_with body () t.handler
 
@@ -205,8 +192,8 @@ let spawn t body = schedule t ~delay:0.0 (fun () -> exec t body)
    reads: a domain-local pointer instead of an effect round trip, so
    plain callbacks see the clock too. [idle] (never run) means none. A
    loop restores the pointer it found on exit, so a simulator run from
-   inside another's callback hands the clock back, and each domain of
-   the sharded scheduler's pool sees its own shard. *)
+   inside another's callback hands the clock back, and experiments run
+   on several domains at once each see their own simulator. *)
 let idle = create ()
 let running = Domain.DLS.new_key (fun () -> idle)
 
@@ -214,13 +201,10 @@ let running = Domain.DLS.new_key (fun () -> idle)
    current time (zero-delay scheduling can only target "now", and the
    lane always drains before the clock advances), so the next event is
    either the lane's head or a heap event at the same instant with a
-   smaller seq. [hseq] selects the horizon semantics: [max_int] pops
-   heap events with time <= horizon (the classic inclusive [run]);
-   [min_int] pops strictly before it (the {!run_window} barrier of the
-   sharded scheduler — live seqs start at 1, so the tie branch of
-   [Pqueue.min_le] can never fire). No step of the loop allocates: the
-   clock is written in place through its flat cell. *)
-let exec_loop t ~horizon ~hseq =
+   smaller seq. Heap events pop while their time is <= horizon. No step
+   of the loop allocates: the clock is written in place through its
+   flat cell. *)
+let exec_loop t ~horizon =
   let rec loop () =
     if t.lane_len > 0 then begin
       let lane_seq = t.lane_seqs.(t.lane_head) in
@@ -239,7 +223,7 @@ let exec_loop t ~horizon ~hseq =
       end;
       loop ()
     end
-    else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:hseq
+    else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:max_int
     then begin
       let f = Pqueue.pop_into t.agenda t.clock in
       t.heap_executed <- t.heap_executed + 1;
@@ -258,23 +242,8 @@ let exec_loop t ~horizon ~hseq =
 
 let run ?until t =
   let horizon = match until with Some u -> u | None -> infinity in
-  exec_loop t ~horizon ~hseq:max_int;
+  exec_loop t ~horizon;
   match until with Some u when t.clock.at < u -> t.clock.at <- u | _ -> ()
-
-let run_window t ~until =
-  if t.clock.at < until then begin
-    exec_loop t ~horizon:until ~hseq:min_int;
-    (* Park the clock exactly at the window boundary so a message
-       injected for arrival >= until can be scheduled with a plain
-       non-negative delay. An infinite window (no conduits) leaves the
-       clock at the last executed event, like an exhausted [run]. *)
-    if Float.is_finite until && t.clock.at < until then t.clock.at <- until
-  end
-
-let next_event_time t =
-  if t.lane_len > 0 then t.clock.at
-  else if Pqueue.length t.agenda > 0 then Pqueue.min_time t.agenda
-  else infinity
 
 let delay d =
   try Effect.perform (Delay d) with Effect.Unhandled _ -> raise Not_in_simulation

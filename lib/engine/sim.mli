@@ -60,13 +60,6 @@ val cancel : t -> timer -> unit
     handle carries its event's sequence number, which no other event
     shares. *)
 
-val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** [schedule_at t ~time f] is {!schedule} with an absolute timestamp
-    (raises [Invalid_argument] below [now t]). The exact [time] becomes
-    the event's key — no [now +. delay] round-trip, whose float rounding
-    can land a ulp off a timestamp computed elsewhere. This is how the
-    sharded scheduler ({!Shard}) injects cross-shard arrivals. *)
-
 val events_executed : t -> int
 (** Events executed by {!run} so far (both lanes) — the numerator of the
     engine's events/sec throughput metric. *)
@@ -99,31 +92,15 @@ val run : ?until:float -> t -> unit
     exceeds [until] (absolute, in ns). After returning with [until], the
     clock is set to [until]. Exceptions raised by processes propagate. *)
 
-val run_window : t -> until:float -> unit
-(** [run_window t ~until] executes events with time {e strictly} before
-    [until] (the lane drains as usual — its events always run at the
-    current time, which stays below [until]) and then parks the clock
-    exactly at [until] when finite. This is the bounded-window primitive
-    of the conservative sharded scheduler ({!Shard}): events at or past
-    the window boundary stay pending, because a message from another
-    shard may still arrive at [until]. A no-op when [until <= now t].
-    [until = infinity] behaves like an exhausting {!run} (the clock is
-    left at the last executed event). *)
-
-val next_event_time : t -> float
-(** Timestamp of the earliest pending event on either lane ([infinity]
-    when the agenda is empty) — the input to the sharded scheduler's
-    window computation. Pure observation. *)
-
 (** {2 Blocking operations — only valid inside a process} *)
 
 val delay : float -> unit
 (** Suspend the calling process for a non-negative duration. *)
 
 val clock : unit -> float
-(** Current time of the simulator whose {!run} (or {!run_window}) is
-    executing on this domain. It works inside a process and also in a
-    plain callback scheduled with {!schedule}, since it reads a
+(** Current time of the simulator whose {!run} is executing on this
+    domain. It works inside a process and also in a plain callback
+    scheduled with {!schedule}, since it reads a
     domain-local pointer that the run loop sets rather than performing
     an effect. Outside [run] it still raises [Not_in_simulation]. *)
 

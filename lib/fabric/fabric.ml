@@ -384,30 +384,6 @@ let link_stats t ~now =
   let elapsed = now -. t.created_at in
   List.map (link_stat ~elapsed) (all_links t)
 
-(* Fold a quiesced replica's counters into this fabric: the sharded
-   fleet serve runs its east-west flows on per-shard replicas (same
-   topology, same ECMP seed, own simulator each) and merges the tallies
-   back so fabric-wide accounting reads as if one fabric carried it
-   all. Wire-level sums — packets, bytes, busy serialization time — are
-   per-flow quantities, so the folded totals match a single-fabric run
-   exactly whenever the phase is contention-free across replicas (the
-   drop-free regime the fleet experiments assert). Queue-depth
-   histograms and burst-queue conservation counters stay per-replica:
-   they describe a queue instance, not traffic, and folding them would
-   double-book the invariant [sent = delivered + dropped + queued]. *)
-let absorb t ~from =
-  if t.topo <> from.topo then invalid_arg "Fabric.absorb: topology mismatch";
-  t.injected <- t.injected + from.injected;
-  t.delivered <- t.delivered + from.delivered;
-  t.dropped <- t.dropped + from.dropped;
-  List.iter2
-    (fun (a : link) (b : link) ->
-      a.busy.ns <- a.busy.ns +. b.busy.ns;
-      a.delivered_pkts <- a.delivered_pkts + b.delivered_pkts;
-      a.dropped_pkts <- a.dropped_pkts + b.dropped_pkts;
-      a.delivered_bytes <- a.delivered_bytes + b.delivered_bytes)
-    (all_links t) (all_links from)
-
 type pressure = {
   link : string;
   spine : bool;

@@ -117,18 +117,6 @@ val link_stats : t -> now:float -> link_stat list
     [sent_bursts = delivered_bursts + dropped_bursts + queued]; at
     quiescence [queued = 0]. *)
 
-val absorb : t -> from:t -> unit
-(** [absorb t ~from] folds a quiesced replica's traffic counters into
-    [t]: fabric-wide injected/delivered/dropped plus per-link packet,
-    byte and busy-time sums. The sharded fleet serve runs its east-west
-    flows on per-shard fabric replicas (same topology and ECMP seed,
-    own simulator each) and folds the tallies back, so fabric-wide
-    accounting matches a single-fabric run exactly in the drop-free
-    regime the fleet experiments assert. Queue-depth histograms and
-    burst-queue conservation counters are per-queue-instance state and
-    are deliberately not folded. Raises [Invalid_argument] on a
-    topology mismatch. *)
-
 type pressure = {
   link : string;
   spine : bool;  (** ToR→spine or spine→ToR (the shared tier) *)

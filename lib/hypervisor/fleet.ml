@@ -140,8 +140,6 @@ module Live = struct
     obs : Obs.t;
     classes : (string, workload_class) Hashtbl.t;
     flow_rng : Rng.t;
-    ecmp_rng : Rng.t;  (* pristine copy of the fabric RNG: per-shard
-                          fabric replicas re-draw the same ECMP seed *)
     mutable packet_id : int;
     mutable placed : int;
     mutable place_failures : int;
@@ -152,6 +150,7 @@ module Live = struct
   }
 
   let sim t = t.sim
+  let obs t = t.obs
   let fabric t = t.fabric
   let scheduler t = t.sched
   let placed t = t.placed
@@ -188,7 +187,6 @@ module Live = struct
       | Some topo when topo.Bm_fabric.Topology.hosts >= cfg.hosts -> topo
       | Some _ | None -> Bm_fabric.Topology.for_hosts ~hosts:cfg.hosts ()
     in
-    let ecmp_rng = Rng.copy fabric_rng in
     let fabric = Fabric.create ~obs sim fabric_rng topo in
     let cp = Cp.create () in
     (* Server id = fabric host port: both are claimed in call order. *)
@@ -241,7 +239,6 @@ module Live = struct
         obs;
         classes;
         flow_rng;
-        ecmp_rng;
         packet_id = 0;
         placed = 0;
         place_failures = 0;
@@ -312,89 +309,25 @@ module Live = struct
           meter_tick t ~tick_ns:tick
         done);
     (* Sampled east-west traffic: 2 x hosts cross-host bursts spread
-       over the window, exercising ECMP and the shared spine. The flows
-       are drawn from [flow_rng] in one fixed loop before any dispatch,
-       so the offered traffic is identical whatever [shards] is. *)
+       over the window, exercising ECMP and the shared spine. Every
+       flow crosses the fleet's one fabric, so flows that share a link
+       queue behind each other there. *)
     let flows = 2 * cfg.hosts in
     let base = Sim.now t.sim in
-    let draws =
-      List.init flows (fun k ->
-          let src = Rng.int t.flow_rng cfg.hosts in
-          let dst = Rng.int t.flow_rng cfg.hosts in
-          let id = next_packet t in
-          let at = duration_ns *. float_of_int k /. float_of_int flows in
-          (src, dst, id, at))
-    in
-    let burst ~src ~dst ~id ~at =
-      Packet.make ~id ~src ~dst ~size:65_536 ~count:43 ~protocol:Packet.Tcp ~sent_at:(base +. at)
-        ()
-    in
-    if shards = 1 then begin
-      List.iter
-        (fun (src, dst, id, at) ->
-          Sim.schedule t.sim ~delay:at (fun () ->
-              Fabric.send t.fabric ~src_host:src ~dst_host:dst
-                ~deliver:(fun _ ->
-                  t.flow_bursts <- t.flow_bursts + 1;
-                  Obs.add t.obs "fleet.flows.delivered" 1)
-                (burst ~src ~dst ~id ~at)))
-        draws;
-      Sim.run t.sim
-    end
-    else begin
-      (* Sharded flow phase: source host h belongs to shard h mod
-         shards, and each shard carries its flows on a private fabric
-         replica — same topology and, via a pristine copy of the fabric
-         RNG, the same ECMP seed, so every flow takes exactly the path
-         it would on the main fabric. Replicas share nothing (no
-         conduits), so the shards run one OCaml domain each and their
-         tallies fold back into the main fabric after the join:
-         accounting is byte-identical to [shards = 1] whenever the
-         phase is drop-free across replicas — the regime the fleet
-         experiments assert with their zero-drop scorecard row. The
-         control plane (metering, scheduler, tenants) stays on the main
-         simulator throughout. *)
-      let sh = Shard.create ~shards () in
-      let topo = Fabric.topology t.fabric in
-      let replicas =
-        Array.init shards (fun i ->
-            let fab = Fabric.create (Shard.sim sh i) (Rng.copy t.ecmp_rng) topo in
-            for _ = 1 to topo.Bm_fabric.Topology.hosts do
-              ignore (Fabric.attach fab)
-            done;
-            fab)
-      in
-      let delivered = Array.make shards 0 in
-      List.iter
-        (fun (src, dst, id, at) ->
-          let shard = src mod shards in
-          Sim.schedule (Shard.sim sh shard) ~delay:at (fun () ->
-              Fabric.send replicas.(shard) ~src_host:src ~dst_host:dst
-                ~deliver:(fun _ -> delivered.(shard) <- delivered.(shard) + 1)
-                (burst ~src ~dst ~id ~at)))
-        draws;
-      Shard.run ~domains:shards sh;
-      Sim.run t.sim;
-      Array.iter (fun fab -> Fabric.absorb t.fabric ~from:fab) replicas;
-      Array.iter
-        (fun n ->
-          for _ = 1 to n do
-            t.flow_bursts <- t.flow_bursts + 1;
-            Obs.add t.obs "fleet.flows.delivered" 1
-          done)
-        delivered;
-      (* Park the main clock where a single-simulator serve would leave
-         it: the last executed event fleet-wide, which is the final
-         flow delivery when it outlives the last metering tick.
-         Replica clocks are base-relative (each replica starts at 0). *)
-      let last =
-        Array.fold_left
-          (fun acc i -> Float.max acc (base +. Sim.now (Shard.sim sh i)))
-          (Sim.now t.sim)
-          (Array.init shards (fun i -> i))
-      in
-      if last > Sim.now t.sim then Sim.run ~until:last t.sim
-    end
+    for k = 0 to flows - 1 do
+      let src = Rng.int t.flow_rng cfg.hosts in
+      let dst = Rng.int t.flow_rng cfg.hosts in
+      let id = next_packet t in
+      let at = duration_ns *. float_of_int k /. float_of_int flows in
+      Sim.schedule t.sim ~delay:at (fun () ->
+          Fabric.send t.fabric ~src_host:src ~dst_host:dst
+            ~deliver:(fun _ ->
+              t.flow_bursts <- t.flow_bursts + 1;
+              Obs.add t.obs "fleet.flows.delivered" 1)
+            (Packet.make ~id ~src ~dst ~size:65_536 ~count:43 ~protocol:Packet.Tcp
+               ~sent_at:(base +. at) ()))
+    done;
+    Sim.run t.sim
 
   (* --- evacuation --------------------------------------------------- *)
 

@@ -96,6 +96,12 @@ module Live : sig
       Same [seed] + [config] ⇒ identical fleet, byte for byte. *)
 
   val sim : t -> Bm_engine.Sim.t
+
+  val obs : t -> Bm_engine.Obs.t
+  (** The recording context {!build} made over {!sim} and its sinks:
+      an orchestrator that drives the fleet's simulator records through
+      this one context, not a second one over the same sinks. *)
+
   val fabric : t -> Bm_fabric.Fabric.t
   val scheduler : t -> Bm_cloud.Scheduler.t
 
@@ -111,16 +117,12 @@ module Live : sig
       east-west bursts cross the fabric. Runs the simulation to
       quiescence.
 
-      With [shards > 1] (default 1) the east-west flow phase is
-      partitioned by source host ([h mod shards]) across that many
-      fabric replicas — same topology, same ECMP seed, one simulator
-      and one OCaml domain each ({!Bm_engine.Shard}) — and the per-link
-      and fabric-wide tallies fold back into the main fabric afterwards
-      ({!Bm_fabric.Fabric.absorb}). The offered traffic is drawn from
-      the flow RNG identically in both modes, so the accounting is
-      byte-identical to [shards = 1] whenever the flow phase is
-      drop-free (the regime the fleet experiments assert); the control
-      plane always stays on the main simulator. *)
+      Everything runs on the fleet's own simulator and fabric: every
+      tenant's flows share the ToR and spine links, as in one
+      datacenter network, so flows queue behind each other and drop
+      where they meet. [shards] (default 1) must be >= 1 and has no
+      other effect; the output is the same for any value. It stays
+      only because the repository benchmark still passes it. *)
 
   val flow_bursts : t -> int
   (** East-west bursts delivered by {!serve} so far. *)

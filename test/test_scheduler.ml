@@ -522,6 +522,38 @@ let test_live_evacuation_streams () =
     (Bm_fabric.Fabric.injected net
     = Bm_fabric.Fabric.delivered net + Bm_fabric.Fabric.dropped net)
 
+(* The congested fleet of fleet_scale's --shards check: one spine at
+   1 Gbit/s behind four racks, queues of two bursts. Served at 1 and 2
+   shards from one seed, the two fleets must carry the same flows over
+   one shared fabric: same deliveries, drops, per-link tallies and
+   final clock. *)
+let congested_serve ~shards =
+  let topo =
+    match Topology.parse_spec "hosts=8,tors=4,spines=1,host_gbit=10,spine_gbit=1,queue=2" with
+    | Ok topo -> topo
+    | Error e -> Alcotest.fail e
+  in
+  let cfg = Fleet.Live.{ hosts = 8; guests = 400; tenants = 4; host_ceiling = 0.9 } in
+  let live = Fleet.Live.build ~topo ~seed:2020 cfg in
+  Fleet.Live.serve ~shards live ~duration_ns:2e6;
+  let net = Fleet.Live.fabric live in
+  let now = Sim.now (Fleet.Live.sim live) in
+  let link (l : Bm_fabric.Fabric.link_stat) =
+    Printf.sprintf "%s util %h p99 %h sent %d delivered %d/%d dropped %d/%d queued %d\n" l.name
+      l.utilization l.depth_p99 l.sent_bursts l.delivered_bursts l.delivered_pkts
+      l.dropped_bursts l.dropped_pkts l.queued
+  in
+  ( Bm_fabric.Fabric.dropped net,
+    Printf.sprintf "bursts %d injected %d delivered %d dropped %d now %h\n%s"
+      (Fleet.Live.flow_bursts live) (Bm_fabric.Fabric.injected net)
+      (Bm_fabric.Fabric.delivered net) (Bm_fabric.Fabric.dropped net) now
+      (String.concat "" (List.map link (Bm_fabric.Fabric.link_stats net ~now))) )
+
+let test_serve_shards_invisible () =
+  let dropped, one = congested_serve ~shards:1 in
+  check_bool "the fabric drops packets" true (dropped > 0);
+  check_string "shards 2 = shards 1" one (snd (congested_serve ~shards:2))
+
 (* 100 rounds of fail -> evacuate -> re-add across a rotating victim:
    the fleet must reach the same steady state every round — nothing
    stranded, nothing lost, no anti-affinity violation — and the metric
@@ -620,6 +652,8 @@ let suites =
         Alcotest.test_case "build determinism" `Quick test_live_determinism;
         Alcotest.test_case "serve meters tenants" `Quick test_live_serve_meters;
         Alcotest.test_case "evacuation streams memory" `Quick test_live_evacuation_streams;
+        Alcotest.test_case "congested serve independent of shards" `Quick
+          test_serve_shards_invisible;
         Alcotest.test_case "100-round soak" `Slow test_live_soak;
         Alcotest.test_case "full scale 12K guests / 280 hosts" `Slow test_full_scale;
       ] );
