@@ -2,7 +2,7 @@
 
    Every row runs main.exe once per variant and requires byte-identical
    stdout across the variants (the wall-clock footer aside): the same
-   seed twice, or --jobs / --shards 1 against 4. Rows can also require or
+   seed twice, or --jobs 1 against 4. Rows can also require or
    forbid substrings, compare against a committed scorecard in
    GOLDEN_DIR, and save their output as a scorecard into $SCORECARD_DIR
    (default: the build directory).
@@ -27,6 +27,7 @@ let vf_ids = "vf_scale vf_reassign vf_ablation"
 
 let matrix =
   [
+    row [ [] ] "--quick" ~golden:"QUICK_scorecard.txt" ~save:"QUICK_scorecard.txt";
     row twice "--quick --metrics --faults 7:default availability evacuation";
     row twice "--quick --metrics overload";
     row (across "--jobs") "--quick --faults 7:default overload" ~has:[ "+faults" ];
@@ -34,21 +35,22 @@ let matrix =
     row (across "--jobs") "--quick --topology hosts=4,tors=2,spines=2 xhost_rr xhost_stream xhost_migrate";
     row (across "--jobs") "--quick fig9 fig10 fig11 sec6";
     row (twice @ across "--jobs") "--quick fig12 fig13 fig14 fig15 fig16";
-    row twice "fleet_scale" ~has:[ "12000 placed + 0 stranded" ] ~lacks:[ "✗" ]
+    row twice "fleet_scale" ~has:[ "12000 placed + 0 stranded" ] ~lacks:[ "DIFF" ]
       ~save:"FLEET_scorecard.txt";
     row (across "--jobs") "--quick --hosts 40 --guests 800 --tenants 8 fleet_scale";
-    row (across "--shards") "--quick fleet_scale";
-    row (across "--shards")
+    row twice
       "--quick --hosts 8 --guests 400 --tenants 4 --topology \
        hosts=8,tors=4,spines=1,host_gbit=10,spine_gbit=1,queue=2 fleet_scale";
-    row (twice @ across "--shards") "--quick --scenario 42:default game_day"
+    row (twice @ across "--jobs") "--quick --scenario 42:default game_day"
       ~has:[ "degradation helps" ] ~lacks:[ "DIFF" ] ~save:"GAMEDAY_scorecard.txt";
     row (across "--jobs") "--quick --scenario 7:hosts=2,links=1,congest=1,evac=1,brownout=1 game_day";
     row twice "--quick --scenario 42:default policy_race" ~lacks:[ "DIFF" ]
       ~save:"POLICY_quick_scorecard.txt";
     row [ [] ] "policy_race" ~golden:"POLICY_scorecard.txt" ~save:"POLICY_scorecard.txt";
     row (across "--jobs") "--quick --policy congestion game_day policy_race";
-    row (twice @ across "--shards") ("--quick " ^ vf_ids) ~lacks:[ "DIFF" ];
+    row twice ("--quick " ^ vf_ids) ~lacks:[ "DIFF" ];
+    row (across "--jobs") "--quick vf_scale";
+    row (across "--jobs") "--quick vf_ablation";
     row (across "--jobs") ("--quick --vfs 4 " ^ vf_ids);
     row (twice @ across "--jobs") "--quick --faults 7:default vf_ablation vf_reassign availability";
     row [ [] ] "vf_ablation" ~golden:"VF_scorecard.txt" ~save:"VF_scorecard.txt";

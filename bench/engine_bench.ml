@@ -61,7 +61,7 @@ let lane_events_per_sec ~delay ~chains ~events =
 let sweep_ids = [ "fig9"; "fig10"; "fig11"; "sec6" ]
 
 let quick_ctx () = { Bmhive.Experiments.default_ctx with quick = true; seed }
-let sweep ~jobs = time (fun () -> Bmhive.Experiments.run ~jobs (quick_ctx ()) sweep_ids)
+let sweep ~jobs = time (fun () -> Bmhive.Experiments.run { (quick_ctx ()) with jobs } sweep_ids)
 
 let cell_seconds () =
   List.map

@@ -1,7 +1,7 @@
 open Cmdliner
 module E = Bmhive.Experiments
 
-type t = { ctx : E.ctx; jobs : int; ids : string list; trace_file : string option }
+type t = { ctx : E.ctx; ids : string list; trace_file : string option }
 
 let conv docv parse print =
   Arg.conv' ~docv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
@@ -103,25 +103,17 @@ let datapath =
      shadow-vring poll loop), $(b,passthrough) (whole-device assignment) or $(b,vf) (one sliced \
      virtual function); all three when omitted."
 
-let sinks_note = "Forced to 1 when $(b,--trace) or $(b,--metrics) is active."
-
 let jobs =
   Arg.(
     value & opt (int_in 0) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          ("Run up to $(docv) experiments concurrently on separate domains (0 = one per \
-            recommended core). Results are joined in argument order, so output is \
-            byte-identical for any value. " ^ sinks_note))
-
-let shards =
-  Arg.(
-    value & opt (int_in 0) 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          ("Intra-run parallelism on up to $(docv) domains (0 = one per recommended core): \
-            $(b,game_day) and $(b,policy_race) race their scenario arms, the VF sweeps their \
-            cells. Output is byte-identical for any value. " ^ sinks_note))
+          "Run on up to $(docv) domains (0 = one per recommended core): several experiments \
+           run concurrently, each on one domain; a single one gets all $(docv) for its parts \
+           ($(b,game_day) and $(b,policy_race) race their scenario arms, $(b,vf_scale) and \
+           $(b,vf_ablation) their cells). Results are joined in argument order, so output is \
+           byte-identical for any value. Forced to 1 when $(b,--trace) or $(b,--metrics) is \
+           active.")
 
 let ids =
   Arg.(
@@ -130,8 +122,7 @@ let ids =
 
 let term =
   let make quick seed trace_file metrics faults scenario policy topo hosts guests tenants vfs
-      datapath jobs shards ids =
-    let cores n = if n = 0 then Bmhive.Parallel.default_jobs () else n in
+      datapath jobs ids =
     let ctx =
       {
         E.seed;
@@ -140,7 +131,7 @@ let term =
         metrics = (if metrics then Some (Bm_engine.Metrics.create ()) else None);
         faults;
         topo;
-        shards = cores shards;
+        jobs = (if jobs = 0 then Bmhive.Parallel.default_jobs () else jobs);
         scenario;
         policy;
         hosts;
@@ -150,13 +141,13 @@ let term =
         datapath;
       }
     in
-    { ctx; jobs = cores jobs; ids = (if ids = [] then E.ids () else ids); trace_file }
+    { ctx; ids = (if ids = [] then E.ids () else ids); trace_file }
   in
   Term.(
     const make $ quick $ seed $ trace $ metrics $ faults $ scenario $ policy $ topology $ hosts
-    $ guests $ tenants $ vfs $ datapath $ jobs $ shards $ ids)
+    $ guests $ tenants $ vfs $ datapath $ jobs $ ids)
 
-let run { ctx; jobs; ids; trace_file } =
+let run { ctx; ids; trace_file } =
   let rec print = function
     | [] -> Ok ()
     | (_, Ok outcome) :: rest ->
@@ -164,7 +155,7 @@ let run { ctx; jobs; ids; trace_file } =
       print rest
     | (_, Error e) :: _ -> Error e
   in
-  match print (E.run ~jobs ctx ids) with
+  match print (E.run ctx ids) with
   | Error e -> `Error (false, e)
   | Ok () ->
     (match ctx.metrics with

@@ -6,7 +6,6 @@
 
 type t = {
   ctx : Bmhive.Experiments.ctx;
-  jobs : int;  (** [--jobs], with 0 resolved to the recommended core count *)
   ids : string list;  (** the positional ids; every registered id when none given *)
   trace_file : string option;  (** where {!run} writes [ctx.trace] *)
 }

@@ -2,12 +2,17 @@ open Bm_engine
 open Bm_guest
 open Bm_hyp
 open Bm_workload
+open Report
+module Fabric = Bm_fabric.Fabric
+module Topology = Bm_fabric.Topology
+module Packet = Bm_virtio.Packet
+module Vf = Bm_iobond.Vf
 
 type outcome = {
   id : string;
   title : string;
   header : string list;
-  rows : string list list;
+  rows : cell list list;
   notes : string list;
 }
 
@@ -18,7 +23,7 @@ type ctx = {
   metrics : Metrics.t option;
   faults : Fault.plan option;
   topo : Bm_fabric.Topology.t option;
-  shards : int;
+  jobs : int;
   scenario : Scenario.spec option;
   policy : Bm_cloud.Policy.kind option;
   hosts : int option;
@@ -36,7 +41,7 @@ let default_ctx =
     metrics = None;
     faults = None;
     topo = None;
-    shards = 1;
+    jobs = 1;
     scenario = None;
     policy = None;
     hosts = None;
@@ -52,6 +57,102 @@ let within ~tolerance ~target value =
   Float.abs (value -. target) /. Float.abs target <= tolerance
 
 (* ------------------------------------------------------------------ *)
+(* The harness: every testbed, guest and client/server setup the run
+   functions compare is built here, once. *)
+
+(* A fresh testbed at the context's seed, recording into its sinks. The
+   fault plan is passed explicitly: only the experiments that measure
+   recovery arm it. *)
+let testbed ?faults ?topology ?storage_kind ctx =
+  Testbed.make ~seed:ctx.seed ?storage_kind ?trace:ctx.trace ?metrics:ctx.metrics ?faults
+    ?topology ()
+
+let bm_guest ?profile ?blk_limits tb = snd (Testbed.bm_guest ?profile ?blk_limits tb)
+let vm_guest ?blk_limits tb = snd (Testbed.vm_guest ?blk_limits tb)
+
+let bm_pair ?profile ?net_limits tb =
+  let _, a, b = Testbed.bm_pair ?profile ?net_limits tb in
+  (a, b)
+
+let vm_pair ?net_limits tb =
+  let _, a, b = Testbed.vm_pair ?net_limits tb in
+  (a, b)
+
+let provision ?net_limits ?offload ?datapath server name =
+  match Bm_hypervisor.provision server ~name ?net_limits ?offload ?datapath () with
+  | Ok i -> i
+  | Error e -> failwith e
+
+(* A base server on the testbed's own RNG, for the ablations that size
+   its DMA engine or offload its flows. *)
+let base_server ?dma_gbit_s tb =
+  Bm_hypervisor.create_server ~obs:tb.Testbed.obs tb.Testbed.sim tb.Testbed.rng
+    ~fabric:tb.Testbed.fabric ~storage:tb.Testbed.storage ?dma_gbit_s ()
+
+(* One guest on each of two servers; with a topology in the testbed the
+   servers claim fabric ports 0 and 1 in creation order. *)
+let xhost_bm_pair tb =
+  let s1 = Testbed.bm_server tb in
+  let s2 = Testbed.bm_server tb in
+  (provision s1 "a", provision s2 "b")
+
+let xhost_vm_pair tb =
+  let h1 = Testbed.vm_host tb in
+  let h2 = Testbed.vm_host tb in
+  (Kvm.create_vm h1 (Kvm.default_config ~name:"a"), Kvm.create_vm h2 (Kvm.default_config ~name:"b"))
+
+(* The idle leaf-spine of the cross-host experiments, unless the context
+   names a topology: two hosts in different racks. *)
+let topo_idle ctx = Option.value ctx.topo ~default:(Topology.clos ~hosts:2 ~tors:2 ~spines:2 ())
+
+(* A fresh testbed with one guest, or a pair, built on it by [guest] or
+   [pair]; [f] runs a workload on its simulator and returns the result. *)
+let on_guest ?storage_kind ctx guest f =
+  let tb = testbed ?storage_kind ctx in
+  let inst = guest tb in
+  f tb.Testbed.sim inst
+
+let on_pair ctx pair f =
+  let tb = testbed ctx in
+  let a, b = pair tb in
+  f tb.Testbed.sim a b
+
+(* Run [f] as one fiber on the testbed, to quiescence; what it returned. *)
+let in_fiber tb f =
+  let out = ref None in
+  Sim.spawn tb.Testbed.sim (fun () -> out := Some (f ()));
+  Testbed.run tb;
+  Option.get !out
+
+(* One emulated virtio probe on a bm-guest: its simulated time (ns) and
+   the register accesses it took. *)
+let probe ctx profile =
+  let tb = testbed ctx in
+  let inst = bm_guest ~profile tb in
+  in_fiber tb (fun () ->
+      let t0 = Sim.clock () in
+      match inst.Instance.probe () with
+      | Ok n -> (Sim.clock () -. t0, n)
+      | Error e -> failwith e)
+
+(* One PCI register hop of an IO-Bond profile (us), as the model charges it. *)
+let hop_us profile = Bm_iobond.Profile.register_ns profile /. 1e3
+
+(* Average one-way kernel-path latency (us) between co-resident bm-guests. *)
+let kernel_ping ctx ~count profile =
+  on_pair ctx (bm_pair ~profile) (fun sim a b ->
+      (Sockperf.ping_pong sim ~a ~b ~path:Sockperf.Kernel ~count ()).Sockperf.avg_us)
+
+(* A server guest and the client box that loads it, on a fresh testbed:
+   [serve] starts the service, [load] drives it from the client. *)
+let client_server ctx guest ~serve load =
+  let tb = testbed ctx in
+  let server = guest tb in
+  let client = Testbed.client_box tb in
+  serve server;
+  load tb.Testbed.sim ~client ~server
+
+(* ------------------------------------------------------------------ *)
 (* Table 1 *)
 
 let run_table1 _ =
@@ -59,7 +160,7 @@ let run_table1 _ =
     id = "table1";
     title = "Table 1: comparison of three cloud services";
     header = [ "service"; "security"; "isolation"; "performance"; "density" ];
-    rows = Comparison.rows ();
+    rows = List.map (List.map (fun s -> Text s)) (Comparison.rows ());
     notes = [ "Cells derived from model properties (see Bmhive.Comparison)." ];
   }
 
@@ -71,11 +172,11 @@ let run_table2 { seed; quick; _ } =
   let rng = Rng.create ~seed in
   let s = Fleet.survey_exits rng ~vms in
   let row threshold paper measured =
-    Report.check
-      ~paper:(Report.pct paper)
-      ~measured:(Report.pct measured)
+    check
+      ~paper:(Pct paper)
+      ~measured:(Pct measured)
       ~ok:(within ~tolerance:0.5 ~target:paper measured)
-      [ threshold ]
+      [ Text threshold ]
   in
   {
     id = "table2";
@@ -102,12 +203,12 @@ let run_fig1 { seed; quick; _ } =
     List.map
       (fun w ->
         [
-          string_of_int w.Fleet.hour;
-          Report.pct (Fleet.diurnal_load ~hour:w.Fleet.hour);
-          Report.pct w.Fleet.shared_p99;
-          Report.pct w.Fleet.shared_p999;
-          Report.pct w.Fleet.exclusive_p99;
-          Report.pct w.Fleet.exclusive_p999;
+          Int w.Fleet.hour;
+          Pct (Fleet.diurnal_load ~hour:w.Fleet.hour);
+          Pct w.Fleet.shared_p99;
+          Pct w.Fleet.shared_p999;
+          Pct w.Fleet.exclusive_p99;
+          Pct w.Fleet.exclusive_p999;
         ])
       windows
   in
@@ -121,14 +222,14 @@ let run_fig1 { seed; quick; _ } =
     notes =
       [
         Printf.sprintf "shared p99 range %s..%s (paper ~2%%..4%%)"
-          (Report.pct (min_of (fun w -> w.Fleet.shared_p99)))
-          (Report.pct (max_of (fun w -> w.Fleet.shared_p99)));
+          (pct (min_of (fun w -> w.Fleet.shared_p99)))
+          (pct (max_of (fun w -> w.Fleet.shared_p99)));
         Printf.sprintf "shared p99.9 range %s..%s (paper ~2%%..10%%)"
-          (Report.pct (min_of (fun w -> w.Fleet.shared_p999)))
-          (Report.pct (max_of (fun w -> w.Fleet.shared_p999)));
+          (pct (min_of (fun w -> w.Fleet.shared_p999)))
+          (pct (max_of (fun w -> w.Fleet.shared_p999)));
         Printf.sprintf "exclusive ~%s / %s (paper ~0.2%% / 0.5%%)"
-          (Report.pct (max_of (fun w -> w.Fleet.exclusive_p99)))
-          (Report.pct (max_of (fun w -> w.Fleet.exclusive_p999)));
+          (pct (max_of (fun w -> w.Fleet.exclusive_p99)))
+          (pct (max_of (fun w -> w.Fleet.exclusive_p999)));
       ];
   }
 
@@ -140,13 +241,13 @@ let run_table3 _ =
     List.map
       (fun i ->
         [
-          i.Instances.name;
-          i.Instances.cpu.Bm_hw.Cpu_spec.model;
-          string_of_int i.Instances.vcpus;
-          string_of_int i.Instances.mem_gb ^ "GB";
-          Report.si i.Instances.net_pps ^ "pps / " ^ Report.f1 i.Instances.net_gbit_s ^ "Gbit";
-          Report.si i.Instances.storage_iops ^ " IOPS";
-          string_of_int i.Instances.max_boards_per_server;
+          Text i.Instances.name;
+          Text i.Instances.cpu.Bm_hw.Cpu_spec.model;
+          Int i.Instances.vcpus;
+          Text (string_of_int i.Instances.mem_gb ^ "GB");
+          Text (si i.Instances.net_pps ^ "pps / " ^ f1 i.Instances.net_gbit_s ^ "Gbit");
+          Text (si i.Instances.storage_iops ^ " IOPS");
+          Int i.Instances.max_boards_per_server;
         ])
       Instances.catalogue
   in
@@ -161,22 +262,18 @@ let run_table3 _ =
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: SPEC CINT2006 *)
 
-let run_fig7 { seed; trace; metrics; _ } =
-  let spec_on make =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let inst = make tb in
-    Spec_cint.run tb.Testbed.sim inst
-  in
+let run_fig7 ctx =
+  let spec_on guest = on_guest ctx guest Spec_cint.run in
   let physical = spec_on (fun tb -> Testbed.physical tb) in
-  let bm = spec_on (fun tb -> snd (Testbed.bm_guest tb)) in
-  let vm = spec_on (fun tb -> snd (Testbed.vm_guest tb)) in
+  let bm = spec_on bm_guest in
+  let vm = spec_on vm_guest in
   let bm_rel = Spec_cint.relative ~baseline:physical bm in
   let vm_rel = Spec_cint.relative ~baseline:physical vm in
   let rows =
     List.map
       (fun (bench, bm_score) ->
         let vm_score = List.assoc bench vm_rel in
-        [ bench; "1.000"; Printf.sprintf "%.3f" bm_score; Printf.sprintf "%.3f" vm_score ])
+        [ Text bench; F3 1.0; F3 bm_score; F3 vm_score ])
       bm_rel
   in
   let geo l = List.assoc "geomean" l in
@@ -195,29 +292,27 @@ let run_fig7 { seed; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* Fig. 8: STREAM *)
 
-let run_fig8 { seed; quick; trace; metrics; _ } =
+let run_fig8 ({ quick; _ } as ctx) =
   let elements = if quick then 20_000_000 else 200_000_000 in
   let runs = if quick then 3 else 10 in
-  let stream_on make =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let inst = make tb in
-    Stream.run tb.Testbed.sim inst ~elements ~runs ()
+  let stream_on guest =
+    on_guest ctx guest (fun sim inst -> Stream.run sim inst ~elements ~runs ())
   in
   (* 16 STREAM threads stay on one NUMA node: single-socket baseline. *)
   let physical = stream_on (fun tb -> Testbed.physical ~sockets:1 tb) in
-  let bm = stream_on (fun tb -> snd (Testbed.bm_guest tb)) in
-  let vm = stream_on (fun tb -> snd (Testbed.vm_guest tb)) in
+  let bm = stream_on bm_guest in
+  let vm = stream_on vm_guest in
   let find kernel results = List.find (fun r -> r.Stream.kernel = kernel) results in
   let rows =
     List.map
       (fun kernel ->
         let p = find kernel physical and b = find kernel bm and v = find kernel vm in
         [
-          Stream.kernel_name kernel;
-          Report.f1 p.Stream.best_gb_s;
-          Report.f1 b.Stream.best_gb_s;
-          Report.f1 v.Stream.best_gb_s;
-          Report.pct (v.Stream.best_gb_s /. b.Stream.best_gb_s);
+          Text (Stream.kernel_name kernel);
+          F1 p.Stream.best_gb_s;
+          F1 b.Stream.best_gb_s;
+          F1 v.Stream.best_gb_s;
+          Pct (v.Stream.best_gb_s /. b.Stream.best_gb_s);
         ])
       [ Stream.Copy; Stream.Scale; Stream.Add; Stream.Triad ]
   in
@@ -232,21 +327,20 @@ let run_fig8 { seed; quick; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* Fig. 9: UDP PPS *)
 
-let run_fig9 { seed; quick; trace; metrics; _ } =
+let run_fig9 ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 40.0 else Simtime.ms 400.0 in
   let pps_of pair =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let src, dst = pair tb in
-    Netperf.udp_pps tb.Testbed.sim ~src ~dst ~senders:2 ~batch:32 ~duration ()
+    on_pair ctx pair (fun sim src dst ->
+        Netperf.udp_pps sim ~src ~dst ~senders:2 ~batch:32 ~duration ())
   in
-  let bm = pps_of (fun tb -> let _, a, b = Testbed.bm_pair tb in (a, b)) in
-  let vm = pps_of (fun tb -> let _, a, b = Testbed.vm_pair tb in (a, b)) in
+  let bm = pps_of bm_pair in
+  let vm = pps_of vm_pair in
   let row name (r : Netperf.pps_result) =
     [
-      name;
-      Report.si r.Netperf.received_pps;
-      Report.si r.Netperf.offered_pps;
-      Report.si r.Netperf.jitter_pps;
+      Text name;
+      Si r.Netperf.received_pps;
+      Si r.Netperf.offered_pps;
+      Si r.Netperf.jitter_pps;
     ]
   in
   {
@@ -257,31 +351,27 @@ let run_fig9 { seed; quick; trace; metrics; _ } =
     notes =
       [
         "Paper: both exceed 3.2M PPS under the 4M limit; vm slightly ahead with less jitter.";
-        Printf.sprintf "measured: bm %s, vm %s" (Report.si bm.Netperf.received_pps)
-          (Report.si vm.Netperf.received_pps);
+        Printf.sprintf "measured: bm %s, vm %s" (si bm.Netperf.received_pps)
+          (si vm.Netperf.received_pps);
       ];
   }
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: latency *)
 
-let run_fig10 { seed; quick; trace; metrics; _ } =
+let run_fig10 ({ quick; _ } as ctx) =
   let count = if quick then 400 else 2000 in
   let lat pair path =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let a, b = pair tb in
-    Sockperf.ping_pong tb.Testbed.sim ~a ~b ~path ~count ()
+    on_pair ctx pair (fun sim a b -> Sockperf.ping_pong sim ~a ~b ~path ~count ())
   in
-  let bm_pair tb = let _, a, b = Testbed.bm_pair tb in (a, b) in
-  let vm_pair tb = let _, a, b = Testbed.vm_pair tb in (a, b) in
   let row name path =
     let bm = lat bm_pair path and vm = lat vm_pair path in
     [
-      name;
-      Report.f1 bm.Sockperf.avg_us;
-      Report.f1 vm.Sockperf.avg_us;
-      Report.f1 bm.Sockperf.p99_us;
-      Report.f1 vm.Sockperf.p99_us;
+      Text name;
+      F1 bm.Sockperf.avg_us;
+      F1 vm.Sockperf.avg_us;
+      F1 bm.Sockperf.p99_us;
+      F1 vm.Sockperf.p99_us;
     ]
   in
   {
@@ -304,27 +394,24 @@ let run_fig10 { seed; quick; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* Fig. 11: storage latency *)
 
-let run_fig11 { seed; quick; trace; metrics; _ } =
+let run_fig11 ({ seed; quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 300.0 else Simtime.sec 4.0 in
-  let fio_on make pattern =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let inst = make tb in
-    Fio.run tb.Testbed.sim (Rng.create ~seed:(seed + 7)) inst ~pattern ~duration ()
+  let fio_on guest pattern =
+    on_guest ctx guest (fun sim inst ->
+        Fio.run sim (Rng.create ~seed:(seed + 7)) inst ~pattern ~duration ())
   in
-  let bm p = fio_on (fun tb -> snd (Testbed.bm_guest tb)) p in
-  let vm p = fio_on (fun tb -> snd (Testbed.vm_guest tb)) p in
   let row name pattern =
-    let b = bm pattern and v = vm pattern in
+    let b = fio_on bm_guest pattern and v = fio_on vm_guest pattern in
     [
-      name;
-      Report.f1 b.Fio.avg_us;
-      Report.f1 v.Fio.avg_us;
-      Report.f1 (v.Fio.avg_us /. b.Fio.avg_us);
-      Report.f1 b.Fio.p999_us;
-      Report.f1 v.Fio.p999_us;
-      Report.f1 (v.Fio.p999_us /. b.Fio.p999_us);
-      Report.si b.Fio.iops;
-      Report.si v.Fio.iops;
+      Text name;
+      F1 b.Fio.avg_us;
+      F1 v.Fio.avg_us;
+      F1 (v.Fio.avg_us /. b.Fio.avg_us);
+      F1 b.Fio.p999_us;
+      F1 v.Fio.p999_us;
+      F1 (v.Fio.p999_us /. b.Fio.p999_us);
+      Si b.Fio.iops;
+      Si v.Fio.iops;
     ]
   in
   {
@@ -342,31 +429,27 @@ let run_fig11 { seed; quick; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* Fig. 12: NGINX *)
 
-let nginx_rps_at tb ~server ~concurrency ~requests =
-  let client = Testbed.client_box tb in
-  Nginx.serve server ();
-  Nginx.ab tb.Testbed.sim ~client ~server ~concurrency ~requests
-
-let run_fig12 { seed; quick; trace; metrics; _ } =
+let run_fig12 ({ quick; _ } as ctx) =
   let concurrencies = if quick then [ 100; 400 ] else [ 50; 100; 200; 400; 800 ] in
   let per_level = if quick then 60 else 150 in
-  let run_level make concurrency =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let server = make tb in
-    nginx_rps_at tb ~server ~concurrency ~requests:(concurrency * per_level)
+  let run_level guest concurrency =
+    client_server ctx guest
+      ~serve:(fun server -> Nginx.serve server ())
+      (fun sim ~client ~server ->
+        Nginx.ab sim ~client ~server ~concurrency ~requests:(concurrency * per_level))
   in
   let rows =
     List.map
       (fun c ->
-        let bm = run_level (fun tb -> snd (Testbed.bm_guest tb)) c in
-        let vm = run_level (fun tb -> snd (Testbed.vm_guest tb)) c in
+        let bm = run_level bm_guest c in
+        let vm = run_level vm_guest c in
         [
-          string_of_int c;
-          Report.si bm.Nginx.rps;
-          Report.si vm.Nginx.rps;
-          Report.pct ((bm.Nginx.rps /. vm.Nginx.rps) -. 1.0);
-          Report.f2 bm.Nginx.avg_ms;
-          Report.f2 vm.Nginx.avg_ms;
+          Int c;
+          Si bm.Nginx.rps;
+          Si vm.Nginx.rps;
+          Pct ((bm.Nginx.rps /. vm.Nginx.rps) -. 1.0);
+          F2 bm.Nginx.avg_ms;
+          F2 vm.Nginx.avg_ms;
         ])
       concurrencies
   in
@@ -382,33 +465,24 @@ let run_fig12 { seed; quick; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* Fig. 13/14: MariaDB *)
 
-let sysbench_on ?trace ?metrics ~seed ~pattern ~duration make =
-  let tb = Testbed.make ~seed ?trace ?metrics () in
-  let server = make tb in
-  let client = Testbed.client_box tb in
-  Mariadb.serve server;
-  Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration ()
-
-let run_mariadb ~id ~title ~patterns ~paper_notes { seed; quick; trace; metrics; _ } =
+let run_mariadb ~id ~title ~patterns ~paper_notes ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 200.0 else Simtime.sec 2.0 in
+  let sysbench guest pattern =
+    client_server ctx guest ~serve:Mariadb.serve (fun sim ~client ~server ->
+        Mariadb.sysbench sim ~client ~server ~pattern ~duration ())
+  in
   let rows =
     List.map
       (fun pattern ->
-        let bm =
-          sysbench_on ?trace ?metrics ~seed ~pattern ~duration (fun tb ->
-              snd (Testbed.bm_guest tb))
-        in
-        let vm =
-          sysbench_on ?trace ?metrics ~seed ~pattern ~duration (fun tb ->
-              snd (Testbed.vm_guest tb))
-        in
+        let bm = sysbench bm_guest pattern in
+        let vm = sysbench vm_guest pattern in
         [
-          Mariadb.pattern_name pattern;
-          Report.si bm.Mariadb.qps;
-          Report.si vm.Mariadb.qps;
-          Report.pct ((bm.Mariadb.qps /. vm.Mariadb.qps) -. 1.0);
-          Report.f2 bm.Mariadb.avg_ms;
-          Report.f2 vm.Mariadb.avg_ms;
+          Text (Mariadb.pattern_name pattern);
+          Si bm.Mariadb.qps;
+          Si vm.Mariadb.qps;
+          Pct ((bm.Mariadb.qps /. vm.Mariadb.qps) -. 1.0);
+          F2 bm.Mariadb.avg_ms;
+          F2 vm.Mariadb.avg_ms;
         ])
       patterns
   in
@@ -432,35 +506,30 @@ let run_fig14 =
 (* ------------------------------------------------------------------ *)
 (* Fig. 15/16: Redis *)
 
-let redis_on ?trace ?metrics ~seed make ~clients ~value_bytes ~requests =
-  let tb = Testbed.make ~seed ?trace ?metrics () in
-  let server = make tb in
-  let client = Testbed.client_box tb in
-  Redis_bench.serve server;
-  Redis_bench.benchmark tb.Testbed.sim ~client ~server ~clients ~value_bytes ~requests ()
+(* redis-benchmark GETs against a bm-guest, then against a vm-guest. *)
+let redis_pair ctx ~clients ~value_bytes ~requests =
+  let run guest =
+    client_server ctx guest ~serve:Redis_bench.serve (fun sim ~client ~server ->
+        Redis_bench.benchmark sim ~client ~server ~clients ~value_bytes ~requests ())
+  in
+  let bm = run bm_guest in
+  let vm = run vm_guest in
+  (bm, vm)
 
-let run_fig15 { seed; quick; trace; metrics; _ } =
+let redis_row label (bm, vm) =
+  [
+    label;
+    Si bm.Redis_bench.rps;
+    Si vm.Redis_bench.rps;
+    Pct ((bm.Redis_bench.rps /. vm.Redis_bench.rps) -. 1.0);
+  ]
+
+let run_fig15 ({ quick; _ } as ctx) =
   let clients_list = if quick then [ 1000; 4000 ] else [ 1000; 2000; 4000; 7000; 10000 ] in
   let requests = if quick then 8_000 else 40_000 in
   let rows =
     List.map
-      (fun clients ->
-        let bm =
-          redis_on ?trace ?metrics ~seed
-            (fun tb -> snd (Testbed.bm_guest tb))
-            ~clients ~value_bytes:64 ~requests
-        in
-        let vm =
-          redis_on ?trace ?metrics ~seed
-            (fun tb -> snd (Testbed.vm_guest tb))
-            ~clients ~value_bytes:64 ~requests
-        in
-        [
-          string_of_int clients;
-          Report.si bm.Redis_bench.rps;
-          Report.si vm.Redis_bench.rps;
-          Report.pct ((bm.Redis_bench.rps /. vm.Redis_bench.rps) -. 1.0);
-        ])
+      (fun clients -> redis_row (Int clients) (redis_pair ctx ~clients ~value_bytes:64 ~requests))
       clients_list
   in
   {
@@ -471,40 +540,23 @@ let run_fig15 { seed; quick; trace; metrics; _ } =
     notes = [ "Paper: bm 20-40% more requests/s across 1K..10K clients." ];
   }
 
-let run_fig16 { seed; quick; trace; metrics; _ } =
+let run_fig16 ({ quick; _ } as ctx) =
   let sizes = if quick then [ 4; 1024 ] else [ 4; 16; 64; 256; 1024; 4096 ] in
   let requests = if quick then 8_000 else 40_000 in
   let results =
     List.map
-      (fun value_bytes ->
-        let bm =
-          redis_on ?trace ?metrics ~seed
-            (fun tb -> snd (Testbed.bm_guest tb))
-            ~clients:1000 ~value_bytes ~requests
-        in
-        let vm =
-          redis_on ?trace ?metrics ~seed
-            (fun tb -> snd (Testbed.vm_guest tb))
-            ~clients:1000 ~value_bytes ~requests
-        in
-        (value_bytes, bm, vm))
+      (fun value_bytes -> (value_bytes, redis_pair ctx ~clients:1000 ~value_bytes ~requests))
       sizes
   in
   let rows =
     List.map
-      (fun (value_bytes, bm, vm) ->
-        [
-          string_of_int value_bytes ^ "B";
-          Report.si bm.Redis_bench.rps;
-          Report.si vm.Redis_bench.rps;
-          Report.pct ((bm.Redis_bench.rps /. vm.Redis_bench.rps) -. 1.0);
-        ])
+      (fun (value_bytes, pair) -> redis_row (Text (string_of_int value_bytes ^ "B")) pair)
       results
   in
   (* Curve smoothness: mean absolute second difference over the mean —
      zero for any straight trend, large for a wobbly curve. *)
   let roughness take =
-    let xs = List.map (fun (_, bm, vm) -> take bm vm) results in
+    let xs = List.map (fun (_, (bm, vm)) -> take bm vm) results in
     let rec second_diffs = function
       | a :: (b :: c :: _ as rest) -> Float.abs (a -. (2.0 *. b) +. c) :: second_diffs rest
       | _ -> []
@@ -524,39 +576,27 @@ let run_fig16 { seed; quick; trace; metrics; _ } =
       [
         Printf.sprintf
           "curve roughness across sizes: bm %s, vm %s (paper: bm higher and more stable)"
-          (Report.pct bm_cv) (Report.pct vm_cv);
+          (pct bm_cv) (pct vm_cv);
       ];
   }
 
 (* ------------------------------------------------------------------ *)
 (* §2.3: nested virtualization *)
 
-let run_sec2_3 { seed; quick; trace; metrics; _ } =
+let run_sec2_3 ({ seed; quick; _ } as ctx) =
+  let vm_on tb config = Kvm.create_vm (Testbed.vm_host tb) { config with Kvm.host_load = 0.0 } in
   let exec_time nested =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let host = Testbed.vm_host tb in
-    let config = { (Kvm.default_config ~name:"vm") with Kvm.nested; host_load = 0.0 } in
-    let vm = Kvm.create_vm host config in
-    let elapsed = ref nan in
-    Sim.spawn tb.Testbed.sim (fun () ->
+    let tb = testbed ctx in
+    let vm = vm_on tb { (Kvm.default_config ~name:"vm") with Kvm.nested } in
+    in_fiber tb (fun () ->
         let t0 = Sim.clock () in
         vm.Instance.exec_ns 10e6;
-        elapsed := Sim.clock () -. t0);
-    Testbed.run tb;
-    !elapsed
+        Sim.clock () -. t0)
   in
   let io_lat nested =
-    let tb = Testbed.make ~seed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ?trace ?metrics () in
-    let host = Testbed.vm_host tb in
-    let config =
-      {
-        (Kvm.default_config ~name:"vm") with
-        Kvm.nested;
-        host_load = 0.0;
-        blk_limits = Bm_cloud.Limits.unlimited_blk ();
-      }
-    in
-    let vm = Kvm.create_vm host config in
+    let tb = testbed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ctx in
+    let blk_limits = Bm_cloud.Limits.unlimited_blk () in
+    let vm = vm_on tb { (Kvm.default_config ~name:"vm") with Kvm.nested; blk_limits } in
     let duration = if quick then Simtime.ms 100.0 else Simtime.ms 500.0 in
     let r = Fio.run tb.Testbed.sim (Rng.create ~seed) vm ~jobs:16 ~iodepth:8 ~duration () in
     r.Fio.iops
@@ -570,13 +610,13 @@ let run_sec2_3 { seed; quick; trace; metrics; _ } =
     header = [ "metric"; "plain vm"; "nested vm"; "nested/plain"; "paper" ];
     rows =
       [
-        [ "CPU work (same job)"; "1.00"; Report.f2 (t_nested /. t_plain); Report.pct cpu_eff; "~80%" ];
+        [ Text "CPU work (same job)"; F2 1.0; F2 (t_nested /. t_plain); Pct cpu_eff; Text "~80%" ];
         [
-          "fio IOPS (CPU-path bound)";
-          Report.si iops_plain;
-          Report.si iops_nested;
-          Report.pct (iops_nested /. iops_plain);
-          "~25% for I/O-intensive";
+          Text "fio IOPS (CPU-path bound)";
+          Si iops_plain;
+          Si iops_nested;
+          Pct (iops_nested /. iops_plain);
+          Text "~25% for I/O-intensive";
         ];
       ];
     notes =
@@ -601,13 +641,18 @@ let run_sec3_5 _ =
     rows =
       [
         [
-          "sellable HT per rack slot";
-          string_of_int d.Cost_model.vm_sellable_ht;
-          string_of_int d.Cost_model.bm_sellable_ht;
-          "88 vs 256";
+          Text "sellable HT per rack slot";
+          Int d.Cost_model.vm_sellable_ht;
+          Int d.Cost_model.bm_sellable_ht;
+          Text "88 vs 256";
         ];
-        [ "TDP W/vCPU (96HT shape)"; Report.f2 vm_w; Report.f2 bm_w; "3.06 vs 3.17" ];
-        [ "relative sell price"; "1.00"; Report.f2 Cost_model.price_ratio_bm_over_vm; "bm 10% lower" ];
+        [ Text "TDP W/vCPU (96HT shape)"; F2 vm_w; F2 bm_w; Text "3.06 vs 3.17" ];
+        [
+          Text "relative sell price";
+          F2 1.0;
+          F2 Cost_model.price_ratio_bm_over_vm;
+          Text "bm 10% lower";
+        ];
       ];
     notes =
       [
@@ -618,39 +663,20 @@ let run_sec3_5 _ =
 (* ------------------------------------------------------------------ *)
 (* §4.3 network: TCP throughput + unrestricted PPS *)
 
-let run_sec4_3net { seed; quick; trace; metrics; _ } =
+let run_sec4_3net ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   (* Cross-server throughput at the 10 Gbit/s cap. *)
-  let tcp make =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let a, b = make tb in
-    Netperf.tcp_stream tb.Testbed.sim ~src:a ~dst:b ~duration ()
+  let tcp pair =
+    on_pair ctx pair (fun sim src dst -> Netperf.tcp_stream sim ~src ~dst ~duration ())
   in
-  let bm_cross tb =
-    let s1 = Testbed.bm_server tb in
-    let s2 = Testbed.bm_server tb in
-    let g server name =
-      match Bm_hyp.Bm_hypervisor.provision server ~name () with
-      | Ok i -> i
-      | Error e -> failwith e
-    in
-    (g s1 "a", g s2 "b")
-  in
-  let vm_cross tb =
-    let h1 = Testbed.vm_host tb in
-    let h2 = Testbed.vm_host tb in
-    (Kvm.create_vm h1 (Kvm.default_config ~name:"a"), Kvm.create_vm h2 (Kvm.default_config ~name:"b"))
-  in
-  let bm_tp = tcp bm_cross in
-  let vm_tp = tcp vm_cross in
+  let bm_tp = tcp xhost_bm_pair in
+  let vm_tp = tcp xhost_vm_pair in
   (* Unrestricted PPS on the bm pair. *)
-  let tb = Testbed.make ~seed ?trace ?metrics () in
-  let unlimited = Bm_cloud.Limits.unlimited_net () in
-  let _, a, b = Testbed.bm_pair ~net_limits:unlimited tb in
   let free =
-    Netperf.udp_pps tb.Testbed.sim ~src:a ~dst:b ~senders:12 ~batch:64
-      ~duration:(if quick then Simtime.ms 20.0 else Simtime.ms 200.0)
-      ()
+    on_pair ctx (bm_pair ~net_limits:(Bm_cloud.Limits.unlimited_net ())) (fun sim src dst ->
+        Netperf.udp_pps sim ~src ~dst ~senders:12 ~batch:64
+          ~duration:(if quick then Simtime.ms 20.0 else Simtime.ms 200.0)
+          ())
   in
   {
     id = "sec4_3net";
@@ -659,12 +685,17 @@ let run_sec4_3net { seed; quick; trace; metrics; _ } =
     rows =
       [
         [
-          "TCP payload throughput (Gbit/s)";
-          Report.f2 bm_tp.Netperf.payload_gbit_s;
-          Report.f2 vm_tp.Netperf.payload_gbit_s;
-          "9.6 vs 9.59";
+          Text "TCP payload throughput (Gbit/s)";
+          F2 bm_tp.Netperf.payload_gbit_s;
+          F2 vm_tp.Netperf.payload_gbit_s;
+          Text "9.6 vs 9.59";
         ];
-        [ "unrestricted UDP PPS"; Report.si free.Netperf.received_pps; "-"; "16M (limit lifted)" ];
+        [
+          Text "unrestricted UDP PPS";
+          Si free.Netperf.received_pps;
+          Text "-";
+          Text "16M (limit lifted)";
+        ];
       ];
     notes =
       [
@@ -676,23 +707,18 @@ let run_sec4_3net { seed; quick; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* §4.3 storage: unrestricted local SSD *)
 
-let run_sec4_3blk { seed; quick; trace; metrics; _ } =
+let run_sec4_3blk ({ seed; quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 100.0 else Simtime.ms 800.0 in
   let unlimited () = Bm_cloud.Limits.unlimited_blk () in
-  let small make =
-    let tb = Testbed.make ~seed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ?trace ?metrics () in
-    let inst = make tb in
-    Fio.run tb.Testbed.sim (Rng.create ~seed) inst ~jobs:8 ~iodepth:2 ~block_bytes:4096
-      ~pattern:Fio.Randread ~duration ()
+  let randread guest ~iodepth ~block_bytes =
+    on_guest ~storage_kind:Bm_cloud.Blockstore.Local_ssd ctx guest (fun sim inst ->
+        Fio.run sim (Rng.create ~seed) inst ~jobs:8 ~iodepth ~block_bytes ~pattern:Fio.Randread
+          ~duration ())
   in
-  let big make =
-    let tb = Testbed.make ~seed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ?trace ?metrics () in
-    let inst = make tb in
-    Fio.run tb.Testbed.sim (Rng.create ~seed) inst ~jobs:8 ~iodepth:4 ~block_bytes:(256 * 1024)
-      ~pattern:Fio.Randread ~duration ()
-  in
-  let bm_mk tb = snd (Testbed.bm_guest ~blk_limits:(unlimited ()) tb) in
-  let vm_mk tb = snd (Testbed.vm_guest ~blk_limits:(unlimited ()) tb) in
+  let small guest = randread guest ~iodepth:2 ~block_bytes:4096 in
+  let big guest = randread guest ~iodepth:4 ~block_bytes:(256 * 1024) in
+  let bm_mk tb = bm_guest ~blk_limits:(unlimited ()) tb in
+  let vm_mk tb = vm_guest ~blk_limits:(unlimited ()) tb in
   let bm_small = small bm_mk and vm_small = small vm_mk in
   let bm_big = big bm_mk and vm_big = big vm_mk in
   let bw r block = r.Fio.iops *. float_of_int block /. 1e9 in
@@ -703,20 +729,26 @@ let run_sec4_3blk { seed; quick; trace; metrics; _ } =
     rows =
       [
         [
-          "4KB randread IOPS";
-          Report.si bm_small.Fio.iops;
-          Report.si vm_small.Fio.iops;
-          Report.pct ((bm_small.Fio.iops /. vm_small.Fio.iops) -. 1.0);
-          "+50%";
+          Text "4KB randread IOPS";
+          Si bm_small.Fio.iops;
+          Si vm_small.Fio.iops;
+          Pct ((bm_small.Fio.iops /. vm_small.Fio.iops) -. 1.0);
+          Text "+50%";
         ];
         [
-          "256KB read bandwidth (GB/s)";
-          Report.f2 (bw bm_big (256 * 1024));
-          Report.f2 (bw vm_big (256 * 1024));
-          Report.pct ((bw bm_big (256 * 1024) /. bw vm_big (256 * 1024)) -. 1.0);
-          "+100%";
+          Text "256KB read bandwidth (GB/s)";
+          F2 (bw bm_big (256 * 1024));
+          F2 (bw vm_big (256 * 1024));
+          Pct ((bw bm_big (256 * 1024) /. bw vm_big (256 * 1024)) -. 1.0);
+          Text "+100%";
         ];
-        [ "4KB average latency (us)"; Report.f1 bm_small.Fio.avg_us; Report.f1 vm_small.Fio.avg_us; "-"; "bm ~60us" ];
+        [
+          Text "4KB average latency (us)";
+          F1 bm_small.Fio.avg_us;
+          F1 vm_small.Fio.avg_us;
+          Text "-";
+          Text "bm ~60us";
+        ];
       ];
     notes = [];
   }
@@ -724,44 +756,31 @@ let run_sec4_3blk { seed; quick; trace; metrics; _ } =
 (* ------------------------------------------------------------------ *)
 (* §6: ASIC IO-Bond ablation *)
 
-let run_sec6 { seed; quick; trace; metrics; _ } =
-  let probe profile =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let _, inst = Testbed.bm_guest ~profile tb in
-    let time = ref nan and accesses = ref 0 in
-    Sim.spawn tb.Testbed.sim (fun () ->
-        let t0 = Sim.clock () in
-        (match inst.Instance.probe () with
-        | Ok n -> accesses := n
-        | Error e -> failwith e);
-        time := Sim.clock () -. t0);
-    Testbed.run tb;
-    (!time, !accesses)
-  in
-  let lat profile =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let _, a, b = Testbed.bm_pair ~profile tb in
-    let count = if quick then 300 else 1500 in
-    (Sockperf.ping_pong tb.Testbed.sim ~a ~b ~path:Sockperf.Kernel ~count ()).Sockperf.avg_us
-  in
-  let fpga_probe, accesses = probe Bm_iobond.Profile.Fpga in
-  let asic_probe, _ = probe Bm_iobond.Profile.Asic in
-  let fpga_lat = lat Bm_iobond.Profile.Fpga in
-  let asic_lat = lat Bm_iobond.Profile.Asic in
+let run_sec6 ({ quick; _ } as ctx) =
+  let count = if quick then 300 else 1500 in
+  let fpga_probe, accesses = probe ctx Bm_iobond.Profile.Fpga in
+  let asic_probe, _ = probe ctx Bm_iobond.Profile.Asic in
+  let fpga_lat = kernel_ping ctx ~count Bm_iobond.Profile.Fpga in
+  let asic_lat = kernel_ping ctx ~count Bm_iobond.Profile.Asic in
   {
     id = "sec6";
     title = "S6: IO-Bond FPGA vs projected ASIC";
     header = [ "metric"; "FPGA"; "ASIC"; "paper" ];
     rows =
       [
-        [ "PCI register hop (us)"; "0.8"; "0.2"; "0.8 -> 0.2 (75% cut)" ];
         [
-          Printf.sprintf "virtio probe, %d accesses (us)" accesses;
-          Report.f1 (fpga_probe /. 1e3);
-          Report.f1 (asic_probe /. 1e3);
-          "4x faster config path";
+          Text "PCI register hop (us)";
+          F1 (hop_us Bm_iobond.Profile.Fpga);
+          F1 (hop_us Bm_iobond.Profile.Asic);
+          Text "0.8 -> 0.2 (75% cut)";
         ];
-        [ "UDP one-way latency (us)"; Report.f1 fpga_lat; Report.f1 asic_lat; "shorter data path" ];
+        [
+          Text (Printf.sprintf "virtio probe, %d accesses (us)" accesses);
+          F1 (fpga_probe /. 1e3);
+          F1 (asic_probe /. 1e3);
+          Text "4x faster config path";
+        ];
+        [ Text "UDP one-way latency (us)"; F1 fpga_lat; F1 asic_lat; Text "shorter data path" ];
       ];
     notes = [];
   }
@@ -772,33 +791,20 @@ let run_sec6 { seed; quick; trace; metrics; _ } =
 (* How much does IO-Bond's register latency matter? Sweep the per-hop
    cost (the FPGA -> ASIC axis, extended) against the two things it
    touches: the emulated config path and end-to-end message latency. *)
-let run_ablation_reg { seed; quick; trace; metrics; _ } =
+let run_ablation_reg ({ quick; _ } as ctx) =
   let count = if quick then 200 else 1000 in
-  let probe_and_lat profile =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let _, inst = Testbed.bm_guest ~profile tb in
-    let probe_us = ref nan in
-    Sim.spawn tb.Testbed.sim (fun () ->
-        let t0 = Sim.clock () in
-        (match inst.Instance.probe () with Ok _ -> () | Error e -> failwith e);
-        probe_us := (Sim.clock () -. t0) /. 1e3);
-    Testbed.run tb;
-    let tb2 = Testbed.make ~seed ?trace ?metrics () in
-    let _, a, b = Testbed.bm_pair ~profile tb2 in
-    let lat = Sockperf.ping_pong tb2.Testbed.sim ~a ~b ~path:Sockperf.Kernel ~count () in
-    (!probe_us, lat.Sockperf.avg_us)
+  let row profile =
+    let probe_ns, _ = probe ctx profile in
+    let lat = kernel_ping ctx ~count profile in
+    [ Text (Bm_iobond.Profile.name profile); F1 (hop_us profile); F1 (probe_ns /. 1e3); F1 lat ]
   in
-  let fpga_probe, fpga_lat = probe_and_lat Bm_iobond.Profile.Fpga in
-  let asic_probe, asic_lat = probe_and_lat Bm_iobond.Profile.Asic in
+  let fpga = row Bm_iobond.Profile.Fpga in
+  let asic = row Bm_iobond.Profile.Asic in
   {
     id = "ablation_reg";
     title = "Ablation: IO-Bond register-hop latency (config path vs data path)";
     header = [ "profile"; "hop (us)"; "virtio probe (us)"; "UDP one-way (us)" ];
-    rows =
-      [
-        [ "FPGA"; "0.8"; Report.f1 fpga_probe; Report.f1 fpga_lat ];
-        [ "ASIC"; "0.2"; Report.f1 asic_probe; Report.f1 asic_lat ];
-      ];
+    rows = [ fpga; asic ];
     notes =
       [
         "The config path scales with the hop 1:1; the data path only carries the";
@@ -809,21 +815,13 @@ let run_ablation_reg { seed; quick; trace; metrics; _ } =
 
 (* How big must the DMA engine be? The paper picked 50 Gbit/s; sweep it
    against unrestricted guest throughput. *)
-let run_ablation_dma { seed; quick; trace; metrics; _ } =
+let run_ablation_dma ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let tput dma_gbit_s =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let server =
-      Bm_hyp.Bm_hypervisor.create_server ~obs:tb.Testbed.obs tb.Testbed.sim tb.Testbed.rng
-        ~fabric:tb.Testbed.fabric ~storage:tb.Testbed.storage ~dma_gbit_s ()
-    in
-    let unlimited = Bm_cloud.Limits.unlimited_net () in
-    let g name =
-      match Bm_hyp.Bm_hypervisor.provision server ~name ~net_limits:unlimited () with
-      | Ok i -> i
-      | Error e -> failwith e
-    in
-    let a = g "a" and b = g "b" in
+    let tb = testbed ctx in
+    let server = base_server ~dma_gbit_s tb in
+    let net_limits = Bm_cloud.Limits.unlimited_net () in
+    let a = provision ~net_limits server "a" and b = provision ~net_limits server "b" in
     let r =
       Netperf.tcp_stream tb.Testbed.sim ~src:a ~dst:b ~connections:32
         ~message_bytes:8192 ~duration ()
@@ -832,7 +830,7 @@ let run_ablation_dma { seed; quick; trace; metrics; _ } =
   in
   let rows =
     List.map
-      (fun g -> [ Printf.sprintf "%.0f Gbit/s" g; Report.f2 (tput g) ])
+      (fun g -> [ Text (Printf.sprintf "%.0f Gbit/s" g); F2 (tput g) ])
       [ 12.5; 25.0; 50.0; 100.0 ]
   in
   {
@@ -849,16 +847,14 @@ let run_ablation_dma { seed; quick; trace; metrics; _ } =
 
 (* How much do batched doorbells/PMD bursts buy? Sweep the burst size the
    guest stack hands to virtio. *)
-let run_ablation_batch { seed; quick; trace; metrics; _ } =
+let run_ablation_batch ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let pps batch =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let _, a, b = Testbed.bm_pair ~net_limits:(Bm_cloud.Limits.unlimited_net ()) tb in
-    let r = Netperf.udp_pps tb.Testbed.sim ~src:a ~dst:b ~senders:8 ~batch ~duration () in
-    r.Netperf.received_pps
+    on_pair ctx (bm_pair ~net_limits:(Bm_cloud.Limits.unlimited_net ())) (fun sim src dst ->
+        (Netperf.udp_pps sim ~src ~dst ~senders:8 ~batch ~duration ()).Netperf.received_pps)
   in
   let rows =
-    List.map (fun b -> [ string_of_int b; Report.si (pps b) ]) [ 1; 4; 16; 64 ]
+    List.map (fun b -> [ Int b; Si (pps b) ]) [ 1; 4; 16; 64 ]
   in
   {
     id = "ablation_batch";
@@ -875,28 +871,21 @@ let run_ablation_batch { seed; quick; trace; metrics; _ } =
 (* S6's offload plan: with IO-Bond classifying flows, known traffic
    bypasses the bm-hypervisor's PMD entirely. Measure PPS and base-core
    utilization with and without it. *)
-let run_ablation_offload { seed; quick; trace; metrics; _ } =
+let run_ablation_offload ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let run offload =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let server =
-      Bm_hyp.Bm_hypervisor.create_server ~obs:tb.Testbed.obs tb.Testbed.sim tb.Testbed.rng
-        ~fabric:tb.Testbed.fabric ~storage:tb.Testbed.storage ()
-    in
-    let unlimited = Bm_cloud.Limits.unlimited_net () in
-    let g name =
-      match Bm_hyp.Bm_hypervisor.provision server ~name ~net_limits:unlimited ~offload () with
-      | Ok i -> i
-      | Error e -> failwith e
-    in
-    let a = g "a" and b = g "b" in
+    let tb = testbed ctx in
+    let server = base_server tb in
+    let net_limits = Bm_cloud.Limits.unlimited_net () in
+    let guest = provision ~net_limits ~offload server in
+    let a = guest "a" and b = guest "b" in
     let r = Netperf.udp_pps tb.Testbed.sim ~src:a ~dst:b ~senders:10 ~batch:64 ~duration () in
     let base_util =
-      Bm_hw.Cores.utilization (Bm_hyp.Bm_hypervisor.base_cores server)
+      Bm_hw.Cores.utilization (Bm_hypervisor.base_cores server)
         ~now:(Sim.now tb.Testbed.sim)
     in
     let hit_rate =
-      match Bm_hyp.Bm_hypervisor.offload_table server ~name:"a" with
+      match Bm_hypervisor.offload_table server ~name:"a" with
       | Some ot ->
         let total = Bm_iobond.Offload.hits ot + Bm_iobond.Offload.misses ot in
         if total = 0 then 0.0
@@ -913,8 +902,8 @@ let run_ablation_offload { seed; quick; trace; metrics; _ } =
     header = [ "backend"; "received PPS"; "base-core util"; "flow hit rate" ];
     rows =
       [
-        [ "PMD only (deployed)"; Report.si pps_off; Report.pct util_off; "-" ];
-        [ "IO-Bond offload (S6)"; Report.si pps_on; Report.pct util_on; Report.pct hit_rate ];
+        [ Text "PMD only (deployed)"; Si pps_off; Pct util_off; Text "-" ];
+        [ Text "IO-Bond offload (S6)"; Si pps_on; Pct util_on; Pct hit_rate ];
       ];
     notes =
       [
@@ -925,21 +914,6 @@ let run_ablation_offload { seed; quick; trace; metrics; _ } =
 
 (* ------------------------------------------------------------------ *)
 (* Availability under injected faults *)
-
-(* [workers] guest fibers issue sequential 4 KiB reads until the plan
-   horizon, then the run drains to quiescence, so every request issued
-   before the horizon completes. Completion times, ascending. *)
-let read_stream tb inst ~workers ~horizon_ns =
-  let completions = ref [] in
-  for _ = 1 to workers do
-    Sim.spawn tb.Testbed.sim (fun () ->
-        while Sim.clock () < horizon_ns do
-          ignore (inst.Instance.blk ~op:`Read ~bytes_:4096);
-          completions := Sim.clock () :: !completions
-        done)
-  done;
-  Testbed.run tb;
-  List.sort compare !completions
 
 let gaps_of = function
   | [] | [ _ ] -> []
@@ -972,7 +946,7 @@ let mttr_of (plan : Fault.plan) completions =
       |> Option.map (fun c -> c -. e.Fault.at))
     plan.Fault.events
 
-let run_availability { seed; quick; trace; metrics; faults; _ } =
+let run_availability ({ seed; quick; faults; _ } as ctx) =
   let workers = if quick then 2 else 4 in
   let plan =
     match faults with
@@ -990,20 +964,38 @@ let run_availability { seed; quick; trace; metrics; faults; _ } =
         ]
   in
   let horizon = plan.Fault.horizon_ns in
-  let run_bm ?faults () =
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
-    let _server, inst = Testbed.bm_guest tb in
-    read_stream tb inst ~workers ~horizon_ns:horizon
+  (* [workers] guest fibers issue sequential 4 KiB reads until the plan
+     horizon, then the run drains to quiescence, so every request issued
+     before the horizon completes. Completion times, ascending. *)
+  let stream ?faults guest =
+    let tb = testbed ?faults ctx in
+    let inst = guest tb in
+    let completions = ref [] in
+    for _ = 1 to workers do
+      Sim.spawn tb.Testbed.sim (fun () ->
+          while Sim.clock () < horizon do
+            ignore (inst.Instance.blk ~op:`Read ~bytes_:4096);
+            completions := Sim.clock () :: !completions
+          done)
+    done;
+    Testbed.run tb;
+    List.sort compare !completions
   in
-  let run_vm ?faults () =
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
-    let _host, inst = Testbed.vm_guest tb in
-    read_stream tb inst ~workers ~horizon_ns:horizon
-  in
-  let clean_bm = run_bm () in
-  let clean_vm = run_vm () in
+  let clean_bm = stream bm_guest in
+  let clean_vm = stream vm_guest in
   let goodput fault clean =
     float_of_int (List.length fault) /. float_of_int (max 1 (List.length clean))
+  in
+  let row label (plan : Fault.plan) completions clean =
+    let gaps = gaps_of completions in
+    [
+      Text label;
+      Int (List.length plan.Fault.events);
+      F1 (mean (mttr_of plan completions) /. 1e3);
+      F1 (percentile gaps 0.99 /. 1e3);
+      F1 (percentile gaps 1.0 /. 1e3);
+      Pct (goodput completions clean);
+    ]
   in
   (* One row per fault kind present in the plan: a fresh testbed runs
      the same workload under just that kind's events, so the recovery
@@ -1023,48 +1015,25 @@ let run_availability { seed; quick; trace; metrics; faults; _ } =
               List.filter (fun (e : Fault.event) -> e.Fault.kind = kind) plan.Fault.events;
           }
         in
-        let completions = run_bm ~faults:sub () in
-        let gaps = gaps_of completions in
-        [
-          Fault.kind_name kind;
-          string_of_int (List.length sub.Fault.events);
-          Report.f1 (mean (mttr_of sub completions) /. 1e3);
-          Report.f1 (percentile gaps 0.99 /. 1e3);
-          Report.f1 (percentile gaps 1.0 /. 1e3);
-          Report.pct (goodput completions clean_bm);
-        ])
+        row (Fault.kind_name kind) sub (stream ~faults:sub bm_guest) clean_bm)
       kinds
   in
   (* The full plan at once, bm vs vm: the paper's density argument only
      holds if a board full of faults degrades no worse than a host. *)
-  let fault_bm = run_bm ~faults:plan () in
-  let fault_vm = run_vm ~faults:plan () in
-  let combined_row name fault clean =
-    let gaps = gaps_of fault in
-    [
-      name;
-      string_of_int (List.length plan.Fault.events);
-      Report.f1 (mean (mttr_of plan fault) /. 1e3);
-      Report.f1 (percentile gaps 0.99 /. 1e3);
-      Report.f1 (percentile gaps 1.0 /. 1e3);
-      Report.pct (goodput fault clean);
-    ]
-  in
+  let fault_bm = stream ~faults:plan bm_guest in
+  let fault_vm = stream ~faults:plan vm_guest in
   (* Base-server failure: measure the blackout a surviving board's
      live migration would pay, for the notes below. *)
   let live_blackout_ns =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let _server, inst = Testbed.bm_guest tb in
-    let stats = ref None in
-    Sim.spawn tb.Testbed.sim (fun () ->
+    let tb = testbed ctx in
+    let inst = bm_guest tb in
+    in_fiber tb (fun () ->
         match Live_migration.inject tb.Testbed.sim (Rng.split tb.Testbed.rng) inst with
-        | Error _ -> ()
+        | Error _ -> None
         | Ok injected -> (
           match Live_migration.migrate injected ~dirty_rate_gb_s:1.0 ~mem_gb:16 () with
-          | Error _ -> ()
-          | Ok s -> stats := Some s.Live_migration.blackout_ns));
-    Testbed.run tb;
-    !stats
+          | Error _ -> None
+          | Ok s -> Some s.Live_migration.blackout_ns))
   in
   {
     id = "availability";
@@ -1073,8 +1042,8 @@ let run_availability { seed; quick; trace; metrics; faults; _ } =
     rows =
       kind_rows
       @ [
-          combined_row "all faults (bm-guest)" fault_bm clean_bm;
-          combined_row "all faults (vm-guest)" fault_vm clean_vm;
+          row "all faults (bm-guest)" plan fault_bm clean_bm;
+          row "all faults (vm-guest)" plan fault_vm clean_vm;
         ];
     notes =
       [
@@ -1141,11 +1110,11 @@ let run_evacuation _ =
             | _ -> false)
         and stranded = count (function _, Error _ -> true | _ -> false) in
         [
-          label;
-          string_of_int (List.length outcomes);
-          string_of_int to_bm;
-          string_of_int to_vm;
-          string_of_int stranded;
+          Text label;
+          Int (List.length outcomes);
+          Int to_bm;
+          Int to_vm;
+          Int stranded;
         ])
       strategies
   in
@@ -1174,85 +1143,66 @@ let run_evacuation _ =
    queue never fills. The acceptance shape is the hockey stick —
    bounded goodput stays at the ceiling with flat latency while
    blocking latency diverges with the backlog. *)
-let run_overload { seed; quick; trace; metrics; faults; _ } =
+let run_overload ({ quick; faults; _ } as ctx) =
   let open Bm_cloud in
   let net_duration = if quick then Simtime.ms 8.0 else Simtime.ms 60.0 in
   let blk_duration = if quick then Simtime.ms 40.0 else Simtime.ms 250.0 in
   let multipliers = [ 0.5; 1.0; 2.0; 4.0 ] in
   let net_ceiling = 4e6 and blk_ceiling = 25e3 in
-  let policy_name bounded = if bounded then "bounded" else "blocking" in
-  let kind_name = function `Bm -> "bm" | `Vm -> "vm" in
+  let policy bounded = if bounded then Limits.Shed else Limits.Block in
   let net_run ?faults kind bounded mult =
-    let policy = if bounded then Limits.Shed else Limits.Block in
-    let limits = Limits.cloud_net ~policy () in
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let net_limits = Limits.cloud_net ~policy:(policy bounded) () in
+    let tb = testbed ?faults ctx in
     let src, dst =
-      match kind with
-      | `Bm ->
-        let _, a, b = Testbed.bm_pair ~net_limits:limits tb in
-        (a, b)
-      | `Vm ->
-        let _, a, b = Testbed.vm_pair ~net_limits:limits tb in
-        (a, b)
+      match kind with `Bm -> bm_pair ~net_limits tb | `Vm -> vm_pair ~net_limits tb
     in
     Overload.udp_flood tb.Testbed.sim ~src ~dst ~offered_pps:(mult *. net_ceiling)
       ~duration:net_duration ()
   in
   let blk_run ?faults kind bounded mult =
-    let policy = if bounded then Limits.Shed else Limits.Block in
-    let blk_limits = Limits.cloud_blk ~policy () in
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let blk_limits = Limits.cloud_blk ~policy:(policy bounded) () in
+    let tb = testbed ?faults ctx in
     let inst =
-      match kind with
-      | `Bm -> snd (Testbed.bm_guest ~blk_limits tb)
-      | `Vm -> snd (Testbed.vm_guest ~blk_limits tb)
+      match kind with `Bm -> bm_guest ~blk_limits tb | `Vm -> vm_guest ~blk_limits tb
     in
     Overload.blk_flood tb.Testbed.sim ~inst ~offered_iops:(mult *. blk_ceiling)
       ~duration:blk_duration ()
   in
-  let net_results =
+  let sweep run =
     List.concat_map
       (fun kind ->
         List.concat_map
           (fun bounded ->
-            List.map (fun m -> ((kind, bounded, m), net_run kind bounded m)) multipliers)
+            List.map (fun m -> ((kind, bounded, m), run kind bounded m)) multipliers)
           [ false; true ])
       [ `Bm; `Vm ]
   in
-  let blk_results =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun bounded ->
-            List.map (fun m -> ((kind, bounded, m), blk_run kind bounded m)) multipliers)
-          [ false; true ])
-      [ `Bm; `Vm ]
-  in
-  let net_row ?(label_extra = "") ((kind, bounded, mult), (r : Overload.net_result)) =
+  let net_results = sweep net_run in
+  let blk_results = sweep blk_run in
+  (* One row per (path, guest, admission, load) point: offered and
+     delivered rate, what admission refused, and schedule latency. *)
+  let row path ?(label_extra = "") (kind, bounded, mult)
+      (offered, goodput, refused, p50, p99, lag) =
     [
-      "net " ^ kind_name kind ^ label_extra;
-      policy_name bounded;
-      Printf.sprintf "%.1fx" mult;
-      Report.si r.Overload.offered_pps;
-      Report.si r.Overload.goodput_pps;
-      Report.si (float_of_int r.Overload.shed);
-      Report.f1 r.Overload.p50_us;
-      Report.f1 r.Overload.p99_us;
-      Report.f1 r.Overload.max_lag_ms;
+      Text (path ^ (match kind with `Bm -> " bm" | `Vm -> " vm") ^ label_extra);
+      Text (if bounded then "bounded" else "blocking");
+      Text (Printf.sprintf "%.1fx" mult);
+      Si offered;
+      Si goodput;
+      Si (float_of_int refused);
+      F1 p50;
+      F1 p99;
+      F1 lag;
     ]
   in
-  let blk_row ?(label_extra = "") ((kind, bounded, mult), (r : Overload.blk_result)) =
-    [
-      "blk " ^ kind_name kind ^ label_extra;
-      policy_name bounded;
-      Printf.sprintf "%.1fx" mult;
-      Report.si r.Overload.offered_iops;
-      Report.si r.Overload.goodput_iops;
-      Report.si (float_of_int r.Overload.rejected);
-      Report.f1 r.Overload.blk_p50_us;
-      Report.f1 r.Overload.blk_p99_us;
-      Report.f1 r.Overload.blk_max_lag_ms;
-    ]
+  let net_row ?label_extra (point, (r : Overload.net_result)) =
+    row "net" ?label_extra point
+      Overload.(r.offered_pps, r.goodput_pps, r.shed, r.p50_us, r.p99_us, r.max_lag_ms)
+  in
+  let blk_row ?label_extra (point, (r : Overload.blk_result)) =
+    row "blk" ?label_extra point
+      Overload.
+        (r.offered_iops, r.goodput_iops, r.rejected, r.blk_p50_us, r.blk_p99_us, r.blk_max_lag_ms)
   in
   (* Combined faults + overload soak: the same 2x flood with the fault
      plan armed, on the bounded bm datapath — overload control and
@@ -1280,15 +1230,15 @@ let run_overload { seed; quick; trace; metrics; faults; _ } =
         "Latency is measured against each packet's intended (open-loop) send time.";
         Printf.sprintf
           "net bm at 4x: bounded goodput %s pps (p99 %s us); blocking p99 %s us, %s ms behind schedule"
-          (Report.si (net_at true).Overload.goodput_pps)
-          (Report.f1 (net_at true).Overload.p99_us)
-          (Report.f1 (net_at false).Overload.p99_us)
-          (Report.f1 (net_at false).Overload.max_lag_ms);
+          (si (net_at true).Overload.goodput_pps)
+          (f1 (net_at true).Overload.p99_us)
+          (f1 (net_at false).Overload.p99_us)
+          (f1 (net_at false).Overload.max_lag_ms);
         Printf.sprintf
           "blk bm at 4x: bounded goodput %s IOPS (p99 %s us); blocking p99 %s us"
-          (Report.si (blk_at true).Overload.goodput_iops)
-          (Report.f1 (blk_at true).Overload.blk_p99_us)
-          (Report.f1 (blk_at false).Overload.blk_p99_us);
+          (si (blk_at true).Overload.goodput_iops)
+          (f1 (blk_at true).Overload.blk_p99_us)
+          (f1 (blk_at false).Overload.blk_p99_us);
         (match faults with
         | Some _ -> "soak rows: same flood with the fault plan armed (recovery under pressure)."
         | None -> "pass --faults SEED:SPEC to add the combined faults+overload soak rows.");
@@ -1297,25 +1247,6 @@ let run_overload { seed; quick; trace; metrics; faults; _ } =
 
 (* ------------------------------------------------------------------ *)
 (* Cross-host experiments: traffic over the link-level fabric *)
-
-module Fabric = Bm_fabric.Fabric
-module Topology = Bm_fabric.Topology
-module Packet = Bm_virtio.Packet
-
-(* One bm-guest on each of two base servers; with a topology in the
-   testbed the servers claim fabric ports 0 and 1 in creation order. *)
-let xhost_bm_pair tb =
-  let s1 = Testbed.bm_server tb in
-  let s2 = Testbed.bm_server tb in
-  let g server name =
-    match Bm_hypervisor.provision server ~name () with Ok i -> i | Error e -> failwith e
-  in
-  (g s1 "a", g s2 "b")
-
-let xhost_vm_pair tb =
-  let h1 = Testbed.vm_host tb in
-  let h2 = Testbed.vm_host tb in
-  (Kvm.create_vm h1 (Kvm.default_config ~name:"a"), Kvm.create_vm h2 (Kvm.default_config ~name:"b"))
 
 (* Background load injected straight into the fabric (pseudo endpoints,
    so it contends in the link queues without consuming guest or vswitch
@@ -1354,28 +1285,24 @@ let link_note net ~now =
   | None -> "fabric: no links"
   | Some s ->
     Printf.sprintf "hottest link %s: util %s, depth p99 %s, delivered %s, dropped %s" s.name
-      (Report.pct s.utilization) (Report.f1 s.depth_p99)
-      (Report.si (float_of_int s.delivered_pkts))
-      (Report.si (float_of_int s.dropped_pkts))
+      (pct s.utilization) (f1 s.depth_p99)
+      (si (float_of_int s.delivered_pkts))
+      (si (float_of_int s.dropped_pkts))
 
-let run_xhost_rr { seed; quick; trace; metrics; topo; _ } =
+let run_xhost_rr ({ quick; _ } as ctx) =
   let count = if quick then 400 else 2000 in
   let rr tb (a, b) = Netperf.tcp_rr tb.Testbed.sim ~src:a ~dst:b ~count () in
   (* On-host baseline: the pre-fabric fast path, same server. *)
-  let tb0 = Testbed.make ~seed ?trace ?metrics () in
-  let _, a0, b0 = Testbed.bm_pair tb0 in
-  let on_host = rr tb0 (a0, b0) in
-  (* Cross-host over an idle leaf-spine: hosts in different racks. *)
-  let topo_idle = Option.value topo ~default:(Topology.clos ~hosts:2 ~tors:2 ~spines:2 ()) in
-  let tb1 = Testbed.make ~seed ?trace ?metrics ~topology:topo_idle () in
-  let bm_pair1 = xhost_bm_pair tb1 in
-  let idle = rr tb1 bm_pair1 in
+  let tb0 = testbed ctx in
+  let on_host = rr tb0 (bm_pair tb0) in
+  let tb1 = testbed ~topology:(topo_idle ctx) ctx in
+  let idle = rr tb1 (xhost_bm_pair tb1) in
   let net1 = Option.get tb1.Testbed.net in
   (* Same racks, one undersized spine, on/off cross traffic sharing the
      request path: queueing delay without drops (trains of 30 bursts
      stay under the 64-burst queues). *)
   let topo_hot = Topology.clos ~hosts:2 ~tors:2 ~spines:1 ~spine_gbit_s:10.0 () in
-  let tb2 = Testbed.make ~seed ?trace ?metrics ~topology:topo_hot () in
+  let tb2 = testbed ~topology:topo_hot ctx in
   let bm_pair2 = xhost_bm_pair tb2 in
   let net2 = Option.get tb2.Testbed.net in
   background_trains tb2.Testbed.sim net2 ~src_host:0 ~dst_host:1 ~burst_bytes:15_000
@@ -1383,9 +1310,8 @@ let run_xhost_rr { seed; quick; trace; metrics; topo; _ } =
     ~until:(if quick then Simtime.ms 150.0 else Simtime.ms 600.0);
   let hot = rr tb2 bm_pair2 in
   (* vm-guests across the same idle fabric. *)
-  let tb3 = Testbed.make ~seed ?trace ?metrics ~topology:topo_idle () in
-  let vm_pair = xhost_vm_pair tb3 in
-  let vm_idle = rr tb3 vm_pair in
+  let tb3 = testbed ~topology:(topo_idle ctx) ctx in
+  let vm_idle = rr tb3 (xhost_vm_pair tb3) in
   (* An uncongested transaction pays, on top of the on-host RTT, the
      wire path both ways plus the remote vswitch's per-packet cost both
      ways — nothing else. *)
@@ -1397,12 +1323,12 @@ let run_xhost_rr { seed; quick; trace; metrics; topo; _ } =
   let measured_delta_us = idle.Netperf.rtt_p50_us -. on_host.Netperf.rtt_p50_us in
   let row label (r : Netperf.rr_result) =
     [
-      label;
-      string_of_int r.Netperf.transactions;
-      Report.si r.Netperf.per_s;
-      Report.f1 r.Netperf.rtt_p50_us;
-      Report.f1 r.Netperf.rtt_p99_us;
-      Report.f1 r.Netperf.rtt_p999_us;
+      Text label;
+      Int r.Netperf.transactions;
+      Si r.Netperf.per_s;
+      F1 r.Netperf.rtt_p50_us;
+      F1 r.Netperf.rtt_p99_us;
+      F1 r.Netperf.rtt_p999_us;
     ]
   in
   {
@@ -1415,16 +1341,16 @@ let run_xhost_rr { seed; quick; trace; metrics; topo; _ } =
         row "bm cross-host, idle spine" idle;
         row "bm cross-host, hot spine" hot;
         row "vm cross-host, idle spine" vm_idle;
-        Report.check
-          ~paper:(Report.f1 expected_delta_us)
-          ~measured:(Report.f1 measured_delta_us)
+        check
+          ~paper:(F1 expected_delta_us)
+          ~measured:(F1 measured_delta_us)
           ~ok:
             (within ~tolerance:0.1 ~target:expected_delta_us measured_delta_us)
-          [ "idle RTT delta vs on-host (us)"; "-"; "-" ];
-        Report.check ~paper:">= 2x idle"
-          ~measured:(Report.f1 hot.Netperf.rtt_p99_us)
+          [ Text "idle RTT delta vs on-host (us)"; Text "-"; Text "-" ];
+        check ~paper:(Text ">= 2x idle")
+          ~measured:(F1 hot.Netperf.rtt_p99_us)
           ~ok:(hot.Netperf.rtt_p99_us >= 2.0 *. idle.Netperf.rtt_p99_us)
-          [ "hot-spine p99 inflation (us)"; "-"; "-" ];
+          [ Text "hot-spine p99 inflation (us)"; Text "-"; Text "-" ];
       ];
     notes =
       [
@@ -1434,33 +1360,30 @@ let run_xhost_rr { seed; quick; trace; metrics; topo; _ } =
       ];
   }
 
-let run_xhost_stream { seed; quick; trace; metrics; topo; _ } =
+let run_xhost_stream ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   let stream tb (a, b) = Netperf.tcp_stream tb.Testbed.sim ~src:a ~dst:b ~duration () in
-  let topo_idle = Option.value topo ~default:(Topology.clos ~hosts:2 ~tors:2 ~spines:2 ()) in
   let bm_cell topology =
-    let tb = Testbed.make ~seed ?trace ?metrics ~topology () in
-    let pair = xhost_bm_pair tb in
-    let r = stream tb pair in
+    let tb = testbed ~topology ctx in
+    let r = stream tb (xhost_bm_pair tb) in
     (r, Option.get tb.Testbed.net, Sim.now tb.Testbed.sim)
   in
-  let idle, net_idle, now_idle = bm_cell topo_idle in
+  let idle, net_idle, now_idle = bm_cell (topo_idle ctx) in
   (* The guests' 10 Gbit/s cap funnelled through a 5 Gbit/s spine: the
      ToR uplink queue fills and drop-tails — loss, not backpressure. *)
   let hot, net_hot, now_hot =
     bm_cell (Topology.clos ~hosts:2 ~tors:2 ~spines:1 ~spine_gbit_s:5.0 ())
   in
   let vm_idle =
-    let tb = Testbed.make ~seed ?trace ?metrics ~topology:topo_idle () in
-    let pair = xhost_vm_pair tb in
-    stream tb pair
+    let tb = testbed ~topology:(topo_idle ctx) ctx in
+    stream tb (xhost_vm_pair tb)
   in
   let row label (r : Netperf.throughput_result) =
     [
-      label;
-      Report.f2 r.Netperf.payload_gbit_s;
-      Report.f2 r.Netperf.gbit_s;
-      Report.si (float_of_int r.Netperf.messages);
+      Text label;
+      F2 r.Netperf.payload_gbit_s;
+      F2 r.Netperf.gbit_s;
+      Si (float_of_int r.Netperf.messages);
     ]
   in
   {
@@ -1472,14 +1395,14 @@ let run_xhost_stream { seed; quick; trace; metrics; topo; _ } =
         row "bm cross-host, idle spine" idle;
         row "bm cross-host, 5G spine" hot;
         row "vm cross-host, idle spine" vm_idle;
-        Report.check ~paper:"~9.6 (rate cap)"
-          ~measured:(Report.f2 idle.Netperf.payload_gbit_s)
+        check ~paper:(Text "~9.6 (rate cap)")
+          ~measured:(F2 idle.Netperf.payload_gbit_s)
           ~ok:(idle.Netperf.payload_gbit_s >= 8.5)
-          [ "idle spine carries the rate cap" ];
-        Report.check ~paper:"< 5.0 + drops"
-          ~measured:(Report.f2 hot.Netperf.payload_gbit_s)
+          [ Text "idle spine carries the rate cap" ];
+        check ~paper:(Text "< 5.0 + drops")
+          ~measured:(F2 hot.Netperf.payload_gbit_s)
           ~ok:(hot.Netperf.payload_gbit_s < 5.0 && Fabric.dropped net_hot > 0)
-          [ "oversubscribed spine sheds load" ];
+          [ Text "oversubscribed spine sheds load" ];
       ];
     notes =
       [
@@ -1490,31 +1413,28 @@ let run_xhost_stream { seed; quick; trace; metrics; topo; _ } =
       ];
   }
 
-let run_xhost_migrate { seed; quick; trace; metrics; topo; _ } =
+let run_xhost_migrate ({ seed; quick; topo; _ } as ctx) =
   let mem_gb = if quick then 4 else 16 in
   let dirty = 2.0 in
   let migrate_in tb bm via =
-    let out = ref None in
-    Sim.spawn tb.Testbed.sim (fun () ->
+    in_fiber tb (fun () ->
         match Live_migration.inject tb.Testbed.sim (Rng.create ~seed:(seed + 1)) bm with
         | Error e -> failwith e
         | Ok inj -> (
           match Live_migration.migrate inj ?via ~dirty_rate_gb_s:dirty ~mem_gb () with
           | Error e -> failwith e
-          | Ok s -> out := Some s));
-    Testbed.run tb;
-    Option.get !out
+          | Ok s -> s))
   in
   (* Analytic dedicated link — the pre-fabric model. *)
   let analytic =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
-    let _, bm = Testbed.bm_guest tb in
+    let tb = testbed ctx in
+    let bm = bm_guest tb in
     migrate_in tb bm None
   in
   let fabric_cell ~flood =
     let topology = Option.value topo ~default:(Topology.two_host ()) in
-    let tb = Testbed.make ~seed ?trace ?metrics ~topology () in
-    let _, bm = Testbed.bm_guest tb in
+    let tb = testbed ~topology ctx in
+    let bm = bm_guest tb in
     let net = Option.get tb.Testbed.net in
     if flood then
       (* ~50% of the uplink in 1 MB bursts, alongside the pre-copy. *)
@@ -1527,11 +1447,11 @@ let run_xhost_migrate { seed; quick; trace; metrics; topo; _ } =
   let contended = fabric_cell ~flood:true in
   let row label (s : Live_migration.migration_stats) =
     [
-      label;
-      string_of_int s.Live_migration.precopy_rounds;
-      Report.f2 (s.Live_migration.bytes_copied /. 1e9);
-      Report.f2 (s.Live_migration.blackout_ns /. 1e6);
-      Report.f2 (s.Live_migration.total_ns /. 1e9);
+      Text label;
+      Int s.Live_migration.precopy_rounds;
+      F2 (s.Live_migration.bytes_copied /. 1e9);
+      F2 (s.Live_migration.blackout_ns /. 1e6);
+      F2 (s.Live_migration.total_ns /. 1e9);
     ]
   in
   {
@@ -1543,16 +1463,16 @@ let run_xhost_migrate { seed; quick; trace; metrics; topo; _ } =
         row "dedicated link (analytic)" analytic;
         row "fabric, idle" idle;
         row "fabric, contended uplink" contended;
-        Report.check ~paper:"= analytic"
-          ~measured:(Report.f2 (idle.Live_migration.total_ns /. 1e9))
+        check ~paper:(Text "= analytic")
+          ~measured:(F2 (idle.Live_migration.total_ns /. 1e9))
           ~ok:
             (within ~tolerance:0.1 ~target:analytic.Live_migration.total_ns
                idle.Live_migration.total_ns)
-          [ "idle fabric matches dedicated link"; "-" ];
-        Report.check ~paper:"> idle"
-          ~measured:(Report.f2 (contended.Live_migration.total_ns /. 1e9))
+          [ Text "idle fabric matches dedicated link"; Text "-" ];
+        check ~paper:(Text "> idle")
+          ~measured:(F2 (contended.Live_migration.total_ns /. 1e9))
           ~ok:(contended.Live_migration.total_ns > 1.2 *. idle.Live_migration.total_ns)
-          [ "contention stretches the copy"; "-" ];
+          [ Text "contention stretches the copy"; Text "-" ];
       ];
     notes =
       [
@@ -1611,37 +1531,39 @@ let run_fleet_scale { seed; quick; trace; metrics; topo; hosts; guests; tenants;
     header = [ "property"; "expect"; "measured"; "band" ];
     rows =
       [
-        Report.check
-          ~paper:(string_of_int cfg.guests)
-          ~measured:(string_of_int (Fleet.Live.placed live))
+        check
+          ~paper:(Int cfg.guests)
+          ~measured:(Int (Fleet.Live.placed live))
           ~ok:(Fleet.Live.placed live = cfg.guests)
-          [ "all guests placed at build" ];
-        Report.check ~paper:"0"
-          ~measured:(string_of_int (List.length violations))
+          [ Text "all guests placed at build" ];
+        check ~paper:(Int 0)
+          ~measured:(Int (List.length violations))
           ~ok:(violations = [])
-          [ "anti-affinity violations" ];
-        Report.check
-          ~paper:(Printf.sprintf "<= %s" (Report.pct cfg.Fleet.Live.host_ceiling))
-          ~measured:(Report.pct max_util)
+          [ Text "anti-affinity violations" ];
+        check
+          ~paper:(Text (Printf.sprintf "<= %s" (pct cfg.Fleet.Live.host_ceiling)))
+          ~measured:(Pct max_util)
           ~ok:(max_util <= cfg.Fleet.Live.host_ceiling +. 1e-9)
-          [ "max per-host utilization" ];
-        Report.check ~paper:"0 stranded"
-          ~measured:(Printf.sprintf "%d/%d re-placed" evac.Fleet.Live.replaced evac.Fleet.Live.victims)
+          [ Text "max per-host utilization" ];
+        check ~paper:(Text "0 stranded")
+          ~measured:
+            (Text
+               (Printf.sprintf "%d/%d re-placed" evac.Fleet.Live.replaced evac.Fleet.Live.victims))
           ~ok:(evac.Fleet.Live.stranded = 0 && evac.Fleet.Live.replaced = evac.Fleet.Live.victims)
-          [ "mass evacuation" ];
-        Report.check ~paper:"0"
-          ~measured:(string_of_int (Fabric.dropped net))
+          [ Text "mass evacuation" ];
+        check ~paper:(Int 0)
+          ~measured:(Int (Fabric.dropped net))
           ~ok:(Fabric.dropped net = 0)
-          [ "fabric drops (flows + pre-copy)" ];
-        Report.check
-          ~paper:(string_of_int cfg.guests)
-          ~measured:(Printf.sprintf "%d placed + %d stranded" placed_now stranded_now)
+          [ Text "fabric drops (flows + pre-copy)" ];
+        check
+          ~paper:(Int cfg.guests)
+          ~measured:(Text (Printf.sprintf "%d placed + %d stranded" placed_now stranded_now))
           ~ok:(placed_now + stranded_now = cfg.guests)
-          [ "guest conservation" ];
-        Report.check ~paper:"3.82%"
-          ~measured:(Report.pct survey.Fleet.over_10k)
+          [ Text "guest conservation" ];
+        check ~paper:(Text "3.82%")
+          ~measured:(Pct survey.Fleet.over_10k)
           ~ok:(within ~tolerance:0.5 ~target:0.0382 survey.Fleet.over_10k)
-          [ "Table 2 > 10K exits/s, live population" ];
+          [ Text "Table 2 > 10K exits/s, live population" ];
       ];
     notes =
       [
@@ -1656,8 +1578,8 @@ let run_fleet_scale { seed; quick; trace; metrics; topo; hosts; guests; tenants;
         Printf.sprintf "restore recovered %d stranded; rebalance moved %d guests" recovered
           (List.length moves);
         Printf.sprintf "live Table 2 tail: > 50K %s (paper 0.37%%), > 100K %s (paper 0.13%%)"
-          (Report.pct survey.Fleet.over_50k) (Report.pct survey.Fleet.over_100k);
-        Report.tenant_table ~title:"tenant metering (first 5)"
+          (pct survey.Fleet.over_50k) (pct survey.Fleet.over_100k);
+        tenant_table ~title:"tenant metering (first 5)"
           (List.filteri (fun i _ -> i < 5) (Bm_cloud.Scheduler.tenants sched));
       ];
   }
@@ -1672,34 +1594,37 @@ let by_tier tier (o : Scenario.outcome) =
 let met scores =
   List.length (List.filter (fun (s : Bm_cloud.Slo.tenant_score) -> s.Bm_cloud.Slo.met) scores)
 
-let run_game_day { seed; quick; trace; metrics; shards; scenario; policy; _ } =
+(* "met/tenants" for one tier of a scenario outcome. *)
+let tier_met tier o =
+  let ss = by_tier tier o in
+  Text (Printf.sprintf "%d/%d" (met ss) (List.length ss))
+
+(* The context's scenario timeline (the committed game day at its seed
+   by default), run once per arm: open loop for [None], closed around
+   the given policy otherwise. The arms share nothing (each builds its
+   own fleet from the spec), so they run on up to [ctx.jobs] domains and
+   join in input order, byte-identical to the sequential sweep. *)
+let scenario_arms ({ seed; quick; trace; metrics; scenario; jobs; _ } : ctx) arms =
   let spec = match scenario with Some s -> s | None -> Scenario.default_spec ~seed () in
+  let fleet = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
+  let arm policy = Scenario.run ?trace ?metrics ~degrade:(policy <> None) ?policy ~fleet spec in
+  (spec, Parallel.map ~jobs:(min jobs (List.length arms)) arm arms)
+
+let run_game_day ({ policy; _ } as ctx) =
   let kind = Option.value policy ~default:Bm_cloud.Policy.Ladder in
-  let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* The same timeline twice: open loop, then with the degradation
-     policy closed around it. The scorecard delta is the experiment.
-     The two arms share nothing (each builds its own fleet from the
-     spec), so [--shards >= 2] runs them on two domains; results join
-     in input order, byte-identical to the sequential sweep. *)
-  let off, on =
-    match
-      Parallel.map
-        ~jobs:(min shards 2)
-        (fun degrade ->
-          if degrade then Scenario.run ?trace ?metrics ~degrade:true ~policy:kind ~fleet:cfg spec
-          else Scenario.run ?trace ?metrics ~degrade:false ~fleet:cfg spec)
-        [ false; true ]
-    with
-    | [ off; on ] -> (off, on)
+     policy closed around it. The scorecard delta is the experiment. *)
+  let spec, off, on =
+    match scenario_arms ctx [ None; Some kind ] with
+    | spec, [ off; on ] -> (spec, off, on)
     | _ -> assert false
   in
   let tier_row tier =
-    let o = by_tier tier off and n = by_tier tier on in
     [
-      Bm_cloud.Slo.tier_name tier;
-      string_of_int (List.length n);
-      Printf.sprintf "%d/%d" (met o) (List.length o);
-      Printf.sprintf "%d/%d" (met n) (List.length n);
+      Text (Bm_cloud.Slo.tier_name tier);
+      Int (List.length (by_tier tier on));
+      tier_met tier off;
+      tier_met tier on;
     ]
   in
   let improved =
@@ -1716,10 +1641,10 @@ let run_game_day { seed; quick; trace; metrics; shards; scenario; policy; _ } =
         tier_row Bm_cloud.Slo.Gold;
         tier_row Bm_cloud.Slo.Silver;
         tier_row Bm_cloud.Slo.Bronze;
-        Report.check ~paper:"degradation helps"
-          ~measured:(Printf.sprintf "%d -> %d tenants met" off.Scenario.met on.Scenario.met)
+        check ~paper:(Text "degradation helps")
+          ~measured:(Text (Printf.sprintf "%d -> %d tenants met" off.Scenario.met on.Scenario.met))
           ~ok:improved
-          [ "some tier gains SLO compliance" ];
+          [ Text "some tier gains SLO compliance" ];
       ];
     notes =
       [
@@ -1739,38 +1664,23 @@ let run_game_day { seed; quick; trace; metrics; shards; scenario; policy; _ } =
    every entrant, so the table differences are pure policy: which levers
    each pulled, and what that bought per tier. Rows are ranked by total
    SLOs met, Gold met breaking ties; the open-loop row is the floor. *)
-let run_policy_race { seed; quick; trace; metrics; shards; scenario; _ } =
-  let spec = match scenario with Some s -> s | None -> Scenario.default_spec ~seed () in
-  let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
-  (* One independent arm per entrant (plus the open-loop floor), each
-     building its own fleet from the same seeded spec: [--shards >= 2]
-     races them across that many domains, joined in input order. *)
-  let open_loop, entrants =
-    match
-      Parallel.map ~jobs:(min shards (1 + List.length Bm_cloud.Policy.all))
-        (function
-          | None -> Scenario.run ?trace ?metrics ~degrade:false ~fleet:cfg spec
-          | Some kind -> Scenario.run ?trace ?metrics ~degrade:true ~policy:kind ~fleet:cfg spec)
-        (None :: List.map Option.some Bm_cloud.Policy.all)
-    with
-    | open_loop :: entrants -> (open_loop, entrants)
-    | [] -> assert false
+let run_policy_race ctx =
+  let spec, open_loop, entrants =
+    match scenario_arms ctx (None :: List.map Option.some Bm_cloud.Policy.all) with
+    | spec, open_loop :: entrants -> (spec, open_loop, entrants)
+    | _, [] -> assert false
   in
   let gold_met o = met (by_tier Bm_cloud.Slo.Gold o) in
-  let tier_cell tier o =
-    let ss = by_tier tier o in
-    Printf.sprintf "%d/%d" (met ss) (List.length ss)
-  in
   let row label (o : Scenario.outcome) =
     [
-      label;
-      string_of_int o.Scenario.met;
-      tier_cell Bm_cloud.Slo.Gold o;
-      tier_cell Bm_cloud.Slo.Silver o;
-      tier_cell Bm_cloud.Slo.Bronze o;
-      string_of_int o.Scenario.max_stage;
-      string_of_int o.Scenario.stage_actions;
-      string_of_int o.Scenario.evacuated_guests;
+      Text label;
+      Int o.Scenario.met;
+      tier_met Bm_cloud.Slo.Gold o;
+      tier_met Bm_cloud.Slo.Silver o;
+      tier_met Bm_cloud.Slo.Bronze o;
+      Int o.Scenario.max_stage;
+      Int o.Scenario.stage_actions;
+      Int o.Scenario.evacuated_guests;
     ]
   in
   let ranked =
@@ -1793,12 +1703,13 @@ let run_policy_race { seed; quick; trace; metrics; shards; scenario; _ } =
     rows =
       (row "open loop" open_loop :: List.map (fun o -> row o.Scenario.policy o) ranked)
       @ [
-          Report.check ~paper:">= ladder"
+          check ~paper:(Text ">= ladder")
             ~measured:
-              (Printf.sprintf "%s: %d met (ladder %d)" best.Scenario.policy best.Scenario.met
-                 ladder.Scenario.met)
+              (Text
+                 (Printf.sprintf "%s: %d met (ladder %d)" best.Scenario.policy best.Scenario.met
+                    ladder.Scenario.met))
             ~ok:(best.Scenario.met >= ladder.Scenario.met)
-            [ "winner at least matches the ladder"; "-"; "-"; "-"; "-" ];
+            [ Text "winner at least matches the ladder"; Text "-"; Text "-"; Text "-"; Text "-" ];
         ];
     notes =
       Scenario.render spec
@@ -1810,15 +1721,21 @@ let run_policy_race { seed; quick; trace; metrics; shards; scenario; _ } =
 (* ------------------------------------------------------------------ *)
 (* SR-IOV virtual functions: scale sweep, hot-reassignment, ablation *)
 
-module Vf = Bm_iobond.Vf
-
 let percentile_of sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
 
+(* A raw SR-IOV device on the testbed, before any hypervisor is
+   involved, and one VF of it attached to [owner]. *)
+let vf_device tb ~vfs ~queues_per_vf =
+  Vf.create_device ~obs:tb.Testbed.obs ~fault:tb.Testbed.fault tb.Testbed.sim
+    ~profile:Bm_iobond.Profile.Fpga ~vfs ~queues_per_vf ()
+
+let attach dev owner = match Vf.attach dev ~owner () with Ok f -> f | Error e -> failwith e
+
 (* One guest per VF, Poisson arrivals per queue, raw device — the
    arbitration model in isolation, before any hypervisor is involved. *)
-let run_vf_scale { seed; quick; trace; metrics; faults; shards; vfs; _ } =
+let run_vf_scale ({ quick; faults; jobs; vfs; _ } as ctx) =
   let vfs_list =
     match vfs with Some n -> [ n ] | None -> if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ]
   in
@@ -1826,19 +1743,12 @@ let run_vf_scale { seed; quick; trace; metrics; faults; shards; vfs; _ } =
   let per_vf = if quick then 300 else 1500 in
   let cells = List.concat_map (fun v -> List.map (fun q -> (v, q)) queues_list) vfs_list in
   let run_cell (vfs, queues) =
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
-    let dev =
-      Vf.create_device ~obs:tb.Testbed.obs ~fault:tb.Testbed.fault tb.Testbed.sim
-        ~profile:Bm_iobond.Profile.Fpga ~vfs ~queues_per_vf:queues ()
-    in
+    let tb = testbed ?faults ctx in
+    let dev = vf_device tb ~vfs ~queues_per_vf:queues in
     let lats = ref [] and delivered = ref 0 and rejected = ref 0 in
     let t_last = ref 0.0 in
     for v = 0 to vfs - 1 do
-      let f =
-        match Vf.attach dev ~owner:(Printf.sprintf "guest%d" v) () with
-        | Ok f -> f
-        | Error e -> failwith e
-      in
+      let f = attach dev (Printf.sprintf "guest%d" v) in
       let rng = Rng.split tb.Testbed.rng in
       Sim.spawn tb.Testbed.sim (fun () ->
           for i = 0 to per_vf - 1 do
@@ -1859,20 +1769,20 @@ let run_vf_scale { seed; quick; trace; metrics; faults; shards; vfs; _ } =
       if !t_last > 0.0 then 8.0 *. 1500.0 *. float_of_int !delivered /. !t_last else 0.0
     in
     [
-      string_of_int vfs;
-      string_of_int queues;
-      string_of_int (vfs * per_vf);
-      string_of_int !delivered;
-      string_of_int !rejected;
-      Report.f2 gbit;
-      Report.f2 (percentile_of sorted 0.50 /. 1e3);
-      Report.f2 (percentile_of sorted 0.99 /. 1e3);
+      Int vfs;
+      Int queues;
+      Int (vfs * per_vf);
+      Int !delivered;
+      Int !rejected;
+      F2 gbit;
+      F2 (percentile_of sorted 0.50 /. 1e3);
+      F2 (percentile_of sorted 0.99 /. 1e3);
     ]
   in
-  (* Cells share nothing — each builds its own testbed — so [--shards]
-     fans them across domains; the input-order join keeps the table
+  (* Cells share nothing — each builds its own testbed — so they fan
+     out across [ctx.jobs] domains; the input-order join keeps the table
      byte-identical at any width. *)
-  let rows = Parallel.map ~jobs:shards run_cell cells in
+  let rows = Parallel.map ~jobs run_cell cells in
   {
     id = "vf_scale";
     title = "VF scale: guests x queues throughput/latency sweep";
@@ -1888,21 +1798,13 @@ let run_vf_scale { seed; quick; trace; metrics; faults; shards; vfs; _ } =
 (* Hot-reassignment under load: seqno bookkeeping proves no completion
    is lost or duplicated across the ownership swaps; the device's
    blackout log gives the distribution. *)
-let run_vf_reassign { seed; quick; trace; metrics; faults; vfs; _ } =
+let run_vf_reassign ({ quick; faults; vfs; _ } as ctx) =
   let vfs = max 2 (Option.value vfs ~default:4) in
   let rounds = if quick then 8 else 32 in
   let per_vf = if quick then 400 else 1600 in
-  let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
-  let dev =
-    Vf.create_device ~obs:tb.Testbed.obs ~fault:tb.Testbed.fault tb.Testbed.sim
-      ~profile:Bm_iobond.Profile.Fpga ~vfs ~queues_per_vf:2 ()
-  in
-  let handles =
-    Array.init vfs (fun v ->
-        match Vf.attach dev ~owner:(Printf.sprintf "tenant%d" v) () with
-        | Ok f -> f
-        | Error e -> failwith e)
-  in
+  let tb = testbed ?faults ctx in
+  let dev = vf_device tb ~vfs ~queues_per_vf:2 in
+  let handles = Array.init vfs (fun v -> attach dev (Printf.sprintf "tenant%d" v)) in
   let submitted = Hashtbl.create 4096 and got = Hashtbl.create 4096 in
   let dups = ref 0 and rejected = ref 0 in
   Array.iteri
@@ -1948,30 +1850,31 @@ let run_vf_reassign { seed; quick; trace; metrics; faults; vfs; _ } =
     header = [ "check"; "paper"; "measured"; "band" ];
     rows =
       [
-        Report.check
-          ~paper:(string_of_int rounds)
-          ~measured:(string_of_int (Vf.reassignments dev))
+        check
+          ~paper:(Int rounds)
+          ~measured:(Int (Vf.reassignments dev))
           ~ok:(Vf.reassignments dev = rounds - !reassign_errors)
-          [ "reassignments completed" ];
-        Report.check ~paper:"finite"
+          [ Text "reassignments completed" ];
+        check ~paper:(Text "finite")
           ~measured:
-            (Printf.sprintf "min %s avg %s p99 %s max %s us"
-               (Report.f2 (percentile_of sorted 0.0 /. 1e3))
-               (Report.f2 (avg /. 1e3))
-               (Report.f2 (percentile_of sorted 0.99 /. 1e3))
-               (Report.f2 (percentile_of sorted 1.0 /. 1e3)))
+            (Text
+               (Printf.sprintf "min %s avg %s p99 %s max %s us"
+                  (f2 (percentile_of sorted 0.0 /. 1e3))
+                  (f2 (avg /. 1e3))
+                  (f2 (percentile_of sorted 0.99 /. 1e3))
+                  (f2 (percentile_of sorted 1.0 /. 1e3))))
           ~ok:(n_black = Vf.reassignments dev && List.for_all Float.is_finite blackouts)
-          [ "blackout window" ];
-        Report.check ~paper:"0"
-          ~measured:(string_of_int lost)
+          [ Text "blackout window" ];
+        check ~paper:(Int 0)
+          ~measured:(Int lost)
           ~ok:(lost = 0)
-          [ "completions lost across swaps" ];
-        Report.check ~paper:"0"
-          ~measured:(string_of_int !dups)
+          [ Text "completions lost across swaps" ];
+        check ~paper:(Int 0)
+          ~measured:(Int !dups)
           ~ok:(!dups = 0)
-          [ "completions duplicated" ];
-        Report.check ~paper:"ok" ~measured:conservation ~ok:(conservation = "ok")
-          [ "device conservation" ];
+          [ Text "completions duplicated" ];
+        check ~paper:(Text "ok") ~measured:(Text conservation) ~ok:(conservation = "ok")
+          [ Text "device conservation" ];
       ];
     notes =
       [
@@ -1985,23 +1888,18 @@ let run_vf_reassign { seed; quick; trace; metrics; faults; vfs; _ } =
 
 (* The paper's Fig. 9/10 co-resident pairs, re-run per datapath: the
    shadow-vring poll loop against direct assignment, bm and vm. *)
-let run_vf_ablation { seed; quick; trace; metrics; faults; shards; vfs; datapath; _ } =
+let run_vf_ablation ({ quick; faults; jobs; vfs; datapath; _ } as ctx) =
   let datapaths =
     match datapath with Some d -> [ d ] | None -> Vf.all_datapaths
   in
   let vfs = Option.value vfs ~default:8 in
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   let pings = if quick then 300 else 1500 in
-  let bm_pair dp tb =
+  let bm_on dp tb =
     let server = Testbed.bm_server ~vfs tb in
-    let prov name =
-      match Bm_hypervisor.provision server ~name ~datapath:dp () with
-      | Ok i -> i
-      | Error e -> failwith e
-    in
-    (prov "bm0", prov "bm1")
+    (provision ~datapath:dp server "bm0", provision ~datapath:dp server "bm1")
   in
-  let vm_pair dp tb =
+  let vm_on dp tb =
     let host = Testbed.vm_host ~vfs tb in
     let mk name =
       Kvm.create_vm host { (Kvm.default_config ~name) with Kvm.vcpus = 16; datapath = dp }
@@ -2010,26 +1908,27 @@ let run_vf_ablation { seed; quick; trace; metrics; faults; shards; vfs; datapath
   in
   let cells = List.concat_map (fun dp -> [ (`Bm, dp); (`Vm, dp) ]) datapaths in
   let run_cell (sub, dp) =
-    let pair tb = match sub with `Bm -> bm_pair dp tb | `Vm -> vm_pair dp tb in
-    let tb1 = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let pair tb = match sub with `Bm -> bm_on dp tb | `Vm -> vm_on dp tb in
+    let tb1 = testbed ?faults ctx in
     let a, b = pair tb1 in
     let pps = Netperf.udp_pps tb1.Testbed.sim ~src:a ~dst:b ~senders:2 ~batch:32 ~duration () in
-    let tb2 = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb2 = testbed ?faults ctx in
     let a2, b2 = pair tb2 in
     let lat = Sockperf.ping_pong tb2.Testbed.sim ~a:a2 ~b:b2 ~path:Sockperf.Kernel ~count:pings () in
     [
-      (match sub with `Bm -> "bm-guest" | `Vm -> "vm-guest");
-      Vf.datapath_name dp;
-      Report.si pps.Netperf.received_pps;
-      Report.si pps.Netperf.jitter_pps;
-      string_of_int pps.Netperf.dropped;
-      Report.f2 lat.Sockperf.avg_us;
-      Report.f2 lat.Sockperf.p99_us;
+      Text (match sub with `Bm -> "bm-guest" | `Vm -> "vm-guest");
+      Text (Vf.datapath_name dp);
+      Si pps.Netperf.received_pps;
+      Si pps.Netperf.jitter_pps;
+      Int pps.Netperf.dropped;
+      F2 lat.Sockperf.avg_us;
+      F2 lat.Sockperf.p99_us;
     ]
   in
-  (* Each cell builds two private testbeds; [--shards] fans the cells
-     out and the input-order join keeps the scorecard byte-identical. *)
-  let rows = Parallel.map ~jobs:shards run_cell cells in
+  (* Each cell builds two private testbeds; they fan out across
+     [ctx.jobs] domains and the input-order join keeps the scorecard
+     byte-identical. *)
+  let rows = Parallel.map ~jobs run_cell cells in
   {
     id = "vf_ablation";
     title = "Datapath ablation: shadow-vring vs passthrough vs VF-sliced";
@@ -2089,19 +1988,19 @@ let find id = List.find_opt (fun s -> s.id = id) all
 let ids () = List.map (fun s -> s.id) all
 
 (* Trace/metrics sinks are single mutable buffers shared by every cell;
-   recording from several domains would race, so their presence forces a
-   sequential sweep, and a sequential run inside each experiment too
-   (the arms and cells [shards] fans out would record into the same
-   sinks).
-   Cells themselves share nothing: each builds its own simulator, RNG and
-   testbed from the seed, so output is byte-identical either way. *)
-let run ?(jobs = 1) ctx targets =
-  let sinks = ctx.trace <> None || ctx.metrics <> None in
-  let jobs = if sinks then 1 else max 1 jobs in
-  let ctx = { ctx with shards = (if sinks then 1 else max 1 ctx.shards) } in
+   recording from several domains would race, so their presence forces
+   everything to one domain. Otherwise the ids spread over [ctx.jobs]
+   domains; a lone id gets them all for its arms and cells, and with
+   several each runs its own sequentially, so no run uses more than
+   [ctx.jobs] domains. Cells share nothing: each builds its own
+   simulator, RNG and testbed from the seed, so output is byte-identical
+   either way. *)
+let run ctx targets =
+  let jobs = if ctx.trace = None && ctx.metrics = None then max 1 ctx.jobs else 1 in
+  let inner = { ctx with jobs = (match targets with [ _ ] -> jobs | _ -> 1) } in
   let one id =
     match find id with
-    | Some spec -> Ok (spec.run ctx)
+    | Some spec -> Ok (spec.run inner)
     | None ->
       Error (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ())))
   in
@@ -2109,5 +2008,5 @@ let run ?(jobs = 1) ctx targets =
 
 let print_outcome (o : outcome) =
   print_endline "";
-  Report.print ~title:o.title ~header:o.header o.rows;
+  Report.print ~title:o.title ~header:o.header (List.map (List.map show) o.rows);
   List.iter (fun n -> print_endline ("  note: " ^ n)) o.notes

@@ -3,16 +3,16 @@
 
     Each experiment builds its own simulated testbed (fresh simulator,
     deterministic seed), runs the corresponding workload, and returns a
-    printable table with paper-vs-measured columns where the paper
-    reports concrete numbers. [quick] shrinks durations/population sizes
-    so the whole suite stays fast in tests; headline numbers in
-    EXPERIMENTS.md come from full runs. *)
+    table of typed cells ({!Report.cell}) with paper-vs-measured
+    columns where the paper reports concrete numbers. [quick] shrinks
+    durations/population sizes so the whole suite stays fast in tests;
+    headline numbers in EXPERIMENTS.md come from full runs. *)
 
 type outcome = {
   id : string;
   title : string;
   header : string list;
-  rows : string list list;
+  rows : Report.cell list list;  (** one {!Report.cell} per header column *)
   notes : string list;
 }
 
@@ -31,11 +31,11 @@ type ctx = {
   topo : Bm_fabric.Topology.t option;
       (** fabric topology of the cross-host ([xhost_*]) and fleet
           experiments; single-server experiments ignore it *)
-  shards : int;
-      (** intra-run parallelism: [game_day]/[policy_race] run their
-          scenario arms and the [vf_*] sweeps their cells on up to that
-          many domains; everything else ignores it. Output is
-          byte-identical for any value. *)
+  jobs : int;
+      (** domains a run may use ({!run}): the experiments of a run, or
+          the scenario arms of [game_day]/[policy_race] and the cells of
+          [vf_scale]/[vf_ablation] when it runs one experiment. Output
+          is byte-identical for any value. *)
   scenario : Scenario.spec option;
       (** timeline of [game_day] and [policy_race]; [None] is
           {!Scenario.default_spec} at [seed] *)
@@ -59,7 +59,7 @@ type ctx = {
     bit-identical outcome. *)
 
 val default_ctx : ctx
-(** Seed 2020, full scale, one shard, no sinks, every override [None]. *)
+(** Seed 2020, full scale, one domain, no sinks, every override [None]. *)
 
 type spec = {
   id : string;
@@ -71,12 +71,16 @@ type spec = {
 val all : spec list
 val ids : unit -> string list
 
-val run : ?jobs:int -> ctx -> string list -> (string * (outcome, string) result) list
-(** Run the named experiments, up to [jobs] (default 1) at a time on
-    separate domains ({!Parallel.map}); results come back in argument
-    order, so output is byte-identical for any [jobs]. Unknown ids
-    surface as [Error] without aborting the rest. Because [trace] and
-    [metrics] sinks are shared mutable buffers, passing either forces
-    [jobs] and [ctx.shards] to 1. *)
+val run : ctx -> string list -> (string * (outcome, string) result) list
+(** Run the named experiments, up to [ctx.jobs] at a time on separate
+    domains ({!Parallel.map}); results come back in argument order, so
+    output is byte-identical for any [jobs]. One id gets all [ctx.jobs]
+    domains for its arms and cells; with several, each experiment runs
+    its own sequentially, so no run uses more than [ctx.jobs] domains.
+    Unknown ids surface as [Error] without aborting the rest. Because
+    [trace] and [metrics] sinks are shared mutable buffers, passing
+    either runs everything on one domain. *)
 
 val print_outcome : outcome -> unit
+(** The outcome's table, each cell rendered by {!Report.show}, then its
+    notes. *)

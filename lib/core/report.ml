@@ -45,7 +45,25 @@ let si x =
 
 let pct x = Printf.sprintf "%.1f%%" (x *. 100.0)
 
-let check ~paper ~measured ~ok row = row @ [ paper; measured; (if ok then "ok" else "DIFF") ]
+type cell =
+  | Text of string
+  | Int of int
+  | F1 of float
+  | F2 of float
+  | F3 of float
+  | Si of float
+  | Pct of float
+
+let show = function
+  | Text s -> s
+  | Int n -> string_of_int n
+  | F1 x -> f1 x
+  | F2 x -> f2 x
+  | F3 x -> Printf.sprintf "%.3f" x
+  | Si x -> si x
+  | Pct x -> pct x
+
+let check ~paper ~measured ~ok row = row @ [ paper; measured; Text (if ok then "ok" else "DIFF") ]
 
 let tenant_table ?(title = "tenants") tenants =
   table ~title ~header:Bm_cloud.Tenant.row_header (List.map Bm_cloud.Tenant.row tenants)

@@ -15,8 +15,22 @@ val si : float -> string
 val pct : float -> string
 (** [pct 0.0417] = "4.2%". *)
 
-val check : paper:string -> measured:string -> ok:bool -> string list -> string list
-(** Append paper-vs-measured columns and a ✓/✗ marker to a row. *)
+(** A table cell. Each number keeps the float or int a table shows,
+    and its constructor names the format that shows it; {!show} is the
+    one place a cell turns into text. *)
+type cell =
+  | Text of string  (** a label, a paper reference, or several values joined *)
+  | Int of int
+  | F1 of float  (** {!f1} *)
+  | F2 of float  (** {!f2} *)
+  | F3 of float  (** three decimals *)
+  | Si of float  (** {!si} *)
+  | Pct of float  (** {!pct} *)
+
+val show : cell -> string
+
+val check : paper:cell -> measured:cell -> ok:bool -> cell list -> cell list
+(** Append the paper and measured cells and an ok/DIFF marker to a row. *)
 
 val tenant_table : ?title:string -> Bm_cloud.Tenant.t list -> string
 (** Per-tenant accounting ({!Bm_cloud.Tenant.row}): guests, vCPUs,

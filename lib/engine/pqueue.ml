@@ -180,8 +180,6 @@ let take q i =
    into one. All are undefined on an empty queue — the caller checks
    [length] first. *)
 
-let min_time q = q.times.(0)
-
 let min_le q ~time ~seq =
   let t0 = q.times.(0) in
   t0 < time || (t0 = time && q.seqs.(0) <= seq)
@@ -220,8 +218,6 @@ let pop q =
     let v = take q 0 in
     Some (time, seq, v)
   end
-
-let pop_if_le q ~time ~seq = if q.size > 0 && min_le q ~time ~seq then pop q else None
 
 let clear q =
   (* Keep the backing arrays (steady-state simulations re-fill them at

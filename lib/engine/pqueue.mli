@@ -65,10 +65,6 @@ val remove : 'a t -> slot:int -> seq:int -> bool
     already popped or removed is left alone, also when its slot has
     since been reused by a newer entry (whose [seq] differs). *)
 
-val min_time : 'a t -> float
-(** Time of the minimum element (boxed on return: use {!pop_into} or
-    {!min_le_cell} on a hot path). *)
-
 (** {2 Boxed convenience API}
 
     The simulator uses only the entry points above. These stay as the
@@ -80,10 +76,6 @@ val peek : 'a t -> (float * int * 'a) option
 
 val pop : 'a t -> (float * int * 'a) option
 (** [pop q] removes and returns the minimum element. *)
-
-val pop_if_le : 'a t -> time:float -> seq:int -> (float * int * 'a) option
-(** [pop_if_le q ~time ~seq] removes and returns the minimum element iff
-    its key is [<= (time, seq)]. [None] otherwise. *)
 
 val clear : 'a t -> unit
 (** Drop every element. Keeps the backing arrays' capacity (a cleared

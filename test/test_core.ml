@@ -102,14 +102,34 @@ let test_report_table_rendering () =
   check_bool "cell present" true
     (List.exists (fun l -> Astring.String.is_infix ~affix:"333" l) lines)
 
+(* Each cell renders as the formatter its constructor names, at si's
+   unit boundaries, for negative values and where pct and the fixed
+   decimals round. *)
 let test_report_formatters () =
   Alcotest.(check string) "si M" "3.20M" (Report.si 3.2e6);
   Alcotest.(check string) "si K" "25.0K" (Report.si 25e3);
   Alcotest.(check string) "pct" "4.2%" (Report.pct 0.0417);
   Alcotest.(check string) "f1" "1.5" (Report.f1 1.50);
+  List.iter
+    (fun (cell, text) -> Alcotest.(check string) text text (Report.show cell))
+    Report.
+      [
+        (Si 0.0, "0.0"); (Si 999.9, "999.9"); (Si 999.95, "1000.0"); (Si 1e3, "1.0K");
+        (Si 999_999.0, "1000.0K"); (Si 1e6, "1.00M"); (Si 999_999_999.0, "1000.00M");
+        (Si 1e9, "1.00G"); (Si (-999.9), "-999.9"); (Si (-1e3), "-1.0K");
+        (Si (-2.5e6), "-2.50M"); (Si (-1e9), "-1.00G");
+        (Pct 0.0417, "4.2%"); (Pct 0.04149, "4.1%"); (Pct 0.0005, "0.1%"); (Pct 0.00049, "0.0%");
+        (Pct (-0.125), "-12.5%"); (Pct 0.99951, "100.0%");
+        (F1 0.8, "0.8"); (F1 0.15, "0.1"); (F1 (-0.05), "-0.1"); (F2 1.0, "1.00");
+        (F2 2.675, "2.67"); (F3 1.0, "1.000"); (F3 1.0005, "1.000");
+        (Int 12000, "12000"); (Int (-3), "-3"); (Text "64GB", "64GB");
+      ];
+  let row ok = Report.(check ~paper:(Pct 0.0382) ~measured:(Pct 0.032) ~ok [ Text "x" ]) in
   Alcotest.(check (list string)) "check row"
-    [ "x"; "1"; "2"; "DIFF" ]
-    (Report.check ~paper:"1" ~measured:"2" ~ok:false [ "x" ])
+    [ "x"; "3.8%"; "3.2%"; "DIFF" ]
+    (List.map Report.show (row false));
+  check_bool "check keeps the measured value" true
+    (match row true with [ _; _; Report.Pct m; Report.Text "ok" ] -> m = 0.032 | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Experiments registry *)
@@ -156,8 +176,7 @@ let test_fig7_outcome_bands () =
   List.iter
     (fun row ->
       match row with
-      | [ _bench; _phys; bm; vm ] ->
-        let bm = float_of_string bm and vm = float_of_string vm in
+      | [ _bench; _phys; Report.F3 bm; Report.F3 vm ] ->
         check_bool "bm above physical" true (bm > 1.0);
         check_bool "vm below bm" true (vm < bm)
       | _ -> Alcotest.fail "unexpected row shape")
@@ -167,8 +186,8 @@ let test_sec6_asic_improves () =
   let o = run_quick "sec6" in
   (* The latency row: ASIC strictly better than FPGA. *)
   match List.rev o.Experiments.rows with
-  | [ _metric; fpga; asic; _paper ] :: _ ->
-    check_bool "asic lower latency" true (float_of_string asic < float_of_string fpga)
+  | [ _metric; Report.F1 fpga; Report.F1 asic; _paper ] :: _ ->
+    check_bool "asic lower latency" true (asic < fpga)
   | _ -> Alcotest.fail "unexpected sec6 shape"
 
 let test_determinism_of_experiments () =
@@ -201,17 +220,22 @@ let test_parallel_default_jobs_positive () =
   check_bool "recommended domains >= 1" true (Parallel.default_jobs () >= 1)
 
 (* Experiment cells share nothing: the same ids swept on 1 and on 3
-   domains must produce bit-identical outcomes, in argument order. *)
+   domains must produce bit-identical outcomes, in argument order; so
+   must one experiment whose cells get the 3 domains. *)
 let test_run_many_jobs_invariant () =
   let ids = [ "table1"; "table3"; "sec3_5"; "evacuation" ] in
-  let strip = List.map (fun (id, r) -> (id, Result.map (fun o -> o.Experiments.rows) r)) in
-  let r1 = strip (Experiments.run ~jobs:1 quick7 ids) in
-  let r3 = strip (Experiments.run ~jobs:3 quick7 ids) in
-  check_bool "identical outcomes for any job count" true (r1 = r3);
-  Alcotest.(check (list string)) "argument order" ids (List.map fst r1)
+  let at jobs ids =
+    List.map
+      (fun (id, r) -> (id, Result.map (fun o -> o.Experiments.rows) r))
+      (Experiments.run { quick7 with jobs } ids)
+  in
+  let r1 = at 1 ids in
+  check_bool "identical outcomes for any job count" true (r1 = at 3 ids);
+  Alcotest.(check (list string)) "argument order" ids (List.map fst r1);
+  check_bool "one experiment's cells on 3 domains" true (at 1 [ "vf_scale" ] = at 3 [ "vf_scale" ])
 
 let test_run_many_unknown_id () =
-  match Experiments.run ~jobs:2 quick7 [ "table1"; "nonsense" ] with
+  match Experiments.run { quick7 with jobs = 2 } [ "table1"; "nonsense" ] with
   | [ ("table1", Ok _); ("nonsense", Error _) ] -> ()
   | _ -> Alcotest.fail "unknown id must surface as Error without aborting the rest"
 

@@ -59,24 +59,6 @@ let prop_pqueue_sorted =
       in
       drain neg_infinity true)
 
-let test_pqueue_pop_if_le () =
-  let q = Pqueue.create () in
-  Pqueue.add q ~time:5.0 ~seq:2 "b";
-  Pqueue.add q ~time:5.0 ~seq:1 "a";
-  Pqueue.add q ~time:9.0 ~seq:3 "c";
-  check_bool "earlier bound: no pop" true (Pqueue.pop_if_le q ~time:4.0 ~seq:max_int = None);
-  check_bool "same time, smaller seq bound: no pop" true
-    (Pqueue.pop_if_le q ~time:5.0 ~seq:0 = None);
-  check_bool "equal key pops" true (Pqueue.pop_if_le q ~time:5.0 ~seq:1 = Some (5.0, 1, "a"));
-  (* A strictly earlier time is eligible whatever the seq bound. *)
-  check_bool "earlier time beats seq bound" true
-    (Pqueue.pop_if_le q ~time:8.0 ~seq:min_int = Some (5.0, 2, "b"));
-  check_bool "later entry stays" true (Pqueue.pop_if_le q ~time:8.999 ~seq:max_int = None);
-  check_int "one left" 1 (Pqueue.length q);
-  check_bool "empty queue" true
-    (let e = Pqueue.create () in
-     Pqueue.pop_if_le e ~time:infinity ~seq:max_int = None)
-
 let test_pqueue_clear_keeps_capacity () =
   let q = Pqueue.create () in
   for i = 1 to 100 do
@@ -998,7 +980,6 @@ let suites =
       [
         Alcotest.test_case "pops in order" `Quick test_pqueue_order;
         Alcotest.test_case "FIFO on ties" `Quick test_pqueue_fifo_ties;
-        Alcotest.test_case "pop_if_le bound" `Quick test_pqueue_pop_if_le;
         Alcotest.test_case "clear keeps capacity" `Quick test_pqueue_clear_keeps_capacity;
         Alcotest.test_case "no space leak" `Quick test_pqueue_releases_popped_values;
       ] );

@@ -54,7 +54,6 @@ let fields (t : Run_flags.t) =
     ("metrics", string_of_bool (c.metrics <> None));
     ("faults", opt Bm_engine.Fault.render_plan c.faults);
     ("topo", opt Bm_fabric.Topology.render c.topo);
-    ("shards", string_of_int c.shards);
     ("scenario", opt Bmhive.Scenario.render c.scenario);
     ("policy", opt Bm_cloud.Policy.name c.policy);
     ("hosts", opt string_of_int c.hosts);
@@ -62,7 +61,7 @@ let fields (t : Run_flags.t) =
     ("tenants", opt string_of_int c.tenants);
     ("vfs", opt string_of_int c.vfs);
     ("datapath", opt Bm_iobond.Vf.datapath_name c.datapath);
-    ("jobs", string_of_int t.jobs);
+    ("jobs", string_of_int c.jobs);
     ("ids", String.concat "," t.ids);
   ]
 
@@ -74,7 +73,6 @@ let one_flag_cases =
     ([ "--metrics" ], "metrics");
     ([ "--faults"; "42:default" ], "faults");
     ([ "--topology"; "hosts=4,tors=2,spines=2" ], "topo");
-    ([ "--shards"; "3" ], "shards");
     ([ "--scenario"; "42:default" ], "scenario");
     ([ "--policy"; "congestion" ], "policy");
     ([ "--hosts"; "40" ], "hosts");
@@ -90,7 +88,7 @@ let ok = function Ok t -> t | Error e -> Alcotest.fail e
 
 let test_defaults () =
   let expected =
-    fields { Run_flags.ctx = E.default_ctx; jobs = 1; ids = E.ids (); trace_file = None }
+    fields { Run_flags.ctx = E.default_ctx; ids = E.ids (); trace_file = None }
   in
   Alcotest.(check (list (pair string string))) "no flags = default_ctx" expected (fields (ok (parse [])))
 
@@ -111,8 +109,8 @@ let test_each_flag_sets_its_field () =
 (* Fuzz: real flag names, junk or boundary values *)
 
 let valued =
-  [ "--seed"; "--trace"; "--shards"; "--policy"; "--hosts"; "--guests"; "--tenants"; "--vfs";
-    "--datapath"; "--jobs"; "-j" ]
+  [ "--seed"; "--trace"; "--policy"; "--hosts"; "--guests"; "--tenants"; "--vfs"; "--datapath";
+    "--jobs"; "-j" ]
 
 let boundaries = [ "-1"; "0"; "1"; "2"; "3"; "63"; "64"; "65" ]
 
@@ -152,9 +150,9 @@ let prop_never_raises =
     (QCheck.make ~print:(String.concat " ") gen_args)
     (fun args ->
       match parse args with
-      | Ok { ctx; jobs; _ } ->
+      | Ok { ctx; _ } ->
         let within lo hi = Option.fold ~none:true ~some:(fun n -> n >= lo && n <= hi) in
-        jobs >= 1 && ctx.shards >= 1
+        ctx.jobs >= 1
         && within 2 max_int ctx.hosts
         && within 1 max_int ctx.guests
         && within 1 max_int ctx.tenants

@@ -146,30 +146,31 @@ let test_equal_share () =
 (* Same seed => byte-identical outcome, for each of the three vf
    experiments. Runs the spec twice back to back. *)
 let outcome_fingerprint (o : Bmhive.Experiments.outcome) =
-  String.concat "\n" (List.map (String.concat "|") (o.Bmhive.Experiments.header :: o.rows))
+  let rows = List.map (List.map Bmhive.Report.show) o.rows in
+  String.concat "\n" (List.map (String.concat "|") (o.Bmhive.Experiments.header :: rows))
   ^ "\n"
   ^ String.concat "\n" o.Bmhive.Experiments.notes
 
-let run_vf_experiment ~id ~seed ~shards =
+let run_vf_experiment ~id ~seed ~jobs =
   let spec = List.find (fun s -> s.Bmhive.Experiments.id = id) Bmhive.Experiments.all in
-  spec.Bmhive.Experiments.run { Bmhive.Experiments.default_ctx with quick = true; seed; shards }
+  spec.Bmhive.Experiments.run { Bmhive.Experiments.default_ctx with quick = true; seed; jobs }
 
 let prop_experiment_determinism =
   QCheck.Test.make ~name:"vf experiments: same seed => identical outcome" ~count:4
     QCheck.(pair (int_bound 999) (int_bound 2))
     (fun (seed, which) ->
       let id = List.nth [ "vf_scale"; "vf_reassign"; "vf_ablation" ] which in
-      let a = run_vf_experiment ~id ~seed ~shards:1 in
-      let b = run_vf_experiment ~id ~seed ~shards:1 in
+      let a = run_vf_experiment ~id ~seed ~jobs:1 in
+      let b = run_vf_experiment ~id ~seed ~jobs:1 in
       outcome_fingerprint a = outcome_fingerprint b)
 
-let prop_shard_invariance =
-  QCheck.Test.make ~name:"vf experiments: output independent of shards" ~count:3
+let prop_jobs_invariance =
+  QCheck.Test.make ~name:"vf experiments: output independent of jobs" ~count:3
     QCheck.(pair (int_bound 999) (int_bound 2))
     (fun (seed, which) ->
       let id = List.nth [ "vf_scale"; "vf_reassign"; "vf_ablation" ] which in
-      let a = run_vf_experiment ~id ~seed ~shards:1 in
-      let b = run_vf_experiment ~id ~seed ~shards:4 in
+      let a = run_vf_experiment ~id ~seed ~jobs:1 in
+      let b = run_vf_experiment ~id ~seed ~jobs:4 in
       outcome_fingerprint a = outcome_fingerprint b)
 
 (* Hot-reassignment under load: every accepted descriptor is delivered
@@ -265,7 +266,7 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           prop_experiment_determinism;
-          prop_shard_invariance;
+          prop_jobs_invariance;
           prop_no_loss_no_dup;
           prop_fsm_conservation;
         ] );

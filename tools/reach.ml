@@ -5,7 +5,8 @@
    count: a value that only a test calls, or an option only a test sets,
    models nothing the simulator runs. The allowlist names each exception
    with one of three fixed reasons; an option is named as
-   "Module.value ?label".
+   "Module.value ?label". A value that nothing calls, not even a test,
+   fails whatever the allowlist says.
 
    Reads the typed trees dune leaves under _build/default, so run it from
    the repository root after `dune build @check`:
@@ -275,10 +276,15 @@ let () =
       if not (reached main unit path) then begin
         incr unreached;
         if reached examples unit path then incr by_examples
-        else begin
-          if reached tests unit path then incr by_tests;
+        else if reached tests unit path then begin
+          incr by_tests;
           check src (short path)
             "no caller outside its own module and the tests; delete it, drop it from the interface or give it a caller"
+        end
+        else begin
+          (* No allowlist reason covers a value nothing runs. *)
+          failed := true;
+          Printf.printf "%s: %s: nothing calls it, tests included; delete it\n" src (short path)
         end
       end;
       List.iter
