@@ -830,7 +830,7 @@ let run_ablation_dma ({ quick; _ } as ctx) =
   in
   let rows =
     List.map
-      (fun g -> [ Text (Printf.sprintf "%.0f Gbit/s" g); F2 (tput g) ])
+      (fun g -> [ Text (Printf.sprintf "%g Gbit/s" g); F2 (tput g) ])
       [ 12.5; 25.0; 50.0; 100.0 ]
   in
   {

@@ -164,9 +164,9 @@ let create_vm host config =
       ~pending:(fun () -> Vring.avail_pending tx_ring)
       ~pop:(fun () ->
         Option.map
-          (fun chain ->
-            Vring.push_used tx_ring ~head:chain.Vring.head ~written:0;
-            chain.Vring.payload)
+          (fun head ->
+            Vring.push_used tx_ring ~head ~written:0;
+            Vring.payload tx_ring ~head)
           (Vring.pop_avail tx_ring))
       (fun pkt -> vhost_ns pkt (fun () -> Vswitch.send_callback (vswitch host) pkt ignore))
   in
@@ -178,9 +178,9 @@ let create_vm host config =
   Backend.listen g (fun pkt ->
       vhost_ns pkt (fun () ->
           match Vring.pop_avail rx_ring with
-          | Some chain ->
-            Vring.set_payload rx_ring ~head:chain.Vring.head pkt;
-            Vring.push_used rx_ring ~head:chain.Vring.head ~written:pkt.Packet.size;
+          | Some head ->
+            Vring.set_payload rx_ring ~head pkt;
+            Vring.push_used rx_ring ~head ~written:pkt.Packet.size;
             Virtio_net.fire_interrupt net
           | None -> (* no posted buffer: drop *) ()));
   (* vhost-blk backend: pops requests, serves them against cloud storage
@@ -193,8 +193,8 @@ let create_vm host config =
     (Backend.drain g
        ~pending:(fun () -> Vring.avail_pending blk_ring)
        ~pop:(fun () -> Vring.pop_avail blk_ring)
-       (fun chain ->
-         let req = chain.Vring.payload in
+       (fun head ->
+         let req = Vring.payload blk_ring ~head in
          let service_ns ns k = Cores.execute_ns_callback host.service_cores (ns *. io_factor) k in
          (* Extra buffer copies between guest and host I/O stacks;
             writes cross twice (data out, ack in). *)
@@ -208,7 +208,7 @@ let create_vm host config =
             before it completes and injects. *)
          let complete () =
            Preempt.maybe_steal_callback preempt (fun () ->
-               Vring.push_used blk_ring ~head:chain.Vring.head ~written:req.Virtio_blk.bytes;
+               Vring.push_used blk_ring ~head ~written:req.Virtio_blk.bytes;
                Virtio_blk.fire_interrupt blkdev)
          in
          (* After storage: the return half of the scheduling latency,

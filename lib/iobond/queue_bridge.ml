@@ -11,7 +11,8 @@ type 'a t = {
   sim : Sim.t;
   name : string;
   guest : 'a Vring.t;
-  shadow : (int * 'a) Vring.t; (* payload tagged with the guest head *)
+  shadow : 'a Vring.t;
+  tags : int array; (* shadow head -> the guest head it mirrors, -1 when reaped *)
   dma : Dma.t;
   guest_link : Pcie.t;
   base_link : Pcie.t;
@@ -53,6 +54,7 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~name ~guest ~dma ~guest_
     name;
     guest;
     shadow;
+    tags = Array.make (Vring.size guest) (-1);
     dma;
     guest_link;
     base_link;
@@ -75,8 +77,6 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~name ~guest ~dma ~guest_
 let set_guest_interrupt t f = t.guest_irq <- f
 let set_work_hint t f = t.work_hint <- f
 
-let chain_nsegs chain = List.length chain.Vring.out + List.length chain.Vring.in_
-
 (* Forward mirror engine: drain new guest avail entries into the shadow
    ring, one DMA per chain (descriptors + driver->device payload). A
    callback chain: each chain's copy is timed events, and the next pop
@@ -87,17 +87,19 @@ let rec pump_forward t =
   Fault.when_clear t.fault Fault.Firmware_wedge (fun () ->
       match Vring.pop_avail t.guest with
       | None -> t.forward_running <- false
-      | Some chain -> forward t chain)
+      | Some head -> forward t head)
 
-and forward t chain =
+and forward t head =
   Obs.begin_span t.obs ~track:t.track "forward";
-  let bytes_ = (desc_bytes * chain_nsegs chain) + Vring.total_out_bytes chain in
+  let bytes_ = (desc_bytes * Vring.descriptors t.guest ~head) + Vring.out_bytes t.guest ~head in
   Dma.copy t.dma ~src:t.guest_link ~dst:t.base_link ~bytes_ (fun () ->
-      let out = List.map snd chain.Vring.out in
-      let in_ = List.map snd chain.Vring.in_ in
+      (* The guest chain stays outstanding until its completion comes
+         back, so its descriptors and payload are still there to copy. *)
       let add k =
-        match Vring.add t.shadow ~out ~in_ (chain.Vring.head, chain.Vring.payload) with
-        | Some _ -> k (Ok ())
+        match Vring.add_like t.shadow ~src:t.guest ~head (Vring.payload t.guest ~head) with
+        | Some mirror ->
+          t.tags.(mirror) <- head;
+          k (Ok ())
         | None -> k (Error (t.name ^ ": shadow ring full"))
       in
       (* Cannot fail while the guest ring bounds outstanding requests,
@@ -140,28 +142,24 @@ let pop t =
   if t.paused then None
   else
     match Vring.pop_avail t.shadow with
-  | None -> None
-  | Some chain ->
-    Some
-      {
-        token = chain.Vring.head;
-        out_bytes = Vring.total_out_bytes chain;
-        in_bytes = Vring.total_in_bytes chain;
-        payload = snd chain.Vring.payload;
-      }
+    | None -> None
+    | Some head ->
+      Some
+        {
+          token = head;
+          out_bytes = Vring.out_bytes t.shadow ~head;
+          in_bytes = Vring.in_bytes t.shadow ~head;
+          payload = Vring.payload t.shadow ~head;
+        }
 
 let complete t req ?payload ~written () =
-  (match payload with
-  | Some p ->
-    (* Keep the guest-head tag, swap the payload under it. *)
-    let tag, _old = Vring.payload t.shadow ~head:req.token in
-    Vring.set_payload t.shadow ~head:req.token (tag, p)
-  | None -> ());
+  (match payload with Some p -> Vring.set_payload t.shadow ~head:req.token p | None -> ());
   Vring.push_used t.shadow ~head:req.token ~written
 
 (* Backward mirror engine: completions flow shadow -> guest. *)
 let rec pump_backward t completed_any =
   Fault.when_clear t.fault Fault.Firmware_wedge (fun () ->
+      let mirror = Vring.next_used t.shadow in
       match Vring.pop_used t.shadow with
       | None ->
         t.backward_running <- false;
@@ -171,7 +169,9 @@ let rec pump_backward t completed_any =
           Obs.add t.obs "iobond.guest_irqs" 1;
           t.guest_irq ()
         end
-      | Some ((guest_head, payload), written) ->
+      | Some (payload, written) ->
+        let guest_head = t.tags.(mirror) in
+        t.tags.(mirror) <- -1;
         let bytes_ = used_elem_bytes + written in
         Dma.copy t.dma ~src:t.base_link ~dst:t.guest_link ~bytes_ (fun () ->
             Vring.set_payload t.guest ~head:guest_head payload;
@@ -205,6 +205,11 @@ let resync t =
 let completed t = t.completed
 
 let check_invariants t =
+  let rec mirrored h =
+    h = Array.length t.tags
+    || (t.tags.(h) < 0 || Vring.mirrors t.shadow ~head:h ~src:t.guest ~src_head:t.tags.(h))
+       && mirrored (h + 1)
+  in
   match Vring.check_invariants t.guest with
   | Error e -> Error ("guest ring: " ^ e)
   | Ok () -> (
@@ -213,4 +218,5 @@ let check_invariants t =
     | Ok () ->
       if Vring.in_flight_requests t.shadow > Vring.in_flight_requests t.guest then
         Error "shadow holds more requests than guest"
+      else if not (mirrored 0) then Error "a shadow chain differs from its guest chain"
       else Ok ())

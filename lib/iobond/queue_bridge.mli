@@ -97,3 +97,5 @@ val completed : 'a t -> int
 (** Completions mirrored shadow→guest. *)
 
 val check_invariants : 'a t -> (unit, string) result
+(** Both rings' invariants, and every outstanding shadow chain copies the
+    guest chain it is tagged with. *)

@@ -1,14 +1,14 @@
 (** Virtio split virtqueue (descriptor table + avail ring + used ring).
 
     This is a faithful model of the split-ring layout from the virtio
-    spec: a descriptor table managed through a free list, an avail ring
-    written by the driver, and a used ring written by the device. Indices
-    free-run modulo 2^16 as in real hardware. Buffers carry an arbitrary
-    OCaml payload instead of guest-physical bytes; segment addresses
-    are synthetic but stable, and segment lengths are real so DMA cost
-    models can meter them. The descriptor table itself keeps only the
-    flags and the chain links; a chain's segments carry its addresses
-    and lengths.
+    spec, in flat int arrays: a descriptor table of lengths, flags and
+    links managed through a free list, an avail ring of heads written by
+    the driver, and a used ring of (head, written) entries. Indices
+    free-run modulo 2^16 as in real hardware. Buffers carry an OCaml
+    payload (one cell per head, nulled on reaping) instead of bytes, so
+    there are no addresses; lengths are real so DMA cost models can
+    meter them. A device pop returns a head, and the device reads the
+    request by walking its chain's F_NEXT links.
 
     The same structure serves as the guest-side ring of a vm-guest
     (where the host backend maps it directly) and as both the guest ring
@@ -16,13 +16,6 @@
     Fig. 4). *)
 
 type 'a t
-
-type 'a chain = {
-  head : int;  (** head descriptor index, the ring's token for the request *)
-  out : (int * int) list;  (** driver→device segments as (addr, len) *)
-  in_ : (int * int) list;  (** device→driver segments as (addr, len) *)
-  payload : 'a;
-}
 
 val create : size:int -> 'a t
 (** [create ~size] — [size] must be a power of two (spec requirement),
@@ -49,24 +42,41 @@ val add : 'a t -> out:int list -> in_:int list -> 'a -> int option
     [None] when the table cannot hold the chain. At least one segment
     is required. *)
 
+val add_like : 'a t -> src:'b t -> head:int -> 'a -> int option
+(** [add_like t ~src ~head payload]: {!add} with the descriptors (count,
+    lengths, flags) of [src]'s outstanding chain at [head] — IO-Bond
+    mirroring a guest chain into its shadow ring. *)
+
+val mirrors : 'a t -> head:int -> src:'b t -> src_head:int -> bool
+(** Whether [head] is outstanding and its chain copies [src]'s outstanding
+    chain at [src_head] descriptor for descriptor. *)
+
 val pop_used : 'a t -> ('a * int) option
 (** Driver-side completion reaping: returns [(payload, written)] for the
     oldest unseen used entry and recycles its descriptors. *)
 
+val next_used : 'a t -> int
+(** The head {!pop_used} reaps next, or [-1] when none is pending. *)
+
 val used_pending : 'a t -> int
 (** Used entries the driver has not reaped yet. *)
 
-(** {2 Device side} *)
+(** {2 Device side} (a [head] that is not outstanding raises [Invalid_argument]) *)
 
 val avail_pending : 'a t -> int
 (** Requests the device has not popped yet. *)
 
-val pop_avail : 'a t -> 'a chain option
-(** Device-side: take the oldest unseen avail entry. *)
+val pop_avail : 'a t -> int option
+(** Device-side: take the oldest unseen avail entry's head. *)
 
 val payload : 'a t -> head:int -> 'a
-(** Current payload of an outstanding request. Raises [Invalid_argument]
-    if [head] is not outstanding. *)
+
+val out_bytes : 'a t -> head:int -> int
+val in_bytes : 'a t -> head:int -> int
+(** Total lengths of the driver→device and of the device→driver
+    descriptors. *)
+
+val descriptors : 'a t -> head:int -> int
 
 val set_payload : 'a t -> head:int -> 'a -> unit
 (** Device-side write into the request's buffers (e.g. a received packet
@@ -74,8 +84,7 @@ val set_payload : 'a t -> head:int -> 'a -> unit
 
 val push_used : 'a t -> head:int -> written:int -> unit
 (** Device-side completion: publish [head] in the used ring with
-    [written] bytes. Raises [Invalid_argument] if [head] is not an
-    outstanding popped chain. *)
+    [written] bytes. *)
 
 (** {2 Inspection} *)
 
@@ -85,7 +94,5 @@ val avail_idx : 'a t -> int
 
 val used_idx : 'a t -> int
 
-val total_out_bytes : 'a chain -> int
-val total_in_bytes : 'a chain -> int
 val check_invariants : 'a t -> (unit, string) result
 (** Internal consistency check used by the property tests. *)

@@ -319,7 +319,173 @@ let prop_bridge_random_ops =
       | Error e -> QCheck.Test.fail_report e
       | Ok () -> Queue_bridge.completed bridge = !sent)
 
+(* A bridge over a bare guest ring, with its own links, DMA engine and
+   mailbox: the test plays both the guest driver and the backend. *)
+let bare_bridge ?(fault = Fault.none) sim ~size =
+  let register_ns = Profile.register_ns Profile.Fpga in
+  let base_link = Bm_hw.Pcie.x8 ~fault sim ~register_ns in
+  let guest = Vring.create ~size in
+  let bridge =
+    Queue_bridge.create ~fault sim ~name:"bare" ~guest ~dma:(Bm_hw.Dma.create ~fault sim ())
+      ~guest_link:(Bm_hw.Pcie.x4 ~fault sim ~register_ns)
+      ~base_link
+      ~mailbox:(Mailbox.create ~fault sim ~base_link)
+  in
+  (guest, bridge)
+
+(* Pop, complete and flush whatever the shadow ring holds, [k] per
+   request before it completes, until [finished]; [check] runs before
+   every pop. *)
+let rec serve ?(check = ignore) bridge ~finished k =
+  check ();
+  match Queue_bridge.pop bridge with
+  | Some req ->
+    k req;
+    Sim.await (Queue_bridge.flush bridge);
+    serve ~check bridge ~finished k
+  | None ->
+    if not (finished ()) then begin
+      Sim.delay 1_000.0;
+      serve ~check bridge ~finished k
+    end
+
+(* Random guest adds of chains of every shape, backend pops and
+   completions (some replacing the payload), pauses and resumes, across
+   a firmware wedge and its resync. Before every pop each outstanding
+   shadow chain mirrors the guest chain it is tagged with (count,
+   lengths, flags); the backend sees the byte totals the guest added;
+   and each completion lands on its tagged guest head, which the guest
+   reaps with the written count and payload that completion carried.
+   The first broken expectation ends the run. *)
+let prop_bridge_mirrors_chains =
+  QCheck.Test.make ~name:"shadow chains mirror guest chains, completions land on their tags"
+    ~count:40
+    QCheck.(pair (int_range 0 300) (list_of_size (Gen.int_range 20 150) (int_range 0 99)))
+    (fun (wedge_us, ops) ->
+      let sim = Sim.create () in
+      let wedge =
+        { Fault.kind = Fault.Firmware_wedge; at = float_of_int wedge_us *. 1e3; duration_ns = 50e3 }
+      in
+      let fault = Fault.create sim { Fault.seed = 0; horizon_ns = 1e6; events = [ wedge ] } in
+      Fault.arm fault;
+      let guest, bridge = bare_bridge ~fault sim ~size:16 in
+      Fault.subscribe fault Fault.Firmware_wedge (fun _ ->
+          Sim.spawn sim (fun () ->
+              Fault.block_until_clear fault Fault.Firmware_wedge;
+              Queue_bridge.resync bridge));
+      let shapes = Hashtbl.create 16 (* id -> (out bytes, in bytes) *) in
+      let replaced = Hashtbl.create 16 and reaped = Hashtbl.create 16 in
+      let added = ref 0 in
+      let expect b what = if not b then QCheck.Test.fail_report what in
+      let check () =
+        match Queue_bridge.check_invariants bridge with
+        | Ok () -> ()
+        | Error e -> QCheck.Test.fail_report e
+      in
+      Queue_bridge.set_guest_interrupt bridge (fun () ->
+          let rec reap () =
+            match Vring.pop_used guest with
+            | Some (p, written) ->
+              (* The backend completed request [written] with payload
+                 [p]: the original id, or id + 1000 when replaced. *)
+              expect
+                (p = if Hashtbl.mem replaced written then written + 1000 else written)
+                "reaped payload is not its completion's";
+              expect (not (Hashtbl.mem reaped written)) "request reaped twice";
+              Hashtbl.replace reaped written ();
+              reap ()
+            | None -> ()
+          in
+          reap ();
+          check ());
+      let complete (req : int Queue_bridge.request) =
+        let id = req.Queue_bridge.payload in
+        expect
+          ((req.Queue_bridge.out_bytes, req.Queue_bridge.in_bytes) = Hashtbl.find shapes id)
+          "backend byte totals differ from the guest's";
+        if id mod 3 = 0 then begin
+          Hashtbl.replace replaced id ();
+          Queue_bridge.complete bridge req ~payload:(id + 1000) ~written:id ()
+        end
+        else Queue_bridge.complete bridge req ~written:id ()
+      in
+      Sim.spawn sim (fun () ->
+          List.iter
+            (fun op ->
+              (if op < 40 then begin
+                 let nout = op mod 3 and nin = op / 3 mod 3 in
+                 let out = List.init (if nout + nin = 0 then 1 else nout) (fun i -> (10 * op) + i) in
+                 let in_ = List.init nin (fun i -> (7 * op) + i + 1) in
+                 let id = !added in
+                 match Vring.add guest ~out ~in_ id with
+                 | Some _ ->
+                   incr added;
+                   Hashtbl.replace shapes id (List.fold_left ( + ) 0 out, List.fold_left ( + ) 0 in_);
+                   Queue_bridge.guest_notify bridge
+                 | None -> ()
+               end
+               else if op < 70 then
+                 match Queue_bridge.pop bridge with
+                 | Some req ->
+                   complete req;
+                   Sim.await (Queue_bridge.flush bridge)
+                 | None -> ()
+               else if op < 78 then Queue_bridge.pause bridge
+               else if op < 86 then Queue_bridge.resume bridge
+               else Sim.delay (float_of_int (op * 200)));
+              check ())
+            ops;
+          Queue_bridge.resume bridge;
+          serve ~check bridge ~finished:(fun () -> Hashtbl.length reaped = !added) complete);
+      Sim.run ~until:Simtime.(sec 1.0) sim;
+      check ();
+      Hashtbl.length reaped = !added)
+
+(* Payloads the guest has reaped are retained by neither ring: the
+   guest ring and the shadow ring null a payload's cell when its
+   request is reaped, while the bridge and both rings stay live. *)
+let test_reaped_payloads_released () =
+  let sim = Sim.create () in
+  let guest, bridge = bare_bridge sim ~size:32 in
+  let n = 6 in
+  let weak = Weak.create (2 * n) in
+  let reaped = ref 0 in
+  Queue_bridge.set_guest_interrupt bridge (fun () ->
+      let rec reap () = match Vring.pop_used guest with Some _ -> incr reaped; reap () | None -> () in
+      reap ());
+  Sim.spawn sim (fun () ->
+      for i = 0 to n - 1 do
+        let v = ref i in
+        Weak.set weak i (Some v);
+        check_bool "added" true (Vring.add guest ~out:[ 16; 64 ] ~in_:[ 1 ] v <> None)
+      done;
+      Queue_bridge.guest_notify bridge);
+  Sim.spawn sim (fun () ->
+      serve bridge
+        ~finished:(fun () -> !reaped = n)
+        (fun req ->
+          (* Half the completions carry a fresh payload of their own. *)
+          let i = !(req.Queue_bridge.payload) in
+          if i mod 2 = 0 then begin
+            let v = ref (n + i) in
+            Weak.set weak (n + i) (Some v);
+            Queue_bridge.complete bridge req ~payload:v ~written:1 ()
+          end
+          else Queue_bridge.complete bridge req ~written:1 ()));
+  Sim.run ~until:Simtime.(ms 10.0) sim;
+  check_int "all reaped" n !reaped;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "no payload retained" []
+    (List.filter (Weak.check weak) (List.init (2 * n) Fun.id));
+  check_bool "bridge invariants" true (Queue_bridge.check_invariants bridge = Ok ());
+  ignore (Sys.opaque_identity (guest, bridge))
+
 let prop_suites =
-  [ ("iobond.prop", List.map QCheck_alcotest.to_alcotest [ prop_bridge_random_ops ]) ]
+  [
+    ( "iobond.rings",
+      [ Alcotest.test_case "reaped payloads released" `Quick test_reaped_payloads_released ] );
+    ( "iobond.prop",
+      List.map QCheck_alcotest.to_alcotest [ prop_bridge_random_ops; prop_bridge_mirrors_chains ] );
+  ]
 
 let suites = suites @ prop_suites

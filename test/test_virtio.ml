@@ -29,11 +29,12 @@ let test_vring_roundtrip () =
     check_int "avail pending" 1 (Vring.avail_pending r);
     (match Vring.pop_avail r with
     | None -> Alcotest.fail "nothing avail"
-    | Some chain ->
-      check_int "head matches" head chain.Vring.head;
-      check_int "out bytes" 76 (Vring.total_out_bytes chain);
-      check_int "in bytes" 0 (Vring.total_in_bytes chain);
-      check_bool "payload preserved" true (chain.Vring.payload == p));
+    | Some popped ->
+      check_int "head matches" head popped;
+      check_int "out bytes" 76 (Vring.out_bytes r ~head);
+      check_int "in bytes" 0 (Vring.in_bytes r ~head);
+      check_int "descriptors" 2 (Vring.descriptors r ~head);
+      check_bool "payload preserved" true (Vring.payload r ~head == p));
     Vring.push_used r ~head ~written:0;
     (match Vring.pop_used r with
     | Some (payload, written) ->
@@ -57,7 +58,7 @@ let test_vring_fifo_order () =
   done;
   for i = 1 to 5 do
     match Vring.pop_avail r with
-    | Some chain -> check_int "fifo" i chain.Vring.payload.Packet.id
+    | Some head -> check_int "fifo" i (Vring.payload r ~head).Packet.id
     | None -> Alcotest.fail "missing chain"
   done
 
@@ -103,7 +104,7 @@ let test_vring_index_wraparound () =
     | None -> Alcotest.fail "ring should never be full in lockstep"
     | Some head ->
       (match Vring.pop_avail r with
-      | Some chain -> check_int "lockstep id" i chain.Vring.payload.Packet.id
+      | Some popped -> check_int "lockstep id" i (Vring.payload r ~head:popped).Packet.id
       | None -> Alcotest.fail "avail missing");
       Vring.push_used r ~head ~written:0;
       (match Vring.pop_used r with
@@ -131,7 +132,7 @@ let prop_vring_random_ops =
         end
         else if op < 70 then begin
           match Vring.pop_avail r with
-          | Some chain -> Queue.add chain.Vring.head popped
+          | Some head -> Queue.add head popped
           | None -> ()
         end
         else if op < 85 then begin
@@ -158,7 +159,7 @@ let prop_vring_conservation =
         | None ->
           (* ring full: drain device and driver sides, then retry once *)
           (match Vring.pop_avail r with
-          | Some chain -> Vring.push_used r ~head:chain.Vring.head ~written:0
+          | Some head -> Vring.push_used r ~head ~written:0
           | None -> ());
           (match Vring.pop_used r with
           | Some (p, _) -> Hashtbl.replace seen p.Packet.id (1 + Option.value ~default:0 (Hashtbl.find_opt seen p.Packet.id))
@@ -170,8 +171,8 @@ let prop_vring_conservation =
       (* Drain everything. *)
       let rec drain () =
         match Vring.pop_avail r with
-        | Some chain ->
-          Vring.push_used r ~head:chain.Vring.head ~written:0;
+        | Some head ->
+          Vring.push_used r ~head ~written:0;
           drain ()
         | None -> ()
       in
@@ -187,6 +188,105 @@ let prop_vring_conservation =
       reap ();
       Hashtbl.fold (fun _ n ok -> ok && n >= 1) seen true
       && Vring.check_invariants r = Ok ())
+
+(* Random driver and device steps around the 2^16 index wrap, with
+   chains of every shape: each popped head reads back the chain that was
+   added (byte totals per direction, and an F_NEXT chain of the added
+   length), and each reaped entry the payload and written count that
+   were set. Payloads are ints from 0, so an immediate payload equal to
+   the ring's empty cell is exercised too. *)
+let prop_vring_chains_read_back =
+  QCheck.Test.make ~name:"popped heads read back their chains across the 2^16 wrap" ~count:30
+    QCheck.(
+      triple (int_range 0 3) (int_range 0 24)
+        (list_of_size (Gen.int_range 50 400) (int_range 0 99)))
+    (fun (size_exp, before_wrap, ops) ->
+      let r = Vring.create ~size:(4 lsl size_exp) in
+      for _ = 1 to 0x10000 - before_wrap do
+        match Vring.add r ~out:[ 1 ] ~in_:[] 0 with
+        | Some head ->
+          ignore (Vring.pop_avail r);
+          Vring.push_used r ~head ~written:0;
+          ignore (Vring.pop_used r)
+        | None -> assert false
+      done;
+      let chains = Hashtbl.create 16 (* head -> (id, out bytes, in bytes, descriptors) *) in
+      let popped = ref [] and next_id = ref 0 and ok = ref true in
+      let expect b = if not b then ok := false in
+      let sum = List.fold_left ( + ) 0 in
+      let pop () =
+        match Vring.pop_avail r with
+        | Some head ->
+          let id, o, i, n = Hashtbl.find chains head in
+          expect (Vring.payload r ~head = id);
+          expect (Vring.out_bytes r ~head = o && Vring.in_bytes r ~head = i);
+          expect (Vring.descriptors r ~head = n);
+          popped := head :: !popped
+        | None -> ()
+      in
+      let complete k =
+        match !popped with
+        | [] -> ()
+        | heads ->
+          let head = List.nth heads (k mod List.length heads) in
+          popped := List.filter (( <> ) head) heads;
+          let id, _, _, _ = Hashtbl.find chains head in
+          Vring.push_used r ~head ~written:(3 * id)
+      in
+      let reap () =
+        let head = Vring.next_used r in
+        match Vring.pop_used r with
+        | Some (id, written) ->
+          let added, _, _, _ = Hashtbl.find chains head in
+          expect (id = added && written = 3 * id);
+          Hashtbl.remove chains head
+        | None -> expect (head = -1)
+      in
+      let step op =
+        if op < 35 then begin
+          let nout = op mod 3 and nin = op / 3 mod 3 in
+          let out = List.init (if nout + nin = 0 then 1 else nout) (fun i -> (10 * op) + i) in
+          let in_ = List.init nin (fun i -> (7 * op) + i + 1) in
+          let id = !next_id in
+          match Vring.add r ~out ~in_ id with
+          | Some head ->
+            incr next_id;
+            Hashtbl.replace chains head (id, sum out, sum in_, List.length out + List.length in_)
+          | None -> ()
+        end
+        else if op < 60 then pop ()
+        else if op < 80 then complete op
+        else reap ();
+        expect (Vring.check_invariants r = Ok ())
+      in
+      List.iter step ops;
+      while Vring.avail_pending r > 0 do
+        pop ()
+      done;
+      while !popped <> [] do
+        complete 0
+      done;
+      while Vring.used_pending r > 0 do
+        reap ()
+      done;
+      !ok && Hashtbl.length chains = 0 && Vring.num_free r = Vring.size r)
+
+(* One sink-less two-segment add, pop, push_used and pop_used cycle
+   allocates the caller's segment list (6 words), the two heads' [Some]
+   (2 + 2) and the reaped pair in its [Some] (5): the ring itself
+   allocates nothing. *)
+let test_vring_cycle_words () =
+  let r = Vring.create ~size:8 in
+  let p = pkt 1 and len = Sys.opaque_identity 64 in
+  let cycle () =
+    match Vring.add r ~out:[ 12; len ] ~in_:[] p with
+    | None -> Alcotest.fail "ring full"
+    | Some head ->
+      ignore (Vring.pop_avail r);
+      Vring.push_used r ~head ~written:0;
+      ignore (Vring.pop_used r)
+  in
+  Alcotest.(check (float 0.0)) "words/cycle" 15.0 (Test_observability.words_per_call cycle)
 
 (* ------------------------------------------------------------------ *)
 (* Virtio PCI *)
@@ -250,9 +350,9 @@ let test_net_xmit_and_backend_drain () =
   (* Backend drains the tx ring. *)
   let ring = Virtio_net.tx_ring dev in
   (match Vring.pop_avail ring with
-  | Some chain ->
-    check_int "hdr+payload" (12 + 64) (Vring.total_out_bytes chain);
-    Vring.push_used ring ~head:chain.Vring.head ~written:0
+  | Some head ->
+    check_int "hdr+payload" (12 + 64) (Vring.out_bytes ring ~head);
+    Vring.push_used ring ~head ~written:0
   | None -> Alcotest.fail "backend saw nothing");
   check_int "reaped" 1 (Virtio_net.reap_tx dev)
 
@@ -268,10 +368,10 @@ let test_net_rx_path () =
   List.iter
     (fun id ->
       match Vring.pop_avail ring with
-      | Some chain ->
+      | Some head ->
         let p = pkt id in
-        Vring.set_payload ring ~head:chain.Vring.head p;
-        Vring.push_used ring ~head:chain.Vring.head ~written:p.Packet.size;
+        Vring.set_payload ring ~head p;
+        Vring.push_used ring ~head ~written:p.Packet.size;
         Virtio_net.fire_interrupt dev
       | None -> Alcotest.fail "no rx buffer")
     [ 100; 101 ];
@@ -313,11 +413,12 @@ let test_blk_submit_complete () =
       Sim.delay 100_000.0;
       let ring = Virtio_blk.ring dev in
       (match Vring.pop_avail ring with
-      | Some chain ->
+      | Some head ->
         (* read request: header out, data + status in *)
-        check_int "out = header" 16 (Vring.total_out_bytes chain);
-        check_int "in = data+status" 4097 (Vring.total_in_bytes chain);
-        Vring.push_used ring ~head:chain.Vring.head ~written:4097
+        check_int "out = header" 16 (Vring.out_bytes ring ~head);
+        check_int "in = data+status" 4097 (Vring.in_bytes ring ~head);
+        check_int "three descriptors" 3 (Vring.descriptors ring ~head);
+        Vring.push_used ring ~head ~written:4097
       | None -> Alcotest.fail "no request");
       ignore (Virtio_blk.reap dev));
   Sim.run sim;
@@ -327,10 +428,11 @@ let test_blk_write_layout () =
   let dev = Virtio_blk.create ~on_access:ignore () in
   let req = Virtio_blk.make_req ~op:Virtio_blk.Write ~sector:8 ~bytes:8192 ~now:0.0 in
   check_bool "submitted" true (Virtio_blk.submit dev req);
-  match Vring.pop_avail (Virtio_blk.ring dev) with
-  | Some chain ->
-    check_int "out = header+data" (16 + 8192) (Vring.total_out_bytes chain);
-    check_int "in = status" 1 (Vring.total_in_bytes chain)
+  let ring = Virtio_blk.ring dev in
+  match Vring.pop_avail ring with
+  | Some head ->
+    check_int "out = header+data" (16 + 8192) (Vring.out_bytes ring ~head);
+    check_int "in = status" 1 (Vring.in_bytes ring ~head)
   | None -> Alcotest.fail "no request"
 
 let test_blk_queue_depth () =
@@ -358,8 +460,10 @@ let suites =
         Alcotest.test_case "device sets payload" `Quick test_vring_set_payload;
         Alcotest.test_case "push_used validation" `Quick test_vring_push_used_unpopped_rejected;
         Alcotest.test_case "index wraparound past 2^16" `Quick test_vring_index_wraparound;
+        Alcotest.test_case "cycle allocation" `Quick test_vring_cycle_words;
       ] );
-    qsuite "virtio.vring.prop" [ prop_vring_random_ops; prop_vring_conservation ];
+    qsuite "virtio.vring.prop"
+      [ prop_vring_random_ops; prop_vring_conservation; prop_vring_chains_read_back ];
     ( "virtio.pci",
       [
         Alcotest.test_case "probe happy path" `Quick test_pci_probe_happy_path;
