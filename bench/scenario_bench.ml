@@ -16,6 +16,9 @@
      control_plane host us per Fleet.Live.meter_tick and per
                  Policy.blast_radius, with the scheduler's view snapshot
                  current (hit) and just invalidated (miss)
+     evacuation  Fleet.Live.evacuate of the busiest host on a fresh
+                 fleet: victims, chunks, and minor and promoted words
+                 per chunk
      determinism scorecards of two identical ladder runs compared *)
 
 module Scenario = Bmhive.Scenario
@@ -25,6 +28,7 @@ module Scheduler = Bm_cloud.Scheduler
 module Slo = Bm_cloud.Slo
 module Tenant = Bm_cloud.Tenant
 module Topology = Bm_fabric.Topology
+module Fabric = Bm_fabric.Fabric
 open Bench_common
 
 let args = parse_args ~name:"scenario_bench" ~default_out:"BENCH_scenario.json"
@@ -97,6 +101,43 @@ let control_plane_bench () =
     blast_miss_us = miss_us blast ~calls:misses;
   }
 
+(* Host cost of one pre-copy evacuation on a fresh fleet: the busiest
+   host drained and its victims' memory streamed to quiescence. The
+   chunks are the bursts the drained host's uplink carried, the only
+   traffic on the fleet. Minor words per chunk bracket the call with
+   [Gc.minor_words ()]; promoted words per chunk bracket it with a minor
+   collection on each side, as engine_bench's datapath section counts
+   them. Stream state that outlives a minor collection (a chunk list
+   built up front) is what the promoted words count. *)
+type evac_cost = { victims : int; chunks : int; minor_per_chunk : float; promoted_per_chunk : float }
+
+let evacuation_bench () =
+  let live = Fleet.Live.build ~seed (fleet ()) in
+  let server, _ =
+    List.fold_left
+      (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
+      (0, -1)
+      (Scheduler.occupancy (Fleet.Live.scheduler live))
+  in
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let w0 = Gc.minor_words () in
+  let e = Fleet.Live.evacuate live ~server in
+  let words = Gc.minor_words () -. w0 in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. p0 in
+  let fab = Fleet.Live.fabric live in
+  let uplink = Printf.sprintf "host%d->" server in
+  let chunks =
+    List.fold_left
+      (fun acc (l : Fabric.link_stat) ->
+        if String.starts_with ~prefix:uplink l.Fabric.name then acc + l.Fabric.sent_bursts else acc)
+      0
+      (Fabric.link_stats fab ~now:(Bm_engine.Sim.now (Fleet.Live.sim live)))
+  in
+  let per x = x /. float_of_int (max 1 chunks) in
+  { victims = e.Fleet.Live.victims; chunks; minor_per_chunk = per words; promoted_per_chunk = per promoted }
+
 let progress fmt = progress args fmt
 
 let () =
@@ -122,6 +163,8 @@ let () =
   let parse_cps = parse_bench ~calls in
   progress "control plane: meter_tick and blast_radius, snapshot hit and miss";
   let cp = control_plane_bench () in
+  progress "evacuation: the busiest host of a fresh fleet";
+  let ev = evacuation_bench () in
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
@@ -166,6 +209,12 @@ let () =
   p "    \"meter_tick_us\": { \"hit\": %.1f, \"miss\": %.1f },\n" cp.meter_hit_us cp.meter_miss_us;
   p "    \"blast_radius_us\": { \"hit\": %.1f, \"miss\": %.1f }\n" cp.blast_hit_us cp.blast_miss_us;
   p "  },\n";
+  p "  \"evacuation\": {\n";
+  p "    \"victims\": %d,\n" ev.victims;
+  p "    \"chunks\": %d,\n" ev.chunks;
+  p "    \"minor_words_per_chunk\": %.3f,\n" ev.minor_per_chunk;
+  p "    \"promoted_words_per_chunk\": %.3f\n" ev.promoted_per_chunk;
+  p "  },\n";
   p "  \"determinism\": { \"scorecards_identical\": %b }\n" identical;
   p "}\n";
   let oc = open_out out_file in
@@ -174,7 +223,9 @@ let () =
   Printf.printf
     "scenario bench: %.0f events/s open loop, %.0f events/s with ladder (SLO met %d -> %d); \
      parse %.0f/s; meter_tick %.1f/%.1f us, blast_radius %.1f/%.1f us (hit/miss); \
+     evacuation %d victims, %d chunks, %.2f minor / %.2f promoted words per chunk; \
      deterministic: %b\n"
     open_eps lad_eps open_o.Scenario.met lad_o.Scenario.met parse_cps cp.meter_hit_us
-    cp.meter_miss_us cp.blast_hit_us cp.blast_miss_us identical;
+    cp.meter_miss_us cp.blast_hit_us cp.blast_miss_us ev.victims ev.chunks ev.minor_per_chunk
+    ev.promoted_per_chunk identical;
   Printf.printf "written: %s\n" out_file

@@ -20,8 +20,7 @@ type server = {
 type record = { placement : placement; vcpus : int; image : Image.t; cls : string option }
 
 type t = {
-  mutable servers : server list;
-  mutable next_id : int;
+  mutable servers : server array;  (* indexed by id: ids are dense from 0, in add order *)
   instances : (string, record) Hashtbl.t;
   mutable admission_ceiling : float;
   mutable admission_rejections : int;
@@ -35,8 +34,7 @@ type t = {
 
 let create () =
   {
-    servers = [];
-    next_id = 0;
+    servers = [||];
     instances = Hashtbl.create 32;
     admission_ceiling = 1.0;
     admission_rejections = 0;
@@ -69,27 +67,22 @@ let class_charge t cls threads =
 let add_server ?(ceiling = 1.0) t kind =
   if not (ceiling > 0.0 && ceiling <= 1.0) then
     invalid_arg "Control_plane.add_server: ceiling must be in (0, 1]";
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = Array.length t.servers in
   t.servers <-
-    t.servers @ [ { id; kind; ceiling; used_boards = 0; used_threads = 0; failed = false } ];
+    Array.append t.servers
+      [| { id; kind; ceiling; used_boards = 0; used_threads = 0; failed = false } |];
   id
 
-let find_server t id = List.find_opt (fun s -> s.id = id) t.servers
+let known t id = id >= 0 && id < Array.length t.servers
 
-let fail_server t id =
-  match find_server t id with
-  | None -> invalid_arg "Control_plane.fail_server: unknown server"
-  | Some s -> s.failed <- true
+let set_failed t id failed ~what =
+  if not (known t id) then invalid_arg ("Control_plane." ^ what ^ ": unknown server");
+  t.servers.(id).failed <- failed
 
-let restore_server t id =
-  match find_server t id with
-  | None -> invalid_arg "Control_plane.restore_server: unknown server"
-  | Some s -> s.failed <- false
-
-let server_failed t id = match find_server t id with Some s -> s.failed | None -> false
-
-let server_ids t = List.map (fun s -> s.id) t.servers
+let fail_server t id = set_failed t id true ~what:"fail_server"
+let restore_server t id = set_failed t id false ~what:"restore_server"
+let server_failed t id = known t id && t.servers.(id).failed
+let server_ids t = List.init (Array.length t.servers) Fun.id
 
 (* Remaining capacity in the unit the strategy compares: free boards for
    bare metal, free threads for virtual. Failed servers offer none. *)
@@ -130,18 +123,18 @@ let capacity_of = function
   | Vm_server { sellable_threads } -> sellable_threads
 
 let sellable_threads t =
-  List.fold_left (fun acc s -> if s.failed then acc else acc + capacity_of s.kind) 0 t.servers
+  Array.fold_left (fun acc s -> if s.failed then acc else acc + capacity_of s.kind) 0 t.servers
 
-let used_threads t = List.fold_left (fun acc s -> acc + s.used_threads) 0 t.servers
+let used_threads t = Array.fold_left (fun acc s -> acc + s.used_threads) 0 t.servers
 
 let server_utilization t id =
-  match find_server t id with
-  | None -> 0.0
-  | Some s ->
+  if not (known t id) then 0.0
+  else
+    let s = t.servers.(id) in
     let cap = capacity_of s.kind in
     if cap = 0 then 0.0 else float_of_int s.used_threads /. float_of_int cap
 
-let server_ceiling t id = match find_server t id with Some s -> s.ceiling | None -> 1.0
+let server_ceiling t id = if known t id then t.servers.(id).ceiling else 1.0
 
 (* Headroom-based admission: a placement that would push fleet thread
    utilization past the ceiling is refused even though the server could
@@ -165,12 +158,15 @@ let over_class t ~cls ~threads =
       float_of_int (class_used_of t c + threads)
       > (frac *. float_of_int (sellable_threads t)) +. 1e-9)
 
-let undo_placement server placement =
-  match placement.substrate with
-  | Bare_metal ->
-    server.used_boards <- server.used_boards - 1;
-    server.used_threads <- server.used_threads - placement.threads
-  | Virtual -> server.used_threads <- server.used_threads - placement.threads
+(* Give a placement's board and threads back to its server ([sign]
+   -1), or take them again ([sign] 1). *)
+let charge_placement server placement ~sign =
+  (match placement.substrate with
+  | Bare_metal -> server.used_boards <- server.used_boards + sign
+  | Virtual -> ());
+  server.used_threads <- server.used_threads + (sign * placement.threads)
+
+let undo_placement server placement = charge_placement server placement ~sign:(-1)
 
 let place t ~name ~vcpus ?prefer ?(strategy = First_fit) ?(avoid = []) ?cls ~image () =
   if Hashtbl.mem t.instances name then Error (name ^ " already placed")
@@ -181,23 +177,20 @@ let place t ~name ~vcpus ?prefer ?(strategy = First_fit) ?(avoid = []) ?cls ~ima
     (* Order candidate servers by strategy: first-fit keeps declaration
        order; best-fit packs the fullest feasible server; spread
        balances onto the emptiest. [avoid] (anti-affinity) removes
-       servers from consideration entirely. *)
-    let eligible =
-      match avoid with
-      | [] -> t.servers
-      | avoid -> List.filter (fun s -> not (List.mem s.id avoid)) t.servers
-    in
+       servers from consideration entirely: skipping them in a stable
+       sort of every server visits the rest in the order a sort of the
+       rest alone would. *)
     let candidates substrate =
+      let by_headroom a b = compare (headroom a ~substrate) (headroom b ~substrate) in
+      let sorted cmp =
+        let a = Array.copy t.servers in
+        Array.stable_sort cmp a;
+        a
+      in
       match strategy with
-      | First_fit -> eligible
-      | Best_fit ->
-        List.stable_sort
-          (fun a b -> compare (headroom a ~substrate) (headroom b ~substrate))
-          eligible
-      | Spread ->
-        List.stable_sort
-          (fun a b -> compare (headroom b ~substrate) (headroom a ~substrate))
-          eligible
+      | First_fit -> t.servers
+      | Best_fit -> sorted by_headroom
+      | Spread -> sorted (fun a b -> by_headroom b a)
     in
     let rec scan = function
       | [] ->
@@ -214,29 +207,34 @@ let place t ~name ~vcpus ?prefer ?(strategy = First_fit) ?(avoid = []) ?cls ~ima
         end
         else Error "no capacity for request"
       | substrate :: rest ->
-        let rec over_servers = function
-          | [] -> scan rest
-          | server :: others -> (
-            match try_place_on server ~vcpus ~substrate with
-            | Some placement ->
-              if over_ceiling t then begin
-                undo_placement server placement;
-                ceiling_hit := true;
-                over_servers others
-              end
-              else if over_class t ~cls ~threads:placement.threads then begin
-                undo_placement server placement;
-                class_hit := true;
-                over_servers others
-              end
-              else begin
-                Hashtbl.replace t.instances name { placement; vcpus; image; cls };
-                class_charge t cls placement.threads;
-                Ok placement
-              end
-            | None -> over_servers others)
+        let servers = candidates substrate in
+        let rec over_servers i =
+          if i = Array.length servers then scan rest
+          else
+            let server = servers.(i) in
+            let avoided = match avoid with [] -> false | _ -> List.mem server.id avoid in
+            if avoided then over_servers (i + 1)
+            else
+              match try_place_on server ~vcpus ~substrate with
+              | Some placement ->
+                if over_ceiling t then begin
+                  undo_placement server placement;
+                  ceiling_hit := true;
+                  over_servers (i + 1)
+                end
+                else if over_class t ~cls ~threads:placement.threads then begin
+                  undo_placement server placement;
+                  class_hit := true;
+                  over_servers (i + 1)
+                end
+                else begin
+                  Hashtbl.replace t.instances name { placement; vcpus; image; cls };
+                  class_charge t cls placement.threads;
+                  Ok placement
+                end
+              | None -> over_servers (i + 1)
         in
-        over_servers (candidates substrate)
+        over_servers 0
     in
     scan substrates
   end
@@ -261,16 +259,7 @@ let release t name =
   | Some { placement; cls; _ } ->
     Hashtbl.remove t.instances name;
     class_charge t cls (-placement.threads);
-    List.iter
-      (fun server ->
-        if server.id = placement.server then begin
-          match placement.substrate with
-          | Bare_metal ->
-            server.used_boards <- server.used_boards - 1;
-            server.used_threads <- server.used_threads - placement.threads
-          | Virtual -> server.used_threads <- server.used_threads - placement.threads
-        end)
-      t.servers
+    undo_placement t.servers.(placement.server) placement
 
 let cold_migrate t ~name ~to_ =
   match Hashtbl.find_opt t.instances name with
@@ -283,16 +272,7 @@ let cold_migrate t ~name ~to_ =
       | Ok p -> Ok p
       | Error e ->
         (* Roll back: restore the previous placement. *)
-        List.iter
-          (fun server ->
-            if server.id = placement.server then begin
-              match placement.substrate with
-              | Bare_metal ->
-                server.used_boards <- server.used_boards + 1;
-                server.used_threads <- server.used_threads + placement.threads
-              | Virtual -> server.used_threads <- server.used_threads + placement.threads
-            end)
-          t.servers;
+        charge_placement t.servers.(placement.server) placement ~sign:1;
         Hashtbl.replace t.instances name { placement; vcpus; image; cls };
         class_charge t cls placement.threads;
         Error e

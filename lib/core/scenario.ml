@@ -511,46 +511,18 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
   in
 
   (* Post-copy evacuation: placement switches instantly (drain), memory
-     streams to the new hosts in the background with a small in-flight
-     window — the emergency counterpart of Fleet.Live.evacuate's
-     pre-copy stream. *)
+     streams to the new hosts in the background through the fleet's
+     chunk pump with a small in-flight window; a dropped chunk frees its
+     slot and is not counted — the emergency counterpart of
+     Fleet.Live.evacuate's pre-copy stream. Chunks draw their ids from
+     [next_pkt], which the traffic generator shares. *)
   let evacuated_guests = ref 0 and evac_bytes = ref 0 in
-  let stream_from ~src moves =
-    let chunk = Fleet.Live.chunk_mb * 1024 * 1024 in
-    let work = Queue.create () in
-    List.iter
-      (fun (dst, bytes) ->
-        let rec split r =
-          if r > 0 then begin
-            Queue.add (dst, min chunk r) work;
-            split (r - chunk)
-          end
-        in
-        split bytes)
-      moves;
-    let rec pump () =
-      match Queue.take_opt work with
-      | None -> ()
-      | Some (dst, size) ->
-        if src = dst then begin
-          evac_bytes := !evac_bytes + size;
-          pump ()
-        end
-        else begin
-          incr next_pkt;
-          Fabric.send fab ~src_host:src ~dst_host:dst
-            ~on_drop:(fun _ -> pump ())
-            ~deliver:(fun p ->
-              evac_bytes := !evac_bytes + p.Packet.size;
-              pump ())
-            (Packet.make ~id:!next_pkt ~src:0x7000 ~dst:0x7001 ~size
-               ~count:(max 1 (size / 1500)) ~protocol:Packet.Tcp ~sent_at:(Sim.now sim) ())
-        end
-    in
-    for _ = 1 to 8 do
-      pump ()
-    done
+  let evac_packet ~dst:_ ~size =
+    incr next_pkt;
+    Packet.make ~id:!next_pkt ~src:0x7000 ~dst:0x7001 ~size ~count:(max 1 (size / 1500))
+      ~protocol:Packet.Tcp ~sent_at:(Sim.now sim) ()
   in
+  let evac_delivered n = evac_bytes := !evac_bytes + n in
   let evacuate_host server =
     let results = Scheduler.drain sched ~server in
     let moves =
@@ -566,7 +538,8 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
     let n = List.length moves in
     evacuated_guests := !evacuated_guests + n;
     Obs.add obs "scenario.evacuated_guests" n;
-    if moves <> [] then stream_from ~src:server moves
+    Fleet.Live.stream t ~src:server ~window:8 ~drop_frees_slot:true ~packet:evac_packet
+      ~delivered:evac_delivered moves
   in
 
   (* The degradation policy. Escalations run under a Guard: brownouts

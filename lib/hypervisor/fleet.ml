@@ -144,7 +144,6 @@ module Live = struct
     mutable placed : int;
     mutable place_failures : int;
     mutable flow_bursts : int;
-    mutable evac_bytes : int;
     mutable meter_plan : (Tenant.t * float * float) array;
     mutable meter_plan_gen : int;  (* scheduler generation it was built at *)
   }
@@ -163,7 +162,7 @@ module Live = struct
      the evacuation burst size and a guest's memory footprint per
      vCPU. *)
   let bm_fraction = 0.15
-  let chunk_mb = 4
+  let chunk_bytes = 4 * 1024 * 1024
   let mem_per_vcpu_gb = 2
 
   (* Bresenham spread: host i is a BM-Hive base iff the running count
@@ -243,7 +242,6 @@ module Live = struct
         placed = 0;
         place_failures = 0;
         flow_bursts = 0;
-        evac_bytes = 0;
         meter_plan = [||];
         meter_plan_gen = -1;
       }
@@ -339,47 +337,41 @@ module Live = struct
     stream_ns : float;
   }
 
-  (* Stream each re-placed victim's memory from the drained host to its
-     new host in [chunk_mb] bursts, keeping a single fleet-wide window
-     of 32 bursts in flight so the drained host's uplink queue (64
-     bursts) never overflows: mass evacuation is drop-free by
-     construction, as pre-copy migration must be. *)
-  let stream t ~src ~moves =
-    let chunk = chunk_mb * 1024 * 1024 in
-    let work = Queue.create () in
-    List.iter
-      (fun (dst, bytes) ->
-        let rec split remaining =
-          if remaining > 0 then begin
-            Queue.add (dst, min chunk remaining) work;
-            split (remaining - chunk)
-          end
-        in
-        split bytes)
-      moves;
-    let started = Sim.now t.sim in
-    let rec pump () =
-      match Queue.take_opt work with
-      | None -> ()
-      | Some (dst, size) ->
-        let id = next_packet t in
-        let pkt =
-          Packet.make ~id ~src ~dst ~size ~count:(max 1 (size / 1500)) ~protocol:Packet.Tcp
-            ~sent_at:(Sim.now t.sim) ()
-        in
-        Fabric.send t.fabric ~src_host:src ~dst_host:dst
-          ~deliver:(fun p ->
-            t.evac_bytes <- t.evac_bytes + p.Packet.size;
-            Obs.add t.obs "fleet.evac.bytes" p.Packet.size;
-            pump ())
-          pkt
-    in
-    for _ = 1 to 32 do
-      pump ()
-    done;
-    Sim.run t.sim;
-    Sim.now t.sim -. started
+  (* The chunk pump both evacuation streams share. Its state is the
+     moves still to send and the bytes of the head move already sent,
+     so it holds O(moves) cells whatever the bytes: a chunk exists only
+     from the moment a window slot frees to its delivery or drop. The
+     deliver and drop callbacks are built once per stream. *)
+  let stream t ~src ~window ~drop_frees_slot ~packet ~delivered moves =
+    let rest = ref moves and sent = ref 0 in
+    let rec next () =
+      match !rest with
+      | [] -> ()
+      | (dst, bytes) :: tl ->
+        if !sent >= bytes then begin
+          rest := tl;
+          sent := 0;
+          next ()
+        end
+        else begin
+          let size = min chunk_bytes (bytes - !sent) in
+          sent := !sent + size;
+          Fabric.send t.fabric ~src_host:src ~dst_host:dst
+            ?on_drop:(if drop_frees_slot then refill else None)
+            ~deliver (packet ~dst ~size)
+        end
+    and deliver p =
+      delivered p.Packet.size;
+      next ()
+    and refill = Some (fun _ -> next ()) in
+    for _ = 1 to window do
+      next ()
+    done
 
+  (* Pre-copy: a single fleet-wide window of 32 chunks in flight keeps
+     the drained host's uplink queue (64 bursts) from overflowing, so
+     mass evacuation is drop-free by construction, as pre-copy
+     migration must be. A drop would lose its window slot. *)
   let evacuate ?(stream_memory = true) t ~server =
     let results = Scheduler.drain t.sched ~server in
     let moves =
@@ -392,7 +384,20 @@ module Live = struct
             Some (p.Cp.server, req.Scheduler.mem_gb * 1024 * 1024 * 1024))
         results
     in
-    let stream_ns = if stream_memory && moves <> [] then stream t ~src:server ~moves else 0.0 in
+    let stream_ns =
+      if stream_memory && moves <> [] then begin
+        let started = Sim.now t.sim in
+        stream t ~src:server ~window:32 ~drop_frees_slot:false
+          ~packet:(fun ~dst ~size ->
+            Packet.make ~id:(next_packet t) ~src:server ~dst ~size ~count:(max 1 (size / 1500))
+              ~protocol:Packet.Tcp ~sent_at:(Sim.now t.sim) ())
+          ~delivered:(fun n -> Obs.add t.obs "fleet.evac.bytes" n)
+          moves;
+        Sim.run t.sim;
+        Sim.now t.sim -. started
+      end
+      else 0.0
+    in
     let replaced = List.length moves in
     {
       victims = List.length results;

@@ -69,14 +69,11 @@ module Live : sig
   val default_config : config
   (** 280 hosts (15%% BM bases of 16 boards, the rest 88-thread
       virtualization servers), 12,000 guests, 40 tenants, 0.9 per-host
-      ceiling, 4 MB evacuation chunks. Sized so the packed fleet runs at
-      ~80%% of its ceiling-limited capacity — evacuation headroom. *)
+      ceiling. Sized so the packed fleet runs at ~80%% of its
+      ceiling-limited capacity — evacuation headroom. *)
 
   val quick_config : config
   (** 60 hosts / 1,500 guests / 12 tenants — same proportions, CI-sized. *)
-
-  val chunk_mb : int
-  (** Evacuation burst size: 4 MB. *)
 
   type t
 
@@ -146,13 +143,36 @@ module Live : sig
     stream_ns : float;  (** simulated time the pre-copy stream took *)
   }
 
+  val stream :
+    t ->
+    src:int ->
+    window:int ->
+    drop_frees_slot:bool ->
+    packet:(dst:int -> size:int -> Bm_virtio.Packet.t) ->
+    delivered:(int -> unit) ->
+    (int * int) list ->
+    unit
+  (** [stream t ~src ~window ~drop_frees_slot ~packet ~delivered moves]
+      streams memory from host [src] over the fabric, the chunk pump of
+      both evacuation streams. Each [(dst, bytes)] move, in list order,
+      goes to host [dst] as 4 MB chunks, the last one short; a move of
+      [bytes <= 0] sends nothing. Up to [window] chunks are in flight:
+      the next chunk is made only when one of them is delivered
+      ([delivered] gets its size first) or, with [drop_frees_slot],
+      dropped; without it a dropped chunk loses its window slot.
+      [packet ~dst ~size] builds each chunk's burst at the moment it is
+      sent, so it draws the packet id then. The pump holds the moves
+      and an offset into the head one, never a chunk list, and it does
+      not run the simulator: {!evacuate} runs it afterwards, and a
+      caller inside a running simulation lets it drain. *)
+
   val evacuate : ?stream_memory:bool -> t -> server:int -> evac_report
   (** Fail [server] and drain it ({!Bm_cloud.Scheduler.drain}), then —
-      unless [stream_memory] is [false] — stream each re-placed victim's
-      memory to its new host in [chunk_mb] bursts over the fabric,
-      keeping a fleet-wide window of 32 bursts in flight so the drained
-      host's uplink queue (64) never drops: the pre-copy phase of mass
-      live migration. Runs the simulation to quiescence. *)
+      unless [stream_memory] is [false] — {!stream} each re-placed
+      victim's memory to its new host, with a fleet-wide window of 32
+      chunks so the drained host's uplink queue (64) never drops: the
+      pre-copy phase of mass live migration. Runs the simulation to
+      quiescence. *)
 
   val restore : t -> server:int -> int
   (** Repair [server] ({!Bm_cloud.Control_plane.restore_server}) and

@@ -5,7 +5,7 @@ open Bm_virtio
 let desc_bytes = 16
 let used_elem_bytes = 8
 
-type 'a request = { token : int; out_bytes : int; in_bytes : int; payload : 'a }
+type 'a request = { token : int; payload : 'a }
 
 type 'a t = {
   sim : Sim.t;
@@ -143,14 +143,7 @@ let pop t =
   else
     match Vring.pop_avail t.shadow with
     | None -> None
-    | Some head ->
-      Some
-        {
-          token = head;
-          out_bytes = Vring.out_bytes t.shadow ~head;
-          in_bytes = Vring.in_bytes t.shadow ~head;
-          payload = Vring.payload t.shadow ~head;
-        }
+    | Some head -> Some { token = head; payload = Vring.payload t.shadow ~head }
 
 let complete t req ?payload ~written () =
   (match payload with Some p -> Vring.set_payload t.shadow ~head:req.token p | None -> ());

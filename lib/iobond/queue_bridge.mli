@@ -15,8 +15,6 @@ type 'a t
 
 type 'a request = {
   token : int;  (** shadow-ring head; identifies the request to {!complete} *)
-  out_bytes : int;  (** driver→device payload size *)
-  in_bytes : int;  (** room for device→driver data *)
   payload : 'a;
 }
 

@@ -13,6 +13,7 @@ module Scheduler = Bm_cloud.Scheduler
 module Tenant = Bm_cloud.Tenant
 module Fleet = Bm_hyp.Fleet
 module Topology = Bm_fabric.Topology
+module Packet = Bm_virtio.Packet
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -322,6 +323,26 @@ let prop_views_match_reference =
       let names = List.sort compare (List.init n_reqs (Printf.sprintf "r%03d")) in
       holds_throughout input (fun sched -> views_match_reference sched names))
 
+(* Drain fails its server before it re-places anyone, and a failed
+   server takes no placement: no victim lands back where it was, so an
+   evacuation stream never sends a chunk from a host to itself. *)
+let prop_drain_leaves_drained_host =
+  QCheck.Test.make ~name:"drain never re-places a victim on the drained server" ~count:100
+    model_arb (fun (seed, n_hosts, n_reqs) ->
+      let sched, reqs = build_model (seed, n_hosts, n_reqs) in
+      ignore (Scheduler.place_batch sched reqs);
+      let rng = Rng.create ~seed:(seed + 1) in
+      List.for_all
+        (function
+          | Drain server ->
+            List.for_all
+              (fun (_, r) -> match r with Ok p -> p.Cp.server <> server | Error _ -> true)
+              (Scheduler.drain sched ~server)
+          | op ->
+            apply_op sched reqs op;
+            true)
+        (model_ops rng ~n_hosts ~n_reqs ~n_ops:12))
+
 let prop_same_seed_same_assignment =
   QCheck.Test.make ~name:"same seed => identical assignment" ~count:100 model_arb (fun input ->
       let sched1, reqs1 = build_model input in
@@ -522,6 +543,93 @@ let test_live_evacuation_streams () =
     (Bm_fabric.Fabric.injected net
     = Bm_fabric.Fabric.delivered net + Bm_fabric.Fabric.dropped net)
 
+(* The evacuation chunk pump against a model that splits every move up
+   front: in list order, 4 MB chunks, the last one short, and nothing
+   for a move of no bytes. *)
+let chunk = 4 * 1024 * 1024
+
+let split_model moves =
+  List.concat_map
+    (fun (dst, bytes) ->
+      let rec split remaining acc =
+        if remaining > 0 then split (remaining - chunk) ((dst, min chunk remaining) :: acc)
+        else List.rev acc
+      in
+      split bytes [])
+    moves
+
+let pump_config = Fleet.Live.{ hosts = 4; guests = 8; tenants = 1; host_ceiling = 0.9 }
+
+let chunk_packet ~dst ~size =
+  Packet.make ~id:0 ~src:0 ~dst ~size ~count:(max 1 (size / 1500)) ~protocol:Packet.Tcp
+    ~sent_at:0.0 ()
+
+(* Stream [moves] from host 0 of a fresh fleet to quiescence: the chunks
+   in the order the pump made them, and the bytes delivered. *)
+let pumped ~window ~drop_frees_slot moves =
+  let live = Fleet.Live.build ~seed:1 pump_config in
+  let sent = ref [] and delivered = ref 0 in
+  Fleet.Live.stream live ~src:0 ~window ~drop_frees_slot
+    ~packet:(fun ~dst ~size ->
+      sent := (dst, size) :: !sent;
+      chunk_packet ~dst ~size)
+    ~delivered:(fun n -> delivered := !delivered + n)
+    moves;
+  Sim.run (Fleet.Live.sim live);
+  (List.rev !sent, !delivered)
+
+let moves_arb =
+  let size =
+    QCheck.Gen.(
+      oneof
+        [
+          return 0;
+          int_range 1 (chunk - 1);
+          return chunk;
+          map (fun k -> k * chunk) (int_range 2 4);
+          map2 (fun k r -> (k * chunk) + r) (int_range 1 4) (int_range 1 (chunk - 1));
+        ])
+  in
+  QCheck.make
+    ~print:(fun (window, frees, moves) ->
+      Printf.sprintf "window %d, drop frees slot %b, moves [%s]" window frees
+        (String.concat "; " (List.map (fun (d, b) -> Printf.sprintf "(%d, %d)" d b) moves)))
+    QCheck.Gen.(
+      triple (int_range 1 40) bool (list_size (int_range 0 12) (pair (int_range 1 3) size)))
+
+let prop_pump_sends_the_split =
+  QCheck.Test.make ~name:"pump sends the up-front split's chunks" ~count:100 moves_arb
+    (fun (window, drop_frees_slot, moves) ->
+      let sent, delivered = pumped ~window ~drop_frees_slot moves in
+      sent = split_model moves
+      && delivered = List.fold_left (fun acc (_, b) -> acc + max 0 b) 0 moves)
+
+(* A started stream — its window primed, before the simulator runs —
+   holds the same state whatever its bytes: one 1 TiB move allocates
+   what one 1 GiB move does, though it is 1,024 times as many chunks. *)
+let test_stream_state_independent_of_bytes () =
+  let start bytes =
+    let live = Fleet.Live.build ~seed:1 pump_config in
+    let made = ref 0 in
+    let packet ~dst ~size =
+      incr made;
+      chunk_packet ~dst ~size
+    in
+    let moves = [ (1, bytes) ] in
+    let w0 = Gc.minor_words () in
+    Fleet.Live.stream live ~src:0 ~window:32 ~drop_frees_slot:false ~packet ~delivered:ignore
+      moves;
+    let words = Gc.minor_words () -. w0 in
+    check_int "the window is full" 32 !made;
+    words
+  in
+  let gib = start (1 lsl 30) in
+  let tib = start (1 lsl 40) in
+  check_bool
+    (Printf.sprintf "1 TiB: %.0f words, 1 GiB: %.0f words" tib gib)
+    true
+    (Float.abs (tib -. gib) <= 8.0)
+
 (* The congested fleet of fleet_scale's --shards check: one spine at
    1 Gbit/s behind four racks, queues of two bursts. Served at 1 and 2
    shards from one seed, the two fleets must carry the same flows over
@@ -642,6 +750,7 @@ let suites =
           prop_guest_conservation;
           prop_views_match_reference;
           prop_same_seed_same_assignment;
+          prop_drain_leaves_drained_host;
           prop_rebalance_matches_full_scan;
         ] );
     ( "fleet.live",
@@ -652,6 +761,9 @@ let suites =
         Alcotest.test_case "build determinism" `Quick test_live_determinism;
         Alcotest.test_case "serve meters tenants" `Quick test_live_serve_meters;
         Alcotest.test_case "evacuation streams memory" `Quick test_live_evacuation_streams;
+        QCheck_alcotest.to_alcotest prop_pump_sends_the_split;
+        Alcotest.test_case "stream state independent of bytes" `Quick
+          test_stream_state_independent_of_bytes;
         Alcotest.test_case "congested serve independent of shards" `Quick
           test_serve_shards_invisible;
         Alcotest.test_case "100-round soak" `Slow test_live_soak;

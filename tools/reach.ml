@@ -58,7 +58,7 @@ let allowlist =
       "Vf.id"; "Vf.owner"; "Vf.state"; "Vf.rejected"; "Vf.in_flight";
       (* virtio, workloads *)
       "Virtio_net.tx_dropped"; "Virtio_pci.read"; "Virtio_pci.write"; "Virtio_pci.driver_ok";
-      "Vring.num_free"; "Rpc.calls_completed"; "Rpc.retransmits" ]
+      "Vring.num_free"; "Vring.in_bytes"; "Rpc.calls_completed"; "Rpc.retransmits" ]
   @ List.map
       (fun v -> (v, Reference))
       [ "Pqueue"; "Queueing"; "Sim.suspend"; "Vhost_user.handle"; "Comparison.properties";
